@@ -38,7 +38,7 @@ use crate::phase::Phase;
 use crate::runtime::{RuntimeConfig, Variant};
 use gam_detectors::{IndicatorMode, IndicatorOracle, MuOracle};
 use gam_groups::{GroupId, GroupSet, GroupSystem};
-use gam_kernel::{CowVec, FailurePattern, ProcessId, Time};
+use gam_kernel::{CowVec, FailurePattern, ProcessId};
 
 /// Sentinel for "no rank": `p` is not a member of the indexing group.
 pub(crate) const NO_RANK: u16 = u16::MAX;
@@ -240,29 +240,21 @@ impl Tables {
                 }
                 let pid = pairs.len() as u32;
                 pairs.push((g, h));
+                // `adj[x]` receives every `h < x` while the outer loop is
+                // still below `x`, then every `h ≥ x` at `gi = x`: ascending.
+                let mut link = |from: usize, to: GroupId| {
+                    adj_pos[from * n_groups + to.index()] = adj[from].len() as u16;
+                    adj[from].push(to);
+                    adj_pair[from].push(pid);
+                };
+                link(gi, h);
                 if hi == gi {
                     self_pair[gi] = pid;
                     pair_procs.push(member_list[gi].clone());
                 } else {
+                    link(hi, g);
                     pair_procs.push(system.intersection(g, h).iter().collect());
                 }
-            }
-        }
-        for gi in 0..n_groups {
-            let g = GroupId(gi as u32);
-            for hi in 0..n_groups {
-                let h = GroupId(hi as u32);
-                if hi != gi && !system.intersecting(g, h) {
-                    continue;
-                }
-                let (a, b) = if g <= h { (g, h) } else { (h, g) };
-                let pid = pairs
-                    .iter()
-                    .position(|&k| k == (a, b))
-                    .expect("pair interned above") as u32;
-                adj_pos[gi * n_groups + hi] = adj[gi].len() as u16;
-                adj[gi].push(h);
-                adj_pair[gi].push(pid);
             }
         }
         let mut pair_rank = vec![NO_RANK; pairs.len() * n];
@@ -287,69 +279,65 @@ impl Tables {
             })
             .collect();
 
-        // Consensus families H(p, g), interned per group by value. Under the
-        // pairwise weakening the runtime behaves as if ℱ = ∅, so every
-        // process proposes into the single (m, ∅) instance.
+        // Per (group, member): the consensus family H(p, g) and the γ(p, g)
+        // timeline, both read off the families of ℱ(p) that contain g. Under
+        // the pairwise weakening the runtime behaves as if ℱ = ∅: every
+        // process proposes into the single (m, ∅) instance and γ(g) = ∅.
         let total_gm = base as usize;
+        let mut h_sets = vec![GroupSet::EMPTY; total_gm];
+        let mut gamma_timeline = vec![vec![(0, GroupSet::EMPTY)]; total_gm];
+        if config.variant != Variant::Pairwise {
+            for gi in 0..n_groups {
+                let g = GroupId(gi as u32);
+                let peers: GroupSet = adj[gi].iter().copied().filter(|&h| h != g).collect();
+                for (r, &p) in member_list[gi].iter().enumerate() {
+                    let gm = member_base[gi] as usize + r;
+                    // (γ(g)'s share of the family, its exclusion instant)
+                    let shares: Vec<(GroupSet, Option<u64>)> = mu
+                        .gamma()
+                        .families_of(p)
+                        .filter(|(f, _)| f.contains(g))
+                        .map(|(f, from)| (f & peers, from.map(|t| t.0)))
+                        .collect();
+                    if !shares.is_empty() {
+                        h_sets[gm] = shares.iter().fold(GroupSet::singleton(g), |h, s| h | s.0);
+                    }
+                    // γ(p, g, t) changes only at these families' exclusion
+                    // instants (family faultiness is monotone).
+                    let gamma_from = |t: u64| {
+                        shares
+                            .iter()
+                            .filter(|(_, from)| from.is_none_or(|from| t < from))
+                            .fold(GroupSet::EMPTY, |acc, s| acc | s.0)
+                    };
+                    let mut instants: Vec<u64> = shares.iter().filter_map(|s| s.1).collect();
+                    instants.sort_unstable();
+                    instants.dedup();
+                    let tl = &mut gamma_timeline[gm];
+                    tl[0].1 = gamma_from(0);
+                    for b in instants {
+                        let v = gamma_from(b);
+                        if v != tl.last().expect("timeline starts at 0").1 {
+                            tl.push((b, v));
+                        }
+                    }
+                }
+            }
+        }
+        // Families interned per group by value.
         let mut fam_rank = vec![0u16; total_gm];
         let mut fams: Vec<Vec<GroupSet>> = Vec::with_capacity(n_groups);
-        // `GroupSystem::h_set` re-enumerates the cyclic families (a
-        // quadratic 2-core prune) on every call; with one call per
-        // (group, member) that dominates construction at hundreds of
-        // groups. Enumerate ℱ once and evaluate H(p, g) against it.
-        let cyclic = system.cyclic_families();
-        let h_set = |p: ProcessId, g: GroupId| -> GroupSet {
-            let mut out = GroupSet::new();
-            for f in &cyclic {
-                if !f.contains(g) || !system.in_some_intersection(*f, p) {
-                    continue;
-                }
-                for h in *f {
-                    if g == h || system.intersecting(g, h) {
-                        out.insert(h);
-                    }
-                }
-            }
-            out
-        };
         for gi in 0..n_groups {
-            let g = GroupId(gi as u32);
-            let mut sets: Vec<GroupSet> = match config.variant {
-                Variant::Pairwise => vec![GroupSet::EMPTY],
-                _ => member_list[gi].iter().map(|&p| h_set(p, g)).collect(),
-            };
+            let of_group = member_base[gi] as usize..member_base[gi + 1] as usize;
+            let mut sets = h_sets[of_group.clone()].to_vec();
             sets.sort_unstable();
             sets.dedup();
-            if config.variant != Variant::Pairwise {
-                for (r, &p) in member_list[gi].iter().enumerate() {
-                    let f = h_set(p, g);
-                    let rank = sets.binary_search(&f).expect("own family interned") as u16;
-                    fam_rank[member_base[gi] as usize + r] = rank;
-                }
+            for gm in of_group {
+                fam_rank[gm] = sets
+                    .binary_search(&h_sets[gm])
+                    .expect("own family interned") as u16;
             }
             fams.push(sets);
-        }
-
-        // γ timelines: γ(p, g, t) changes only at family-exclusion instants.
-        let breakpoints = mu.gamma().exclusion_breakpoints();
-        let mut gamma_timeline = vec![Vec::new(); total_gm];
-        for gi in 0..n_groups {
-            let g = GroupId(gi as u32);
-            for (r, &p) in member_list[gi].iter().enumerate() {
-                let gm = member_base[gi] as usize + r;
-                let tl = &mut gamma_timeline[gm];
-                if config.variant == Variant::Pairwise {
-                    tl.push((0, GroupSet::EMPTY));
-                    continue;
-                }
-                tl.push((0, mu.gamma_groups(p, g, Time(0))));
-                for &b in &breakpoints {
-                    let v = mu.gamma_groups(p, g, b);
-                    if v != tl.last().expect("timeline starts at 0").1 {
-                        tl.push((b.0, v));
-                    }
-                }
-            }
         }
 
         // Per-(group, member) pair views.
@@ -644,6 +632,7 @@ impl UnitArena {
 mod tests {
     use super::*;
     use gam_groups::topology;
+    use gam_kernel::Time;
 
     fn tables(gs: &GroupSystem) -> Tables {
         Tables::new(
@@ -690,22 +679,43 @@ mod tests {
 
     #[test]
     fn gamma_timeline_matches_oracle_queries() {
-        let gs = topology::fig1();
-        let pattern = FailurePattern::from_crashes(
-            gs.universe(),
-            [(ProcessId(1), Time(5)), (ProcessId(2), Time(7))],
-        );
-        let t = Tables::new(&gs, pattern.clone(), &RuntimeConfig::default());
-        for (g, members) in gs.iter() {
-            for p in members {
-                let gm = t.gm(g, p);
-                for now in 0..20u64 {
-                    assert_eq!(
-                        t.gamma_at(gm, now),
-                        t.mu.gamma_groups(p, g, Time(now)),
-                        "γ({p}, {g}, {now})"
-                    );
+        let fig1 = topology::fig1();
+        let fig1_crashes = vec![(ProcessId(1), Time(5)), (ProcessId(2), Time(7))];
+        // A dense system (hundreds of cyclic families). Losing one edge
+        // there excludes families but no group of any γ(g): other cycles
+        // still join its endpoints. Losing every edge of g1 fails each
+        // family containing g1, so every γ(g) drops g1 — a real step.
+        let dense = topology::random(64, 8, 0.45, 7);
+        let last = *dense.intersecting_pairs().last().expect("dense");
+        let dense_crashes = dense
+            .intersecting_pairs()
+            .into_iter()
+            .filter(|&(g, _)| g == GroupId(0))
+            .map(|e| (e, Time(5)))
+            .chain([(last, Time(7))])
+            .flat_map(|((g, h), at)| dense.intersection(g, h).iter().map(move |p| (p, at)))
+            .collect();
+        for (gs, crashes) in [(fig1, fig1_crashes), (dense, dense_crashes)] {
+            let pattern = FailurePattern::from_crashes(gs.universe(), crashes);
+            for gamma_delay in [0, 3] {
+                let mut cfg = RuntimeConfig::default();
+                cfg.mu.gamma_delay = gamma_delay;
+                let t = Tables::new(&gs, pattern.clone(), &cfg);
+                let mut steps = 0;
+                for (g, members) in gs.iter() {
+                    for p in members {
+                        let gm = t.gm(g, p);
+                        steps += t.gamma_timeline[gm].len() - 1;
+                        for now in 0..20u64 {
+                            assert_eq!(
+                                t.gamma_at(gm, now),
+                                t.mu.gamma_groups(p, g, Time(now)),
+                                "γ({p}, {g}, {now}) delay {gamma_delay}"
+                            );
+                        }
+                    }
                 }
+                assert!(steps > 0, "some timeline must change");
             }
         }
     }

@@ -134,11 +134,15 @@ struct GroupView {
     outbox: VecDeque<GroupCmd>,
     /// The instance at which the head command was last proposed.
     inflight_at: Option<u64>,
+    /// `H(me, g)`: the consensus family this process proposes into (line
+    /// 20) — a function of the topology alone.
+    family: GroupSet,
 }
 
 impl GroupView {
-    fn new(me: ProcessId, members: ProcessSet) -> Self {
+    fn new(me: ProcessId, members: ProcessSet, family: GroupSet) -> Self {
         GroupView {
+            family,
             paxos: PaxosProcess::new(me, members),
             applied: 0,
             log: Log::new(),
@@ -301,10 +305,12 @@ impl DistProcess {
     /// Creates the automaton for `me` over `system`.
     pub fn new(me: ProcessId, system: &GroupSystem) -> Self {
         let my_groups = system.groups_of(me);
+        let cyclic = system.cyclic_families();
         let mut groups = BTreeMap::new();
         let mut pairs = BTreeMap::new();
         for g in my_groups {
-            groups.insert(g, GroupView::new(me, system.members(g)));
+            let family = system.h_set_among(&cyclic, me, g);
+            groups.insert(g, GroupView::new(me, system.members(g), family));
             for h in my_groups {
                 if g < h && system.intersecting(g, h) {
                     let inter = system.intersection(g, h);
@@ -451,8 +457,9 @@ impl DistProcess {
                     if !have_all {
                         continue;
                     }
-                    let f = self.system.h_set(self.me, g);
-                    let decided = self.groups[&g].cons.get(&(m, f)).copied();
+                    let view = &self.groups[&g];
+                    let f = view.family;
+                    let decided = view.cons.get(&(m, f)).copied();
                     match decided {
                         None => {
                             let k = group_log

@@ -11,6 +11,7 @@
 
 use gam_groups::{GroupId, GroupSet, GroupSystem};
 use gam_kernel::{FailurePattern, History, ProcessId, Time};
+use std::ops::ControlFlow;
 
 /// An oracle for `γ` over a group system and failure pattern.
 ///
@@ -38,43 +39,54 @@ use gam_kernel::{FailurePattern, History, ProcessId, Time};
 #[derive(Debug, Clone)]
 pub struct GammaOracle {
     pattern: FailurePattern,
-    delay: u64,
-    /// Precomputed `ℱ(p)` per process index.
-    families_of: Vec<Vec<GroupSet>>,
-    /// For every family in `ℱ`, the time at which it becomes faulty (if ever).
-    faulty_from: Vec<(GroupSet, Option<Time>)>,
-    /// Precomputed intersecting-pairs relation, for `γ(g)`.
-    system: GroupSystem,
+    /// `ℱ`, sorted — enumerated once, here.
+    cyclic: Vec<GroupSet>,
+    /// Per family of `ℱ` (same index): the instant `faulty_from + delay` from
+    /// which the oracle excludes it, if it ever becomes faulty.
+    excluded_from: Vec<Option<Time>>,
+    /// `ℱ(p)` per process index, as indices into `cyclic`.
+    families_of: Vec<Vec<u32>>,
+    /// Per group `g`: the groups `h ≠ g` with `g ∩ h ≠ ∅`, for `γ(g)`.
+    peers: Vec<GroupSet>,
 }
 
 impl GammaOracle {
     /// Creates the oracle; `delay` is the detection latency in ticks.
     pub fn new(system: &GroupSystem, pattern: FailurePattern, delay: u64) -> Self {
         let n = system.universe().max().map_or(0, |p| p.index() + 1);
-        // Enumerate ℱ once: `families_of_process` re-runs the 2-core prune
-        // per call, which is quadratic in the group count — at hundreds of
-        // groups the n repeated calls dominate construction.
         let cyclic = system.cyclic_families();
         let families_of = (0..n)
             .map(|i| {
                 let p = ProcessId(i as u32);
-                cyclic
-                    .iter()
-                    .copied()
-                    .filter(|f| system.in_some_intersection(*f, p))
+                (0u32..)
+                    .zip(&cyclic)
+                    .filter(|(_, f)| system.in_some_intersection(**f, p))
+                    .map(|(i, _)| i)
                     .collect()
             })
             .collect();
-        let faulty_from = cyclic
-            .into_iter()
-            .map(|f| (f, family_faulty_from(system, &pattern, f)))
+        let excluded_from = cyclic
+            .iter()
+            .map(|f| {
+                family_faulty_from(system, &pattern, *f).map(|t| Time(t.0.saturating_add(delay)))
+            })
+            .collect();
+        let peers = system
+            .iter()
+            .map(|(g, _)| {
+                system
+                    .iter()
+                    .map(|(h, _)| h)
+                    .filter(|&h| h != g && system.intersecting(g, h))
+                    .collect()
+            })
             .collect();
         GammaOracle {
             pattern,
-            delay,
+            cyclic,
+            excluded_from,
             families_of,
-            faulty_from,
-            system: system.clone(),
+            peers,
         }
     }
 
@@ -83,81 +95,69 @@ impl GammaOracle {
         &self.pattern
     }
 
+    /// `ℱ(p)`, each family with the instant from which the oracle excludes
+    /// it (`None`: never faulty, output forever). `γ(p, t)` is the families
+    /// whose instant is `None` or later than `t`.
+    pub fn families_of(&self, p: ProcessId) -> impl Iterator<Item = (GroupSet, Option<Time>)> + '_ {
+        self.families_of
+            .get(p.index())
+            .into_iter()
+            .flatten()
+            .map(|&i| (self.cyclic[i as usize], self.excluded_from[i as usize]))
+    }
+
     /// `γ(p, t)`: the families of `ℱ(p)` currently output at `p`.
     pub fn families(&self, p: ProcessId, t: Time) -> Vec<GroupSet> {
-        let Some(mine) = self.families_of.get(p.index()) else {
-            return Vec::new();
-        };
-        mine.iter()
-            .filter(|f| !self.excluded(**f, t))
-            .copied()
-            .collect()
+        self.output(p, t).collect()
     }
 
-    fn excluded(&self, f: GroupSet, t: Time) -> bool {
-        self.faulty_from
-            .iter()
-            .find(|(g, _)| *g == f)
-            .and_then(|(_, from)| *from)
-            .is_some_and(|from| Time(from.0.saturating_add(self.delay)) <= t)
-    }
-
-    /// The times at which the oracle's output can change anywhere: for
-    /// every family of `ℱ` that ever becomes faulty, the instant
-    /// `faulty_from + delay` at which the oracle excludes it. Sorted
-    /// ascending, deduplicated. Between consecutive breakpoints — and after
-    /// the last — the output at every process is constant (family
-    /// faultiness is monotone), which lets callers precompute `γ(g)`
-    /// timelines once instead of re-filtering families per query.
-    pub fn exclusion_breakpoints(&self) -> Vec<Time> {
-        let mut out: Vec<Time> = self
-            .faulty_from
-            .iter()
-            .filter_map(|(_, from)| *from)
-            .map(|t| Time(t.0.saturating_add(self.delay)))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    fn output(&self, p: ProcessId, t: Time) -> impl Iterator<Item = GroupSet> + '_ {
+        self.families_of(p)
+            .filter(move |(_, from)| from.is_none_or(|from| t < from))
+            .map(|(f, _)| f)
     }
 
     /// `γ(g)` at `(p, t)`: the groups `h` with `g ∩ h ≠ ∅` such that `g` and
     /// `h` belong to a common family output by `γ` (§3). Used as the guard
     /// of lines 18 and 32 of Algorithm 1.
     pub fn groups(&self, p: ProcessId, g: GroupId, t: Time) -> GroupSet {
-        let mut out = GroupSet::new();
-        for f in self.families(p, t) {
-            if !f.contains(g) {
-                continue;
-            }
-            for h in f {
-                if h != g && self.system.intersecting(g, h) {
-                    out.insert(h);
-                }
-            }
-        }
-        out
+        let peers = self.peers.get(g.index()).copied().unwrap_or_default();
+        self.output(p, t)
+            .filter(|f| f.contains(g))
+            .fold(GroupSet::EMPTY, |out, f| out | (f & peers))
     }
 }
 
-/// The earliest time at which `f` is faulty under `pattern`, if ever:
-/// the minimum over hamiltonian-cycle hitting times of the max edge-crash
-/// time... more precisely, `f` is faulty at `t` iff every cycle has a crashed
-/// edge at `t`; monotone, so the threshold is
-/// `max over cycles of (min over edges of edge-crash-time)`.
+/// The earliest time at which `f` is faulty under `pattern`, if ever. `f` is
+/// faulty at `t` iff every hamiltonian cycle has an edge `(g, h)` with
+/// `g ∩ h` crashed at `t`; crashes are permanent, so the threshold is the
+/// max over cycles of the min over the cycle's edges of the edge's crash
+/// time — `None` as soon as one cycle has no edge that ever crashes.
 fn family_faulty_from(system: &GroupSystem, pattern: &FailurePattern, f: GroupSet) -> Option<Time> {
-    let cycles = system.hamiltonian_cycles(f);
-    let mut threshold = Time::ZERO;
-    for c in cycles {
-        // earliest time this cycle gains a crashed edge
-        let t = c
-            .edges()
-            .iter()
-            .filter_map(|(g, h)| pattern.set_crash_time(system.intersection(*g, *h)))
-            .min()?;
-        threshold = threshold.max(t);
+    let edge = |g: GroupId, h: GroupId| pattern.set_crash_time(system.intersection(g, h));
+    // A faulty family has a crashing edge on every cycle, so at least one.
+    let any_edge_crashes = f.iter().any(|g| {
+        f.iter()
+            .any(|h| g < h && system.intersecting(g, h) && edge(g, h).is_some())
+    });
+    if !any_edge_crashes {
+        return None;
     }
-    Some(threshold)
+    let mut threshold = Time::ZERO;
+    let some_cycle_survives = system.each_hamiltonian_cycle(f, &mut |seq| {
+        // earliest time this cycle gains a crashed edge
+        let hit = (0..seq.len())
+            .filter_map(|i| edge(seq[i], seq[(i + 1) % seq.len()]))
+            .min();
+        match hit {
+            Some(t) => {
+                threshold = threshold.max(t);
+                ControlFlow::Continue(())
+            }
+            None => ControlFlow::Break(()),
+        }
+    });
+    (!some_cycle_survives).then_some(threshold)
 }
 
 impl History for GammaOracle {

@@ -44,6 +44,20 @@ impl RuntimeExecutor {
         }
     }
 
+    /// An executor standing at `snap`, scheduling every process — the twin
+    /// [`SnapshotExec::restore`] is specified against: a fresh digest
+    /// history continued from the checkpoint's, no observers. Costs what a
+    /// restore costs (chunk-table refcount bumps; the interned topology and
+    /// oracle tables stay shared), which is what lets an explorer build a
+    /// scenario's executor once and stamp every later run from it.
+    pub fn from_snapshot(snap: &RuntimeSnapshot) -> Self {
+        RuntimeExecutor {
+            digest: snap.digest,
+            crashed_seen: snap.crashed_seen,
+            ..RuntimeExecutor::new(snap.rt.clone())
+        }
+    }
+
     /// Read access to the wrapped runtime.
     pub fn runtime(&self) -> &Runtime {
         &self.rt

@@ -62,7 +62,7 @@
 use crate::explorer::ExploreStats;
 use crate::independence::{actions_commute, por_applicable};
 use crate::par::{exhaustive_pool, merge, ExploreConfig, ItemResult};
-use crate::Scenario;
+use crate::{Prototype, Scenario};
 use gam_core::spec::check_all;
 use gam_core::ActionDesc;
 use gam_engine::{run_with_source_counted, Executor, RuntimeSnapshot, SnapshotExec, VisitedSet};
@@ -193,7 +193,7 @@ fn step_flat<E: Executor>(
 /// equivalent *earlier* in DFS preorder, the first violation found (and
 /// hence the shrunk repro) is byte-identical with POR on or off.
 pub(crate) fn dfs_item(
-    scenario: &Scenario,
+    proto: &Prototype,
     depth: usize,
     pinned: &[usize],
     reserved: &AtomicU64,
@@ -201,19 +201,11 @@ pub(crate) fn dfs_item(
     mut visited: Option<&mut VisitedSet>,
     por: bool,
 ) -> ItemResult {
+    let scenario = proto.scenario;
     let por = por && por_applicable(scenario);
     let system = &scenario.system;
     let mut res = ItemResult::default();
-    // Reserve the item's first run *before* constructing the executor:
-    // building the runtime is itself O(state), and once the shared budget
-    // is drained every remaining pool item must return in O(1) — on a
-    // wide-state scenario (rand(64,8)) anything else dominates the bench.
-    // gam-lint: allow(A001, reason = "monotonic budget counter: fetch_add totals are exact under any ordering and nothing is published through it; capped overshoot is reconciled in the deterministic merge")
-    if reserved.fetch_add(1, Ordering::Relaxed) >= max_runs {
-        res.capped = true;
-        return res;
-    }
-    let mut exec = scenario.runtime_executor();
+    let mut exec = proto.executor();
     let mut stack: Vec<Frame> = Vec::new();
     let mut prefix: Vec<ChoiceStep> = Vec::new();
     let mut options: Vec<(ProcessId, usize)> = Vec::new();
@@ -249,15 +241,14 @@ pub(crate) fn dfs_item(
                 }
                 stack.pop();
             }
-            // Reserve this sibling's run from the shared budget *before*
-            // executing anything of it, so the total across all workers
-            // matches the sequential cap exactly. (The item's first run was
-            // reserved before the executor was built.)
-            // gam-lint: allow(A001, reason = "monotonic budget counter: same argument as the item's first reservation — exact totals under any ordering, merge-side reconciliation")
-            if reserved.fetch_add(1, Ordering::Relaxed) >= max_runs {
-                res.capped = true;
-                return res;
-            }
+        }
+        // Reserve the run from the shared budget *before* executing anything
+        // of it, so the total across all workers matches the sequential cap
+        // exactly.
+        // gam-lint: allow(A001, reason = "monotonic budget counter: fetch_add totals are exact under any ordering and nothing is published through it; capped overshoot is reconciled in the deterministic merge")
+        if reserved.fetch_add(1, Ordering::Relaxed) >= max_runs {
+            res.capped = true;
+            return res;
         }
         let mut digits = 0;
         if started {
@@ -444,7 +435,8 @@ pub fn explore_exhaustive_dfs(
     shrink_budget: u64,
 ) -> ExploreStats {
     let reserved = AtomicU64::new(0);
-    let res = dfs_item(scenario, depth, &[], &reserved, max_runs, None, false);
+    let proto = Prototype::new(scenario);
+    let res = dfs_item(&proto, depth, &[], &reserved, max_runs, None, false);
     let runs = res.runs;
     merge(scenario, vec![(runs, 0, vec![(0, res)])], shrink_budget)
 }
@@ -470,8 +462,8 @@ pub fn explore_exhaustive_dfs_par(
         depth,
         max_runs,
         config,
-        move |scenario, depth, pinned, reserved, max_runs, visited| {
-            dfs_item(scenario, depth, pinned, reserved, max_runs, visited, por)
+        move |proto, depth, pinned, reserved, max_runs, visited| {
+            dfs_item(proto, depth, pinned, reserved, max_runs, visited, por)
         },
     )
 }

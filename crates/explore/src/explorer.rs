@@ -7,7 +7,7 @@
 //! `tests/parallel_determinism.rs`) to produce byte-identical [`Repro`]s.
 
 use crate::shrink::shrink;
-use crate::{PrefixTail, Repro, Scenario};
+use crate::{PrefixTail, Prototype, Repro, Scenario};
 use gam_core::spec::{check_all, SpecViolation};
 use gam_engine::run_with_source_counted;
 use gam_kernel::schedule::{PathSource, RandomSource, RecordInto, RecordingSource};
@@ -182,6 +182,7 @@ pub fn explore_exhaustive(
     max_runs: u64,
     shrink_budget: u64,
 ) -> ExploreStats {
+    let proto = Prototype::new(scenario);
     let mut path = vec![0usize; depth];
     // The per-run state is hoisted out of the loop and reset in place:
     // enumerating a tree means millions of runs, and a fresh `PathSource`
@@ -197,7 +198,7 @@ pub fn explore_exhaustive(
         }
         path_source.reset_to(&path);
         schedule.clear();
-        let mut exec = scenario.runtime_executor();
+        let mut exec = proto.executor();
         let out = {
             let mut source = RecordInto::new(PrefixTail::new(&mut path_source), &mut schedule);
             let (out, consumed) =
@@ -238,11 +239,12 @@ pub fn explore_exhaustive(
 /// For multi-core striping over the same seed range see
 /// [`explore_swarm_par`](crate::explore_swarm_par).
 pub fn explore_swarm(scenario: &Scenario, seeds: Range<u64>, shrink_budget: u64) -> ExploreStats {
+    let proto = Prototype::new(scenario);
     let mut runs = 0u64;
     let mut steps = 0u64;
     for seed in seeds {
         let mut source = RecordingSource::new(RandomSource::new(seed));
-        let mut exec = scenario.runtime_executor();
+        let mut exec = proto.executor();
         let (out, consumed) = run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
         steps += consumed;
         let report = exec.report(out == RunOutcome::Quiescent);

@@ -19,7 +19,8 @@
 
 use crate::explorer::found;
 use crate::{
-    explore_exhaustive_dfs_par, ExploreConfig, Outcome, Repro, Scenario, DEFAULT_SHRINK_BUDGET,
+    explore_exhaustive_dfs_par, ExploreConfig, Outcome, Prototype, Repro, Scenario,
+    DEFAULT_SHRINK_BUDGET,
 };
 use gam_core::spec::{check_all, check_named, SpecViolation};
 use gam_core::Variant;
@@ -173,6 +174,7 @@ fn finding_from(
 /// exhaustive enumeration. Stops at the first finding of each phase.
 pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
     let scenario = Scenario::from_descriptor(descriptor);
+    let proto = Prototype::new(&scenario);
     let mut outcome = HuntOutcome {
         descriptor: *descriptor,
         swarm_runs: 0,
@@ -184,7 +186,7 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
     // Phase 1: recorded seeded swarm, checked under hunt rules.
     for seed in cfg.swarm_seeds.clone() {
         let mut source = RecordingSource::new(RandomSource::new(seed));
-        let mut exec = scenario.runtime_executor();
+        let mut exec = proto.executor();
         let (out, consumed) = run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
         outcome.steps += consumed;
         outcome.swarm_runs += 1;

@@ -58,7 +58,7 @@ pub use shrink::shrink;
 
 use gam_core::spec::{check_all, SpecViolation};
 use gam_core::{MessageId, RunReport, Runtime, RuntimeConfig, Variant};
-use gam_engine::RuntimeExecutor;
+use gam_engine::{RuntimeExecutor, RuntimeSnapshot, SnapshotExec};
 use gam_groups::{GroupId, GroupSystem};
 use gam_kernel::schedule::ScheduleSource;
 use gam_kernel::{FailurePattern, ProcessId, RunOutcome, Time};
@@ -80,6 +80,31 @@ pub struct Scenario {
     /// Consensus batching width of the Level-A runtime (`1` = unbatched;
     /// the Level-B kernel substrate always runs unbatched).
     pub batch_max: u32,
+}
+
+/// A scenario with its executor built once and checkpointed. What a run
+/// consults besides the logs (ℱ, `H(p, g)`, `γ`'s exclusion instants, the
+/// `Σ`/`Ω` histories, the interned tables) is a function of topology and
+/// failure pattern alone, so an exploration constructs and injects once and
+/// stamps every run from that checkpoint — the bit-for-bit twin of
+/// [`Scenario::runtime_executor`], by the [`SnapshotExec`] contract.
+pub(crate) struct Prototype<'a> {
+    pub(crate) scenario: &'a Scenario,
+    initial: RuntimeSnapshot,
+}
+
+impl<'a> Prototype<'a> {
+    pub(crate) fn new(scenario: &'a Scenario) -> Self {
+        Prototype {
+            scenario,
+            initial: scenario.runtime_executor().snapshot(),
+        }
+    }
+
+    /// A fresh executor of the scenario: constructed, submissions applied.
+    pub(crate) fn executor(&self) -> RuntimeExecutor {
+        RuntimeExecutor::from_snapshot(&self.initial)
+    }
 }
 
 impl Scenario {
@@ -131,7 +156,8 @@ impl Scenario {
 
     /// The Level-A (shared objects) executor of the scenario: Algorithm 1
     /// runtime built, submissions applied, ready to drive through any
-    /// `gam_engine` driver.
+    /// `gam_engine` driver. One full construction per call; the exploration
+    /// engines call it once and stamp their runs from the result.
     pub fn runtime_executor(&self) -> RuntimeExecutor {
         let mut rt = Runtime::new(
             &self.system,
@@ -174,5 +200,60 @@ impl Scenario {
     /// The submitted messages, by id (submission order).
     pub fn message_ids(&self) -> Vec<MessageId> {
         (0..self.submissions.len() as u64).map(MessageId).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gam_engine::{run_fair, Executor};
+    use gam_kernel::schedule::RotatingSource;
+
+    /// The pinned fixture corpus (its crashy large tree included), each
+    /// descriptor unbatched and at `batch_max = 16`.
+    pub(crate) fn corpus() -> Vec<(String, Scenario)> {
+        let mut out = Vec::new();
+        for (name, text) in gam_scenarios::FIXTURES {
+            let d = gam_scenarios::ScnDescriptor::parse(text).expect("pinned descriptor");
+            let scenario = Scenario::from_descriptor(&d);
+            out.push((format!("{name}@16"), scenario.clone().with_batch_max(16)));
+            out.push((name.to_string(), scenario));
+        }
+        out
+    }
+
+    /// Everything observable about an executor's present and, after a fair
+    /// continuation to the end, its future.
+    fn observe(mut exec: RuntimeExecutor, max_steps: u64) -> impl PartialEq + std::fmt::Debug {
+        let mut options = Vec::new();
+        exec.enabled_actions(&mut options);
+        let now = (exec.state_digest(), exec.state_fingerprint(), options);
+        let out = run_fair(&mut exec, max_steps);
+        let report = exec.report(out == RunOutcome::Quiescent);
+        let end = (exec.state_digest(), exec.state_fingerprint());
+        (now, out, end, report.delivered, report.actions_of)
+    }
+
+    #[test]
+    fn a_stamped_executor_is_the_twin_of_a_constructed_one() {
+        for (name, scenario) in corpus() {
+            let proto = Prototype::new(&scenario);
+            let budget = scenario.max_steps;
+            let built = observe(scenario.runtime_executor(), budget);
+            // Two stamps: the first one's run must not leak into the second.
+            assert_eq!(observe(proto.executor(), budget), built, "{name}");
+            assert_eq!(observe(proto.executor(), budget), built, "{name} again");
+
+            // Mid-run too: the stamp continues the history digest.
+            let mut exec = scenario.runtime_executor();
+            let prefix = 50;
+            gam_engine::run_with_source(&mut exec, &mut RotatingSource::default(), prefix);
+            let stamped = RuntimeExecutor::from_snapshot(&exec.snapshot());
+            assert_eq!(
+                observe(stamped, budget - prefix),
+                observe(exec, budget - prefix),
+                "{name} mid-run"
+            );
+        }
     }
 }

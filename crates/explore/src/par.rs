@@ -53,7 +53,7 @@
 //! not. Hit counts land in [`ExploreStats::dedup_hits`].
 
 use crate::explorer::{found, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET};
-use crate::Scenario;
+use crate::{Prototype, Scenario};
 use gam_core::spec::{check_all, SpecViolation};
 use gam_engine::{run_with_source, run_with_source_counted, Executor, VisitedSet};
 use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordingSource, RotatingSource};
@@ -115,12 +115,12 @@ impl ExploreConfig {
     }
 }
 
-/// Total option arity of the choice space reached by driving `scenario`
+/// Total option arity of the choice space reached by driving the scenario
 /// through `prefix` (0 when the run terminates within the prefix).
-pub(crate) fn arity_after(scenario: &Scenario, prefix: &[usize]) -> usize {
-    let mut exec = scenario.runtime_executor();
+pub(crate) fn arity_after(proto: &Prototype, prefix: &[usize]) -> usize {
+    let mut exec = proto.executor();
     let mut src = PathSource::new(prefix.to_vec());
-    if run_with_source(&mut exec, &mut src, scenario.max_steps) != RunOutcome::Stopped {
+    if run_with_source(&mut exec, &mut src, proto.scenario.max_steps) != RunOutcome::Stopped {
         return 0;
     }
     // Stopped ⇒ the source ran dry at a choice point; the options are still
@@ -132,11 +132,11 @@ pub(crate) fn arity_after(scenario: &Scenario, prefix: &[usize]) -> usize {
 
 /// The work items of the bounded tree: pinned odometer prefixes of length
 /// ≤ 2, in lexicographic (= sequential enumeration) order.
-pub(crate) fn exhaustive_items(scenario: &Scenario, depth: usize) -> Vec<Vec<usize>> {
+pub(crate) fn exhaustive_items(proto: &Prototype, depth: usize) -> Vec<Vec<usize>> {
     if depth == 0 {
         return vec![Vec::new()];
     }
-    let b0 = arity_after(scenario, &[]);
+    let b0 = arity_after(proto, &[]);
     if b0 == 0 {
         // The run never reaches a choice point: one (schedule-free) run.
         return vec![Vec::new()];
@@ -146,7 +146,7 @@ pub(crate) fn exhaustive_items(scenario: &Scenario, depth: usize) -> Vec<Vec<usi
     }
     let mut items = Vec::new();
     for d0 in 0..b0 {
-        let b1 = arity_after(scenario, &[d0]);
+        let b1 = arity_after(proto, &[d0]);
         if b1 == 0 {
             items.push(vec![d0]);
         } else {
@@ -191,13 +191,14 @@ pub(crate) struct ItemResult {
 /// exactly the sequential odometer with those digits pinned — stopping at
 /// the item's first violation or when the shared run budget runs dry.
 pub(crate) fn explore_item(
-    scenario: &Scenario,
+    proto: &Prototype,
     depth: usize,
     prefix: &[usize],
     reserved: &AtomicU64,
     max_runs: u64,
     mut visited: Option<&mut VisitedSet>,
 ) -> ItemResult {
+    let scenario = proto.scenario;
     let mut res = ItemResult::default();
     let mut path = vec![0usize; depth];
     path[..prefix.len()].copy_from_slice(prefix);
@@ -209,7 +210,7 @@ pub(crate) fn explore_item(
             res.capped = true;
             return res;
         }
-        let mut exec = scenario.runtime_executor();
+        let mut exec = proto.executor();
         let mut path_source = PathSource::new(path.clone());
         let mut rec = RecordingSource::new(&mut path_source);
         let (out, consumed) = run_with_source_counted(&mut exec, &mut rec, scenario.max_steps);
@@ -281,10 +282,11 @@ pub(crate) fn exhaustive_pool<F>(
     run_item: F,
 ) -> ExploreStats
 where
-    F: Fn(&Scenario, usize, &[usize], &AtomicU64, u64, Option<&mut VisitedSet>) -> ItemResult
+    F: Fn(&Prototype, usize, &[usize], &AtomicU64, u64, Option<&mut VisitedSet>) -> ItemResult
         + Sync,
 {
-    let items = exhaustive_items(scenario, depth);
+    let proto = &Prototype::new(scenario);
+    let items = exhaustive_items(proto, depth);
     let threads = config.resolved_threads().clamp(1, items.len().max(1));
     let next_item = AtomicUsize::new(0);
     let reserved = AtomicU64::new(0);
@@ -310,7 +312,7 @@ where
                             continue;
                         }
                         let r = run_item(
-                            scenario,
+                            proto,
                             depth,
                             &items[i],
                             &reserved,
@@ -359,6 +361,7 @@ pub fn explore_swarm_par(
     seeds: Range<u64>,
     config: &ExploreConfig,
 ) -> ExploreStats {
+    let proto = Prototype::new(scenario);
     let span = seeds.end.saturating_sub(seeds.start);
     let threads = (config.resolved_threads() as u64).clamp(1, span.max(1)) as usize;
     // Lowest violating seed found so far; stripes are ascending, so a
@@ -368,7 +371,7 @@ pub fn explore_swarm_par(
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let seeds = seeds.clone();
-                let best_seed = &best_seed;
+                let (best_seed, proto) = (&best_seed, &proto);
                 scope.spawn(move || {
                     let mut runs = 0u64;
                     let mut steps = 0u64;
@@ -380,7 +383,7 @@ pub fn explore_swarm_par(
                             break;
                         }
                         let mut source = RecordingSource::new(RandomSource::new(seed));
-                        let mut exec = scenario.runtime_executor();
+                        let mut exec = proto.executor();
                         let (out, consumed) =
                             run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
                         let report = exec.report(out == RunOutcome::Quiescent);
@@ -495,6 +498,58 @@ mod tests {
     use crate::explorer::{explore_exhaustive, explore_swarm};
     use gam_groups::topology;
 
+    /// The restart-per-probe `arity_after` the stamped one replaced: a full
+    /// construction per probe. Kept as the oracle of `exhaustive_items`.
+    fn arity_after_restart(scenario: &Scenario, prefix: &[usize]) -> usize {
+        let mut exec = scenario.runtime_executor();
+        let mut src = PathSource::new(prefix.to_vec());
+        if run_with_source(&mut exec, &mut src, scenario.max_steps) != RunOutcome::Stopped {
+            return 0;
+        }
+        let mut options = Vec::new();
+        exec.enabled_actions(&mut options);
+        options.iter().map(|(_, arity)| arity).sum()
+    }
+
+    fn items_restart(scenario: &Scenario, depth: usize) -> Vec<Vec<usize>> {
+        let b0 = arity_after_restart(scenario, &[]);
+        if depth == 0 || b0 == 0 {
+            return vec![Vec::new()];
+        }
+        let mut items = Vec::new();
+        for d0 in 0..b0 {
+            match arity_after_restart(scenario, &[d0]) {
+                b1 if depth > 1 && b1 > 0 => items.extend((0..b1).map(|d1| vec![d0, d1])),
+                _ => items.push(vec![d0]),
+            }
+        }
+        items
+    }
+
+    #[test]
+    fn stamped_items_equal_the_restart_per_probe_enumeration() {
+        let mut scenarios: Vec<(String, Scenario)> = [
+            ("single(2)", topology::single_group(2)),
+            ("two(3,1)", topology::two_overlapping(3, 1)),
+            ("ring(3,2)", topology::ring(3, 2)),
+            ("fig1", topology::fig1()),
+        ]
+        .into_iter()
+        .map(|(name, gs)| (name.to_string(), Scenario::one_per_group(&gs, 100_000)))
+        .collect();
+        scenarios.extend(crate::tests::corpus());
+        for (name, scenario) in &scenarios {
+            let proto = Prototype::new(scenario);
+            for depth in 0..=3 {
+                assert_eq!(
+                    exhaustive_items(&proto, depth),
+                    items_restart(scenario, depth),
+                    "{name} depth {depth}"
+                );
+            }
+        }
+    }
+
     fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
         ExploreConfig {
             threads,
@@ -507,12 +562,13 @@ mod tests {
     #[test]
     fn items_cover_the_root_fanout_in_order() {
         let scenario = Scenario::one_per_group(&topology::single_group(2), 20_000);
-        let items = exhaustive_items(&scenario, 3);
+        let proto = Prototype::new(&scenario);
+        let items = exhaustive_items(&proto, 3);
         assert!(!items.is_empty());
         let mut sorted = items.clone();
         sorted.sort();
         assert_eq!(items, sorted, "items must be in lexicographic order");
-        let b0 = arity_after(&scenario, &[]);
+        let b0 = arity_after(&proto, &[]);
         assert!(b0 > 0);
         assert_eq!(
             items

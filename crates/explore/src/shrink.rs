@@ -15,19 +15,22 @@
 //! 5. collapse entries' sub-choices to `0` — the round-robin default — so
 //!    what remains highlights exactly the adversarial choices that matter.
 
-use crate::{PrefixTail, Scenario};
+use crate::{Prototype, Scenario};
 use gam_core::spec::{check_all, check_named};
-use gam_kernel::schedule::{ChoiceStep, ReplaySource};
+use gam_engine::replay;
+use gam_kernel::schedule::ChoiceStep;
+use gam_kernel::RunOutcome;
 
 /// Re-runs the candidate and checks that `property` is still violated —
 /// first through the variant's `check_all` (the common case), then through
 /// the targeted [`check_named`] checker, so counterexamples found *outside*
 /// their variant's checked set (e.g. a pairwise-variant run violating
 /// global `ordering`) shrink just like in-variant ones.
-fn still_violates(scenario: &Scenario, schedule: &[ChoiceStep], property: &str) -> bool {
-    let mut source = PrefixTail::new(ReplaySource::new(schedule.to_vec()));
-    let report = scenario.run(&mut source);
-    if matches!(check_all(&report, scenario.variant), Err(ref v) if v.property == property) {
+fn still_violates(proto: &Prototype, schedule: &[ChoiceStep], property: &str) -> bool {
+    let mut exec = proto.executor();
+    let out = replay(&mut exec, schedule, proto.scenario.max_steps);
+    let report = exec.report(out == RunOutcome::Quiescent);
+    if matches!(check_all(&report, proto.scenario.variant), Err(ref v) if v.property == property) {
         return true;
     }
     matches!(check_named(&report, property), Some(Err(ref v)) if v.property == property)
@@ -50,11 +53,11 @@ pub fn shrink(
     max_runs: u64,
 ) -> (Scenario, Vec<ChoiceStep>, u64) {
     let mut runs = 0u64;
-    let try_candidate = |scenario: &Scenario, schedule: &[ChoiceStep], runs: &mut u64| {
+    let try_candidate = |proto: &Prototype, schedule: &[ChoiceStep], runs: &mut u64| {
         *runs += 1;
-        still_violates(scenario, schedule, property)
+        still_violates(proto, schedule, property)
     };
-    if !try_candidate(&scenario, &schedule, &mut runs) {
+    if !try_candidate(&Prototype::new(&scenario), &schedule, &mut runs) {
         return (scenario, schedule, runs);
     }
     let (mut scenario, mut schedule) = (scenario, schedule);
@@ -66,7 +69,7 @@ pub fn shrink(
             i -= 1;
             let mut candidate = scenario.clone();
             candidate.crashes.remove(i);
-            if try_candidate(&candidate, &schedule, &mut runs) {
+            if try_candidate(&Prototype::new(&candidate), &schedule, &mut runs) {
                 scenario = candidate;
                 changed = true;
             }
@@ -77,21 +80,24 @@ pub fn shrink(
             i -= 1;
             let mut candidate = scenario.clone();
             candidate.submissions.remove(i);
-            if try_candidate(&candidate, &schedule, &mut runs) {
+            if try_candidate(&Prototype::new(&candidate), &schedule, &mut runs) {
                 scenario = candidate;
                 changed = true;
             }
         }
+        // The remaining passes vary the schedule only: one construction
+        // serves all their candidates.
+        let proto = Prototype::new(&scenario);
         // 3. Truncate the schedule: the empty schedule first (the pure
         // round-robin run), then halving, then peeling single entries.
         while !schedule.is_empty() && runs < max_runs {
-            let shorter = if try_candidate(&scenario, &[], &mut runs) {
+            let shorter = if try_candidate(&proto, &[], &mut runs) {
                 0
             } else if schedule.len() > 1
-                && try_candidate(&scenario, &schedule[..schedule.len() / 2], &mut runs)
+                && try_candidate(&proto, &schedule[..schedule.len() / 2], &mut runs)
             {
                 schedule.len() / 2
-            } else if try_candidate(&scenario, &schedule[..schedule.len() - 1], &mut runs) {
+            } else if try_candidate(&proto, &schedule[..schedule.len() - 1], &mut runs) {
                 schedule.len() - 1
             } else {
                 break;
@@ -106,7 +112,7 @@ pub fn shrink(
                 i -= 1;
                 let mut candidate = schedule.clone();
                 candidate.remove(i);
-                if try_candidate(&scenario, &candidate, &mut runs) {
+                if try_candidate(&proto, &candidate, &mut runs) {
                     schedule = candidate;
                     changed = true;
                 }
@@ -122,7 +128,7 @@ pub fn shrink(
                 }
                 let mut candidate = schedule.clone();
                 candidate[i].choice = 0;
-                if try_candidate(&scenario, &candidate, &mut runs) {
+                if try_candidate(&proto, &candidate, &mut runs) {
                     schedule = candidate;
                     changed = true;
                 }
@@ -168,7 +174,11 @@ mod tests {
         assert!(shrunk.crashes.is_empty(), "irrelevant crash dropped");
         assert_eq!(shrunk.submissions.len(), 1, "one submission suffices");
         assert!(runs <= 300);
-        assert!(still_violates(&shrunk, &sched, "termination"));
+        assert!(still_violates(
+            &Prototype::new(&shrunk),
+            &sched,
+            "termination"
+        ));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::group::{GroupId, GroupSet, GroupSystem};
 use gam_kernel::{ProcessId, ProcessSet};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A closed path `π ∈ cpaths(𝔣)`: a sequence of groups with
 /// `π[0] = π[|π|-1]`, visiting every group of the family exactly once and
@@ -138,44 +139,58 @@ impl GroupSystem {
     /// `f`, with its second group smaller than its second-to-last (so
     /// reflections are not repeated).
     pub fn hamiltonian_cycles(&self, f: GroupSet) -> Vec<ClosedPath> {
-        let groups: Vec<GroupId> = f.iter().collect();
-        if groups.len() < 3 {
-            return Vec::new();
-        }
-        let start = groups[0];
         let mut cycles = Vec::new();
+        self.each_hamiltonian_cycle(f, &mut |seq| {
+            let mut seq = seq.to_vec();
+            seq.push(seq[0]);
+            cycles.push(ClosedPath::new(seq));
+            ControlFlow::Continue(())
+        });
+        cycles
+    }
+
+    /// Calls `visit` with the open vertex sequence of each canonical
+    /// hamiltonian cycle of `f` (the order of
+    /// [`GroupSystem::hamiltonian_cycles`], closing edge implied) until it
+    /// breaks; returns `true` iff it broke.
+    pub fn each_hamiltonian_cycle(
+        &self,
+        f: GroupSet,
+        visit: &mut impl FnMut(&[GroupId]) -> ControlFlow<()>,
+    ) -> bool {
+        let Some(start) = f.min().filter(|_| f.len() >= 3) else {
+            return false;
+        };
         let mut path = vec![start];
         let mut used = GroupSet::singleton(start);
-        self.ham_extend(f, start, &mut path, &mut used, &mut cycles);
-        cycles
+        self.ham_extend(f, &mut path, &mut used, visit).is_break()
     }
 
     fn ham_extend(
         &self,
         f: GroupSet,
-        start: GroupId,
         path: &mut Vec<GroupId>,
         used: &mut GroupSet,
-        cycles: &mut Vec<ClosedPath>,
-    ) {
+        visit: &mut impl FnMut(&[GroupId]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let last = *path.last().expect("non-empty");
         if used.len() == f.len() {
-            if self.intersecting(last, start) && path[1] < path[path.len() - 1] {
-                let mut seq = path.clone();
-                seq.push(start);
-                cycles.push(ClosedPath::new(seq));
+            if self.intersecting(last, path[0]) && path[1] < last {
+                visit(path)?;
             }
-            return;
+            return ControlFlow::Continue(());
         }
         for g in f {
             if !used.contains(g) && self.intersecting(last, g) {
                 path.push(g);
                 used.insert(g);
-                self.ham_extend(f, start, path, used, cycles);
+                let flow = self.ham_extend(f, path, used, visit);
                 used.remove(g);
                 path.pop();
+                flow?;
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// `cpaths(f)`: every closed path of the intersection graph of `f`
@@ -197,7 +212,7 @@ impl GroupSystem {
     /// Returns `true` if family `f` is cyclic (its intersection graph is
     /// hamiltonian).
     pub fn is_cyclic_family(&self, f: GroupSet) -> bool {
-        !self.hamiltonian_cycles(f).is_empty()
+        self.each_hamiltonian_cycle(f, &mut |_| ControlFlow::Break(()))
     }
 
     /// `ℱ`: all cyclic families in `2^𝒢`.
@@ -294,8 +309,10 @@ impl GroupSystem {
     /// Returns `true` if `p` lies in some intersection `g ∩ h` of distinct
     /// groups `g, h ∈ f`.
     pub fn in_some_intersection(&self, f: GroupSet, p: ProcessId) -> bool {
-        let holding: Vec<GroupId> = f.iter().filter(|g| self.members(*g).contains(p)).collect();
-        holding.len() >= 2
+        f.iter()
+            .filter(|g| self.members(*g).contains(p))
+            .nth(1)
+            .is_some()
     }
 
     /// A family is *faulty* given the crashed set when every path of
@@ -321,12 +338,19 @@ impl GroupSystem {
     /// (When `g = h`, `g ∩ h = g ≠ ∅`, so `g ∈ H(q, g)` whenever `g` belongs
     /// to a family of `ℱ(q)` — matching line 20 of Algorithm 1.)
     pub fn h_set(&self, q: ProcessId, g: GroupId) -> GroupSet {
+        self.h_set_among(&self.cyclic_families(), q, g)
+    }
+
+    /// [`GroupSystem::h_set`] against an already enumerated `ℱ`
+    /// (`families` must be [`GroupSystem::cyclic_families`] of this system):
+    /// callers evaluating `H` for many `(q, g)` enumerate `ℱ` once.
+    pub fn h_set_among(&self, families: &[GroupSet], q: ProcessId, g: GroupId) -> GroupSet {
         let mut out = GroupSet::new();
-        for f in self.families_of_process(q) {
-            if !f.contains(g) {
+        for f in families {
+            if !f.contains(g) || !self.in_some_intersection(*f, q) {
                 continue;
             }
-            for h in f {
+            for h in *f {
                 if g == h || self.intersecting(g, h) {
                     out.insert(h);
                 }
