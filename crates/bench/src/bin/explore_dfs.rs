@@ -27,6 +27,11 @@
 //! "completes" by draining the cap, not by exhausting the space — the
 //! gate is bytes per checkpoint, not coverage.
 //!
+//! Each scenario also records the ready-set counters of one fair run
+//! (`ready_set`: rows re-derived and rows reused over the run's steps,
+//! breakpoint flushes) — what option enumeration costs per step on that
+//! state, as deterministic as the step counts.
+//!
 //! The headline metrics are substrate **steps executed** — deterministic,
 //! machine-independent — and **snapshot bytes copied**, with wall-clock
 //! reported alongside. Gates: at every fig1 depth both `dfs-dedup` and
@@ -41,10 +46,12 @@
 use std::time::Instant;
 
 use gam_bench::json::{write_experiment, Json};
+use gam_engine::run_with_source_counted;
 use gam_explore::{
     explore_exhaustive, explore_exhaustive_dfs, explore_exhaustive_dfs_par, explore_exhaustive_par,
     ExploreConfig, ExploreStats, Scenario, DEFAULT_SHRINK_BUDGET,
 };
+use gam_kernel::schedule::RotatingSource;
 use gam_scenarios::{fixture, Family, ScnDescriptor, TrafficPlan};
 
 /// Deepest fig1 row that still runs the O(runs × depth) restart engines;
@@ -138,6 +145,26 @@ fn pass_json(m: &Measured, baseline: u64) -> Json {
         (
             "steps_reduction_permille",
             Json::from(reduction_permille(baseline, m.stats.steps_executed)),
+        ),
+    ])
+}
+
+/// The ready-set counters of one fair run of `scenario`.
+fn ready_set_json(scenario: &Scenario) -> Json {
+    let mut exec = scenario.runtime_executor();
+    let (_, steps) = run_with_source_counted(
+        &mut exec,
+        &mut RotatingSource::default(),
+        scenario.max_steps,
+    );
+    let counters = exec.runtime().ready_counters();
+    Json::obj([
+        ("fair_run_steps", Json::from(steps)),
+        ("rows_refreshed", Json::from(counters.rows_refreshed)),
+        ("rows_reused", Json::from(counters.rows_reused)),
+        (
+            "breakpoint_flushes",
+            Json::from(counters.breakpoint_flushes),
         ),
     ])
 }
@@ -337,6 +364,7 @@ fn main() {
             ),
         ),
         ("snapshot_shallow_ratio", Json::from(snapshot_ratio)),
+        ("ready_set", ready_set_json(&rand)),
     ]);
 
     let record = Json::obj([
@@ -345,6 +373,7 @@ fn main() {
         ("cores", Json::from(cores as u64)),
         ("topology", Json::from("fig1")),
         ("run_cap", Json::from(run_cap)),
+        ("ready_set", ready_set_json(&scenario)),
         ("depths", Json::Arr(rows)),
         ("rand", rand_row),
         ("dfs_dedup_reduction_permille", Json::from(gate_permille)),

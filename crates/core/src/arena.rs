@@ -19,7 +19,13 @@
 //! - the `γ` guard becomes a per-`(group, member)` *timeline*: `γ(p, g, t)`
 //!   is piecewise-constant in `t` with breakpoints only at family-exclusion
 //!   instants (family faultiness is monotone), so the oracle is queried
-//!   once per breakpoint at construction instead of once per guard.
+//!   once per breakpoint at construction instead of once per guard;
+//! - **time** as a whole becomes one sorted list of [`Tables::breakpoints`]:
+//!   crashes and detector outputs are input events at instants known from
+//!   the failure pattern, so the only instants at which a guard can change
+//!   with no action in between are every crash, every `γ` timeline step and
+//!   every `1^{g∩h}` firing — the runtime's ready set re-derives rows when
+//!   the clock crosses one and at no other tick.
 //!
 //! Everything in [`Tables`] is immutable after construction and shared by
 //! the runtime behind an `Arc`, which is what keeps engine snapshots cheap:
@@ -175,8 +181,10 @@ pub(crate) struct Tables {
     pub adj_pair: Vec<Vec<u32>>,
     /// Per pair: relevant processes ascending (`g ∩ h`; members for self).
     pub pair_procs: Vec<Vec<ProcessId>>,
-    /// Per pair: the `1^{g∩h}` oracle (strict variant, cross pairs only).
-    pub indicators: Vec<Option<IndicatorOracle>>,
+    /// Per pair: the instant from which `1^{g∩h}` answers `true` at the
+    /// members of `g ∪ h` (strict variant, cross pairs whose intersection
+    /// crashes entirely); `u64::MAX` = never.
+    pub indicator_at: Vec<u64>,
     /// `[gm(g, p)]` → the pairs `(g, h)` for `h ∈ 𝒢(p)`, ascending in `h`.
     pub per_gp: Vec<Vec<GpEntry>>,
     /// `[gm(g, p)]` → the `(g, g)` entry of `per_gp` (the pending guard's
@@ -189,6 +197,10 @@ pub(crate) struct Tables {
     pub fams: Vec<Vec<GroupSet>>,
     /// `[gm(g, p)]` → ascending `(from, γ(p, g))` steps; first entry is at 0.
     pub gamma_timeline: Vec<Vec<(u64, GroupSet)>>,
+    /// Every instant `b` at which some guard input changes by time alone
+    /// (each takes effect once `b ≤ now`): crash times, `γ` timeline steps,
+    /// indicator firings. Ascending, deduplicated.
+    pub breakpoints: Vec<u64>,
 }
 
 impl Tables {
@@ -264,18 +276,21 @@ impl Tables {
             }
         }
 
-        let indicators: Vec<Option<IndicatorOracle>> = pairs
+        let indicator_at: Vec<u64> = pairs
             .iter()
             .map(|&(g, h)| {
-                (config.variant == Variant::Strict && g != h).then(|| {
-                    IndicatorOracle::new(
-                        system.intersection(g, h),
-                        system.members(g) | system.members(h),
-                        pattern.clone(),
-                        config.indicator_delay,
-                        IndicatorMode::Truthful,
-                    )
-                })
+                if config.variant != Variant::Strict || g == h {
+                    return u64::MAX;
+                }
+                IndicatorOracle::new(
+                    system.intersection(g, h),
+                    system.members(g) | system.members(h),
+                    pattern.clone(),
+                    config.indicator_delay,
+                    IndicatorMode::Truthful,
+                )
+                .fires_at()
+                .map_or(u64::MAX, |t| t.0)
             })
             .collect();
 
@@ -376,6 +391,20 @@ impl Tables {
             }
         }
 
+        let mut breakpoints: Vec<u64> = crash_at
+            .iter()
+            .chain(&indicator_at)
+            .copied()
+            .filter(|&b| b != u64::MAX)
+            .chain(
+                gamma_timeline
+                    .iter()
+                    .flat_map(|tl| tl[1..].iter().map(|s| s.0)),
+            )
+            .collect();
+        breakpoints.sort_unstable();
+        breakpoints.dedup();
+
         Tables {
             system: system.clone(),
             pattern,
@@ -395,12 +424,13 @@ impl Tables {
             adj_pos,
             adj_pair,
             pair_procs,
-            indicators,
+            indicator_at,
             per_gp,
             self_gp,
             fam_rank,
             fams,
             gamma_timeline,
+            breakpoints,
         }
     }
 
@@ -718,6 +748,62 @@ mod tests {
                 assert!(steps > 0, "some timeline must change");
             }
         }
+    }
+
+    #[test]
+    fn indicator_instants_and_breakpoints_match_the_oracles() {
+        let gs = topology::fig1();
+        // g1 ∩ g2 = {p1} dies at 5; g2 ∩ g3 = {p2} never does.
+        let pattern = FailurePattern::from_crashes(gs.universe(), [(ProcessId(1), Time(5))]);
+        let mut cfg = RuntimeConfig {
+            variant: Variant::Strict,
+            indicator_delay: 7,
+            ..Default::default()
+        };
+        cfg.mu.gamma_delay = 3;
+        let t = Tables::new(&gs, pattern.clone(), &cfg);
+        let mut fired = 0;
+        for (pid, &(g, h)) in t.pairs.iter().enumerate() {
+            if g == h {
+                assert_eq!(
+                    t.indicator_at[pid],
+                    u64::MAX,
+                    "self pairs carry no indicator"
+                );
+                continue;
+            }
+            let oracle = IndicatorOracle::new(
+                gs.intersection(g, h),
+                gs.members(g) | gs.members(h),
+                pattern.clone(),
+                cfg.indicator_delay,
+                IndicatorMode::Truthful,
+            );
+            for now in 0..30u64 {
+                for p in gs.members(g) {
+                    assert_eq!(
+                        Some(t.indicator_at[pid] <= now),
+                        oracle.indicates(p, Time(now)),
+                        "1^({g}∩{h}) at {p}, time {now}"
+                    );
+                }
+            }
+            fired += usize::from(t.indicator_at[pid] != u64::MAX);
+        }
+        assert!(fired > 0, "some indicator must fire");
+        // Every instant a guard input steps at, once each, ascending: the
+        // crash, the indicator firing, and the γ exclusions 3 ticks after
+        // the crash.
+        assert!(t.breakpoints.windows(2).all(|w| w[0] < w[1]));
+        for b in [5, 5 + 7, 5 + 3] {
+            assert!(t.breakpoints.contains(&b), "{b} ∉ {:?}", t.breakpoints);
+        }
+        let steps = t.gamma_timeline.iter().flat_map(|tl| &tl[1..]);
+        assert!(steps.clone().count() > 0 && steps.clone().all(|s| t.breakpoints.contains(&s.0)));
+        assert!(
+            tables(&gs).breakpoints.is_empty(),
+            "crash-free: no breakpoint"
+        );
     }
 
     #[test]

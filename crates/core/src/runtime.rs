@@ -33,6 +33,55 @@
 //! pair's message order is a monotone frontier; `apply` re-advances the
 //! affected cursors eagerly and a guard is a single integer comparison.
 //!
+//! # The ready set
+//!
+//! What each process can do next is kept as *derived state*: per process
+//! the sorted list of its enabled actions (its *row*), trusted until the
+//! process is marked stale and re-derived — by `enabled_each`, the one
+//! place the guards are written — only when a reader next needs it. Rows go
+//! stale by the genuineness footprint of what happened: an action of `p`
+//! about a unit `u` of group `g` writes only `g`'s pair logs, `u`'s cells
+//! and `p`'s rows, and of those only some cells are read by another
+//! process's guards.
+//!
+//! | event | rows marked stale | the write another guard reads |
+//! |---|---|---|
+//! | `Inject` | members of `g` | `unit_of`; every member's active list gains `u` |
+//! | `Pending` | `p`, members in `pending` on `u` | `ann_max`, read by commit |
+//! | `Commit` | `p`, processes of each pair the lock *reorders* | order indices and frontier cursors of that pair |
+//! | `Stabilize` | `p`, members in `commit` on `u` | `stab`, read by stabilize and stable |
+//! | `Stable`, `Deliver` | `p` | — (`p`'s phase, cursor rows, delivery log) |
+//! | `multicast` to `g` | members of `g` | `L_g`, read by inject |
+//! | clock crosses a breakpoint | every process | liveness, a `γ` timeline step, an indicator firing |
+//!
+//! Time is not special-cased per scenario: crashes and detector outputs are
+//! input events at instants fixed by the failure pattern, collected once as
+//! the sorted `breakpoints` of the arena tables, and a tick that crosses
+//! none — every tick of a crash-free run — touches nothing. The ready set
+//! is not protocol state: it stays out of `fold_state`, fingerprints,
+//! digests and `snapshot_cost_bytes`; a `Clone` copies it along.
+//!
+//! # One run loop
+//!
+//! Every driver is the same loop — ask a policy for a pick, fire it, count
+//! it; with nothing to pick, stop if nothing is owed and otherwise let one
+//! tick pass — and differs only in the policy:
+//!
+//! - *round-robin-min* ([`Runtime::run_sustained`], and [`Runtime::run_only`]
+//!   under [`ActionScheduler::RoundRobin`]): the first process at or after
+//!   a stored cursor with an enabled action, and its least action. The scan
+//!   steps over `stale | nonempty` only, so idle processes cost nothing;
+//! - *random* ([`Runtime::run_only`] under [`ActionScheduler::Random`]) and
+//!   *sourced* ([`Runtime::run_with_source`]): the choice space of
+//!   [`Runtime::options_into`], picked from by the runtime's generator or a
+//!   [`ScheduleSource`];
+//! - *recorded slot* (the shard recorder of the parallel driver): the
+//!   round-robin pick over one shard's processes, its global visit slot
+//!   recovered from how far the scan travelled and stamped on the clock.
+//!
+//! `gam-engine`'s `Executor` drives the same two halves from outside:
+//! [`Runtime::options_into`] and [`Runtime::fire_enabled`].
+//!
 //! # Batching
 //!
 //! [`RuntimeConfig::batch_max`] > 1 turns on injection-level batching: an
@@ -235,6 +284,54 @@ impl RunReport {
     }
 }
 
+/// Deterministic counters of the ready set, read with
+/// [`Runtime::ready_counters`]: functions of the operations applied to the
+/// runtime (and copied by `Clone` like everything else), never of the host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReadyCounters {
+    /// Rows re-derived from protocol state — one guard-evaluation pass
+    /// over one process each.
+    pub rows_refreshed: u64,
+    /// Rows a reader took from the cache as they stood.
+    pub rows_reused: u64,
+    /// Times the clock crossed a breakpoint and every row went stale.
+    pub breakpoint_flushes: u64,
+}
+
+/// The ready set: per process, its enabled actions in the deterministic
+/// `Action` order, kept as *derived state*. A row is trusted unless its
+/// process is in `stale`; `apply`, `multicast` and the clock mark stale
+/// exactly the rows they can change (see the module docs), and a row is
+/// re-derived only when a reader next needs it. Nothing here is protocol
+/// state: it stays out of `fold_state`, fingerprints, digests and
+/// `snapshot_cost_bytes`.
+#[derive(Debug, Clone)]
+struct ReadySet {
+    /// Per process: the sorted enabled actions (empty for a crashed
+    /// process). Meaningful only while the process is not in `stale`.
+    rows: Vec<Vec<Action>>,
+    /// Processes whose row must be re-derived before it is read.
+    stale: ProcessSet,
+    /// Processes whose row, when last derived, was non-empty — so a scan
+    /// over `stale | nonempty` never visits an idle process.
+    nonempty: ProcessSet,
+    /// Index of the first of `Tables::breakpoints` after `now`.
+    next_bp: usize,
+    counters: ReadyCounters,
+}
+
+/// What a pick policy of the run loop decided for one step.
+enum Pick {
+    /// Fire this sub-choice of this process.
+    Choice(ProcessId, usize),
+    /// Fire this action, the least enabled one of this process.
+    Least(ProcessId, Action),
+    /// Nothing is enabled: stop if nothing is owed, else let time pass.
+    Idle,
+    /// The schedule source has no more decisions.
+    Stop,
+}
+
 /// Chunk capacity of the chunked per-process/per-message columns: small
 /// enough that a post-snapshot write copies little, big enough that the
 /// pointer tables stay tiny.
@@ -257,7 +354,7 @@ pub struct Runtime {
     /// this is what keeps engine snapshots cheap.
     pub(crate) tables: Arc<Tables>,
     scheduler: ActionScheduler,
-    pub(crate) now: Time,
+    now: Time,
     // Shared objects, flat.
     pub(crate) pairs: CowVec<PairState>,
     pub(crate) units: UnitArena,
@@ -284,8 +381,10 @@ pub struct Runtime {
     pub(crate) owed: CowVec<u64>,
     pub(crate) rr_cursor: usize,
     rng: StdRng,
-    /// Reusable enabled-action buffer for the allocation-free hot path.
+    /// The enabled actions of the last process that stepped, as they stood
+    /// before its step (see [`Runtime::fire_enabled`]).
     scratch: Vec<Action>,
+    ready: ReadySet,
 }
 
 impl Runtime {
@@ -321,6 +420,13 @@ impl Runtime {
             rr_cursor: 0,
             rng: StdRng::seed_from_u64(config.seed),
             scratch: Vec::new(),
+            ready: ReadySet {
+                rows: vec![Vec::new(); n],
+                stale: ProcessSet::first_n(n),
+                nonempty: ProcessSet::EMPTY,
+                next_bp: tables.breakpoints.partition_point(|&b| b == 0),
+                counters: ReadyCounters::default(),
+            },
             tables,
         }
     }
@@ -349,6 +455,23 @@ impl Runtime {
         self.tables.alive(p, self.now.0)
     }
 
+    /// Moves the clock to `t` — the only way `now` changes. Time reaches a
+    /// guard through three inputs (liveness, the `γ` timelines, the
+    /// indicator firings), all step functions of the failure pattern whose
+    /// steps are `Tables::breakpoints`; crossing one (in either direction:
+    /// the shard recorder stamps slots, not successive ticks) marks every
+    /// row stale, and no other tick touches the ready set.
+    pub(crate) fn set_now(&mut self, t: Time) {
+        self.now = t;
+        let bps = &self.tables.breakpoints;
+        let i = self.ready.next_bp;
+        if bps.get(i).is_some_and(|&b| b <= t.0) || (i > 0 && bps[i - 1] > t.0) {
+            self.ready.next_bp = bps.partition_point(|&b| b <= t.0);
+            self.ready.stale = ProcessSet::first_n(self.tables.n);
+            self.ready.counters.breakpoint_flushes += 1;
+        }
+    }
+
     /// Submits a user-level `multicast(m)` from `src` to `group` (the
     /// Proposition 1 client layer: appends to the shared list `L_g`).
     ///
@@ -362,7 +485,7 @@ impl Runtime {
             t.system.members(group).contains(src),
             "{src} ∉ {group}: closed model requires src(m) ∈ dst(m)"
         );
-        self.now = self.now.next();
+        self.set_now(self.now.next());
         assert!(self.alive(src), "{src} has crashed; it cannot multicast");
         let id = self.arena.push(MessageInfo {
             src,
@@ -375,6 +498,8 @@ impl Runtime {
         for &q in &t.member_list[group.index()] {
             self.owed[q.index()] += 1;
         }
+        // A longer `L_g` can enable `Inject` at any member.
+        self.ready.stale |= t.system.members(group);
         id
     }
 
@@ -427,7 +552,7 @@ impl Runtime {
                             f(Action::Stabilize(rep, e.h));
                         }
                     }
-                    if self.stable_enabled(t, p, u, g, gm) {
+                    if self.stable_enabled(t, u, g, gm) {
                         f(Action::Stable(rep));
                     }
                 }
@@ -441,19 +566,114 @@ impl Runtime {
         }
     }
 
-    /// The enabled actions of `p`, sorted in the deterministic `Action`
-    /// order (the replay-stable sub-choice indexing).
-    fn enabled_sorted(&self, p: ProcessId) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.enabled_each(p, &mut |a| out.push(a));
-        out.sort_unstable();
-        out
+    /// Derives the row of `p` into `out`: its enabled actions in the
+    /// deterministic `Action` order (the replay-stable sub-choice
+    /// indexing), none once `p` has crashed.
+    fn derive_row(&self, p: ProcessId, out: &mut Vec<Action>) {
+        out.clear();
+        if self.alive(p) {
+            self.enabled_each(p, &mut |a| out.push(a));
+            out.sort_unstable();
+        }
     }
 
-    fn enabled_count(&self, p: ProcessId) -> usize {
-        let mut n = 0usize;
-        self.enabled_each(p, &mut |_| n += 1);
-        n
+    /// Whether the cached row of `p` is what a fresh derivation yields —
+    /// the invariant every read of a non-stale row asserts in debug builds.
+    fn row_is_current(&self, p: ProcessId) -> bool {
+        let mut fresh = Vec::new();
+        self.derive_row(p, &mut fresh);
+        fresh == self.ready.rows[p.index()]
+    }
+
+    /// The row of `p`, re-derived first if it is stale.
+    fn row(&mut self, p: ProcessId) -> &[Action] {
+        let pi = p.index();
+        if self.ready.stale.contains(p) {
+            let mut row = std::mem::take(&mut self.ready.rows[pi]);
+            self.derive_row(p, &mut row);
+            if row.is_empty() {
+                self.ready.nonempty.remove(p);
+            } else {
+                self.ready.nonempty.insert(p);
+            }
+            self.ready.rows[pi] = row;
+            self.ready.stale.remove(p);
+            self.ready.counters.rows_refreshed += 1;
+        } else {
+            debug_assert!(self.row_is_current(p), "ready row of {p} went wrong");
+            self.ready.counters.rows_reused += 1;
+        }
+        &self.ready.rows[pi]
+    }
+
+    /// The least enabled action of `p`, for a caller that fires it at once.
+    /// A stale row is not materialised for that: the step makes it stale
+    /// again, so only its least action is derived and the row stays stale —
+    /// unless there is none, which is the whole (empty) row and is cached,
+    /// so that the next scan steps over `p`.
+    fn least(&mut self, p: ProcessId) -> Option<Action> {
+        let pi = p.index();
+        if !self.ready.stale.contains(p) {
+            debug_assert!(self.row_is_current(p), "ready row of {p} went wrong");
+            self.ready.counters.rows_reused += 1;
+            return self.ready.rows[pi].first().copied();
+        }
+        let mut least: Option<Action> = None;
+        if self.alive(p) {
+            self.enabled_each(p, &mut |a| {
+                if least.is_none_or(|b| a < b) {
+                    least = Some(a);
+                }
+            });
+        }
+        self.ready.counters.rows_refreshed += 1;
+        if least.is_none() {
+            self.ready.rows[pi].clear();
+            self.ready.nonempty.remove(p);
+            self.ready.stale.remove(p);
+        }
+        least
+    }
+
+    /// Reads the row of `p` without write access: the cached row when it
+    /// is current, a throw-away derivation when it is stale.
+    fn with_row<R>(&self, p: ProcessId, f: impl FnOnce(&[Action]) -> R) -> R {
+        if self.ready.stale.contains(p) {
+            let mut fresh = Vec::new();
+            self.derive_row(p, &mut fresh);
+            f(&fresh)
+        } else {
+            debug_assert!(self.row_is_current(p), "ready row of {p} went wrong");
+            f(&self.ready.rows[p.index()])
+        }
+    }
+
+    /// The processes of `set` whose row may be non-empty — what a scan for
+    /// enabled actions visits instead of every process.
+    fn maybe_enabled(&self, set: ProcessSet) -> ProcessSet {
+        (self.ready.stale | self.ready.nonempty) & set
+    }
+
+    /// Marks every row stale, for a caller that rewrote protocol state
+    /// without going through `apply` (the shard commit merge).
+    pub(crate) fn invalidate_ready(&mut self) {
+        self.ready.stale = ProcessSet::first_n(self.tables.n);
+    }
+
+    /// The ready-set counters accumulated so far.
+    pub fn ready_counters(&self) -> ReadyCounters {
+        self.ready.counters
+    }
+
+    /// Whether every cached row equals a fresh derivation from protocol
+    /// state. Debug builds assert this row by row at every read; release
+    /// test suites call it after every step.
+    pub fn ready_set_is_current(&self) -> bool {
+        let fresh_rows = ProcessSet::first_n(self.tables.n) - self.ready.stale;
+        fresh_rows.iter().all(|p| {
+            self.row_is_current(p)
+                && self.ready.nonempty.contains(p) != self.ready.rows[p.index()].is_empty()
+        })
     }
 
     /// Lines 9–11: `m ∈ LOG_g` and every message before it committed. The
@@ -485,7 +705,7 @@ impl Runtime {
     }
 
     /// Lines 31–32, with the §6.1 modification under [`Variant::Strict`].
-    fn stable_enabled(&self, t: &Tables, p: ProcessId, u: u32, g: GroupId, gm: usize) -> bool {
+    fn stable_enabled(&self, t: &Tables, u: u32, g: GroupId, gm: usize) -> bool {
         match t.variant {
             Variant::Standard | Variant::Pairwise => self
                 .tables
@@ -495,11 +715,7 @@ impl Runtime {
             Variant::Strict => t.adj[g.index()].iter().enumerate().all(|(a, &h)| {
                 h == g
                     || self.units.stab[self.units.adj(u, a)]
-                    || t.indicators[t.adj_pair[g.index()][a] as usize]
-                        .as_ref()
-                        .expect("strict cross pairs carry indicators")
-                        .indicates(p, self.now)
-                        .unwrap_or(false)
+                    || t.indicator_at[t.adj_pair[g.index()][a] as usize] <= self.now.0
             }),
         }
     }
@@ -508,6 +724,15 @@ impl Runtime {
     /// `m` is locally delivered — the pair's deliver frontier.
     fn deliver_enabled(&self, t: &Tables, p: ProcessId, u: u32, g: GroupId) -> bool {
         let gm = t.gm(g, p);
+        // `LOG_g` first: of a backlog of stable units only the one at the
+        // group's own deliver frontier can pass, so most evaluations end
+        // here instead of after the cross-group logs.
+        let own = &t.self_gp[gm];
+        if self.pairs[own.pair as usize].cursors[own.prank as usize * 3 + T_DELIVER]
+            < self.units.order_idx[self.units.adj(u, own.adj_idx as usize)]
+        {
+            return false;
+        }
         for e in &t.per_gp[gm] {
             // Deliberate mutation for explorer smoke-testing: ignore the
             // ordering constraints of the cross-group logs `LOG_{g∩h}`, so
@@ -602,17 +827,20 @@ impl Runtime {
     /// Line 22–23: locks `u`'s entry in one pair at `max(slot, k)`. If the
     /// slot rises the entry migrates right in the pair order (keys only
     /// grow, so the new index is ≥ the old one); order indices and frontier
-    /// cursors are fixed up and re-advanced to stay maximal.
-    fn bump_and_lock(&mut self, t: &Tables, u: u32, e: &GpEntry, k: u64) {
+    /// cursors are fixed up and re-advanced to stay maximal. Returns
+    /// whether the entry moved — the one case in which the lock changes
+    /// what another process's guards read (order indices and cursors of the
+    /// whole pair).
+    fn bump_and_lock(&mut self, t: &Tables, u: u32, e: &GpEntry, k: u64) -> bool {
         let ai = self.units.adj(u, e.adj_idx as usize);
         if self.units.locked[ai] {
-            return;
+            return false;
         }
         self.units.locked[ai] = true;
         let old = self.units.slot[ai];
         debug_assert!(old > 0, "bump_and_lock on an appended entry");
         if k <= old {
-            return;
+            return false;
         }
         self.units.slot[ai] = k;
         let pid = e.pair as usize;
@@ -649,12 +877,27 @@ impl Runtime {
             }
             self.advance_pair_cursors(t, e.pair);
         }
+        j > i
     }
 
-    /// Applies `action` at `p` (the `eff:` blocks).
-    pub(crate) fn apply(&mut self, p: ProcessId, action: Action) {
+    /// Marks stale the members of `g` whose phase on unit `u` is `phase` —
+    /// a write to one of `u`'s shared cells matters only to the members
+    /// whose current guard on `u` reads it.
+    fn stale_members_in(&mut self, t: &Tables, g: GroupId, u: u32, phase: Phase) {
+        for (r, &q) in t.member_list[g.index()].iter().enumerate() {
+            if self.units.phase[self.units.mem(u, r as u16)] == phase {
+                self.ready.stale.insert(q);
+            }
+        }
+    }
+
+    /// Applies `action` at `p` (the `eff:` blocks), marking stale the rows
+    /// whose guards read a cell the action writes — its *footprint*, the
+    /// per-kind table of the module docs. `p`'s own row is always in it.
+    fn apply(&mut self, p: ProcessId, action: Action) {
         let t = Arc::clone(&self.tables);
         self.actions_of[p.index()] += 1;
+        self.ready.stale.insert(p);
         match action {
             Action::Inject(g, m) => {
                 let gi = g.index();
@@ -676,6 +919,8 @@ impl Runtime {
                 }
                 let sa = t.adj_of(g, g);
                 self.append_unit(t.self_pair[gi], u, sa);
+                // `unit_of` and every member's active list changed.
+                self.ready.stale |= t.system.members(g);
             }
             Action::Pending(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -698,6 +943,11 @@ impl Runtime {
                     }
                 }
                 self.set_phase_and_advance(&t, p, g, u, Phase::Pending);
+                // `ann_max` is read by commit (a member in `pending`). The
+                // first appends to pairs are read by stabilize and deliver,
+                // but only at processes of those pairs already past
+                // `pending` — which appended there themselves.
+                self.stale_members_in(&t, g, u, Phase::Pending);
             }
             Action::Commit(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -722,7 +972,10 @@ impl Runtime {
                 };
                 // lines 22–23
                 for e in &t.per_gp[gm] {
-                    self.bump_and_lock(&t, u, e, k);
+                    if self.bump_and_lock(&t, u, e, k) {
+                        let (a, b) = t.pairs[e.pair as usize];
+                        self.ready.stale |= t.system.intersection(a, b);
+                    }
                 }
                 self.set_phase_and_advance(&t, p, g, u, Phase::Commit);
             }
@@ -737,6 +990,8 @@ impl Runtime {
                 self.units.stab[ai] = true;
                 // (m, h) appended to LOG_g consumes a slot of the self pair.
                 self.pairs[t.self_pair[g.index()] as usize].max_slot += 1;
+                // `stab` is read by stabilize and stable (a member in `commit`).
+                self.stale_members_in(&t, g, u, Phase::Commit);
             }
             Action::Stable(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -784,120 +1039,49 @@ impl Runtime {
 
     /// Runs scheduling only the processes of `set` — the adversarial
     /// schedules that group parallelism (§6.2) and genuineness quantify
-    /// over. Returns `true` on quiescence of `set`: no enabled action *and*
-    /// no outstanding delivery obligation. A run whose obligations never
-    /// resolve (a liveness failure, e.g. an ablated detector) exhausts its
-    /// budget and returns `false`.
+    /// over — under the configured [`ActionScheduler`]. Returns `true` on
+    /// quiescence of `set`: no enabled action *and* no outstanding delivery
+    /// obligation. A run whose obligations never resolve (a liveness
+    /// failure, e.g. an ablated detector) exhausts its budget and returns
+    /// `false`.
     pub fn run_only(&mut self, set: ProcessSet, max_actions: u64) -> bool {
-        let n = self.tables.n;
-        let mut taken = 0u64;
-        loop {
-            if taken >= max_actions {
-                return false;
-            }
-            // advance time so crash injection precedes eligibility
-            let candidates: Vec<(ProcessId, Vec<Action>)> = set
-                .iter()
-                .filter(|p| self.alive(*p))
-                .map(|p| (p, self.enabled_sorted(p)))
-                .filter(|(_, a)| !a.is_empty())
-                .collect();
-            if candidates.is_empty() {
-                if !self.has_obligations(set) {
-                    return true;
-                }
-                // Idle tick: guards can be enabled purely by the passage of
-                // time (detector stabilisation); let the clock advance.
-                self.now = self.now.next();
-                taken += 1;
-                continue;
-            }
-            let (p, action) = match self.scheduler {
-                ActionScheduler::RoundRobin => {
-                    let mut chosen = None;
-                    for off in 0..n {
-                        let idx = (self.rr_cursor + off) % n;
-                        if let Some((p, acts)) = candidates.iter().find(|(p, _)| p.index() == idx) {
-                            self.rr_cursor = (idx + 1) % n;
-                            chosen = Some((*p, acts[0]));
-                            break;
-                        }
+        match self.scheduler {
+            ActionScheduler::RoundRobin => self.run_sustained(set, max_actions),
+            ActionScheduler::Random => {
+                let mut options = Vec::new();
+                let outcome = self.drive(set, max_actions, |rt| {
+                    rt.options_into(set, &mut options);
+                    if options.is_empty() {
+                        return Pick::Idle;
                     }
-                    chosen.expect("candidates non-empty")
-                }
-                ActionScheduler::Random => {
-                    let (p, acts) = &candidates[self.rng.gen_range(0..candidates.len())];
-                    (*p, acts[self.rng.gen_range(0..acts.len())])
-                }
-            };
-            self.now = self.now.next();
-            if self.alive(p) {
-                self.apply(p, action);
+                    let (p, arity) = options[rt.rng.gen_range(0..options.len())];
+                    Pick::Choice(p, rt.rng.gen_range(0..arity))
+                });
+                outcome == RunOutcome::Quiescent
             }
-            taken += 1;
         }
     }
 
-    /// The sustained-load driver: fires the exact action sequence of
-    /// [`Runtime::run_only`] under the round-robin scheduler, but amortizes
-    /// candidate discovery. `run_only` materialises every process's
-    /// enabled-action list on every step — O(processes × actions) of
-    /// redundant guard evaluation per action fired — which is what the
-    /// explorer's adversarial schedules need, not what a serving loop
-    /// needs. Here the round-robin scan resumes at the stored cursor and
-    /// fires the first enabled action it meets, so under load each step
-    /// costs one process's guard evaluation. Returns `true` on quiescence
-    /// of `set`, `false` on budget exhaustion.
+    /// The sustained-load driver: the run loop under the round-robin-min
+    /// policy, whatever scheduler is configured. Returns `true` on
+    /// quiescence of `set`, `false` on budget exhaustion.
     pub fn run_sustained(&mut self, set: ProcessSet, max_actions: u64) -> bool {
-        let n = self.tables.n;
-        let mut taken = 0u64;
-        'steps: loop {
-            if taken >= max_actions {
-                return false;
-            }
-            for off in 0..n {
-                let idx = (self.rr_cursor + off) % n;
-                let p = ProcessId(idx as u32);
-                if !set.contains(p) || !self.alive(p) {
-                    continue;
-                }
-                // The minimum enabled action is the `acts[0]` the
-                // round-robin arm of `run_only` fires.
-                let mut first: Option<Action> = None;
-                self.enabled_each(p, &mut |a| {
-                    if first.is_none_or(|b| a < b) {
-                        first = Some(a);
-                    }
-                });
-                let Some(action) = first else { continue };
-                self.rr_cursor = (idx + 1) % n;
-                self.now = self.now.next();
-                if self.alive(p) {
-                    self.apply(p, action);
-                }
-                taken += 1;
-                continue 'steps;
-            }
-            if !self.has_obligations(set) {
-                return true;
-            }
-            // Idle tick, as in `run_only`: a guard may wait on time alone.
-            self.now = self.now.next();
-            taken += 1;
-        }
+        let outcome = self.drive(set, max_actions, |rt| match rt.pick_round_robin(set) {
+            Some((p, action, _)) => Pick::Least(p, action),
+            None => Pick::Idle,
+        });
+        outcome == RunOutcome::Quiescent
     }
 
     /// Runs with every scheduling decision delegated to `source`,
     /// scheduling only the processes of `set`, until quiescence of `set`,
     /// budget exhaustion, or the source stopping.
     ///
-    /// The choice space handed to the source lists each live process of
-    /// `set` with at least one enabled action, in ascending process order,
-    /// paired with its enabled-action count; sub-choice `c` fires the
-    /// `c`-th enabled action in the deterministic `Action` order (so
-    /// sub-choice `0` is the action the round-robin scheduler would fire).
-    /// Idle ticks — the clock advancing while guards wait on time alone —
-    /// happen automatically and are not scheduling choices.
+    /// The choice space handed to the source is that of
+    /// [`Runtime::options_into`]; sub-choice `0` is the action the
+    /// round-robin policy would fire. Idle ticks — the clock advancing
+    /// while guards wait on time alone — happen automatically and are not
+    /// scheduling choices.
     pub fn run_with_source<S: ScheduleSource>(
         &mut self,
         set: ProcessSet,
@@ -905,26 +1089,74 @@ impl Runtime {
         max_actions: u64,
     ) -> RunOutcome {
         let mut options = Vec::new();
+        self.drive(set, max_actions, |rt| {
+            rt.options_into(set, &mut options);
+            if options.is_empty() {
+                return Pick::Idle;
+            }
+            match source.next_choice(&options) {
+                Some((idx, choice)) => Pick::Choice(options[idx].0, choice),
+                None => Pick::Stop,
+            }
+        })
+    }
+
+    /// The run loop every driver shares: ask the policy for a pick, fire
+    /// it, count it. An idle pick ends the run if `set` owes nothing and
+    /// otherwise lets one tick pass (which counts against the budget) — a
+    /// guard may be waiting on time alone.
+    fn drive(
+        &mut self,
+        set: ProcessSet,
+        max_actions: u64,
+        mut pick: impl FnMut(&mut Self) -> Pick,
+    ) -> RunOutcome {
         let mut taken = 0u64;
         loop {
             if taken >= max_actions {
                 return RunOutcome::BudgetExhausted;
             }
-            self.options_into(set, &mut options);
-            if options.is_empty() {
-                if !self.has_obligations(set) {
-                    return RunOutcome::Quiescent;
+            match pick(self) {
+                Pick::Choice(p, choice) => {
+                    self.fire_enabled(p, choice);
                 }
-                self.idle_tick();
-                taken += 1;
-                continue;
+                Pick::Least(p, action) => {
+                    self.fire(p, Some(action), self.now.next());
+                }
+                Pick::Idle if !self.has_obligations(set) => return RunOutcome::Quiescent,
+                Pick::Idle => self.idle_tick(),
+                Pick::Stop => return RunOutcome::Stopped,
             }
-            let Some((idx, choice)) = source.next_choice(&options) else {
-                return RunOutcome::Stopped;
-            };
-            self.fire_enabled(options[idx].0, choice);
             taken += 1;
         }
+    }
+
+    /// The round-robin-min policy: the first process of `set`, scanning
+    /// cyclically from the stored cursor, that has an enabled action, with
+    /// its least action — which the caller fires — and the number of
+    /// processes the scan passed over to reach it; the cursor moves one past
+    /// it. The scan steps over `stale | nonempty` only, so idle processes
+    /// cost nothing.
+    pub(crate) fn pick_round_robin(
+        &mut self,
+        set: ProcessSet,
+    ) -> Option<(ProcessId, Action, usize)> {
+        let n = self.tables.n;
+        let live = self.maybe_enabled(set);
+        let start = self.rr_cursor;
+        // From the cursor to the end, then from 0 up to the cursor.
+        for (mut from, end) in [(start, n), (0, start)] {
+            while let Some(p) = live.next_from(from).filter(|p| p.index() < end) {
+                if let Some(action) = self.least(p) {
+                    let i = p.index();
+                    self.rr_cursor = if i + 1 == n { 0 } else { i + 1 };
+                    let passed = if i >= start { i - start } else { i + n - start };
+                    return Some((p, action, passed));
+                }
+                from = p.index() + 1;
+            }
+        }
+        None
     }
 
     /// The current choice space over `set`, written into a caller-provided
@@ -933,14 +1165,13 @@ impl Runtime {
     /// is the allocation-free option enumerator the `gam-engine` hot loop
     /// uses; sub-choice `c` corresponds to the `c`-th enabled action in the
     /// deterministic `Action` order (fired by [`Runtime::fire_enabled`]).
-    pub fn options_into(&self, set: ProcessSet, out: &mut Vec<(ProcessId, usize)>) {
+    /// Re-derives the stale rows of `set` and no others.
+    pub fn options_into(&mut self, set: ProcessSet, out: &mut Vec<(ProcessId, usize)>) {
         out.clear();
-        for p in set {
-            if self.alive(p) {
-                let n = self.enabled_count(p);
-                if n > 0 {
-                    out.push((p, n));
-                }
+        for p in self.maybe_enabled(set) {
+            let arity = self.row(p).len();
+            if arity > 0 {
+                out.push((p, arity));
             }
         }
     }
@@ -952,47 +1183,55 @@ impl Runtime {
     /// deterministic `Action` order that [`Runtime::fire_enabled`] indexes.
     pub fn describe_enabled(&self, set: ProcessSet, out: &mut Vec<ActionDesc>) {
         out.clear();
-        for p in set {
-            if !self.alive(p) {
-                continue;
-            }
-            for a in self.enabled_sorted(p) {
-                let (kind, group, rep, aux) = match a {
-                    Action::Inject(g, m) => (ActionKind::Inject, g, m, 0),
-                    Action::Pending(m) => (ActionKind::Pending, self.arena.group(m), m, 0),
-                    Action::Commit(m) => (ActionKind::Commit, self.arena.group(m), m, 0),
-                    Action::Stabilize(m, h) => (ActionKind::Stabilize, self.arena.group(m), m, h.0),
-                    Action::Stable(m) => (ActionKind::Stable, self.arena.group(m), m, 0),
-                    Action::Deliver(m) => (ActionKind::Deliver, self.arena.group(m), m, 0),
-                };
-                out.push(ActionDesc {
-                    pid: p,
-                    kind,
-                    group,
-                    rep,
-                    aux,
-                });
-            }
+        for p in self.maybe_enabled(set) {
+            self.with_row(p, |row| {
+                out.extend(row.iter().map(|&a| {
+                    let (kind, group, rep, aux) = match a {
+                        Action::Inject(g, m) => (ActionKind::Inject, g, m, 0),
+                        Action::Pending(m) => (ActionKind::Pending, self.arena.group(m), m, 0),
+                        Action::Commit(m) => (ActionKind::Commit, self.arena.group(m), m, 0),
+                        Action::Stabilize(m, h) => {
+                            (ActionKind::Stabilize, self.arena.group(m), m, h.0)
+                        }
+                        Action::Stable(m) => (ActionKind::Stable, self.arena.group(m), m, 0),
+                        Action::Deliver(m) => (ActionKind::Deliver, self.arena.group(m), m, 0),
+                    };
+                    ActionDesc {
+                        pid: p,
+                        kind,
+                        group,
+                        rep,
+                        aux,
+                    }
+                }));
+            });
         }
     }
 
     /// Fires the `choice`-th enabled action of `p` (in the deterministic
     /// `Action` order; out-of-range choices clamp to the last action, as
     /// in replay). Advances the clock by one tick first, so a process that
-    /// crashes exactly at the new time consumes the step without effect —
-    /// the same semantics as the built-in run loops.
+    /// crashes exactly at the new time consumes the step without effect.
     pub fn fire_enabled(&mut self, p: ProcessId, choice: usize) -> Fired {
-        let mut acts = std::mem::take(&mut self.scratch);
-        acts.clear();
-        self.enabled_each(p, &mut |a| acts.push(a));
-        acts.sort_unstable();
-        self.now = self.now.next();
-        if acts.is_empty() || !self.alive(p) {
-            self.scratch = acts;
+        let row = self.row(p);
+        let action = row.get(choice.min(row.len().saturating_sub(1))).copied();
+        // The stepping process's row is stale from here on — every action's
+        // footprint contains its own process — so it moves to `scratch`
+        // instead of being copied there: a checkpoint still copies, and
+        // `snapshot_cost_bytes` still counts, exactly the one action list
+        // it did before the ready set existed.
+        std::mem::swap(&mut self.scratch, &mut self.ready.rows[p.index()]);
+        self.ready.stale.insert(p);
+        self.fire(p, action, self.now.next())
+    }
+
+    /// Moves the clock to `at`, then applies `action` at `p` unless there
+    /// is none or `p` has crashed by then (the step is consumed either way).
+    pub(crate) fn fire(&mut self, p: ProcessId, action: Option<Action>, at: Time) -> Fired {
+        self.set_now(at);
+        let Some(action) = action.filter(|_| self.alive(p)) else {
             return Fired::default();
-        }
-        let action = acts[choice.min(acts.len() - 1)];
-        self.scratch = acts;
+        };
         let (delivered, delivered_count) = match action {
             Action::Deliver(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -1010,18 +1249,19 @@ impl Runtime {
 
     /// Advances the clock by one tick without firing an action. Guards can
     /// become enabled purely by the passage of time (detector
-    /// stabilisation, γ exclusions), so the run loops idle instead of
+    /// stabilisation, γ exclusions), so the run loop idles instead of
     /// stopping while obligations remain.
     pub fn idle_tick(&mut self) {
-        self.now = self.now.next();
+        self.set_now(self.now.next());
     }
 
     /// Returns `true` when `set` has quiesced: no live process of `set` has
     /// an enabled action *and* none owes a delivery (see
     /// [`Runtime::has_obligations`]).
     pub fn is_quiescent_in(&self, set: ProcessSet) -> bool {
-        set.iter()
-            .all(|p| !self.alive(p) || self.enabled_count(p) == 0)
+        self.maybe_enabled(set)
+            .iter()
+            .all(|p| self.with_row(p, <[Action]>::is_empty))
             && !self.has_obligations(set)
     }
 
@@ -1062,8 +1302,9 @@ impl Runtime {
     /// stream behave identically under any deterministic continuation —
     /// the detector oracles are pure functions of the (fixed) pattern and
     /// the clock, and the remaining fields (frontier cursors, inject
-    /// cursors, owed counts, active lists) are derived caches of the walked
-    /// state, so nothing behavioral lives outside this walk. Pairs are
+    /// cursors, owed counts, active lists, the ready set) are derived
+    /// caches of the walked state, so nothing behavioral lives outside
+    /// this walk. Pairs are
     /// visited in interned id order, which is their lexicographic key order
     /// — the same canonical order the seed's `BTreeMap` walk used; each
     /// variable-length section is length-prefixed so the stream is
@@ -1145,7 +1386,8 @@ impl Runtime {
     /// from both sides — the ratio measures the heap traffic the
     /// copy-on-write layout saves, which is what a profiler sees. The
     /// explorer sums these at every branch point; their ratio is the
-    /// snapshot-bytes headline of the DFS bench.
+    /// snapshot-bytes headline of the DFS bench. The ready set is left
+    /// out of both sides: it is a cache a restore could as well reset.
     pub fn snapshot_cost_bytes(&self) -> (u64, u64) {
         use std::mem::size_of;
         // Plain `Vec` fields a clone deep-copies in either layout.
@@ -1243,6 +1485,67 @@ mod tests {
             };
             assert_eq!(fold(&a), fold(&b), "state diverged on {gs:?}");
         }
+    }
+
+    /// Idles `rt` (nothing enabled, something owed) until an action shows
+    /// up, checking at every tick that the ready set tracks protocol state;
+    /// returns the instant at which the choice space became non-empty.
+    fn idle_until_enabled(rt: &mut Runtime, set: ProcessSet) -> u64 {
+        let mut options = Vec::new();
+        loop {
+            rt.options_into(set, &mut options);
+            assert!(rt.ready_set_is_current(), "at {}", rt.now().0);
+            if !options.is_empty() {
+                return rt.now().0;
+            }
+            assert!(rt.has_obligations(set), "stuck at {}", rt.now().0);
+            rt.idle_tick();
+        }
+    }
+
+    #[test]
+    fn time_alone_enables_actions_through_breakpoints() {
+        // γ: p2 = g1 ∩ g2 of fig1 crashes at 2; the families through that
+        // edge turn faulty `gamma_delay` ticks later, and only then does
+        // p1's commit stop waiting for g2's announcement. Nothing fires in
+        // between: the clock crossing the exclusion instant is what stales
+        // the rows.
+        let gs = topology::fig1();
+        let set = gs.universe();
+        let pattern = FailurePattern::from_crashes(set, [(ProcessId(1), Time(2))]);
+        let mut cfg = RuntimeConfig::default();
+        cfg.mu.gamma_delay = 40;
+        let mut rt = Runtime::new(&gs, pattern, cfg);
+        rt.multicast(ProcessId(0), GroupId(0), 9);
+        assert!(!rt.run_sustained(set, 30), "blocked on γ well before 42");
+        let blocked_at = rt.now().0;
+        let flushes = rt.ready_counters().breakpoint_flushes;
+        let at = idle_until_enabled(&mut rt, set);
+        assert_eq!(at, 42, "crash instant + γ delay");
+        assert!(blocked_at < at);
+        assert_eq!(rt.ready_counters().breakpoint_flushes, flushes + 1);
+        assert!(rt.run_sustained(set, 1_000));
+
+        // 1^{g∩h}: under the strict variant p0 waits for g2's
+        // stabilisation of m or for the indicator of g1 ∩ g2 = {p2}, which
+        // fires `indicator_delay` ticks after p2's crash.
+        let gs = topology::two_overlapping(3, 1);
+        let set = gs.universe();
+        let pattern = FailurePattern::from_crashes(set, [(ProcessId(2), Time(2))]);
+        let cfg = RuntimeConfig {
+            variant: Variant::Strict,
+            indicator_delay: 60,
+            ..Default::default()
+        };
+        let mut rt = Runtime::new(&gs, pattern, cfg);
+        rt.multicast(ProcessId(0), GroupId(0), 0);
+        assert!(!rt.run_sustained(set, 30), "blocked on 1^{{g∩h}}");
+        assert_eq!(
+            idle_until_enabled(&mut rt, set),
+            62,
+            "crash instant + delay"
+        );
+        assert!(rt.run_sustained(set, 1_000));
     }
 
     #[test]

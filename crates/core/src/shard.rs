@@ -43,7 +43,7 @@
 //! digest — to what the sequential driver would have produced.
 
 use crate::arena::OrderEntry;
-use crate::runtime::{Action, Delivery, Runtime, Variant};
+use crate::runtime::{Delivery, Runtime, Variant};
 use gam_groups::GroupId;
 use gam_kernel::{ProcessId, ProcessSet, Time};
 use std::sync::Arc;
@@ -95,9 +95,11 @@ impl Runtime {
     }
 
     /// Runs one shard's projection of the sustained round-robin to a local
-    /// fixpoint, recording global visit slots. `take_budget` is consulted
-    /// once per fired action; returning `false` aborts the shard (the
-    /// caller discards the clone, so partial state is fine).
+    /// fixpoint, recording global visit slots: the run loop's
+    /// round-robin-min policy over `pids`, with the slot of each pick
+    /// recovered from how far the scan travelled to reach it. `take_budget`
+    /// is consulted once per fired action; returning `false` aborts the
+    /// shard (the caller discards the clone, so partial state is fine).
     ///
     /// The clock is stamped with the *visit slot* before each fired action
     /// — an arbitrary placeholder as far as guards are concerned (they are
@@ -109,61 +111,37 @@ impl Runtime {
         pids: &[ProcessId],
         mut take_budget: impl FnMut() -> bool,
     ) -> ShardRun {
-        let n = self.tables.n;
         let rr0 = self.rr_cursor;
-        debug_assert!(rr0 < n, "round-robin cursor is always reduced mod n");
-        let mut run = ShardRun::default();
-        if pids.is_empty() {
-            run.quiesced = true;
-            return run;
-        }
+        debug_assert!(rr0 < self.tables.n, "round-robin cursor is reduced mod n");
         let set: ProcessSet = pids.iter().copied().collect();
-        // The global scan meets the shard's processes in ascending order of
-        // offset (p − rr0) mod n, cyclically; round r visits p at global
-        // slot offset(p) + r·n.
-        let mut order: Vec<(usize, ProcessId)> = pids
-            .iter()
-            .map(|&p| ((p.index() + n - rr0) % n, p))
-            .collect();
-        order.sort_unstable();
-        let mut round = vec![0u64; order.len()];
-        let mut at = 0usize;
-        let mut idle = 0usize;
-        loop {
-            let (off, p) = order[at];
-            let slot = off as u64 + round[at] * n as u64;
-            round[at] += 1;
-            let mut first: Option<Action> = None;
-            self.enabled_each(p, &mut |a| {
-                if first.is_none_or(|b| a < b) {
-                    first = Some(a);
-                }
-            });
-            if let Some(action) = first {
-                if !take_budget() {
-                    return run; // aborted: quiesced stays false
-                }
-                self.now = Time(slot);
-                let inject = matches!(action, Action::Inject(..));
-                self.apply(p, action);
-                if inject {
-                    run.injects.push((slot, self.units.count() as u32 - 1));
-                }
-                run.fired_slots.push(slot);
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle >= order.len() {
-                    // A full shard round fired nothing: with time-invariant
-                    // guards and no cross-shard interference this is a
-                    // fixpoint forever, exactly when the sequential sweep
-                    // would stop (or idle-tick to budget death).
-                    run.quiesced = !self.has_obligations(set);
-                    return run;
-                }
+        let mut run = ShardRun::default();
+        // Global visit slot of the cursor position: the global scan visits
+        // process (rr0 + j) mod n at slot j, and the shard's processes in
+        // the same cyclic order.
+        let mut base = 0u64;
+        run.quiesced = loop {
+            let Some((p, action, passed)) = self.pick_round_robin(set) else {
+                // No process of the shard has an enabled action: with
+                // time-invariant guards and no cross-shard interference
+                // this is a fixpoint forever, exactly when the sequential
+                // sweep would stop (or idle-tick to budget death).
+                break !self.has_obligations(set);
+            };
+            let slot = base + passed as u64;
+            base = slot + 1;
+            if !take_budget() {
+                break false; // aborted
             }
-            at = (at + 1) % order.len();
-        }
+            let units = self.units.count();
+            self.fire(p, Some(action), Time(slot));
+            if self.units.count() > units {
+                run.injects.push((slot, units as u32));
+            }
+            run.fired_slots.push(slot);
+        };
+        // The clone may go on to record another shard from the same cursor.
+        self.rr_cursor = rr0;
+        run
     }
 
     /// Commits the recorded shard runs into `self` (the pre-run state the
@@ -178,7 +156,7 @@ impl Runtime {
     pub fn commit_merge(&mut self, parts: &[(&Runtime, &ShardSpec, &ShardRun)]) {
         let t = Arc::clone(&self.tables);
         let n = self.tables.n;
-        let t0 = self.now.0;
+        let t0 = self.now().0;
         debug_assert_eq!(self.units.count(), 0, "par_eligible gated fresh state");
         // Global fired order: slots are unique across shards (slot mod n
         // identifies the process, and a process belongs to one shard).
@@ -306,11 +284,13 @@ impl Runtime {
         // The two global scalars, re-derived from the merged fired order:
         // one clock tick per fired action, and the cursor one past the
         // process the last-fired slot visited.
-        self.now = Time(t0 + all_slots.len() as u64);
+        self.set_now(Time(t0 + all_slots.len() as u64));
         if let Some(&last) = all_slots.last() {
             let idx = (self.rr_cursor + last as usize % n) % n;
             self.rr_cursor = (idx + 1) % n;
         }
+        // Every shard-owned column was overwritten behind the ready set.
+        self.invalidate_ready();
     }
 }
 

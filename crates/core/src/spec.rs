@@ -93,56 +93,49 @@ pub fn check_integrity(report: &RunReport) -> Result<(), SpecViolation> {
     Ok(())
 }
 
-/// The local delivery relation `m ↦_p m'`: `p ∈ dst(m) ∩ dst(m')` and, at the
-/// time `p` delivers `m`, it has not (yet) delivered `m'`.
-fn local_edges(report: &RunReport, p: ProcessId) -> Vec<(MessageId, MessageId)> {
-    let seq = report.delivered_by(p);
-    let mut delivered = vec![false; report.messages.len()];
-    for m in &seq {
-        if let Some(slot) = delivered.get_mut(m.0 as usize) {
-            *slot = true;
+/// Per message, the processes that delivered it — one pass over the report
+/// instead of a scan of a local sequence per (process, message). Unknown
+/// message ids (integrity's business) are dropped.
+fn delivered_by(report: &RunReport) -> Vec<ProcessSet> {
+    let mut by = vec![ProcessSet::EMPTY; report.messages.len()];
+    for (i, seq) in report.delivered.iter().enumerate() {
+        for d in seq {
+            if let Some(set) = by.get_mut(d.msg.0 as usize) {
+                set.insert(ProcessId(i as u32));
+            }
         }
     }
-    // m' addressed to p but never delivered by p: the same tail for every
-    // delivered m, so compute it once instead of rescanning ℳ per message.
-    let undelivered: Vec<MessageId> = (0..report.messages.len())
-        .map(|j| MessageId(j as u64))
-        .filter(|m2| !delivered[m2.0 as usize] && dst(report, *m2).contains(p))
-        .collect();
-    let mut edges = Vec::new();
-    for (i, m) in seq.iter().enumerate() {
-        // Delivered pairs, in local order.
-        for m2 in &seq[i + 1..] {
-            edges.push((*m, *m2));
-        }
-        for m2 in &undelivered {
-            edges.push((*m, *m2));
-        }
-    }
-    edges
+    by
 }
 
-/// The delivery relation `↦ = ∪_p ↦_p` of the run.
-pub fn delivery_relation(report: &RunReport) -> Vec<(MessageId, MessageId)> {
+/// Generator edges of the delivery relation `↦ = ∪_p ↦_p`, where
+/// `m ↦_p m'` when `p ∈ dst(m) ∩ dst(m')` and, at the time `p` delivers `m`,
+/// it has not (yet) delivered `m'`. Per process: each delivery to the next
+/// one, and the last delivery to every message addressed to `p` that it
+/// never delivered. `↦_p` is the transitive closure of these (every earlier
+/// delivery reaches the last one), so the union has a cycle iff `↦` has
+/// one — with edges linear in the report instead of every pair of every
+/// local sequence. Unknown message ids (integrity's business) draw no edge.
+fn delivery_generators(report: &RunReport) -> Vec<(MessageId, MessageId)> {
     let m_count = report.messages.len();
-    // Dedup through a dense m×m bitmap: a linear `contains` scan over the
-    // accumulated edge list is quadratic in |↦| and dominates spec checking
-    // on dense multi-group runs.
-    let mut seen = vec![false; m_count * m_count];
+    let mut of_group = vec![Vec::new(); report.system.len()];
+    for (j, info) in report.messages.iter().enumerate() {
+        of_group[info.group.index()].push(MessageId(j as u64));
+    }
+    let delivered_by = delivered_by(report);
     let mut edges = Vec::new();
-    for i in 0..report.delivered.len() {
-        for e in local_edges(report, ProcessId(i as u32)) {
-            let (a, b) = (e.0 .0 as usize, e.1 .0 as usize);
-            if a < m_count && b < m_count {
-                if !seen[a * m_count + b] {
-                    seen[a * m_count + b] = true;
-                    edges.push(e);
-                }
-            } else if !edges.contains(&e) {
-                // unknown ids (malformed reports): the slow path keeps the
-                // relation total, as integrity will flag them anyway
-                edges.push(e);
-            }
+    for (i, seq) in report.delivered.iter().enumerate() {
+        let p = ProcessId(i as u32);
+        let known = || seq.iter().map(|d| d.msg).filter(|m| m.0 < m_count as u64);
+        edges.extend(known().zip(known().skip(1)));
+        let Some(last) = known().next_back() else {
+            continue;
+        };
+        for g in report.system.groups_of(p) {
+            let undelivered = of_group[g.index()]
+                .iter()
+                .filter(|m2| !delivered_by[m2.0 as usize].contains(p));
+            edges.extend(undelivered.map(|&m2| (last, m2)));
         }
     }
     edges
@@ -193,7 +186,7 @@ fn acyclic(n: usize, edges: &[(MessageId, MessageId)]) -> Result<(), Vec<Message
 ///
 /// Returns the first [`SpecViolation`] found.
 pub fn check_ordering(report: &RunReport) -> Result<(), SpecViolation> {
-    let edges = delivery_relation(report);
+    let edges = delivery_generators(report);
     acyclic(report.messages.len(), &edges).map_err(|cyc| SpecViolation {
         property: "ordering",
         detail: format!("delivery cycle: {cyc:?}"),
@@ -216,21 +209,18 @@ pub fn check_termination(report: &RunReport) -> Result<(), SpecViolation> {
         });
     }
     let correct = report.pattern.correct();
-    for (i, info) in report.messages.iter().enumerate() {
+    let delivered_by = delivered_by(report);
+    for (info, (i, by)) in report.messages.iter().zip(delivered_by.iter().enumerate()) {
         let m = MessageId(i as u64);
-        let delivered_somewhere =
-            (0..report.delivered.len()).any(|j| report.has_delivered(ProcessId(j as u32), m));
-        let must_deliver = correct.contains(info.src) || delivered_somewhere;
+        let must_deliver = correct.contains(info.src) || !by.is_empty();
         if !must_deliver {
             continue;
         }
-        for p in dst(report, m) & correct {
-            if !report.has_delivered(p, m) {
-                return Err(SpecViolation {
-                    property: "termination",
-                    detail: format!("correct {p} ∈ dst({m}) never delivered it"),
-                });
-            }
+        if let Some(p) = ((dst(report, m) & correct) - *by).min() {
+            return Err(SpecViolation {
+                property: "termination",
+                detail: format!("correct {p} ∈ dst({m}) never delivered it"),
+            });
         }
     }
     Ok(())
@@ -269,27 +259,39 @@ pub fn check_minimality(report: &RunReport) -> Result<(), SpecViolation> {
 /// Returns the first [`SpecViolation`] found.
 pub fn check_strict_ordering(report: &RunReport) -> Result<(), SpecViolation> {
     let m_count = report.messages.len();
-    let mut edges = delivery_relation(report);
-    let mut seen = vec![false; m_count * m_count];
-    for (a, b) in &edges {
-        seen[a.0 as usize * m_count + b.0 as usize] = true;
-    }
-    for i in 0..m_count {
-        let m = MessageId(i as u64);
-        let Some(t) = report.first_delivery(m) else {
-            continue;
-        };
-        for j in 0..m_count {
-            let m2 = MessageId(j as u64);
-            if m != m2 && t < report.multicast_at[j] && !seen[i * m_count + j] {
-                seen[i * m_count + j] = true;
-                edges.push((m, m2));
-            }
+    let mut edges = delivery_generators(report);
+    // `m ⤳ m'` iff `m`'s first delivery precedes `m'`'s multicast: `m`
+    // reaches every message from some rank on in multicast-time order. Node
+    // `m_count + k` stands for "the k-th message in that order and all
+    // later ones", so `⤳` takes three edges per message, not one per pair.
+    let mut by_time: Vec<usize> = (0..m_count).collect();
+    by_time.sort_by_key(|&j| report.multicast_at[j]);
+    let suffix = |k: usize| MessageId((m_count + k) as u64);
+    for (k, &j) in by_time.iter().enumerate() {
+        edges.push((suffix(k), MessageId(j as u64)));
+        if k + 1 < m_count {
+            edges.push((suffix(k), suffix(k + 1)));
         }
     }
-    acyclic(report.messages.len(), &edges).map_err(|cyc| SpecViolation {
-        property: "strict-ordering",
-        detail: format!("cycle in ↦ ∪ ⤳: {cyc:?}"),
+    let mut first_delivery = vec![None; m_count];
+    for d in report.delivered.iter().flatten() {
+        if let Some(first) = first_delivery.get_mut(d.msg.0 as usize) {
+            *first = Some(first.map_or(d.at, |t: gam_kernel::Time| t.min(d.at)));
+        }
+    }
+    for (i, first) in first_delivery.iter().enumerate() {
+        let Some(t) = first else { continue };
+        let k = by_time.partition_point(|&j| report.multicast_at[j] <= *t);
+        if k < m_count {
+            edges.push((MessageId(i as u64), suffix(k)));
+        }
+    }
+    acyclic(2 * m_count, &edges).map_err(|mut cyc| {
+        cyc.retain(|m| m.0 < m_count as u64);
+        SpecViolation {
+            property: "strict-ordering",
+            detail: format!("cycle in ↦ ∪ ⤳: {cyc:?}"),
+        }
     })
 }
 
@@ -485,6 +487,113 @@ mod tests {
             msg: MessageId(m),
             at: Time(at),
         });
+    }
+
+    /// The construction of `↦` the checkers used before
+    /// [`delivery_generators`], kept as their oracle: every pair of every
+    /// local sequence, plus every delivered → addressed-but-undelivered
+    /// pair, deduplicated through a dense m×m bitmap.
+    fn delivery_relation(report: &RunReport) -> Vec<(MessageId, MessageId)> {
+        let m_count = report.messages.len();
+        let mut seen = vec![false; m_count * m_count];
+        let mut edges = Vec::new();
+        for i in 0..report.delivered.len() {
+            let p = ProcessId(i as u32);
+            let seq = report.delivered_by(p);
+            let undelivered: Vec<MessageId> = (0..m_count)
+                .map(|j| MessageId(j as u64))
+                .filter(|m2| !seq.contains(m2) && dst(report, *m2).contains(p))
+                .collect();
+            for (a, m) in seq.iter().enumerate() {
+                for m2 in seq[a + 1..].iter().chain(&undelivered) {
+                    let cell = &mut seen[m.0 as usize * m_count + m2.0 as usize];
+                    if !*cell {
+                        *cell = true;
+                        edges.push((*m, *m2));
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    /// `↦ ∪ ⤳` as the strict checker built it before: one `⤳` edge per
+    /// pair `(m, m')` with `m` first delivered before `m'` is multicast.
+    fn strict_relation(report: &RunReport) -> Vec<(MessageId, MessageId)> {
+        let mut edges = delivery_relation(report);
+        for i in 0..report.messages.len() {
+            let m = MessageId(i as u64);
+            let Some(t) = report.first_delivery(m) else {
+                continue;
+            };
+            for (j, at) in report.multicast_at.iter().enumerate() {
+                if i != j && t < *at && !edges.contains(&(m, MessageId(j as u64))) {
+                    edges.push((m, MessageId(j as u64)));
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn generator_edges_decide_like_the_full_relation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Real runs (crashes leave addressed-but-undelivered messages),
+        // then random damage to the local sequences: swapped deliveries
+        // make cycles, truncated tails make undelivered targets.
+        let mut cyclic = 0;
+        for (gs, crashes) in [
+            (topology::fig1(), vec![]),
+            (topology::fig1(), vec![(ProcessId(1), Time(30))]),
+            (topology::ring(3, 2), vec![(ProcessId(0), Time(25))]),
+            (topology::two_overlapping(3, 1), vec![]),
+        ] {
+            let pattern = FailurePattern::from_crashes(gs.universe(), crashes);
+            let mut rt = crate::Runtime::new(&gs, pattern, crate::RuntimeConfig::default());
+            for round in 0..3u64 {
+                for (g, members) in gs.iter() {
+                    rt.multicast(members.min().unwrap(), g, round);
+                }
+            }
+            let quiescent = rt.run(1_000_000);
+            let clean = rt.report(quiescent);
+            let mut rng = StdRng::seed_from_u64(gs.len() as u64);
+            for case in 0..200 {
+                let mut r = clean.clone();
+                for _ in 0..case % 4 {
+                    let seq = &mut r.delivered[rng.gen_range(0..gs.universe().len())];
+                    if seq.len() >= 2 {
+                        let (a, b) = (rng.gen_range(0..seq.len()), rng.gen_range(0..seq.len()));
+                        seq.swap(a, b);
+                        seq.truncate(seq.len() - rng.gen_range(0..2));
+                    }
+                }
+                let m = r.messages.len();
+                let full = acyclic(m, &delivery_relation(&r)).is_ok();
+                assert_eq!(check_ordering(&r).is_ok(), full, "ordering, case {case}");
+                assert_eq!(
+                    check_strict_ordering(&r).is_ok(),
+                    acyclic(m, &strict_relation(&r)).is_ok(),
+                    "strict ordering, case {case}"
+                );
+                cyclic += usize::from(!full);
+            }
+        }
+        assert!(cyclic > 100, "the damage must produce cycles: {cyclic}");
+    }
+
+    #[test]
+    fn termination_names_the_delivery_the_linear_scan_named() {
+        // Message-major, process-minor: the first missing delivery named is
+        // the one the per-(process, message) `has_delivered` scan named.
+        let mut r = base_report();
+        deliver(&mut r, 1, 1, 5);
+        let scan = (0..r.messages.len() as u64)
+            .flat_map(|m| (0..3u32).map(move |p| (ProcessId(p), MessageId(m))))
+            .find(|&(p, m)| dst(&r, m).contains(p) && !r.has_delivered(p, m))
+            .map(|(p, m)| format!("correct {p} ∈ dst({m}) never delivered it"));
+        assert_eq!(check_termination(&r).unwrap_err().detail, scan.unwrap());
     }
 
     #[test]

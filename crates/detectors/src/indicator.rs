@@ -85,6 +85,17 @@ impl IndicatorOracle {
         self.monitored
     }
 
+    /// The instant from which a truthful query answers `true`: the crash
+    /// of the last monitored process plus the detection latency, or `None`
+    /// if some monitored process is correct. A function of the failure
+    /// pattern alone, so callers that query on every guard evaluation can
+    /// compute it once and compare integers.
+    pub fn fires_at(&self) -> Option<Time> {
+        self.pattern
+            .set_crash_time(self.monitored)
+            .map(|c| Time(c.0.saturating_add(self.delay)))
+    }
+
     /// `1^P(p, t)`, or `None` (⊥) outside the scope.
     pub fn indicates(&self, p: ProcessId, t: Time) -> Option<bool> {
         if !self.scope.contains(p) {
@@ -93,8 +104,7 @@ impl IndicatorOracle {
         if self.mode == IndicatorMode::TrueInside && self.monitored.contains(p) {
             return Some(true);
         }
-        let crashed_at = self.pattern.set_crash_time(self.monitored);
-        Some(crashed_at.is_some_and(|c| Time(c.0.saturating_add(self.delay)) <= t))
+        Some(self.fires_at().is_some_and(|at| at <= t))
     }
 }
 

@@ -177,6 +177,33 @@ impl ProcessSet {
             .map(|(i, w)| ProcessId((i * 64) as u32 + 63 - w.leading_zeros()))
     }
 
+    /// The least member with index at least `from`, if any — one step of a
+    /// scan that resumes at a cursor without materialising the rest.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gam_kernel::{ProcessId, ProcessSet};
+    /// let s = ProcessSet::from_iter([3u32, 70]);
+    /// assert_eq!(s.next_from(0), Some(ProcessId(3)));
+    /// assert_eq!(s.next_from(4), Some(ProcessId(70)));
+    /// assert_eq!(s.next_from(71), None);
+    /// ```
+    #[inline]
+    pub fn next_from(self, from: usize) -> Option<ProcessId> {
+        let first = from / 64;
+        let mut masked = self.0.get(first)? & (u64::MAX << (from % 64));
+        for w in first..WORDS {
+            if w > first {
+                masked = self.0[w];
+            }
+            if masked != 0 {
+                return Some(ProcessId((w * 64) as u32 + masked.trailing_zeros()));
+            }
+        }
+        None
+    }
+
     /// Iterates over the processes in ascending order.
     pub fn iter(self) -> Iter {
         Iter {

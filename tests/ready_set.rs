@@ -1,0 +1,122 @@
+//! The ready set of `gam_core::Runtime` is derived state: whoever reads a
+//! row — the choice space, the fired action, the quiescence test — must see
+//! what a fresh evaluation of every guard would yield, whatever happened
+//! since the row was last derived.
+//!
+//! Debug builds assert this row by row at every read. Tier-1 runs in
+//! release, so this suite asserts it explicitly
+//! ([`Runtime::ready_set_is_current`]) after every operation of random
+//! schedules over the fixture corpus — crash plans, variants and batch
+//! widths crossed — with the operations that bypass `apply` mixed in:
+//! mid-run `multicast`, `snapshot`/`restore`, `from_snapshot`, idle ticks
+//! across detector breakpoints. A second test gates the point of the cache:
+//! a fair run re-derives few rows per step.
+
+use genuine_multicast::engine::run_with_source_counted;
+use genuine_multicast::kernel::{ChoiceStep, RotatingSource};
+use genuine_multicast::prelude::*;
+use genuine_multicast::scenarios::{CrashPlan, FIXTURES};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A member of a random group that survives the tick a `multicast` takes.
+fn live_sender(rt: &Runtime, rng: &mut StdRng) -> Option<(ProcessId, GroupId)> {
+    let g = GroupId(rng.gen_range(0..rt.system().len() as u32));
+    let next = rt.now().next();
+    rt.system()
+        .members(g)
+        .iter()
+        .find(|p| rt.pattern().crash_time(*p).is_none_or(|c| next < c))
+        .map(|p| (p, g))
+}
+
+/// Drives `exec` through `steps` random operations, checking the ready set
+/// after each.
+fn drive(mut exec: RuntimeExecutor, steps: usize, rng: &mut StdRng) -> Result<(), TestCaseError> {
+    let mut options = Vec::new();
+    let mut checkpoint = exec.snapshot();
+    for step in 0..steps {
+        match rng.gen_range(0..12u32) {
+            0 => {
+                if let Some((src, g)) = live_sender(exec.runtime(), rng) {
+                    exec.runtime_mut().multicast(src, g, step as u64);
+                }
+            }
+            1 => checkpoint = exec.snapshot(),
+            2 => exec.restore(&checkpoint),
+            3 => exec = RuntimeExecutor::from_snapshot(&exec.snapshot()),
+            _ => {}
+        }
+        prop_assert!(exec.runtime().ready_set_is_current(), "step {step}");
+        exec.enabled_actions(&mut options);
+        prop_assert!(exec.runtime().ready_set_is_current(), "step {step}");
+        if options.is_empty() {
+            if exec.is_quiescent() {
+                break;
+            }
+            exec.idle_tick();
+        } else {
+            let (pid, arity) = options[rng.gen_range(0..options.len())];
+            // Past-the-end choices clamp, as in replay.
+            let choice = rng.gen_range(0..arity + 1);
+            exec.step(ChoiceStep { pid, choice });
+        }
+        prop_assert!(exec.runtime().ready_set_is_current(), "step {step}");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn the_ready_set_is_never_wrong(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (name, text) in FIXTURES {
+            let pinned = ScnDescriptor::parse(text).expect("pinned descriptor");
+            for crash in [CrashPlan::None, CrashPlan::Isect { count: 2 }, CrashPlan::Rand { count: 2 }] {
+                for variant in [Variant::Standard, Variant::Strict, Variant::Pairwise] {
+                    for batch_max in [1, 16] {
+                        let mut d = pinned;
+                        d.crash = crash;
+                        d.variant = variant;
+                        d.seed = rng.gen_range(0..1_000u64);
+                        let scenario = Scenario::from_descriptor(&d).with_batch_max(batch_max);
+                        drive(scenario.runtime_executor(), 250, &mut rng).map_err(|e| {
+                            TestCaseError::fail(format!("{name} {d:?} batch {batch_max}: {e:?}"))
+                        })?;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_fair_run_re_derives_few_rows_per_step() {
+    // The explorer's dense shape: 32 processes, one message in flight. By
+    // genuineness a step concerns one group's members at most, and by the
+    // per-kind footprints usually far fewer; before the ready set every
+    // enumeration evaluated all 32 rows.
+    let d = ScnDescriptor::parse(
+        "gam-scn v1 family=rand(32,8,450) seed=7000 crash=none traffic=one variant=standard budget=500000",
+    )
+    .expect("descriptor");
+    let mut exec = Scenario::from_descriptor(&d).runtime_executor();
+    let (outcome, steps) =
+        run_with_source_counted(&mut exec, &mut RotatingSource::default(), d.budget);
+    assert_eq!(outcome, genuine_multicast::kernel::RunOutcome::Quiescent);
+    let counters = exec.runtime().ready_counters();
+    assert!(steps > 100, "a real run: {steps} steps");
+    assert!(
+        counters.rows_refreshed < 8 * steps,
+        "{} rows re-derived over {steps} steps of 32 processes",
+        counters.rows_refreshed
+    );
+    assert!(counters.rows_reused > counters.rows_refreshed);
+    assert_eq!(
+        counters.breakpoint_flushes, 0,
+        "crash-free: time never stales a row"
+    );
+}
