@@ -28,7 +28,8 @@
 //! gate is bytes per checkpoint, not coverage.
 //!
 //! Each scenario also records the ready-set counters of one fair run
-//! (`ready_set`: rows re-derived and rows reused over the run's steps,
+//! (`ready_set`: rows re-derived, patched cell by cell and reused over the
+//! run's steps, guards evaluated and passed in total and per step,
 //! breakpoint flushes) — what option enumeration costs per step on that
 //! state, as deterministic as the step counts.
 //!
@@ -157,16 +158,7 @@ fn ready_set_json(scenario: &Scenario) -> Json {
         &mut RotatingSource::default(),
         scenario.max_steps,
     );
-    let counters = exec.runtime().ready_counters();
-    Json::obj([
-        ("fair_run_steps", Json::from(steps)),
-        ("rows_refreshed", Json::from(counters.rows_refreshed)),
-        ("rows_reused", Json::from(counters.rows_reused)),
-        (
-            "breakpoint_flushes",
-            Json::from(counters.breakpoint_flushes),
-        ),
-    ])
+    gam_bench::ready_set_json("fair_run_steps", steps, exec.runtime().ready_counters())
 }
 
 /// The snapshot-byte ratio of a pass: deep-`Clone` baseline bytes over

@@ -15,20 +15,42 @@
 //! Both drivers execute identical seeded-random workloads, so the steps
 //! and digests agree; the comparison isolates driver + hashing overhead.
 //!
+//! A fifth case, `backlog`, is the serving shape those tiny workloads never
+//! reach: [`Runtime::run_sustained`] draining 256 preloaded messages on
+//! `rand(64,8,450)` — the first descriptor of the gated benchmark's
+//! `serve_dense` at seed 7 — where each process holds tens of units in
+//! `stable` waiting for their turn to deliver. Its record carries the
+//! runtime's ready-set counters, and the bin fails when guard evaluations
+//! per step exceed [`GUARDS_PER_STEP_GATE_PERMILLE`]: a count, so the gate
+//! can fail on any host.
+//!
 //! Run with: `cargo run --release -p gam-bench --bin step_loop [-- quick]`
 //! Output:   stdout table + `BENCH_step_loop.json` (repo root)
 
 use std::time::{Duration, Instant};
 
 use gam_bench::json::{write_experiment, Json};
+use gam_bench::ready_set_json;
 use gam_core::distributed::{DistProcess, MuHistory};
 use gam_core::{MessageId, Runtime, RuntimeConfig};
 use gam_detectors::{MuConfig, MuOracle};
 use gam_engine::digest::{fnv1a, trace_hash};
 use gam_engine::{run_with_source, Executor, KernelExecutor, RuntimeExecutor};
+use gam_explore::Scenario;
 use gam_groups::{topology, GroupSystem};
 use gam_kernel::schedule::RandomSource;
 use gam_kernel::{FailurePattern, RunOutcome, Simulator};
+use gam_scenarios::ScnDescriptor;
+
+/// The backlogged serving descriptor (`serve_dense`, seed 7000, batch 1).
+const BACKLOG: &str = "gam-scn v1 family=rand(64,8,450) seed=7000 crash=none \
+                       traffic=zipf(1200,256) variant=standard budget=2000000";
+
+/// Ceiling on guard evaluations per step of the backlogged run, in
+/// permille. Deriving readiness from the `LOG_g` deliver frontiers and
+/// refreshing stale cells one at a time costs ≈ 4 per step; a walk over
+/// the stable backlog costs ≈ 41.
+const GUARDS_PER_STEP_GATE_PERMILLE: u64 = 10_000;
 
 struct Case {
     substrate: &'static str,
@@ -117,6 +139,22 @@ fn kernel_workload(gs: &GroupSystem) -> Simulator<DistProcess, MuHistory> {
     sim
 }
 
+/// Runs the backlogged descriptor to quiescence under the sustained driver;
+/// returns the run's steps, the runtime and the time the run took.
+fn backlog_run() -> (u64, Runtime, Duration) {
+    let d = ScnDescriptor::parse(BACKLOG).expect("valid descriptor");
+    let mut rt = Scenario::from_descriptor(&d)
+        .with_batch_max(1)
+        .runtime_executor()
+        .into_runtime();
+    let loaded = rt.now().0;
+    let start = Instant::now();
+    let quiescent = rt.run_sustained(rt.system().universe(), d.budget);
+    let took = start.elapsed();
+    assert!(quiescent, "the backlogged run quiesces");
+    (rt.now().0 - loaded, rt, took)
+}
+
 /// The post-hoc kernel run hash of the pre-refactor explorer: a full walk
 /// of the recorded trace after the run (the cost the incremental digest
 /// removes). Word order as in the old `gam_explore::kernel` module.
@@ -147,7 +185,7 @@ fn main() {
     let gs_a = topology::fig1();
     let gs_b = topology::ring(3, 2);
 
-    let cases = vec![
+    let cases = [
         // ---- Level A (shared-object runtime) ----------------------------
         measure("runtime", "native", budget, |seed| {
             let mut rt = runtime_workload(&gs_a);
@@ -188,11 +226,20 @@ fn main() {
         }),
     ];
 
+    let mut backlog_counters = None;
+    let backlog = measure("backlog", "sustained", budget, |_| {
+        let (steps, rt, took) = backlog_run();
+        backlog_counters = Some((steps, rt.ready_counters()));
+        (steps, trace_hash(&rt.report(true)), took)
+    });
+    let (backlog_steps, counters) = backlog_counters.expect("measure runs at least once");
+    let guards_permille = counters.guards_evaluated * 1000 / backlog_steps;
+
     println!(
         "{:<10} {:<8} {:>8} {:>12} {:>14}",
         "substrate", "driver", "runs", "steps", "steps/sec"
     );
-    for c in &cases {
+    for c in cases.iter().chain([&backlog]) {
         println!(
             "{:<10} {:<8} {:>8} {:>12} {:>14}",
             c.substrate,
@@ -214,6 +261,10 @@ fn main() {
     };
     let (rt_pct, k_pct) = (ratio("runtime"), ratio("kernel"));
     println!("\nengine/native: runtime {rt_pct}%, kernel {k_pct}%");
+    println!(
+        "backlog: {guards_permille} guard evaluations per 1000 steps \
+         (gate {GUARDS_PER_STEP_GATE_PERMILLE})"
+    );
 
     let record = Json::obj([
         ("bench", Json::from("step_loop")),
@@ -234,6 +285,23 @@ fn main() {
                     ])
                 })
                 .collect::<Json>(),
+        ),
+        (
+            "backlog",
+            Json::obj([
+                ("descriptor", Json::from(BACKLOG)),
+                ("runs", Json::from(backlog.runs)),
+                ("elapsed_ns", Json::from(backlog.elapsed.as_nanos() as u64)),
+                ("steps_per_sec", Json::from(backlog.steps_per_sec())),
+                (
+                    "ready_set",
+                    ready_set_json("steps", backlog_steps, counters),
+                ),
+                (
+                    "guards_per_step_gate_permille",
+                    Json::from(GUARDS_PER_STEP_GATE_PERMILLE),
+                ),
+            ]),
         ),
         (
             "engine_vs_native_pct",
@@ -265,5 +333,10 @@ fn main() {
         parsed.get("cases").and_then(Json::as_arr).map(<[_]>::len),
         Some(4)
     );
-    println!("wrote BENCH_step_loop.json ({} cases)", 4);
+    assert!(
+        guards_permille <= GUARDS_PER_STEP_GATE_PERMILLE,
+        "backlogged run: {guards_permille} guard evaluations per 1000 steps, \
+         gate {GUARDS_PER_STEP_GATE_PERMILLE} — is a stable backlog being walked again?"
+    );
+    println!("wrote BENCH_step_loop.json ({} cases + backlog)", 4);
 }

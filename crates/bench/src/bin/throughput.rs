@@ -25,7 +25,11 @@
 //! shard — the fraction other workers can serve concurrently; 0 on a
 //! single-shard topology). Genuineness bounds coordination to 𝒢(m), so
 //! messages never cross shards; the column measures available parallelism
-//! in the traffic, not communication.
+//! in the traffic, not communication. Each row also carries the runtime's
+//! ready-set counters over one run (`ready_set`: rows re-derived, patched
+//! and reused, guards evaluated and passed, in total and per step — all
+//! deterministic); on a sharded row they are those of its sequential twin,
+//! the shard workers' clones keeping their own.
 //!
 //! Every run must quiesce and pass the full spec — a violation fails the
 //! bench, which is what the CI `throughput-smoke` and
@@ -46,7 +50,8 @@
 use std::time::{Duration, Instant};
 
 use gam_bench::json::{write_experiment, Json};
-use gam_core::{spec, Runtime, RuntimeConfig};
+use gam_bench::ready_set_json;
+use gam_core::{spec, ReadyCounters, Runtime, RuntimeConfig};
 use gam_engine::{run_sustained_par, shard_partition};
 use gam_kernel::FailurePattern;
 use gam_scenarios::{fixture, ScnDescriptor};
@@ -91,6 +96,9 @@ struct Case {
     /// Batch occupancy: `histogram[w]` = consensus units that decided `w`
     /// multicasts, from the (deterministic) first run's final state.
     histogram: Vec<u64>,
+    /// Steps and ready-set counters of the first run (of its sequential
+    /// twin, on a parallel row).
+    ready: (u64, ReadyCounters),
     spec_ok: bool,
     /// For parallel rows: did the sharded run's folded state match a
     /// sequential twin word-for-word? `None` on sequential rows.
@@ -206,6 +214,7 @@ fn measure(
             max: 0,
         },
         histogram: Vec::new(),
+        ready: (0, ReadyCounters::default()),
         spec_ok: false,
         par_match: None,
     };
@@ -216,6 +225,7 @@ fn measure(
         }
         let mut rt = runtime_for(d, batch_max);
         let set = rt.system().universe();
+        let loaded = rt.now().0;
         let start = Instant::now();
         let quiescent = if threads > 1 {
             run_sustained_par(&mut rt, set, d.budget, threads)
@@ -239,10 +249,12 @@ fn measure(
             case.latency = percentiles(samples);
             case.histogram = rt.unit_width_histogram();
             case.spec_ok = spec::check_all(&report, d.variant).is_ok();
+            case.ready = (rt.now().0 - loaded, rt.ready_counters());
             if threads > 1 {
                 let mut twin = runtime_for(d, batch_max);
                 let seq = twin.run_sustained(twin.system().universe(), d.budget);
                 case.par_match = Some(seq == quiescent && fold_vec(&twin) == fold_vec(&rt));
+                case.ready.1 = twin.ready_counters();
             }
         }
         case.runs += 1;
@@ -455,6 +467,7 @@ fn main() {
                                 })
                                 .collect::<Json>(),
                         ),
+                        ("ready_set", ready_set_json("steps", c.ready.0, c.ready.1)),
                         ("spec_ok", Json::from(c.spec_ok)),
                     ];
                     if let Some(m) = c.par_match {
@@ -527,6 +540,14 @@ fn main() {
         assert!(
             c.get("msgs_per_sec").and_then(Json::as_u64).unwrap_or(0) >= 100,
             "msgs/sec above the smoke floor"
+        );
+        assert!(
+            c.get("ready_set")
+                .and_then(|r| r.get("guards_evaluated"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+                > 0,
+            "a run evaluates guards"
         );
         assert!(
             !c.get("batch_occupancy")

@@ -36,23 +36,40 @@
 //! # The ready set
 //!
 //! What each process can do next is kept as *derived state*: per process
-//! the sorted list of its enabled actions (its *row*), trusted until the
-//! process is marked stale and re-derived — by `enabled_each`, the one
-//! place the guards are written — only when a reader next needs it. Rows go
-//! stale by the genuineness footprint of what happened: an action of `p`
-//! about a unit `u` of group `g` writes only `g`'s pair logs, `u`'s cells
-//! and `p`'s rows, and of those only some cells are read by another
+//! the sorted list of its enabled actions (its *row*), made of *cells* —
+//! `(q, inject g)`, the help-multicast guard of one group of `q`, and
+//! `(q, u)`, the guards of unit `u` at the phase `q` has it in; `cell_each`
+//! is the one place the guards are written. A row is trusted until a cell
+//! of it, or all of it, is marked stale, and brought up to date only when
+//! a reader next needs it: a stale cell is dropped from the sorted row and
+//! re-evaluated on its own, a wholly stale row re-derived.
+//!
+//! Which units a derivation looks at follows the frontiers. Below `stable`
+//! every unit can act; `active[q]` lists those, the *in-flight* units of
+//! `q`. At `stable` a unit waits for `deliver`, whose guard (lines 35–36)
+//! asks that everything before it in `LOG_g` be delivered at `q`. Phases
+//! only rise (Claim 8) and `q`'s deliver cursor in the self pair is
+//! maximal, so of the units `q` holds in `stable` only the entry *at* that
+//! cursor — one per group — can pass: the derivation reads that head and
+//! never the backlog behind it.
+//!
+//! Cells go stale by the genuineness footprint of what happened: an action
+//! of `p` about a unit `u` of group `g` writes only `g`'s pair logs, `u`'s
+//! cells and `p`'s rows, and only some of those are read by another
 //! process's guards.
 //!
-//! | event | rows marked stale | the write another guard reads |
+//! | event | stale cells | the write a guard reads |
 //! |---|---|---|
-//! | `Inject` | members of `g` | `unit_of`; every member's active list gains `u` |
-//! | `Pending` | `p`, members in `pending` on `u` | `ann_max`, read by commit |
-//! | `Commit` | `p`, processes of each pair the lock *reorders* | order indices and frontier cursors of that pair |
-//! | `Stabilize` | `p`, members in `commit` on `u` | `stab`, read by stabilize and stable |
-//! | `Stable`, `Deliver` | `p` | — (`p`'s phase, cursor rows, delivery log) |
-//! | `multicast` to `g` | members of `g` | `L_g`, read by inject |
-//! | clock crosses a breakpoint | every process | liveness, a `γ` timeline step, an indicator firing |
+//! | `Inject` | `(q, inject g)`, `(q, u)` at every member `q` of `g` | `unit_of`; `u` enters every in-flight list |
+//! | `Pending` | `(p, u)`; `(q, u)` at members in `pending` on `u` | `ann_max`, read by commit |
+//! | `Commit` | `(p, u)`; **whole rows** of each pair the lock *reorders* | order indices and frontier cursors of that pair |
+//! | `Stabilize` | `(q, u)` at members in `commit` on `u` (`p` is one) | `stab`, read by stabilize and stable |
+//! | `Stable` | `(p, u)` | `p`'s phase; `u` leaves `p`'s in-flight list |
+//! | `Deliver` | `(p, u)`, `(p, inject g)` | `p`'s phase, inject cursor, delivery log |
+//! | a phase rise advances a cursor of `p` | `(p, head)`, the unit now at that cursor | the frontier: only its new head can newly pass |
+//! | `multicast` to `g` | `(q, inject g)` at every member | `L_g`, read by inject |
+//! | clock crosses a breakpoint | **whole rows**, every process | liveness, a `γ` timeline step, an indicator firing |
+//! | shard commit merge | **whole rows**, every process | the shard-owned columns |
 //!
 //! Time is not special-cased per scenario: crashes and detector outputs are
 //! input events at instants fixed by the failure pattern, collected once as
@@ -69,8 +86,9 @@
 //!
 //! - *round-robin-min* ([`Runtime::run_sustained`], and [`Runtime::run_only`]
 //!   under [`ActionScheduler::RoundRobin`]): the first process at or after
-//!   a stored cursor with an enabled action, and its least action. The scan
-//!   steps over `stale | nonempty` only, so idle processes cost nothing;
+//!   a stored cursor with an enabled action, and the head of its row. The
+//!   scan steps over `stale | nonempty` only, so idle processes cost
+//!   nothing;
 //! - *random* ([`Runtime::run_only`] under [`ActionScheduler::Random`]) and
 //!   *sourced* ([`Runtime::run_with_source`]): the choice space of
 //!   [`Runtime::options_into`], picked from by the runtime's generator or a
@@ -289,30 +307,53 @@ impl RunReport {
 /// runtime (and copied by `Clone` like everything else), never of the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReadyCounters {
-    /// Rows re-derived from protocol state — one guard-evaluation pass
-    /// over one process each.
+    /// Rows re-derived from protocol state — one pass over every cell of
+    /// one process each.
     pub rows_refreshed: u64,
+    /// Rows brought up to date by re-evaluating their stale cells only.
+    pub rows_patched: u64,
     /// Rows a reader took from the cache as they stood.
     pub rows_reused: u64,
+    /// Cells evaluated by either: one per inject guard of a group and per
+    /// unit whose guards (those of its phase) ran.
+    pub guards_evaluated: u64,
+    /// Of those, the cells that enabled at least one action.
+    pub guards_passed: u64,
     /// Times the clock crossed a breakpoint and every row went stale.
     pub breakpoint_flushes: u64,
 }
 
+/// One cell of a process's row: the actions one guard group can enable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cell {
+    /// Help-multicasting the next listed message of this group.
+    Inject(GroupId),
+    /// This unit, at whatever phase the process has it in.
+    Unit(u32),
+}
+
+/// Stale cells a row collects before it is cheaper to re-derive it whole.
+const STALE_CELLS_MAX: usize = 16;
+
 /// The ready set: per process, its enabled actions in the deterministic
 /// `Action` order, kept as *derived state*. A row is trusted unless its
 /// process is in `stale`; `apply`, `multicast` and the clock mark stale
-/// exactly the rows they can change (see the module docs), and a row is
-/// re-derived only when a reader next needs it. Nothing here is protocol
-/// state: it stays out of `fold_state`, fingerprints, digests and
+/// exactly the cells they can change (see the module docs), and a row is
+/// brought up to date only when a reader next needs it. Nothing here is
+/// protocol state: it stays out of `fold_state`, fingerprints, digests and
 /// `snapshot_cost_bytes`.
 #[derive(Debug, Clone)]
 struct ReadySet {
     /// Per process: the sorted enabled actions (empty for a crashed
     /// process). Meaningful only while the process is not in `stale`.
     rows: Vec<Vec<Action>>,
-    /// Processes whose row must be re-derived before it is read.
+    /// Processes whose row must be brought up to date before it is read.
     stale: ProcessSet,
-    /// Processes whose row, when last derived, was non-empty — so a scan
+    /// Of those, the processes whose row is re-derived whole.
+    whole: ProcessSet,
+    /// Per process in `stale - whole`: the cells to re-evaluate.
+    cells: Vec<Vec<Cell>>,
+    /// Processes whose row, when last read, was non-empty — so a scan
     /// over `stale | nonempty` never visits an idle process.
     nonempty: ProcessSet,
     /// Index of the first of `Tables::breakpoints` after `now`.
@@ -320,11 +361,33 @@ struct ReadySet {
     counters: ReadyCounters,
 }
 
+impl ReadySet {
+    /// Marks the rows of `set` wholly stale.
+    fn stale_rows(&mut self, set: ProcessSet) {
+        self.stale |= set;
+        self.whole |= set;
+    }
+
+    /// Marks one cell of `q`'s row stale.
+    fn stale_cell(&mut self, q: ProcessId, cell: Cell) {
+        if self.whole.contains(q) {
+            return;
+        }
+        self.stale.insert(q);
+        let cells = &mut self.cells[q.index()];
+        if cells.len() == STALE_CELLS_MAX {
+            self.whole.insert(q);
+        } else if !cells.contains(&cell) {
+            cells.push(cell);
+        }
+    }
+}
+
 /// What a pick policy of the run loop decided for one step.
 enum Pick {
     /// Fire this sub-choice of this process.
     Choice(ProcessId, usize),
-    /// Fire this action, the least enabled one of this process.
+    /// Fire this action, the head of this process's row.
     Least(ProcessId, Action),
     /// Nothing is enabled: stop if nothing is owed, else let time pass.
     Idle,
@@ -373,7 +436,10 @@ pub struct Runtime {
     /// Per `(group, member)`: first `L_g` index not locally delivered —
     /// the inject guard's cursor.
     pub(crate) inject_cursor: CowVec<u32>,
-    /// Per process: units addressed to it that it has not delivered.
+    /// Per process: its *in-flight* units — addressed to it and below
+    /// `stable` there (`Inject` adds the unit at every member, `Stable`
+    /// removes it). The backlog waiting in `stable` is reached through the
+    /// deliver frontier of `LOG_g` instead; see the module docs.
     pub(crate) active: CowVec<Vec<u32>>,
     pub(crate) delivered: CowVec<Vec<Delivery>>,
     pub(crate) actions_of: CowVec<u64>,
@@ -423,6 +489,8 @@ impl Runtime {
             ready: ReadySet {
                 rows: vec![Vec::new(); n],
                 stale: ProcessSet::first_n(n),
+                whole: ProcessSet::first_n(n),
+                cells: vec![Vec::new(); n],
                 nonempty: ProcessSet::EMPTY,
                 next_bp: tables.breakpoints.partition_point(|&b| b == 0),
                 counters: ReadyCounters::default(),
@@ -467,7 +535,7 @@ impl Runtime {
         let i = self.ready.next_bp;
         if bps.get(i).is_some_and(|&b| b <= t.0) || (i > 0 && bps[i - 1] > t.0) {
             self.ready.next_bp = bps.partition_point(|&b| b <= t.0);
-            self.ready.stale = ProcessSet::first_n(self.tables.n);
+            self.invalidate_ready();
             self.ready.counters.breakpoint_flushes += 1;
         }
     }
@@ -497,9 +565,9 @@ impl Runtime {
         Arc::make_mut(&mut self.lists)[group.index()].push(id);
         for &q in &t.member_list[group.index()] {
             self.owed[q.index()] += 1;
+            // A longer `L_g` can enable `Inject` at any member.
+            self.ready.stale_cell(q, Cell::Inject(group));
         }
-        // A longer `L_g` can enable `Inject` at any member.
-        self.ready.stale |= t.system.members(group);
         id
     }
 
@@ -510,129 +578,160 @@ impl Runtime {
         self.units.phase[self.units.mem(u, t.rank(g, p))]
     }
 
-    /// Calls `f` for every action currently enabled at `p`. The traversal
-    /// order is arbitrary (per-unit); callers needing the deterministic
-    /// `Action` order sort afterwards.
-    pub(crate) fn enabled_each(&self, p: ProcessId, f: &mut impl FnMut(Action)) {
-        let t = &*self.tables;
-        let pi = p.index();
-        // Inject: the first locally-undelivered message of L_g, unless it
-        // is already claimed by a unit (i.e. in LOG_g). Deliveries happen
-        // in list order per (p, g), so "first undelivered" is a cursor.
-        for g in t.groups_of[pi] {
-            let gm = t.gm(g, p);
-            let cur = self.inject_cursor[gm] as usize;
-            let list = &self.lists[g.index()];
-            if cur < list.len() {
-                let m = list[cur];
-                if self.unit_of[m.0 as usize] == NO_UNIT {
-                    f(Action::Inject(g, m));
+    /// Calls `f` for every action the guards of `cell` enable at `p` — the
+    /// one place the guards are written.
+    fn cell_each(&self, t: &Tables, p: ProcessId, cell: Cell, f: &mut impl FnMut(Action)) {
+        match cell {
+            // The first locally-undelivered message of L_g, unless it is
+            // already claimed by a unit (i.e. in LOG_g). Deliveries happen
+            // in list order per (p, g), so "first undelivered" is a cursor.
+            Cell::Inject(g) => {
+                let cur = self.inject_cursor[t.gm(g, p)] as usize;
+                if let Some(&m) = self.lists[g.index()].get(cur) {
+                    if self.unit_of[m.0 as usize] == NO_UNIT {
+                        f(Action::Inject(g, m));
+                    }
                 }
             }
-        }
-        // Per-unit actions, for live units addressed to p.
-        for &u in &self.active[pi] {
-            let g = self.units.group[u as usize];
-            let rep = self.units.rep[u as usize];
-            match self.unit_phase(t, u, p) {
-                Phase::Start => {
-                    if self.pending_enabled(t, p, u, g) {
-                        f(Action::Pending(rep));
-                    }
-                }
-                Phase::Pending => {
-                    if self.commit_enabled(t, p, u, g) {
-                        f(Action::Commit(rep));
-                    }
-                }
-                Phase::Commit => {
-                    let gm = t.gm(g, p);
-                    for e in &t.per_gp[gm] {
-                        if self.stabilize_enabled(u, e) {
-                            f(Action::Stabilize(rep, e.h));
+            Cell::Unit(u) => {
+                let g = self.units.group[u as usize];
+                let rep = self.units.rep[u as usize];
+                match self.unit_phase(t, u, p) {
+                    Phase::Start => {
+                        if self.pending_enabled(t, p, u, g) {
+                            f(Action::Pending(rep));
                         }
                     }
-                    if self.stable_enabled(t, u, g, gm) {
-                        f(Action::Stable(rep));
+                    Phase::Pending => {
+                        if self.commit_enabled(t, p, u, g) {
+                            f(Action::Commit(rep));
+                        }
                     }
-                }
-                Phase::Stable => {
-                    if self.deliver_enabled(t, p, u, g) {
-                        f(Action::Deliver(rep));
+                    Phase::Commit => {
+                        let gm = t.gm(g, p);
+                        for e in &t.per_gp[gm] {
+                            if self.stabilize_enabled(u, e) {
+                                f(Action::Stabilize(rep, e.h));
+                            }
+                        }
+                        if self.stable_enabled(t, u, g, gm) {
+                            f(Action::Stable(rep));
+                        }
                     }
+                    Phase::Stable => {
+                        if self.deliver_enabled(t, p, u, g) {
+                            f(Action::Deliver(rep));
+                        }
+                    }
+                    Phase::Deliver => {}
                 }
-                Phase::Deliver => {}
             }
         }
     }
 
-    /// Derives the row of `p` into `out`: its enabled actions in the
-    /// deterministic `Action` order (the replay-stable sub-choice
-    /// indexing), none once `p` has crashed.
-    fn derive_row(&self, p: ProcessId, out: &mut Vec<Action>) {
-        out.clear();
-        if self.alive(p) {
-            self.enabled_each(p, &mut |a| out.push(a));
-            out.sort_unstable();
+    /// Calls `f` for every cell of `p`'s row that can hold an action: its
+    /// inject guards, its in-flight units, and per group the one unit the
+    /// stable backlog can deliver next — the entry at `p`'s deliver
+    /// frontier of `LOG_g`.
+    fn each_cell(&self, t: &Tables, p: ProcessId, f: &mut impl FnMut(Cell)) {
+        for g in t.groups_of[p.index()] {
+            f(Cell::Inject(g));
+            let own = &t.self_gp[t.gm(g, p)];
+            let log = &self.pairs[own.pair as usize];
+            let head = log.cursors[own.prank as usize * 3 + T_DELIVER] as usize;
+            if let Some(entry) = log.order.get(head) {
+                if self.unit_phase(t, entry.unit, p) == Phase::Stable {
+                    f(Cell::Unit(entry.unit));
+                }
+            }
+        }
+        for &u in &self.active[p.index()] {
+            f(Cell::Unit(u));
         }
     }
 
-    /// Whether the cached row of `p` is what a fresh derivation yields —
-    /// the invariant every read of a non-stale row asserts in debug builds.
-    fn row_is_current(&self, p: ProcessId) -> bool {
-        let mut fresh = Vec::new();
-        self.derive_row(p, &mut fresh);
-        fresh == self.ready.rows[p.index()]
+    /// Brings `row`, the cached row of `p`, up to date — its enabled
+    /// actions in the deterministic `Action` order (the replay-stable
+    /// sub-choice indexing), none once `p` has crashed. Each of the stale
+    /// `cells` is dropped from the sorted row and re-evaluated in place;
+    /// with none given, or `p` crashed (the flush of its crash instant may
+    /// be long consumed), the row is derived from every cell. Returns how
+    /// many cells were evaluated and how many of them passed.
+    fn settle(&self, p: ProcessId, cells: Option<&Vec<Cell>>, row: &mut Vec<Action>) -> (u64, u64) {
+        let t = &*self.tables;
+        let (alive, mut ran, mut passed) = (self.alive(p), 0, 0);
+        let cells = cells.filter(|_| alive);
+        if cells.is_none() {
+            row.clear();
+        }
+        let mut refresh = |cell| {
+            if cells.is_some() {
+                row.retain(|a| match (cell, *a) {
+                    (Cell::Inject(g), Action::Inject(h, _)) => g != h,
+                    (Cell::Inject(_), _) | (Cell::Unit(_), Action::Inject(..)) => true,
+                    (
+                        Cell::Unit(u),
+                        Action::Pending(m)
+                        | Action::Commit(m)
+                        | Action::Stabilize(m, _)
+                        | Action::Stable(m)
+                        | Action::Deliver(m),
+                    ) => m != self.units.rep[u as usize],
+                });
+            }
+            let before = row.len();
+            self.cell_each(t, p, cell, &mut |a| {
+                row.insert(row.partition_point(|b| *b < a), a);
+            });
+            ran += 1;
+            passed += u64::from(row.len() > before);
+        };
+        match cells {
+            Some(cells) => cells.iter().copied().for_each(refresh),
+            None if alive => self.each_cell(t, p, &mut refresh),
+            None => {}
+        }
+        (ran, passed)
     }
 
-    /// The row of `p`, re-derived first if it is stale.
+    /// Whether `row` is what a fresh derivation yields for `p` — the
+    /// invariant every read of a cached row asserts in debug builds.
+    fn is_derivation(&self, p: ProcessId, row: &[Action]) -> bool {
+        let mut fresh = Vec::new();
+        self.settle(p, None, &mut fresh);
+        #[cfg(test)]
+        assert_eq!(fresh, self.every_unit_row(p), "derivation of {p}");
+        fresh == row
+    }
+
+    /// The row of `p`, brought up to date first if it is stale.
     fn row(&mut self, p: ProcessId) -> &[Action] {
         let pi = p.index();
         if self.ready.stale.contains(p) {
             let mut row = std::mem::take(&mut self.ready.rows[pi]);
-            self.derive_row(p, &mut row);
+            let whole = self.ready.whole.contains(p);
+            let cells = (!whole).then_some(&self.ready.cells[pi]);
+            let (ran, passed) = self.settle(p, cells, &mut row);
             if row.is_empty() {
                 self.ready.nonempty.remove(p);
             } else {
                 self.ready.nonempty.insert(p);
             }
             self.ready.rows[pi] = row;
+            self.ready.cells[pi].clear();
             self.ready.stale.remove(p);
-            self.ready.counters.rows_refreshed += 1;
+            self.ready.whole.remove(p);
+            let counters = &mut self.ready.counters;
+            counters.rows_refreshed += u64::from(whole);
+            counters.rows_patched += u64::from(!whole);
+            counters.guards_evaluated += ran;
+            counters.guards_passed += passed;
         } else {
-            debug_assert!(self.row_is_current(p), "ready row of {p} went wrong");
             self.ready.counters.rows_reused += 1;
         }
-        &self.ready.rows[pi]
-    }
-
-    /// The least enabled action of `p`, for a caller that fires it at once.
-    /// A stale row is not materialised for that: the step makes it stale
-    /// again, so only its least action is derived and the row stays stale —
-    /// unless there is none, which is the whole (empty) row and is cached,
-    /// so that the next scan steps over `p`.
-    fn least(&mut self, p: ProcessId) -> Option<Action> {
-        let pi = p.index();
-        if !self.ready.stale.contains(p) {
-            debug_assert!(self.row_is_current(p), "ready row of {p} went wrong");
-            self.ready.counters.rows_reused += 1;
-            return self.ready.rows[pi].first().copied();
-        }
-        let mut least: Option<Action> = None;
-        if self.alive(p) {
-            self.enabled_each(p, &mut |a| {
-                if least.is_none_or(|b| a < b) {
-                    least = Some(a);
-                }
-            });
-        }
-        self.ready.counters.rows_refreshed += 1;
-        if least.is_none() {
-            self.ready.rows[pi].clear();
-            self.ready.nonempty.remove(p);
-            self.ready.stale.remove(p);
-        }
-        least
+        let row = &self.ready.rows[pi];
+        debug_assert!(self.is_derivation(p, row), "ready row of {p} went wrong");
+        row
     }
 
     /// Reads the row of `p` without write access: the cached row when it
@@ -640,11 +739,12 @@ impl Runtime {
     fn with_row<R>(&self, p: ProcessId, f: impl FnOnce(&[Action]) -> R) -> R {
         if self.ready.stale.contains(p) {
             let mut fresh = Vec::new();
-            self.derive_row(p, &mut fresh);
+            self.settle(p, None, &mut fresh);
             f(&fresh)
         } else {
-            debug_assert!(self.row_is_current(p), "ready row of {p} went wrong");
-            f(&self.ready.rows[p.index()])
+            let row = &self.ready.rows[p.index()];
+            debug_assert!(self.is_derivation(p, row), "ready row of {p} went wrong");
+            f(row)
         }
     }
 
@@ -654,10 +754,11 @@ impl Runtime {
         (self.ready.stale | self.ready.nonempty) & set
     }
 
-    /// Marks every row stale, for a caller that rewrote protocol state
-    /// without going through `apply` (the shard commit merge).
+    /// Marks every row wholly stale: the clock crossed a breakpoint, or a
+    /// caller rewrote protocol state without going through `apply` (the
+    /// shard commit merge).
     pub(crate) fn invalidate_ready(&mut self) {
-        self.ready.stale = ProcessSet::first_n(self.tables.n);
+        self.ready.stale_rows(ProcessSet::first_n(self.tables.n));
     }
 
     /// The ready-set counters accumulated so far.
@@ -665,14 +766,24 @@ impl Runtime {
         self.ready.counters
     }
 
-    /// Whether every cached row equals a fresh derivation from protocol
-    /// state. Debug builds assert this row by row at every read; release
-    /// test suites call it after every step.
+    /// Whether the derived state is what protocol state says: every cached
+    /// row, once its stale cells are re-evaluated, equals a fresh
+    /// derivation, and every in-flight list holds units below `stable`
+    /// only. Debug builds assert the first row by row at every read;
+    /// release test suites call this after every step.
     pub fn ready_set_is_current(&self) -> bool {
-        let fresh_rows = ProcessSet::first_n(self.tables.n) - self.ready.stale;
-        fresh_rows.iter().all(|p| {
-            self.row_is_current(p)
-                && self.ready.nonempty.contains(p) != self.ready.rows[p.index()].is_empty()
+        let t = &*self.tables;
+        ProcessSet::first_n(t.n).iter().all(|p| {
+            let pi = p.index();
+            let mut row = self.ready.rows[pi].clone();
+            if self.ready.stale.contains(p) {
+                let whole = self.ready.whole.contains(p);
+                self.settle(p, (!whole).then_some(&self.ready.cells[pi]), &mut row);
+            } else if self.ready.nonempty.contains(p) == row.is_empty() {
+                return false;
+            }
+            let in_flight = |&u| self.unit_phase(t, u, p) < Phase::Stable;
+            self.is_derivation(p, &row) && self.active[pi].iter().all(in_flight)
         })
     }
 
@@ -807,9 +918,12 @@ impl Runtime {
 
     /// Raises `u`'s phase at `p` and re-advances the cursors the rise can
     /// extend (only `p`'s rows, only thresholds the new phase satisfies).
+    /// Only `p`'s guards read either: `u`'s own cell and, a frontier being
+    /// a prefix that passed the threshold, the unit now *at* a moved cursor.
     fn set_phase_and_advance(&mut self, t: &Tables, p: ProcessId, g: GroupId, u: u32, ph: Phase) {
         let cell = self.units.mem(u, t.rank(g, p));
         self.units.phase[cell] = ph;
+        self.ready.stale_cell(p, Cell::Unit(u));
         let gm = t.gm(g, p);
         for e in &t.per_gp[gm] {
             for (k, &threshold) in THRESHOLDS.iter().enumerate() {
@@ -819,7 +933,12 @@ impl Runtime {
                 let pid = e.pair as usize;
                 let idx = e.prank as usize * 3 + k;
                 let f = self.advance_from(t, pid, p, k, self.pairs[pid].cursors[idx]);
-                self.pairs[pid].cursors[idx] = f;
+                if f != self.pairs[pid].cursors[idx] {
+                    self.pairs[pid].cursors[idx] = f;
+                    if let Some(head) = self.pairs[pid].order.get(f as usize) {
+                        self.ready.stale_cell(p, Cell::Unit(head.unit));
+                    }
+                }
             }
         }
     }
@@ -880,24 +999,23 @@ impl Runtime {
         j > i
     }
 
-    /// Marks stale the members of `g` whose phase on unit `u` is `phase` —
-    /// a write to one of `u`'s shared cells matters only to the members
-    /// whose current guard on `u` reads it.
+    /// Marks `u`'s cell stale at the members of `g` whose phase on `u` is
+    /// `phase` — a write to one of `u`'s shared cells matters only to the
+    /// members whose current guard on `u` reads it.
     fn stale_members_in(&mut self, t: &Tables, g: GroupId, u: u32, phase: Phase) {
         for (r, &q) in t.member_list[g.index()].iter().enumerate() {
             if self.units.phase[self.units.mem(u, r as u16)] == phase {
-                self.ready.stale.insert(q);
+                self.ready.stale_cell(q, Cell::Unit(u));
             }
         }
     }
 
-    /// Applies `action` at `p` (the `eff:` blocks), marking stale the rows
-    /// whose guards read a cell the action writes — its *footprint*, the
-    /// per-kind table of the module docs. `p`'s own row is always in it.
+    /// Applies `action` at `p` (the `eff:` blocks), marking stale the
+    /// cells whose guards read something the action writes — its
+    /// *footprint*, the per-kind table of the module docs.
     fn apply(&mut self, p: ProcessId, action: Action) {
         let t = Arc::clone(&self.tables);
         self.actions_of[p.index()] += 1;
-        self.ready.stale.insert(p);
         match action {
             Action::Inject(g, m) => {
                 let gi = g.index();
@@ -916,11 +1034,13 @@ impl Runtime {
                 self.next_new[gi] = start + len;
                 for &q in &t.member_list[gi] {
                     self.active[q.index()].push(u);
+                    // `unit_of` changed under the inject guard, and `u` is
+                    // a new cell of the row.
+                    self.ready.stale_cell(q, Cell::Inject(g));
+                    self.ready.stale_cell(q, Cell::Unit(u));
                 }
                 let sa = t.adj_of(g, g);
                 self.append_unit(t.self_pair[gi], u, sa);
-                // `unit_of` and every member's active list changed.
-                self.ready.stale |= t.system.members(g);
             }
             Action::Pending(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -974,7 +1094,7 @@ impl Runtime {
                 for e in &t.per_gp[gm] {
                     if self.bump_and_lock(&t, u, e, k) {
                         let (a, b) = t.pairs[e.pair as usize];
-                        self.ready.stale |= t.system.intersection(a, b);
+                        self.ready.stale_rows(t.system.intersection(a, b));
                     }
                 }
                 self.set_phase_and_advance(&t, p, g, u, Phase::Commit);
@@ -997,6 +1117,9 @@ impl Runtime {
                 let u = self.unit_of[m.0 as usize];
                 let g = self.units.group[u as usize];
                 self.set_phase_and_advance(&t, p, g, u, Phase::Stable);
+                // No longer in flight: from here `u` is reached through
+                // `p`'s deliver frontier of `LOG_g`.
+                self.active[p.index()].retain(|&x| x != u);
             }
             Action::Deliver(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -1010,13 +1133,8 @@ impl Runtime {
                     self.delivered[p.index()].push(Delivery { msg, at: self.now });
                 }
                 self.owed[p.index()] -= len as u64;
-                let row = &mut self.active[p.index()];
-                let pos = row
-                    .iter()
-                    .position(|&x| x == u)
-                    .expect("delivered unit was active");
-                row.swap_remove(pos);
                 self.inject_cursor[t.gm(g, p)] = (start + len) as u32;
+                self.ready.stale_cell(p, Cell::Inject(g));
             }
         }
     }
@@ -1147,7 +1265,7 @@ impl Runtime {
         // From the cursor to the end, then from 0 up to the cursor.
         for (mut from, end) in [(start, n), (0, start)] {
             while let Some(p) = live.next_from(from).filter(|p| p.index() < end) {
-                if let Some(action) = self.least(p) {
+                if let Some(&action) = self.row(p).first() {
                     let i = p.index();
                     self.rr_cursor = if i + 1 == n { 0 } else { i + 1 };
                     let passed = if i >= start { i - start } else { i + n - start };
@@ -1215,13 +1333,10 @@ impl Runtime {
     pub fn fire_enabled(&mut self, p: ProcessId, choice: usize) -> Fired {
         let row = self.row(p);
         let action = row.get(choice.min(row.len().saturating_sub(1))).copied();
-        // The stepping process's row is stale from here on — every action's
-        // footprint contains its own process — so it moves to `scratch`
-        // instead of being copied there: a checkpoint still copies, and
-        // `snapshot_cost_bytes` still counts, exactly the one action list
-        // it did before the ready set existed.
-        std::mem::swap(&mut self.scratch, &mut self.ready.rows[p.index()]);
-        self.ready.stale.insert(p);
+        // A checkpoint copies, and `snapshot_cost_bytes` counts, this one
+        // action list — as before the ready set existed.
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&self.ready.rows[p.index()]);
         self.fire(p, action, self.now.next())
     }
 
@@ -1452,7 +1567,62 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::NO_RANK;
     use gam_groups::topology;
+
+    impl Runtime {
+        /// The row of `p` by the walk the runtime used before readiness
+        /// followed the frontiers: the guards of *every* unit addressed to
+        /// `p` that `p` has not delivered, found in the unit table — no
+        /// in-flight list, no frontier head. Test builds hold every
+        /// derivation against it (see `Runtime::is_derivation`).
+        pub(super) fn every_unit_row(&self, p: ProcessId) -> Vec<Action> {
+            let t = &*self.tables;
+            let mut out = Vec::new();
+            if !self.alive(p) {
+                return out;
+            }
+            for g in t.groups_of[p.index()] {
+                let cur = self.inject_cursor[t.gm(g, p)] as usize;
+                match self.lists[g.index()].get(cur) {
+                    Some(&m) if self.unit_of[m.0 as usize] == NO_UNIT => {
+                        out.push(Action::Inject(g, m));
+                    }
+                    _ => {}
+                }
+            }
+            for u in 0..self.units.count() as u32 {
+                let g = self.units.group[u as usize];
+                if t.member_rank[g.index() * t.n + p.index()] == NO_RANK {
+                    continue;
+                }
+                let rep = self.units.rep[u as usize];
+                let gm = t.gm(g, p);
+                match self.unit_phase(t, u, p) {
+                    Phase::Start if self.pending_enabled(t, p, u, g) => {
+                        out.push(Action::Pending(rep));
+                    }
+                    Phase::Pending if self.commit_enabled(t, p, u, g) => {
+                        out.push(Action::Commit(rep));
+                    }
+                    Phase::Commit => {
+                        let stabilize =
+                            t.per_gp[gm].iter().filter(|e| self.stabilize_enabled(u, e));
+                        out.extend(stabilize.map(|e| Action::Stabilize(rep, e.h)));
+                        if self.stable_enabled(t, u, g, gm) {
+                            out.push(Action::Stable(rep));
+                        }
+                    }
+                    Phase::Stable if self.deliver_enabled(t, p, u, g) => {
+                        out.push(Action::Deliver(rep));
+                    }
+                    _ => {}
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+    }
 
     fn runtime(system: &GroupSystem, pattern: FailurePattern) -> Runtime {
         Runtime::new(system, pattern, RuntimeConfig::default())
@@ -1501,6 +1671,104 @@ mod tests {
             assert!(rt.has_obligations(set), "stuck at {}", rt.now().0);
             rt.idle_tick();
         }
+    }
+
+    /// A backlogged runtime: ≥ 30 messages per group of `gs` on average,
+    /// skewed towards the low groups, every one submitted up front by a
+    /// member that outlives the submissions; `crashes` victims are whole
+    /// group intersections (the `isect` plan), dying mid-run.
+    fn backlogged(gs: &GroupSystem, crashes: usize, config: RuntimeConfig) -> Runtime {
+        let msgs = 32 * gs.len();
+        let victims = gs.intersecting_pairs().into_iter().take(crashes);
+        let crashes: Vec<_> = victims
+            .flat_map(|(g, h)| gs.intersection(g, h))
+            .enumerate()
+            .map(|(i, p)| (p, Time((msgs + 700 * (i + 1)) as u64)))
+            .collect();
+        let pattern = FailurePattern::from_crashes(gs.universe(), crashes);
+        let mut rt = Runtime::new(gs, pattern, config);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        for i in 0..msgs {
+            let skew = rng.gen_range(0..gs.len()).min(rng.gen_range(0..gs.len()));
+            let g = GroupId(skew as u32);
+            let src = gs.members(g).min().expect("non-empty group");
+            rt.multicast(src, g, i as u64);
+        }
+        rt
+    }
+
+    #[test]
+    fn readiness_follows_the_frontiers_under_a_backlog() {
+        // Every check below is `ready_set_is_current`, which in this build
+        // also holds each derivation against `every_unit_row`: the rows
+        // that the frontier heads, the in-flight lists and the stale cells
+        // produce are the rows a walk over every undelivered unit produces,
+        // after every operation of a random schedule started at several
+        // depths into the drain of the backlog.
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut deep_backlog = 0;
+        for gs in [topology::random(64, 8, 0.45, 7000), topology::ring(5, 3)] {
+            let set = gs.universe();
+            for crashes in [0, 2] {
+                for variant in [Variant::Standard, Variant::Strict, Variant::Pairwise] {
+                    for batch_max in [1, 16] {
+                        let config = RuntimeConfig {
+                            variant,
+                            batch_max,
+                            seed: rng.gen_range(0..1_000u64),
+                            ..Default::default()
+                        };
+                        let mut rt = backlogged(&gs, crashes, config);
+                        let mut checkpoint = rt.clone();
+                        let tag = format!(
+                            "n={} {crashes} crashes {variant:?} batch {batch_max}",
+                            gs.len()
+                        );
+                        for warm_up in [0, 2_000, 4_000, 8_000] {
+                            rt.run_sustained(set, warm_up);
+                            let held = |p: ProcessId| {
+                                let stable = |u: &u32| {
+                                    let g = rt.units.group[*u as usize];
+                                    gs.members(g).contains(p)
+                                        && rt.unit_phase(&rt.tables, *u, p) == Phase::Stable
+                                };
+                                (0..rt.units.count() as u32).filter(stable).count()
+                            };
+                            deep_backlog += usize::from(set.iter().any(|p| held(p) >= 30));
+                            let mut options = Vec::new();
+                            for step in 0..60 {
+                                match rng.gen_range(0..10u32) {
+                                    0 => {
+                                        let g = GroupId(rng.gen_range(0..gs.len() as u32));
+                                        let src = gs.members(g).min().expect("non-empty group");
+                                        if rt.tables.alive(src, rt.now.0 + 1) {
+                                            rt.multicast(src, g, step);
+                                        }
+                                    }
+                                    1 => checkpoint = rt.clone(),
+                                    2 => rt = checkpoint.clone(),
+                                    _ => {}
+                                }
+                                assert!(rt.ready_set_is_current(), "{tag}: step {step}");
+                                rt.options_into(set, &mut options);
+                                assert!(rt.ready_set_is_current(), "{tag}: step {step}");
+                                if options.is_empty() {
+                                    rt.idle_tick();
+                                } else {
+                                    let (p, arity) = options[rng.gen_range(0..options.len())];
+                                    rt.fire_enabled(p, rng.gen_range(0..arity + 1));
+                                }
+                                assert!(rt.ready_set_is_current(), "{tag}: step {step}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            deep_backlog >= 12,
+            "only {deep_backlog} starts had a process holding ≥ 30 units in `stable`"
+        );
     }
 
     #[test]

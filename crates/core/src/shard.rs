@@ -269,6 +269,8 @@ impl Runtime {
                 let i = p.index();
                 self.actions_of[i] = w.actions_of[i];
                 self.owed[i] = w.owed[i];
+                // Derived per-process state rides along: the in-flight
+                // list, and any column ever added beside it.
                 let active = &mut self.active[i];
                 active.clear();
                 active.extend(w.active[i].iter().map(|&u| lookup(pi, u)));
@@ -358,6 +360,7 @@ mod tests {
                 .collect();
             rt.commit_merge(&parts);
             assert_eq!(fold(&rt), fold(&seq), "batch={batch}");
+            assert!(rt.ready_set_is_current(), "merged derived state");
             assert_eq!(rt.rr_cursor, seq.rr_cursor);
             assert_eq!(rt.next_new, seq.next_new);
         }

@@ -9,8 +9,15 @@
 //! schedules over the fixture corpus — crash plans, variants and batch
 //! widths crossed — with the operations that bypass `apply` mixed in:
 //! mid-run `multicast`, `snapshot`/`restore`, `from_snapshot`, idle ticks
-//! across detector breakpoints. A second test gates the point of the cache:
-//! a fair run re-derives few rows per step.
+//! across detector breakpoints. The same schedules then start from deep
+//! inside the drain of a preloaded backlog, where each process holds tens
+//! of units in `stable` that the derivation reaches through the `LOG_g`
+//! deliver frontier only; `ready_set_is_current` also checks there that no
+//! in-flight list holds a unit at or past `stable`. (`gam-core`'s own unit
+//! tests hold every derivation against a walk over *every* undelivered
+//! unit, which only exists under `#[cfg(test)]`.) Two more tests gate the
+//! point of the cache: a fair run re-derives few rows per step, and a
+//! backlogged run evaluates few guards per step.
 
 use genuine_multicast::engine::run_with_source_counted;
 use genuine_multicast::kernel::{ChoiceStep, RotatingSource};
@@ -93,6 +100,75 @@ proptest! {
     }
 }
 
+/// The backlogged shapes: ≥ 30 messages per group, Zipf-skewed.
+const BACKLOGS: [&str; 2] = [
+    "gam-scn v1 family=rand(64,8,450) seed=0 crash=none traffic=zipf(1200,256) variant=standard budget=2000000",
+    "gam-scn v1 family=ring(5,3) seed=0 crash=none traffic=zipf(1200,160) variant=standard budget=2000000",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn the_ready_set_is_never_wrong_behind_a_backlog(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for text in BACKLOGS {
+            let pinned = ScnDescriptor::parse(text).expect("backlog descriptor");
+            for crash in [CrashPlan::None, CrashPlan::Isect { count: 2 }] {
+                for variant in [Variant::Standard, Variant::Strict, Variant::Pairwise] {
+                    for batch_max in [1, 16] {
+                        let mut d = pinned;
+                        d.crash = crash;
+                        d.variant = variant;
+                        d.seed = rng.gen_range(7_000..7_100u64);
+                        let scenario = Scenario::from_descriptor(&d).with_batch_max(batch_max);
+                        let mut exec = scenario.runtime_executor();
+                        // Somewhere into the drain: the sustained driver
+                        // takes the run there, the random schedule goes on.
+                        let set = exec.runtime().system().universe();
+                        exec.runtime_mut().run_sustained(set, rng.gen_range(0..12_000u64));
+                        drive(exec, 80, &mut rng).map_err(|e| {
+                            TestCaseError::fail(format!("{d:?} batch {batch_max}: {e:?}"))
+                        })?;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_backlogged_run_evaluates_few_guards_per_step() {
+    // The first `serve_dense` descriptor of the gated benchmark, batch 1:
+    // 256 messages preloaded on 64 processes. Of the tens of units a
+    // process holds in `stable` only the head of each `LOG_g` deliver
+    // frontier can pass its guard, so a step costs a handful of guard
+    // evaluations — walking the backlog cost ≈ 41.
+    let d = ScnDescriptor::parse(
+        "gam-scn v1 family=rand(64,8,450) seed=7000 crash=none traffic=zipf(1200,256) variant=standard budget=2000000",
+    )
+    .expect("descriptor");
+    let mut rt = Scenario::from_descriptor(&d)
+        .with_batch_max(1)
+        .runtime_executor()
+        .into_runtime();
+    let loaded = rt.now().0;
+    assert!(rt.run_sustained(rt.system().universe(), d.budget));
+    let steps = rt.now().0 - loaded;
+    let counters = rt.ready_counters();
+    assert!(steps > 20_000, "a real run: {steps} steps");
+    assert!(
+        counters.guards_evaluated <= 10 * steps,
+        "{} guards evaluated over {steps} steps",
+        counters.guards_evaluated
+    );
+    assert!(counters.guards_passed <= counters.guards_evaluated);
+    assert!(
+        counters.guards_passed >= steps,
+        "every fired action passed a guard"
+    );
+}
+
 #[test]
 fn a_fair_run_re_derives_few_rows_per_step() {
     // The explorer's dense shape: 32 processes, one message in flight. By
@@ -109,12 +185,17 @@ fn a_fair_run_re_derives_few_rows_per_step() {
     assert_eq!(outcome, genuine_multicast::kernel::RunOutcome::Quiescent);
     let counters = exec.runtime().ready_counters();
     assert!(steps > 100, "a real run: {steps} steps");
+    let brought_up_to_date = counters.rows_refreshed + counters.rows_patched;
     assert!(
-        counters.rows_refreshed < 8 * steps,
-        "{} rows re-derived over {steps} steps of 32 processes",
+        brought_up_to_date < 8 * steps,
+        "{brought_up_to_date} rows re-derived or patched over {steps} steps of 32 processes"
+    );
+    assert!(counters.rows_reused > brought_up_to_date);
+    assert!(
+        counters.rows_refreshed < steps / 4,
+        "{} whole rows re-derived over {steps} steps: stale cells should do",
         counters.rows_refreshed
     );
-    assert!(counters.rows_reused > counters.rows_refreshed);
     assert_eq!(
         counters.breakpoint_flushes, 0,
         "crash-free: time never stales a row"
