@@ -40,6 +40,14 @@
 //! deepest fig1 row must complete under the run cap, and the rand row's
 //! shallow/deep snapshot-byte ratio must be ≥10×.
 //!
+//! Every pass also records `chunk_copies` — state chunks copied element by
+//! element, on a write after a checkpoint or on a restore's copy-back — in
+//! total and per run (`chunk_copies_per_run_milli`): what backtracking
+//! costs in memory traffic, as a count that repeats exactly on any host.
+//! Both modes run fig1 depth 5 `dfs-por` for the top-level
+//! `chunk_copies_gate`; CI's `explore-dfs-smoke` fails when its per-run
+//! figure exceeds the committed record's.
+//!
 //! Run with: `cargo run --release -p gam-bench --bin explore_dfs
 //!            [-- quick] [--depth N]`
 //! Output:   stdout table + `BENCH_explore_dfs.json` (repo root)
@@ -142,6 +150,12 @@ fn pass_json(m: &Measured, baseline: u64) -> Json {
         ),
         ("por_pruned", Json::from(m.stats.por_pruned)),
         ("dedup_hits", Json::from(m.stats.dedup_hits)),
+        ("dedup_evictions", Json::from(m.stats.dedup_evictions)),
+        ("chunk_copies", Json::from(m.stats.chunk_copies)),
+        (
+            "chunk_copies_per_run_milli",
+            Json::from(chunk_copies_per_run_milli(&m.stats)),
+        ),
         ("elapsed_ns", Json::from(m.elapsed_ns as u64)),
         (
             "steps_reduction_permille",
@@ -149,6 +163,16 @@ fn pass_json(m: &Measured, baseline: u64) -> Json {
         ),
     ])
 }
+
+/// Chunks copied per run, in thousandths.
+fn chunk_copies_per_run_milli(stats: &ExploreStats) -> u64 {
+    (stats.chunk_copies * 1000)
+        .checked_div(stats.runs)
+        .unwrap_or(0)
+}
+
+/// Depth of the fig1 `dfs-por` pass behind `chunk_copies_gate`.
+const GATE_DEPTH: usize = 5;
 
 /// The ready-set counters of one fair run of `scenario`.
 fn ready_set_json(scenario: &Scenario) -> Json {
@@ -205,6 +229,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut gate_permille = 0u64;
     let mut por_gate_permille = 0u64;
+    let mut copies_gate = None;
     for &depth in &depths {
         println!("fig1, depth {depth} (run cap {run_cap}):");
         let shallow = depth <= ODOMETER_MAX_DEPTH;
@@ -228,6 +253,9 @@ fn main() {
         }));
         let dfs_dedup = &passes[passes.len() - 2];
         let dfs_por = &passes[passes.len() - 1];
+        if depth == GATE_DEPTH {
+            copies_gate = Some(dfs_por.stats.clone());
+        }
 
         // Every non-POR configuration enumerates the identical leaf set
         // and completes; POR covers a quotient of it (never more leaves).
@@ -303,6 +331,23 @@ fn main() {
         ]));
     }
 
+    // The copy-count gate's pass, unless the depth ladder already ran it
+    // (quick mode stops at depth 3).
+    let copies_gate = copies_gate.unwrap_or_else(|| {
+        let cfg = config(1 << 18, true);
+        measure("dfs-por", || {
+            explore_exhaustive_dfs_par(&scenario, GATE_DEPTH, run_cap, &cfg)
+        })
+        .stats
+    });
+    assert!(copies_gate.complete(), "gate pass hit the run cap");
+    println!(
+        "fig1, depth {GATE_DEPTH}, dfs-por: {} chunk copies over {} runs ({} per 1000 runs)",
+        copies_gate.chunk_copies,
+        copies_gate.runs,
+        chunk_copies_per_run_milli(&copies_gate)
+    );
+
     // The copy-on-write snapshot row: a 64-process seeded-random state
     // where a deep `Clone` per branch point is O(state). Bytes actually
     // copied must be ≥10× below that baseline.
@@ -371,6 +416,20 @@ fn main() {
         ("dfs_dedup_reduction_permille", Json::from(gate_permille)),
         ("dfs_por_reduction_permille", Json::from(por_gate_permille)),
         ("snapshot_shallow_ratio", Json::from(snapshot_ratio)),
+        (
+            "chunk_copies_gate",
+            Json::obj([
+                ("topology", Json::from("fig1")),
+                ("depth", Json::from(GATE_DEPTH as u64)),
+                ("config", Json::from("dfs-por")),
+                ("runs", Json::from(copies_gate.runs)),
+                ("chunk_copies", Json::from(copies_gate.chunk_copies)),
+                (
+                    "chunk_copies_per_run_milli",
+                    Json::from(chunk_copies_per_run_milli(&copies_gate)),
+                ),
+            ]),
+        ),
     ]);
 
     let text = record.pretty();

@@ -186,6 +186,8 @@ fn main() {
                     Json::from(pruned.snapshot_bytes_peak),
                 ),
                 ("por_pruned", Json::from(pruned.por_pruned)),
+                ("chunk_copies", Json::from(pruned.chunk_copies)),
+                ("dedup_evictions", Json::from(pruned.dedup_evictions)),
                 (
                     "steps_avoided_permille",
                     Json::from(pruned.steps_avoided_permille()),

@@ -44,7 +44,7 @@ use crate::phase::Phase;
 use crate::runtime::{RuntimeConfig, Variant};
 use gam_detectors::{IndicatorMode, IndicatorOracle, MuOracle};
 use gam_groups::{GroupId, GroupSet, GroupSystem};
-use gam_kernel::{CowVec, FailurePattern, ProcessId};
+use gam_kernel::{ColumnStats, CowVec, FailurePattern, ProcessId, Refill};
 
 /// Sentinel for "no rank": `p` is not a member of the indexing group.
 pub(crate) const NO_RANK: u16 = u16::MAX;
@@ -69,11 +69,23 @@ pub(crate) const T_DELIVER: usize = 2;
 /// payloads in parallel vectors instead of an array of structs. The
 /// columns are chunked [`CowVec`]s: cloning the arena (an engine
 /// snapshot) shares every sealed chunk instead of copying the columns.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MessageArena {
     src: CowVec<ProcessId>,
     group: CowVec<GroupId>,
     payload: CowVec<u64>,
+}
+
+impl Clone for MessageArena {
+    fn clone(&self) -> Self {
+        let mut out = MessageArena::default();
+        out.refill(self, Refill::Share);
+        out
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.refill(src, Refill::CopyBack);
+    }
 }
 
 impl MessageArena {
@@ -112,21 +124,31 @@ impl MessageArena {
         }
     }
 
-    /// Materialises the arena as an array of structs (for [`crate::RunReport`]).
-    pub fn to_vec(&self) -> Vec<MessageInfo> {
-        (0..self.len())
-            .map(|i| self.get(MessageId(i as u64)))
-            .collect()
+    /// The records in id order (for [`crate::RunReport`]).
+    pub fn iter(&self) -> impl Iterator<Item = MessageInfo> + '_ {
+        (0..self.len()).map(|i| self.get(MessageId(i as u64)))
     }
 
-    /// Bytes a `Clone` of the arena copies (chunk pointer tables only).
-    pub fn shallow_bytes(&self) -> u64 {
-        self.src.shallow_bytes() + self.group.shallow_bytes() + self.payload.shallow_bytes()
+    /// [`CowVec::refill`], column by column.
+    pub(crate) fn refill(&mut self, src: &Self, how: Refill) {
+        let MessageArena {
+            src: from,
+            group,
+            payload,
+        } = src;
+        self.src.refill(from, how);
+        self.group.refill(group, how);
+        self.payload.refill(payload, how);
     }
 
-    /// Bytes a deep column copy would have copied.
-    pub fn deep_bytes(&self) -> u64 {
-        self.src.deep_bytes() + self.group.deep_bytes() + self.payload.deep_bytes()
+    /// Every column, for the runtime's byte and copy accounting.
+    pub(crate) fn columns(&self) -> [&dyn ColumnStats; 3] {
+        let MessageArena {
+            src,
+            group,
+            payload,
+        } = self;
+        [src, group, payload]
     }
 }
 
@@ -503,11 +525,34 @@ impl OrderEntry {
 /// process. Guards compare a cursor against a unit's order index; apply
 /// keeps cursors *maximal* (phase rises re-advance them, bump reorders fix
 /// them up), which is what makes the guards exact rather than conservative.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct PairState {
     pub max_slot: u64,
     pub order: Vec<OrderEntry>,
     pub cursors: Vec<u32>,
+}
+
+impl Clone for PairState {
+    fn clone(&self) -> Self {
+        PairState {
+            max_slot: self.max_slot,
+            order: self.order.clone(),
+            cursors: self.cursors.clone(),
+        }
+    }
+
+    /// Keeps the two heap buffers: a chunk of pair states copied back on a
+    /// restore (see [`CowVec`]) allocates nothing.
+    fn clone_from(&mut self, src: &Self) {
+        let PairState {
+            max_slot,
+            order,
+            cursors,
+        } = src;
+        self.max_slot = *max_slot;
+        self.order.clone_from(order);
+        self.cursors.clone_from(cursors);
+    }
 }
 
 /// Struct-of-arrays per-unit protocol state.
@@ -526,7 +571,7 @@ pub(crate) struct PairState {
 /// Every column is a chunked [`CowVec`]: a runtime clone (= an engine
 /// snapshot) shares the sealed chunks, and post-snapshot writes copy only
 /// the touched chunk — O(delta) per branch point instead of O(state).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct UnitArena {
     pub group: CowVec<GroupId>,
     pub start: CowVec<u32>,
@@ -621,40 +666,74 @@ impl UnitArena {
         e - b
     }
 
-    /// Bytes a `Clone` of the arena copies (chunk pointer tables only).
-    pub fn shallow_bytes(&self) -> u64 {
-        self.group.shallow_bytes()
-            + self.start.shallow_bytes()
-            + self.len.shallow_bytes()
-            + self.rep.shallow_bytes()
-            + self.adj_base.shallow_bytes()
-            + self.mem_base.shallow_bytes()
-            + self.fam_base.shallow_bytes()
-            + self.slot.shallow_bytes()
-            + self.locked.shallow_bytes()
-            + self.order_idx.shallow_bytes()
-            + self.ann_max.shallow_bytes()
-            + self.stab.shallow_bytes()
-            + self.phase.shallow_bytes()
-            + self.cons.shallow_bytes()
+    /// [`CowVec::refill`], column by column.
+    pub fn refill(&mut self, src: &Self, how: Refill) {
+        let UnitArena {
+            group,
+            start,
+            len,
+            rep,
+            adj_base,
+            mem_base,
+            fam_base,
+            slot,
+            locked,
+            order_idx,
+            ann_max,
+            stab,
+            phase,
+            cons,
+        } = src;
+        self.group.refill(group, how);
+        self.start.refill(start, how);
+        self.len.refill(len, how);
+        self.rep.refill(rep, how);
+        self.adj_base.refill(adj_base, how);
+        self.mem_base.refill(mem_base, how);
+        self.fam_base.refill(fam_base, how);
+        self.slot.refill(slot, how);
+        self.locked.refill(locked, how);
+        self.order_idx.refill(order_idx, how);
+        self.ann_max.refill(ann_max, how);
+        self.stab.refill(stab, how);
+        self.phase.refill(phase, how);
+        self.cons.refill(cons, how);
     }
 
-    /// Bytes a deep column copy would have copied.
-    pub fn deep_bytes(&self) -> u64 {
-        self.group.deep_bytes()
-            + self.start.deep_bytes()
-            + self.len.deep_bytes()
-            + self.rep.deep_bytes()
-            + self.adj_base.deep_bytes()
-            + self.mem_base.deep_bytes()
-            + self.fam_base.deep_bytes()
-            + self.slot.deep_bytes()
-            + self.locked.deep_bytes()
-            + self.order_idx.deep_bytes()
-            + self.ann_max.deep_bytes()
-            + self.stab.deep_bytes()
-            + self.phase.deep_bytes()
-            + self.cons.deep_bytes()
+    /// Every column, for the runtime's byte and copy accounting.
+    pub fn columns(&self) -> [&dyn ColumnStats; 14] {
+        let UnitArena {
+            group,
+            start,
+            len,
+            rep,
+            adj_base,
+            mem_base,
+            fam_base,
+            slot,
+            locked,
+            order_idx,
+            ann_max,
+            stab,
+            phase,
+            cons,
+        } = self;
+        [
+            group, start, len, rep, adj_base, mem_base, fam_base, slot, locked, order_idx, ann_max,
+            stab, phase, cons,
+        ]
+    }
+}
+
+impl Clone for UnitArena {
+    fn clone(&self) -> Self {
+        let mut out = UnitArena::default();
+        out.refill(self, Refill::Share);
+        out
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.refill(src, Refill::CopyBack);
     }
 }
 
@@ -852,6 +931,6 @@ mod tests {
         assert_eq!(m, MessageId(0));
         assert_eq!(a.group(m), GroupId(2));
         assert_eq!(a.get(m), info);
-        assert_eq!(a.to_vec(), vec![info]);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![info]);
     }
 }

@@ -124,7 +124,10 @@ use crate::message::{MessageId, MessageInfo};
 use crate::phase::Phase;
 use gam_detectors::{MuConfig, MuOracle};
 use gam_groups::{GroupId, GroupSystem};
-use gam_kernel::{CowVec, FailurePattern, ProcessId, ProcessSet, RunOutcome, ScheduleSource, Time};
+use gam_kernel::{
+    ColumnStats, CowVec, FailurePattern, ProcessId, ProcessSet, Refill, RunOutcome, ScheduleSource,
+    Time,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -342,7 +345,7 @@ const STALE_CELLS_MAX: usize = 16;
 /// brought up to date only when a reader next needs it. Nothing here is
 /// protocol state: it stays out of `fold_state`, fingerprints, digests and
 /// `snapshot_cost_bytes`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 struct ReadySet {
     /// Per process: the sorted enabled actions (empty for a crashed
     /// process). Meaningful only while the process is not in `stale`.
@@ -359,6 +362,34 @@ struct ReadySet {
     /// Index of the first of `Tables::breakpoints` after `now`.
     next_bp: usize,
     counters: ReadyCounters,
+}
+
+impl Clone for ReadySet {
+    fn clone(&self) -> Self {
+        let mut out = ReadySet::default();
+        out.clone_from(self);
+        out
+    }
+
+    /// Keeps every row's buffer: a restore rewrites the rows in place.
+    fn clone_from(&mut self, src: &Self) {
+        let ReadySet {
+            rows,
+            stale,
+            whole,
+            cells,
+            nonempty,
+            next_bp,
+            counters,
+        } = src;
+        self.rows.clone_from(rows);
+        self.stale = *stale;
+        self.whole = *whole;
+        self.cells.clone_from(cells);
+        self.nonempty = *nonempty;
+        self.next_bp = *next_bp;
+        self.counters = *counters;
+    }
 }
 
 impl ReadySet {
@@ -410,8 +441,11 @@ const ROW_CHUNK: usize = 4;
 /// All evolving state lives in [`CowVec`] columns or behind `Arc`s, so a
 /// `Clone` (= an engine snapshot) copies chunk pointer tables and a few
 /// plain scalars — O(state / chunk) — and continuing execution after a
-/// snapshot copies only the chunks it actually touches.
-#[derive(Debug, Clone)]
+/// snapshot copies only the chunks it actually touches. `clone_from` (= an
+/// engine restore) is the copy-back of [`CowVec`]'s module docs, field by
+/// field: a runtime that rewinds to the same checkpoint repeatedly keeps
+/// its own copies of the chunks it writes and stops allocating.
+#[derive(Debug)]
 pub struct Runtime {
     /// Immutable interned topology/oracle tables, shared across clones —
     /// this is what keeps engine snapshots cheap.
@@ -453,7 +487,120 @@ pub struct Runtime {
     ready: ReadySet,
 }
 
+/// Points `dst` at what `src` points at, touching no reference count when
+/// it already does.
+fn share<T>(dst: &mut Arc<T>, src: &Arc<T>) {
+    if !Arc::ptr_eq(dst, src) {
+        *dst = Arc::clone(src);
+    }
+}
+
+impl Clone for Runtime {
+    fn clone(&self) -> Self {
+        Runtime {
+            tables: Arc::clone(&self.tables),
+            scheduler: self.scheduler,
+            now: self.now,
+            pairs: self.pairs.clone(),
+            units: self.units.clone(),
+            lists: Arc::clone(&self.lists),
+            unit_of: self.unit_of.clone(),
+            next_new: self.next_new.clone(),
+            arena: self.arena.clone(),
+            multicast_at: Arc::clone(&self.multicast_at),
+            inject_cursor: self.inject_cursor.clone(),
+            active: self.active.clone(),
+            delivered: self.delivered.clone(),
+            actions_of: self.actions_of.clone(),
+            owed: self.owed.clone(),
+            rr_cursor: self.rr_cursor,
+            rng: self.rng.clone(),
+            scratch: self.scratch.clone(),
+            ready: self.ready.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.refill(src, Refill::CopyBack);
+    }
+}
+
 impl Runtime {
+    /// Makes this runtime the one `src` is, reusing the storage it already
+    /// holds — [`CowVec::refill`] on every column, `Vec::clone_from` on the
+    /// plain vectors and the ready set's rows. [`Refill::CopyBack`] is a
+    /// restore (what `clone_from` does); [`Refill::Share`] takes a
+    /// checkpoint of `src` into the storage of an old one, sharing every
+    /// chunk exactly as `clone` would.
+    pub fn refill(&mut self, src: &Self, how: Refill) {
+        let Runtime {
+            tables,
+            scheduler,
+            now,
+            pairs,
+            units,
+            lists,
+            unit_of,
+            next_new,
+            arena,
+            multicast_at,
+            inject_cursor,
+            active,
+            delivered,
+            actions_of,
+            owed,
+            rr_cursor,
+            rng,
+            scratch,
+            ready,
+        } = src;
+        share(&mut self.tables, tables);
+        self.scheduler = *scheduler;
+        self.now = *now;
+        self.pairs.refill(pairs, how);
+        self.units.refill(units, how);
+        share(&mut self.lists, lists);
+        self.unit_of.refill(unit_of, how);
+        self.next_new.clone_from(next_new);
+        self.arena.refill(arena, how);
+        share(&mut self.multicast_at, multicast_at);
+        self.inject_cursor.refill(inject_cursor, how);
+        self.active.refill(active, how);
+        self.delivered.refill(delivered, how);
+        self.actions_of.refill(actions_of, how);
+        self.owed.refill(owed, how);
+        self.rr_cursor = *rr_cursor;
+        self.rng.clone_from(rng);
+        self.scratch.clone_from(scratch);
+        self.ready.clone_from(ready);
+    }
+
+    /// Every chunked column of the runtime, for byte and copy accounting.
+    fn columns(&self) -> impl Iterator<Item = &dyn ColumnStats> {
+        let own: [&dyn ColumnStats; 7] = [
+            &self.pairs,
+            &self.unit_of,
+            &self.inject_cursor,
+            &self.active,
+            &self.delivered,
+            &self.actions_of,
+            &self.owed,
+        ];
+        own.into_iter()
+            .chain(self.units.columns())
+            .chain(self.arena.columns())
+    }
+
+    /// Chunks this runtime has copied element by element so far, over all
+    /// its columns: copy-on-write copies (a write met a chunk a checkpoint
+    /// still shares) plus restore copy-backs — see
+    /// [`CowVec::chunk_copies`]. Deterministic; a `clone` starts at zero
+    /// and a restore leaves the count running, so the difference across a
+    /// stretch of work is what that stretch copied.
+    pub fn chunk_copies(&self) -> u64 {
+        self.columns().map(ColumnStats::chunk_copies).sum()
+    }
+
     /// Builds a runtime over `system` with the given failure pattern.
     pub fn new(system: &GroupSystem, pattern: FailurePattern, config: RuntimeConfig) -> Self {
         let tables = Arc::new(Tables::new(system, pattern, &config));
@@ -1382,15 +1529,38 @@ impl Runtime {
 
     /// Produces the report for property checking.
     pub fn report(&self, quiescent: bool) -> RunReport {
-        RunReport {
+        let mut report = RunReport {
             system: self.tables.system.clone(),
             pattern: self.tables.pattern.clone(),
-            messages: self.arena.to_vec(),
-            multicast_at: self.multicast_at.to_vec(),
-            delivered: self.delivered.iter().cloned().collect(),
-            actions_of: self.actions_of.iter().copied().collect(),
+            messages: Vec::new(),
+            multicast_at: Vec::new(),
+            delivered: Vec::new(),
+            actions_of: Vec::new(),
             quiescent,
+        };
+        self.report_into(&mut report, quiescent);
+        report
+    }
+
+    /// [`Runtime::report`] into a report of an earlier state of the same
+    /// scenario, reusing its buffers: the vectors are rewritten in place,
+    /// `system` and `pattern` — fixed by the scenario — are left standing.
+    /// An explorer checks every leaf through one report this way.
+    pub fn report_into(&self, report: &mut RunReport, quiescent: bool) {
+        debug_assert!(
+            report.system == self.tables.system && report.pattern == self.tables.pattern,
+            "report of another scenario"
+        );
+        report.messages.clear();
+        report.messages.extend(self.arena.iter());
+        report.multicast_at.clone_from(&self.multicast_at);
+        report.delivered.resize_with(self.delivered.len(), Vec::new);
+        for (into, seq) in report.delivered.iter_mut().zip(&self.delivered) {
+            into.clone_from(seq);
         }
+        report.actions_of.clear();
+        report.actions_of.extend(&self.actions_of);
+        report.quiescent = quiescent;
     }
 
     /// Batch-occupancy histogram of the units created so far:
@@ -1512,24 +1682,10 @@ impl Runtime {
         let mut deep = base;
         // Chunked columns: a clone copies the pointer tables, a deep copy
         // the elements.
-        copied += self.pairs.shallow_bytes()
-            + self.units.shallow_bytes()
-            + self.arena.shallow_bytes()
-            + self.unit_of.shallow_bytes()
-            + self.inject_cursor.shallow_bytes()
-            + self.active.shallow_bytes()
-            + self.delivered.shallow_bytes()
-            + self.actions_of.shallow_bytes()
-            + self.owed.shallow_bytes();
-        deep += self.pairs.deep_bytes()
-            + self.units.deep_bytes()
-            + self.arena.deep_bytes()
-            + self.unit_of.deep_bytes()
-            + self.inject_cursor.deep_bytes()
-            + self.active.deep_bytes()
-            + self.delivered.deep_bytes()
-            + self.actions_of.deep_bytes()
-            + self.owed.deep_bytes();
+        for column in self.columns() {
+            copied += column.shallow_bytes();
+            deep += column.deep_bytes();
+        }
         // Per-row heap payloads behind the chunked rows.
         for ps in self.pairs.iter() {
             deep += (ps.order.len() * size_of::<OrderEntry>() + ps.cursors.len() * size_of::<u32>())

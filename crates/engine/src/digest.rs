@@ -11,6 +11,13 @@
 //! [`Digest`] is *incremental*: an executor folds each step in as it
 //! happens, so `state_digest()` is O(1) to read at any point of a run
 //! instead of requiring a full end-of-run rehash of a recorded schedule.
+//!
+//! Two accumulators live here, and only one of them is pinned. [`Digest`]
+//! (byte-wise FNV-1a) hashes *histories*: `state_digest`, [`trace_hash`]
+//! and [`fnv1a`] values are written into the committed `.repro` fixtures
+//! and hash tables, so its function may never change. [`Fingerprint`]
+//! hashes *states* for the explorer's visited set: its values are compared
+//! within one process and stored nowhere, so it is free to be fast.
 
 use gam_core::RunReport;
 
@@ -69,6 +76,55 @@ impl Digest {
     }
 }
 
+/// A 64-bit accumulator over a word stream for *state fingerprints*
+/// ([`Executor::state_fingerprint`](crate::Executor::state_fingerprint)):
+/// one multiply and one xor-shift per word, where [`Digest`] spends eight
+/// dependent multiplies, and a final avalanche.
+///
+/// Not pinned: nothing stores a fingerprint across processes — tests and
+/// the visited set only compare them — so this function can change, and
+/// [`Digest`], whose values the `.repro` fixtures record, cannot (see the
+/// module docs). Order-sensitive like `Digest`: each fold is a bijection of
+/// the state for a fixed word and of the word for a fixed state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingerprint {
+    h: u64,
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint::new()
+    }
+}
+
+impl Fingerprint {
+    /// An empty fingerprint.
+    pub const fn new() -> Self {
+        Fingerprint { h: FNV_OFFSET }
+    }
+
+    /// Folds one word in.
+    #[inline]
+    pub fn push(&mut self, w: u64) {
+        let x = (self.h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.h = x ^ (x >> 32);
+    }
+
+    /// The fingerprint of the words folded so far (the splitmix64
+    /// finalizer over the running state, so every bit of it depends on
+    /// every bit of the last word too).
+    pub const fn value(&self) -> u64 {
+        splitmix64_finish(self.h)
+    }
+}
+
+/// The splitmix64 finalizer: a bijection of `u64` that avalanches.
+const fn splitmix64_finish(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// 64-bit FNV-1a over a word stream.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut d = Digest::new();
@@ -85,12 +141,10 @@ pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 /// Any consumer needing a family of decorrelated sub-seeds from one
 /// recorded seed should derive them here rather than hand-rolling a mixer.
 pub fn derive_seed(seed: u64, tag: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(tag.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64_finish(
+        seed.wrapping_add(tag.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_add(0x9e37_79b9_7f4a_7c15),
+    )
 }
 
 /// Digest of a [`RunReport`]'s observable outcome.
@@ -123,6 +177,29 @@ mod tests {
         assert_ne!(fnv1a([1, 2]), fnv1a([2, 1]));
         assert_ne!(fnv1a([]), fnv1a([0]));
         assert_eq!(fnv1a([7, 9]), fnv1a([7, 9]));
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_order_length_and_small_words() {
+        let fp = |words: &[u64]| {
+            let mut f = Fingerprint::new();
+            words.iter().for_each(|&w| f.push(w));
+            f.value()
+        };
+        assert_eq!(fp(&[7, 9]), fp(&[7, 9]));
+        assert_ne!(fp(&[1, 2]), fp(&[2, 1]));
+        assert_ne!(fp(&[]), fp(&[0]));
+        assert_ne!(fp(&[0]), fp(&[0, 0]));
+        // The state walk is made of small words (phases, counts, ids):
+        // all short streams over a small alphabet must stay apart.
+        let mut seen = std::collections::BTreeSet::new();
+        for a in 0..16u64 {
+            for b in 0..16u64 {
+                for c in 0..16u64 {
+                    assert!(seen.insert(fp(&[a, b, c])), "collision at {a} {b} {c}");
+                }
+            }
+        }
     }
 
     #[test]

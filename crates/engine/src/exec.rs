@@ -106,15 +106,24 @@ pub trait Executor {
 /// Snapshots are `Send` so the parallel DFS can hold them in per-worker
 /// stacks (asserted at compile time for both built-in substrates).
 pub trait SnapshotExec: Executor {
-    /// The checkpoint type — a deep copy of the substrate + digest state.
+    /// The checkpoint type: the substrate + digest state as it stood, by
+    /// value or — where the substrate keeps its state in copy-on-write
+    /// chunks — by sharing the chunks neither side has written since.
     type Snapshot: Send;
 
     /// Captures the current state as a checkpoint.
     fn snapshot(&self) -> Self::Snapshot;
 
     /// Rewinds to a checkpoint previously taken on this executor (or an
-    /// identical twin). Restoring a snapshot from a *different* scenario is
-    /// not meaningful and yields an unspecified (but memory-safe) state.
+    /// identical twin). The snapshot is only read — never written through,
+    /// never consumed — so it can be restored any number of times, and on
+    /// any twin. The executor rewrites the storage it already owns where
+    /// it can (`Clone::clone_from` all the way down) instead of dropping
+    /// it for a fresh copy: what it has written since the snapshot it keeps
+    /// as private copies, so a caller that backtracks to one checkpoint
+    /// repeatedly pays for the first restore and little for the rest.
+    /// Restoring a snapshot from a *different* scenario is not meaningful
+    /// and yields an unspecified (but memory-safe) state.
     fn restore(&mut self, snap: &Self::Snapshot);
 
     /// Analytic cost of taking a snapshot *right now*, in bytes, as
@@ -179,13 +188,30 @@ where
     E: Executor + ?Sized,
     S: ScheduleSource + ?Sized,
 {
-    let mut options: Vec<(ProcessId, usize)> = Vec::new();
+    run_with_source_reusing(exec, source, max_steps, &mut Vec::new())
+}
+
+/// [`run_with_source_counted`] on the caller's options buffer — for callers
+/// that drive many short runs (the explorer completes every leaf with a
+/// fair tail) and would otherwise grow a fresh buffer each time. What
+/// `options` holds on entry is irrelevant; on return it holds the last
+/// choice space enumerated.
+pub fn run_with_source_reusing<E, S>(
+    exec: &mut E,
+    source: &mut S,
+    max_steps: u64,
+    options: &mut Vec<(ProcessId, usize)>,
+) -> (RunOutcome, u64)
+where
+    E: Executor + ?Sized,
+    S: ScheduleSource + ?Sized,
+{
     let mut taken = 0u64;
     loop {
         if taken >= max_steps {
             return (RunOutcome::BudgetExhausted, taken);
         }
-        exec.enabled_actions(&mut options);
+        exec.enabled_actions(options);
         if options.is_empty() {
             if exec.is_quiescent() || !exec.idle_tick() {
                 return (RunOutcome::Quiescent, taken);
@@ -193,7 +219,7 @@ where
             taken += 1;
             continue;
         }
-        let Some((idx, choice)) = source.next_choice(&options) else {
+        let Some((idx, choice)) = source.next_choice(options) else {
             return (RunOutcome::Stopped, taken);
         };
         exec.step(ChoiceStep {

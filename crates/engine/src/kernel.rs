@@ -121,7 +121,7 @@ where
     }
 
     fn restore(&mut self, snap: &KernelSnapshot<A, H>) {
-        self.sim = snap.sim.clone();
+        self.sim.clone_from(&snap.sim);
         self.digest = snap.digest;
         self.events_seen = snap.events_seen;
         self.crashed_seen = snap.crashed_seen;

@@ -47,8 +47,8 @@ mod visited;
 
 pub use event::{EventCounts, EventLog, Observer, TraceEvent};
 pub use exec::{
-    replay, run_fair, run_recorded, run_with_source, run_with_source_counted, Executor, PrefixTail,
-    SnapshotExec,
+    replay, run_fair, run_recorded, run_with_source, run_with_source_counted,
+    run_with_source_reusing, Executor, PrefixTail, SnapshotExec,
 };
 pub use independence::{actions_commute, groups_conflict, shard_partition};
 pub use kernel::{KernelExecutor, KernelSnapshot};

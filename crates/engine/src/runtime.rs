@@ -8,12 +8,12 @@
 //! detector time, so an empty choice space with outstanding delivery
 //! obligations advances the clock instead of ending the run.
 
-use crate::digest::Digest;
+use crate::digest::{Digest, Fingerprint};
 use crate::event::{Observer, TraceEvent};
 use crate::exec::{Executor, SnapshotExec};
 use gam_core::{ActionDesc, RunReport, Runtime};
 use gam_kernel::schedule::ChoiceStep;
-use gam_kernel::{ProcessId, ProcessSet};
+use gam_kernel::{ProcessId, ProcessSet, Refill};
 
 /// The Algorithm 1 runtime as an [`Executor`].
 pub struct RuntimeExecutor {
@@ -79,6 +79,24 @@ impl RuntimeExecutor {
         self.rt.report(quiescent)
     }
 
+    /// The report of the run so far, written over an earlier report of the
+    /// same scenario (see [`Runtime::report_into`]).
+    pub fn report_into(&self, report: &mut RunReport, quiescent: bool) {
+        self.rt.report_into(report, quiescent);
+    }
+
+    /// [`SnapshotExec::snapshot`] into the storage of a checkpoint that is
+    /// no longer needed: `slot` ends up sharing every chunk with the
+    /// executor exactly as a fresh snapshot would — it costs, and
+    /// [`SnapshotExec::snapshot_cost`] reports, the same pointer copies —
+    /// but its pointer tables and row buffers are reused instead of
+    /// allocated.
+    pub fn snapshot_into(&self, slot: &mut RuntimeSnapshot) {
+        slot.rt.refill(&self.rt, Refill::Share);
+        slot.digest = self.digest;
+        slot.crashed_seen = self.crashed_seen;
+    }
+
     /// Describes the current choice space in flat digit order (see
     /// [`Runtime::describe_enabled`]) — the explorer's independence
     /// relation consumes these descriptors.
@@ -104,9 +122,11 @@ impl RuntimeExecutor {
 
 /// A [`RuntimeExecutor`] checkpoint: the full Algorithm 1 runtime (logs,
 /// oracles, scheduler, clock, RNG) plus the executor's history digest and
-/// crash-publication cursor. The scheduled process set is configuration,
-/// not state, and the observer list deliberately stays out (see
-/// [`SnapshotExec`]).
+/// crash-publication cursor. Not a deep copy: the runtime's columns are
+/// shared with the executor chunk by chunk until one side writes (see
+/// `gam_kernel::cow`), and nothing ever writes through a snapshot. The
+/// scheduled process set is configuration, not state, and the observer
+/// list deliberately stays out (see [`SnapshotExec`]).
 #[derive(Debug, Clone)]
 pub struct RuntimeSnapshot {
     rt: Runtime,
@@ -126,7 +146,7 @@ impl SnapshotExec for RuntimeExecutor {
     }
 
     fn restore(&mut self, snap: &RuntimeSnapshot) {
-        self.rt = snap.rt.clone();
+        self.rt.clone_from(&snap.rt);
         self.digest = snap.digest;
         self.crashed_seen = snap.crashed_seen;
     }
@@ -182,9 +202,9 @@ impl Executor for RuntimeExecutor {
         // runtime's evolving state via [`Runtime::fold_state`], so schedules
         // that *converge* — different interleavings reaching the same
         // machine — collide here and the explorer's dedup can prune them.
-        let mut d = Digest::new();
-        self.rt.fold_state(&mut |w| d.push(w));
-        d.value()
+        let mut f = Fingerprint::new();
+        self.rt.fold_state(&mut |w| f.push(w));
+        f.value()
     }
 
     fn is_quiescent(&self) -> bool {

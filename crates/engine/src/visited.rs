@@ -107,8 +107,8 @@ impl VisitedSet {
     /// slot, the window's first slot is overwritten (see module docs).
     pub fn insert(&mut self, key: u64) -> bool {
         let key = if key == EMPTY { ZERO_KEY } else { key };
-        // The fingerprints are FNV-1a values — well mixed, but fold the high
-        // half down so the table index sees all 64 bits.
+        // Fingerprints come out of an avalanche step — well mixed, but fold
+        // the high half down so the table index sees all 64 bits.
         let home = ((key ^ (key >> 32)) as usize) & self.mask;
         for i in 0..PROBE_WINDOW.min(self.slots.len()) {
             let at = (home + i) & self.mask;

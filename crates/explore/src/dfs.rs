@@ -58,14 +58,26 @@
 //! copied (chunk pointer tables under copy-on-write state) against the
 //! [`ExploreStats::snapshot_deep_bytes`] a deep `Clone` would have copied.
 //! `BENCH_explore_dfs.json` tracks both reductions.
+//!
+//! ## Storage
+//!
+//! Backtracking is the hot loop, so it reuses what it has. A popped
+//! [`Frame`] stays in the stack's spare capacity and the next branch point
+//! at that depth takes it over: its descriptor and sleep vectors are
+//! rewritten in place, and its checkpoint is retaken *into* the old one
+//! (`RuntimeExecutor::snapshot_into` — every chunk shared exactly as a
+//! fresh snapshot shares it, so the byte accounting above is unchanged;
+//! only the pointer tables are recycled). A restore copies back into the
+//! chunks the executor already owns (see [`SnapshotExec::restore`]), every
+//! leaf is checked through the worker's one report, and the fair tails run
+//! on the worker's one options buffer.
 
 use crate::explorer::ExploreStats;
 use crate::independence::{actions_commute, por_applicable};
-use crate::par::{exhaustive_pool, merge, ExploreConfig, ItemResult};
+use crate::par::{exhaustive_pool, merge, ExploreConfig, ItemResult, Worker};
 use crate::{Prototype, Scenario};
-use gam_core::spec::check_all;
 use gam_core::ActionDesc;
-use gam_engine::{run_with_source_counted, Executor, RuntimeSnapshot, SnapshotExec, VisitedSet};
+use gam_engine::{Executor, RuntimeSnapshot, SnapshotExec};
 use gam_groups::GroupSystem;
 use gam_kernel::schedule::{ChoiceStep, RecordInto, RotatingSource};
 use gam_kernel::{ProcessId, RunOutcome};
@@ -73,10 +85,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One branch point on the current DFS path: the checkpoint taken just
 /// before its digit was consumed, plus the odometer bookkeeping needed to
-/// resume siblings.
+/// resume siblings. Frames are recycled (see the module docs), so every
+/// field is rewritten when a branch point takes the frame over.
+#[derive(Default)]
 struct Frame {
-    /// Checkpoint at the branch point — `None` when the branch has a single
-    /// child (nothing will ever be restored there).
+    /// Checkpoint at the branch point. A branch with a single child takes
+    /// none (nothing will ever be restored there) and leaves whatever an
+    /// earlier occupant of the frame left — never read, because only a
+    /// frame with an unexplored sibling is restored.
     snap: Option<RuntimeSnapshot>,
     /// Budget consumed when the checkpoint was taken.
     taken: u64,
@@ -105,22 +121,21 @@ enum Descent {
     Pruned,
 }
 
-/// The sleep set a child inherits after its parent steps `stepped`:
-/// entries of the parent's sleep set plus the parent's earlier siblings,
-/// kept iff they commute with `stepped` — the covered-elsewhere invariant
-/// survives exactly across commuting steps.
-fn child_sleep(
+/// Turns `sleep`, the sleep set at a branch, into the one a child inherits
+/// after the branch steps `stepped`: its entries plus the branch's
+/// `earlier` siblings, kept iff they commute with `stepped` — the
+/// covered-elsewhere invariant survives exactly across commuting steps.
+fn sleep_below(
     system: &GroupSystem,
-    sleep: &[ActionDesc],
+    sleep: &mut Vec<ActionDesc>,
     earlier: &[ActionDesc],
     stepped: &ActionDesc,
-) -> Vec<ActionDesc> {
-    sleep
+) {
+    sleep.retain(|z| actions_commute(system, z, stepped));
+    let earlier = earlier
         .iter()
-        .chain(earlier.iter())
-        .filter(|z| actions_commute(system, z, stepped))
-        .copied()
-        .collect()
+        .filter(|z| actions_commute(system, z, stepped));
+    sleep.extend(earlier.copied());
 }
 
 /// Replicates one iteration chunk of the engine driver loop
@@ -198,15 +213,17 @@ pub(crate) fn dfs_item(
     pinned: &[usize],
     reserved: &AtomicU64,
     max_runs: u64,
-    mut visited: Option<&mut VisitedSet>,
+    worker: &mut Worker,
     por: bool,
 ) -> ItemResult {
     let scenario = proto.scenario;
     let por = por && por_applicable(scenario);
     let system = &scenario.system;
     let mut res = ItemResult::default();
-    let mut exec = proto.executor();
+    proto.reset(&mut worker.exec);
+    // `stack[..live]` is the current path; the frames past it are spare.
     let mut stack: Vec<Frame> = Vec::new();
+    let mut live = 0usize;
     let mut prefix: Vec<ChoiceStep> = Vec::new();
     let mut options: Vec<(ProcessId, usize)> = Vec::new();
     let mut descs: Vec<ActionDesc> = Vec::new();
@@ -223,7 +240,7 @@ pub(crate) fn dfs_item(
         // every frame's `descs`/`sleep` are empty and nothing is skipped.
         if started {
             loop {
-                let Some(top) = stack.last_mut() else {
+                let Some(top) = stack[..live].last_mut() else {
                     return res;
                 };
                 top.next += 1;
@@ -239,7 +256,7 @@ pub(crate) fn dfs_item(
                 if top.next < top.total {
                     break;
                 }
-                stack.pop();
+                live -= 1;
             }
         }
         // Reserve the run from the shared budget *before* executing anything
@@ -252,8 +269,8 @@ pub(crate) fn dfs_item(
         }
         let mut digits = 0;
         if started {
-            let frame = stack.last().expect("backtrack left a frame");
-            exec.restore(
+            let frame = &stack[live - 1];
+            worker.exec.restore(
                 frame
                     .snap
                     .as_ref()
@@ -263,17 +280,22 @@ pub(crate) fn dfs_item(
             prefix.truncate(frame.sched_len);
             // The checkpoint is a choice point (budget not exhausted,
             // options non-empty): re-enumerate and take the sibling digit.
-            exec.enabled_actions(&mut options);
+            worker.exec.enabled_actions(&mut options);
             let next = frame.next;
             if por {
                 // All earlier siblings — explored or slept — are covered
                 // when this child's subtree runs, so any of them that
                 // commutes with the stepped action sleeps below it.
-                let stepped = frame.descs[next];
-                cur_sleep = child_sleep(system, &frame.sleep, &frame.descs[..next], &stepped);
+                cur_sleep.clone_from(&frame.sleep);
+                sleep_below(
+                    system,
+                    &mut cur_sleep,
+                    &frame.descs[..next],
+                    &frame.descs[next],
+                );
             }
             step_flat(
-                &mut exec,
+                &mut worker.exec,
                 &options,
                 next,
                 &mut prefix,
@@ -282,7 +304,7 @@ pub(crate) fn dfs_item(
             );
             // Frames sit strictly past the pinned region, so the restored
             // path has consumed every pinned digit plus one per frame.
-            digits = pinned.len() + stack.len();
+            digits = pinned.len() + live;
         } else if por {
             cur_sleep.clear();
         }
@@ -291,7 +313,7 @@ pub(crate) fn dfs_item(
         // `depth` digits are consumed (tail leaf).
         let leaf = loop {
             match advance(
-                &mut exec,
+                &mut worker.exec,
                 &mut taken,
                 scenario.max_steps,
                 &mut options,
@@ -302,37 +324,26 @@ pub(crate) fn dfs_item(
                 None => {
                     let total: usize = options.iter().map(|(_, arity)| arity).sum();
                     if por {
-                        exec.describe_enabled(&mut descs);
+                        worker.exec.describe_enabled(&mut descs);
                         debug_assert_eq!(
                             descs.len(),
                             total,
                             "flat descriptors align with flat digits"
                         );
                     }
-                    if digits < pinned.len() {
+                    let flat = if digits < pinned.len() {
                         let flat = pinned[digits].min(total - 1);
-                        if por {
-                            if cur_sleep.contains(&descs[flat]) {
-                                // The sequential sleep-set walk skips this
-                                // digit here, taking every run below it
-                                // with it — including this whole pinned
-                                // item. (The reserved run goes unused; with
-                                // POR on, run counts are not comparable to
-                                // the unpruned engines anyway.)
-                                res.por_pruned += 1;
-                                return res;
-                            }
-                            cur_sleep =
-                                child_sleep(system, &cur_sleep, &descs[..flat], &descs[flat]);
+                        if por && cur_sleep.contains(&descs[flat]) {
+                            // The sequential sleep-set walk skips this
+                            // digit here, taking every run below it with
+                            // it — including this whole pinned item. (The
+                            // reserved run goes unused; with POR on, run
+                            // counts are not comparable to the unpruned
+                            // engines anyway.)
+                            res.por_pruned += 1;
+                            return res;
                         }
-                        step_flat(
-                            &mut exec,
-                            &options,
-                            flat,
-                            &mut prefix,
-                            &mut taken,
-                            &mut res.steps_executed,
-                        );
+                        flat
                     } else {
                         // First unslept digit; with POR off this is 0.
                         let mut first = 0usize;
@@ -345,36 +356,43 @@ pub(crate) fn dfs_item(
                                 break Descent::Pruned;
                             }
                         }
-                        let snap = (total > 1).then(|| {
+                        if live == stack.len() {
+                            stack.push(Frame::default());
+                        }
+                        let frame = &mut stack[live];
+                        live += 1;
+                        if total > 1 {
                             res.snapshots += 1;
-                            let (copied, deep) = exec.snapshot_cost();
+                            let (copied, deep) = worker.exec.snapshot_cost();
                             res.snapshot_bytes += copied;
                             res.snapshot_deep_bytes += deep;
                             res.snapshot_bytes_peak = res.snapshot_bytes_peak.max(copied);
-                            exec.snapshot()
-                        });
-                        stack.push(Frame {
-                            snap,
-                            taken,
-                            total,
-                            next: first,
-                            sched_len: prefix.len(),
-                            descs: if por { descs.clone() } else { Vec::new() },
-                            sleep: if por { cur_sleep.clone() } else { Vec::new() },
-                        });
-                        if por {
-                            cur_sleep =
-                                child_sleep(system, &cur_sleep, &descs[..first], &descs[first]);
+                            match &mut frame.snap {
+                                Some(slot) => worker.exec.snapshot_into(slot),
+                                None => frame.snap = Some(worker.exec.snapshot()),
+                            }
                         }
-                        step_flat(
-                            &mut exec,
-                            &options,
-                            first,
-                            &mut prefix,
-                            &mut taken,
-                            &mut res.steps_executed,
-                        );
+                        frame.taken = taken;
+                        frame.total = total;
+                        frame.next = first;
+                        frame.sched_len = prefix.len();
+                        // Empty with POR off: `descs` and `cur_sleep` are
+                        // never filled then.
+                        frame.descs.clone_from(&descs);
+                        frame.sleep.clone_from(&cur_sleep);
+                        first
+                    };
+                    if por {
+                        sleep_below(system, &mut cur_sleep, &descs[..flat], &descs[flat]);
                     }
+                    step_flat(
+                        &mut worker.exec,
+                        &options,
+                        flat,
+                        &mut prefix,
+                        &mut taken,
+                        &mut res.steps_executed,
+                    );
                     digits += 1;
                 }
             }
@@ -388,8 +406,7 @@ pub(crate) fn dfs_item(
         res.steps_odometer += taken;
         if let Descent::Interior(out) = leaf {
             // The run terminated within the enumerated prefix itself.
-            let report = exec.report(out == RunOutcome::Quiescent);
-            if let Err(violation) = check_all(&report, scenario.variant) {
+            if let Err(violation) = worker.verdict(out == RunOutcome::Quiescent, scenario.variant) {
                 res.violation = Some((prefix.clone(), violation, 0));
                 return res;
             }
@@ -397,27 +414,31 @@ pub(crate) fn dfs_item(
         }
         // Tail leaf: same dedup rule as the odometer pool — skip the fair
         // tail iff this post-prefix state already completed clean.
-        let fp = exec.state_fingerprint();
-        if visited.as_deref().is_some_and(|seen| seen.contains(fp)) {
+        let fp = worker.exec.state_fingerprint();
+        if worker
+            .visited
+            .as_ref()
+            .is_some_and(|seen| seen.contains(fp))
+        {
             res.dedup_hits += 1;
             continue;
         }
         tail_sched.clear();
         let (tail_out, tail_steps) = {
             let mut tail = RecordInto::new(RotatingSource::default(), &mut tail_sched);
-            run_with_source_counted(&mut exec, &mut tail, scenario.max_steps - taken)
+            worker.run(&mut tail, scenario.max_steps - taken)
         };
         res.steps_executed += tail_steps;
         res.steps_odometer += tail_steps;
-        let report = exec.report(tail_out == RunOutcome::Quiescent);
-        if let Err(violation) = check_all(&report, scenario.variant) {
+        if let Err(violation) = worker.verdict(tail_out == RunOutcome::Quiescent, scenario.variant)
+        {
             let mut schedule = prefix.clone();
             schedule.extend_from_slice(&tail_sched);
             res.violation = Some((schedule, violation, 0));
             return res;
         }
         // Only a clean tail verdict is remembered (see the odometer pool).
-        if let Some(seen) = visited.as_deref_mut() {
+        if let Some(seen) = worker.visited.as_mut() {
             seen.insert(fp);
         }
     }
@@ -436,7 +457,8 @@ pub fn explore_exhaustive_dfs(
 ) -> ExploreStats {
     let reserved = AtomicU64::new(0);
     let proto = Prototype::new(scenario);
-    let res = dfs_item(&proto, depth, &[], &reserved, max_runs, None, false);
+    let res = Worker::new(&proto, 0)
+        .item(|worker| dfs_item(&proto, depth, &[], &reserved, max_runs, worker, false));
     let runs = res.runs;
     merge(scenario, vec![(runs, 0, vec![(0, res)])], shrink_budget)
 }
@@ -462,8 +484,8 @@ pub fn explore_exhaustive_dfs_par(
         depth,
         max_runs,
         config,
-        move |proto, depth, pinned, reserved, max_runs, visited| {
-            dfs_item(proto, depth, pinned, reserved, max_runs, visited, por)
+        move |proto, depth, pinned, reserved, max_runs, worker| {
+            dfs_item(proto, depth, pinned, reserved, max_runs, worker, por)
         },
     )
 }

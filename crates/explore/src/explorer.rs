@@ -6,10 +6,10 @@
 //! reference semantics: the parallel engines are verified (by
 //! `tests/parallel_determinism.rs`) to produce byte-identical [`Repro`]s.
 
+use crate::par::Worker;
 use crate::shrink::shrink;
 use crate::{PrefixTail, Prototype, Repro, Scenario};
-use gam_core::spec::{check_all, SpecViolation};
-use gam_engine::run_with_source_counted;
+use gam_core::spec::SpecViolation;
 use gam_kernel::schedule::{PathSource, RandomSource, RecordInto, RecordingSource};
 use gam_kernel::RunOutcome;
 use std::ops::Range;
@@ -81,6 +81,18 @@ pub struct ExploreStats {
     /// Subtrees skipped by sleep-set partial-order reduction (0 unless
     /// [`ExploreConfig::por`](crate::ExploreConfig) is on).
     pub por_pruned: u64,
+    /// State chunks the pool's executors copied element by element while
+    /// exploring — copy-on-write copies after a checkpoint plus restore
+    /// copy-backs ([`gam_core::Runtime::chunk_copies`]). What backtracking
+    /// costs in memory traffic, as a count: deterministic at one thread
+    /// (at N it varies, like [`ExploreStats::dedup_hits`], with which
+    /// worker claimed which item); not counted, and 0, for
+    /// [`explore_exhaustive`] and the swarms.
+    pub chunk_copies: u64,
+    /// Fingerprints the per-worker visited sets overwrote because a probe
+    /// window was full ([`gam_engine::VisitedSet::evictions`]) — each one a
+    /// dedup hit possibly forgone, never a verdict changed.
+    pub dedup_evictions: u64,
 }
 
 impl ExploreStats {
@@ -133,6 +145,8 @@ impl ExploreStats {
             snapshot_deep_bytes: 0,
             snapshot_bytes_peak: 0,
             por_pruned: 0,
+            chunk_copies: 0,
+            dedup_evictions: 0,
         }
     }
 }
@@ -183,11 +197,11 @@ pub fn explore_exhaustive(
     shrink_budget: u64,
 ) -> ExploreStats {
     let proto = Prototype::new(scenario);
+    let mut worker = Worker::new(&proto, 0);
     let mut path = vec![0usize; depth];
     // The per-run state is hoisted out of the loop and reset in place:
-    // enumerating a tree means millions of runs, and a fresh `PathSource`
-    // path + a fresh recording log per run were the loop's only per-run
-    // allocations.
+    // enumerating a tree means millions of runs, each on the one executor
+    // (the worker's), `PathSource` path and recording log.
     let mut path_source = PathSource::new(Vec::new());
     let mut schedule = Vec::new();
     let mut runs = 0u64;
@@ -198,17 +212,15 @@ pub fn explore_exhaustive(
         }
         path_source.reset_to(&path);
         schedule.clear();
-        let mut exec = proto.executor();
+        proto.reset(&mut worker.exec);
         let out = {
             let mut source = RecordInto::new(PrefixTail::new(&mut path_source), &mut schedule);
-            let (out, consumed) =
-                run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
+            let (out, consumed) = worker.run(&mut source, scenario.max_steps);
             steps += consumed;
             out
         };
-        let report = exec.report(out == RunOutcome::Quiescent);
         runs += 1;
-        if let Err(violation) = check_all(&report, scenario.variant) {
+        if let Err(violation) = worker.verdict(out == RunOutcome::Quiescent, scenario.variant) {
             let schedule = std::mem::take(&mut schedule);
             return ExploreStats::sequential(
                 runs,
@@ -240,16 +252,16 @@ pub fn explore_exhaustive(
 /// [`explore_swarm_par`](crate::explore_swarm_par).
 pub fn explore_swarm(scenario: &Scenario, seeds: Range<u64>, shrink_budget: u64) -> ExploreStats {
     let proto = Prototype::new(scenario);
+    let mut worker = Worker::new(&proto, 0);
     let mut runs = 0u64;
     let mut steps = 0u64;
     for seed in seeds {
         let mut source = RecordingSource::new(RandomSource::new(seed));
-        let mut exec = proto.executor();
-        let (out, consumed) = run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
+        proto.reset(&mut worker.exec);
+        let (out, consumed) = worker.run(&mut source, scenario.max_steps);
         steps += consumed;
-        let report = exec.report(out == RunOutcome::Quiescent);
         runs += 1;
-        if let Err(violation) = check_all(&report, scenario.variant) {
+        if let Err(violation) = worker.verdict(out == RunOutcome::Quiescent, scenario.variant) {
             return ExploreStats::sequential(
                 runs,
                 vec![found(

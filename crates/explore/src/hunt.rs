@@ -183,14 +183,17 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
         steps: 0,
         findings: Vec::new(),
     };
-    // Phase 1: recorded seeded swarm, checked under hunt rules.
+    // Phase 1: recorded seeded swarm, checked under hunt rules — every
+    // seed on the one executor, rewound, and through the one report.
+    let mut exec = proto.executor();
+    let mut report = exec.report(false);
     for seed in cfg.swarm_seeds.clone() {
         let mut source = RecordingSource::new(RandomSource::new(seed));
-        let mut exec = proto.executor();
+        proto.reset(&mut exec);
         let (out, consumed) = run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
         outcome.steps += consumed;
         outcome.swarm_runs += 1;
-        let report = exec.report(out == RunOutcome::Quiescent);
+        exec.report_into(&mut report, out == RunOutcome::Quiescent);
         if let Err(violation) = hunt_verdict(&report, scenario.variant, cfg) {
             outcome.findings.push(finding_from(
                 descriptor,

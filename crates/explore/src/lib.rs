@@ -85,9 +85,10 @@ pub struct Scenario {
 /// A scenario with its executor built once and checkpointed. What a run
 /// consults besides the logs (ℱ, `H(p, g)`, `γ`'s exclusion instants, the
 /// `Σ`/`Ω` histories, the interned tables) is a function of topology and
-/// failure pattern alone, so an exploration constructs and injects once and
-/// stamps every run from that checkpoint — the bit-for-bit twin of
-/// [`Scenario::runtime_executor`], by the [`SnapshotExec`] contract.
+/// failure pattern alone, so an exploration constructs and injects once,
+/// stamps one executor per worker from that checkpoint — the bit-for-bit
+/// twin of [`Scenario::runtime_executor`], by the [`SnapshotExec`] contract
+/// — and rewinds it there before every run.
 pub(crate) struct Prototype<'a> {
     pub(crate) scenario: &'a Scenario,
     initial: RuntimeSnapshot,
@@ -104,6 +105,12 @@ impl<'a> Prototype<'a> {
     /// A fresh executor of the scenario: constructed, submissions applied.
     pub(crate) fn executor(&self) -> RuntimeExecutor {
         RuntimeExecutor::from_snapshot(&self.initial)
+    }
+
+    /// Rewinds `exec` — an executor this prototype made — to that fresh
+    /// state: what starts every run after an explorer's first.
+    pub(crate) fn reset(&self, exec: &mut RuntimeExecutor) {
+        exec.restore(&self.initial);
     }
 }
 

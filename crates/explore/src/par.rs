@@ -55,9 +55,10 @@
 use crate::explorer::{found, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET};
 use crate::{Prototype, Scenario};
 use gam_core::spec::{check_all, SpecViolation};
-use gam_engine::{run_with_source, run_with_source_counted, Executor, VisitedSet};
+use gam_core::{RunReport, Variant};
+use gam_engine::{run_with_source, run_with_source_reusing, Executor, RuntimeExecutor, VisitedSet};
 use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordingSource, RotatingSource};
-use gam_kernel::RunOutcome;
+use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -115,12 +116,85 @@ impl ExploreConfig {
     }
 }
 
+/// What one worker of an exploration keeps across its work items and its
+/// runs, so that a run builds nothing a previous run already built: the
+/// executor is rewound ([`Prototype::reset`], or a DFS checkpoint) instead
+/// of stamped anew, and every leaf's verdict is read off the one report.
+pub(crate) struct Worker {
+    pub(crate) exec: RuntimeExecutor,
+    report: RunReport,
+    /// Post-prefix fingerprints whose fair tail this worker completed
+    /// clean (`None`: dedup off).
+    pub(crate) visited: Option<VisitedSet>,
+    /// The choice-space buffer every [`Worker::run`] enumerates into.
+    options: Vec<(ProcessId, usize)>,
+}
+
+impl Worker {
+    pub(crate) fn new(proto: &Prototype, dedup_capacity: usize) -> Self {
+        let exec = proto.executor();
+        Worker {
+            report: exec.report(false),
+            exec,
+            visited: (dedup_capacity > 0).then(|| VisitedSet::with_capacity(dedup_capacity)),
+            options: Vec::new(),
+        }
+    }
+
+    /// Drives the executor from where it stands under `source`
+    /// ([`run_with_source_reusing`] on the worker's buffer): the outcome
+    /// and the budget consumed.
+    pub(crate) fn run<S: ScheduleSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        max_steps: u64,
+    ) -> (RunOutcome, u64) {
+        run_with_source_reusing(&mut self.exec, source, max_steps, &mut self.options)
+    }
+
+    /// The spec verdict on the run the executor has just finished:
+    /// `check_all` over its report, as every engine has always checked a
+    /// leaf — only the report's buffers are the previous leaf's.
+    pub(crate) fn verdict(
+        &mut self,
+        quiescent: bool,
+        variant: Variant,
+    ) -> Result<(), SpecViolation> {
+        self.exec.report_into(&mut self.report, quiescent);
+        check_all(&self.report, variant)
+    }
+
+    /// `(chunks copied, fingerprints evicted)` by this worker so far.
+    fn counters(&self) -> (u64, u64) {
+        (
+            self.exec.runtime().chunk_copies(),
+            self.visited.as_ref().map_or(0, VisitedSet::evictions),
+        )
+    }
+
+    /// Runs one work item and stamps its result with what the worker's
+    /// deterministic counters say it cost.
+    pub(crate) fn item(&mut self, run: impl FnOnce(&mut Self) -> ItemResult) -> ItemResult {
+        let before = self.counters();
+        let mut res = run(self);
+        let after = self.counters();
+        res.chunk_copies = after.0 - before.0;
+        res.dedup_evictions = after.1 - before.1;
+        res
+    }
+}
+
 /// Total option arity of the choice space reached by driving the scenario
-/// through `prefix` (0 when the run terminates within the prefix).
-pub(crate) fn arity_after(proto: &Prototype, prefix: &[usize]) -> usize {
-    let mut exec = proto.executor();
+/// through `prefix` (0 when the run terminates within the prefix), probed
+/// on `exec`, which is rewound to the initial state first.
+pub(crate) fn arity_after(
+    proto: &Prototype,
+    exec: &mut RuntimeExecutor,
+    prefix: &[usize],
+) -> usize {
+    proto.reset(exec);
     let mut src = PathSource::new(prefix.to_vec());
-    if run_with_source(&mut exec, &mut src, proto.scenario.max_steps) != RunOutcome::Stopped {
+    if run_with_source(exec, &mut src, proto.scenario.max_steps) != RunOutcome::Stopped {
         return 0;
     }
     // Stopped ⇒ the source ran dry at a choice point; the options are still
@@ -136,7 +210,8 @@ pub(crate) fn exhaustive_items(proto: &Prototype, depth: usize) -> Vec<Vec<usize
     if depth == 0 {
         return vec![Vec::new()];
     }
-    let b0 = arity_after(proto, &[]);
+    let exec = &mut proto.executor();
+    let b0 = arity_after(proto, exec, &[]);
     if b0 == 0 {
         // The run never reaches a choice point: one (schedule-free) run.
         return vec![Vec::new()];
@@ -146,7 +221,7 @@ pub(crate) fn exhaustive_items(proto: &Prototype, depth: usize) -> Vec<Vec<usize
     }
     let mut items = Vec::new();
     for d0 in 0..b0 {
-        let b1 = arity_after(proto, &[d0]);
+        let b1 = arity_after(proto, exec, &[d0]);
         if b1 == 0 {
             items.push(vec![d0]);
         } else {
@@ -185,6 +260,10 @@ pub(crate) struct ItemResult {
     pub(crate) snapshot_bytes_peak: u64,
     /// Subtrees skipped by sleep-set partial-order reduction.
     pub(crate) por_pruned: u64,
+    /// Chunks the worker's executor copied while on this item, and
+    /// fingerprints its visited set evicted (both set by [`Worker::item`]).
+    pub(crate) chunk_copies: u64,
+    pub(crate) dedup_evictions: u64,
 }
 
 /// Walks every enumerated path whose leading digits equal `prefix` —
@@ -196,7 +275,7 @@ pub(crate) fn explore_item(
     prefix: &[usize],
     reserved: &AtomicU64,
     max_runs: u64,
-    mut visited: Option<&mut VisitedSet>,
+    worker: &mut Worker,
 ) -> ItemResult {
     let scenario = proto.scenario;
     let mut res = ItemResult::default();
@@ -210,46 +289,49 @@ pub(crate) fn explore_item(
             res.capped = true;
             return res;
         }
-        let mut exec = proto.executor();
+        proto.reset(&mut worker.exec);
         let mut path_source = PathSource::new(path.clone());
         let mut rec = RecordingSource::new(&mut path_source);
-        let (out, consumed) = run_with_source_counted(&mut exec, &mut rec, scenario.max_steps);
+        let (out, consumed) = worker.run(&mut rec, scenario.max_steps);
         let mut schedule = rec.into_log();
         res.runs += 1;
         res.steps_executed += consumed;
         res.steps_odometer += consumed;
         let mut tail_state = None;
-        let report = if out == RunOutcome::Stopped {
+        let quiescent = if out == RunOutcome::Stopped {
             // The enumerated prefix ran dry mid-run: the fair tail from here
             // is a function of the post-prefix state and the remaining
             // budget alone, so skip it if this state was already completed
             // (clean) by this worker.
-            let fp = exec.state_fingerprint();
-            if visited.as_deref().is_some_and(|seen| seen.contains(fp)) {
+            let fp = worker.exec.state_fingerprint();
+            if worker
+                .visited
+                .as_ref()
+                .is_some_and(|seen| seen.contains(fp))
+            {
                 res.dedup_hits += 1;
                 None
             } else {
                 tail_state = Some(fp);
                 let mut tail = RecordingSource::new(RotatingSource::default());
-                let (tail_out, tail_steps) =
-                    run_with_source_counted(&mut exec, &mut tail, scenario.max_steps - consumed);
+                let (tail_out, tail_steps) = worker.run(&mut tail, scenario.max_steps - consumed);
                 res.steps_executed += tail_steps;
                 res.steps_odometer += tail_steps;
                 schedule.extend(tail.into_log());
-                Some(exec.report(tail_out == RunOutcome::Quiescent))
+                Some(tail_out == RunOutcome::Quiescent)
             }
         } else {
             // The run terminated within the enumerated prefix itself.
-            Some(exec.report(out == RunOutcome::Quiescent))
+            Some(out == RunOutcome::Quiescent)
         };
-        if let Some(report) = report {
-            if let Err(violation) = check_all(&report, scenario.variant) {
+        if let Some(quiescent) = quiescent {
+            if let Err(violation) = worker.verdict(quiescent, scenario.variant) {
                 res.violation = Some((schedule, violation, 0));
                 return res;
             }
             // Only a *clean* tail verdict is remembered: a violating state
             // never enters the set, so pruning cannot hide a counterexample.
-            if let (Some(fp), Some(seen)) = (tail_state, visited.as_deref_mut()) {
+            if let (Some(fp), Some(seen)) = (tail_state, worker.visited.as_mut()) {
                 seen.insert(fp);
             }
         }
@@ -282,8 +364,7 @@ pub(crate) fn exhaustive_pool<F>(
     run_item: F,
 ) -> ExploreStats
 where
-    F: Fn(&Prototype, usize, &[usize], &AtomicU64, u64, Option<&mut VisitedSet>) -> ItemResult
-        + Sync,
+    F: Fn(&Prototype, usize, &[usize], &AtomicU64, u64, &mut Worker) -> ItemResult + Sync,
 {
     let proto = &Prototype::new(scenario);
     let items = exhaustive_items(proto, depth);
@@ -297,8 +378,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut visited = (config.dedup_capacity > 0)
-                        .then(|| VisitedSet::with_capacity(config.dedup_capacity));
+                    let mut worker = Worker::new(proto, config.dedup_capacity);
                     let mut runs = 0u64;
                     let mut results = Vec::new();
                     loop {
@@ -311,14 +391,9 @@ where
                         if i > best_item.load(Ordering::Relaxed) {
                             continue;
                         }
-                        let r = run_item(
-                            proto,
-                            depth,
-                            &items[i],
-                            &reserved,
-                            max_runs,
-                            visited.as_mut(),
-                        );
+                        let r = worker.item(|worker| {
+                            run_item(proto, depth, &items[i], &reserved, max_runs, worker)
+                        });
                         runs += r.runs;
                         if r.violation.is_some() {
                             // gam-lint: allow(A001, reason = "fetch_min is order-insensitive: the cell converges to the minimum regardless of interleaving, and it only prunes indexes strictly above a known violation")
@@ -373,6 +448,7 @@ pub fn explore_swarm_par(
                 let seeds = seeds.clone();
                 let (best_seed, proto) = (&best_seed, &proto);
                 scope.spawn(move || {
+                    let mut worker = Worker::new(proto, 0);
                     let mut runs = 0u64;
                     let mut steps = 0u64;
                     let mut results = Vec::new();
@@ -383,13 +459,13 @@ pub fn explore_swarm_par(
                             break;
                         }
                         let mut source = RecordingSource::new(RandomSource::new(seed));
-                        let mut exec = proto.executor();
-                        let (out, consumed) =
-                            run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
-                        let report = exec.report(out == RunOutcome::Quiescent);
+                        proto.reset(&mut worker.exec);
+                        let (out, consumed) = worker.run(&mut source, scenario.max_steps);
                         runs += 1;
                         steps += consumed;
-                        if let Err(violation) = check_all(&report, scenario.variant) {
+                        let verdict =
+                            worker.verdict(out == RunOutcome::Quiescent, scenario.variant);
+                        if let Err(violation) = verdict {
                             // gam-lint: allow(A001, reason = "fetch_min converges to the lowest violating seed under any interleaving; it gates skipping only, the answer comes from the deterministic merge")
                             best_seed.fetch_min(seed, Ordering::Relaxed);
                             results.push((
@@ -440,6 +516,8 @@ pub(crate) fn merge(
     let mut snapshot_deep_bytes = 0u64;
     let mut snapshot_bytes_peak = 0u64;
     let mut por_pruned = 0u64;
+    let mut chunk_copies = 0u64;
+    let mut dedup_evictions = 0u64;
     let mut capped = false;
     let mut best: Option<(usize, Vec<ChoiceStep>, SpecViolation, u64)> = None;
     for (wr, loose_steps, results) in per_worker {
@@ -461,6 +539,8 @@ pub(crate) fn merge(
             snapshot_deep_bytes += r.snapshot_deep_bytes;
             snapshot_bytes_peak = snapshot_bytes_peak.max(r.snapshot_bytes_peak);
             por_pruned += r.por_pruned;
+            chunk_copies += r.chunk_copies;
+            dedup_evictions += r.dedup_evictions;
             if let Some((schedule, violation, seed)) = r.violation {
                 if best.as_ref().is_none_or(|(bi, ..)| idx < *bi) {
                     best = Some((idx, schedule, violation, seed));
@@ -489,6 +569,8 @@ pub(crate) fn merge(
         snapshot_deep_bytes,
         snapshot_bytes_peak,
         por_pruned,
+        chunk_copies,
+        dedup_evictions,
     }
 }
 
@@ -568,7 +650,7 @@ mod tests {
         let mut sorted = items.clone();
         sorted.sort();
         assert_eq!(items, sorted, "items must be in lexicographic order");
-        let b0 = arity_after(&proto, &[]);
+        let b0 = arity_after(&proto, &mut proto.executor(), &[]);
         assert!(b0 > 0);
         assert_eq!(
             items

@@ -16,17 +16,34 @@
 //! invisible to every reader, so digest walks over a `CowVec` are
 //! byte-identical to the flat-storage walks they replace.
 //!
+//! ## The restore direction
+//!
+//! Rewinding to a snapshot is [`Clone::clone_from`], and it is *copy-back*,
+//! not re-share: a chunk the destination still shares with the source is
+//! skipped, a chunk the destination owns alone (it was copied on a write
+//! since the snapshot) is overwritten in place, element by element, and
+//! only a chunk some third value also holds is re-shared. So an owner that
+//! rewinds to the same snapshot again and again — a backtracking search —
+//! keeps private copies of exactly the chunks it writes: after the first
+//! rewind neither the rewind nor the writes that follow it allocate or
+//! copy-on-write. The source is never written through; its chunks are only
+//! read. [`CowVec::refill`] with [`Refill::Share`] is the other direction,
+//! a snapshot taken *into* an old snapshot's storage: every chunk is
+//! shared as `Clone` shares it, and only the pointer table is reused.
+//!
 //! Cost accounting for the explorer's snapshot-bytes metric:
 //! [`CowVec::shallow_bytes`] is what a `Clone` actually copies (chunk
 //! pointers), [`CowVec::deep_bytes`] is what a deep element copy would
 //! have copied — the ratio is the explorer's headline saving.
+//! [`CowVec::chunk_copies`] counts the chunks this value copied element by
+//! element, on a write to a shared chunk or on a copy-back.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// A chunked vector whose `Clone` shares (seals) chunk storage and whose
 /// writes copy-on-write only the touched chunk. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CowVec<T> {
     /// Every chunk except the last holds exactly `1 << shift` elements;
     /// the last holds the remainder. The sum of chunk lengths is `len`.
@@ -34,6 +51,23 @@ pub struct CowVec<T> {
     len: usize,
     /// Chunk capacity is the power of two `1 << shift`.
     shift: u32,
+    /// Chunks this value copied element by element (see
+    /// [`CowVec::chunk_copies`]). Not logical content: equality ignores
+    /// it, a `clone` starts it at zero and a refill leaves the
+    /// destination's own count running.
+    copies: u64,
+}
+
+/// What [`CowVec::refill`] does with a chunk that differs from the
+/// source's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refill {
+    /// Restore: overwrite in place a chunk the destination owns alone,
+    /// re-share any other. This is [`Clone::clone_from`].
+    CopyBack,
+    /// Snapshot into old storage: share every chunk, as `Clone` does, and
+    /// reuse only the pointer table.
+    Share,
 }
 
 impl<T> Default for CowVec<T> {
@@ -52,6 +86,7 @@ impl<T> CowVec<T> {
             chunks: Vec::new(),
             len: 0,
             shift: cap.trailing_zeros(),
+            copies: 0,
         }
     }
 
@@ -105,9 +140,105 @@ impl<T> CowVec<T> {
     pub fn deep_bytes(&self) -> u64 {
         (self.len * std::mem::size_of::<T>()) as u64
     }
+
+    /// Chunks this value has copied element by element so far: writes that
+    /// found their chunk shared (copy-on-write) plus chunks a
+    /// [`Refill::CopyBack`] overwrote in place. A function of the
+    /// operations applied to this value and its clones, never of the host.
+    pub fn chunk_copies(&self) -> u64 {
+        self.copies
+    }
+}
+
+/// The accounting of one column with its element type erased, so that an
+/// owner of many columns lists them once and sums whichever figure it is
+/// asked for.
+pub trait ColumnStats {
+    /// [`CowVec::shallow_bytes`].
+    fn shallow_bytes(&self) -> u64;
+    /// [`CowVec::deep_bytes`].
+    fn deep_bytes(&self) -> u64;
+    /// [`CowVec::chunk_copies`].
+    fn chunk_copies(&self) -> u64;
+}
+
+impl<T> ColumnStats for CowVec<T> {
+    fn shallow_bytes(&self) -> u64 {
+        CowVec::shallow_bytes(self)
+    }
+    fn deep_bytes(&self) -> u64 {
+        CowVec::deep_bytes(self)
+    }
+    fn chunk_copies(&self) -> u64 {
+        CowVec::chunk_copies(self)
+    }
+}
+
+impl<T: Clone> Clone for CowVec<T> {
+    fn clone(&self) -> Self {
+        CowVec {
+            chunks: self.chunks.clone(),
+            len: self.len,
+            shift: self.shift,
+            copies: 0,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.refill(src, Refill::CopyBack);
+    }
 }
 
 impl<T: Clone> CowVec<T> {
+    /// Makes `self` read as `src` does, reusing what `self` already holds:
+    /// the pointer table always, and under [`Refill::CopyBack`] the chunks
+    /// `self` owns alone. A chunk both already share costs a pointer
+    /// compare. `src` is only read — no chunk of it is written, in either
+    /// mode.
+    pub fn refill(&mut self, src: &Self, how: Refill) {
+        let CowVec {
+            chunks,
+            len,
+            shift,
+            copies: _,
+        } = src;
+        self.chunks.truncate(chunks.len());
+        let common = self.chunks.len();
+        for (mine, theirs) in self.chunks.iter_mut().zip(chunks) {
+            if Arc::ptr_eq(mine, theirs) {
+                continue;
+            }
+            let own = match how {
+                Refill::CopyBack => Arc::get_mut(mine),
+                Refill::Share => None,
+            };
+            match own {
+                Some(own) => {
+                    own.clone_from(theirs);
+                    self.copies += 1;
+                }
+                None => *mine = Arc::clone(theirs),
+            }
+        }
+        self.chunks.extend(chunks[common..].iter().cloned());
+        self.len = *len;
+        self.shift = *shift;
+    }
+
+    /// Write access to chunk `ci`, copying it first if it is shared.
+    #[inline(always)]
+    fn chunk_mut(&mut self, ci: usize) -> &mut Vec<T> {
+        let chunk = &mut self.chunks[ci];
+        // A copy shows as the payload having moved: no second look at the
+        // reference count.
+        let before = Arc::as_ptr(chunk);
+        let payload = Arc::make_mut(chunk);
+        if !std::ptr::eq(before, payload) {
+            self.copies += 1;
+        }
+        payload
+    }
+
     /// Builds from `contents`, sealing full chunks as it goes.
     pub fn from_vec(chunk_capacity: usize, contents: Vec<T>) -> Self {
         let mut v = CowVec::new(chunk_capacity);
@@ -122,8 +253,7 @@ impl<T: Clone> CowVec<T> {
         if self.len == self.chunks.len() << self.shift {
             self.chunks.push(Arc::new(Vec::with_capacity(self.cap())));
         }
-        let last = self.chunks.last_mut().expect("chunk just ensured");
-        Arc::make_mut(last).push(value);
+        self.chunk_mut(self.chunks.len() - 1).push(value);
         self.len += 1;
     }
 
@@ -132,8 +262,8 @@ impl<T: Clone> CowVec<T> {
         if self.len == 0 {
             return None;
         }
-        let last = self.chunks.last_mut().expect("non-empty");
-        let value = Arc::make_mut(last).pop();
+        let last = self.chunk_mut(self.chunks.len() - 1);
+        let value = last.pop();
         if last.is_empty() {
             self.chunks.pop();
         }
@@ -170,7 +300,7 @@ impl<T> Index<usize> for CowVec<T> {
 impl<T: Clone> IndexMut<usize> for CowVec<T> {
     fn index_mut(&mut self, i: usize) -> &mut T {
         let cap = self.cap();
-        &mut Arc::make_mut(&mut self.chunks[i >> self.shift])[i & (cap - 1)]
+        &mut self.chunk_mut(i >> self.shift)[i & (cap - 1)]
     }
 }
 
@@ -227,10 +357,47 @@ mod tests {
         assert_eq!(snap.len(), 16);
         assert_eq!(c[5], 999);
         assert_eq!(c.len(), 17);
-        // …and restoring (= cloning the snapshot back) rewinds exactly.
-        c = snap.clone();
+        // …and restoring rewinds exactly.
+        c.clone_from(&snap);
         assert_eq!(c.len(), 16);
         assert_eq!(c[5], 5);
+    }
+
+    #[test]
+    fn restore_copies_back_into_owned_chunks_and_counts_it() {
+        let mut c = CowVec::from_vec(4, (0..16u64).collect());
+        let snap = c.clone();
+        assert_eq!(snap.chunk_copies(), 0, "a clone starts its own count");
+        c[5] = 999;
+        assert_eq!(
+            c.chunk_copies(),
+            1,
+            "first write to a shared chunk copies it"
+        );
+        c[6] = 1;
+        assert_eq!(c.chunk_copies(), 1, "the copy is private from then on");
+        c.clone_from(&snap);
+        assert_eq!(c, snap);
+        assert_eq!(c.chunk_copies(), 2, "one chunk differed: one copy-back");
+        c[5] = 7;
+        assert_eq!(c.chunk_copies(), 2, "the restored chunk stayed private");
+        assert_eq!(snap[5], 5, "and the snapshot was not written through");
+        c.clone_from(&snap);
+        c.clone_from(&snap);
+        assert_eq!(
+            c.chunk_copies(),
+            4,
+            "a private chunk is copied back unread: pointers are compared, not contents"
+        );
+        // A snapshot taken into old storage shares like a fresh one: the
+        // next write copies again, and the slot keeps what it captured.
+        c[5] = 7;
+        let mut slot = CowVec::from_vec(4, vec![42u64; 3]);
+        slot.refill(&c, Refill::Share);
+        assert_eq!((slot.len(), slot[5], slot.chunk_copies()), (16, 7, 0));
+        c[5] = 8;
+        assert_eq!(c.chunk_copies(), 5);
+        assert_eq!(slot[5], 7);
     }
 
     #[test]
@@ -256,6 +423,66 @@ mod tests {
         assert_eq!(c.pop(), Some(1));
         assert_eq!(c.pop(), None);
         assert!(c.is_empty());
+    }
+
+    proptest::proptest! {
+        /// `clone_from` is `clone`, and aliases never leak: three vectors
+        /// of heap rows under random pushes, pops, writes, clones and
+        /// restores (lengths shrinking and growing across them) read, after
+        /// every operation, exactly as three plain `Vec`s treated the same
+        /// way — so a restore makes `a == b`, leaves `b` and every other
+        /// live clone as they were, and no later write to one shows in
+        /// another.
+        #[test]
+        fn clone_from_is_clone_and_aliases_never_leak(
+            cap in 0usize..3,
+            ops in proptest::collection::vec((0u8..6, 0usize..3, 0usize..3, 0u16..1000), 1..200),
+        ) {
+            let cap = [2, 4, 32][cap];
+            let mut cow: Vec<CowVec<Vec<u16>>> = (0..3).map(|_| CowVec::new(cap)).collect();
+            let mut model: Vec<Vec<Vec<u16>>> = vec![Vec::new(); 3];
+            for (op, i, j, k) in ops {
+                match op {
+                    0 | 1 => {
+                        cow[i].push(vec![k]);
+                        model[i].push(vec![k]);
+                    }
+                    2 => proptest::prop_assert_eq!(cow[i].pop(), model[i].pop()),
+                    3 if !model[i].is_empty() => {
+                        let at = k as usize % model[i].len();
+                        cow[i][at].push(k);
+                        model[i][at].push(k);
+                    }
+                    4 => {
+                        cow[i] = cow[j].clone();
+                        model[i] = model[j].clone();
+                    }
+                    5 if i != j => {
+                        let src = cow[j].clone();
+                        cow[i].clone_from(&src);
+                        // Through the clone *and* through the original: the
+                        // second call finds every chunk already shared.
+                        let (a, b) = if i < j {
+                            let (lo, hi) = cow.split_at_mut(j);
+                            (&mut lo[i], &hi[0])
+                        } else {
+                            let (lo, hi) = cow.split_at_mut(i);
+                            (&mut hi[0], &lo[j])
+                        };
+                        a.clone_from(b);
+                        proptest::prop_assert!(a == b);
+                        model[i] = model[j].clone();
+                    }
+                    _ => {}
+                }
+                for (c, m) in cow.iter().zip(&model) {
+                    proptest::prop_assert_eq!(c.len(), m.len());
+                    proptest::prop_assert_eq!(c.last(), m.last());
+                    proptest::prop_assert!(c.iter().eq(m.iter()), "{:?} vs {:?}", c, m);
+                    proptest::prop_assert!((0..m.len()).all(|x| c[x] == m[x]));
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod time;
 mod trace;
 
 pub use automaton::{Automaton, History, NoDetector, StepCtx};
-pub use cow::CowVec;
+pub use cow::{ColumnStats, CowVec, Refill};
 pub use failure::{Environment, FailurePattern};
 pub use message::{Envelope, MessageBuffer, MsgId};
 pub use process::{Iter as ProcessSetIter, ProcessId, ProcessSet, MAX_PROCESSES};

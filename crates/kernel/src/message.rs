@@ -42,11 +42,33 @@ pub struct Envelope<M> {
 /// Sending a message to a destination set enqueues one copy per recipient
 /// (all sharing the same [`MsgId`]). Receiving removes one copy from the
 /// recipient's queue; the choice of *which* copy is made by the scheduler.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MessageBuffer<M> {
     queues: Vec<VecDeque<Envelope<M>>>,
     next_id: u64,
     total_sent: u64,
+}
+
+impl<M: Clone> Clone for MessageBuffer<M> {
+    fn clone(&self) -> Self {
+        MessageBuffer {
+            queues: self.queues.clone(),
+            next_id: self.next_id,
+            total_sent: self.total_sent,
+        }
+    }
+
+    /// Keeps every queue's ring buffer (a simulator restore lands here).
+    fn clone_from(&mut self, src: &Self) {
+        let MessageBuffer {
+            queues,
+            next_id,
+            total_sent,
+        } = src;
+        self.queues.clone_from(queues);
+        self.next_id = *next_id;
+        self.total_sent = *total_sent;
+    }
 }
 
 impl<M: Clone> MessageBuffer<M> {

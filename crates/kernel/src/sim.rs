@@ -65,11 +65,13 @@ pub enum RunOutcome {
 
 /// The simulator: automata + buffer + failure pattern + detector history.
 ///
-/// `Clone` deep-copies the entire simulation state (automata, in-flight
-/// messages, trace, scheduler cursor and RNG), so a clone restarted from a
-/// checkpoint replays bit-for-bit — the [`ScheduleSource`]-driven explorer
-/// relies on this for prefix-sharing DFS snapshots.
-#[derive(Debug, Clone)]
+/// `Clone` copies the entire simulation state (automata, in-flight
+/// messages, trace, scheduler cursor and RNG; the trace's sealed log chunks
+/// are shared, not copied), so a clone restarted from a checkpoint replays
+/// bit-for-bit — the [`ScheduleSource`]-driven explorer relies on this for
+/// prefix-sharing DFS snapshots. `clone_from` rewinds to such a checkpoint
+/// field by field, into the buffers the simulator already holds.
+#[derive(Debug)]
 pub struct Simulator<A: Automaton, H: History<Value = A::Fd>> {
     automata: Vec<A>,
     buffer: MessageBuffer<A::Msg>,
@@ -80,6 +82,45 @@ pub struct Simulator<A: Automaton, H: History<Value = A::Fd>> {
     trace: Trace<A::Event>,
     rng: StdRng,
     rr_cursor: usize,
+}
+
+impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulator<A, H> {
+    fn clone(&self) -> Self {
+        Simulator {
+            automata: self.automata.clone(),
+            buffer: self.buffer.clone(),
+            pattern: self.pattern.clone(),
+            history: self.history.clone(),
+            now: self.now,
+            crashed: self.crashed,
+            trace: self.trace.clone(),
+            rng: self.rng.clone(),
+            rr_cursor: self.rr_cursor,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Simulator {
+            automata,
+            buffer,
+            pattern,
+            history,
+            now,
+            crashed,
+            trace,
+            rng,
+            rr_cursor,
+        } = src;
+        self.automata.clone_from(automata);
+        self.buffer.clone_from(buffer);
+        self.pattern.clone_from(pattern);
+        self.history.clone_from(history);
+        self.now = *now;
+        self.crashed = *crashed;
+        self.trace.clone_from(trace);
+        self.rng.clone_from(rng);
+        self.rr_cursor = *rr_cursor;
+    }
 }
 
 impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {

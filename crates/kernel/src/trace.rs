@@ -44,7 +44,7 @@ pub struct TraceEvent<E> {
 /// [`CowVec`] chunks: cloning a `Trace` (as the DFS explorer's kernel
 /// snapshots do) shares every sealed chunk and copies only the chunk
 /// pointer table — O(len / chunk) instead of O(len).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Trace<E> {
     steps: CowVec<StepRecord>,
     events: CowVec<TraceEvent<E>>,
@@ -52,6 +52,38 @@ pub struct Trace<E> {
     sends_per_process: Vec<u64>,
     receives_per_process: Vec<u64>,
     record_schedule: bool,
+}
+
+impl<E: Clone> Clone for Trace<E> {
+    fn clone(&self) -> Self {
+        Trace {
+            steps: self.steps.clone(),
+            events: self.events.clone(),
+            steps_per_process: self.steps_per_process.clone(),
+            sends_per_process: self.sends_per_process.clone(),
+            receives_per_process: self.receives_per_process.clone(),
+            record_schedule: self.record_schedule,
+        }
+    }
+
+    /// The restore direction of the log chunks (see [`crate::cow`]); the
+    /// counter vectors keep their buffers.
+    fn clone_from(&mut self, src: &Self) {
+        let Trace {
+            steps,
+            events,
+            steps_per_process,
+            sends_per_process,
+            receives_per_process,
+            record_schedule,
+        } = src;
+        self.steps.clone_from(steps);
+        self.events.clone_from(events);
+        self.steps_per_process.clone_from(steps_per_process);
+        self.sends_per_process.clone_from(sends_per_process);
+        self.receives_per_process.clone_from(receives_per_process);
+        self.record_schedule = *record_schedule;
+    }
 }
 
 impl<E> Trace<E> {

@@ -9,12 +9,21 @@
 //! `steps_executed + steps_avoided` of the DFS equals `steps_executed` of
 //! the odometer engine on the same tree with the same dedup decisions,
 //! with a strict saving whenever the tree actually branches.
+//!
+//! All of which rests on `SnapshotExec::restore` rewinding bit for bit —
+//! checked here directly, crash plans included, because a restore rewrites
+//! the executor's own storage in place instead of replacing it.
 
+use genuine_multicast::engine::{replay, run_with_source_counted, PrefixTail, RuntimeSnapshot};
 use genuine_multicast::explore::{
     explore_exhaustive, explore_exhaustive_dfs, explore_exhaustive_dfs_par, Outcome,
     DEFAULT_SHRINK_BUDGET,
 };
+use genuine_multicast::kernel::{
+    ChoiceStep, RecordingSource, ReplaySource, RotatingSource, RunOutcome,
+};
 use genuine_multicast::prelude::*;
+use genuine_multicast::scenarios::{ScnDescriptor, FIXTURES};
 
 fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
     ExploreConfig {
@@ -235,4 +244,147 @@ fn run_cap_stops_both_engines_at_the_same_leaf() {
     assert_eq!(par.runs, 7);
     assert_eq!(par.outcome, Outcome::RunCapped);
     assert!(par.violations.is_empty());
+}
+
+/// Every fixture topology crash-free and with a member of its first group
+/// intersection (its last process, where no groups intersect) crashing
+/// mid-run, plus the pinned descriptor corpus — whose 479-process tree
+/// under `isect(4)` only release builds have the time for.
+fn restore_scenarios() -> Vec<(String, Scenario)> {
+    let mut out = Vec::new();
+    for (name, scenario, _) in fixture_scenarios() {
+        let system = &scenario.system;
+        let victim = system
+            .intersecting_pairs()
+            .first()
+            .and_then(|&(g, h)| system.intersection(g, h).min())
+            .or(system.universe().max())
+            .expect("non-empty system");
+        let mut crashy = scenario.clone();
+        crashy.crashes = vec![(victim, Time(12))];
+        out.push((name.to_string(), scenario));
+        out.push((format!("{name} crash {victim}@12"), crashy));
+    }
+    for (name, text) in FIXTURES {
+        let d = ScnDescriptor::parse(text).expect("pinned descriptor");
+        if cfg!(debug_assertions) && d.generate().system.universe().len() > 64 {
+            continue;
+        }
+        out.push((format!("corpus {name}"), Scenario::from_descriptor(&d)));
+    }
+    out
+}
+
+#[test]
+fn restore_rewinds_bit_for_bit_and_never_writes_the_snapshot() {
+    for (name, scenario) in restore_scenarios() {
+        let budget = scenario.max_steps;
+        // A few fair steps in, then on to the next point where the schedule
+        // branches: `head` is how a cold executor gets there.
+        let mut exec = scenario.runtime_executor();
+        let mut rec = RecordingSource::new(RotatingSource::default());
+        let (_, mut taken) = run_with_source_counted(&mut exec, &mut rec, 6);
+        let mut head = rec.into_log();
+        let mut options = Vec::new();
+        let children = loop {
+            assert!(taken < budget, "{name}: no branch point");
+            exec.enabled_actions(&mut options);
+            let mut flat = options
+                .iter()
+                .flat_map(|&(pid, arity)| (0..arity).map(move |choice| ChoiceStep { pid, choice }));
+            match (flat.next(), flat.next()) {
+                (None, _) => {
+                    assert!(!exec.is_quiescent(), "{name}: over before it branched");
+                    exec.idle_tick();
+                }
+                (Some(only), None) => {
+                    exec.step(only);
+                    head.push(only);
+                }
+                (Some(a), Some(b)) => break [a, b],
+            }
+            taken += 1;
+        };
+        let snap = exec.snapshot();
+        let at = (exec.state_digest(), exec.state_fingerprint());
+
+        // One child's step, then the fair tail to the end of the run.
+        let finish = |exec: &mut RuntimeExecutor, child: ChoiceStep| {
+            let mut src = PrefixTail::new(ReplaySource::new(vec![child]));
+            let (out, _) = run_with_source_counted(exec, &mut src, budget - taken);
+            (out, exec.state_digest(), exec.state_fingerprint())
+        };
+        let rewind = |exec: &mut RuntimeExecutor, to: &RuntimeSnapshot, what: &str| {
+            exec.restore(to);
+            assert!(exec.runtime().ready_set_is_current(), "{name}: {what}");
+            assert_eq!(
+                (exec.state_digest(), exec.state_fingerprint()),
+                at,
+                "{name}: {what} must land on the checkpoint"
+            );
+        };
+
+        let first = finish(&mut exec, children[0]);
+        assert_eq!(first.0, RunOutcome::Quiescent, "{name}");
+        rewind(&mut exec, &snap, "restore after child 0");
+        let other = finish(&mut exec, children[1]);
+        rewind(&mut exec, &snap, "restore after child 1");
+        assert_eq!(
+            finish(&mut exec, children[0]),
+            first,
+            "{name}: child 0 again"
+        );
+
+        // A cold executor replaying the same path from the start agrees.
+        let mut cold = scenario.runtime_executor();
+        head.push(children[0]);
+        let out = replay(&mut cold, &head, budget);
+        assert_eq!(
+            (out, cold.state_digest(), cold.state_fingerprint()),
+            first,
+            "{name}: cold replay"
+        );
+
+        // Twins rewind each other: a snapshot taken on one executor
+        // restores the other, in both directions, mid-run or finished.
+        let mut twin = RuntimeExecutor::from_snapshot(&snap);
+        assert_eq!(finish(&mut twin, children[1]), other, "{name}: twin");
+        rewind(&mut exec, &snap, "restore before the exchange");
+        let taken_on_exec = exec.snapshot();
+        rewind(
+            &mut twin,
+            &taken_on_exec,
+            "twin restored from exec's snapshot",
+        );
+        let taken_on_twin = twin.snapshot();
+        assert_eq!(
+            finish(&mut twin, children[0]),
+            first,
+            "{name}: twin, child 0"
+        );
+        assert_eq!(
+            finish(&mut exec, children[1]),
+            other,
+            "{name}: exec, child 1"
+        );
+        rewind(
+            &mut exec,
+            &taken_on_twin,
+            "exec restored from twin's snapshot",
+        );
+        assert_eq!(
+            finish(&mut exec, children[0]),
+            first,
+            "{name}: exec, child 0"
+        );
+
+        // After all of it the first snapshot still is what it captured.
+        let check = RuntimeExecutor::from_snapshot(&snap);
+        assert!(check.runtime().ready_set_is_current(), "{name}: snapshot");
+        assert_eq!(
+            (check.state_digest(), check.state_fingerprint()),
+            at,
+            "{name}: the snapshot was written through"
+        );
+    }
 }
