@@ -19,6 +19,24 @@
 //! The result is a genuine atomic multicast over messages: safety from the
 //! ordered objects, liveness from `μ` (γ unblocks faulty cyclic families),
 //! and minimality because every object's traffic stays within its scope.
+//!
+//! ## What a step costs
+//!
+//! What it touches, not what the process has seen. The `μ` sample arrives
+//! by reference from the simulator, which queries the history once per
+//! window of `μ` ([`History::stable_until`]). The received envelope goes to
+//! the one sub-protocol it is tagged for; each hosted consensus automaton
+//! visits its open instances only, and a fast log never rereads a closed
+//! slot. Deciding a command folds it into the view *and* into what the
+//! guards read about the message it concerns — whether it is known, who
+//! announced a position for it (and the highest), who declared it
+//! stabilised — so no guard scans a log for announcements, and "everything
+//! before `m` in `LOG`" walks the log's own `<_L` index and stops at the
+//! first message that blocks. Activity is "a saga is running or an
+//! undelivered known message is listed". All of that is derived state of
+//! the views and phases; debug builds re-derive it after every step, and
+//! `tests/levelb_identity.rs` pins that runs are step-for-step what they
+//! were when each step re-read every log.
 
 use crate::message::{Datum, MessageId};
 use crate::phase::Phase;
@@ -30,6 +48,7 @@ use gam_objects::{
     SlotDecided,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// A command of a group's replicated state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,27 +88,66 @@ pub enum DistMsg {
     Pair(GroupId, GroupId, FastLogMsg),
 }
 
-/// The `μ` sample a step consumes, flattened per object scope.
-#[derive(Debug, Clone)]
+/// The pairs `(g, h)`, `g < h`, of `groups`, in lexicographic order: the
+/// `LOG_{g∩h}` objects hosted by a process whose groups are `groups` (any
+/// two of them intersect, at that process). [`DistFd::pairs`] and the pair
+/// views of [`DistProcess`] both follow this order.
+fn pairs_among(groups: GroupSet) -> impl Iterator<Item = (GroupId, GroupId)> {
+    groups
+        .iter()
+        .flat_map(move |g| groups.iter().filter(move |h| g < *h).map(move |h| (g, h)))
+}
+
+/// The `μ` sample a step of one process consumes, flattened per object
+/// scope of **that process**: one entry per group it belongs to, ascending,
+/// and one per pair of them ([`DistProcess`] keeps its views in the same
+/// order). The scopes it is outside of output `⊥` and are left out.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistFd {
-    /// `(Ω_g, Σ_g)` per group index.
+    /// `(Ω_g, Σ_g)` per group of the process.
     pub groups: Vec<OmegaSigma>,
-    /// `Σ_{g∩h}` per intersecting pair (normalised).
-    pub pairs: BTreeMap<(GroupId, GroupId), Option<ProcessSet>>,
-    /// `γ(g)` per group index, at this process.
+    /// `Σ_{g∩h}` per pair `g < h` of the process's groups.
+    pub pairs: Vec<Option<ProcessSet>>,
+    /// `γ(g)` at this process, per group of the process.
     pub gamma: Vec<GroupSet>,
 }
 
-/// A [`History`] producing [`DistFd`] samples from a [`MuOracle`].
+/// A [`History`] producing [`DistFd`] samples from a [`MuOracle`]. The
+/// oracle is a constant of the run: clones (a simulator checkpoint holds
+/// one) share it.
 #[derive(Debug, Clone)]
-pub struct MuHistory {
+pub struct MuHistory(Arc<MuScopes>);
+
+#[derive(Debug)]
+struct MuScopes {
     mu: MuOracle,
+    /// Per process index: the layout of its samples, computed once.
+    of: Vec<Scopes>,
+}
+
+/// The object scopes of one process: its groups, ascending, and the pairs
+/// of them.
+#[derive(Debug)]
+struct Scopes {
+    groups: Vec<GroupId>,
+    pairs: Vec<(GroupId, GroupId)>,
 }
 
 impl MuHistory {
     /// Wraps the candidate oracle.
     pub fn new(mu: MuOracle) -> Self {
-        MuHistory { mu }
+        let system = mu.system();
+        let n = system.universe().max().map_or(0, |p| p.index() + 1);
+        let of = (0..n)
+            .map(|i| {
+                let groups = system.groups_of(ProcessId(i as u32));
+                Scopes {
+                    groups: groups.iter().collect(),
+                    pairs: pairs_among(groups).collect(),
+                }
+            })
+            .collect();
+        MuHistory(Arc::new(MuScopes { mu, of }))
     }
 }
 
@@ -97,34 +155,100 @@ impl History for MuHistory {
     type Value = DistFd;
 
     fn sample(&self, p: ProcessId, t: Time) -> DistFd {
-        let system = self.mu.system();
-        let groups = system
-            .iter()
-            .map(|(g, _)| OmegaSigma {
-                leader: self.mu.omega(g, p, t),
-                quorum: self.mu.sigma(g, g, p, t),
-            })
-            .collect();
-        let pairs = system
-            .intersecting_pairs()
-            .into_iter()
-            .map(|(g, h)| ((g, h), self.mu.sigma(g, h, p, t)))
-            .collect();
-        let gamma = system
-            .iter()
-            .map(|(g, _)| self.mu.gamma_groups(p, g, t))
-            .collect();
+        let mu = &self.0.mu;
+        let Scopes { groups, pairs } = &self.0.of[p.index()];
         DistFd {
-            groups,
-            pairs,
-            gamma,
+            groups: groups
+                .iter()
+                .map(|&g| OmegaSigma {
+                    leader: mu.omega(g, p, t),
+                    quorum: mu.sigma(g, g, p, t),
+                })
+                .collect(),
+            pairs: pairs.iter().map(|&(g, h)| mu.sigma(g, h, p, t)).collect(),
+            gamma: groups.iter().map(|&g| mu.gamma_groups(p, g, t)).collect(),
         }
+    }
+
+    /// Every constituent of `μ` vouches for its own output; the sample
+    /// holds until the first of them may move.
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        self.0.mu.stable_until(p, t)
+    }
+}
+
+/// What this process has folded about one message: where it stands in
+/// Algorithm 1 here, and the announcements about it decided in the log of
+/// its group so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MsgState {
+    id: MessageId,
+    /// `dst(m)`.
+    group: GroupId,
+    phase: Phase,
+    /// Whether the process may act on the message: it was multicast here,
+    /// or some earlier step ended with it in `LOG_g`.
+    known: bool,
+    /// The groups `h` with some `(m, h, i)` in `LOG_g`.
+    pos_groups: GroupSet,
+    /// The highest such `i` (0: none yet; positions start at 1).
+    pos_max: u64,
+    /// The groups `h` with `(m, h)` in `LOG_g`.
+    stab_groups: GroupSet,
+}
+
+/// Every message the process has seen, ascending by id.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct MsgTable(Vec<MsgState>);
+
+impl MsgTable {
+    fn get(&self, m: MessageId) -> Option<&MsgState> {
+        let at = self.0.binary_search_by_key(&m, |s| s.id).ok()?;
+        Some(&self.0[at])
+    }
+
+    /// The entry of `m`, created (unknown, in `start`) if this is the first
+    /// the process sees of it.
+    fn entry(&mut self, m: MessageId, group: GroupId) -> &mut MsgState {
+        let at = match self.0.binary_search_by_key(&m, |s| s.id) {
+            Ok(at) => at,
+            Err(at) => {
+                let fresh = MsgState {
+                    id: m,
+                    group,
+                    phase: Phase::Start,
+                    known: false,
+                    pos_groups: GroupSet::EMPTY,
+                    pos_max: 0,
+                    stab_groups: GroupSet::EMPTY,
+                };
+                self.0.insert(at, fresh);
+                at
+            }
+        };
+        &mut self.0[at]
+    }
+
+    fn get_mut(&mut self, m: MessageId) -> Option<&mut MsgState> {
+        let at = self.0.binary_search_by_key(&m, |s| s.id).ok()?;
+        Some(&mut self.0[at])
+    }
+
+    fn phase_of(&self, m: MessageId) -> Phase {
+        self.get(m).map_or(Phase::Start, |s| s.phase)
+    }
+
+    fn set_phase(&mut self, m: MessageId, phase: Phase) {
+        self.get_mut(m)
+            .expect("phases move on known messages")
+            .phase = phase;
     }
 }
 
 /// The folded view of one group's SMR at this process.
 #[derive(Debug, Clone)]
 struct GroupView {
+    id: GroupId,
     paxos: PaxosProcess<GroupCmd>,
     /// How many instances have been folded so far.
     applied: u64,
@@ -140,8 +264,9 @@ struct GroupView {
 }
 
 impl GroupView {
-    fn new(me: ProcessId, members: ProcessSet, family: GroupSet) -> Self {
+    fn new(id: GroupId, me: ProcessId, members: ProcessSet, family: GroupSet) -> Self {
         GroupView {
+            id,
             family,
             paxos: PaxosProcess::new(me, members),
             applied: 0,
@@ -161,15 +286,30 @@ impl GroupView {
         }
     }
 
-    /// Folds newly decided instances; returns `true` if anything changed.
-    fn fold(&mut self) -> bool {
-        let mut changed = false;
+    /// Folds newly decided instances into the view, into what `msgs` holds
+    /// about the messages they concern (the announcement sets; helping —
+    /// any `Msg` datum decided into `LOG_g` is `learned`, to become known
+    /// when the step ends), and retires the outbox commands they complete.
+    fn fold(&mut self, msgs: &mut MsgTable, learned: &mut Vec<MessageId>) {
         while let Some(cmd) = self.paxos.decision(self.applied).cloned() {
             self.applied += 1;
-            changed = true;
             match cmd {
                 GroupCmd::Append(d) => {
                     self.log.append(d);
+                    let about = msgs.entry(d.message(), self.id);
+                    match d {
+                        // what is said of `m` is read in the log of dst(m)
+                        _ if about.group != self.id => {}
+                        Datum::Msg(m) if !about.known => learned.push(m),
+                        Datum::Msg(_) => {}
+                        Datum::PosAnn(_, h, i) => {
+                            about.pos_groups.insert(h);
+                            about.pos_max = about.pos_max.max(i);
+                        }
+                        Datum::StabAnn(_, h) => {
+                            about.stab_groups.insert(h);
+                        }
+                    }
                 }
                 GroupCmd::BumpLock(m, k) => {
                     // appended before bumped by the issuing saga's ordering;
@@ -190,7 +330,6 @@ impl GroupView {
                 break;
             }
         }
-        changed
     }
 
     /// Proposes the head outbox command at the next free instance.
@@ -217,17 +356,18 @@ impl GroupView {
 /// The folded view of one `LOG_{g∩h}` fast log at this process.
 #[derive(Debug, Clone)]
 struct PairView {
+    /// `(g, h)`, `g < h`.
+    key: (GroupId, GroupId),
+    /// Where `g`'s view (and its `Ω_g ∧ Σ_g` sample) sits among the groups.
+    g_slot: usize,
     fl: FastLogProcess,
     applied: usize,
     log: Log<Datum>,
 }
 
 impl PairView {
-    fn fold(&mut self) -> bool {
-        let cmds = self.fl.log();
-        let mut changed = false;
-        for cmd in &cmds[self.applied..] {
-            changed = true;
+    fn fold(&mut self) {
+        for cmd in &self.fl.learnt()[self.applied..] {
             let (bump, m) = decode_pair_cmd(*cmd);
             match bump {
                 None => {
@@ -240,8 +380,7 @@ impl PairView {
                 }
             }
         }
-        self.applied = cmds.len();
-        changed
+        self.applied = self.fl.learnt().len();
     }
 
     fn done(&self, cmd: u64) -> bool {
@@ -273,25 +412,101 @@ struct Saga {
     then: Option<Phase>,
 }
 
+/// Deterministic work counters of a [`DistProcess`], read with
+/// [`DistProcess::counters`]: functions of the steps the process took,
+/// never of the host, and no part of its state — a `clone` starts counting
+/// from zero, `clone_from` rewinds them to the source's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DistCounters {
+    /// Consensus instances the proposer loops of the hosted `Ω ∧ Σ`
+    /// consensus automata (group SMRs, fast-log backups) visited.
+    pub instances_visited: u64,
+    /// Walks over a log in `<_L` order (the "everything before `m`" guards
+    /// of the pending, stabilise and deliver actions).
+    pub log_order_walks: u64,
+}
+
 /// One process of the distributed deployment.
-#[derive(Debug, Clone)]
+///
+/// Protocol state is the views (the sub-protocol automata with the logs
+/// and consensus tables folded from their decisions), `delivered`, the
+/// running saga and, per message, its phase. The rest is *derived* and kept
+/// current as decisions are folded instead of being re-read from the logs
+/// at every step: which messages are known, the announcement sets of each,
+/// and `live` — so a step costs what it touches, not what the process has
+/// seen. Debug builds re-derive all of it after every step.
+#[derive(Debug)]
 pub struct DistProcess {
     me: ProcessId,
-    system: GroupSystem,
     my_groups: GroupSet,
-    groups: BTreeMap<GroupId, GroupView>,
-    pairs: BTreeMap<(GroupId, GroupId), PairView>,
-    phase: BTreeMap<MessageId, Phase>,
+    /// One view per group of this process, ascending.
+    groups: Vec<GroupView>,
+    /// One view per pair of them, in [`pairs_among`] order.
+    pairs: Vec<PairView>,
+    msgs: MsgTable,
+    /// The known messages not yet delivered here, ascending: the candidates
+    /// of the next action. Empty, with no saga running, is inactivity.
+    live: Vec<MessageId>,
+    /// Submissions read in a group log during this step (`L_g` is
+    /// approximated by gossiping submissions through the group SMR, which
+    /// also provides the total order): known from the end of the step on.
+    learned: Vec<MessageId>,
     delivered: Vec<MessageId>,
-    /// Submitted multicast requests this process knows of: the client layer
-    /// broadcast (`L_g` is approximated by gossiping submissions, then the
-    /// group SMR provides the actual total order).
-    known: BTreeMap<MessageId, GroupId>,
     saga: Option<Saga>,
     /// Pending `(m, h, i)` announcements collected by `ReadPairPos`.
     pending_pos: Vec<(MessageId, GroupId, u64)>,
     /// A delivery performed by the last `schedule_action`, to be emitted.
     pending_delivery: Option<MessageId>,
+    counters: DistCounters,
+}
+
+impl Clone for DistProcess {
+    fn clone(&self) -> Self {
+        DistProcess {
+            me: self.me,
+            my_groups: self.my_groups,
+            groups: self.groups.clone(),
+            pairs: self.pairs.clone(),
+            msgs: self.msgs.clone(),
+            live: self.live.clone(),
+            learned: self.learned.clone(),
+            delivered: self.delivered.clone(),
+            saga: self.saga.clone(),
+            pending_pos: self.pending_pos.clone(),
+            pending_delivery: self.pending_delivery,
+            counters: DistCounters::default(),
+        }
+    }
+
+    /// Rewinds into the buffers this process already holds.
+    fn clone_from(&mut self, src: &Self) {
+        let DistProcess {
+            me,
+            my_groups,
+            groups,
+            pairs,
+            msgs,
+            live,
+            learned,
+            delivered,
+            saga,
+            pending_pos,
+            pending_delivery,
+            counters,
+        } = src;
+        self.me = *me;
+        self.my_groups = *my_groups;
+        self.groups.clone_from(groups);
+        self.pairs.clone_from(pairs);
+        self.msgs.0.clone_from(&msgs.0);
+        self.live.clone_from(live);
+        self.learned.clone_from(learned);
+        self.delivered.clone_from(delivered);
+        self.saga.clone_from(saga);
+        self.pending_pos.clone_from(pending_pos);
+        self.pending_delivery = *pending_delivery;
+        self.counters = *counters;
+    }
 }
 
 /// Emitted on local delivery.
@@ -302,41 +517,49 @@ pub struct DistDelivered {
 }
 
 impl DistProcess {
-    /// Creates the automaton for `me` over `system`.
+    /// Creates the automaton for `me` over `system`. Enumerates `ℱ`; to
+    /// build every process of a system, enumerate it once and use
+    /// [`DistProcess::with_families`].
     pub fn new(me: ProcessId, system: &GroupSystem) -> Self {
+        Self::with_families(me, system, &system.cyclic_families())
+    }
+
+    /// [`DistProcess::new`] against an already enumerated `ℱ` (`cyclic`
+    /// must be [`GroupSystem::cyclic_families`] of `system`).
+    pub fn with_families(me: ProcessId, system: &GroupSystem, cyclic: &[GroupSet]) -> Self {
         let my_groups = system.groups_of(me);
-        let cyclic = system.cyclic_families();
-        let mut groups = BTreeMap::new();
-        let mut pairs = BTreeMap::new();
-        for g in my_groups {
-            let family = system.h_set_among(&cyclic, me, g);
-            groups.insert(g, GroupView::new(me, system.members(g), family));
-            for h in my_groups {
-                if g < h && system.intersecting(g, h) {
-                    let inter = system.intersection(g, h);
-                    pairs.insert(
-                        (g, h),
-                        PairView {
-                            fl: FastLogProcess::new(me, inter, system.members(g)),
-                            applied: 0,
-                            log: Log::new(),
-                        },
-                    );
-                }
-            }
-        }
+        let groups: Vec<GroupView> = my_groups
+            .iter()
+            .map(|g| {
+                let family = system.h_set_among(cyclic, me, g);
+                GroupView::new(g, me, system.members(g), family)
+            })
+            .collect();
+        let pairs = pairs_among(my_groups)
+            .map(|(g, h)| PairView {
+                key: (g, h),
+                g_slot: my_groups
+                    .iter()
+                    .position(|x| x == g)
+                    .expect("g ∈ my groups"),
+                fl: FastLogProcess::new(me, system.intersection(g, h), system.members(g)),
+                applied: 0,
+                log: Log::new(),
+            })
+            .collect();
         DistProcess {
             me,
-            system: system.clone(),
             my_groups,
             groups,
             pairs,
-            phase: BTreeMap::new(),
+            msgs: MsgTable::default(),
+            live: Vec::new(),
+            learned: Vec::new(),
             delivered: Vec::new(),
-            known: BTreeMap::new(),
             saga: None,
             pending_pos: Vec::new(),
             pending_delivery: None,
+            counters: DistCounters::default(),
         }
     }
 
@@ -348,7 +571,8 @@ impl DistProcess {
     /// Panics if this process is not a member of `group`.
     pub fn multicast(&mut self, m: MessageId, group: GroupId) {
         assert!(self.my_groups.contains(group), "src(m) ∈ dst(m) required");
-        self.known.insert(m, group);
+        self.msgs.entry(m, group);
+        self.learn(m);
     }
 
     /// The local delivery sequence.
@@ -356,217 +580,223 @@ impl DistProcess {
         &self.delivered
     }
 
-    fn phase_of(&self, m: MessageId) -> Phase {
-        self.phase.get(&m).copied().unwrap_or(Phase::Start)
+    /// The work counters accumulated by this process.
+    pub fn counters(&self) -> DistCounters {
+        self.counters
     }
 
-    /// The log holding `m`'s entries for pair `(g, h)` (group log if `g=h`).
-    fn pair_log(&self, g: GroupId, h: GroupId) -> Option<&Log<Datum>> {
-        if g == h {
-            self.groups.get(&g).map(|v| &v.log)
-        } else {
-            let key = if g < h { (g, h) } else { (h, g) };
-            self.pairs.get(&key).map(|v| &v.log)
+    /// Makes a seen message known: a candidate of the next actions.
+    fn learn(&mut self, m: MessageId) {
+        let about = self.msgs.get_mut(m).expect("seen before known");
+        if !about.known {
+            about.known = true;
+            if let Err(at) = self.live.binary_search(&m) {
+                self.live.insert(at, m);
+            }
         }
     }
 
-    fn msgs_before(&self, g: GroupId, h: GroupId, m: MessageId) -> Vec<MessageId> {
-        let Some(log) = self.pair_log(g, h) else {
-            return Vec::new();
-        };
-        let me = Datum::Msg(m);
-        log.iter_in_order()
-            .filter(|d| log.before(d, &me))
-            .filter_map(|d| d.as_msg())
-            .collect()
+    /// Where the view of `g` sits in `groups` (and `g`'s entries in a
+    /// [`DistFd`]).
+    fn group_slot(&self, g: GroupId) -> usize {
+        self.groups
+            .binary_search_by_key(&g, |v| v.id)
+            .expect("only groups this process hosts are looked up")
     }
 
-    /// Starts the next enabled action, if any (one saga at a time).
+    fn pair_slot(&self, g: GroupId, h: GroupId) -> usize {
+        self.pairs
+            .binary_search_by_key(&(g.min(h), g.max(h)), |v| v.key)
+            .expect("only pairs this process hosts are looked up")
+    }
+
+    /// The log holding `m`'s entries for pair `(g, h)` (group log if `g=h`).
+    fn pair_log(&self, g: GroupId, h: GroupId) -> &Log<Datum> {
+        if g == h {
+            &self.groups[self.group_slot(g)].log
+        } else {
+            &self.pairs[self.pair_slot(g, h)].log
+        }
+    }
+
+    /// Whether every message before `m` in the log of `(g, h)` has reached
+    /// `at_least` at this process — a walk over the log's own order that
+    /// stops at the first message that has not (vacuous when `m` is not in
+    /// the log).
+    fn all_before(&mut self, g: GroupId, h: GroupId, m: MessageId, at_least: Phase) -> bool {
+        self.counters.log_order_walks += 1;
+        self.pair_log(g, h)
+            .iter_before(&Datum::Msg(m))
+            .filter_map(Datum::as_msg)
+            .all(|m2| self.msgs.phase_of(m2) >= at_least)
+    }
+
+    fn start_saga(&mut self, msg: MessageId, ops: impl Into<VecDeque<Op>>, then: Option<Phase>) {
+        self.saga = Some(Saga {
+            msg,
+            ops: ops.into(),
+            issued: false,
+            then,
+        });
+    }
+
+    /// Starts the next enabled action, if any (one saga at a time): the
+    /// first, over the undelivered messages in id order, whose guard holds.
+    /// Every group `h` of this process intersects `dst(m)` (here), so the
+    /// "`h` with `g ∩ h ≠ ∅`" of Algorithm 1 range over `my_groups`.
     fn schedule_action(&mut self, fd: &DistFd) {
         if self.saga.is_some() {
             return;
         }
-        // Collect candidate messages addressed to one of my groups.
-        let mut candidates: Vec<(MessageId, GroupId)> = self
-            .known
-            .iter()
-            .map(|(m, g)| (*m, *g))
-            .filter(|(_, g)| self.my_groups.contains(*g))
-            .collect();
-        candidates.sort();
-        for (m, g) in candidates {
-            let group_log = &self.groups[&g].log;
-            match self.phase_of(m) {
+        let mut next = 0;
+        while let Some(&m) = self.live.get(next) {
+            next += 1;
+            let about = *self.msgs.get(m).expect("live messages are in the table");
+            let g = about.group;
+            let g_slot = self.group_slot(g);
+            match about.phase {
                 Phase::Start => {
                     // client layer: inject m into LOG_g (help-multicast),
                     // in submission (id) order per group
-                    if !group_log.contains(&Datum::Msg(m)) {
-                        let earlier_pending = self.known.iter().any(|(m2, g2)| {
-                            *g2 == g && *m2 < m && self.phase_of(*m2) != Phase::Deliver
-                        });
+                    if !self.groups[g_slot].log.contains(&Datum::Msg(m)) {
+                        let earlier_pending = self.live[..next - 1]
+                            .iter()
+                            .any(|m2| self.msgs.get(*m2).is_some_and(|s| s.group == g));
                         if !earlier_pending {
-                            self.saga = Some(Saga {
-                                msg: m,
-                                ops: VecDeque::from([Op::Group(
-                                    g,
-                                    GroupCmd::Append(Datum::Msg(m)),
-                                )]),
-                                issued: false,
-                                then: None,
-                            });
+                            let append = Op::Group(g, GroupCmd::Append(Datum::Msg(m)));
+                            self.start_saga(m, [append], None);
                             return;
                         }
                         continue;
                     }
                     // pending action (lines 8–15)
-                    let prior_ok = self
-                        .msgs_before(g, g, m)
-                        .into_iter()
-                        .all(|m2| self.phase_of(m2) >= Phase::Commit);
-                    if prior_ok {
+                    if self.all_before(g, g, m, Phase::Commit) {
                         let mut ops = VecDeque::new();
                         for h in self.my_groups {
-                            if h == g || self.system.intersecting(g, h) {
-                                if h != g {
-                                    ops.push_back(Op::Pair(
-                                        g.min(h),
-                                        g.max(h),
-                                        encode_pair_cmd(None, m),
-                                    ));
-                                }
-                                ops.push_back(Op::ReadPairPos(g, h, m));
+                            if h != g {
+                                ops.push_back(Op::Pair(
+                                    g.min(h),
+                                    g.max(h),
+                                    encode_pair_cmd(None, m),
+                                ));
                             }
+                            ops.push_back(Op::ReadPairPos(g, h, m));
                         }
-                        self.saga = Some(Saga {
-                            msg: m,
-                            ops,
-                            issued: false,
-                            then: Some(Phase::Pending),
-                        });
+                        self.start_saga(m, ops, Some(Phase::Pending));
                         return;
                     }
                 }
                 Phase::Pending => {
                     // commit action (lines 16–24)
-                    let gamma_g = fd.gamma[g.index()];
-                    let have_all = gamma_g.iter().all(|h| {
-                        group_log
-                            .iter_in_order()
-                            .any(|d| matches!(d, Datum::PosAnn(m2, h2, _) if *m2 == m && *h2 == h))
-                    });
-                    if !have_all {
+                    if !fd.gamma[g_slot].is_subset(about.pos_groups) {
                         continue;
                     }
-                    let view = &self.groups[&g];
+                    let view = &self.groups[g_slot];
                     let f = view.family;
-                    let decided = view.cons.get(&(m, f)).copied();
-                    match decided {
+                    match view.cons.get(&(m, f)).copied() {
                         None => {
-                            let k = group_log
-                                .iter_in_order()
-                                .filter_map(|d| match d {
-                                    Datum::PosAnn(m2, _, i) if *m2 == m => Some(*i),
-                                    _ => None,
-                                })
-                                .max()
-                                .unwrap_or(1);
-                            self.saga = Some(Saga {
-                                msg: m,
-                                ops: VecDeque::from([Op::Group(g, GroupCmd::ConsPropose(m, f, k))]),
-                                issued: false,
-                                then: None,
-                            });
-                            return;
+                            let k = about.pos_max.max(1);
+                            let propose = Op::Group(g, GroupCmd::ConsPropose(m, f, k));
+                            self.start_saga(m, [propose], None);
                         }
                         Some(k) => {
-                            let mut ops = VecDeque::new();
-                            for h in self.my_groups {
-                                if h == g {
-                                    ops.push_back(Op::Group(g, GroupCmd::BumpLock(m, k)));
-                                } else if self.system.intersecting(g, h) {
-                                    ops.push_back(Op::Pair(
-                                        g.min(h),
-                                        g.max(h),
-                                        encode_pair_cmd(Some(k), m),
-                                    ));
-                                }
-                            }
-                            self.saga = Some(Saga {
-                                msg: m,
-                                ops,
-                                issued: false,
-                                then: Some(Phase::Commit),
-                            });
-                            return;
+                            let ops: VecDeque<Op> = self
+                                .my_groups
+                                .iter()
+                                .map(|h| {
+                                    if h == g {
+                                        Op::Group(g, GroupCmd::BumpLock(m, k))
+                                    } else {
+                                        Op::Pair(g.min(h), g.max(h), encode_pair_cmd(Some(k), m))
+                                    }
+                                })
+                                .collect();
+                            self.start_saga(m, ops, Some(Phase::Commit));
                         }
                     }
+                    return;
                 }
                 Phase::Commit => {
                     // stabilise actions (lines 25–29), one group at a time
-                    for h in self.my_groups {
-                        if h == g || !self.system.intersecting(g, h) {
-                            continue;
-                        }
-                        if group_log.contains(&Datum::StabAnn(m, h)) {
-                            continue;
-                        }
-                        let prior_stable = self
-                            .msgs_before(g, h, m)
-                            .into_iter()
-                            .all(|m2| self.phase_of(m2) >= Phase::Stable);
-                        if prior_stable {
-                            self.saga = Some(Saga {
-                                msg: m,
-                                ops: VecDeque::from([Op::Group(
-                                    g,
-                                    GroupCmd::Append(Datum::StabAnn(m, h)),
-                                )]),
-                                issued: false,
-                                then: None,
-                            });
+                    for h in self.my_groups - about.stab_groups {
+                        if h != g && self.all_before(g, h, m, Phase::Stable) {
+                            let announce = Op::Group(g, GroupCmd::Append(Datum::StabAnn(m, h)));
+                            self.start_saga(m, [announce], None);
                             return;
                         }
                     }
                     // stable action (lines 30–33)
-                    let gamma_g = fd.gamma[g.index()];
-                    let stable_ok = gamma_g
-                        .iter()
-                        .all(|h| group_log.contains(&Datum::StabAnn(m, h)));
-                    if stable_ok {
-                        self.phase.insert(m, Phase::Stable);
-                        continue;
+                    if fd.gamma[g_slot].is_subset(about.stab_groups) {
+                        self.msgs.set_phase(m, Phase::Stable);
                     }
                 }
                 Phase::Stable => {
                     // deliver action (lines 34–37)
-                    let ok = self.my_groups.iter().all(|h| {
-                        if h != g && !self.system.intersecting(g, h) {
-                            return true;
-                        }
-                        self.msgs_before(g, h, m)
-                            .into_iter()
-                            .all(|m2| self.phase_of(m2) == Phase::Deliver)
-                    });
-                    if ok {
-                        self.phase.insert(m, Phase::Deliver);
+                    let my_groups = self.my_groups;
+                    if my_groups
+                        .iter()
+                        .all(|h| self.all_before(g, h, m, Phase::Deliver))
+                    {
+                        self.msgs.set_phase(m, Phase::Deliver);
+                        self.live.remove(next - 1);
                         self.delivered.push(m);
                         self.pending_delivery = Some(m);
                         return;
                     }
                 }
-                Phase::Deliver => {}
+                Phase::Deliver => unreachable!("delivered messages leave `live`"),
             }
         }
     }
-}
 
-impl DistProcess {
     fn op_done(&self, op: &Op) -> bool {
         match op {
-            Op::Group(g, cmd) => self.groups[g].done(cmd),
-            Op::Pair(g, h, cmd) => self.pairs[&(*g, *h)].done(*cmd),
+            Op::Group(g, cmd) => self.groups[self.group_slot(*g)].done(cmd),
+            Op::Pair(g, h, cmd) => self.pairs[self.pair_slot(*g, *h)].done(*cmd),
             Op::ReadPairPos(..) => false, // executed synchronously
         }
+    }
+
+    /// Whether the derived state is what the views and phases yield when
+    /// read from scratch, the way every step used to: each `Msg` datum of a
+    /// group log is known, a message's announcement sets are those a scan
+    /// of the log of its group finds, and `live` lists the known messages
+    /// short of `deliver` — the invariant every step asserts in debug
+    /// builds.
+    fn derived_state_is_current(&self) -> bool {
+        let logged_are_known = self.groups.iter().all(|v| {
+            v.log
+                .iter_in_order()
+                .filter_map(Datum::as_msg)
+                .all(|m| self.msgs.get(m).is_some_and(|s| s.known && s.group == v.id))
+        });
+        let announcements_match = self.msgs.0.iter().all(|s| {
+            let Ok(slot) = self.groups.binary_search_by_key(&s.group, |v| v.id) else {
+                return false;
+            };
+            let (mut pos_groups, mut pos_max, mut stab_groups) =
+                (GroupSet::EMPTY, 0, GroupSet::EMPTY);
+            for d in self.groups[slot].log.iter_in_order() {
+                match d {
+                    Datum::PosAnn(m, h, i) if *m == s.id => {
+                        pos_groups.insert(*h);
+                        pos_max = pos_max.max(*i);
+                    }
+                    Datum::StabAnn(m, h) if *m == s.id => {
+                        stab_groups.insert(*h);
+                    }
+                    _ => {}
+                }
+            }
+            (pos_groups, pos_max, stab_groups) == (s.pos_groups, s.pos_max, s.stab_groups)
+        });
+        let live = self
+            .msgs
+            .0
+            .iter()
+            .filter(|s| s.known && s.phase != Phase::Deliver)
+            .map(|s| &s.id);
+        logged_are_known && announcements_match && live.eq(&self.live) && self.learned.is_empty()
     }
 }
 
@@ -583,88 +813,81 @@ impl Automaton for DistProcess {
     ) {
         let me = self.me;
         // ---- route incoming traffic to the owning sub-protocol ----------
-        let mut group_inputs: Vec<(GroupId, Envelope<PaxosMsg<GroupCmd>>)> = Vec::new();
-        let mut pair_inputs: Vec<((GroupId, GroupId), Envelope<FastLogMsg>)> = Vec::new();
+        let (mut to_group, mut to_pair) = (None, None);
         if let Some(env) = input {
-            match env.payload {
-                DistMsg::Group(g, msg) => group_inputs.push((
-                    g,
-                    Envelope {
-                        id: env.id,
-                        src: env.src,
-                        dst: env.dst,
-                        sent_at: env.sent_at,
-                        payload: msg,
-                    },
-                )),
-                DistMsg::Pair(g, h, msg) => pair_inputs.push((
-                    (g, h),
-                    Envelope {
-                        id: env.id,
-                        src: env.src,
-                        dst: env.dst,
-                        sent_at: env.sent_at,
-                        payload: msg,
-                    },
-                )),
+            let Envelope {
+                id,
+                src,
+                dst,
+                sent_at,
+                payload,
+            } = env;
+            match payload {
+                DistMsg::Group(g, payload) => {
+                    let env = Envelope {
+                        id,
+                        src,
+                        dst,
+                        sent_at,
+                        payload,
+                    };
+                    to_group = Some((g, env));
+                }
+                DistMsg::Pair(g, h, payload) => {
+                    let env = Envelope {
+                        id,
+                        src,
+                        dst,
+                        sent_at,
+                        payload,
+                    };
+                    to_pair = Some(((g, h), env));
+                }
             }
         }
         // ---- drive every group SMR --------------------------------------
-        let group_ids: Vec<GroupId> = self.groups.keys().copied().collect();
-        for g in group_ids {
-            let gi = group_inputs
-                .iter()
-                .position(|(g2, _)| *g2 == g)
-                .map(|i| group_inputs.swap_remove(i).1);
-            let view = self
-                .groups
-                .get_mut(&g)
-                .expect("key was drawn from groups.keys(); views are never removed");
+        for (slot, view) in self.groups.iter_mut().enumerate() {
+            let input = match &to_group {
+                Some((g, _)) if *g == view.id => to_group.take().map(|(_, env)| env),
+                _ => None,
+            };
             view.drive();
             let mut sub: StepCtx<PaxosMsg<GroupCmd>, Decided<GroupCmd>> =
                 StepCtx::detached(me, ctx.now());
-            view.paxos.step(&mut sub, gi, &fd.groups[g.index()]);
+            self.counters.instances_visited +=
+                view.paxos.step_counted(&mut sub, input, &fd.groups[slot]);
             for (dst, msg) in sub.take_sends() {
-                ctx.send(dst, DistMsg::Group(g, msg));
+                ctx.send(dst, DistMsg::Group(view.id, msg));
             }
             // decisions are read back through `decision()` during fold
-            let _ = sub.take_events();
-            view.fold();
+            view.fold(&mut self.msgs, &mut self.learned);
         }
         // ---- drive every pair fast log -----------------------------------
-        let pair_ids: Vec<(GroupId, GroupId)> = self.pairs.keys().copied().collect();
-        for key in pair_ids {
-            let pi = pair_inputs
-                .iter()
-                .position(|(k, _)| *k == key)
-                .map(|i| pair_inputs.swap_remove(i).1);
-            let view = self
-                .pairs
-                .get_mut(&key)
-                .expect("key was drawn from pairs.keys(); views are never removed");
+        for (slot, view) in self.pairs.iter_mut().enumerate() {
+            let input = match &to_pair {
+                Some((key, _)) if *key == view.key => to_pair.take().map(|(_, env)| env),
+                _ => None,
+            };
+            let of_g = &fd.groups[view.g_slot];
             let flfd = FastLogFd {
-                inter_quorum: fd.pairs.get(&key).copied().flatten(),
-                leader: fd.groups[key.0.index()].leader,
-                group_quorum: fd.groups[key.0.index()].quorum,
+                inter_quorum: fd.pairs[slot],
+                leader: of_g.leader,
+                group_quorum: of_g.quorum,
             };
             let mut sub: StepCtx<FastLogMsg, SlotDecided> = StepCtx::detached(me, ctx.now());
-            view.fl.step(&mut sub, pi, &flfd);
+            self.counters.instances_visited += view.fl.step_counted(&mut sub, input, &flfd);
             for (dst, msg) in sub.take_sends() {
-                ctx.send(dst, DistMsg::Pair(key.0, key.1, msg));
+                ctx.send(dst, DistMsg::Pair(view.key.0, view.key.1, msg));
             }
-            let _ = sub.take_events();
             view.fold();
         }
         // ---- progress the running saga ----------------------------------
         if let Some(mut saga) = self.saga.take() {
             // retire completed operations; execute reads synchronously
-            while let Some(op) = saga.ops.front().cloned() {
-                match op {
+            while let Some(op) = saga.ops.front() {
+                match *op {
                     Op::ReadPairPos(g, h, m) => {
-                        let pos = self
-                            .pair_log(g, h)
-                            .map(|l| l.pos(&Datum::Msg(m)).0)
-                            .unwrap_or(0);
+                        let pos = self.pair_log(g, h).pos(&Datum::Msg(m)).0;
                         if pos > 0 {
                             saga.ops.pop_front();
                             saga.issued = false;
@@ -674,7 +897,7 @@ impl Automaton for DistProcess {
                         }
                     }
                     _ => {
-                        if self.op_done(&op) {
+                        if self.op_done(op) {
                             saga.ops.pop_front();
                             saga.issued = false;
                         } else {
@@ -684,23 +907,17 @@ impl Automaton for DistProcess {
                 }
             }
             // issue the head op, or finish the saga
-            if let Some(op) = saga.ops.front().cloned() {
+            if let Some(op) = saga.ops.front() {
                 if !saga.issued {
                     saga.issued = true;
                     match op {
                         Op::Group(g, cmd) => {
-                            self.groups
-                                .get_mut(&g)
-                                .expect("sagas only target groups this process hosts")
-                                .outbox
-                                .push_back(cmd);
+                            let slot = self.group_slot(*g);
+                            self.groups[slot].outbox.push_back(cmd.clone());
                         }
                         Op::Pair(g, h, cmd) => {
-                            self.pairs
-                                .get_mut(&(g, h))
-                                .expect("sagas only target pairs this process hosts")
-                                .fl
-                                .append(cmd);
+                            let slot = self.pair_slot(*g, *h);
+                            self.pairs[slot].fl.append(*cmd);
                         }
                         Op::ReadPairPos(..) => {}
                     }
@@ -710,21 +927,16 @@ impl Automaton for DistProcess {
                 // saga complete: flush collected announcements, then phase
                 let m = saga.msg;
                 let then = saga.then;
-                let anns = std::mem::take(&mut self.pending_pos);
-                if !anns.is_empty() {
-                    let g = self.known[&m];
-                    let ops: VecDeque<Op> = anns
-                        .into_iter()
+                if !self.pending_pos.is_empty() {
+                    let g = self.msgs.get(m).expect("sagas run on known messages").group;
+                    let ops: VecDeque<Op> = self
+                        .pending_pos
+                        .drain(..)
                         .map(|(m, h, i)| Op::Group(g, GroupCmd::Append(Datum::PosAnn(m, h, i))))
                         .collect();
-                    self.saga = Some(Saga {
-                        msg: m,
-                        ops,
-                        issued: false,
-                        then,
-                    });
+                    self.start_saga(m, ops, then);
                 } else if let Some(phase) = then {
-                    self.phase.insert(m, phase);
+                    self.msgs.set_phase(m, phase);
                 }
             }
         }
@@ -734,30 +946,18 @@ impl Automaton for DistProcess {
         if let Some(m) = self.pending_delivery.take() {
             ctx.emit(DistDelivered { msg: m });
         }
-        // learn new submissions via the group logs (helping: any Msg datum
-        // seen in LOG_g becomes known)
-        let learned: Vec<(MessageId, GroupId)> = self
-            .groups
-            .iter()
-            .flat_map(|(g, v)| {
-                v.log
-                    .iter_in_order()
-                    .filter_map(|d| d.as_msg())
-                    .map(|m| (m, *g))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (m, g) in learned {
-            self.known.entry(m).or_insert(g);
+        // what the group logs taught this step is known from the next on
+        while let Some(m) = self.learned.pop() {
+            self.learn(m);
         }
+        debug_assert!(
+            self.derived_state_is_current(),
+            "derived state of {me} went wrong"
+        );
     }
 
     fn is_active(&self) -> bool {
-        self.saga.is_some()
-            || self
-                .known
-                .iter()
-                .any(|(m, g)| self.my_groups.contains(*g) && self.phase_of(*m) != Phase::Deliver)
+        self.saga.is_some() || !self.live.is_empty()
     }
 }
 
@@ -951,6 +1151,92 @@ mod tests {
         for p in gs.members(GroupId(0)) & pattern.correct() {
             assert_eq!(delivered(&sim, p), vec![MessageId(0)], "{p}");
         }
+    }
+
+    #[test]
+    fn mu_windows_end_where_the_runtime_breaks() {
+        // The two substrates agree on when μ can change: every instant at
+        // which a window of the Level-B history ends is one the Level-A
+        // tables list as a breakpoint (crash instants, γ exclusions).
+        let gs = topology::fig1();
+        let config = crate::RuntimeConfig::default();
+        let mut ended = 0;
+        for crashes in [
+            vec![],
+            vec![(ProcessId(1), Time(5))],
+            vec![(ProcessId(1), Time(9)), (ProcessId(2), Time(30))],
+            vec![
+                (ProcessId(0), Time(2)),
+                (ProcessId(3), Time(2)),
+                (ProcessId(4), Time(77)),
+            ],
+        ] {
+            let pattern = FailurePattern::from_crashes(gs.universe(), crashes);
+            let tables = crate::arena::Tables::new(&gs, pattern.clone(), &config);
+            let history = MuHistory::new(MuOracle::new(&gs, pattern, config.mu));
+            for p in gs.universe() {
+                for t in 0..100 {
+                    let until = history.stable_until(p, Time(t));
+                    if until != Time::MAX {
+                        ended += 1;
+                        let moves_at = until.0 + 1;
+                        assert!(
+                            tables.breakpoints.contains(&moves_at),
+                            "μ at {p} may move at t{moves_at} ∉ {:?}",
+                            tables.breakpoints
+                        );
+                    }
+                }
+            }
+        }
+        assert!(ended > 0, "some window must end");
+    }
+
+    #[test]
+    fn the_sample_is_laid_out_as_the_process_hosts_its_objects() {
+        let gs = topology::fig1();
+        let pattern = FailurePattern::from_crashes(gs.universe(), [(ProcessId(1), Time(4))]);
+        let mu = MuOracle::new(&gs, pattern, MuConfig::default());
+        let history = MuHistory::new(mu.clone());
+        for p in gs.universe() {
+            let process = DistProcess::new(p, &gs);
+            for t in [Time(0), Time(4), Time(50)] {
+                let fd = history.sample(p, t);
+                assert_eq!(fd.groups.len(), process.groups.len());
+                for (view, (os, gamma)) in
+                    process.groups.iter().zip(fd.groups.iter().zip(&fd.gamma))
+                {
+                    assert_eq!(os.leader, mu.omega(view.id, p, t));
+                    assert_eq!(os.quorum, mu.sigma(view.id, view.id, p, t));
+                    assert_eq!(*gamma, mu.gamma_groups(p, view.id, t));
+                }
+                assert_eq!(fd.pairs.len(), process.pairs.len());
+                for (view, quorum) in process.pairs.iter().zip(&fd.pairs) {
+                    assert!(quorum.is_some(), "{p} ∈ g ∩ h for every pair it hosts");
+                    assert_eq!(*quorum, mu.sigma(view.key.0, view.key.1, p, t));
+                    assert_eq!(process.groups[view.g_slot].id, view.key.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counters_are_not_process_state() {
+        let gs = topology::ring(3, 2);
+        let mut sim = system(&gs, FailurePattern::all_correct(gs.universe()));
+        for g in 0..3u32 {
+            let src = gs.members(GroupId(g)).min().unwrap();
+            sim.automaton_mut(src)
+                .multicast(MessageId(g as u64), GroupId(g));
+        }
+        sim.run(Scheduler::RoundRobin, 200);
+        let p = ProcessId(0);
+        let counted = sim.automaton(p).counters();
+        assert!(counted.instances_visited > 0 && counted.log_order_walks > 0);
+        let mut twin = sim.automaton(p).clone();
+        assert_eq!(twin.counters(), DistCounters::default());
+        twin.clone_from(sim.automaton(p));
+        assert_eq!(twin.counters(), counted);
     }
 
     #[test]

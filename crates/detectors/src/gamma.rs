@@ -166,6 +166,17 @@ impl History for GammaOracle {
     fn sample(&self, p: ProcessId, t: Time) -> Vec<GroupSet> {
         self.families(p, t)
     }
+
+    /// The output at `p` (and every `γ(g)` derived from it) moves only at
+    /// the instants from which a family of `ℱ(p)` is excluded.
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        self.families_of(p)
+            .filter_map(|(_, from)| from)
+            .filter(|from| *from > t)
+            .map(|from| Time(from.0 - 1))
+            .min()
+            .unwrap_or(Time::MAX)
+    }
 }
 
 #[cfg(test)]

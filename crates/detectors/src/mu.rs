@@ -11,7 +11,7 @@ use crate::gamma::GammaOracle;
 use crate::omega::{OmegaMode, OmegaOracle};
 use crate::sigma::{SigmaMode, SigmaOracle};
 use gam_groups::{GroupId, GroupSet, GroupSystem};
-use gam_kernel::{FailurePattern, ProcessId, ProcessSet, Time};
+use gam_kernel::{FailurePattern, History, ProcessId, ProcessSet, Time};
 use std::collections::BTreeMap;
 
 /// Tuning of the constituent oracles of `μ`.
@@ -114,6 +114,18 @@ impl MuOracle {
     /// share a family output by `γ`.
     pub fn gamma_groups(&self, p: ProcessId, g: GroupId, t: Time) -> GroupSet {
         self.gamma.groups(p, g, t)
+    }
+
+    /// The end of the window of `μ` at `p` that `t` lies in: every
+    /// constituent — each `Σ_{g∩h}`, each `Ω_g`, `γ` — outputs at `p`, up to
+    /// and including the returned instant, what it outputs at `t`
+    /// ([`History::stable_until`], the earliest over the constituents).
+    pub fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        let sigmas = self.sigmas.values().map(|o| o.stable_until(p, t));
+        let omegas = self.omegas.iter().map(|o| o.stable_until(p, t));
+        sigmas
+            .chain(omegas)
+            .fold(self.gamma.stable_until(p, t), Time::min)
     }
 
     /// Direct access to the `γ` component.

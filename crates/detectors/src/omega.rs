@@ -110,6 +110,26 @@ impl History for OmegaOracle {
     fn sample(&self, p: ProcessId, t: Time) -> Option<ProcessId> {
         self.leader(p, t)
     }
+
+    /// The output moves with the crashes of the scope (`MinAlive`), with
+    /// the rotation period and then never (`RotateUntil`), or never.
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        if !self.scope.contains(p) {
+            return Time::MAX;
+        }
+        match self.mode {
+            OmegaMode::MinAlive => self.pattern.unchanged_until(self.scope, t),
+            OmegaMode::RotateUntil {
+                stabilize_at,
+                period,
+            } if t < stabilize_at => {
+                let period = period.max(1);
+                let next_turn = (t.0 / period + 1).saturating_mul(period);
+                Time(next_turn.min(stabilize_at.0) - 1)
+            }
+            OmegaMode::RotateUntil { .. } | OmegaMode::Fixed(_) => Time::MAX,
+        }
+    }
 }
 
 #[cfg(test)]

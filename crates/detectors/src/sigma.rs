@@ -106,6 +106,22 @@ impl History for SigmaOracle {
     fn sample(&self, p: ProcessId, t: Time) -> Option<ProcessSet> {
         self.quorum(p, t)
     }
+
+    /// The output moves with the crashes of the scope, except while a lazy
+    /// history withholds them and where a correct singleton is output
+    /// forever.
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        if !self.scope.contains(p) {
+            return Time::MAX;
+        }
+        match self.mode {
+            SigmaMode::LazyUntil(stab) if t < stab => Time(stab.0 - 1),
+            SigmaMode::MinCorrectSingleton if self.scope.intersects(self.pattern.correct()) => {
+                Time::MAX
+            }
+            _ => self.pattern.unchanged_until(self.scope, t),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -103,6 +103,8 @@ impl<A, H> SnapshotExec for KernelExecutor<A, H>
 where
     A: Automaton + Clone + Send,
     A::Msg: Send,
+    // the simulator's per-process detector samples ride in the snapshot
+    A::Fd: Send,
     // `Sync` rides along with `Send` here: the trace's sealed log chunks
     // are `Arc`-shared between a snapshot and its executor, and an
     // `Arc<Vec<E>>` only crosses threads when `E: Send + Sync`.

@@ -44,13 +44,15 @@ impl Scenario {
     /// [`DistProcess`] per process under the kernel simulator with a `μ`
     /// history, submissions multicast from their sources. Kernel-level
     /// messages carry no user payload, so submission payloads are dropped.
+    /// What the processes share of the topology — `ℱ` — is enumerated once.
     pub fn kernel_executor(&self) -> KernelExecutor<DistProcess, MuHistory> {
         let pattern = self.pattern();
+        let cyclic = self.system.cyclic_families();
         let autos = self
             .system
             .universe()
             .iter()
-            .map(|p| DistProcess::new(p, &self.system))
+            .map(|p| DistProcess::with_families(p, &self.system, &cyclic))
             .collect();
         let mu = MuOracle::new(&self.system, pattern.clone(), MuConfig::default());
         let mut sim = Simulator::new(autos, pattern, MuHistory::new(mu));

@@ -14,14 +14,26 @@ use std::fmt;
 
 /// A failure-detector history `H : P × ℕ → range(D)`.
 ///
-/// Implementations are the oracles of `gam-detectors`; the simulator samples
-/// the history at each step, matching the model of Appendix A.
+/// Implementations are the oracles of `gam-detectors`. In the model of
+/// Appendix A every step of `p` at `t` queries `H(p, t)`; a detector's
+/// output changes only at events (a crash, a detection, a stabilisation
+/// instant), so `H(p, ·)` is piecewise constant and the simulator calls
+/// [`History::sample`] once per window of [`History::stable_until`] — the
+/// step still consumes `H(p, t)`, from the sample it already holds.
 pub trait History {
     /// The range of the failure detector.
     type Value: Clone + fmt::Debug;
 
     /// Returns `H(p, t)`.
     fn sample(&self, p: ProcessId, t: Time) -> Self::Value;
+
+    /// The end of the window of `H(p, ·)` that `t` lies in, as far as the
+    /// history can tell: `sample(p, t') == sample(p, t)` for every
+    /// `t ≤ t' ≤ stable_until(p, t)`. Any sound under-estimate is valid;
+    /// the default, `t`, promises nothing and makes every step sample.
+    fn stable_until(&self, _p: ProcessId, t: Time) -> Time {
+        t
+    }
 }
 
 /// The trivial history of the "null" failure detector, which carries no
@@ -33,12 +45,19 @@ impl History for NoDetector {
     type Value = ();
 
     fn sample(&self, _p: ProcessId, _t: Time) {}
+
+    fn stable_until(&self, _p: ProcessId, _t: Time) -> Time {
+        Time(u64::MAX)
+    }
 }
 
 impl<H: History + ?Sized> History for &H {
     type Value = H::Value;
     fn sample(&self, p: ProcessId, t: Time) -> Self::Value {
         (**self).sample(p, t)
+    }
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        (**self).stable_until(p, t)
     }
 }
 
@@ -47,6 +66,9 @@ impl<H: History + ?Sized> History for Box<H> {
     fn sample(&self, p: ProcessId, t: Time) -> Self::Value {
         (**self).sample(p, t)
     }
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        (**self).stable_until(p, t)
+    }
 }
 
 impl<H: History + ?Sized> History for std::rc::Rc<H> {
@@ -54,12 +76,18 @@ impl<H: History + ?Sized> History for std::rc::Rc<H> {
     fn sample(&self, p: ProcessId, t: Time) -> Self::Value {
         (**self).sample(p, t)
     }
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        (**self).stable_until(p, t)
+    }
 }
 
 impl<H: History + ?Sized> History for std::sync::Arc<H> {
     type Value = H::Value;
     fn sample(&self, p: ProcessId, t: Time) -> Self::Value {
         (**self).sample(p, t)
+    }
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        (**self).stable_until(p, t)
     }
 }
 

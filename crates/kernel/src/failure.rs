@@ -138,6 +138,19 @@ impl FailurePattern {
             .map(|v| v.into_iter().max().unwrap_or(Time::ZERO))
     }
 
+    /// The last instant `u ≥ t` with `F(u) ∩ scope = F(t) ∩ scope`: one tick
+    /// before the next crash of a process of `scope` after `t`, or
+    /// [`Time::MAX`] if none follows. Whatever reads `t` only through
+    /// `faulty_at(t) ∩ scope` is constant on `t..=u`.
+    pub fn unchanged_until(&self, scope: ProcessSet, t: Time) -> Time {
+        self.crash_times
+            .iter()
+            .filter(|(p, ct)| **ct > t && scope.contains(**p))
+            .map(|(_, ct)| Time(ct.0 - 1))
+            .min()
+            .unwrap_or(Time::MAX)
+    }
+
     /// `F ∩ P`: the pattern restricted to the processes in `p_set`, used to
     /// define set-restricted failure detectors `D_P` (§3).
     pub fn restrict(&self, p_set: ProcessSet) -> FailurePattern {
@@ -322,6 +335,27 @@ mod tests {
         assert!(f.set_faulty_at(s, Time(5)));
         assert_eq!(f.set_crash_time(s), Some(Time(5)));
         assert_eq!(f.set_crash_time(ProcessSet::from_iter([0u32, 2])), None);
+    }
+
+    #[test]
+    fn unchanged_until_stops_before_the_next_crash_of_the_scope() {
+        let f = FailurePattern::from_crashes(
+            universe(),
+            [(ProcessId(0), Time(3)), (ProcessId(1), Time(8))],
+        );
+        let all = universe();
+        assert_eq!(f.unchanged_until(all, Time(0)), Time(2));
+        assert_eq!(f.unchanged_until(all, Time(3)), Time(7));
+        assert_eq!(f.unchanged_until(all, Time(8)), Time::MAX);
+        // crashes outside the scope do not end the window
+        let scope = ProcessSet::from_iter([1u32, 2]);
+        assert_eq!(f.unchanged_until(scope, Time(0)), Time(7));
+        for t in 0..12u64 {
+            let until = f.unchanged_until(scope, Time(t)).0.min(20);
+            for u in t..=until {
+                assert_eq!(f.faulty_at(Time(u)) & scope, f.faulty_at(Time(t)) & scope);
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use schedule::{
     ChoiceStep, PathSource, RandomSource, RecordingSource, ReplaySource, RotatingSource,
     ScheduleSource,
 };
-pub use sim::{Receive, RunOutcome, Scheduler, Simulator};
+pub use sim::{Receive, RunOutcome, Scheduler, SimCounters, Simulator};
 pub use time::Time;
 pub use trace::{StepRecord, Trace, TraceEvent};

@@ -7,6 +7,13 @@
 //! message addressed to a live process is eventually received) is guaranteed
 //! by the built-in policies.
 //!
+//! A step of `p` at `t` consumes `H(p, t)`. The simulator holds one sample
+//! per process and asks the history for a new one only when the clock has
+//! left the window the history vouched for ([`History::stable_until`]), so
+//! a step costs a detector query only when the detector's output can have
+//! changed — under any failure pattern and any history; one that vouches
+//! for nothing is sampled at every step.
+//!
 //! Low-level control ([`Simulator::step_process`], [`Simulator::run_only`])
 //! exposes the adversarial scheduling the necessity proofs of the paper
 //! quantify over: running only a chosen subset of processes, choosing which
@@ -63,6 +70,33 @@ pub enum RunOutcome {
     Stopped,
 }
 
+/// Deterministic work counters of a [`Simulator`], read with
+/// [`Simulator::counters`]: functions of the steps this simulator executed,
+/// never of the host. They are no part of the simulation state — no digest
+/// or comparison reads them; a `clone` starts counting from zero and
+/// `clone_from` rewinds them to the source's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimCounters {
+    /// Steps executed (a step scheduled for a crashed process is none).
+    pub steps: u64,
+    /// Of those, the steps that received the null message.
+    pub null_steps: u64,
+    /// Of those, the steps that received a message.
+    pub receives: u64,
+    /// Calls to [`History::sample`]: one per (process, window) entered.
+    pub fd_sampled: u64,
+    /// Steps served from the sample the process already held.
+    pub fd_reused: u64,
+}
+
+/// `H(p, t)` as last sampled for one process, and the instant up to which
+/// the history vouched for it.
+#[derive(Debug)]
+struct Sample<V> {
+    value: V,
+    until: Time,
+}
+
 /// The simulator: automata + buffer + failure pattern + detector history.
 ///
 /// `Clone` copies the entire simulation state (automata, in-flight
@@ -70,7 +104,9 @@ pub enum RunOutcome {
 /// are shared, not copied), so a clone restarted from a checkpoint replays
 /// bit-for-bit — the [`ScheduleSource`]-driven explorer relies on this for
 /// prefix-sharing DFS snapshots. `clone_from` rewinds to such a checkpoint
-/// field by field, into the buffers the simulator already holds.
+/// field by field, into the buffers the simulator already holds. The
+/// detector samples are derived from `(history, now)` and are not copied:
+/// a clone, and a simulator rewound by `clone_from`, sample afresh.
 #[derive(Debug)]
 pub struct Simulator<A: Automaton, H: History<Value = A::Fd>> {
     automata: Vec<A>,
@@ -82,6 +118,9 @@ pub struct Simulator<A: Automaton, H: History<Value = A::Fd>> {
     trace: Trace<A::Event>,
     rng: StdRng,
     rr_cursor: usize,
+    /// Per process: the sample its steps consume while `now ≤ until`.
+    samples: Vec<Option<Sample<A::Fd>>>,
+    counters: SimCounters,
 }
 
 impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulator<A, H> {
@@ -96,6 +135,8 @@ impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulato
             trace: self.trace.clone(),
             rng: self.rng.clone(),
             rr_cursor: self.rr_cursor,
+            samples: (0..self.samples.len()).map(|_| None).collect(),
+            counters: SimCounters::default(),
         }
     }
 
@@ -110,6 +151,8 @@ impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulato
             trace,
             rng,
             rr_cursor,
+            samples,
+            counters,
         } = src;
         self.automata.clone_from(automata);
         self.buffer.clone_from(buffer);
@@ -120,6 +163,10 @@ impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulato
         self.trace.clone_from(trace);
         self.rng.clone_from(rng);
         self.rr_cursor = *rr_cursor;
+        // Taken under the history and clock this call just replaced.
+        self.samples.clear();
+        self.samples.resize_with(samples.len(), || None);
+        self.counters = *counters;
     }
 }
 
@@ -148,6 +195,8 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
             trace: Trace::new(n, false),
             rng: StdRng::seed_from_u64(0),
             rr_cursor: 0,
+            samples: (0..n).map(|_| None).collect(),
+            counters: SimCounters::default(),
         };
         sim.inject_crashes();
         sim
@@ -212,6 +261,11 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
         self.buffer.total_sent()
     }
 
+    /// The work counters accumulated by this simulator.
+    pub fn counters(&self) -> SimCounters {
+        self.counters
+    }
+
     fn inject_crashes(&mut self) {
         let newly = self.pattern.faulty_at(self.now) - self.crashed;
         for p in newly {
@@ -249,9 +303,27 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
             ),
         };
         let received_id = input.as_ref().map(|e| e.id);
-        let fd = self.history.sample(p, self.now);
+        self.counters.steps += 1;
+        match received_id {
+            Some(_) => self.counters.receives += 1,
+            None => self.counters.null_steps += 1,
+        }
+        let slot = &mut self.samples[p.index()];
+        let sample = match slot {
+            Some(sample) if self.now <= sample.until => {
+                self.counters.fd_reused += 1;
+                sample
+            }
+            _ => {
+                self.counters.fd_sampled += 1;
+                slot.insert(Sample {
+                    value: self.history.sample(p, self.now),
+                    until: self.history.stable_until(p, self.now),
+                })
+            }
+        };
         let mut ctx = StepCtx::new(p, self.now);
-        self.automata[p.index()].step(&mut ctx, input, &fd);
+        self.automata[p.index()].step(&mut ctx, input, &sample.value);
         self.trace.record_step(self.now, p, received_id);
         for event in ctx.events.drain(..) {
             self.trace.record_event(self.now, p, event);
@@ -323,10 +395,6 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
     fn pick(&mut self, set: ProcessSet, scheduler: Scheduler) -> Option<(ProcessId, Receive)> {
         // Crash injection may lag behind `now` if no step occurred; the next
         // step will inject. Eligibility is computed over current knowledge.
-        let candidates: Vec<ProcessId> = set.iter().filter(|p| self.eligible(*p)).collect();
-        if candidates.is_empty() {
-            return None;
-        }
         match scheduler {
             Scheduler::RoundRobin => {
                 // Advance the cursor to the next eligible process.
@@ -342,7 +410,14 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
                 None
             }
             Scheduler::Random { null_prob } => {
-                let p = candidates[self.rng.gen_range(0..candidates.len())];
+                let candidates: ProcessSet = set.iter().filter(|p| self.eligible(*p)).collect();
+                if candidates.is_empty() {
+                    return None;
+                }
+                let p = candidates
+                    .iter()
+                    .nth(self.rng.gen_range(0..candidates.len()))
+                    .expect("index drawn below the set's length");
                 let pending = self.buffer.pending(p);
                 let receive = if pending == 0
                     || (self.automata[p.index()].is_active() && self.rng.gen_bool(null_prob))
@@ -425,11 +500,12 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
         max_steps: u64,
     ) -> RunOutcome {
         let mut taken = 0u64;
+        let mut options = Vec::new();
         loop {
             if taken >= max_steps {
                 return RunOutcome::BudgetExhausted;
             }
-            let options = self.options_in(set);
+            self.options_into(set, &mut options);
             if options.is_empty() {
                 return RunOutcome::Quiescent;
             }
@@ -622,6 +698,123 @@ mod tests {
         });
         assert!(ok);
         assert!(sim.trace().events().len() >= 2);
+    }
+
+    /// A detector that counts its queries and reports, at every process,
+    /// which `window`-tick window the clock is in.
+    #[derive(Debug, Clone)]
+    struct Windowed {
+        window: u64,
+        vouches: bool,
+        sampled: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl History for Windowed {
+        type Value = u64;
+
+        fn sample(&self, _p: ProcessId, t: Time) -> u64 {
+            self.sampled.set(self.sampled.get() + 1);
+            t.0 / self.window
+        }
+
+        fn stable_until(&self, _p: ProcessId, t: Time) -> Time {
+            if self.vouches {
+                Time((t.0 / self.window + 1) * self.window - 1)
+            } else {
+                t
+            }
+        }
+    }
+
+    /// Emits every detector output it is handed; active for `budget` steps.
+    #[derive(Debug, Clone)]
+    struct Echo(u32);
+
+    impl Automaton for Echo {
+        type Msg = ();
+        type Fd = u64;
+        type Event = u64;
+
+        fn step(&mut self, ctx: &mut StepCtx<(), u64>, _input: Option<Envelope<()>>, fd: &u64) {
+            self.0 -= 1;
+            ctx.emit(*fd);
+        }
+
+        fn is_active(&self) -> bool {
+            self.0 > 0
+        }
+    }
+
+    #[test]
+    fn the_history_is_sampled_once_per_process_and_window() {
+        let n = 3;
+        let run = |vouches: bool| {
+            let sampled = std::rc::Rc::new(std::cell::Cell::new(0));
+            let history = Windowed {
+                window: 10,
+                vouches,
+                sampled: sampled.clone(),
+            };
+            // p2 crashes mid-run: crash plans go through the same slots
+            let pattern =
+                FailurePattern::from_crashes(ProcessSet::first_n(n), [(ProcessId(2), Time(25))]);
+            let mut sim = Simulator::new(vec![Echo(20); n], pattern, history).with_seed(5);
+            let outcome = sim.run(Scheduler::Random { null_prob: 0.5 }, 1_000);
+            assert_eq!(outcome, RunOutcome::Quiescent);
+            let emitted: Vec<_> = sim.trace().events().iter().cloned().collect();
+            (sim, sampled.get(), emitted)
+        };
+        let (reusing, sampled, emitted) = run(true);
+        // every step consumed H(p, t) for its own t …
+        assert!(emitted.iter().all(|e| e.event == e.time.0 / 10));
+        // … from one query per (process, window) in which the process stepped
+        let mut windows: Vec<(ProcessId, u64)> = emitted.iter().map(|e| (e.pid, e.event)).collect();
+        windows.sort();
+        windows.dedup();
+        assert_eq!(sampled, windows.len() as u64);
+        let c = reusing.counters();
+        assert_eq!(c.fd_sampled, sampled);
+        assert_eq!(c.fd_sampled + c.fd_reused, c.steps);
+        assert_eq!(c.null_steps + c.receives, c.steps);
+        assert_eq!(c.steps, reusing.trace().total_steps());
+        assert!(c.fd_reused > c.fd_sampled, "windows of 10 ticks are reused");
+        // a history that vouches for nothing is queried at every step, to
+        // the same trace
+        let (every_step, sampled_every_step, same) = run(false);
+        assert_eq!(sampled_every_step, every_step.counters().steps);
+        assert_eq!(every_step.counters().fd_reused, 0);
+        assert_eq!(same, emitted);
+    }
+
+    #[test]
+    fn samples_and_counters_are_not_simulation_state() {
+        let n = 2;
+        let history = Windowed {
+            window: 1_000,
+            vouches: true,
+            sampled: Default::default(),
+        };
+        let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
+        let mut sim = Simulator::new(vec![Echo(6); n], pattern, history);
+        sim.run(Scheduler::RoundRobin, 4);
+        assert_eq!(sim.counters().fd_sampled, 2);
+        // a clone counts from zero and samples for itself …
+        let mut twin = sim.clone();
+        assert_eq!(twin.counters(), SimCounters::default());
+        twin.run(Scheduler::RoundRobin, 4);
+        assert_eq!((twin.counters().steps, twin.counters().fd_sampled), (4, 2));
+        // … and `clone_from` rewinds the counters with the state and drops
+        // the samples taken under what it replaced
+        let checkpoint = sim.counters();
+        twin.clone_from(&sim);
+        assert_eq!(twin.counters(), checkpoint);
+        twin.run(Scheduler::RoundRobin, 100);
+        sim.run(Scheduler::RoundRobin, 100);
+        assert_eq!(twin.counters().fd_sampled, checkpoint.fd_sampled + 2);
+        assert_eq!(sim.counters().fd_sampled, checkpoint.fd_sampled);
+        let events = |s: &Simulator<Echo, Windowed>| s.trace().events().iter().cloned().collect();
+        let (a, b): (Vec<_>, Vec<_>) = (events(&sim), events(&twin));
+        assert_eq!(a, b);
     }
 
     #[test]

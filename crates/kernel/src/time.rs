@@ -23,6 +23,9 @@ impl Time {
     /// Time zero, before any step is taken.
     pub const ZERO: Time = Time(0);
 
+    /// The end of time: "forever" as the end of a window.
+    pub const MAX: Time = Time(u64::MAX);
+
     /// The instant after `self`.
     #[inline]
     pub fn next(self) -> Time {

@@ -66,6 +66,13 @@ where
             group_quorum: self.group.sample(p, t),
         }
     }
+
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        self.inter
+            .stable_until(p, t)
+            .min(self.omega.stable_until(p, t))
+            .min(self.group.stable_until(p, t))
+    }
 }
 
 /// Protocol messages of the fast log.
@@ -147,10 +154,15 @@ pub struct FastLogProcess {
     /// Replica state: phase-1 values and phase-2 entries per slot.
     p1_seen: BTreeMap<u64, BTreeSet<u64>>,
     p2_seen: BTreeMap<u64, BTreeSet<(u64, bool)>>,
-    /// Learnt log prefix.
+    /// Learnt slots, contiguous or not.
     decided: BTreeMap<u64, u64>,
+    /// The learnt log prefix: the commands of slots `0..prefix.len()`, all
+    /// decided — extended as slots close, so no step walks closed slots.
+    prefix: Vec<u64>,
     /// Client: commands waiting to be appended.
     queue: std::collections::VecDeque<u64>,
+    /// How much of `prefix` has been searched for the head of `queue`.
+    searched: usize,
     /// The in-flight adopt–commit attempt (slot, state).
     attempt: Option<(u64, AcState)>,
     /// Slots for which a backup consensus is engaged.
@@ -175,7 +187,9 @@ impl FastLogProcess {
             p1_seen: BTreeMap::new(),
             p2_seen: BTreeMap::new(),
             decided: BTreeMap::new(),
+            prefix: Vec::new(),
             queue: Default::default(),
+            searched: 0,
             attempt: None,
             fallback: BTreeSet::new(),
             paxos: PaxosProcess::new(me, group),
@@ -205,21 +219,16 @@ impl FastLogProcess {
 
     /// The learnt log prefix, in slot order.
     pub fn log(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut s = 0u64;
-        while let Some(v) = self.decided.get(&s) {
-            out.push(*v);
-            s += 1;
-        }
-        out
+        self.prefix.clone()
+    }
+
+    /// [`FastLogProcess::log`], borrowed.
+    pub fn learnt(&self) -> &[u64] {
+        &self.prefix
     }
 
     fn next_free_slot(&self) -> u64 {
-        let mut s = 0u64;
-        while self.decided.contains_key(&s) {
-            s += 1;
-        }
-        s
+        self.prefix.len() as u64
     }
 
     fn decide(
@@ -230,6 +239,9 @@ impl FastLogProcess {
         announce: bool,
     ) {
         if self.decided.insert(slot, value).is_none() {
+            while let Some(v) = self.decided.get(&(self.prefix.len() as u64)) {
+                self.prefix.push(*v);
+            }
             ctx.emit(SlotDecided { slot, value });
             if announce {
                 ctx.send(self.inter, FastLogMsg::SlotDecide { slot, value });
@@ -237,14 +249,15 @@ impl FastLogProcess {
         }
     }
 
+    /// Steps the backup consensus; returns the instances it visited.
     fn drive_paxos(
         &mut self,
         ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
         input: Option<Envelope<PaxosMsg<u64>>>,
         fd: &FastLogFd,
-    ) {
+    ) -> u64 {
         let mut sub: StepCtx<PaxosMsg<u64>, Decided<u64>> = StepCtx::detached(self.me, ctx.now());
-        self.paxos.step(
+        let visited = self.paxos.step_counted(
             &mut sub,
             input,
             &crate::paxos::OmegaSigma {
@@ -258,21 +271,19 @@ impl FastLogProcess {
         for d in sub.take_events() {
             self.decide(d.instance, d.value, ctx, false);
         }
+        visited
     }
-}
 
-impl Automaton for FastLogProcess {
-    type Msg = FastLogMsg;
-    type Fd = FastLogFd;
-    type Event = SlotDecided;
-
-    fn step(
+    /// [`Automaton::step`], returning how many instances of the backup
+    /// consensus the step visited (see [`PaxosProcess::step_counted`]).
+    pub fn step_counted(
         &mut self,
         ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
         input: Option<Envelope<FastLogMsg>>,
         fd: &FastLogFd,
-    ) {
+    ) -> u64 {
         let me = self.me;
+        let mut visited = 0;
         // ---- message handling ------------------------------------------
         let mut paxos_input: Option<Envelope<PaxosMsg<u64>>> = None;
         if let Some(env) = input {
@@ -411,25 +422,21 @@ impl Automaton for FastLogProcess {
         // Drive Paxos when it has traffic or an engaged fallback slot; this
         // is the *only* path on which processes of g \ (g∩h) take steps.
         if paxos_input.is_some() || !self.fallback.is_empty() {
-            self.drive_paxos(ctx, paxos_input, fd);
-            let decided_now: Vec<u64> = self
-                .fallback
-                .iter()
-                .copied()
-                .filter(|s| self.decided.contains_key(s))
-                .collect();
-            for s in decided_now {
-                self.fallback.remove(&s);
-            }
+            visited = self.drive_paxos(ctx, paxos_input, fd);
+            let decided = &self.decided;
+            self.fallback.retain(|s| !decided.contains_key(s));
         }
 
         // ---- client: launch the next append -----------------------------
         if self.attempt.is_none() && self.inter.contains(me) {
             if let Some(cmd) = self.queue.front().copied() {
-                // retry at successive slots until our command lands
-                if self.log().contains(&cmd) {
+                // retry at successive slots until our command lands; what
+                // was searched for this command before stays searched
+                if self.prefix[self.searched..].contains(&cmd) {
                     self.queue.pop_front();
+                    self.searched = 0;
                 } else {
+                    self.searched = self.prefix.len();
                     let slot = self.next_free_slot();
                     self.attempt = Some((
                         slot,
@@ -443,6 +450,22 @@ impl Automaton for FastLogProcess {
                 }
             }
         }
+        visited
+    }
+}
+
+impl Automaton for FastLogProcess {
+    type Msg = FastLogMsg;
+    type Fd = FastLogFd;
+    type Event = SlotDecided;
+
+    fn step(
+        &mut self,
+        ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
+        input: Option<Envelope<FastLogMsg>>,
+        fd: &FastLogFd,
+    ) {
+        self.step_counted(ctx, input, fd);
     }
 
     fn is_active(&self) -> bool {

@@ -64,6 +64,10 @@ struct Entry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log<D: Ord + Clone> {
     entries: BTreeMap<D, Entry>,
+    /// The data in log order `<_L`: sorted by `(slot, datum)`, kept current
+    /// by `append` (always the new last element) and `bump_and_lock` (one
+    /// element moves towards the end), so ordered reads borrow it.
+    order: Vec<(u64, D)>,
     /// Highest occupied slot (0 when empty). The head is `max_slot + 1`.
     max_slot: u64,
 }
@@ -79,6 +83,7 @@ impl<D: Ord + Clone> Log<D> {
     pub fn new() -> Self {
         Log {
             entries: BTreeMap::new(),
+            order: Vec::new(),
             max_slot: 0,
         }
     }
@@ -97,6 +102,8 @@ impl<D: Ord + Clone> Log<D> {
         }
         let slot = self.max_slot + 1;
         self.max_slot = slot;
+        // above every occupied slot: last in log order
+        self.order.push((slot, d.clone()));
         self.entries.insert(
             d,
             Entry {
@@ -142,11 +149,27 @@ impl<D: Ord + Clone> Log<D> {
         if e.locked {
             return Some(Pos(e.slot));
         }
-        e.slot = e.slot.max(k.0);
+        let from = e.slot;
+        e.slot = from.max(k.0);
         e.locked = true;
         let slot = e.slot;
         self.max_slot = self.max_slot.max(slot);
+        if slot != from {
+            // `d` moves from its place to just before the first element
+            // above `(slot, d)`; what lay between shifts down by one.
+            let at = self.order_index(from, d);
+            let to = at + self.order[at..].partition_point(|(s, x)| (*s, x) < (slot, d));
+            self.order[at].0 = slot;
+            self.order[at..to].rotate_left(1);
+        }
         Some(Pos(slot))
+    }
+
+    /// Where `(slot, d)` sits in `order`.
+    fn order_index(&self, slot: u64, d: &D) -> usize {
+        self.order
+            .binary_search_by(|(s, x)| (*s, x).cmp(&(slot, d)))
+            .expect("every entry is indexed at its slot")
     }
 
     /// `d <_L d'`: `d` occupies a lower position, or the same slot with
@@ -175,24 +198,41 @@ impl<D: Ord + Clone> Log<D> {
         self.entries.iter().map(|(d, e)| (d, Pos(e.slot), e.locked))
     }
 
-    /// The data items in log order (`<_L`).
+    /// The data items in log order (`<_L`). Borrows the log's own index:
+    /// no allocation, no sort.
     pub fn iter_in_order(&self) -> impl Iterator<Item = &D> {
-        let mut v: Vec<(&D, u64)> = self.entries.iter().map(|(d, e)| (d, e.slot)).collect();
-        v.sort_by(|(d1, s1), (d2, s2)| s1.cmp(s2).then_with(|| d1.cmp(d2)));
-        v.into_iter().map(|(d, _)| d)
+        self.order.iter().map(|(_, d)| d)
+    }
+
+    /// The data items strictly before `d` in log order, in that order — a
+    /// walk over the prefix of the index that ends at `d`. Empty when `d`
+    /// is absent.
+    pub fn iter_before<'a>(&'a self, d: &D) -> impl Iterator<Item = &'a D> {
+        let end = self
+            .entries
+            .get(d)
+            .map_or(0, |e| self.order_index(e.slot, d));
+        self.order[..end].iter().map(|(_, d)| d)
     }
 
     /// The data items strictly before `d` in log order. Empty when `d` is
     /// absent.
     pub fn predecessors(&self, d: &D) -> Vec<D> {
-        if !self.contains(d) {
-            return Vec::new();
-        }
-        self.iter_in_order()
-            .take_while(|x| *x != d)
-            .filter(|x| self.before(x, d))
-            .cloned()
-            .collect()
+        self.iter_before(d).cloned().collect()
+    }
+
+    /// Log order derived from scratch — collect every entry, sort by
+    /// `(slot, datum)` — which the maintained index must equal after every
+    /// operation.
+    #[cfg(test)]
+    fn order_oracle(&self) -> Vec<(u64, D)> {
+        let mut v: Vec<(u64, D)> = self
+            .entries
+            .iter()
+            .map(|(d, e)| (e.slot, d.clone()))
+            .collect();
+        v.sort();
+        v
     }
 }
 
@@ -361,15 +401,27 @@ mod tests {
             }
         }
 
-        /// The order `<_L` is a strict total order over present data.
+        /// The order `<_L` is a strict total order over present data, and
+        /// the maintained index is that order after every operation.
         #[test]
-        fn prop_order_total_and_acyclic(ops in proptest::collection::vec((0u8..2, 0u16..10, 1u64..15), 1..40)) {
+        fn prop_order_total_and_acyclic(ops in proptest::collection::vec((0u8..3, 0u16..10, 1u64..15), 1..40)) {
             let mut log: Log<u16> = Log::new();
             for (op, d, k) in ops {
                 match op {
                     0 => { log.append(d); }
-                    _ => if log.contains(&d) { log.bump_and_lock(&d, Pos(k)); }
+                    1 => if log.contains(&d) { log.bump_and_lock(&d, Pos(k)); }
+                    // absent data included: a no-op that must leave the index alone
+                    _ => { log.try_bump_and_lock(&d, Pos(k)); }
                 }
+                prop_assert_eq!(&log.order, &log.order_oracle());
+                let before: Vec<u16> = log.iter_before(&d).copied().collect();
+                let expected: Vec<u16> = log
+                    .order_oracle()
+                    .into_iter()
+                    .map(|(_, x)| x)
+                    .filter(|x| log.before(x, &d))
+                    .collect();
+                prop_assert_eq!(before, expected);
             }
             let present: Vec<u16> = (0..10).filter(|d| log.contains(d)).collect();
             for a in &present {

@@ -51,6 +51,12 @@ impl History for OmegaSigmaHistory {
             quorum: self.sigma.quorum(p, t),
         }
     }
+
+    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
+        self.omega
+            .stable_until(p, t)
+            .min(self.sigma.stable_until(p, t))
+    }
 }
 
 /// Protocol messages, tagged by consensus instance.
@@ -164,12 +170,20 @@ impl<V> Default for Instance<V> {
 }
 
 /// The per-process consensus automaton, hosting unboundedly many instances.
+///
+/// A step's proposer work visits the *open* instances only — those this
+/// process has a proposal for and no decision of; a decided instance costs
+/// later steps nothing and stays readable through
+/// [`PaxosProcess::decision`].
 #[derive(Debug, Clone)]
 pub struct PaxosProcess<V> {
     me: ProcessId,
     scope: ProcessSet,
     n: u64,
     instances: BTreeMap<u64, Instance<V>>,
+    /// The ids `i` with `instances[i].proposal.is_some()` and
+    /// `instances[i].decided.is_none()`, ascending.
+    open: Vec<u64>,
 }
 
 impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
@@ -185,6 +199,7 @@ impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
             scope,
             n: scope.max().map_or(1, |p| p.0 as u64 + 1),
             instances: BTreeMap::new(),
+            open: Vec::new(),
         }
     }
 
@@ -194,7 +209,34 @@ impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
         let inst = self.instances.entry(instance).or_default();
         if inst.proposal.is_none() && inst.decided.is_none() {
             inst.proposal = Some(value);
+            if let Err(at) = self.open.binary_search(&instance) {
+                self.open.insert(at, instance);
+            }
         }
+    }
+
+    /// Whether `open` is what a walk over every instance yields — the
+    /// invariant every step re-checks in debug builds.
+    fn open_is_current(&self) -> bool {
+        self.instances
+            .iter()
+            .filter(|(_, i)| i.proposal.is_some() && i.decided.is_none())
+            .map(|(id, _)| id)
+            .eq(&self.open)
+    }
+
+    /// [`Automaton::step`], returning how many instances the proposer loop
+    /// visited — a deterministic work count for whoever hosts the automaton.
+    pub fn step_counted(
+        &mut self,
+        ctx: &mut StepCtx<PaxosMsg<V>, Decided<V>>,
+        input: Option<Envelope<PaxosMsg<V>>>,
+        fd: &OmegaSigma,
+    ) -> u64 {
+        self.handle(ctx, input);
+        let visited = self.drive_open(ctx, fd);
+        debug_assert!(self.open_is_current(), "open set of {} went wrong", self.me);
+        visited
     }
 
     /// The local decision of `instance`, if known.
@@ -241,16 +283,12 @@ impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
     }
 }
 
-impl<V: Clone + std::fmt::Debug + PartialEq> Automaton for PaxosProcess<V> {
-    type Msg = PaxosMsg<V>;
-    type Fd = OmegaSigma;
-    type Event = Decided<V>;
-
-    fn step(
+impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
+    /// Acceptor, learner and attempt bookkeeping for one received message.
+    fn handle(
         &mut self,
         ctx: &mut StepCtx<PaxosMsg<V>, Decided<V>>,
         input: Option<Envelope<PaxosMsg<V>>>,
-        fd: &OmegaSigma,
     ) {
         let me = self.me;
         let scope = self.scope;
@@ -352,32 +390,34 @@ impl<V: Clone + std::fmt::Debug + PartialEq> Automaton for PaxosProcess<V> {
                         inst.attempt = None;
                     }
                 }
-                PaxosMsg::Forward { instance, value } => {
-                    let inst = self.instances.entry(instance).or_default();
-                    if inst.proposal.is_none() && inst.decided.is_none() {
-                        inst.proposal = Some(value);
-                    }
-                }
+                PaxosMsg::Forward { instance, value } => self.propose(instance, value),
                 PaxosMsg::Decide { instance, value } => {
                     let inst = self.instances.entry(instance).or_default();
                     Self::decide(me, inst, instance, value, ctx, scope, false);
+                    if let Ok(at) = self.open.binary_search(&instance) {
+                        self.open.remove(at);
+                    }
                 }
             }
         }
+    }
 
-        // Proposer progress, guarded by the current Ω ∧ Σ sample.
+    /// Proposer progress on every open instance, in ascending id order,
+    /// guarded by the current `Ω ∧ Σ` sample. Returns how many it visited.
+    fn drive_open(&mut self, ctx: &mut StepCtx<PaxosMsg<V>, Decided<V>>, fd: &OmegaSigma) -> u64 {
+        let me = self.me;
+        let scope = self.scope;
         let i_lead = fd.leader == Some(me);
-        let ids: Vec<u64> = self.instances.keys().copied().collect();
-        for id in ids {
+        let mut visited = 0;
+        let mut next = 0;
+        while let Some(&id) = self.open.get(next) {
+            visited += 1;
             let max_seen = self.instances[&id].max_ballot_seen;
             let fresh_ballot = self.next_ballot(max_seen);
             let inst = self
                 .instances
                 .get_mut(&id)
-                .expect("id was drawn from instances.keys(); instances are never removed");
-            if inst.decided.is_some() || inst.proposal.is_none() {
-                continue;
-            }
+                .expect("id was drawn from the open set; instances are never removed");
             // A non-leader relays its proposal to the leader (once per
             // leader change), so the leader has something to drive.
             if !i_lead {
@@ -462,13 +502,32 @@ impl<V: Clone + std::fmt::Debug + PartialEq> Automaton for PaxosProcess<V> {
                     }
                 }
             }
+            if inst.decided.is_some() {
+                self.open.remove(next);
+            } else {
+                next += 1;
+            }
         }
+        visited
+    }
+}
+
+impl<V: Clone + std::fmt::Debug + PartialEq> Automaton for PaxosProcess<V> {
+    type Msg = PaxosMsg<V>;
+    type Fd = OmegaSigma;
+    type Event = Decided<V>;
+
+    fn step(
+        &mut self,
+        ctx: &mut StepCtx<PaxosMsg<V>, Decided<V>>,
+        input: Option<Envelope<PaxosMsg<V>>>,
+        fd: &OmegaSigma,
+    ) {
+        self.step_counted(ctx, input, fd);
     }
 
     fn is_active(&self) -> bool {
-        self.instances
-            .values()
-            .any(|i| i.proposal.is_some() && i.decided.is_none())
+        !self.open.is_empty()
     }
 }
 

@@ -72,4 +72,18 @@ fn main() {
         3,
         sim.total_messages()
     );
+
+    // What the run cost, as counts: the detector is queried once per process
+    // (a crash-free μ never moves), and a step visits only the consensus
+    // instances still open at the stepping process.
+    let kernel = sim.counters();
+    let (visited, walks) = gs.universe().iter().fold((0, 0), |(v, w), p| {
+        let c = sim.automaton(p).counters();
+        (v + c.instances_visited, w + c.log_order_walks)
+    });
+    println!(
+        "work: {} steps ({} null, {} receives); μ sampled {} times, reused {}; \
+         {visited} consensus instances visited, {walks} ordered log walks",
+        kernel.steps, kernel.null_steps, kernel.receives, kernel.fd_sampled, kernel.fd_reused,
+    );
 }
