@@ -1,0 +1,395 @@
+//! The count record behind `BENCH_counts.json`: what exploring, serving and
+//! sweeping cost in units that follow from (topology, failure pattern,
+//! schedule) alone — steps, guards, leaves, snapshot bytes, chunk copies,
+//! latency in ticks. No clock is read and no thread is spawned, so the file
+//! is the same on every host and CI fails on `git diff --exit-code
+//! BENCH_counts.json`: a change that copies one more chunk or evaluates one
+//! more guard is a reviewed line of that diff. Wall-clock claims live in
+//! `benchmark/`, which models its own noise (DESIGN.md decision 16).
+//!
+//! Three sections:
+//!
+//! - `explore` — the fig1 tree at depths 3–6 under the snapshotting DFS
+//!   with the visited set (`dfs-dedup`) and with sleep-set partial-order
+//!   reduction on top (`dfs-por`, what the hunt ships with), one worker;
+//!   and a run-capped walk of a 64-process `rand(64,8,450)` state, where a
+//!   checkpoint must copy far less than a deep clone. `baseline_steps` is
+//!   what the restart-from-scratch odometer with the same visited set
+//!   executes on the same tree: `dfs-dedup`'s steps executed plus avoided
+//!   (`tests/engine_dfs_equivalence.rs` holds that equality).
+//! - `serve` — descriptor-addressed backlogs drained by
+//!   [`Runtime::run_sustained`](gam_core::Runtime::run_sustained),
+//!   unbatched and at `batch_max = 16`: delivery latency in ticks, the
+//!   consensus batch-occupancy histogram, the shard shape of the traffic
+//!   and the ready-set counters. The last row is the gated benchmark's
+//!   first `serve_dense` descriptor, where each process holds tens of
+//!   units in `stable`.
+//! - `corpus` — every family of [`gam_scenarios::corpus`] at 20 seeds, each
+//!   instance through a seeded swarm plus a bounded exhaustive enumeration
+//!   under the full spec.
+//!
+//! Level B has no section: its work counters are column 4 of
+//! `tests/fixtures/levelb_hashes.txt`, replayed on every commit.
+//!
+//! The bin fails when a run is not clean (or, where required, not complete
+//! and quiescent) and on the thresholds named by the constants below.
+//!
+//! Run with: `cargo run --release -p gam-bench --bin counts` (≈ 10 s)
+//! Output:   `BENCH_counts.json` (repo root)
+
+use gam_bench::json::Json;
+use gam_core::{spec, ReadyCounters};
+use gam_engine::{run_with_source_counted, shard_partition};
+use gam_explore::{
+    explore_exhaustive, explore_exhaustive_dfs_par, explore_swarm, ExploreConfig, ExploreStats,
+    Outcome, Scenario, DEFAULT_SHRINK_BUDGET,
+};
+use gam_kernel::schedule::RotatingSource;
+use gam_scenarios::{corpus, fixture, Family, ScnDescriptor, TrafficPlan};
+
+/// Least reduction in steps executed against `baseline_steps`, in permille:
+/// `dfs-por` at every fig1 depth, `dfs-dedup` at the deepest (prefix
+/// sharing alone needs depth to compound — 4% at depth 3).
+const STEPS_REDUCTION_FLOOR_PERMILLE: u64 = 400;
+/// A checkpoint of the `rand(64,8,450)` state copies at least this many
+/// times fewer bytes than a deep clone of it.
+const SNAPSHOT_SHALLOW_RATIO_FLOOR: u64 = 10;
+/// Ceiling on the p99 delivery latency of every `serve` row, in ticks (the
+/// worst, unbatched `rand_64_dense`, sits near 62k).
+const P99_CEILING_TICKS: u64 = 80_000;
+/// Ceiling on guard evaluations per step of every `serve` row. Deriving
+/// readiness from the `LOG_g` deliver frontiers costs ≈ 4 per step; a walk
+/// over the stable backlog of the last row costs ≈ 41.
+const GUARDS_PER_STEP_CEILING: u64 = 10;
+/// Floors of the corpus sweep.
+const CORPUS_FAMILIES_FLOOR: usize = 5;
+const CORPUS_INSTANCES: u64 = 20;
+
+fn permille(part: u64, whole: u64) -> u64 {
+    (part * 1000).checked_div(whole).unwrap_or(0)
+}
+
+/// The runtime's ready-set counters over a run of `steps` steps, and the
+/// two guard counts again per step.
+fn ready_set_json(steps: u64, c: ReadyCounters) -> Json {
+    Json::obj([
+        ("steps", steps),
+        ("rows_refreshed", c.rows_refreshed),
+        ("rows_patched", c.rows_patched),
+        ("rows_reused", c.rows_reused),
+        ("breakpoint_flushes", c.breakpoint_flushes),
+        ("guards_evaluated", c.guards_evaluated),
+        ("guards_passed", c.guards_passed),
+        (
+            "guards_evaluated_per_step_permille",
+            permille(c.guards_evaluated, steps),
+        ),
+        (
+            "guards_passed_per_step_permille",
+            permille(c.guards_passed, steps),
+        ),
+    ])
+}
+
+/// The ready-set counters of one fair run of `scenario`: what option
+/// enumeration costs per step on that state.
+fn fair_run_json(scenario: &Scenario) -> Json {
+    let mut exec = scenario.runtime_executor();
+    let (_, steps) = run_with_source_counted(
+        &mut exec,
+        &mut RotatingSource::default(),
+        scenario.max_steps,
+    );
+    ready_set_json(steps, exec.runtime().ready_counters())
+}
+
+/// Both DFS configurations over the first `depth` choices of `scenario`,
+/// at most `run_cap` leaves each: `(dfs-dedup, dfs-por)`, neither finding a
+/// violation.
+fn dfs_passes(
+    scenario: &Scenario,
+    depth: usize,
+    run_cap: u64,
+) -> [(&'static str, ExploreStats); 2] {
+    [("dfs-dedup", false), ("dfs-por", true)].map(|(name, por)| {
+        let config = ExploreConfig {
+            threads: 1,
+            dedup_capacity: 1 << 18,
+            por,
+            ..ExploreConfig::default()
+        };
+        let stats = explore_exhaustive_dfs_par(scenario, depth, run_cap, &config);
+        let violations = &stats.violations;
+        assert!(
+            violations.is_empty(),
+            "{name}, depth {depth}: {violations:?}"
+        );
+        (name, stats)
+    })
+}
+
+fn reduction_permille(baseline: u64, steps: u64) -> u64 {
+    permille(baseline - baseline.min(steps), baseline)
+}
+
+/// What the odometer with the same visited set executes on `dfs-dedup`'s
+/// tree: every step the DFS ran plus every prefix step it did not re-run.
+fn baseline_steps(dedup: &ExploreStats) -> u64 {
+    dedup.steps_executed + dedup.steps_avoided
+}
+
+/// One exploration row: the tree's restart cost and both passes' counters.
+fn explore_row(depth: usize, run_cap: u64, passes: &[(&'static str, ExploreStats)]) -> Json {
+    let baseline = baseline_steps(&passes[0].1);
+    let configs = passes.iter().map(|(name, s)| {
+        let counters = [
+            ("runs", s.runs),
+            ("steps_executed", s.steps_executed),
+            ("steps_avoided", s.steps_avoided),
+            (
+                "steps_reduction_permille",
+                reduction_permille(baseline, s.steps_executed),
+            ),
+            ("snapshots_taken", s.snapshots_taken),
+            ("snapshot_bytes", s.snapshot_bytes),
+            ("snapshot_deep_bytes", s.snapshot_deep_bytes),
+            ("snapshot_bytes_peak", s.snapshot_bytes_peak),
+            ("por_pruned", s.por_pruned),
+            ("dedup_hits", s.dedup_hits),
+            ("dedup_evictions", s.dedup_evictions),
+            ("chunk_copies", s.chunk_copies),
+        ];
+        let counters = counters.map(|(key, n)| (key, Json::from(n)));
+        Json::obj([("name", Json::from(*name))].into_iter().chain(counters))
+    });
+    Json::obj([
+        ("depth", Json::from(depth as u64)),
+        ("run_cap", Json::from(run_cap)),
+        ("baseline_steps", Json::from(baseline)),
+        ("configs", configs.collect()),
+    ])
+}
+
+fn explore() -> Json {
+    let fig1 = Scenario::one_per_group(&fixture("fig1").system(), 200_000);
+    // Sized so the deepest row (~0.8M leaves) completes rather than caps.
+    let run_cap = 2_000_000;
+    let depths = (3..=6).map(|depth| {
+        let passes = dfs_passes(&fig1, depth, run_cap);
+        let [(_, dedup), (_, por)] = &passes;
+        let baseline = baseline_steps(dedup);
+        assert!(dedup.complete() && por.complete(), "depth {depth}: capped");
+        assert!(por.runs <= dedup.runs, "POR covers a quotient of the tree");
+        assert!(por.por_pruned > 0, "POR slept nothing at depth {depth}");
+        let gated = if depth == 6 {
+            &passes[..]
+        } else {
+            &passes[1..]
+        };
+        for (name, stats) in gated {
+            let reduction = reduction_permille(baseline, stats.steps_executed);
+            assert!(
+                reduction >= STEPS_REDUCTION_FLOOR_PERMILLE,
+                "{name} executes only {reduction} permille fewer steps than the \
+                 odometer at depth {depth}"
+            );
+        }
+        explore_row(depth, run_cap, &passes)
+    });
+    let depths: Json = depths.collect();
+
+    // A single multicast on 64 processes, 8 groups of ~29 members: ~221
+    // enabled actions at every level, so depth 4 is ~10⁹ schedules and the
+    // walk ends at its cap. Two free levels past the pinned item prefixes
+    // let it cross several branch points: the first checkpoint pays for the
+    // initialization writes, the rest copy the few chunks one action
+    // dirtied.
+    let mut d = ScnDescriptor::new(Family::Rand {
+        n: 64,
+        k: 8,
+        density_permille: 450,
+    });
+    d.traffic = TrafficPlan::One;
+    d.budget = 500_000;
+    let rand = Scenario::from_descriptor(&d);
+    let (rand_depth, rand_cap) = (4, 1_000);
+    let passes = dfs_passes(&rand, rand_depth, rand_cap);
+    let dedup = &passes[0].1;
+    assert!(dedup.snapshots_taken > 0, "rand: no checkpoint taken");
+    let ratio = dedup
+        .snapshot_deep_bytes
+        .checked_div(dedup.snapshot_bytes)
+        .unwrap_or(0);
+    assert!(
+        ratio >= SNAPSHOT_SHALLOW_RATIO_FLOOR,
+        "rand: checkpoints copy only {ratio}x less than a deep clone"
+    );
+
+    Json::obj([
+        (
+            "fig1",
+            Json::obj([("fair_run", fair_run_json(&fig1)), ("depths", depths)]),
+        ),
+        (
+            "rand",
+            Json::obj([
+                ("descriptor", Json::from(d.render())),
+                ("fair_run", fair_run_json(&rand)),
+                ("walk", explore_row(rand_depth, rand_cap, &passes)),
+            ]),
+        ),
+    ])
+}
+
+/// Shard shape of a scenario's topology and traffic: the connected
+/// components of the group intersection graph, and the permille of
+/// submissions addressed outside the most loaded one — the share of the
+/// backlog other workers could serve while the busiest shard runs.
+fn shard_shape(scenario: &Scenario) -> (u64, u64) {
+    let shards = shard_partition(&scenario.system);
+    let load = |shard: &Vec<_>| {
+        let addressed = scenario.submissions.iter();
+        addressed.filter(|(_, g, _)| shard.contains(g)).count() as u64
+    };
+    let peak = shards.iter().map(load).max().unwrap_or(0);
+    // every group lies in exactly one shard
+    let total = scenario.submissions.len() as u64;
+    (shards.len() as u64, permille(total - peak, total))
+}
+
+/// Drains `d`'s preloaded traffic once at `batch_max` and records the run.
+fn serve_row(workload: &str, d: &ScnDescriptor, batch_max: u32) -> Json {
+    let scenario = Scenario::from_descriptor(d).with_batch_max(batch_max);
+    let (shards, cross_shard_permille) = shard_shape(&scenario);
+    let mut rt = scenario.runtime_executor().into_runtime();
+    let loaded = rt.now().0;
+    let quiescent = rt.run_sustained(rt.system().universe(), d.budget);
+    assert!(quiescent, "{workload} batch={batch_max}: must quiesce");
+    let report = rt.report(true);
+    if let Err(v) = spec::check_all(&report, d.variant) {
+        panic!("{workload} batch={batch_max}: {v:?}");
+    }
+    let (steps, counters) = (rt.now().0 - loaded, rt.ready_counters());
+    assert!(
+        counters.guards_evaluated <= GUARDS_PER_STEP_CEILING * steps,
+        "{workload} batch={batch_max}: {} guards evaluated over {steps} steps — \
+         is a stable backlog being walked again?",
+        counters.guards_evaluated
+    );
+
+    let mut latency: Vec<u64> = report
+        .delivered
+        .iter()
+        .flatten()
+        .map(|dl| dl.at.0 - report.multicast_at[dl.msg.0 as usize].0)
+        .collect();
+    latency.sort_unstable();
+    let at = |q: usize| latency[(latency.len() - 1) * q / 100];
+    assert!(
+        at(99) <= P99_CEILING_TICKS,
+        "{workload} batch={batch_max}: p99 {} ticks",
+        at(99)
+    );
+    let occupancy = rt.unit_width_histogram();
+    let occupancy = occupancy.iter().enumerate().filter(|(_, n)| **n > 0);
+
+    Json::obj([
+        ("workload", Json::from(workload)),
+        ("descriptor", Json::from(d.render())),
+        ("batch_max", Json::from(u64::from(batch_max))),
+        ("shards", Json::from(shards)),
+        ("cross_shard_permille", Json::from(cross_shard_permille)),
+        ("messages", Json::from(report.messages.len())),
+        ("deliveries", Json::from(latency.len())),
+        (
+            "latency_ticks",
+            Json::obj([
+                ("p50", at(50)),
+                ("p95", at(95)),
+                ("p99", at(99)),
+                ("max", at(100)),
+            ]),
+        ),
+        (
+            "batch_occupancy",
+            occupancy
+                .map(|(w, n)| Json::obj([("width", w as u64), ("units", *n)]))
+                .collect(),
+        ),
+        ("ready_set", ready_set_json(steps, counters)),
+    ])
+}
+
+fn serve() -> Json {
+    // The committed large-instance fixture (240-group random tree, 479
+    // processes, crashy), a dense 64-process random topology (one shard)
+    // and an 8-component chain forest (8 shards); then the backlog.
+    let zipf = |family: &str, seed: u64, messages: u64| {
+        ScnDescriptor::parse(&format!(
+            "gam-scn v1 family={family} seed={seed} crash=none \
+             traffic=zipf(1200,{messages}) variant=standard budget=2000000"
+        ))
+        .expect("valid descriptor")
+    };
+    let mut rows = Vec::new();
+    for (workload, d) in [
+        ("large_tree_240", fixture("large_tree_240")),
+        ("rand_64_dense", zipf("rand(64,8,450)", 7, 512)),
+        ("multichain_8x4", zipf("multichain(8,4,4)", 11, 512)),
+    ] {
+        rows.extend([1, 16].map(|batch_max| serve_row(workload, &d, batch_max)));
+    }
+    let backlog = zipf("rand(64,8,450)", 7000, 256);
+    rows.push(serve_row("serve_dense_backlog", &backlog, 1));
+    Json::Arr(rows)
+}
+
+fn corpus_section() -> Json {
+    let (swarm_seeds, depth, run_cap) = (4u64, 2, 200);
+    let families = corpus();
+    assert!(
+        families.len() >= CORPUS_FAMILIES_FLOOR,
+        "corpus covers only {} families",
+        families.len()
+    );
+    let rows = families.iter().map(|(name, template)| {
+        let (mut runs, mut steps, mut violations, mut exhausted) = (0u64, 0u64, 0usize, 0u64);
+        for seed in 0..CORPUS_INSTANCES {
+            let scenario = Scenario::from_descriptor(&template.with_seed(seed));
+            let swarm = explore_swarm(&scenario, 0..swarm_seeds, DEFAULT_SHRINK_BUDGET);
+            let exhaustive = explore_exhaustive(&scenario, depth, run_cap, DEFAULT_SHRINK_BUDGET);
+            runs += swarm.runs + exhaustive.runs;
+            steps += swarm.steps_executed + exhaustive.steps_executed;
+            violations += swarm.violations.len() + exhaustive.violations.len();
+            exhausted += u64::from(exhaustive.outcome == Outcome::Exhausted);
+        }
+        // The corpus is the clean baseline the nightly hunt mutates away
+        // from: a violation here is a protocol bug.
+        assert_eq!(violations, 0, "{name}: the corpus must sweep clean");
+        Json::obj([
+            ("family", Json::from(*name)),
+            ("descriptor", Json::from(template.render())),
+            ("instances", Json::from(CORPUS_INSTANCES)),
+            ("explored_states", Json::from(runs)),
+            ("steps_executed", Json::from(steps)),
+            ("violations", Json::from(violations)),
+            ("exhausted_instances", Json::from(exhausted)),
+        ])
+    });
+    Json::obj([
+        ("swarm_seeds", Json::from(swarm_seeds)),
+        ("exhaustive_depth", Json::from(depth as u64)),
+        ("exhaustive_run_cap", Json::from(run_cap)),
+        ("rows", rows.collect()),
+    ])
+}
+
+fn main() {
+    let record = Json::obj([
+        ("explore", explore()),
+        ("serve", serve()),
+        ("corpus", corpus_section()),
+    ]);
+    std::fs::write("BENCH_counts.json", record.pretty()).expect("write BENCH_counts.json");
+    println!("wrote BENCH_counts.json");
+}

@@ -57,7 +57,7 @@
 //! [`ExploreStats::snapshot_bytes`] sums what each checkpoint actually
 //! copied (chunk pointer tables under copy-on-write state) against the
 //! [`ExploreStats::snapshot_deep_bytes`] a deep `Clone` would have copied.
-//! `BENCH_explore_dfs.json` tracks both reductions.
+//! `BENCH_counts.json` (section `explore`) tracks both reductions.
 //!
 //! ## Storage
 //!

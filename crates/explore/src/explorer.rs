@@ -73,8 +73,8 @@ pub struct ExploreStats {
     /// tables, not the elements (0 for the odometer engines and the swarm).
     pub snapshot_bytes: u64,
     /// Bytes deep per-element copies of the same checkpoints would have
-    /// copied — the Clone baseline the snapshot-bytes gate of
-    /// `BENCH_explore_dfs.json` divides by.
+    /// copied — the Clone baseline the snapshot-bytes threshold of the
+    /// `counts` bin (`BENCH_counts.json`) divides by.
     pub snapshot_deep_bytes: u64,
     /// Largest single checkpoint, in copied bytes.
     pub snapshot_bytes_peak: u64,

@@ -21,7 +21,7 @@ use genuine_multicast::engine::{run_sustained_par, shard_specs};
 use genuine_multicast::prelude::*;
 
 /// Builds the descriptor's runtime with the whole traffic trace preloaded,
-/// exactly as the sustained-load bench does.
+/// exactly as the `serve` section of the `counts` bin does.
 fn runtime_for(d: &ScnDescriptor, batch_max: u32) -> Runtime {
     let generated = d.generate();
     let pattern = FailurePattern::from_crashes(generated.system.universe(), generated.crashes);
@@ -115,13 +115,12 @@ fn repeated_sharded_runs_are_deterministic() {
     }
 }
 
-/// The many-shard workload really is sharded — and on hosts with enough
-/// cores, really is faster. The timing half only runs where the speedup
-/// can physically exist ([`std::thread::available_parallelism`] ≥ 4): a
-/// single-core container honestly skips it, as the bench's speedup gate
-/// does.
+/// The many-shard workload really is sharded: eight components of four
+/// groups, each with live processes. Whether the workers then beat one
+/// thread is a wall-clock question, and the benchmark's
+/// `engine.shard.speedup` on `serve_sharded` answers it.
 #[test]
-fn sharding_shape_and_core_gated_speedup() {
+fn the_many_shard_workload_is_eight_shards_of_four_groups() {
     let d = ScnDescriptor::parse(
         "gam-scn v1 family=multichain(8,4,4) seed=11 crash=none \
          traffic=zipf(1200,512) variant=standard budget=2000000",
@@ -134,27 +133,4 @@ fn sharding_shape_and_core_gated_speedup() {
         assert_eq!(s.groups.len(), 4, "each shard is one 4-group chain");
         assert!(!s.pids.is_empty(), "every shard has live processes");
     }
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 4 {
-        return;
-    }
-    let time = |threads: usize| {
-        (0..3)
-            .map(|_| {
-                let mut rt = runtime_for(&d, 16);
-                let set = rt.system().universe();
-                let start = std::time::Instant::now();
-                assert!(run_sustained_par(&mut rt, set, d.budget, threads));
-                start.elapsed()
-            })
-            .min()
-            .expect("three samples")
-    };
-    let seq = time(1);
-    let par = time(4);
-    assert!(
-        par < seq,
-        "4 workers on 8 shards beat 1 worker ({par:?} vs {seq:?})"
-    );
 }
