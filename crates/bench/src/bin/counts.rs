@@ -47,10 +47,14 @@ use gam_explore::{
 use gam_kernel::schedule::RotatingSource;
 use gam_scenarios::{corpus, fixture, Family, ScnDescriptor, TrafficPlan};
 
-/// Least reduction in steps executed against `baseline_steps`, in permille:
-/// `dfs-por` at every fig1 depth, `dfs-dedup` at the deepest (prefix
-/// sharing alone needs depth to compound — 4% at depth 3).
-const STEPS_REDUCTION_FLOOR_PERMILLE: u64 = 400;
+/// Least reduction in steps executed against `baseline_steps`, in permille,
+/// of `dfs-por` at every fig1 depth. The baseline carries the visited set
+/// too, so a better dedup key shrinks it faster than it shrinks `dfs-por`:
+/// depth 3 sits at 436 (3 018 of 5 360 steps), depth 6 at 973.
+const POR_REDUCTION_FLOOR_PERMILLE: u64 = 400;
+/// The same floor for `dfs-dedup` at the deepest fig1 depth, where it sits
+/// at 805 (prefix sharing alone needs depth to compound — 328 at depth 3).
+const DEDUP_REDUCTION_FLOOR_PERMILLE: u64 = 750;
 /// A checkpoint of the `rand(64,8,450)` state copies at least this many
 /// times fewer bytes than a deep clone of it.
 const SNAPSHOT_SHALLOW_RATIO_FLOOR: u64 = 10;
@@ -181,17 +185,16 @@ fn explore() -> Json {
         assert!(dedup.complete() && por.complete(), "depth {depth}: capped");
         assert!(por.runs <= dedup.runs, "POR covers a quotient of the tree");
         assert!(por.por_pruned > 0, "POR slept nothing at depth {depth}");
-        let gated = if depth == 6 {
-            &passes[..]
-        } else {
-            &passes[1..]
-        };
-        for (name, stats) in gated {
+        let mut gated = vec![("dfs-por", por, POR_REDUCTION_FLOOR_PERMILLE)];
+        if depth == 6 {
+            gated.push(("dfs-dedup", dedup, DEDUP_REDUCTION_FLOOR_PERMILLE));
+        }
+        for (name, stats, floor) in gated {
             let reduction = reduction_permille(baseline, stats.steps_executed);
             assert!(
-                reduction >= STEPS_REDUCTION_FLOOR_PERMILLE,
+                reduction >= floor,
                 "{name} executes only {reduction} permille fewer steps than the \
-                 odometer at depth {depth}"
+                 odometer at depth {depth}, under the floor of {floor}"
             );
         }
         explore_row(depth, run_cap, &passes)

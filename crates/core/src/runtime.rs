@@ -1595,9 +1595,41 @@ impl Runtime {
     /// variable-length section is length-prefixed so the stream is
     /// prefix-free.
     ///
-    /// The engine folds this stream into the executor's state fingerprint,
-    /// which the explorer's visited-set dedup prunes on.
+    /// This is the *identity* walk: units in creation order, every action
+    /// count. It is what the sharded, batched and schedule-identity suites
+    /// compare and what `tests/fixtures/serve_hashes.txt` pins, so its
+    /// stream never changes. The explorer's dedup key is the coarser
+    /// [`Runtime::fold_observable`].
     pub fn fold_state(&self, push: &mut impl FnMut(u64)) {
+        self.walk_state::<false>(push);
+    }
+
+    /// The [`Runtime::fold_state`] stream with the two things no
+    /// continuation and no verdict can observe taken out — the projection
+    /// the engine folds into the executor's state fingerprint, which the
+    /// explorer's visited-set dedup prunes on:
+    ///
+    /// - **units are visited per group in `L_g` position order**, not in
+    ///   creation order. A unit id is a name: no guard compares two, rows
+    ///   sort by representative message and pair orders by `(slot, rep)`,
+    ///   so two `Inject` orders reach the same machine under a renaming;
+    /// - **action counts become "has acted" bits, and only for processes
+    ///   outside every destination group of a submitted message.** The
+    ///   counts are written by `apply` and read by nothing but
+    ///   [`Runtime::report`], whose one reader
+    ///   ([`crate::spec::check_minimality`]) asks whether a process that no
+    ///   message addresses took a step — never how many, never of an
+    ///   addressed process.
+    ///
+    /// Everything else stays, the clock and the delivery instants included:
+    /// equal streams mean equal clocks, hence equal remaining budgets.
+    pub fn fold_observable(&self, push: &mut impl FnMut(u64)) {
+        self.walk_state::<true>(push);
+    }
+
+    /// The one state walk behind [`Runtime::fold_state`] (`OBSERVABLE =
+    /// false`) and [`Runtime::fold_observable`] (`true`).
+    fn walk_state<const OBSERVABLE: bool>(&self, push: &mut impl FnMut(u64)) {
         let t = &*self.tables;
         push(self.now.0);
         // Shared pair orders, in interned (lexicographic key) order.
@@ -1617,36 +1649,37 @@ impl Runtime {
             }
         }
         // Units: identity, announcements, stabilisations, consensus cells
-        // and per-member phases, in unit id (creation) order — creation
-        // order is itself a function of the walked state, so the stream
-        // stays canonical.
+        // and per-member phases.
         push(self.units.count() as u64);
-        for u in 0..self.units.count() as u32 {
-            let ui = u as usize;
-            push(u64::from(self.units.group[ui].0));
-            push(u64::from(self.units.start[ui]));
-            push(u64::from(self.units.len[ui]));
-            let deg = self.units.deg(u);
-            for a in 0..deg {
-                let ai = self.units.adj(u, a);
-                push(self.units.ann_max[ai]);
-                push(u64::from(self.units.stab[ai]));
+        if OBSERVABLE {
+            // Per group, the units that tile the claimed prefix of `L_g`.
+            for (gi, list) in self.lists.iter().enumerate() {
+                let mut i = 0;
+                while i < self.next_new[gi] as usize {
+                    let u = self.unit_of[list[i].0 as usize];
+                    self.walk_unit(t, u, push);
+                    i += self.units.len[u as usize] as usize;
+                }
             }
-            let g = self.units.group[ui];
-            for r in 0..t.member_list[g.index()].len() {
-                push(self.units.phase[self.units.mem(u, r as u16)] as u64);
-            }
-            for fr in 0..t.fams[g.index()].len() as u16 {
-                push(self.units.cons[self.units.fam(u, fr)]);
+        } else {
+            // Unit id (creation) order — itself a function of the walked
+            // state, so the stream stays canonical.
+            for u in 0..self.units.count() as u32 {
+                self.walk_unit(t, u, push);
             }
         }
         // Group submission lists (append-only; constant within a run but
-        // part of the machine nonetheless).
+        // part of the machine nonetheless) — and, for the observable walk,
+        // whom they address: the members of every group with a message.
+        let mut addressed = ProcessSet::EMPTY;
         push(self.lists.len() as u64);
-        for list in self.lists.iter() {
+        for (list, (_, members)) in self.lists.iter().zip(t.system.iter()) {
             push(list.len() as u64);
             for m in list {
                 push(m.0);
+            }
+            if OBSERVABLE && !list.is_empty() {
+                addressed |= members;
             }
         }
         // Per-process protocol state.
@@ -1657,8 +1690,34 @@ impl Runtime {
                 push(d.at.0);
             }
         }
-        for n in &self.actions_of {
-            push(*n);
+        if OBSERVABLE {
+            for p in t.system.universe() - addressed {
+                push(u64::from(self.actions_of[p.index()] > 0));
+            }
+        } else {
+            for n in &self.actions_of {
+                push(*n);
+            }
+        }
+    }
+
+    /// One unit's words of the state walk.
+    fn walk_unit(&self, t: &Tables, u: u32, push: &mut impl FnMut(u64)) {
+        let ui = u as usize;
+        let g = self.units.group[ui];
+        push(u64::from(g.0));
+        push(u64::from(self.units.start[ui]));
+        push(u64::from(self.units.len[ui]));
+        for a in 0..self.units.deg(u) {
+            let ai = self.units.adj(u, a);
+            push(self.units.ann_max[ai]);
+            push(u64::from(self.units.stab[ai]));
+        }
+        for r in 0..t.member_list[g.index()].len() {
+            push(self.units.phase[self.units.mem(u, r as u16)] as u64);
+        }
+        for fr in 0..t.fams[g.index()].len() as u16 {
+            push(self.units.cons[self.units.fam(u, fr)]);
         }
     }
 
@@ -2219,5 +2278,69 @@ mod tests {
             words
         };
         assert_eq!(mk(0), mk(1));
+    }
+    fn folds(rt: &Runtime) -> (Vec<u64>, Vec<u64>) {
+        let (mut identity, mut observable) = (Vec::new(), Vec::new());
+        rt.fold_state(&mut |w| identity.push(w));
+        rt.fold_observable(&mut |w| observable.push(w));
+        (identity, observable)
+    }
+
+    #[test]
+    fn the_observable_walk_forgets_unit_names_and_who_of_a_group_stepped() {
+        // Two disjoint groups, one message each, both injected: by which
+        // member, and in which order (= under which unit ids), is all that
+        // tells the three runs apart.
+        let gs = topology::disjoint(2, 2);
+        let run = |steppers: [u32; 2]| {
+            let mut rt = runtime(&gs, FailurePattern::all_correct(gs.universe()));
+            for (g, members) in gs.iter() {
+                rt.multicast(members.min().unwrap(), g, 0);
+            }
+            for p in steppers {
+                assert!(rt.fire_enabled(ProcessId(p), 0).fired);
+            }
+            rt
+        };
+        // disjoint(2,2): g0 = {p0, p1}, g1 = {p2, p3}.
+        let (first, swapped, other_member) = (run([0, 2]), run([2, 0]), run([1, 2]));
+        let (id, obs) = folds(&first);
+        for (what, rt) in [("unit ids", &swapped), ("stepper", &other_member)] {
+            let (id2, obs2) = folds(rt);
+            assert_ne!(id, id2, "{what}: the identity walk tells them apart");
+            assert_eq!(obs, obs2, "{what}: the observable walk does not");
+        }
+        assert_eq!(
+            first.units.group[0], swapped.units.group[1],
+            "the orders differ by the unit-id permutation"
+        );
+    }
+
+    #[test]
+    fn the_observable_walk_keeps_whether_an_unaddressed_process_stepped() {
+        // Algorithm 1 never lets a process act that no message addresses,
+        // so no reachable state sets these bits; minimality is the check
+        // that reads them, and a forged count shows both sides of it.
+        let gs = topology::disjoint(2, 2);
+        let mut rt = runtime(&gs, FailurePattern::all_correct(gs.universe()));
+        let (g, members) = gs.iter().next().unwrap();
+        rt.multicast(members.min().unwrap(), g, 0);
+        let outsider = (gs.universe() - members).min().unwrap();
+        let insider = members.min().unwrap();
+        let forged = |p: ProcessId, count: u64| {
+            let mut rt = rt.clone();
+            rt.actions_of[p.index()] = count;
+            let minimal = crate::spec::check_minimality(&rt.report(false)).is_ok();
+            (folds(&rt).1, minimal)
+        };
+        let (never, once, often) = (
+            forged(outsider, 0),
+            forged(outsider, 1),
+            forged(outsider, 7),
+        );
+        assert!(never.1 && !once.1 && !often.1, "minimality reads the bit");
+        assert_ne!(never.0, once.0, "so the walk keeps it");
+        assert_eq!(once.0, often.0, "and not the count behind it");
+        assert_eq!(forged(insider, 0), forged(insider, 7), "addressed: neither");
     }
 }

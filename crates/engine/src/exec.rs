@@ -52,12 +52,20 @@ pub trait Executor {
 
     /// A digest of the substrate's **current state** (as opposed to
     /// [`Executor::state_digest`], which hashes the *history* that led
-    /// there): two executors with equal fingerprints behave identically
-    /// under any deterministic continuation, even when they got to that
-    /// state along different schedules. This is the key the explorer's
-    /// visited-set dedup prunes on — converging prefixes (e.g. two
-    /// interleavings of independent actions) collide here but never on the
-    /// history digest.
+    /// there), as far as anything downstream can observe it: equal values ⇒
+    /// equal continuations as reports and verdicts observe them — under any
+    /// deterministic continuation the two executors offer the same choice
+    /// spaces, consume the same budget, and end in reports no spec checker
+    /// tells apart — even when they got there along different schedules.
+    /// This is the key the explorer's visited-set dedup prunes on:
+    /// converging prefixes (e.g. two interleavings of independent actions)
+    /// collide here but never on the history digest.
+    ///
+    /// It is a *key*, not an identity: a substrate may leave out of it
+    /// whatever no continuation and no verdict reads (the Level A runtime
+    /// leaves out unit names and per-process step counts, see
+    /// `Runtime::fold_observable`), so tests that mean "the same state, bit
+    /// for bit" compare the substrate's full state walk beside it.
     ///
     /// The default falls back to the history digest, which is always sound
     /// (equal histories ⇒ equal states) but never detects convergence;
@@ -95,7 +103,8 @@ pub trait Executor {
 /// history [`Digest`](crate::digest::Digest). After `restore`, the executor must be
 /// bit-for-bit indistinguishable from one that reached the checkpoint
 /// fresh: the same `enabled_actions`, and — after any continuation — the
-/// same `state_digest` and `state_fingerprint`. That is what lets the DFS
+/// same `state_digest`, the same substrate state word for word, hence the
+/// same `state_fingerprint`. That is what lets the DFS
 /// engine prove its runs byte-identical to the restart-from-scratch
 /// odometer engine.
 ///

@@ -37,10 +37,17 @@
 //!   entirely rather than approximate.
 //!
 //! Unit-id allocation order (two `Inject`s) is *not* preserved by a swap:
-//! the states differ by a unit-id permutation, so their fingerprints
-//! differ while their behavior (reports carry no unit ids, action
-//! enumeration sorts by representative message) is identical. This is
-//! precisely the redundancy the fingerprint dedup cannot see and POR can.
+//! the states differ by a unit-id permutation while their behavior is
+//! identical — no guard compares two unit ids, reports carry none, action
+//! enumeration sorts by representative message. The dedup key sees through
+//! the permutation as well ([`Executor::state_fingerprint`] walks units in
+//! `L_g` position order, `gam_core::Runtime::fold_observable`), so of two
+//! commuting `Inject` orders POR skips one subtree and dedup, where POR is
+//! off, one fair tail. Only the identity walk `Runtime::fold_state` still
+//! tells the two states apart, which is what the commit merge of the
+//! sharded driver has to re-sequence.
+//!
+//! [`Executor::state_fingerprint`]: crate::Executor::state_fingerprint
 //!
 //! ## From commutation to shards
 //!

@@ -198,12 +198,14 @@ impl Executor for RuntimeExecutor {
     }
 
     fn state_fingerprint(&self) -> u64 {
-        // A real state walk (unlike the history-digest default): folds the
-        // runtime's evolving state via [`Runtime::fold_state`], so schedules
-        // that *converge* — different interleavings reaching the same
-        // machine — collide here and the explorer's dedup can prune them.
+        // A real state walk (unlike the history-digest default): folds what
+        // a continuation and a verdict can observe of the runtime's state
+        // ([`Runtime::fold_observable`]), so schedules that *converge* —
+        // different interleavings reaching the same machine, up to unit
+        // names and who of a group took which step — collide here and the
+        // explorer's dedup can prune them.
         let mut f = Fingerprint::new();
-        self.rt.fold_state(&mut |w| f.push(w));
+        self.rt.fold_observable(&mut |w| f.push(w));
         f.value()
     }
 

@@ -2,14 +2,15 @@
 //!
 //! The parallel explorer prunes the fair-tail completion of any enumerated
 //! prefix whose post-prefix [`state_fingerprint`] was already seen: equal
-//! fingerprints mean equal substrate states, and the tail is a deterministic
-//! function of that state, so re-running it can only reproduce a verdict
-//! already recorded. The set backing that decision must be cheap (one probe
-//! per prefix, on the hot path), allocation-stable (a worker reuses one
-//! table across all its work items) and *deterministic* (its answers are a
-//! pure function of the insertion sequence — never of timing), which rules
-//! out both growable hash maps (rehash points depend on capacity history)
-//! and anything concurrently shared (probe outcomes would race).
+//! fingerprints mean states no continuation and no verdict can tell apart,
+//! and the tail is a deterministic function of that state, so re-running it
+//! can only reproduce a verdict already recorded. The set backing that
+//! decision must be cheap (one probe per prefix, on the hot path),
+//! allocation-stable (a worker reuses one table across all its work items)
+//! and *deterministic* (its answers are a pure function of the insertion
+//! sequence — never of timing), which rules out both growable hash maps
+//! (rehash points depend on capacity history) and anything concurrently
+//! shared (probe outcomes would race).
 //!
 //! Hence this little table: linear probing over a power-of-two slot array,
 //! a bounded probe window, and a deliberate *no-growth* policy — when the

@@ -535,8 +535,15 @@ mod tests {
     fn restore_reproduces_digest_and_fingerprint_bit_for_bit() {
         // Drive to the first branch, checkpoint, explore child 0 to the
         // end, restore, explore child 1, restore, re-explore child 0 — the
-        // digests of the two child-0 continuations must agree exactly, and
-        // both must equal a fresh from-scratch replay of the same path.
+        // two child-0 continuations must agree exactly, and both must equal
+        // a fresh from-scratch replay of the same path. "Exactly" is the
+        // history digest and the full `fold_state` walk; the fingerprint is
+        // a quotient of that walk, asserted beside it.
+        let standing = |exec: &gam_engine::RuntimeExecutor| {
+            let mut words = Vec::new();
+            exec.runtime().fold_state(&mut |w| words.push(w));
+            ((exec.state_digest(), words), exec.state_fingerprint())
+        };
         let scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 50_000);
         let mut exec = scenario.runtime_executor();
         let mut options = Vec::new();
@@ -553,7 +560,7 @@ mod tests {
         let total: usize = options.iter().map(|(_, a)| a).sum();
         assert!(total > 1, "scenario must actually branch");
         let snap = exec.snapshot();
-        let at_branch = (exec.state_digest(), exec.state_fingerprint());
+        let at_branch = standing(&exec);
 
         let run_child = |exec: &mut gam_engine::RuntimeExecutor, flat: usize| {
             let mut opts = Vec::new();
@@ -563,24 +570,26 @@ mod tests {
             step_flat(exec, &opts, flat, &mut sched, &mut t, &mut e);
             let out = run_with_source(exec, &mut RotatingSource::default(), scenario.max_steps - t);
             assert_eq!(out, RunOutcome::Quiescent);
-            (exec.state_digest(), exec.state_fingerprint())
+            standing(exec)
         };
 
         let first = run_child(&mut exec, 0);
         exec.restore(&snap);
+        let landed = standing(&exec);
         assert_eq!(
-            (exec.state_digest(), exec.state_fingerprint()),
-            at_branch,
+            landed.0, at_branch.0,
             "restore must land exactly on the checkpoint"
         );
+        assert_eq!(landed.1, at_branch.1, "fingerprint at the checkpoint");
         let other = run_child(&mut exec, 1);
-        assert_ne!(first, other, "distinct children must diverge");
+        assert_ne!(first.0, other.0, "distinct children must diverge");
         exec.restore(&snap);
         let again = run_child(&mut exec, 0);
         assert_eq!(
-            first, again,
+            first.0, again.0,
             "restored continuation must replay bit-for-bit"
         );
+        assert_eq!(first.1, again.1, "fingerprint of the restored continuation");
 
         // And a cold executor replaying child 0's path agrees too. No
         // scheduled step precedes the first branch (advance only idles), so
@@ -589,10 +598,11 @@ mod tests {
         let mut src = gam_engine::PrefixTail::new(PathSource::new(vec![0]));
         let out = run_with_source(&mut fresh, &mut src, scenario.max_steps);
         assert_eq!(out, RunOutcome::Quiescent);
+        let cold = standing(&fresh);
         assert_eq!(
-            (fresh.state_digest(), fresh.state_fingerprint()),
-            first,
+            cold.0, first.0,
             "snapshot continuation must equal a from-scratch run"
         );
+        assert_eq!(cold.1, first.1, "fingerprint of the from-scratch run");
     }
 }

@@ -39,18 +39,33 @@
 //! keeps a per-worker [`VisitedSet`] of post-prefix
 //! [`state_fingerprint`](gam_engine::Executor::state_fingerprint)s and
 //! skips the tail when the state was already completed by this worker.
-//! Equal fingerprints imply equal machine *and* equal consumed budget (the
-//! clock ticks once per step or idle and is folded first), so the pruned
-//! tail could only repeat a verdict already recorded — modulo 64-bit
-//! fingerprint collisions, the standard hashed-state caveat of
-//! explicit-state model checking. Crucially, only states whose tail
-//! completed *clean* are recorded: a violating tail returns before its
-//! state is inserted, so a hit can never hide a violation and the merged
-//! counterexample is unaffected by pruning. The set is never shared across
-//! workers (probe outcomes would race); at one thread the hit count is
-//! deterministic, at N threads it varies with which worker claimed which
-//! item — but `runs`, the verdicts, and the reported counterexample do
-//! not. Hit counts land in [`ExploreStats::dedup_hits`].
+//!
+//! The key is what a continuation and a verdict can observe of the state,
+//! not the state bit for bit (`gam_core::Runtime::fold_observable`,
+//! DESIGN.md decision 17). Two things are left out. *Unit names*: units are
+//! walked per group in `L_g` order, so the two orders of a pair of
+//! `Inject`s, which allocate the same units under swapped ids, collide.
+//! *Who stepped how often*: an append to `LOG_g` or a proposal has the same
+//! effect whichever member of `g` performs it, and the only reader of the
+//! step counts, minimality, asks whether a process that no message
+//! addresses stepped at all — so "p injected m" and "q injected m" collide
+//! too. Everything a guard or a checker reads stays in: phases, pair
+//! orders, consensus cells, delivery sequences *with* their instants, and
+//! the clock, which ticks once per step or idle and is folded first — so
+//! equal keys imply equal consumed budget, and the pruned tail could only
+//! repeat a verdict already recorded. On fig1 at depth 6 the key cuts the
+//! fair tails 22 493 → 837 (27×) against the bit-for-bit walk;
+//! `tests/dedup_soundness.rs` checks that no key maps to two outcomes.
+//!
+//! All of it modulo 64-bit fingerprint collisions, the standard
+//! hashed-state caveat of explicit-state model checking. Crucially, only
+//! states whose tail completed *clean* are recorded: a violating tail
+//! returns before its state is inserted, so a hit can never hide a
+//! violation and the merged counterexample is unaffected by pruning. The
+//! set is never shared across workers (probe outcomes would race); at one
+//! thread the hit count is deterministic, at N threads it varies with which
+//! worker claimed which item — but `runs`, the verdicts, and the reported
+//! counterexample do not. Hit counts land in [`ExploreStats::dedup_hits`].
 
 use crate::explorer::{found, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET};
 use crate::{Prototype, Scenario};

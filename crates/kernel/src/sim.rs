@@ -23,6 +23,7 @@ use crate::automaton::{Automaton, History, StepCtx};
 use crate::failure::FailurePattern;
 use crate::message::{Envelope, MessageBuffer, MsgId};
 use crate::process::{ProcessId, ProcessSet};
+#[cfg(doc)]
 use crate::schedule::ScheduleSource;
 use crate::time::Time;
 use crate::trace::Trace;
@@ -488,33 +489,6 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
             Receive::Null
         };
         self.step_process(p, receive)
-    }
-
-    /// Runs with every scheduling decision delegated to `source`,
-    /// scheduling only processes of `set`, until quiescence, budget
-    /// exhaustion, or the source stopping.
-    pub fn run_with_source<S: ScheduleSource>(
-        &mut self,
-        set: ProcessSet,
-        source: &mut S,
-        max_steps: u64,
-    ) -> RunOutcome {
-        let mut taken = 0u64;
-        let mut options = Vec::new();
-        loop {
-            if taken >= max_steps {
-                return RunOutcome::BudgetExhausted;
-            }
-            self.options_into(set, &mut options);
-            if options.is_empty() {
-                return RunOutcome::Quiescent;
-            }
-            let Some((idx, choice)) = source.next_choice(&options) else {
-                return RunOutcome::Stopped;
-            };
-            self.step_choice(options[idx].0, choice);
-            taken += 1;
-        }
     }
 
     /// Consumes the simulator, returning the trace.

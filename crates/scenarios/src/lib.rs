@@ -37,9 +37,10 @@ use gam_core::Variant;
 
 /// The standard sweep corpus: one descriptor template per family, spanning
 /// both sides of the solvability boundary and all traffic shapes. Seeds are
-/// applied per instance with [`ScnDescriptor::with_seed`]; `scenario_sweep`
-/// and the conformance grid both draw from this list so the committed bench
-/// record and the test corpus stay aligned.
+/// applied per instance with [`ScnDescriptor::with_seed`]; the `corpus`
+/// section of `gam-bench`'s `counts` bin and the conformance grid both draw
+/// from this list so the committed count record (`BENCH_counts.json`) and
+/// the test corpus stay aligned.
 pub fn corpus() -> Vec<(&'static str, ScnDescriptor)> {
     let one = TrafficPlan::One;
     let uniform = TrafficPlan::Uniform { msgs: 6 };

@@ -275,6 +275,24 @@ fn restore_scenarios() -> Vec<(String, Scenario)> {
     out
 }
 
+/// Where an executor stands, bit for bit: its history digest and the full
+/// `Runtime::fold_state` word vector — and, kept apart, its
+/// `state_fingerprint`. The fingerprint is the dedup key, a quotient of the
+/// state (it tells neither unit names nor action counts apart), so it is
+/// asserted beside the state and never stands in for it.
+type Standing = ((u64, Vec<u64>), u64);
+
+fn standing(exec: &RuntimeExecutor) -> Standing {
+    let mut words = Vec::new();
+    exec.runtime().fold_state(&mut |w| words.push(w));
+    ((exec.state_digest(), words), exec.state_fingerprint())
+}
+
+fn assert_same_standing(got: &Standing, want: &Standing, what: &str) {
+    assert_eq!(got.0, want.0, "{what}");
+    assert_eq!(got.1, want.1, "{what}: equal states, unequal fingerprints");
+}
+
 #[test]
 fn restore_rewinds_bit_for_bit_and_never_writes_the_snapshot() {
     for (name, scenario) in restore_scenarios() {
@@ -306,21 +324,26 @@ fn restore_rewinds_bit_for_bit_and_never_writes_the_snapshot() {
             taken += 1;
         };
         let snap = exec.snapshot();
-        let at = (exec.state_digest(), exec.state_fingerprint());
+        let at = standing(&exec);
 
         // One child's step, then the fair tail to the end of the run.
         let finish = |exec: &mut RuntimeExecutor, child: ChoiceStep| {
             let mut src = PrefixTail::new(ReplaySource::new(vec![child]));
             let (out, _) = run_with_source_counted(exec, &mut src, budget - taken);
-            (out, exec.state_digest(), exec.state_fingerprint())
+            (out, standing(exec))
         };
+        let assert_same_finish =
+            |got: (RunOutcome, Standing), want: &(RunOutcome, Standing), what: &str| {
+                assert_eq!(got.0, want.0, "{name}: {what}");
+                assert_same_standing(&got.1, &want.1, &format!("{name}: {what}"));
+            };
         let rewind = |exec: &mut RuntimeExecutor, to: &RuntimeSnapshot, what: &str| {
             exec.restore(to);
             assert!(exec.runtime().ready_set_is_current(), "{name}: {what}");
-            assert_eq!(
-                (exec.state_digest(), exec.state_fingerprint()),
-                at,
-                "{name}: {what} must land on the checkpoint"
+            assert_same_standing(
+                &standing(exec),
+                &at,
+                &format!("{name}: {what} must land on the checkpoint"),
             );
         };
 
@@ -329,26 +352,18 @@ fn restore_rewinds_bit_for_bit_and_never_writes_the_snapshot() {
         rewind(&mut exec, &snap, "restore after child 0");
         let other = finish(&mut exec, children[1]);
         rewind(&mut exec, &snap, "restore after child 1");
-        assert_eq!(
-            finish(&mut exec, children[0]),
-            first,
-            "{name}: child 0 again"
-        );
+        assert_same_finish(finish(&mut exec, children[0]), &first, "child 0 again");
 
         // A cold executor replaying the same path from the start agrees.
         let mut cold = scenario.runtime_executor();
         head.push(children[0]);
         let out = replay(&mut cold, &head, budget);
-        assert_eq!(
-            (out, cold.state_digest(), cold.state_fingerprint()),
-            first,
-            "{name}: cold replay"
-        );
+        assert_same_finish((out, standing(&cold)), &first, "cold replay");
 
         // Twins rewind each other: a snapshot taken on one executor
         // restores the other, in both directions, mid-run or finished.
         let mut twin = RuntimeExecutor::from_snapshot(&snap);
-        assert_eq!(finish(&mut twin, children[1]), other, "{name}: twin");
+        assert_same_finish(finish(&mut twin, children[1]), &other, "twin");
         rewind(&mut exec, &snap, "restore before the exchange");
         let taken_on_exec = exec.snapshot();
         rewind(
@@ -357,34 +372,22 @@ fn restore_rewinds_bit_for_bit_and_never_writes_the_snapshot() {
             "twin restored from exec's snapshot",
         );
         let taken_on_twin = twin.snapshot();
-        assert_eq!(
-            finish(&mut twin, children[0]),
-            first,
-            "{name}: twin, child 0"
-        );
-        assert_eq!(
-            finish(&mut exec, children[1]),
-            other,
-            "{name}: exec, child 1"
-        );
+        assert_same_finish(finish(&mut twin, children[0]), &first, "twin, child 0");
+        assert_same_finish(finish(&mut exec, children[1]), &other, "exec, child 1");
         rewind(
             &mut exec,
             &taken_on_twin,
             "exec restored from twin's snapshot",
         );
-        assert_eq!(
-            finish(&mut exec, children[0]),
-            first,
-            "{name}: exec, child 0"
-        );
+        assert_same_finish(finish(&mut exec, children[0]), &first, "exec, child 0");
 
         // After all of it the first snapshot still is what it captured.
         let check = RuntimeExecutor::from_snapshot(&snap);
         assert!(check.runtime().ready_set_is_current(), "{name}: snapshot");
-        assert_eq!(
-            (check.state_digest(), check.state_fingerprint()),
-            at,
-            "{name}: the snapshot was written through"
+        assert_same_standing(
+            &standing(&check),
+            &at,
+            &format!("{name}: the snapshot was written through"),
         );
     }
 }
