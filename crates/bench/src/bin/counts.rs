@@ -9,14 +9,18 @@
 //!
 //! Three sections:
 //!
-//! - `explore` — the fig1 tree at depths 3–6 under the snapshotting DFS
-//!   with the visited set (`dfs-dedup`) and with sleep-set partial-order
-//!   reduction on top (`dfs-por`, what the hunt ships with), one worker;
-//!   and a run-capped walk of a 64-process `rand(64,8,450)` state, where a
+//! - `explore` — the fig1 tree at depths 3–6 under the snapshotting DFS,
+//!   one worker, two ways: with the visited set, which then caches whole
+//!   subtrees and runs no sleep sets (`dfs-cache`), and with sleep-set
+//!   partial-order reduction and no visited set (`dfs-por`, what the hunt
+//!   ships with). The same two passes walk fig1 under an `isect(1)` crash
+//!   plan, where POR is inert and the cache is the only reduction, and a
+//!   run-capped tree of a 64-process `rand(64,8,450)` state, where a
 //!   checkpoint must copy far less than a deep clone. `baseline_steps` is
-//!   what the restart-from-scratch odometer with the same visited set
-//!   executes on the same tree: `dfs-dedup`'s steps executed plus avoided
-//!   (`tests/engine_dfs_equivalence.rs` holds that equality).
+//!   what restarting each of `dfs-por`'s leaves from the initial state
+//!   executes: its steps executed plus avoided. `key_audit` walks the plain
+//!   fig1 tree and counts visited-set keys that stand for two different
+//!   observable states; it must stay 0.
 //! - `serve` — descriptor-addressed backlogs drained by
 //!   [`Runtime::run_sustained`](gam_core::Runtime::run_sustained),
 //!   unbatched and at `batch_max = 16`: delivery latency in ticks, the
@@ -39,22 +43,25 @@
 
 use gam_bench::json::Json;
 use gam_core::{spec, ReadyCounters};
-use gam_engine::{run_with_source_counted, shard_partition};
-use gam_explore::{
-    explore_exhaustive, explore_exhaustive_dfs_par, explore_swarm, ExploreConfig, ExploreStats,
-    Outcome, Scenario, DEFAULT_SHRINK_BUDGET,
+use gam_engine::{
+    run_with_source_counted, shard_partition, Executor, RuntimeExecutor, SnapshotExec,
 };
-use gam_kernel::schedule::RotatingSource;
+use gam_explore::{
+    explore_exhaustive, explore_exhaustive_dfs_par, explore_swarm, subtree_key, ExploreConfig,
+    ExploreStats, Outcome, Scenario, DEFAULT_SHRINK_BUDGET,
+};
+use gam_kernel::schedule::{ChoiceStep, RotatingSource};
 use gam_scenarios::{corpus, fixture, Family, ScnDescriptor, TrafficPlan};
+use std::collections::BTreeMap;
 
 /// Least reduction in steps executed against `baseline_steps`, in permille,
-/// of `dfs-por` at every fig1 depth. The baseline carries the visited set
-/// too, so a better dedup key shrinks it faster than it shrinks `dfs-por`:
-/// depth 3 sits at 436 (3 018 of 5 360 steps), depth 6 at 973.
-const POR_REDUCTION_FLOOR_PERMILLE: u64 = 400;
-/// The same floor for `dfs-dedup` at the deepest fig1 depth, where it sits
-/// at 805 (prefix sharing alone needs depth to compound — 328 at depth 3).
-const DEDUP_REDUCTION_FLOOR_PERMILLE: u64 = 750;
+/// of `dfs-cache` at every fig1 depth: depth 3 sits at 888 (2 772 of 24 795
+/// steps), depth 6 at 987.
+const CACHE_REDUCTION_FLOOR_PERMILLE: u64 = 850;
+/// The same floor for `dfs-por`. Against its own leaves the only saving is
+/// prefix sharing, since without a visited set every leaf runs its fair
+/// tail: depth 3 sits at 28, depth 6 at 82.
+const POR_REDUCTION_FLOOR_PERMILLE: u64 = 25;
 /// A checkpoint of the `rand(64,8,450)` state copies at least this many
 /// times fewer bytes than a deep clone of it.
 const SNAPSHOT_SHALLOW_RATIO_FLOOR: u64 = 10;
@@ -108,17 +115,17 @@ fn fair_run_json(scenario: &Scenario) -> Json {
 }
 
 /// Both DFS configurations over the first `depth` choices of `scenario`,
-/// at most `run_cap` leaves each: `(dfs-dedup, dfs-por)`, neither finding a
+/// at most `run_cap` leaves each: `(dfs-cache, dfs-por)`, neither finding a
 /// violation.
 fn dfs_passes(
     scenario: &Scenario,
     depth: usize,
     run_cap: u64,
 ) -> [(&'static str, ExploreStats); 2] {
-    [("dfs-dedup", false), ("dfs-por", true)].map(|(name, por)| {
+    [("dfs-cache", 1 << 18, false), ("dfs-por", 0, true)].map(|(name, dedup_capacity, por)| {
         let config = ExploreConfig {
             threads: 1,
-            dedup_capacity: 1 << 18,
+            dedup_capacity,
             por,
             ..ExploreConfig::default()
         };
@@ -136,15 +143,16 @@ fn reduction_permille(baseline: u64, steps: u64) -> u64 {
     permille(baseline - baseline.min(steps), baseline)
 }
 
-/// What the odometer with the same visited set executes on `dfs-dedup`'s
-/// tree: every step the DFS ran plus every prefix step it did not re-run.
-fn baseline_steps(dedup: &ExploreStats) -> u64 {
-    dedup.steps_executed + dedup.steps_avoided
+/// What restarting each of `dfs-por`'s leaves from the initial state
+/// executes: every step the DFS ran plus every prefix step it did not
+/// re-run. No visited set, so every leaf pays for its fair tail.
+fn baseline_steps(por: &ExploreStats) -> u64 {
+    por.steps_executed + por.steps_avoided
 }
 
 /// One exploration row: the tree's restart cost and both passes' counters.
-fn explore_row(depth: usize, run_cap: u64, passes: &[(&'static str, ExploreStats)]) -> Json {
-    let baseline = baseline_steps(&passes[0].1);
+fn explore_row(depth: usize, run_cap: u64, passes: &[(&'static str, ExploreStats); 2]) -> Json {
+    let baseline = baseline_steps(&passes[1].1);
     let configs = passes.iter().map(|(name, s)| {
         let counters = [
             ("runs", s.runs),
@@ -174,32 +182,135 @@ fn explore_row(depth: usize, run_cap: u64, passes: &[(&'static str, ExploreStats
     ])
 }
 
+/// Visited-set keys over every choice point of a plain walk — no visited
+/// set, no sleep sets — each beside the remaining depth and the full
+/// `fold_observable` word vector it stands for.
+#[derive(Default)]
+struct KeyAudit {
+    nodes: u64,
+    seen: BTreeMap<u64, (usize, Vec<u64>)>,
+    /// Choice points whose key was first stored for another remaining
+    /// depth or another word vector.
+    collisions: u64,
+    words: Vec<u64>,
+}
+
+impl KeyAudit {
+    /// Every choice point from where `exec` stands, `taken` steps into the
+    /// budget, down to `remaining` more digits: the explorer's enumeration,
+    /// idle ticks passing on their own and no fair tail at the bottom.
+    fn walk(&mut self, exec: &mut RuntimeExecutor, remaining: usize, mut taken: u64, budget: u64) {
+        let mut options = Vec::new();
+        loop {
+            if taken >= budget {
+                return;
+            }
+            exec.enabled_actions(&mut options);
+            if !options.is_empty() {
+                break;
+            }
+            if exec.is_quiescent() || !exec.idle_tick() {
+                return;
+            }
+            taken += 1;
+        }
+        self.nodes += 1;
+        let key = subtree_key(exec.state_fingerprint(), remaining);
+        self.words.clear();
+        exec.runtime().fold_observable(&mut |w| self.words.push(w));
+        match self.seen.get(&key) {
+            None => {
+                self.seen.insert(key, (remaining, self.words.clone()));
+            }
+            Some((depth, words)) => {
+                if *depth != remaining || *words != self.words {
+                    self.collisions += 1;
+                }
+            }
+        }
+        if remaining == 0 {
+            return;
+        }
+        let snap = exec.snapshot();
+        let steps = options
+            .iter()
+            .flat_map(|&(pid, arity)| (0..arity).map(move |choice| ChoiceStep { pid, choice }));
+        for step in steps {
+            exec.step(step);
+            self.walk(exec, remaining - 1, taken + 1, budget);
+            exec.restore(&snap);
+        }
+    }
+}
+
+fn key_audit(scenario: &Scenario, depth: usize) -> Json {
+    let mut audit = KeyAudit::default();
+    audit.walk(
+        &mut scenario.runtime_executor(),
+        depth,
+        0,
+        scenario.max_steps,
+    );
+    assert_eq!(
+        audit.collisions, 0,
+        "a visited-set key stands for two observable states: widen the key to 128 bits"
+    );
+    Json::obj([
+        ("depth", depth as u64),
+        ("nodes", audit.nodes),
+        ("distinct_keys", audit.seen.len() as u64),
+        ("collisions", audit.collisions),
+    ])
+}
+
 fn explore() -> Json {
     let fig1 = Scenario::one_per_group(&fixture("fig1").system(), 200_000);
-    // Sized so the deepest row (~0.8M leaves) completes rather than caps.
+    // No row comes near it: the deepest, `dfs-por` at depth 6, has 65 387
+    // leaves.
     let run_cap = 2_000_000;
     let depths = (3..=6).map(|depth| {
         let passes = dfs_passes(&fig1, depth, run_cap);
-        let [(_, dedup), (_, por)] = &passes;
-        let baseline = baseline_steps(dedup);
-        assert!(dedup.complete() && por.complete(), "depth {depth}: capped");
-        assert!(por.runs <= dedup.runs, "POR covers a quotient of the tree");
+        let [(_, cache), (_, por)] = &passes;
+        let baseline = baseline_steps(por);
+        assert!(cache.complete() && por.complete(), "depth {depth}: capped");
+        // The measured reason sleep sets step aside where the cache runs.
+        assert!(
+            cache.runs <= por.runs,
+            "depth {depth}: the cache reaches more leaves than POR"
+        );
+        assert_eq!(cache.por_pruned, 0, "sleep sets ran beside the cache");
         assert!(por.por_pruned > 0, "POR slept nothing at depth {depth}");
-        let mut gated = vec![("dfs-por", por, POR_REDUCTION_FLOOR_PERMILLE)];
-        if depth == 6 {
-            gated.push(("dfs-dedup", dedup, DEDUP_REDUCTION_FLOOR_PERMILLE));
-        }
-        for (name, stats, floor) in gated {
+        for (name, stats, floor) in [
+            ("dfs-cache", cache, CACHE_REDUCTION_FLOOR_PERMILLE),
+            ("dfs-por", por, POR_REDUCTION_FLOOR_PERMILLE),
+        ] {
             let reduction = reduction_permille(baseline, stats.steps_executed);
             assert!(
                 reduction >= floor,
                 "{name} executes only {reduction} permille fewer steps than the \
-                 odometer at depth {depth}, under the floor of {floor}"
+                 baseline at depth {depth}, under the floor of {floor}"
             );
         }
         explore_row(depth, run_cap, &passes)
     });
     let depths: Json = depths.collect();
+
+    // fig1 with a member of an intersection crashing: POR is inert on a
+    // crash plan, so the visited set is the one reduction such trees get.
+    let crashy = ScnDescriptor::parse(
+        "gam-scn v1 family=fig1 seed=3 crash=isect(1) traffic=one variant=standard budget=200000",
+    )
+    .expect("valid descriptor");
+    let crashy_depth = 5;
+    let crashy_passes = dfs_passes(&Scenario::from_descriptor(&crashy), crashy_depth, run_cap);
+    let [(_, cache), (_, por)] = &crashy_passes;
+    assert!(cache.complete() && por.complete(), "fig1_crashy: capped");
+    assert!(cache.dedup_hits > 0, "fig1_crashy: the cache hit nothing");
+    assert!(
+        cache.runs <= por.runs,
+        "fig1_crashy: the cache added leaves"
+    );
+    assert_eq!(por.por_pruned, 0, "fig1_crashy: POR ran on a crash plan");
 
     // A single multicast on 64 processes, 8 groups of ~29 members: ~221
     // enabled actions at every level, so depth 4 is ~10⁹ schedules and the
@@ -217,11 +328,11 @@ fn explore() -> Json {
     let rand = Scenario::from_descriptor(&d);
     let (rand_depth, rand_cap) = (4, 1_000);
     let passes = dfs_passes(&rand, rand_depth, rand_cap);
-    let dedup = &passes[0].1;
-    assert!(dedup.snapshots_taken > 0, "rand: no checkpoint taken");
-    let ratio = dedup
+    let cache = &passes[0].1;
+    assert!(cache.snapshots_taken > 0, "rand: no checkpoint taken");
+    let ratio = cache
         .snapshot_deep_bytes
-        .checked_div(dedup.snapshot_bytes)
+        .checked_div(cache.snapshot_bytes)
         .unwrap_or(0);
     assert!(
         ratio >= SNAPSHOT_SHALLOW_RATIO_FLOOR,
@@ -231,7 +342,18 @@ fn explore() -> Json {
     Json::obj([
         (
             "fig1",
-            Json::obj([("fair_run", fair_run_json(&fig1)), ("depths", depths)]),
+            Json::obj([
+                ("fair_run", fair_run_json(&fig1)),
+                ("depths", depths),
+                ("key_audit", key_audit(&fig1, 6)),
+            ]),
+        ),
+        (
+            "fig1_crashy",
+            Json::obj([
+                ("descriptor", Json::from(crashy.render())),
+                ("walk", explore_row(crashy_depth, run_cap, &crashy_passes)),
+            ]),
         ),
         (
             "rand",

@@ -12,7 +12,8 @@
 //!
 //! ## Equivalence to the odometer engines
 //!
-//! The DFS is *provably the same exploration*, just cheaper:
+//! Without a visited set the DFS is *provably the same exploration*, just
+//! cheaper:
 //!
 //! - **Same leaves, same order.** The odometer bumps the deepest consumed
 //!   digit that still has unexplored siblings — exactly DFS backtracking —
@@ -25,20 +26,32 @@
 //!   taken: per-run `state_digest`/`state_fingerprint` and the recorded
 //!   schedules are identical. Fair tails are fresh
 //!   [`RotatingSource`]s in both engines.
-//! - **Same dedup decisions.** The per-worker [`VisitedSet`] is consulted
-//!   at the same post-prefix fingerprints, and (as in the odometer pool)
-//!   only *clean* tail verdicts are recorded, so pruning can never hide a
-//!   violation.
 //!
 //! `tests/engine_dfs_equivalence.rs` checks all of this — byte-identical
 //! [`Repro`](crate::Repro)s included — on every fixture topology, for 1
 //! and N threads.
 //!
+//! ## The subtree cache
+//!
+//! With a visited set the DFS reaches a subset of those leaves. The
+//! odometer can only skip a fair tail; the DFS also skips whole subtrees.
+//! Every branch past the pinned prefix is probed under its [`subtree_key`]:
+//! the post-prefix key of DESIGN.md decision 17 mixed with the remaining
+//! depth, the raw key itself at a tail. A hit ends the descent, and a frame
+//! records its key when it is popped. A frame is popped only after every
+//! child returned clean and uncapped, because a violation or the cap
+//! returns first. So the set only ever holds subtrees that completed
+//! clean, and a hit can never hide a violation: the first violation and
+//! its shrunk repro are the ones the uncached walk reports. The sleep sets
+//! below step aside wherever the cache runs (DESIGN.md decision 18). On
+//! fig1 at depth 6 this gives 3 054 leaves where sleep sets with a
+//! tail-only cache gave 65 387.
+//!
 //! ## Partial-order reduction
 //!
-//! On top of prefix sharing, [`explore_exhaustive_dfs_par`] can prune
-//! whole sibling subtrees with *sleep sets* over the independence relation
-//! of [`crate::independence`]: when sibling digits `i < j` fire commuting
+//! Without a visited set, [`explore_exhaustive_dfs_par`] can prune whole
+//! sibling subtrees with *sleep sets* over the independence relation of
+//! [`crate::independence`]: when sibling digits `i < j` fire commuting
 //! actions, every interleaving below `j` that starts with `i`'s action is
 //! a step-permutation of one below `i` with an identical report, so `j`'s
 //! subtree sleeps `i`'s action. Pruning is gated on crash-free scenarios
@@ -51,9 +64,9 @@
 //! [`ExploreStats::steps_executed`] counts what this engine actually ran;
 //! [`ExploreStats::steps_avoided`] counts the prefix re-execution it
 //! skipped, measured so that `steps_executed + steps_avoided` equals the
-//! `steps_executed` of the odometer engine on the same tree with the same
-//! dedup decisions (under POR, the same *pruned* tree — cross-engine step
-//! identities are only asserted among non-POR configurations).
+//! `steps_executed` of the odometer engine on the same leaves (under POR
+//! or the subtree cache, a *pruned* set of them — the cross-engine step
+//! identity is only asserted without either).
 //! [`ExploreStats::snapshot_bytes`] sums what each checkpoint actually
 //! copied (chunk pointer tables under copy-on-write state) against the
 //! [`ExploreStats::snapshot_deep_bytes`] a deep `Clone` would have copied.
@@ -77,6 +90,7 @@ use crate::independence::{actions_commute, por_applicable};
 use crate::par::{exhaustive_pool, merge, ExploreConfig, ItemResult, Worker};
 use crate::{Prototype, Scenario};
 use gam_core::ActionDesc;
+use gam_engine::digest::derive_seed;
 use gam_engine::{Executor, RuntimeSnapshot, SnapshotExec};
 use gam_groups::GroupSystem;
 use gam_kernel::schedule::{ChoiceStep, RecordInto, RotatingSource};
@@ -107,6 +121,10 @@ struct Frame {
     /// sleep set that applied on arrival (both empty with POR off).
     descs: Vec<ActionDesc>,
     sleep: Vec<ActionDesc>,
+    /// The branch's [`subtree_key`], inserted into the visited set when the
+    /// frame is popped — after its last child returned clean (unused
+    /// without a visited set).
+    key: u64,
 }
 
 /// How one descent from the current branch point ended.
@@ -115,10 +133,25 @@ enum Descent {
     Interior(RunOutcome),
     /// `depth` digits were consumed; a fair tail completes the run.
     Tail,
-    /// Every child of a reached branch was slept: the whole subtree
-    /// re-orders interleavings explored earlier. Nothing ran, nothing to
-    /// check.
+    /// Every child of a reached branch was slept (the whole subtree
+    /// re-orders interleavings explored earlier), or the visited set holds
+    /// the branch's subtree key (the subtree completed clean before).
+    /// Nothing ran, nothing to check.
     Pruned,
+}
+
+/// The visited-set key of a choice point with `remaining` enumerated
+/// digits below it: the executor's
+/// [`state_fingerprint`](Executor::state_fingerprint) itself at a tail
+/// leaf (`remaining == 0`), and the fingerprint mixed with `remaining`
+/// above one — so a subtree is only ever answered by a subtree of the same
+/// depth. For a fixed `remaining` the mix is a bijection of the
+/// fingerprint.
+pub fn subtree_key(fingerprint: u64, remaining: usize) -> u64 {
+    match remaining {
+        0 => fingerprint,
+        r => derive_seed(fingerprint, r as u64),
+    }
 }
 
 /// Turns `sleep`, the sleep set at a branch, into the one a child inherits
@@ -200,13 +233,18 @@ fn step_flat<E: Executor>(
 /// the snapshotting counterpart of [`crate::par`]'s `explore_item`, and a
 /// drop-in `run_item` for its worker pool.
 ///
-/// With `por` set (and the scenario crash-free), sleep sets prune sibling
-/// digits whose action commutes with an earlier-explored sibling: the
-/// pruned subtree's interleavings are step-permutations of already-covered
-/// ones with identical reports, so skipping them can never hide a
-/// violation — and because a pruned leaf always has its covering
-/// equivalent *earlier* in DFS preorder, the first violation found (and
-/// hence the shrunk repro) is byte-identical with POR on or off.
+/// With a visited set, every branch past the pinned prefix is probed under
+/// its [`subtree_key`] and recorded when its frame is popped, so a subtree
+/// that completed clean is not walked again. Without one and with `por`
+/// set (and the scenario crash-free), sleep sets prune sibling digits
+/// whose action commutes with an earlier-explored sibling: the pruned
+/// subtree's interleavings are step-permutations of already-covered ones
+/// with identical reports, so skipping them can never hide a violation —
+/// and because a pruned leaf always has its covering equivalent *earlier*
+/// in DFS preorder, the first violation found (and hence the shrunk repro)
+/// is byte-identical with POR on or off. The two never run together: a
+/// frame explored under a sleep set has not covered its whole subtree, so
+/// its key would vouch for leaves nobody checked (DESIGN.md decision 18).
 pub(crate) fn dfs_item(
     proto: &Prototype,
     depth: usize,
@@ -217,7 +255,7 @@ pub(crate) fn dfs_item(
     por: bool,
 ) -> ItemResult {
     let scenario = proto.scenario;
-    let por = por && por_applicable(scenario);
+    let por = por && por_applicable(scenario) && worker.visited.is_none();
     let system = &scenario.system;
     let mut res = ItemResult::default();
     proto.reset(&mut worker.exec);
@@ -238,6 +276,8 @@ pub(crate) fn dfs_item(
         // skipped without reserving a run: their subtrees re-order
         // interleavings an earlier sibling already covered. With POR off
         // every frame's `descs`/`sleep` are empty and nothing is skipped.
+        // A frame popped here has seen every child return clean (a
+        // violation or the cap returns first), so its subtree is recorded.
         if started {
             loop {
                 let Some(top) = stack[..live].last_mut() else {
@@ -256,7 +296,11 @@ pub(crate) fn dfs_item(
                 if top.next < top.total {
                     break;
                 }
+                let key = top.key;
                 live -= 1;
+                if let Some(seen) = worker.visited.as_mut() {
+                    seen.insert(key);
+                }
             }
         }
         // Reserve the run from the shared budget *before* executing anything
@@ -345,6 +389,16 @@ pub(crate) fn dfs_item(
                         }
                         flat
                     } else {
+                        // A new branch past the pinned prefix: skip its
+                        // subtree if one of the same key completed clean.
+                        let mut key = 0;
+                        if let Some(seen) = &worker.visited {
+                            key = subtree_key(worker.exec.state_fingerprint(), depth - digits);
+                            if seen.contains(key) {
+                                res.dedup_hits += 1;
+                                break Descent::Pruned;
+                            }
+                        }
                         // First unslept digit; with POR off this is 0.
                         let mut first = 0usize;
                         if por {
@@ -380,6 +434,7 @@ pub(crate) fn dfs_item(
                         // never filled then.
                         frame.descs.clone_from(&descs);
                         frame.sleep.clone_from(&cur_sleep);
+                        frame.key = key;
                         first
                     };
                     if por {
@@ -412,9 +467,10 @@ pub(crate) fn dfs_item(
             }
             continue;
         }
-        // Tail leaf: same dedup rule as the odometer pool — skip the fair
-        // tail iff this post-prefix state already completed clean.
-        let fp = worker.exec.state_fingerprint();
+        // Tail leaf, the cache's `remaining = 0` case and the odometer
+        // pool's dedup rule: skip the fair tail iff this post-prefix state
+        // already completed clean.
+        let fp = subtree_key(worker.exec.state_fingerprint(), 0);
         if worker
             .visited
             .as_ref()
@@ -466,12 +522,16 @@ pub fn explore_exhaustive_dfs(
 /// [`explore_exhaustive_par`](crate::explore_exhaustive_par) with prefix
 /// sharing: the tree is split at the top-level frontier into the same
 /// pinned-prefix work items, each walked by the snapshotting DFS, with the
-/// same deterministic lowest-item-index merge and per-worker dedup.
+/// same deterministic lowest-item-index merge.
 ///
-/// When [`ExploreConfig::por`] is set (and the scenario is crash-free —
-/// see [`por_applicable`]), sleep sets additionally prune sibling subtrees
-/// that merely permute commuting actions; the first counterexample and its
-/// shrunk repro stay byte-identical, POR on or off, 1 thread or N.
+/// With [`ExploreConfig::dedup_capacity`] > 0 each worker's visited set
+/// caches whole subtrees that completed clean, not only fair tails (see the
+/// module docs), so the walk reaches a subset of the odometer's leaves.
+/// Otherwise, when [`ExploreConfig::por`] is set (and the scenario is
+/// crash-free — see [`por_applicable`]), sleep sets prune sibling subtrees
+/// that merely permute commuting actions. Either way the first
+/// counterexample and its shrunk repro stay byte-identical to the plain
+/// walk's, 1 thread or N.
 pub fn explore_exhaustive_dfs_par(
     scenario: &Scenario,
     depth: usize,

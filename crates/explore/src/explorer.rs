@@ -49,9 +49,11 @@ pub struct ExploreStats {
     pub violations: Vec<Counterexample>,
     /// Why exploration stopped.
     pub outcome: Outcome,
-    /// Runs whose fair-tail completion was skipped because the post-prefix
-    /// state fingerprint was already in the visited set (always 0 for the
-    /// sequential strategies and the swarm, which has no prefix/tail split).
+    /// Descents the visited set cut short: runs whose fair-tail completion
+    /// was skipped because the post-prefix state fingerprint was already in
+    /// the set, plus, for the snapshotting DFS, branches whose whole
+    /// subtree was (those are not runs). Always 0 for the sequential
+    /// strategies and the swarm, which has no prefix/tail split.
     pub dedup_hits: u64,
     /// Runs executed by each worker of the pool (a single entry for the
     /// sequential strategies).
@@ -105,15 +107,6 @@ impl ExploreStats {
     /// True when the space was fully covered with no violation.
     pub fn clean(&self) -> bool {
         self.complete() && self.violations.is_empty()
-    }
-
-    /// Fraction of runs whose tail was dedup-pruned.
-    pub fn dedup_hit_rate(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / self.runs as f64
-        }
     }
 
     /// Per-mille of odometer-equivalent steps the engine did *not* execute:

@@ -44,7 +44,7 @@ mod par;
 mod repro;
 mod shrink;
 
-pub use dfs::{explore_exhaustive_dfs, explore_exhaustive_dfs_par};
+pub use dfs::{explore_exhaustive_dfs, explore_exhaustive_dfs_par, subtree_key};
 pub use explorer::{
     explore_exhaustive, explore_swarm, Counterexample, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET,
 };

@@ -28,8 +28,9 @@
 //! counterexample the sequential loop would have stopped at. `Repro` output
 //! is therefore byte-identical for 1 vs N threads (verified by
 //! `tests/parallel_determinism.rs`). Run *counts* are deterministic
-//! whenever exploration covers the whole space; once a violation or the run
-//! cap stops it early, how far the other workers got depends on timing.
+//! whenever exploration covers the whole space, except for the DFS with a
+//! visited set (below); once a violation or the run cap stops it early,
+//! how far the other workers got depends on timing.
 //!
 //! ## Dedup pruning
 //!
@@ -58,14 +59,21 @@
 //! `tests/dedup_soundness.rs` checks that no key maps to two outcomes.
 //!
 //! All of it modulo 64-bit fingerprint collisions, the standard
-//! hashed-state caveat of explicit-state model checking. Crucially, only
-//! states whose tail completed *clean* are recorded: a violating tail
-//! returns before its state is inserted, so a hit can never hide a
-//! violation and the merged counterexample is unaffected by pruning. The
-//! set is never shared across workers (probe outcomes would race); at one
-//! thread the hit count is deterministic, at N threads it varies with which
-//! worker claimed which item — but `runs`, the verdicts, and the reported
-//! counterexample do not. Hit counts land in [`ExploreStats::dedup_hits`].
+//! hashed-state caveat of explicit-state model checking; `counts` audits
+//! the key over every choice point of fig1 at depth 6 and records the
+//! collisions, 0, in `BENCH_counts.json`. Crucially, only states whose tail
+//! completed *clean* are recorded: a violating tail returns before its
+//! state is inserted, so a hit can never hide a violation and the merged
+//! counterexample is unaffected by pruning. The snapshotting DFS uses the
+//! same set to cache whole subtrees ([`crate::dfs`]), under the same rule.
+//!
+//! The set is never shared across workers (probe outcomes would race); at
+//! one thread the hit count is deterministic, at N threads it varies with
+//! which worker claimed which item. So does `runs` of the DFS, whose
+//! cached subtrees hold leaves the odometer would count; the odometer's
+//! `runs` does not vary, since every tail it skips is still a run. The
+//! verdicts and the reported counterexample never vary. Hit counts land in
+//! [`ExploreStats::dedup_hits`].
 
 use crate::explorer::{found, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET};
 use crate::{Prototype, Scenario};
@@ -87,17 +95,24 @@ pub struct ExploreConfig {
     /// Candidate runs the shrinker may spend on a found violation
     /// (default [`DEFAULT_SHRINK_BUDGET`]).
     pub shrink_budget: u64,
-    /// Capacity of each worker's visited-set for fair-tail dedup in
-    /// [`explore_exhaustive_par`]; `0` disables pruning. The swarm has no
-    /// prefix/tail split, so the setting does not affect it.
+    /// Capacity of each worker's visited set; `0` disables pruning. The
+    /// odometer engine ([`explore_exhaustive_par`]) skips the fair tail of
+    /// a post-prefix state that completed clean before; the snapshotting
+    /// DFS ([`crate::explore_exhaustive_dfs_par`]) also skips every subtree
+    /// that did, keyed by [`crate::subtree_key`], and then runs no sleep
+    /// sets (see [`ExploreConfig::por`]). The swarm has no prefix/tail
+    /// split, so the setting does not affect it.
     pub dedup_capacity: usize,
     /// Partial-order reduction in the snapshotting DFS engine
-    /// ([`crate::explore_exhaustive_dfs_par`]): sleep sets prune one of
-    /// each pair of commuting sibling orders (see [`crate::independence`]).
-    /// Verdicts and the canonical counterexample are unchanged; run counts
-    /// are no longer comparable to the odometer engines, hence off by
-    /// default. Silently inert when the scenario has crashes (the relation
-    /// is only sound crash-free) and for the odometer engines.
+    /// ([`crate::explore_exhaustive_dfs_par`]) when it has no visited set
+    /// (`dedup_capacity == 0`): sleep sets prune one of each pair of
+    /// commuting sibling orders (see [`crate::independence`]). Verdicts and
+    /// the canonical counterexample are unchanged; run counts are no
+    /// longer comparable to the odometer engines, hence off by default.
+    /// Silently inert beside a visited set (a subtree explored under a
+    /// sleep set is not complete, so it cannot be cached, and the cache
+    /// alone reaches fewer leaves), when the scenario has crashes (the
+    /// relation is only sound crash-free), and for the odometer engines.
     pub por: bool,
 }
 
@@ -544,11 +559,11 @@ pub(crate) fn merge(
             capped |= r.capped;
             steps_executed += r.steps_executed;
             snapshots_taken += r.snapshots;
-            // Under POR a descent can end at a branch whose children are
-            // all slept: those steps ran but belong to no leaf, so the
-            // item's odometer-equivalent cost can fall below its executed
-            // cost. Saturate — the identity `executed + avoided =
-            // odometer` is only asserted for non-POR configurations.
+            // A descent can end at a branch whose children are all slept,
+            // or whose subtree is cached: those steps ran but belong to no
+            // leaf, so the item's odometer-equivalent cost can fall below
+            // its executed cost. Saturate — the identity `executed +
+            // avoided = odometer` is only asserted without POR or dedup.
             steps_avoided += r.steps_odometer.saturating_sub(r.steps_executed);
             snapshot_bytes += r.snapshot_bytes;
             snapshot_deep_bytes += r.snapshot_deep_bytes;

@@ -3,12 +3,17 @@
 //! constraints (`LOG_{g∩h}`), the sole cross-group order enforcement on
 //! topologies with no cyclic families. The explorer must find the resulting
 //! ordering violation within a fixed budget and shrink it to a small,
-//! deterministically replayable repro.
+//! deterministically replayable repro — and the DFS must report the same
+//! repro with its visited set and its sleep sets on or off, at 1 or 2
+//! threads.
 //!
 //! Run with: `cargo test -p gam-explore --features mutation`
 #![cfg(feature = "mutation")]
 
-use gam_explore::{explore_swarm, Repro, Scenario, DEFAULT_SHRINK_BUDGET};
+use gam_explore::{
+    explore_exhaustive_dfs_par, explore_swarm, ExploreConfig, Repro, Scenario,
+    DEFAULT_SHRINK_BUDGET,
+};
 use gam_groups::topology;
 
 #[test]
@@ -47,6 +52,37 @@ fn explorer_finds_and_shrinks_the_seeded_ordering_bug() {
     reparsed
         .verify()
         .expect("parsed repro still violates ordering");
+}
+
+#[test]
+fn the_dfs_reports_one_repro_whatever_prunes_it() {
+    // The visited set caches subtrees that completed clean and sleep sets
+    // skip re-orderings; neither may change which violation is reported.
+    let scenario = Scenario::one_per_group(&topology::two_overlapping(4, 2), 200_000);
+    let explore = |threads, dedup_capacity, por| {
+        let config = ExploreConfig {
+            threads,
+            shrink_budget: DEFAULT_SHRINK_BUDGET,
+            dedup_capacity,
+            por,
+        };
+        explore_exhaustive_dfs_par(&scenario, 5, u64::MAX, &config)
+    };
+    let reference = explore(1, 0, false);
+    assert_eq!(reference.violations[0].violation.property, "ordering");
+    let reference = &reference.violations[0].repro;
+    for threads in [1, 2] {
+        for dedup_capacity in [0, 1 << 16] {
+            for por in [false, true] {
+                let got = explore(threads, dedup_capacity, por);
+                let what = format!("{threads} threads, dedup {dedup_capacity}, POR {por}");
+                assert!(!got.violations.is_empty(), "{what}: mutation survived");
+                let repro = &got.violations[0].repro;
+                assert_eq!(repro.to_text(), reference.to_text(), "{what}");
+                assert_eq!(repro.trace_hash(), reference.trace_hash(), "{what}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -3,28 +3,34 @@
 //! `RuntimeExecutor::state_fingerprint` folds `Runtime::fold_observable`:
 //! the state walk with unit names and action counts taken out, because no
 //! continuation and no verdict can observe them (DESIGN.md decision 17).
-//! The visited set skips the fair tail of a post-prefix state whose key it
-//! has seen complete clean, so the claim to hold is: **equal keys ⇒ equal
-//! outcomes**, where an outcome is exactly what `fold_observable` says is
-//! observable — every delivery sequence with its instants, the quiescence
-//! bit, the `check_all` verdict, and whether each process that no message
-//! addresses has acted.
+//! The DFS's visited set skips the fair tail of a post-prefix state whose
+//! key it has seen complete clean, and the whole subtree below a choice
+//! point whose `subtree_key` — the key mixed with the remaining depth — it
+//! has seen complete clean (decision 18). So the claims to hold are:
+//! **equal keys ⇒ equal outcomes** at a tail, and **equal subtree keys ⇒
+//! equal outcome sets** above one, where an outcome is exactly what
+//! `fold_observable` says is observable — every delivery sequence with its
+//! instants, the quiescence bit, the `check_all` verdict, and whether each
+//! process that no message addresses has acted.
 //!
 //! Checked here, not argued: with dedup and POR out of the way this test
-//! walks the bounded choice tree itself, takes the key where the explorers
-//! take it (at the choice point the enumerated prefix ends on), runs the
-//! fair tail from *every* such state and asserts that no key maps to two
-//! outcomes — on every committed `.scn` fixture and on generated
+//! walks the bounded choice tree itself, takes the keys where the DFS takes
+//! them (at each choice point, after idle ticks), runs the fair tail from
+//! *every* tail state, collects at each choice point of a complete subtree
+//! the set of leaf outcomes below it, and asserts that no key maps to two
+//! outcome sets — on every committed `.scn` fixture and on generated
 //! descriptors with crashes (`isect`, `rand`), batching, skewed traffic and
 //! traffic that leaves groups, hence processes, unaddressed. The proptest
-//! twin takes pairs of prefixes the walk found under one key and continues
-//! both under the same seeded random schedule instead of the fair one.
+//! twin takes pairs of prefixes the walk found under one tail key and
+//! continues both under the same seeded random schedule instead of the
+//! fair one.
 
 use genuine_multicast::engine::run_with_source_counted;
+use genuine_multicast::explore::subtree_key;
 use genuine_multicast::kernel::{ChoiceStep, RandomSource, RotatingSource, RunOutcome};
 use genuine_multicast::prelude::*;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// What a continuation and a verdict can observe of a finished run.
@@ -46,21 +52,30 @@ fn addressed(scenario: &Scenario) -> ProcessSet {
         })
 }
 
+/// The leaf outcomes below a choice point, as indices into
+/// [`Walk::outcomes`].
+type OutcomeSet = BTreeSet<usize>;
+
 /// The bounded tree of one scenario, walked without dedup and without POR.
 struct Walk<'a> {
     scenario: &'a Scenario,
     unaddressed: ProcessSet,
     report: RunReport,
-    /// Key → the first outcome seen under it and the prefix that led there.
-    seen: BTreeMap<u64, (Outcome, Vec<ChoiceStep>)>,
-    /// The first few pairs of prefixes that landed on one key.
+    /// Every distinct leaf outcome met (a few dozen per tree).
+    outcomes: Vec<Outcome>,
+    /// Subtree key → the remaining depth, the outcome set of the first
+    /// complete subtree seen under it, and the prefix that led there.
+    seen: BTreeMap<u64, (usize, OutcomeSet, Vec<ChoiceStep>)>,
+    /// The first few pairs of prefixes that landed on one tail key.
     twins: Vec<(Vec<ChoiceStep>, Vec<ChoiceStep>)>,
     prefix: Vec<ChoiceStep>,
     leaves: usize,
     leaf_cap: usize,
     /// At most this many options are taken at each level.
     width: usize,
+    /// Tail keys, and keys of interior subtrees, met a second time.
     hits: usize,
+    subtree_hits: usize,
 }
 
 impl<'a> Walk<'a> {
@@ -69,6 +84,7 @@ impl<'a> Walk<'a> {
             scenario,
             unaddressed: scenario.system.universe() - addressed(scenario),
             report: scenario.runtime_executor().report(false),
+            outcomes: Vec::new(),
             seen: BTreeMap::new(),
             twins: Vec::new(),
             prefix: Vec::new(),
@@ -76,6 +92,7 @@ impl<'a> Walk<'a> {
             leaf_cap,
             width: usize::MAX,
             hits: 0,
+            subtree_hits: 0,
         }
     }
 
@@ -93,57 +110,110 @@ impl<'a> Walk<'a> {
         }
     }
 
+    /// The run `exec` has just finished, as a one-outcome set.
+    fn leaf(&mut self, exec: &RuntimeExecutor, quiescent: bool) -> OutcomeSet {
+        let outcome = self.outcome(exec, quiescent);
+        let id = match self.outcomes.iter().position(|o| *o == outcome) {
+            Some(id) => id,
+            None => {
+                self.outcomes.push(outcome);
+                self.outcomes.len() - 1
+            }
+        };
+        BTreeSet::from([id])
+    }
+
+    /// Records `below`, the outcome set of the complete subtree of
+    /// `remaining` digits under `key`, and asserts that every earlier
+    /// subtree under that key had the same one.
+    fn record(&mut self, name: &str, key: u64, remaining: usize, below: &OutcomeSet) {
+        let Some((depth, first, path)) = self.seen.get(&key) else {
+            self.seen
+                .insert(key, (remaining, below.clone(), self.prefix.clone()));
+            return;
+        };
+        if (*depth, first) != (remaining, below) {
+            let odd = first.symmetric_difference(below).next();
+            panic!(
+                "{name}: one key, two outcome sets — {} leaf outcomes {depth} digits below \
+                 {path:?}, {} leaf outcomes {remaining} digits below {:?}; an outcome only \
+                 one of them has: {:?}",
+                first.len(),
+                below.len(),
+                self.prefix,
+                odd.map(|&i| &self.outcomes[i]),
+            );
+        }
+        if remaining > 0 {
+            self.subtree_hits += 1;
+            return;
+        }
+        self.hits += 1;
+        if self.twins.len() < 8 {
+            self.twins.push((path.clone(), self.prefix.clone()));
+        }
+    }
+
     /// Every path of `depth` more choices from where `exec` stands, `taken`
     /// steps into the budget — the explorers' enumeration: idle ticks pass
-    /// on their own, a run that ends inside the prefix has no tail.
-    fn descend(&mut self, name: &str, exec: &mut RuntimeExecutor, depth: usize, mut taken: u64) {
+    /// on their own, a run that ends inside the prefix is a leaf with no
+    /// tail. Returns the outcomes of the subtree's leaves, or `None` when
+    /// the leaf cap or the width cut the subtree short.
+    fn descend(
+        &mut self,
+        name: &str,
+        exec: &mut RuntimeExecutor,
+        depth: usize,
+        mut taken: u64,
+    ) -> Option<OutcomeSet> {
         let budget = self.scenario.max_steps;
         let mut options = Vec::new();
         loop {
-            if self.leaves >= self.leaf_cap || taken >= budget {
-                return;
+            if self.leaves >= self.leaf_cap {
+                return None;
+            }
+            if taken >= budget {
+                return Some(self.leaf(exec, false));
             }
             exec.enabled_actions(&mut options);
             if !options.is_empty() {
                 break;
             }
             if exec.is_quiescent() || !exec.idle_tick() {
-                return;
+                return Some(self.leaf(exec, true));
             }
             taken += 1;
         }
-        if depth == 0 {
-            let key = exec.state_fingerprint();
+        let key = subtree_key(exec.state_fingerprint(), depth);
+        let below = if depth == 0 {
             let (out, _) =
                 run_with_source_counted(exec, &mut RotatingSource::default(), budget - taken);
-            let outcome = self.outcome(exec, out == RunOutcome::Quiescent);
             self.leaves += 1;
-            if let Some((first, path)) = self.seen.get(&key) {
-                assert_eq!(
-                    &outcome, first,
-                    "{name}: one key, two outcomes — after {path:?} and after {:?}",
-                    self.prefix
-                );
-                self.hits += 1;
-                if self.twins.len() < 8 {
-                    self.twins.push((path.clone(), self.prefix.clone()));
-                }
-            } else {
-                self.seen.insert(key, (outcome, self.prefix.clone()));
+            Some(self.leaf(exec, out == RunOutcome::Quiescent))
+        } else {
+            let snap = exec.snapshot();
+            let flat: Vec<ChoiceStep> = options
+                .iter()
+                .flat_map(|&(pid, arity)| (0..arity).map(move |choice| ChoiceStep { pid, choice }))
+                .collect();
+            let mut below = (flat.len() <= self.width).then(BTreeSet::new);
+            for &step in flat.iter().take(self.width) {
+                exec.step(step);
+                self.prefix.push(step);
+                let child = self.descend(name, exec, depth - 1, taken + 1);
+                self.prefix.pop();
+                exec.restore(&snap);
+                below = below.zip(child).map(|(mut below, child)| {
+                    below.extend(child);
+                    below
+                });
             }
-            return;
+            below
+        };
+        if let Some(below) = &below {
+            self.record(name, key, depth, below);
         }
-        let snap = exec.snapshot();
-        let flat = options
-            .iter()
-            .flat_map(|&(pid, arity)| (0..arity).map(move |choice| ChoiceStep { pid, choice }));
-        for step in flat.take(self.width) {
-            exec.step(step);
-            self.prefix.push(step);
-            self.descend(name, exec, depth - 1, taken + 1);
-            self.prefix.pop();
-            exec.restore(&snap);
-        }
+        below
     }
 }
 
@@ -213,7 +283,7 @@ fn no_key_maps_to_two_outcomes() {
     } else {
         (5, 30_000)
     };
-    let mut hits = 0;
+    let (mut hits, mut subtree_hits) = (0, 0);
     for (name, scenario) in committed_scenarios()
         .into_iter()
         .chain(generated_scenarios())
@@ -237,13 +307,25 @@ fn no_key_maps_to_two_outcomes() {
                 "{name}: every process is addressed"
             );
         }
-        walk.descend(name, &mut scenario.runtime_executor(), depth, 0);
-        assert!(walk.leaves > 0, "{name}: the tree has no tail leaf");
+        // Within one tree the clock in the key already tells the depths
+        // apart, so the tree is walked a second time, a level shallower,
+        // into the same map: a state's subtrees of two depths must not
+        // share a key either.
+        for depth in [depth, depth - 1] {
+            walk.leaves = 0;
+            walk.descend(name, &mut scenario.runtime_executor(), depth, 0);
+            assert!(walk.leaves > 0, "{name}: the tree has no tail leaf");
+        }
         hits += walk.hits;
+        subtree_hits += walk.subtree_hits;
     }
     assert!(
         hits > 0,
         "no two prefixes ever shared a key: nothing checked"
+    );
+    assert!(
+        subtree_hits > 0,
+        "no two complete subtrees ever shared a key: nothing checked"
     );
 }
 
