@@ -46,21 +46,18 @@ use gam_core::{spec, ReadyCounters};
 use gam_engine::{
     run_with_source_counted, shard_partition, Executor, RuntimeExecutor, SnapshotExec,
 };
-use gam_explore::{
-    explore_exhaustive, explore_exhaustive_dfs_par, explore_swarm, subtree_key, ExploreConfig,
-    ExploreStats, Outcome, Scenario, DEFAULT_SHRINK_BUDGET,
-};
+use gam_explore::{explore, subtree_key, ExploreConfig, ExploreStats, Mode, Outcome, Scenario};
 use gam_kernel::schedule::{ChoiceStep, RotatingSource};
 use gam_scenarios::{corpus, fixture, Family, ScnDescriptor, TrafficPlan};
 use std::collections::BTreeMap;
 
 /// Least reduction in steps executed against `baseline_steps`, in permille,
-/// of `dfs-cache` at every fig1 depth: depth 3 sits at 888 (2 772 of 24 795
+/// of `dfs-cache` at every fig1 depth: depth 3 sits at 894 (2 622 of 24 766
 /// steps), depth 6 at 987.
 const CACHE_REDUCTION_FLOOR_PERMILLE: u64 = 850;
 /// The same floor for `dfs-por`. Against its own leaves the only saving is
 /// prefix sharing, since without a visited set every leaf runs its fair
-/// tail: depth 3 sits at 28, depth 6 at 82.
+/// tail: depth 3 sits at 31, depth 6 at 82.
 const POR_REDUCTION_FLOOR_PERMILLE: u64 = 25;
 /// A checkpoint of the `rand(64,8,450)` state copies at least this many
 /// times fewer bytes than a deep clone of it.
@@ -129,7 +126,11 @@ fn dfs_passes(
             por,
             ..ExploreConfig::default()
         };
-        let stats = explore_exhaustive_dfs_par(scenario, depth, run_cap, &config);
+        let mode = Mode::Exhaustive {
+            depth,
+            max_runs: run_cap,
+        };
+        let stats = explore(scenario, mode, &config);
         let violations = &stats.violations;
         assert!(
             violations.is_empty(),
@@ -263,7 +264,7 @@ fn key_audit(scenario: &Scenario, depth: usize) -> Json {
     ])
 }
 
-fn explore() -> Json {
+fn explore_section() -> Json {
     let fig1 = Scenario::one_per_group(&fixture("fig1").system(), 200_000);
     // No row comes near it: the deepest, `dfs-por` at depth 6, has 65 387
     // leaves.
@@ -314,10 +315,10 @@ fn explore() -> Json {
 
     // A single multicast on 64 processes, 8 groups of ~29 members: ~221
     // enabled actions at every level, so depth 4 is ~10⁹ schedules and the
-    // walk ends at its cap. Two free levels past the pinned item prefixes
-    // let it cross several branch points: the first checkpoint pays for the
-    // initialization writes, the rest copy the few chunks one action
-    // dirtied.
+    // walk ends at its cap. One worker walks the tree as one item, so all
+    // four levels are free and the walk crosses several branch points: the
+    // first checkpoint pays for the initialization writes, the rest copy
+    // the few chunks one action dirtied.
     let mut d = ScnDescriptor::new(Family::Rand {
         n: 64,
         k: 8,
@@ -477,12 +478,22 @@ fn corpus_section() -> Json {
         "corpus covers only {} families",
         families.len()
     );
+    // One worker, no visited set, no sleep sets: every leaf of the bounded
+    // tree is a run, as the swarm's seeds are.
+    let config = ExploreConfig {
+        threads: 1,
+        dedup_capacity: 0,
+        por: false,
+        ..ExploreConfig::default()
+    };
     let rows = families.iter().map(|(name, template)| {
         let (mut runs, mut steps, mut violations, mut exhausted) = (0u64, 0u64, 0usize, 0u64);
         for seed in 0..CORPUS_INSTANCES {
             let scenario = Scenario::from_descriptor(&template.with_seed(seed));
-            let swarm = explore_swarm(&scenario, 0..swarm_seeds, DEFAULT_SHRINK_BUDGET);
-            let exhaustive = explore_exhaustive(&scenario, depth, run_cap, DEFAULT_SHRINK_BUDGET);
+            let seeds = 0..swarm_seeds;
+            let swarm = explore(&scenario, Mode::Swarm { seeds }, &config);
+            let max_runs = run_cap;
+            let exhaustive = explore(&scenario, Mode::Exhaustive { depth, max_runs }, &config);
             runs += swarm.runs + exhaustive.runs;
             steps += swarm.steps_executed + exhaustive.steps_executed;
             violations += swarm.violations.len() + exhaustive.violations.len();
@@ -511,7 +522,7 @@ fn corpus_section() -> Json {
 
 fn main() {
     let record = Json::obj([
-        ("explore", explore()),
+        ("explore", explore_section()),
         ("serve", serve()),
         ("corpus", corpus_section()),
     ]);

@@ -1,31 +1,32 @@
-//! Snapshot-based incremental DFS exploration: execute shared schedule
-//! prefixes **once**.
+//! Snapshot-based incremental DFS, the walk of
+//! [`Mode::Exhaustive`](crate::Mode::Exhaustive):
+//! execute shared schedule prefixes **once**.
 //!
-//! The odometer engines ([`crate::explore_exhaustive`] and its parallel
-//! pool) restart every run from the initial state, so two schedules
+//! Restarting every run from the initial state means that two schedules
 //! sharing a prefix of `k` choices re-execute those `k` steps (and every
-//! idle tick between them) twice. This module walks the same bounded
-//! choice tree as an explicit depth-first search over a
-//! [`SnapshotExec`] executor: at each branch point with more than one
-//! sibling it captures a checkpoint, and backtracking `restore`s the
-//! checkpoint instead of replaying the prefix from scratch.
+//! idle tick between them) twice. This module walks the bounded choice
+//! tree as an explicit depth-first search over a [`SnapshotExec`]
+//! executor: at each branch point with more than one sibling it captures a
+//! checkpoint, and backtracking `restore`s the checkpoint instead of
+//! replaying the prefix from scratch.
 //!
-//! ## Equivalence to the odometer engines
+//! ## Equivalence to the test oracle
 //!
-//! Without a visited set the DFS is *provably the same exploration*, just
-//! cheaper:
+//! The oracle, `tests/common/odometer.rs`, restarts every run: it builds
+//! the scenario, drives a path of digits and the fair tail, then bumps the
+//! deepest consumed digit that still has unexplored siblings. Without a
+//! visited set the DFS is *provably the same exploration*, just cheaper:
 //!
-//! - **Same leaves, same order.** The odometer bumps the deepest consumed
-//!   digit that still has unexplored siblings — exactly DFS backtracking —
-//!   so the lexicographic enumeration *is* the DFS preorder, and a run cap
-//!   stops both engines at the same leaf (runs are reserved from the same
-//!   shared budget, before any execution).
+//! - **Same leaves, same order.** Bumping the deepest unexhausted digit is
+//!   exactly DFS backtracking, so the oracle's lexicographic enumeration
+//!   *is* the DFS preorder, and a run cap stops both at the same leaf
+//!   (runs are reserved from the shared budget, before any execution).
 //! - **Same runs.** [`SnapshotExec::restore`] reproduces the substrate
 //!   bit-for-bit, including the incremental history digest, so the steps
 //!   after a restore are the steps a fresh replay of the prefix would have
 //!   taken: per-run `state_digest`/`state_fingerprint` and the recorded
-//!   schedules are identical. Fair tails are fresh
-//!   [`RotatingSource`]s in both engines.
+//!   schedules are identical. Fair tails are fresh [`RotatingSource`]s in
+//!   both.
 //!
 //! `tests/engine_dfs_equivalence.rs` checks all of this — byte-identical
 //! [`Repro`](crate::Repro)s included — on every fixture topology, for 1
@@ -33,9 +34,9 @@
 //!
 //! ## The subtree cache
 //!
-//! With a visited set the DFS reaches a subset of those leaves. The
-//! odometer can only skip a fair tail; the DFS also skips whole subtrees.
-//! Every branch past the pinned prefix is probed under its [`subtree_key`]:
+//! With a visited set the DFS reaches a subset of those leaves: it skips
+//! fair tails and whole subtrees that completed clean before. Every
+//! branch past the pinned prefix is probed under its [`subtree_key`]:
 //! the post-prefix key of DESIGN.md decision 17 mixed with the remaining
 //! depth, the raw key itself at a tail. A hit ends the descent, and a frame
 //! records its key when it is popped. A frame is popped only after every
@@ -49,28 +50,27 @@
 //!
 //! ## Partial-order reduction
 //!
-//! Without a visited set, [`explore_exhaustive_dfs_par`] can prune whole
-//! sibling subtrees with *sleep sets* over the independence relation of
-//! [`crate::independence`]: when sibling digits `i < j` fire commuting
-//! actions, every interleaving below `j` that starts with `i`'s action is
-//! a step-permutation of one below `i` with an identical report, so `j`'s
-//! subtree sleeps `i`'s action. Pruning is gated on crash-free scenarios
-//! ([`por_applicable`]) and never enabled for the leftmost path, so the
-//! first counterexample found — and its shrunk repro — is byte-identical
-//! with POR on or off. [`ExploreStats::por_pruned`] counts skipped digits.
+//! Without a visited set, [`ExploreConfig::por`](crate::ExploreConfig::por)
+//! prunes whole sibling subtrees with *sleep sets* over the independence
+//! relation of [`crate::independence`]: when sibling digits `i < j` fire
+//! commuting actions, every interleaving below `j` that starts with `i`'s
+//! action is a step-permutation of one below `i` with an identical report,
+//! so `j`'s subtree sleeps `i`'s action. Pruning is gated on crash-free
+//! scenarios ([`por_applicable`]) and never enabled for the leftmost path,
+//! so the first counterexample found — and its shrunk repro — is
+//! byte-identical with POR on or off. `por_pruned` counts skipped digits.
 //!
 //! ## Accounting
 //!
-//! [`ExploreStats::steps_executed`] counts what this engine actually ran;
-//! [`ExploreStats::steps_avoided`] counts the prefix re-execution it
-//! skipped, measured so that `steps_executed + steps_avoided` equals the
-//! `steps_executed` of the odometer engine on the same leaves (under POR
-//! or the subtree cache, a *pruned* set of them — the cross-engine step
-//! identity is only asserted without either).
-//! [`ExploreStats::snapshot_bytes`] sums what each checkpoint actually
-//! copied (chunk pointer tables under copy-on-write state) against the
-//! [`ExploreStats::snapshot_deep_bytes`] a deep `Clone` would have copied.
-//! `BENCH_counts.json` (section `explore`) tracks both reductions.
+//! Of the [`ExploreStats`](crate::ExploreStats) counters, `steps_executed`
+//! counts what this walk actually ran; `steps_avoided` counts the prefix
+//! re-execution it skipped, measured so that `steps_executed +
+//! steps_avoided` equals the steps the oracle executes on the same leaves
+//! (under POR or the subtree cache, a *pruned* set of them — the identity
+//! is only asserted without either). `snapshot_bytes` sums what each
+//! checkpoint actually copied (chunk pointer tables under copy-on-write
+//! state) against the `snapshot_deep_bytes` a deep `Clone` would have
+//! copied. `BENCH_counts.json` (section `explore`) tracks both reductions.
 //!
 //! ## Storage
 //!
@@ -85,10 +85,9 @@
 //! leaf is checked through the worker's one report, and the fair tails run
 //! on the worker's one options buffer.
 
-use crate::explorer::ExploreStats;
+use crate::explorer::{ItemResult, Worker};
 use crate::independence::{actions_commute, por_applicable};
-use crate::par::{exhaustive_pool, merge, ExploreConfig, ItemResult, Worker};
-use crate::{Prototype, Scenario};
+use crate::Prototype;
 use gam_core::ActionDesc;
 use gam_engine::digest::derive_seed;
 use gam_engine::{Executor, RuntimeSnapshot, SnapshotExec};
@@ -172,8 +171,8 @@ fn sleep_below(
 }
 
 /// Replicates one iteration chunk of the engine driver loop
-/// ([`run_with_source_counted`]): budget check, option enumeration, idle
-/// handling. Returns `Some(outcome)` when the run is over (a leaf of the
+/// ([`gam_engine::run_with_source_counted`]): budget check, option
+/// enumeration, idle handling. Returns `Some(outcome)` when the run is over (a leaf of the
 /// tree) and `None` when the executor stands at a choice point with
 /// `options` populated.
 fn advance<E: Executor>(
@@ -229,9 +228,8 @@ fn step_flat<E: Executor>(
     unreachable!("flat index clamped below total arity")
 }
 
-/// DFS walk of every enumerated path whose leading digits equal `pinned` —
-/// the snapshotting counterpart of [`crate::par`]'s `explore_item`, and a
-/// drop-in `run_item` for its worker pool.
+/// DFS walk of every enumerated path whose leading digits equal `pinned`
+/// (the whole tree when `pinned` is empty): one exhaustive work item.
 ///
 /// With a visited set, every branch past the pinned prefix is probed under
 /// its [`subtree_key`] and recorded when its frame is popped, so a subtree
@@ -467,9 +465,8 @@ pub(crate) fn dfs_item(
             }
             continue;
         }
-        // Tail leaf, the cache's `remaining = 0` case and the odometer
-        // pool's dedup rule: skip the fair tail iff this post-prefix state
-        // already completed clean.
+        // Tail leaf, the cache's `remaining = 0` case: skip the fair tail
+        // iff this post-prefix state already completed clean.
         let fp = subtree_key(worker.exec.state_fingerprint(), 0);
         if worker
             .visited
@@ -493,103 +490,21 @@ pub(crate) fn dfs_item(
             res.violation = Some((schedule, violation, 0));
             return res;
         }
-        // Only a clean tail verdict is remembered (see the odometer pool).
+        // Only a clean tail verdict is remembered: a violating state never
+        // enters the set, so pruning cannot hide a counterexample.
         if let Some(seen) = worker.visited.as_mut() {
             seen.insert(fp);
         }
     }
 }
 
-/// [`explore_exhaustive`](crate::explore_exhaustive) with prefix sharing:
-/// the same bounded tree, runs, verdicts and canonical counterexample, but
-/// each shared schedule prefix executes **once** — the engine checkpoints
-/// at branch points and `restore`s on backtrack instead of replaying from
-/// the initial state. [`ExploreStats::steps_avoided`] reports the savings.
-pub fn explore_exhaustive_dfs(
-    scenario: &Scenario,
-    depth: usize,
-    max_runs: u64,
-    shrink_budget: u64,
-) -> ExploreStats {
-    let reserved = AtomicU64::new(0);
-    let proto = Prototype::new(scenario);
-    let res = Worker::new(&proto, 0)
-        .item(|worker| dfs_item(&proto, depth, &[], &reserved, max_runs, worker, false));
-    let runs = res.runs;
-    merge(scenario, vec![(runs, 0, vec![(0, res)])], shrink_budget)
-}
-
-/// [`explore_exhaustive_par`](crate::explore_exhaustive_par) with prefix
-/// sharing: the tree is split at the top-level frontier into the same
-/// pinned-prefix work items, each walked by the snapshotting DFS, with the
-/// same deterministic lowest-item-index merge.
-///
-/// With [`ExploreConfig::dedup_capacity`] > 0 each worker's visited set
-/// caches whole subtrees that completed clean, not only fair tails (see the
-/// module docs), so the walk reaches a subset of the odometer's leaves.
-/// Otherwise, when [`ExploreConfig::por`] is set (and the scenario is
-/// crash-free — see [`por_applicable`]), sleep sets prune sibling subtrees
-/// that merely permute commuting actions. Either way the first
-/// counterexample and its shrunk repro stay byte-identical to the plain
-/// walk's, 1 thread or N.
-pub fn explore_exhaustive_dfs_par(
-    scenario: &Scenario,
-    depth: usize,
-    max_runs: u64,
-    config: &ExploreConfig,
-) -> ExploreStats {
-    let por = config.por;
-    exhaustive_pool(
-        scenario,
-        depth,
-        max_runs,
-        config,
-        move |proto, depth, pinned, reserved, max_runs, worker| {
-            dfs_item(proto, depth, pinned, reserved, max_runs, worker, por)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explorer::{explore_exhaustive, Outcome, DEFAULT_SHRINK_BUDGET};
+    use crate::Scenario;
     use gam_engine::run_with_source;
     use gam_groups::topology;
     use gam_kernel::schedule::PathSource;
-
-    #[test]
-    fn dfs_matches_odometer_on_single_group() {
-        let scenario = Scenario::one_per_group(&topology::single_group(2), 20_000);
-        let seq = explore_exhaustive(&scenario, 3, 5_000, DEFAULT_SHRINK_BUDGET);
-        let dfs = explore_exhaustive_dfs(&scenario, 3, 5_000, DEFAULT_SHRINK_BUDGET);
-        assert!(dfs.clean(), "violations: {:?}", dfs.violations);
-        assert_eq!(dfs.runs, seq.runs);
-        assert_eq!(dfs.outcome, seq.outcome);
-        assert_eq!(dfs.dedup_hits, 0, "sequential DFS runs without dedup");
-        // The accounting invariant: executed + avoided = what the odometer
-        // engine executed, and sharing must actually save something.
-        assert_eq!(dfs.steps_executed + dfs.steps_avoided, seq.steps_executed);
-        assert!(
-            dfs.steps_executed < seq.steps_executed,
-            "prefix sharing saved nothing: {} vs {}",
-            dfs.steps_executed,
-            seq.steps_executed
-        );
-        assert!(dfs.snapshots_taken > 0);
-        assert!(dfs.steps_avoided_permille() > 0);
-    }
-
-    #[test]
-    fn dfs_respects_run_cap_like_the_odometer() {
-        let scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 50_000);
-        let seq = explore_exhaustive(&scenario, 4, 7, DEFAULT_SHRINK_BUDGET);
-        let dfs = explore_exhaustive_dfs(&scenario, 4, 7, DEFAULT_SHRINK_BUDGET);
-        assert_eq!(dfs.runs, 7);
-        assert_eq!(seq.outcome, Outcome::RunCapped);
-        assert_eq!(dfs.outcome, Outcome::RunCapped);
-        assert!(dfs.violations.is_empty());
-    }
 
     #[test]
     fn restore_reproduces_digest_and_fingerprint_bit_for_bit() {

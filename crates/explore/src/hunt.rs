@@ -19,8 +19,7 @@
 
 use crate::explorer::found;
 use crate::{
-    explore_exhaustive_dfs_par, ExploreConfig, Outcome, Prototype, Repro, Scenario,
-    DEFAULT_SHRINK_BUDGET,
+    explore, ExploreConfig, Mode, Outcome, Prototype, Repro, Scenario, DEFAULT_SHRINK_BUDGET,
 };
 use gam_core::spec::{check_all, check_named, SpecViolation};
 use gam_core::Variant;
@@ -208,12 +207,12 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
     }
     // Phase 2: bounded exhaustive enumeration under the stock spec (the
     // boundary re-check is swarm-only; the enumerated space is checked by
-    // `check_all` inside the explorer). Runs on the snapshotting DFS
-    // engine at one thread — deterministic, prefix-shared, and (with
-    // `cfg.por`) sleep-set pruned, so the run cap buys more coverage.
+    // `check_all` inside the explorer). One thread walks the tree —
+    // deterministic, prefix-shared, and (with `cfg.por`) sleep-set pruned,
+    // so the run cap buys more coverage.
     if cfg.run_cap == 0 {
-        // Swarm-only hunt (e.g. boundary mode): skip even the frontier
-        // probe runs the pool would spend before hitting the zero cap.
+        // Swarm-only hunt (e.g. boundary mode): skip even building the
+        // explorer's prototype.
         return outcome;
     }
     let explore_cfg = ExploreConfig {
@@ -222,7 +221,11 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
         dedup_capacity: 0,
         por: cfg.por,
     };
-    let stats = explore_exhaustive_dfs_par(&scenario, cfg.depth, cfg.run_cap, &explore_cfg);
+    let mode = Mode::Exhaustive {
+        depth: cfg.depth,
+        max_runs: cfg.run_cap,
+    };
+    let stats = explore(&scenario, mode, &explore_cfg);
     outcome.exhaustive_runs = stats.runs;
     outcome.steps += stats.steps_executed;
     outcome.exhausted = stats.outcome == Outcome::Exhausted;

@@ -9,8 +9,8 @@
 //!
 //! Two enabled actions *commute* when firing them in either order yields
 //! behaviorally equivalent states — equal delivery sequences, equal spec
-//! verdicts under every deterministic continuation. The DFS engine's sleep
-//! sets ([`crate::explore_exhaustive_dfs_par`]) prune one of each
+//! verdicts under every deterministic continuation. The exhaustive walk's
+//! sleep sets ([`crate::ExploreConfig::por`]) prune one of each
 //! commuting sibling pair, which is sound exactly because the pruned
 //! interleaving's subtree repeats the explored one's verdicts. See the
 //! engine module docs for why genuineness makes commutation a

@@ -4,22 +4,20 @@
 //! the fixed-seed integration tests only sample a handful of them. This
 //! crate turns the quantifier into tooling:
 //!
-//! - [`explore_exhaustive`] enumerates **every** schedule of a bounded
-//!   choice depth (completing each prefix with a deterministic fair tail to
-//!   quiescence, so every terminal state is checkable) and verifies each
-//!   terminal state against [`gam_core::spec::check_all`];
-//! - [`explore_swarm`] drives a seeded random swarm over the full run,
-//!   recording each schedule as it goes;
-//! - [`explore_exhaustive_par`] / [`explore_swarm_par`] scale both across
-//!   a worker pool (prefix-partitioned tree / striped seed range) with a
-//!   deterministic merge — the reported counterexample is independent of
-//!   the thread count — plus visited-set dedup of converged prefixes (see
-//!   [`ExploreConfig`]);
-//! - [`explore_exhaustive_dfs`] / [`explore_exhaustive_dfs_par`] walk the
-//!   *same* tree as a snapshotting depth-first search — shared schedule
-//!   prefixes execute once, checkpoints are restored on backtrack — and
-//!   are verified byte-identical to the odometer engines;
-//! - on a violation, [`shrink`] delta-debugs the failing run — dropping
+//! - [`explore`] is the one entry point, in two [`Mode`]s, checking every
+//!   terminal state against [`gam_core::spec::check_all`].
+//!   `Exhaustive` enumerates **every** schedule of a bounded choice depth,
+//!   completing each prefix with a deterministic fair tail to quiescence so
+//!   every terminal state is checkable, as a snapshotting depth-first
+//!   search: shared schedule prefixes execute once, and checkpoints are
+//!   restored on backtrack. `Swarm` drives a seeded random scheduler over
+//!   the full run, once per seed, recording each schedule as it goes;
+//! - both run on one worker pool with a deterministic merge, so the
+//!   reported counterexample is independent of the thread count, and the
+//!   exhaustive walk skips subtrees that already completed clean (see
+//!   [`ExploreConfig`]). The tests hold it to a restart-from-scratch
+//!   enumeration written on this crate's public API;
+//! - on a violation, [`shrink()`] delta-debugs the failing run — dropping
 //!   crashes and submissions, truncating the schedule, collapsing choices
 //!   toward the round-robin default — down to a minimal counterexample;
 //! - the result is a [`Repro`]: a self-contained, text-serializable bundle
@@ -40,19 +38,18 @@ mod explorer;
 pub mod hunt;
 pub mod independence;
 pub mod kernel;
-mod par;
 mod repro;
 mod shrink;
 
-pub use dfs::{explore_exhaustive_dfs, explore_exhaustive_dfs_par, subtree_key};
+pub use dfs::subtree_key;
 pub use explorer::{
-    explore_exhaustive, explore_swarm, Counterexample, ExploreStats, Outcome, DEFAULT_SHRINK_BUDGET,
+    explore, explore_exhaustive_dfs_par, Counterexample, ExploreConfig, ExploreStats, Mode,
+    Outcome, DEFAULT_SHRINK_BUDGET,
 };
 pub use gam_engine::digest::{self, fnv1a, trace_hash};
 pub use gam_engine::PrefixTail;
 pub use hunt::{hunt, hunt_one, HuntConfig, HuntFinding, HuntOutcome, HuntReport};
 pub use independence::{actions_commute, por_applicable};
-pub use par::{explore_exhaustive_par, explore_swarm_par, ExploreConfig};
 pub use repro::Repro;
 pub use shrink::shrink;
 

@@ -10,10 +10,7 @@
 //! Run with: `cargo test -p gam-explore --features mutation`
 #![cfg(feature = "mutation")]
 
-use gam_explore::{
-    explore_exhaustive_dfs_par, explore_swarm, ExploreConfig, Repro, Scenario,
-    DEFAULT_SHRINK_BUDGET,
-};
+use gam_explore::{explore, ExploreConfig, Mode, Repro, Scenario, DEFAULT_SHRINK_BUDGET};
 use gam_groups::topology;
 
 #[test]
@@ -21,7 +18,8 @@ fn explorer_finds_and_shrinks_the_seeded_ordering_bug() {
     // two_overlapping has no cyclic family (γ = ∅ throughout), so the
     // mutated guard is the only thing ordering cross-group deliveries.
     let scenario = Scenario::one_per_group(&topology::two_overlapping(4, 2), 200_000);
-    let stats = explore_swarm(&scenario, 0..64, DEFAULT_SHRINK_BUDGET);
+    let swarm = Mode::Swarm { seeds: 0..64 };
+    let stats = explore(&scenario, swarm, &ExploreConfig::default());
     assert!(
         !stats.violations.is_empty(),
         "mutation survived {} swarm seeds",
@@ -59,22 +57,26 @@ fn the_dfs_reports_one_repro_whatever_prunes_it() {
     // The visited set caches subtrees that completed clean and sleep sets
     // skip re-orderings; neither may change which violation is reported.
     let scenario = Scenario::one_per_group(&topology::two_overlapping(4, 2), 200_000);
-    let explore = |threads, dedup_capacity, por| {
+    let walk = |threads, dedup_capacity, por| {
         let config = ExploreConfig {
             threads,
             shrink_budget: DEFAULT_SHRINK_BUDGET,
             dedup_capacity,
             por,
         };
-        explore_exhaustive_dfs_par(&scenario, 5, u64::MAX, &config)
+        let mode = Mode::Exhaustive {
+            depth: 5,
+            max_runs: u64::MAX,
+        };
+        explore(&scenario, mode, &config)
     };
-    let reference = explore(1, 0, false);
+    let reference = walk(1, 0, false);
     assert_eq!(reference.violations[0].violation.property, "ordering");
     let reference = &reference.violations[0].repro;
     for threads in [1, 2] {
         for dedup_capacity in [0, 1 << 16] {
             for por in [false, true] {
-                let got = explore(threads, dedup_capacity, por);
+                let got = walk(threads, dedup_capacity, por);
                 let what = format!("{threads} threads, dedup {dedup_capacity}, POR {por}");
                 assert!(!got.violations.is_empty(), "{what}: mutation survived");
                 let repro = &got.violations[0].repro;
@@ -90,6 +92,7 @@ fn clean_topologies_still_pass_under_mutation_when_no_overlap() {
     // Sanity: the mutation only bites where groups intersect; disjoint
     // groups must stay clean, so a finding above really is the seeded bug.
     let scenario = Scenario::one_per_group(&topology::disjoint(2, 3), 200_000);
-    let stats = explore_swarm(&scenario, 0..8, DEFAULT_SHRINK_BUDGET);
+    let swarm = Mode::Swarm { seeds: 0..8 };
+    let stats = explore(&scenario, swarm, &ExploreConfig::default());
     assert!(stats.clean(), "violations: {:?}", stats.violations);
 }

@@ -310,7 +310,7 @@ P002 = "error"
             "[concurrency]\npaths = [\"crates/explore\"]\nobserver = [\"crates/engine/src/event.rs\"]\n",
         )
         .unwrap();
-        assert!(cfg.is_concurrency("crates/explore/src/par.rs"));
+        assert!(cfg.is_concurrency("crates/explore/src/explorer.rs"));
         assert!(!cfg.is_concurrency("crates/core/src/runtime.rs"));
         assert!(cfg.is_observer("crates/engine/src/event.rs"));
         assert!(!cfg.is_observer("crates/engine/src/digest.rs"));

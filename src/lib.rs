@@ -72,10 +72,7 @@ pub mod prelude {
     pub use gam_engine::{
         run_fair, run_with_source, Executor, KernelExecutor, RuntimeExecutor, SnapshotExec,
     };
-    pub use gam_explore::{
-        explore_exhaustive, explore_exhaustive_dfs, explore_exhaustive_dfs_par,
-        explore_exhaustive_par, explore_swarm, explore_swarm_par, ExploreConfig, Repro, Scenario,
-    };
+    pub use gam_explore::{explore, ExploreConfig, Mode, Repro, Scenario};
     pub use gam_groups::{topology, GroupId, GroupSet, GroupSystem};
     pub use gam_kernel::{
         Environment, FailurePattern, ProcessId, ProcessSet, Scheduler, Simulator, Time,

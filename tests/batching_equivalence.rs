@@ -5,22 +5,38 @@
 //! decision. Nothing a correct process can observe may change: who
 //! delivers what, the `L_g` order of each group's messages, and the spec
 //! verdict must all match the unbatched run — across the whole scenario
-//! corpus, across the exploration engines (odometer and snapshotting DFS
-//! enumerate the *batched* action tree identically), and across substrates
+//! corpus, across exploration (the snapshotting DFS enumerates the
+//! *batched* action tree as the restart-from-scratch odometer of
+//! `tests/common` does), and across substrates
 //! (the batched Level-A runtime still agrees with the always-unbatched
 //! Level-B kernel deployment).
 
+mod common;
+
+use common::odometer::odometer;
 use gam_kernel::RunOutcome;
 use genuine_multicast::core::distributed::run_report;
-use genuine_multicast::explore::{
-    explore_exhaustive, explore_exhaustive_dfs, Outcome, DEFAULT_SHRINK_BUDGET,
-};
+use genuine_multicast::explore::{Mode, Outcome, DEFAULT_SHRINK_BUDGET};
 use genuine_multicast::prelude::*;
 use genuine_multicast::scenarios::corpus;
 
 /// The batching width under test: far above any corpus backlog, so every
 /// mergeable injection actually merges.
 const BATCH: u32 = 16;
+
+/// One worker, no visited set, no sleep sets: the odometer's leaves.
+fn one_thread() -> ExploreConfig {
+    ExploreConfig {
+        threads: 1,
+        shrink_budget: DEFAULT_SHRINK_BUDGET,
+        dedup_capacity: 0,
+        por: false,
+    }
+}
+
+fn exhaustive(depth: usize, max_runs: u64) -> Mode {
+    Mode::Exhaustive { depth, max_runs }
+}
 
 /// Drives `scenario` to quiescence under the fair driver and reports.
 fn fair_report(scenario: &Scenario) -> RunReport {
@@ -114,8 +130,8 @@ fn batched_delivery_matches_unbatched_on_the_corpus() {
 }
 
 /// Contended small topologies where batching genuinely merges: the
-/// odometer and snapshotting DFS engines enumerate the batched action tree
-/// identically (same coverage, same outcome, exact step accounting), and
+/// snapshotting DFS and the odometer oracle enumerate the batched action
+/// tree identically (same coverage, same outcome, exact step accounting), and
 /// every explored schedule stays clean — the exhaustive form of
 /// "batched delivery order equals unbatched".
 #[test]
@@ -140,23 +156,23 @@ fn exploration_engines_agree_and_stay_clean_under_batching() {
     for (name, scenario, depth) in cases {
         for batch_max in [1, BATCH] {
             let s = scenario.clone().with_batch_max(batch_max);
-            let seq = explore_exhaustive(&s, depth, 100_000, DEFAULT_SHRINK_BUDGET);
+            let oracle = odometer(&s, depth, 100_000);
             assert!(
-                seq.clean(),
+                oracle.violation.is_none(),
                 "{name} batch={batch_max}: odometer found {:?}",
-                seq.violations
+                oracle.violation.map(|cx| cx.violation)
             );
-            let dfs = explore_exhaustive_dfs(&s, depth, 100_000, DEFAULT_SHRINK_BUDGET);
+            let dfs = explore(&s, exhaustive(depth, 100_000), &one_thread());
             assert!(
                 dfs.clean(),
                 "{name} batch={batch_max}: DFS found {:?}",
                 dfs.violations
             );
-            assert_eq!(dfs.runs, seq.runs, "{name} batch={batch_max}: coverage");
-            assert_eq!(dfs.outcome, seq.outcome, "{name} batch={batch_max}");
+            assert_eq!(dfs.runs, oracle.runs, "{name} batch={batch_max}: coverage");
+            assert_eq!(dfs.outcome, oracle.outcome, "{name} batch={batch_max}");
             assert_eq!(
                 dfs.steps_executed + dfs.steps_avoided,
-                seq.steps_executed,
+                oracle.steps,
                 "{name} batch={batch_max}: step accounting must close"
             );
         }
@@ -222,7 +238,7 @@ fn batched_repros_round_trip_and_replay() {
     // Starved budget: every schedule violates termination.
     let scenario =
         Scenario::one_per_group(&topology::two_overlapping(3, 1), 12).with_batch_max(BATCH);
-    let stats = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
+    let stats = explore(&scenario, exhaustive(3, 10_000), &one_thread());
     assert_eq!(stats.outcome, Outcome::ViolationFound);
     let repro = &stats.violations[0].repro;
     let text = repro.to_text();

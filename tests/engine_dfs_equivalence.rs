@@ -1,26 +1,25 @@
-//! The snapshotting DFS engine is *the same exploration* as the odometer
-//! engine — only cheaper.
+//! The snapshotting DFS behind `explore` is *the same exploration* as the
+//! restart-from-scratch odometer of `tests/common/odometer.rs` — only
+//! cheaper.
 //!
-//! `gam_explore::explore_exhaustive_dfs` (and its parallel pool) must be
-//! indistinguishable from the restart-from-scratch odometer engines in
+//! `gam_explore::explore` must be indistinguishable from the odometer in
 //! everything a user can cite: coverage outcome, the byte-identical shrunk
 //! `Repro` on violating workloads, and — without a visited set — run
 //! counts. There the step accounting must also close exactly:
-//! `steps_executed + steps_avoided` of the DFS equals `steps_executed` of
-//! the odometer engine on the same tree, with a strict saving whenever the
+//! `steps_executed + steps_avoided` of the DFS equals the steps the
+//! odometer executes on the same tree, with a strict saving whenever the
 //! tree actually branches. With a visited set the DFS caches whole
-//! subtrees where the odometer skips only fair tails, so it reaches at
-//! most the odometer's leaves.
+//! subtrees, so it reaches at most the odometer's leaves.
 //!
 //! All of which rests on `SnapshotExec::restore` rewinding bit for bit —
 //! checked here directly, crash plans included, because a restore rewrites
 //! the executor's own storage in place instead of replacing it.
 
+mod common;
+
+use common::odometer::odometer;
 use genuine_multicast::engine::{replay, run_with_source_counted, PrefixTail, RuntimeSnapshot};
-use genuine_multicast::explore::{
-    explore_exhaustive, explore_exhaustive_dfs, explore_exhaustive_dfs_par, Outcome,
-    DEFAULT_SHRINK_BUDGET,
-};
+use genuine_multicast::explore::{Mode, Outcome, DEFAULT_SHRINK_BUDGET};
 use genuine_multicast::kernel::{
     ChoiceStep, RecordingSource, ReplaySource, RotatingSource, RunOutcome,
 };
@@ -34,6 +33,10 @@ fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
         dedup_capacity,
         por: false,
     }
+}
+
+fn exhaustive(depth: usize, max_runs: u64) -> Mode {
+    Mode::Exhaustive { depth, max_runs }
 }
 
 /// The fixture topologies of `tests/fixtures/` plus the smallest branching
@@ -66,58 +69,80 @@ fn fixture_scenarios() -> Vec<(&'static str, Scenario, usize)> {
 #[test]
 fn dfs_matches_odometer_on_every_fixture_topology() {
     for (name, scenario, depth) in fixture_scenarios() {
-        let seq = explore_exhaustive(&scenario, depth, 100_000, DEFAULT_SHRINK_BUDGET);
-        assert!(seq.clean(), "{name}: odometer found {:?}", seq.violations);
-        let dfs = explore_exhaustive_dfs(&scenario, depth, 100_000, DEFAULT_SHRINK_BUDGET);
+        let oracle = odometer(&scenario, depth, 100_000);
+        assert_eq!(oracle.outcome, Outcome::Exhausted, "{name}: odometer");
+        let dfs = explore(&scenario, exhaustive(depth, 100_000), &config(1, 0));
         assert!(dfs.clean(), "{name}: DFS found {:?}", dfs.violations);
-        assert_eq!(dfs.runs, seq.runs, "{name}: coverage diverged");
-        assert_eq!(dfs.outcome, seq.outcome, "{name}");
-        assert_eq!(dfs.dedup_hits, 0, "{name}: sequential engines don't dedup");
+        assert_eq!(dfs.runs, oracle.runs, "{name}: coverage diverged");
+        assert_eq!(dfs.dedup_hits, 0, "{name}: no visited set, no hits");
         // The accounting closes exactly, and sharing strictly saves.
         assert_eq!(
             dfs.steps_executed + dfs.steps_avoided,
-            seq.steps_executed,
+            oracle.steps,
             "{name}: step accounting must close"
         );
         assert!(
-            dfs.steps_executed < seq.steps_executed,
+            dfs.steps_executed < oracle.steps,
             "{name}: prefix sharing saved nothing ({} vs {})",
             dfs.steps_executed,
-            seq.steps_executed
+            oracle.steps
         );
         assert!(dfs.snapshots_taken > 0, "{name}");
+        assert!(dfs.steps_avoided_permille() > 0, "{name}");
     }
 }
 
 #[test]
 fn parallel_dfs_matches_parallel_odometer_coverage() {
     let scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 50_000);
+    let oracle = odometer(&scenario, 3, 100_000);
+    assert_eq!(oracle.outcome, Outcome::Exhausted);
     for threads in [1, 2, 4] {
         for dedup_capacity in [0, 1 << 12] {
-            let odo =
-                explore_exhaustive_par(&scenario, 3, 100_000, &config(threads, dedup_capacity));
-            let dfs =
-                explore_exhaustive_dfs_par(&scenario, 3, 100_000, &config(threads, dedup_capacity));
-            assert!(odo.clean() && dfs.clean(), "{threads}t/{dedup_capacity}");
-            assert_eq!(dfs.outcome, odo.outcome);
+            let what = format!("{threads}t/{dedup_capacity}");
+            let dfs = explore(
+                &scenario,
+                exhaustive(3, 100_000),
+                &config(threads, dedup_capacity),
+            );
+            assert!(dfs.clean(), "{what}");
             if dedup_capacity > 0 {
-                // The DFS caches whole subtrees where the odometer skips
-                // only fair tails: it reaches a subset of the leaves.
-                assert!(dfs.runs <= odo.runs, "{threads}t/{dedup_capacity}");
+                // The DFS caches whole subtrees: it reaches a subset of the
+                // leaves.
+                assert!(dfs.runs <= oracle.runs, "{what}");
                 continue;
             }
-            assert_eq!(dfs.runs, odo.runs, "{threads}t");
-            if threads == 1 {
-                // Same leaves, same order: the step accounting closes
-                // exactly.
-                assert_eq!(
-                    dfs.steps_executed + dfs.steps_avoided,
-                    odo.steps_executed,
-                    "step accounting must close"
-                );
-                assert!(dfs.steps_executed < odo.steps_executed);
-            }
+            assert_eq!(dfs.runs, oracle.runs, "{what}");
+            // Same leaves, however the tree was split: the step accounting
+            // closes exactly.
+            assert_eq!(
+                dfs.steps_executed + dfs.steps_avoided,
+                oracle.steps,
+                "{what}: step accounting must close"
+            );
+            assert!(dfs.steps_executed < oracle.steps, "{what}");
         }
+    }
+}
+
+#[test]
+fn step_accounting_does_not_depend_on_how_the_tree_is_split() {
+    // Under sleep sets a descent can end with every child slept: its steps
+    // ran but belong to no leaf. Summed before saturating, the restart cost
+    // of the leaves is the same whether one item or many walked them.
+    let scenario = Scenario::one_per_group(&topology::fig1(), 200_000);
+    let restart_cost = |threads| {
+        let config = ExploreConfig {
+            por: true,
+            ..config(threads, 0)
+        };
+        let stats = explore(&scenario, exhaustive(4, u64::MAX), &config);
+        assert!(stats.clean() && stats.por_pruned > 0, "{threads} threads");
+        (stats.runs, stats.steps_executed + stats.steps_avoided)
+    };
+    let one = restart_cost(1);
+    for threads in [2, 4] {
+        assert_eq!(restart_cost(threads), one, "{threads} threads");
     }
 }
 
@@ -127,45 +152,38 @@ fn starved_scenario() -> Scenario {
     Scenario::one_per_group(&topology::two_overlapping(3, 1), 12)
 }
 
-#[test]
-fn violating_workload_yields_byte_identical_shrunk_counterexample() {
-    let scenario = starved_scenario();
-    let seq = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(seq.outcome, Outcome::ViolationFound);
-    let reference = &seq.violations[0];
+/// `explore` at {1, 2, 4} threads × dedup {0, 2¹²} reports the odometer's
+/// shrunk counterexample byte for byte.
+fn assert_reports_the_oracle_repro(scenario: &Scenario, depth: usize) {
+    let oracle = odometer(scenario, depth, 10_000);
+    assert_eq!(oracle.outcome, Outcome::ViolationFound);
+    let reference = oracle.violation.expect("a counterexample");
     assert_eq!(reference.violation.property, "termination");
-
-    let dfs = explore_exhaustive_dfs(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(dfs.outcome, Outcome::ViolationFound);
-    assert_eq!(
-        dfs.violations[0].repro.to_text(),
-        reference.repro.to_text(),
-        "sequential DFS repro diverged"
-    );
-    assert_eq!(
-        dfs.violations[0].repro.trace_hash(),
-        reference.repro.trace_hash()
-    );
-
     for threads in [1, 2, 4] {
         for dedup_capacity in [0, 1 << 12] {
-            let par =
-                explore_exhaustive_dfs_par(&scenario, 3, 10_000, &config(threads, dedup_capacity));
-            assert_eq!(par.outcome, Outcome::ViolationFound, "{threads} threads");
-            let cx = &par.violations[0];
+            let what = format!("{threads} threads, dedup {dedup_capacity}");
+            let config = config(threads, dedup_capacity);
+            let stats = explore(scenario, exhaustive(depth, 10_000), &config);
+            assert_eq!(stats.outcome, Outcome::ViolationFound, "{what}");
+            let cx = &stats.violations[0];
             assert_eq!(
                 cx.repro.to_text(),
                 reference.repro.to_text(),
-                "{threads} threads, dedup {dedup_capacity}: repro text diverged"
+                "{what}: repro text diverged"
             );
             assert_eq!(
                 cx.repro.trace_hash(),
                 reference.repro.trace_hash(),
-                "{threads} threads, dedup {dedup_capacity}: trace digest diverged"
+                "{what}: trace digest diverged"
             );
             assert_eq!(cx.violation.property, reference.violation.property);
         }
     }
+}
+
+#[test]
+fn violating_workload_yields_byte_identical_shrunk_counterexample() {
+    assert_reports_the_oracle_repro(&starved_scenario(), 3);
 }
 
 #[test]
@@ -175,20 +193,20 @@ fn the_subtree_cache_reports_the_same_counterexample_on_a_starved_crash_plan() {
     // them, and a later leaf violates termination.
     let mut scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 24);
     scenario.crashes = vec![(ProcessId(2), Time(12))];
-    let explore = |threads, dedup_capacity, por| {
+    let walk = |threads, dedup_capacity, por| {
         let config = ExploreConfig {
             por,
             ..config(threads, dedup_capacity)
         };
-        explore_exhaustive_dfs_par(&scenario, 4, 10_000, &config)
+        explore(&scenario, exhaustive(4, 10_000), &config)
     };
-    let reference = explore(1, 0, false);
+    let reference = walk(1, 0, false);
     assert_eq!(reference.outcome, Outcome::ViolationFound);
     let reference = &reference.violations[0].repro;
     for threads in [1, 2] {
         for dedup_capacity in [0, 1 << 16] {
             for por in [false, true] {
-                let got = explore(threads, dedup_capacity, por);
+                let got = walk(threads, dedup_capacity, por);
                 let what = format!("{threads} threads, dedup {dedup_capacity}, POR {por}");
                 assert_eq!(got.outcome, Outcome::ViolationFound, "{what}");
                 let repro = &got.violations[0].repro;
@@ -205,85 +223,42 @@ fn the_subtree_cache_reports_the_same_counterexample_on_a_starved_crash_plan() {
 #[test]
 fn batched_trees_explore_identically_across_engines_and_threads() {
     // Level-A consensus batching widens the choice space (a batch width is
-    // itself a scheduling choice): the engines must still walk the *same*
-    // wider tree, close the step accounting, and agree across thread
+    // itself a scheduling choice): the DFS must still walk the odometer's
+    // *same* wider tree, close the step accounting, and agree across thread
     // counts.
     for (name, scenario, depth) in fixture_scenarios() {
         let scenario = scenario.with_batch_max(16);
-        let seq = explore_exhaustive(&scenario, depth, 100_000, DEFAULT_SHRINK_BUDGET);
-        assert!(seq.clean(), "{name}: odometer found {:?}", seq.violations);
-        let dfs = explore_exhaustive_dfs(&scenario, depth, 100_000, DEFAULT_SHRINK_BUDGET);
-        assert!(dfs.clean(), "{name}: DFS found {:?}", dfs.violations);
-        assert_eq!(dfs.runs, seq.runs, "{name}: batched coverage diverged");
-        assert_eq!(dfs.outcome, seq.outcome, "{name}");
-        assert_eq!(
-            dfs.steps_executed + dfs.steps_avoided,
-            seq.steps_executed,
-            "{name}: batched step accounting must close"
-        );
+        let oracle = odometer(&scenario, depth, 100_000);
+        assert_eq!(oracle.outcome, Outcome::Exhausted, "{name}: odometer");
         for threads in [1, 2, 4] {
-            let par = explore_exhaustive_dfs_par(&scenario, depth, 100_000, &config(threads, 0));
-            assert!(par.clean(), "{name}/{threads}t");
-            assert_eq!(par.runs, seq.runs, "{name}/{threads}t");
-            assert_eq!(par.outcome, seq.outcome, "{name}/{threads}t");
+            let dfs = explore(&scenario, exhaustive(depth, 100_000), &config(threads, 0));
+            assert!(dfs.clean(), "{name}/{threads}t: {:?}", dfs.violations);
+            assert_eq!(dfs.runs, oracle.runs, "{name}/{threads}t");
+            assert_eq!(
+                dfs.steps_executed + dfs.steps_avoided,
+                oracle.steps,
+                "{name}/{threads}t: batched step accounting must close"
+            );
         }
     }
 }
 
 #[test]
 fn batched_violating_workload_shrinks_byte_identically() {
-    let scenario = starved_scenario().with_batch_max(16);
-    let seq = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(seq.outcome, Outcome::ViolationFound);
-    let reference = &seq.violations[0];
-    assert_eq!(reference.violation.property, "termination");
-
-    let dfs = explore_exhaustive_dfs(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(dfs.outcome, Outcome::ViolationFound);
-    assert_eq!(
-        dfs.violations[0].repro.to_text(),
-        reference.repro.to_text(),
-        "batched sequential DFS repro diverged"
-    );
-
-    for threads in [1, 2, 4] {
-        for dedup_capacity in [0, 1 << 12] {
-            let par =
-                explore_exhaustive_dfs_par(&scenario, 3, 10_000, &config(threads, dedup_capacity));
-            assert_eq!(par.outcome, Outcome::ViolationFound, "{threads} threads");
-            let cx = &par.violations[0];
-            assert_eq!(
-                cx.repro.to_text(),
-                reference.repro.to_text(),
-                "{threads} threads, dedup {dedup_capacity}: batched repro text diverged"
-            );
-            assert_eq!(
-                cx.repro.trace_hash(),
-                reference.repro.trace_hash(),
-                "{threads} threads, dedup {dedup_capacity}: batched trace digest diverged"
-            );
-        }
-    }
+    assert_reports_the_oracle_repro(&starved_scenario().with_batch_max(16), 3);
 }
 
 #[test]
 fn run_cap_stops_both_engines_at_the_same_leaf() {
     let scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 50_000);
-    let seq = explore_exhaustive(&scenario, 4, 7, DEFAULT_SHRINK_BUDGET);
-    let dfs = explore_exhaustive_dfs(&scenario, 4, 7, DEFAULT_SHRINK_BUDGET);
-    for (stats, label) in [(&seq, "odometer"), (&dfs, "dfs")] {
-        assert_eq!(stats.runs, 7, "{label}");
-        assert_eq!(stats.outcome, Outcome::RunCapped, "{label}");
-        assert!(stats.violations.is_empty(), "{label}");
-    }
+    let oracle = odometer(&scenario, 4, 7);
+    let dfs = explore(&scenario, exhaustive(4, 7), &config(1, 0));
+    assert_eq!((oracle.runs, oracle.outcome), (7, Outcome::RunCapped));
+    assert_eq!((dfs.runs, dfs.outcome), (7, Outcome::RunCapped));
+    assert!(dfs.violations.is_empty());
     // The capped enumerations are the same leaves, so the DFS's
-    // odometer-equivalent cost is the odometer's actual cost.
-    assert_eq!(dfs.steps_executed + dfs.steps_avoided, seq.steps_executed);
-
-    let par = explore_exhaustive_dfs_par(&scenario, 4, 7, &config(1, 0));
-    assert_eq!(par.runs, 7);
-    assert_eq!(par.outcome, Outcome::RunCapped);
-    assert!(par.violations.is_empty());
+    // restart-equivalent cost is the odometer's actual cost.
+    assert_eq!(dfs.steps_executed + dfs.steps_avoided, oracle.steps);
 }
 
 /// Every fixture topology crash-free and with a member of its first group

@@ -1,11 +1,12 @@
-//! Thread-count invariance of the parallel explorer.
+//! Thread-count invariance of the explorer.
 //!
-//! The contract of `gam_explore::par` is that parallelism changes wall-clock
-//! time and nothing else a user can cite: the reported counterexample — its
-//! `Repro` text and its replay trace digest — is byte-identical whether the
-//! exploration ran on 1, 2, or 4 workers, and identical to what the
-//! sequential reference loops produce. Clean explorations must also agree
-//! on coverage (`runs`, outcome), with and without dedup pruning.
+//! The contract of `gam_explore::explore` is that parallelism changes
+//! wall-clock time and nothing else a user can cite: the reported
+//! counterexample — its `Repro` text and its replay trace digest — is
+//! byte-identical whether the exploration ran on 1, 2, or 4 workers, and
+//! identical to what the oracles of `tests/common` (a restart-from-scratch
+//! odometer and a plain loop over seeds) produce. Clean explorations must
+//! also agree on coverage (`runs`, outcome) without a visited set.
 //!
 //! Violating workloads are built without any seeded bug: `check_all`'s
 //! termination property requires quiescence, so a step budget too small for
@@ -13,9 +14,10 @@
 //! the adversarial case for the merge — every worker finds a violation at
 //! once, and the canonically-least one must still win the race.
 
-use genuine_multicast::explore::{
-    explore_exhaustive, explore_swarm, Outcome, DEFAULT_SHRINK_BUDGET,
-};
+mod common;
+
+use common::odometer::odometer;
+use genuine_multicast::explore::{Counterexample, Mode, Outcome, DEFAULT_SHRINK_BUDGET};
 use genuine_multicast::prelude::*;
 
 fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
@@ -27,38 +29,44 @@ fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
     }
 }
 
+fn exhaustive(depth: usize, max_runs: u64) -> Mode {
+    Mode::Exhaustive { depth, max_runs }
+}
+
 /// A scenario whose step budget is far below quiescence: every completed
-/// schedule violates termination, so every work item / seed races to
-/// report a counterexample and the merge must pick the canonical one.
+/// schedule violates termination, so every work item races to report a
+/// counterexample and the merge must pick the canonical one.
 fn starved_scenario() -> Scenario {
     Scenario::one_per_group(&topology::two_overlapping(3, 1), 12)
+}
+
+fn assert_same_repro(got: &Counterexample, want: &Counterexample, what: &str) {
+    assert_eq!(
+        got.repro.to_text(),
+        want.repro.to_text(),
+        "{what}: repro text diverged"
+    );
+    assert_eq!(
+        got.repro.trace_hash(),
+        want.repro.trace_hash(),
+        "{what}: trace digest diverged"
+    );
+    assert_eq!(got.violation.property, want.violation.property, "{what}");
 }
 
 #[test]
 fn exhaustive_counterexample_is_invariant_across_thread_counts() {
     let scenario = starved_scenario();
-    let seq = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(seq.outcome, Outcome::ViolationFound);
-    let reference = &seq.violations[0];
+    let reference = odometer(&scenario, 3, 10_000).violation.expect("violates");
     assert_eq!(reference.violation.property, "termination");
 
     for threads in [1, 2, 4] {
         for dedup_capacity in [0, 1 << 12] {
-            let par =
-                explore_exhaustive_par(&scenario, 3, 10_000, &config(threads, dedup_capacity));
-            assert_eq!(par.outcome, Outcome::ViolationFound, "{threads} threads");
-            let cx = &par.violations[0];
-            assert_eq!(
-                cx.repro.to_text(),
-                reference.repro.to_text(),
-                "{threads} threads, dedup {dedup_capacity}: repro text diverged"
-            );
-            assert_eq!(
-                cx.repro.trace_hash(),
-                reference.repro.trace_hash(),
-                "{threads} threads, dedup {dedup_capacity}: trace digest diverged"
-            );
-            assert_eq!(cx.violation.property, reference.violation.property);
+            let config = config(threads, dedup_capacity);
+            let stats = explore(&scenario, exhaustive(3, 10_000), &config);
+            let what = format!("{threads} threads, dedup {dedup_capacity}");
+            assert_eq!(stats.outcome, Outcome::ViolationFound, "{what}");
+            assert_same_repro(&stats.violations[0], &reference, &what);
         }
     }
 }
@@ -66,61 +74,53 @@ fn exhaustive_counterexample_is_invariant_across_thread_counts() {
 #[test]
 fn swarm_counterexample_is_invariant_across_thread_counts() {
     let scenario = starved_scenario();
-    let seq = explore_swarm(&scenario, 0..8, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(seq.outcome, Outcome::ViolationFound);
-    let reference = &seq.violations[0];
+    let reference = common::swarm(&scenario, 0..8).expect("violates");
     assert_eq!(reference.repro.seed, 0, "lowest violating seed wins");
 
     for threads in [1, 2, 4] {
-        let par = explore_swarm_par(&scenario, 0..8, &config(threads, 0));
-        assert_eq!(par.outcome, Outcome::ViolationFound, "{threads} threads");
-        let cx = &par.violations[0];
+        let stats = explore(&scenario, Mode::Swarm { seeds: 0..8 }, &config(threads, 0));
+        assert_eq!(stats.outcome, Outcome::ViolationFound, "{threads} threads");
+        let cx = &stats.violations[0];
         assert_eq!(cx.repro.seed, 0, "{threads} threads");
-        assert_eq!(
-            cx.repro.to_text(),
-            reference.repro.to_text(),
-            "{threads} threads: repro text diverged"
-        );
-        assert_eq!(
-            cx.repro.trace_hash(),
-            reference.repro.trace_hash(),
-            "{threads} threads: trace digest diverged"
-        );
+        assert_same_repro(cx, &reference, &format!("{threads} threads"));
     }
 }
 
 #[test]
 fn clean_exploration_stats_are_invariant_across_thread_counts() {
     // With enough budget the same topology quiesces everywhere: full
-    // coverage, and the covered-prefix count must not depend on threads or
-    // on dedup pruning (pruning skips tails, never enumerated prefixes).
+    // coverage, and without a visited set the covered-prefix count must not
+    // depend on threads. A visited set skips clean subtrees, so it can only
+    // cover fewer leaves.
     let scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 50_000);
-    let seq = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert!(seq.clean());
+    let oracle = odometer(&scenario, 3, 10_000);
+    assert_eq!(oracle.outcome, Outcome::Exhausted);
 
     for threads in [1, 2, 4] {
         for dedup_capacity in [0, 1 << 12] {
-            let par =
-                explore_exhaustive_par(&scenario, 3, 10_000, &config(threads, dedup_capacity));
-            assert!(par.clean(), "{threads} threads: {:?}", par.violations);
-            assert_eq!(par.runs, seq.runs, "{threads} threads");
-            assert_eq!(par.worker_runs.iter().sum::<u64>(), par.runs);
+            let config = config(threads, dedup_capacity);
+            let stats = explore(&scenario, exhaustive(3, 10_000), &config);
+            let what = format!("{threads} threads, dedup {dedup_capacity}");
+            assert!(stats.clean(), "{what}: {:?}", stats.violations);
+            match dedup_capacity {
+                0 => assert_eq!(stats.runs, oracle.runs, "{what}"),
+                _ => assert!(stats.runs <= oracle.runs, "{what}"),
+            }
         }
     }
 
-    let seq = explore_swarm(&scenario, 0..6, DEFAULT_SHRINK_BUDGET);
-    assert!(seq.clean());
+    assert!(common::swarm(&scenario, 0..6).is_none());
     for threads in [1, 2, 4] {
-        let par = explore_swarm_par(&scenario, 0..6, &config(threads, 0));
-        assert!(par.clean(), "{threads} threads: {:?}", par.violations);
-        assert_eq!(par.runs, seq.runs, "{threads} threads");
+        let stats = explore(&scenario, Mode::Swarm { seeds: 0..6 }, &config(threads, 0));
+        assert!(stats.clean(), "{threads} threads: {:?}", stats.violations);
+        assert_eq!(stats.runs, 6, "{threads} threads");
     }
 }
 
 #[test]
 fn relaxed_hint_races_cannot_change_the_answer_across_repeated_runs() {
-    // Regression guard for the A001 proof obligations in `par.rs`/`dfs.rs`:
-    // the `best_item`/`best_seed` skip hints and the shared run budget are
+    // Regression guard for the A001 proof obligations in `explorer.rs` and
+    // `dfs.rs`: the `best_item` skip hint and the shared run budget are
     // deliberately `Ordering::Relaxed`, and the written arguments claim the
     // merge output is independent of how those races resolve. Hammer the
     // adversarial case — every worker finds a violation at once — across
@@ -128,38 +128,23 @@ fn relaxed_hint_races_cannot_change_the_answer_across_repeated_runs() {
     // could skip a candidate at or below the canonical winner) would show
     // up as a diverging repro on some iteration.
     let scenario = starved_scenario();
-    let seq = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    let reference_repro = seq.violations[0].repro.to_text();
-    let reference_hash = seq.violations[0].repro.trace_hash();
-    let swarm_seq = explore_swarm(&scenario, 0..8, DEFAULT_SHRINK_BUDGET);
-    let swarm_repro = swarm_seq.violations[0].repro.to_text();
+    let reference = odometer(&scenario, 3, 10_000).violation.expect("violates");
+    let swarm_reference = common::swarm(&scenario, 0..8).expect("violates");
 
     for rep in 0..5 {
         for threads in [1, 2, 4] {
-            let par = explore_exhaustive_par(&scenario, 3, 10_000, &config(threads, 0));
-            assert_eq!(par.outcome, Outcome::ViolationFound);
-            assert_eq!(
-                par.violations[0].repro.to_text(),
-                reference_repro,
-                "rep {rep}, {threads} threads: exhaustive repro diverged"
-            );
-            assert_eq!(
-                par.violations[0].repro.trace_hash(),
-                reference_hash,
-                "rep {rep}, {threads} threads: exhaustive digest diverged"
-            );
+            let what = format!("rep {rep}, {threads} threads");
+            let stats = explore(&scenario, exhaustive(3, 10_000), &config(threads, 0));
+            assert_eq!(stats.outcome, Outcome::ViolationFound);
+            assert_same_repro(&stats.violations[0], &reference, &what);
 
-            let swarm = explore_swarm_par(&scenario, 0..8, &config(threads, 0));
+            let swarm = explore(&scenario, Mode::Swarm { seeds: 0..8 }, &config(threads, 0));
             assert_eq!(swarm.outcome, Outcome::ViolationFound);
             assert_eq!(
                 swarm.violations[0].repro.seed, 0,
-                "rep {rep}, {threads} threads: a stale best_seed hint let a higher seed win"
+                "{what}: a stale best_item hint let a higher seed win"
             );
-            assert_eq!(
-                swarm.violations[0].repro.to_text(),
-                swarm_repro,
-                "rep {rep}, {threads} threads: swarm repro diverged"
-            );
+            assert_same_repro(&swarm.violations[0], &swarm_reference, &what);
         }
     }
 }

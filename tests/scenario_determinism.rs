@@ -3,18 +3,17 @@
 //!
 //! - **Threads**: the same `(family, seed)` regenerates byte-identical
 //!   topology, crash plan, workload and descriptor text on every thread.
-//! - **Engines**: exploring a generated scenario gives identical coverage
-//!   and a byte-identical shrunk `Repro` whether the explorer is the
-//!   restart-from-scratch odometer or the snapshotting DFS, at 1 or 2
-//!   workers.
+//! - **Engines**: exploring a generated scenario gives the coverage and the
+//!   byte-identical shrunk `Repro` of the restart-from-scratch odometer of
+//!   `tests/common`, at 1 or 2 workers.
 //! - **Parsing**: the descriptor parser is total — seeded random mutations
 //!   of valid descriptors never panic, they produce either a descriptor or
 //!   a typed [`ScnError`].
 
-use genuine_multicast::explore::{
-    explore_exhaustive, explore_exhaustive_dfs, explore_exhaustive_dfs_par, explore_exhaustive_par,
-    Outcome, Scenario, DEFAULT_SHRINK_BUDGET,
-};
+mod common;
+
+use common::odometer::odometer;
+use genuine_multicast::explore::{Mode, Outcome, Scenario, DEFAULT_SHRINK_BUDGET};
 use genuine_multicast::prelude::*;
 use genuine_multicast::scenarios::{corpus, ScnDescriptor};
 use proptest::prelude::*;
@@ -55,8 +54,8 @@ fn generation_is_identical_across_spawned_threads() {
 fn engines_and_thread_counts_agree_on_generated_scenarios() {
     // A generated scenario starved of budget violates termination on every
     // schedule: the counterexample the explorer reports — its `Repro` text
-    // and replay digest — must be byte-identical across the odometer and
-    // DFS engines at 1 and 2 workers. A well-budgeted sibling must give
+    // and replay digest — must be byte-identical to the restart-from-scratch
+    // odometer's at 1 and 2 workers. A well-budgeted sibling must give
     // identical clean coverage everywhere.
     let starved = ScnDescriptor::parse("gam-scn v1 family=two(3,1) seed=5 budget=12").unwrap();
     let scenario = Scenario::from_descriptor(&starved);
@@ -66,67 +65,39 @@ fn engines_and_thread_counts_agree_on_generated_scenarios() {
         dedup_capacity: 0,
         por: false,
     };
+    let mode = || Mode::Exhaustive {
+        depth: 3,
+        max_runs: 10_000,
+    };
 
-    let reference = explore_exhaustive(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert_eq!(reference.outcome, Outcome::ViolationFound);
-    let reference = &reference.violations[0];
+    let reference = odometer(&scenario, 3, 10_000).violation.expect("violates");
     assert_eq!(reference.violation.property, "termination");
-    let runs: Vec<(&str, genuine_multicast::explore::ExploreStats)> = vec![
-        (
-            "dfs-seq",
-            explore_exhaustive_dfs(&scenario, 3, 10_000, DEFAULT_SHRINK_BUDGET),
-        ),
-        (
-            "odometer-1",
-            explore_exhaustive_par(&scenario, 3, 10_000, &config(1)),
-        ),
-        (
-            "odometer-2",
-            explore_exhaustive_par(&scenario, 3, 10_000, &config(2)),
-        ),
-        (
-            "dfs-1",
-            explore_exhaustive_dfs_par(&scenario, 3, 10_000, &config(1)),
-        ),
-        (
-            "dfs-2",
-            explore_exhaustive_dfs_par(&scenario, 3, 10_000, &config(2)),
-        ),
-    ];
-    for (name, stats) in &runs {
-        assert_eq!(stats.outcome, Outcome::ViolationFound, "{name}");
+    for threads in [1, 2] {
+        let stats = explore(&scenario, mode(), &config(threads));
+        assert_eq!(stats.outcome, Outcome::ViolationFound, "{threads} threads");
         let cx = &stats.violations[0];
         assert_eq!(
             cx.repro.to_text(),
             reference.repro.to_text(),
-            "{name}: repro text diverged"
+            "{threads} threads: repro text diverged"
         );
         assert_eq!(
             cx.repro.trace_hash(),
             reference.repro.trace_hash(),
-            "{name}: replay digest diverged"
+            "{threads} threads: replay digest diverged"
         );
     }
 
     let clean = Scenario::from_descriptor(&starved.with_budget(50_000));
-    let reference = explore_exhaustive(&clean, 3, 10_000, DEFAULT_SHRINK_BUDGET);
-    assert!(reference.clean());
-    for (name, stats) in [
-        (
-            "dfs-seq",
-            explore_exhaustive_dfs(&clean, 3, 10_000, DEFAULT_SHRINK_BUDGET),
-        ),
-        (
-            "odometer-2",
-            explore_exhaustive_par(&clean, 3, 10_000, &config(2)),
-        ),
-        (
-            "dfs-2",
-            explore_exhaustive_dfs_par(&clean, 3, 10_000, &config(2)),
-        ),
-    ] {
-        assert!(stats.clean(), "{name}: {:?}", stats.violations);
-        assert_eq!(stats.runs, reference.runs, "{name}: coverage diverged");
+    let reference = odometer(&clean, 3, 10_000);
+    assert_eq!(reference.outcome, Outcome::Exhausted);
+    for threads in [1, 2] {
+        let stats = explore(&clean, mode(), &config(threads));
+        assert!(stats.clean(), "{threads} threads: {:?}", stats.violations);
+        assert_eq!(
+            stats.runs, reference.runs,
+            "{threads} threads: coverage diverged"
+        );
     }
 }
 

@@ -261,8 +261,14 @@ fn row7_strong_genuineness_split_on_cyclic_families() {
 /// bounded depth, for a grid of generation seeds.
 #[test]
 fn generated_acyclic_descriptors_explore_clean() {
-    use genuine_multicast::explore::{explore_exhaustive, DEFAULT_SHRINK_BUDGET};
+    use genuine_multicast::explore::{explore, ExploreConfig, Mode};
     use genuine_multicast::scenarios::corpus;
+
+    let config = ExploreConfig {
+        threads: 1,
+        dedup_capacity: 0,
+        ..ExploreConfig::default()
+    };
 
     let mut checked = 0;
     for (name, template) in corpus() {
@@ -272,7 +278,11 @@ fn generated_acyclic_descriptors_explore_clean() {
         for seed in 0..3u64 {
             let descriptor = template.with_seed(seed);
             let scenario = Scenario::from_descriptor(&descriptor);
-            let stats = explore_exhaustive(&scenario, 2, 300, DEFAULT_SHRINK_BUDGET);
+            let mode = Mode::Exhaustive {
+                depth: 2,
+                max_runs: 300,
+            };
+            let stats = explore(&scenario, mode, &config);
             assert!(
                 stats.clean(),
                 "{name} seed {seed}: {:?}",
