@@ -20,7 +20,10 @@
 //!   what restarting each of `dfs-por`'s leaves from the initial state
 //!   executes: its steps executed plus avoided. `key_audit` walks the plain
 //!   fig1 tree and counts visited-set keys that stand for two different
-//!   observable states; it must stay 0.
+//!   observable states; it must stay 0. `fair_run` and `fair_tail` count
+//!   the ready-set work of one fair run of fig1 and of `rand`, once listing
+//!   the choice space at every step and once through the tail the explorer
+//!   runs, which lists nothing.
 //! - `serve` — descriptor-addressed backlogs drained by
 //!   [`Runtime::run_sustained`](gam_core::Runtime::run_sustained),
 //!   unbatched and at `batch_max = 16`: delivery latency in ticks, the
@@ -99,16 +102,34 @@ fn ready_set_json(steps: u64, c: ReadyCounters) -> Json {
     ])
 }
 
-/// The ready-set counters of one fair run of `scenario`: what option
-/// enumeration costs per step on that state.
-fn fair_run_json(scenario: &Scenario) -> Json {
+/// The ready-set counters of one fair run of `scenario`, taken twice:
+/// `fair_run` lists the choice space at every step for a
+/// [`RotatingSource`] — what option enumeration costs per step on that
+/// state — and `fair_tail` is the same run through
+/// [`Executor::run_fair_tail`], whose picker derives only the rows its scan
+/// reaches.
+fn fair_runs_json(scenario: &Scenario) -> [(&'static str, Json); 2] {
     let mut exec = scenario.runtime_executor();
     let (_, steps) = run_with_source_counted(
         &mut exec,
         &mut RotatingSource::default(),
         scenario.max_steps,
     );
-    ready_set_json(steps, exec.runtime().ready_counters())
+    let listed = exec.runtime().ready_counters();
+    let mut exec = scenario.runtime_executor();
+    let (_, tail_steps) = exec.run_fair_tail(scenario.max_steps, &mut Vec::new());
+    let picked = exec.runtime().ready_counters();
+    assert_eq!(tail_steps, steps, "the fair tail ran another run");
+    assert!(
+        picked.guards_evaluated <= listed.guards_evaluated,
+        "the fair tail evaluates {} guards where listing the choice space evaluates {}",
+        picked.guards_evaluated,
+        listed.guards_evaluated
+    );
+    [
+        ("fair_run", ready_set_json(steps, listed)),
+        ("fair_tail", ready_set_json(tail_steps, picked)),
+    ]
 }
 
 /// Both DFS configurations over the first `depth` choices of `scenario`,
@@ -343,11 +364,11 @@ fn explore_section() -> Json {
     Json::obj([
         (
             "fig1",
-            Json::obj([
-                ("fair_run", fair_run_json(&fig1)),
-                ("depths", depths),
-                ("key_audit", key_audit(&fig1, 6)),
-            ]),
+            Json::obj(
+                fair_runs_json(&fig1)
+                    .into_iter()
+                    .chain([("depths", depths), ("key_audit", key_audit(&fig1, 6))]),
+            ),
         ),
         (
             "fig1_crashy",
@@ -358,11 +379,12 @@ fn explore_section() -> Json {
         ),
         (
             "rand",
-            Json::obj([
-                ("descriptor", Json::from(d.render())),
-                ("fair_run", fair_run_json(&rand)),
-                ("walk", explore_row(rand_depth, rand_cap, &passes)),
-            ]),
+            Json::obj(
+                [("descriptor", Json::from(d.render()))]
+                    .into_iter()
+                    .chain(fair_runs_json(&rand))
+                    .chain([("walk", explore_row(rand_depth, rand_cap, &passes))]),
+            ),
         ),
     ])
 }

@@ -481,9 +481,6 @@ pub struct Runtime {
     pub(crate) owed: CowVec<u64>,
     pub(crate) rr_cursor: usize,
     rng: StdRng,
-    /// The enabled actions of the last process that stepped, as they stood
-    /// before its step (see [`Runtime::fire_enabled`]).
-    scratch: Vec<Action>,
     ready: ReadySet,
 }
 
@@ -515,7 +512,6 @@ impl Clone for Runtime {
             owed: self.owed.clone(),
             rr_cursor: self.rr_cursor,
             rng: self.rng.clone(),
-            scratch: self.scratch.clone(),
             ready: self.ready.clone(),
         }
     }
@@ -551,7 +547,6 @@ impl Runtime {
             owed,
             rr_cursor,
             rng,
-            scratch,
             ready,
         } = src;
         share(&mut self.tables, tables);
@@ -571,7 +566,6 @@ impl Runtime {
         self.owed.refill(owed, how);
         self.rr_cursor = *rr_cursor;
         self.rng.clone_from(rng);
-        self.scratch.clone_from(scratch);
         self.ready.clone_from(ready);
     }
 
@@ -632,7 +626,6 @@ impl Runtime {
             owed: CowVec::from_vec(COL_CHUNK, vec![0; n]),
             rr_cursor: 0,
             rng: StdRng::seed_from_u64(config.seed),
-            scratch: Vec::new(),
             ready: ReadySet {
                 rows: vec![Vec::new(); n],
                 stale: ProcessSet::first_n(n),
@@ -1331,10 +1324,14 @@ impl Runtime {
     /// policy, whatever scheduler is configured. Returns `true` on
     /// quiescence of `set`, `false` on budget exhaustion.
     pub fn run_sustained(&mut self, set: ProcessSet, max_actions: u64) -> bool {
-        let outcome = self.drive(set, max_actions, |rt| match rt.pick_round_robin(set) {
-            Some((p, action, _)) => Pick::Least(p, action),
-            None => Pick::Idle,
+        let mut cursor = self.rr_cursor;
+        let outcome = self.drive(set, max_actions, |rt| {
+            match rt.pick_round_robin(set, &mut cursor) {
+                Some((p, action, _)) => Pick::Least(p, action),
+                None => Pick::Idle,
+            }
         });
+        self.rr_cursor = cursor;
         outcome == RunOutcome::Quiescent
     }
 
@@ -1397,24 +1394,26 @@ impl Runtime {
     }
 
     /// The round-robin-min policy: the first process of `set`, scanning
-    /// cyclically from the stored cursor, that has an enabled action, with
-    /// its least action — which the caller fires — and the number of
-    /// processes the scan passed over to reach it; the cursor moves one past
-    /// it. The scan steps over `stale | nonempty` only, so idle processes
-    /// cost nothing.
+    /// cyclically from `cursor`, that has an enabled action, with its least
+    /// action — which the caller fires — and the number of processes the
+    /// scan passed over to reach it; `cursor` moves one past it. The scan
+    /// steps over `stale | nonempty` only, so idle processes cost nothing.
+    /// When it finds nothing, every row of `set` it could have visited is
+    /// current and empty.
     pub(crate) fn pick_round_robin(
         &mut self,
         set: ProcessSet,
+        cursor: &mut usize,
     ) -> Option<(ProcessId, Action, usize)> {
         let n = self.tables.n;
         let live = self.maybe_enabled(set);
-        let start = self.rr_cursor;
+        let start = *cursor;
         // From the cursor to the end, then from 0 up to the cursor.
         for (mut from, end) in [(start, n), (0, start)] {
             while let Some(p) = live.next_from(from).filter(|p| p.index() < end) {
                 if let Some(&action) = self.row(p).first() {
                     let i = p.index();
-                    self.rr_cursor = if i + 1 == n { 0 } else { i + 1 };
+                    *cursor = if i + 1 == n { 0 } else { i + 1 };
                     let passed = if i >= start { i - start } else { i + n - start };
                     return Some((p, action, passed));
                 }
@@ -1422,6 +1421,27 @@ impl Runtime {
             }
         }
         None
+    }
+
+    /// One step of the round-robin-min policy on a caller-owned `cursor`
+    /// (see [`Runtime::run_sustained`], which keeps its cursor in the
+    /// runtime): fires the least enabled action of the first process of
+    /// `set` at or after `cursor`, moves `cursor` one past that process, and
+    /// returns it with what fired. A cursor that starts at 0 makes exactly
+    /// the picks of `gam_kernel::schedule::RotatingSource` over
+    /// [`Runtime::options_into`] — sub-choice 0 of the first listed process
+    /// at or after the cursor — without listing the choice space.
+    ///
+    /// `None` means no process of `set` has an enabled action, and then
+    /// `set` is quiescent exactly when it owes nothing
+    /// ([`Runtime::has_obligations`]).
+    pub fn fire_round_robin(
+        &mut self,
+        set: ProcessSet,
+        cursor: &mut usize,
+    ) -> Option<(ProcessId, Fired)> {
+        let (p, action, _) = self.pick_round_robin(set, cursor)?;
+        Some((p, self.fire(p, Some(action), self.now.next())))
     }
 
     /// The current choice space over `set`, written into a caller-provided
@@ -1480,10 +1500,6 @@ impl Runtime {
     pub fn fire_enabled(&mut self, p: ProcessId, choice: usize) -> Fired {
         let row = self.row(p);
         let action = row.get(choice.min(row.len().saturating_sub(1))).copied();
-        // A checkpoint copies, and `snapshot_cost_bytes` counts, this one
-        // action list — as before the ready set existed.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.ready.rows[p.index()]);
         self.fire(p, action, self.now.next())
     }
 
@@ -1734,9 +1750,8 @@ impl Runtime {
     /// out of both sides: it is a cache a restore could as well reset.
     pub fn snapshot_cost_bytes(&self) -> (u64, u64) {
         use std::mem::size_of;
-        // Plain `Vec` fields a clone deep-copies in either layout.
-        let base = (self.next_new.len() * size_of::<u32>()) as u64
-            + (self.scratch.len() * size_of::<Action>()) as u64;
+        // The plain `Vec` field a clone deep-copies in either layout.
+        let base = (self.next_new.len() * size_of::<u32>()) as u64;
         let mut copied = base;
         let mut deep = base;
         // Chunked columns: a clone copies the pointer tables, a deep copy

@@ -113,6 +113,9 @@ impl Runtime {
     ) -> ShardRun {
         let rr0 = self.rr_cursor;
         debug_assert!(rr0 < self.tables.n, "round-robin cursor is reduced mod n");
+        // The scan moves a copy: the clone may go on to record another
+        // shard from the same cursor.
+        let mut cursor = rr0;
         let set: ProcessSet = pids.iter().copied().collect();
         let mut run = ShardRun::default();
         // Global visit slot of the cursor position: the global scan visits
@@ -120,7 +123,7 @@ impl Runtime {
         // the same cyclic order.
         let mut base = 0u64;
         run.quiesced = loop {
-            let Some((p, action, passed)) = self.pick_round_robin(set) else {
+            let Some((p, action, passed)) = self.pick_round_robin(set, &mut cursor) else {
                 // No process of the shard has an enabled action: with
                 // time-invariant guards and no cross-shard interference
                 // this is a fixpoint forever, exactly when the sequential
@@ -139,8 +142,6 @@ impl Runtime {
             }
             run.fired_slots.push(slot);
         };
-        // The clone may go on to record another shard from the same cursor.
-        self.rr_cursor = rr0;
         run
     }
 

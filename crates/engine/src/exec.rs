@@ -12,10 +12,13 @@
 //!
 //! The driver owns exactly one reusable options buffer, consults the source,
 //! and forwards the pick; substrate specifics (what a sub-choice means, when
-//! the clock may idle) live behind the trait.
+//! the clock may idle) live behind the trait. The one driver a substrate may
+//! specialise is the fair tail, [`Executor::run_fair_tail`]: by default that
+//! loop under [`RotatingSource`], which lists the whole choice space only to
+//! take its first entry at or after a cursor.
 
 use crate::Observer;
-use gam_kernel::schedule::{ChoiceStep, RecordingSource, ReplaySource, RotatingSource};
+use gam_kernel::schedule::{ChoiceStep, RecordInto, RecordingSource, ReplaySource, RotatingSource};
 use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 
 /// A steppable execution substrate: a state machine exposing its current
@@ -92,6 +95,22 @@ pub trait Executor {
     /// branch-free in the common case. Observers are `Send` so an observed
     /// executor can still move to a worker thread.
     fn attach(&mut self, observer: Box<dyn Observer + Send>);
+
+    /// Completes the run from where it stands under the fair round-robin
+    /// tail — a fresh [`RotatingSource`] — within `max_steps`, appending
+    /// every decision taken to `record`: the outcome and the budget
+    /// consumed, as [`run_with_source_counted`] returns them. Since that
+    /// driver is resumable, a prefix under any source followed by this call
+    /// with the remaining budget is the run [`PrefixTail`] drives.
+    ///
+    /// The default is that loop. A substrate that can find the rotating
+    /// pick without listing its whole choice space overrides it with a loop
+    /// that takes the same steps, folds the same digest, publishes the same
+    /// events and records the same schedule.
+    fn run_fair_tail(&mut self, max_steps: u64, record: &mut Vec<ChoiceStep>) -> (RunOutcome, u64) {
+        let mut tail = RecordInto::new(RotatingSource::default(), record);
+        run_with_source_counted(self, &mut tail, max_steps)
+    }
 }
 
 /// Checkpoint/restore extension of [`Executor`] — the capability the
@@ -168,6 +187,9 @@ impl<E: Executor + ?Sized> Executor for &mut E {
     fn attach(&mut self, observer: Box<dyn Observer + Send>) {
         (**self).attach(observer);
     }
+    fn run_fair_tail(&mut self, max_steps: u64, record: &mut Vec<ChoiceStep>) -> (RunOutcome, u64) {
+        (**self).run_fair_tail(max_steps, record)
+    }
 }
 
 /// Runs `exec` with every scheduling decision delegated to `source`, until
@@ -186,8 +208,9 @@ where
 /// run consumed (scheduled steps plus idle ticks). Resumable: a run driven
 /// in two phases — a prefix under one source, then a tail under another with
 /// the *remaining* budget — takes exactly the steps of the equivalent
-/// single-phase run. The explorer's dedup pruning relies on this to split a
-/// run at the end of its enumerated prefix.
+/// single-phase run. The explorer relies on this to split a run at the end
+/// of its enumerated prefix, and [`replay`] to hand the rest of a run to
+/// [`Executor::run_fair_tail`].
 pub fn run_with_source_counted<E, S>(
     exec: &mut E,
     source: &mut S,
@@ -197,30 +220,13 @@ where
     E: Executor + ?Sized,
     S: ScheduleSource + ?Sized,
 {
-    run_with_source_reusing(exec, source, max_steps, &mut Vec::new())
-}
-
-/// [`run_with_source_counted`] on the caller's options buffer — for callers
-/// that drive many short runs (the explorer completes every leaf with a
-/// fair tail) and would otherwise grow a fresh buffer each time. What
-/// `options` holds on entry is irrelevant; on return it holds the last
-/// choice space enumerated.
-pub fn run_with_source_reusing<E, S>(
-    exec: &mut E,
-    source: &mut S,
-    max_steps: u64,
-    options: &mut Vec<(ProcessId, usize)>,
-) -> (RunOutcome, u64)
-where
-    E: Executor + ?Sized,
-    S: ScheduleSource + ?Sized,
-{
+    let mut options = Vec::new();
     let mut taken = 0u64;
     loop {
         if taken >= max_steps {
             return (RunOutcome::BudgetExhausted, taken);
         }
-        exec.enabled_actions(options);
+        exec.enabled_actions(&mut options);
         if options.is_empty() {
             if exec.is_quiescent() || !exec.idle_tick() {
                 return (RunOutcome::Quiescent, taken);
@@ -228,7 +234,7 @@ where
             taken += 1;
             continue;
         }
-        let Some((idx, choice)) = source.next_choice(options) else {
+        let Some((idx, choice)) = source.next_choice(&options) else {
             return (RunOutcome::Stopped, taken);
         };
         exec.step(ChoiceStep {
@@ -240,9 +246,9 @@ where
 }
 
 /// Runs `exec` under the deterministic fair round-robin policy
-/// ([`RotatingSource`]) — the canonical "just run it" driver.
+/// ([`Executor::run_fair_tail`]) — the canonical "just run it" driver.
 pub fn run_fair<E: Executor + ?Sized>(exec: &mut E, max_steps: u64) -> RunOutcome {
-    run_with_source(exec, &mut RotatingSource::default(), max_steps)
+    exec.run_fair_tail(max_steps, &mut Vec::new()).0
 }
 
 /// Runs `exec` under `source`, recording every decision taken. Returns the
@@ -259,21 +265,29 @@ where
 }
 
 /// Replays a recorded `schedule` on `exec`, completing with the fair
-/// round-robin tail once the schedule is exhausted — so every replayed
-/// prefix extends to a *fair* run whose quiescence is meaningful.
+/// round-robin tail ([`Executor::run_fair_tail`]) once the schedule is
+/// exhausted — so every replayed prefix extends to a *fair* run whose
+/// quiescence is meaningful. The same run as under
+/// `PrefixTail::new(ReplaySource::new(schedule))`.
 pub fn replay<E: Executor + ?Sized>(
     exec: &mut E,
     schedule: &[ChoiceStep],
     max_steps: u64,
 ) -> RunOutcome {
-    let mut source = PrefixTail::new(ReplaySource::new(schedule.to_vec()));
-    run_with_source(exec, &mut source, max_steps)
+    let mut source = ReplaySource::new(schedule.to_vec());
+    match run_with_source_counted(exec, &mut source, max_steps) {
+        (RunOutcome::Stopped, taken) => exec.run_fair_tail(max_steps - taken, &mut Vec::new()).0,
+        (out, _) => out,
+    }
 }
 
 /// A source that plays a prefix and then falls back to the fair
 /// deterministic round-robin tail forever — the run-completion policy of
-/// the explorer: any enumerated or replayed prefix is extended to a *fair*
-/// run, so quiescence (and hence the spec checkers) is meaningful.
+/// the explorer as one [`ScheduleSource`]: any enumerated or replayed prefix
+/// is extended to a *fair* run, so quiescence (and hence the spec checkers)
+/// is meaningful. The explorer and [`replay`] complete their prefixes with
+/// [`Executor::run_fair_tail`] instead; this source is the reference that
+/// method is held to.
 #[derive(Debug)]
 pub struct PrefixTail<S> {
     prefix: Option<S>,

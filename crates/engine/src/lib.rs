@@ -15,7 +15,10 @@
 //!   `step` / `state_digest` / `is_quiescent` / `idle_tick`, implemented by
 //!   [`RuntimeExecutor`] (Level A) and [`KernelExecutor`] (Level B);
 //! - [`run_with_source`], [`run_fair`], [`run_recorded`], [`replay`] — the
-//!   *single* driver loop every [`ScheduleSource`] now flows through;
+//!   *single* driver loop every [`ScheduleSource`] now flows through — and
+//!   [`Executor::run_fair_tail`], the fair round-robin completion of a run,
+//!   which a substrate may specialise (the Level A runtime picks without
+//!   listing its choice space);
 //! - [`digest`] — the one shared, incremental run-hash implementation;
 //! - [`TraceEvent`] / [`Observer`] — the trace bus publishing steps,
 //!   message traffic, FD queries, deliveries, crashes and idle ticks in a
@@ -47,8 +50,8 @@ mod visited;
 
 pub use event::{EventCounts, EventLog, Observer, TraceEvent};
 pub use exec::{
-    replay, run_fair, run_recorded, run_with_source, run_with_source_counted,
-    run_with_source_reusing, Executor, PrefixTail, SnapshotExec,
+    replay, run_fair, run_recorded, run_with_source, run_with_source_counted, Executor, PrefixTail,
+    SnapshotExec,
 };
 pub use independence::{actions_commute, groups_conflict, shard_partition};
 pub use kernel::{KernelExecutor, KernelSnapshot};

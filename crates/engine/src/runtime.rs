@@ -11,9 +11,9 @@
 use crate::digest::{Digest, Fingerprint};
 use crate::event::{Observer, TraceEvent};
 use crate::exec::{Executor, SnapshotExec};
-use gam_core::{ActionDesc, RunReport, Runtime};
+use gam_core::{ActionDesc, Fired, RunReport, Runtime};
 use gam_kernel::schedule::ChoiceStep;
-use gam_kernel::{ProcessId, ProcessSet, Refill};
+use gam_kernel::{ProcessId, ProcessSet, Refill, RunOutcome};
 
 /// The Algorithm 1 runtime as an [`Executor`].
 pub struct RuntimeExecutor {
@@ -104,6 +104,40 @@ impl RuntimeExecutor {
         self.rt.describe_enabled(self.set, out);
     }
 
+    /// The bookkeeping of one scheduled step, after the runtime fired it:
+    /// the history digest words, then — with observers attached — the
+    /// step, crash and delivery events.
+    fn fold_step(&mut self, action: ChoiceStep, fired: Fired) {
+        let now = self.rt.now();
+        self.digest.push(now.0);
+        self.digest.push(u64::from(action.pid.0));
+        self.digest
+            .push(fired.delivered.map_or(u64::from(fired.fired), |m| m.0 + 2));
+        // Batched units fold their width as an extra word; unbatched runs
+        // (count ≤ 1) keep the historical three-word stream byte-identical,
+        // so existing `.repro` fixtures and cross-substrate digests replay
+        // unchanged when batching is off.
+        if fired.delivered_count > 1 {
+            self.digest.push(u64::from(fired.delivered_count));
+        }
+        if self.observers.is_empty() {
+            return;
+        }
+        self.publish(&TraceEvent::Step {
+            time: now,
+            pid: action.pid,
+            choice: action.choice,
+        });
+        self.publish_crashes();
+        if let Some(msg) = fired.delivered {
+            self.publish(&TraceEvent::Deliver {
+                time: now,
+                pid: action.pid,
+                msg: Some(msg),
+            });
+        }
+    }
+
     fn publish(&mut self, ev: &TraceEvent) {
         for obs in &mut self.observers {
             obs.on_event(ev);
@@ -163,34 +197,7 @@ impl Executor for RuntimeExecutor {
 
     fn step(&mut self, action: ChoiceStep) {
         let fired = self.rt.fire_enabled(action.pid, action.choice);
-        let now = self.rt.now();
-        self.digest.push(now.0);
-        self.digest.push(u64::from(action.pid.0));
-        self.digest
-            .push(fired.delivered.map_or(u64::from(fired.fired), |m| m.0 + 2));
-        // Batched units fold their width as an extra word; unbatched runs
-        // (count ≤ 1) keep the historical three-word stream byte-identical,
-        // so existing `.repro` fixtures and cross-substrate digests replay
-        // unchanged when batching is off.
-        if fired.delivered_count > 1 {
-            self.digest.push(u64::from(fired.delivered_count));
-        }
-        if self.observers.is_empty() {
-            return;
-        }
-        self.publish(&TraceEvent::Step {
-            time: now,
-            pid: action.pid,
-            choice: action.choice,
-        });
-        self.publish_crashes();
-        if let Some(msg) = fired.delivered {
-            self.publish(&TraceEvent::Deliver {
-                time: now,
-                pid: action.pid,
-                msg: Some(msg),
-            });
-        }
+        self.fold_step(action, fired);
     }
 
     fn state_digest(&self) -> u64 {
@@ -229,5 +236,37 @@ impl Executor for RuntimeExecutor {
 
     fn attach(&mut self, observer: Box<dyn Observer + Send>) {
         self.observers.push(observer);
+    }
+
+    /// The default loop's run, without listing the choice space: the
+    /// runtime's round-robin picker ([`Runtime::fire_round_robin`]) on a
+    /// cursor this call owns, starting at 0, makes exactly the fresh
+    /// [`RotatingSource`](gam_kernel::schedule::RotatingSource)'s picks, and
+    /// each step is folded and recorded as [`Executor::step`] would with
+    /// sub-choice 0. Only the rows the scan reaches are brought up to date.
+    fn run_fair_tail(&mut self, max_steps: u64, record: &mut Vec<ChoiceStep>) -> (RunOutcome, u64) {
+        let mut cursor = 0;
+        let mut taken = 0u64;
+        loop {
+            if taken >= max_steps {
+                return (RunOutcome::BudgetExhausted, taken);
+            }
+            match self.rt.fire_round_robin(self.set, &mut cursor) {
+                Some((pid, fired)) => {
+                    let action = ChoiceStep { pid, choice: 0 };
+                    self.fold_step(action, fired);
+                    record.push(action);
+                }
+                // Nothing enabled: every row the scan visited is current
+                // and empty, so `is_quiescent` reduces to owing nothing.
+                None if !self.rt.has_obligations(self.set) => {
+                    return (RunOutcome::Quiescent, taken);
+                }
+                None => {
+                    self.idle_tick();
+                }
+            }
+            taken += 1;
+        }
     }
 }

@@ -25,8 +25,10 @@
 //!   bit-for-bit, including the incremental history digest, so the steps
 //!   after a restore are the steps a fresh replay of the prefix would have
 //!   taken: per-run `state_digest`/`state_fingerprint` and the recorded
-//!   schedules are identical. Fair tails are fresh [`RotatingSource`]s in
-//!   both.
+//!   schedules are identical. Both complete a path with the fair
+//!   round-robin tail: the oracle as a `PrefixTail` source over the listed
+//!   choice space, the DFS with [`Executor::run_fair_tail`], which makes
+//!   the same picks without listing it.
 //!
 //! `tests/engine_dfs_equivalence.rs` checks all of this — byte-identical
 //! [`Repro`](crate::Repro)s included — on every fixture topology, for 1
@@ -82,8 +84,10 @@
 //! fresh snapshot shares it, so the byte accounting above is unchanged;
 //! only the pointer tables are recycled). A restore copies back into the
 //! chunks the executor already owns (see [`SnapshotExec::restore`]), every
-//! leaf is checked through the worker's one report, and the fair tails run
-//! on the worker's one options buffer.
+//! leaf is checked through the worker's one report, and the fair tails
+//! record into one schedule buffer. A tail lists no choice space at all:
+//! the runtime's round-robin picker brings up to date only the rows its
+//! scan reaches.
 
 use crate::explorer::{ItemResult, Worker};
 use crate::independence::{actions_commute, por_applicable};
@@ -92,7 +96,7 @@ use gam_core::ActionDesc;
 use gam_engine::digest::derive_seed;
 use gam_engine::{Executor, RuntimeSnapshot, SnapshotExec};
 use gam_groups::GroupSystem;
-use gam_kernel::schedule::{ChoiceStep, RecordInto, RotatingSource};
+use gam_kernel::schedule::ChoiceStep;
 use gam_kernel::{ProcessId, RunOutcome};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -477,10 +481,9 @@ pub(crate) fn dfs_item(
             continue;
         }
         tail_sched.clear();
-        let (tail_out, tail_steps) = {
-            let mut tail = RecordInto::new(RotatingSource::default(), &mut tail_sched);
-            worker.run(&mut tail, scenario.max_steps - taken)
-        };
+        let (tail_out, tail_steps) = worker
+            .exec
+            .run_fair_tail(scenario.max_steps - taken, &mut tail_sched);
         res.steps_executed += tail_steps;
         res.steps_odometer += tail_steps;
         if let Err(violation) = worker.verdict(tail_out == RunOutcome::Quiescent, scenario.variant)
@@ -502,7 +505,7 @@ pub(crate) fn dfs_item(
 mod tests {
     use super::*;
     use crate::Scenario;
-    use gam_engine::run_with_source;
+    use gam_engine::{run_fair, run_with_source};
     use gam_groups::topology;
     use gam_kernel::schedule::PathSource;
 
@@ -543,7 +546,7 @@ mod tests {
             let (mut t, mut e) = (taken, 0u64);
             let mut sched = Vec::new();
             step_flat(exec, &opts, flat, &mut sched, &mut t, &mut e);
-            let out = run_with_source(exec, &mut RotatingSource::default(), scenario.max_steps - t);
+            let out = run_fair(exec, scenario.max_steps - t);
             assert_eq!(out, RunOutcome::Quiescent);
             standing(exec)
         };

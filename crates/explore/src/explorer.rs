@@ -66,9 +66,9 @@ use crate::shrink::shrink;
 use crate::{Prototype, Repro, Scenario};
 use gam_core::spec::{check_all, SpecViolation};
 use gam_core::{RunReport, Variant};
-use gam_engine::{run_with_source, run_with_source_reusing, Executor, RuntimeExecutor, VisitedSet};
+use gam_engine::{run_with_source, run_with_source_counted, Executor, RuntimeExecutor, VisitedSet};
 use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordingSource};
-use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
+use gam_kernel::RunOutcome;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -297,8 +297,6 @@ pub(crate) struct Worker {
     report: RunReport,
     /// Subtree keys this worker completed clean (`None`: dedup off).
     pub(crate) visited: Option<VisitedSet>,
-    /// The choice-space buffer every [`Worker::run`] enumerates into.
-    options: Vec<(ProcessId, usize)>,
 }
 
 impl Worker {
@@ -308,19 +306,7 @@ impl Worker {
             report: exec.report(false),
             exec,
             visited: (dedup_capacity > 0).then(|| VisitedSet::with_capacity(dedup_capacity)),
-            options: Vec::new(),
         }
-    }
-
-    /// Drives the executor from where it stands under `source`
-    /// ([`run_with_source_reusing`] on the worker's buffer): the outcome
-    /// and the budget consumed.
-    pub(crate) fn run<S: ScheduleSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        max_steps: u64,
-    ) -> (RunOutcome, u64) {
-        run_with_source_reusing(&mut self.exec, source, max_steps, &mut self.options)
     }
 
     /// The spec verdict on the run the executor has just finished:
@@ -421,7 +407,8 @@ pub(crate) struct ItemResult {
 fn swarm_item(proto: &Prototype, seed: u64, worker: &mut Worker) -> ItemResult {
     let mut source = RecordingSource::new(RandomSource::new(seed));
     proto.reset(&mut worker.exec);
-    let (out, steps_executed) = worker.run(&mut source, proto.scenario.max_steps);
+    let (out, steps_executed) =
+        run_with_source_counted(&mut worker.exec, &mut source, proto.scenario.max_steps);
     let verdict = worker.verdict(out == RunOutcome::Quiescent, proto.scenario.variant);
     ItemResult {
         runs: 1,

@@ -27,12 +27,13 @@
 //! unbatched repros omit it, so pre-batching fixtures render unchanged.
 
 use crate::trace_hash;
-use crate::{PrefixTail, Scenario};
+use crate::Scenario;
 use gam_core::spec::{check_all, check_named};
 use gam_core::{RunReport, Variant};
+use gam_engine::replay;
 use gam_groups::{GroupId, GroupSystem};
-use gam_kernel::schedule::{ChoiceStep, ReplaySource};
-use gam_kernel::{ProcessId, ProcessSet, Time};
+use gam_kernel::schedule::ChoiceStep;
+use gam_kernel::{ProcessId, ProcessSet, RunOutcome, Time};
 use std::fmt::Write as _;
 
 /// A replayable run: scenario + schedule + provenance.
@@ -53,8 +54,9 @@ impl Repro {
     /// Replays the run: the recorded schedule, then the fair tail, within
     /// the scenario's budget.
     pub fn replay(&self) -> RunReport {
-        let mut source = PrefixTail::new(ReplaySource::new(self.schedule.clone()));
-        self.scenario.run(&mut source)
+        let mut exec = self.scenario.runtime_executor();
+        let out = replay(&mut exec, &self.schedule, self.scenario.max_steps);
+        exec.report(out == RunOutcome::Quiescent)
     }
 
     /// Replays and digests the run (see [`trace_hash`]).

@@ -15,10 +15,12 @@
 //! deliver frontier only; `ready_set_is_current` also checks there that no
 //! in-flight list holds a unit at or past `stable`. (`gam-core`'s own unit
 //! tests hold every derivation against a walk over *every* undelivered
-//! unit, which only exists under `#[cfg(test)]`.) Two more tests gate the
-//! point of the cache: a fair run re-derives few rows per step, and a
-//! backlogged run evaluates few guards per step.
+//! unit, which only exists under `#[cfg(test)]`.) Three more tests gate the
+//! point of the cache: a fair run re-derives few rows per step, the fair
+//! tail that picks without listing the choice space visits fewer rows
+//! still, and a backlogged run evaluates few guards per step.
 
+use genuine_multicast::core::ReadyCounters;
 use genuine_multicast::engine::run_with_source_counted;
 use genuine_multicast::kernel::{ChoiceStep, RotatingSource};
 use genuine_multicast::prelude::*;
@@ -169,16 +171,15 @@ fn a_backlogged_run_evaluates_few_guards_per_step() {
     );
 }
 
+/// The explorer's dense shape: 32 processes, one message in flight.
+const DENSE_ONE: &str = "gam-scn v1 family=rand(32,8,450) seed=7000 crash=none traffic=one variant=standard budget=500000";
+
 #[test]
 fn a_fair_run_re_derives_few_rows_per_step() {
-    // The explorer's dense shape: 32 processes, one message in flight. By
-    // genuineness a step concerns one group's members at most, and by the
-    // per-kind footprints usually far fewer; before the ready set every
+    // By genuineness a step concerns one group's members at most, and by
+    // the per-kind footprints usually far fewer; before the ready set every
     // enumeration evaluated all 32 rows.
-    let d = ScnDescriptor::parse(
-        "gam-scn v1 family=rand(32,8,450) seed=7000 crash=none traffic=one variant=standard budget=500000",
-    )
-    .expect("descriptor");
+    let d = ScnDescriptor::parse(DENSE_ONE).expect("descriptor");
     let mut exec = Scenario::from_descriptor(&d).runtime_executor();
     let (outcome, steps) =
         run_with_source_counted(&mut exec, &mut RotatingSource::default(), d.budget);
@@ -200,4 +201,32 @@ fn a_fair_run_re_derives_few_rows_per_step() {
         counters.breakpoint_flushes, 0,
         "crash-free: time never stales a row"
     );
+}
+
+#[test]
+fn a_fair_tail_visits_fewer_rows_than_listing_the_choice_space() {
+    // The same run through `Executor::run_fair_tail`: the picker stops at
+    // the first process with an enabled action, so it reads fewer rows than
+    // a listing of every maybe-enabled one, and it reads each row once per
+    // step, so it reuses none.
+    let d = ScnDescriptor::parse(DENSE_ONE).expect("descriptor");
+    let scenario = Scenario::from_descriptor(&d);
+    let rows = |c: ReadyCounters| c.rows_refreshed + c.rows_patched + c.rows_reused;
+    let mut listed = scenario.runtime_executor();
+    let (_, steps) = run_with_source_counted(&mut listed, &mut RotatingSource::default(), d.budget);
+    let mut picked = scenario.runtime_executor();
+    let (outcome, tail_steps) = picked.run_fair_tail(d.budget, &mut Vec::new());
+    assert_eq!(outcome, genuine_multicast::kernel::RunOutcome::Quiescent);
+    assert_eq!(tail_steps, steps, "the same run");
+    let (listed, picked) = (
+        listed.runtime().ready_counters(),
+        picked.runtime().ready_counters(),
+    );
+    assert!(
+        rows(picked) < rows(listed),
+        "the tail visited {} rows, the listing {}",
+        rows(picked),
+        rows(listed)
+    );
+    assert!(picked.guards_evaluated <= listed.guards_evaluated);
 }
