@@ -45,6 +45,7 @@ use crate::runtime::{RuntimeConfig, Variant};
 use gam_detectors::{IndicatorMode, IndicatorOracle, MuOracle};
 use gam_groups::{GroupId, GroupSet, GroupSystem};
 use gam_kernel::{ColumnStats, CowVec, FailurePattern, ProcessId, Refill};
+use std::iter::once;
 
 /// Sentinel for "no rank": `p` is not a member of the indexing group.
 pub(crate) const NO_RANK: u16 = u16::MAX;
@@ -186,8 +187,6 @@ pub(crate) struct Tables {
     pub member_rank: Vec<u16>,
     /// Per group: prefix sum of member counts; last entry = total.
     pub member_base: Vec<u32>,
-    /// Per process: `𝒢(p)`.
-    pub groups_of: Vec<GroupSet>,
     /// Per process: crash time, `u64::MAX` if correct.
     pub crash_at: Vec<u64>,
     /// Interned pairs in lexicographic `(g, h)` key order (`g ≤ h`): every
@@ -246,9 +245,6 @@ impl Tables {
         }
         member_base.push(base);
 
-        let groups_of: Vec<GroupSet> = (0..n)
-            .map(|i| system.groups_of(ProcessId(i as u32)))
-            .collect();
         let crash_at: Vec<u64> = (0..n)
             .map(|i| {
                 pattern
@@ -267,11 +263,8 @@ impl Tables {
         let mut pair_procs = Vec::new();
         for gi in 0..n_groups {
             let g = GroupId(gi as u32);
-            for hi in gi..n_groups {
-                let h = GroupId(hi as u32);
-                if hi != gi && !system.intersecting(g, h) {
-                    continue;
-                }
+            for h in once(g).chain(system.peers(g) - GroupSet::first_n(gi + 1)) {
+                let hi = h.index();
                 let pid = pairs.len() as u32;
                 pairs.push((g, h));
                 // `adj[x]` receives every `h < x` while the outer loop is
@@ -326,7 +319,7 @@ impl Tables {
         if config.variant != Variant::Pairwise {
             for gi in 0..n_groups {
                 let g = GroupId(gi as u32);
-                let peers: GroupSet = adj[gi].iter().copied().filter(|&h| h != g).collect();
+                let peers = system.peers(g);
                 for (r, &p) in member_list[gi].iter().enumerate() {
                     let gm = member_base[gi] as usize + r;
                     // (γ(g)'s share of the family, its exclusion instant)
@@ -393,7 +386,7 @@ impl Tables {
             for (r, &p) in member_list[gi].iter().enumerate() {
                 let gm = member_base[gi] as usize + r;
                 let entries = &mut per_gp[gm];
-                for h in groups_of[p.index()] {
+                for h in system.groups_of(p) {
                     let a = adj_pos[gi * n_groups + h.index()];
                     debug_assert_ne!(a, NO_RANK, "p ∈ g ∩ h ⇒ h adjacent to g");
                     let pid = adj_pair[gi][a as usize];
@@ -438,7 +431,6 @@ impl Tables {
             member_list,
             member_rank,
             member_base,
-            groups_of,
             crash_at,
             pairs,
             self_pair,

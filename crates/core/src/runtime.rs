@@ -774,7 +774,7 @@ impl Runtime {
     /// stable backlog can deliver next — the entry at `p`'s deliver
     /// frontier of `LOG_g`.
     fn each_cell(&self, t: &Tables, p: ProcessId, f: &mut impl FnMut(Cell)) {
-        for g in t.groups_of[p.index()] {
+        for g in t.system.groups_of(p) {
             f(Cell::Inject(g));
             let own = &t.self_gp[t.gm(g, p)];
             let log = &self.pairs[own.pair as usize];
@@ -1812,7 +1812,7 @@ mod tests {
             if !self.alive(p) {
                 return out;
             }
-            for g in t.groups_of[p.index()] {
+            for g in t.system.groups_of(p) {
                 let cur = self.inject_cursor[t.gm(g, p)] as usize;
                 match self.lists[g.index()].get(cur) {
                     Some(&m) if self.unit_of[m.0 as usize] == NO_UNIT => {

@@ -71,16 +71,7 @@ impl GammaOracle {
                 family_faulty_from(system, &pattern, *f).map(|t| Time(t.0.saturating_add(delay)))
             })
             .collect();
-        let peers = system
-            .iter()
-            .map(|(g, _)| {
-                system
-                    .iter()
-                    .map(|(h, _)| h)
-                    .filter(|&h| h != g && system.intersecting(g, h))
-                    .collect()
-            })
-            .collect();
+        let peers = system.iter().map(|(g, _)| system.peers(g)).collect();
         GammaOracle {
             pattern,
             cyclic,
@@ -137,8 +128,9 @@ fn family_faulty_from(system: &GroupSystem, pattern: &FailurePattern, f: GroupSe
     let edge = |g: GroupId, h: GroupId| pattern.set_crash_time(system.intersection(g, h));
     // A faulty family has a crashing edge on every cycle, so at least one.
     let any_edge_crashes = f.iter().any(|g| {
-        f.iter()
-            .any(|h| g < h && system.intersecting(g, h) && edge(g, h).is_some())
+        (system.peers(g) & f)
+            .iter()
+            .any(|h| g < h && edge(g, h).is_some())
     });
     if !any_edge_crashes {
         return None;

@@ -180,15 +180,14 @@ impl GroupSystem {
             }
             return ControlFlow::Continue(());
         }
-        for g in f {
-            if !used.contains(g) && self.intersecting(last, g) {
-                path.push(g);
-                used.insert(g);
-                let flow = self.ham_extend(f, path, used, visit);
-                used.remove(g);
-                path.pop();
-                flow?;
-            }
+        // `used` is restored after every child, so the snapshot stays exact.
+        for g in (f & self.peers(last)) - *used {
+            path.push(g);
+            used.insert(g);
+            let flow = self.ham_extend(f, path, used, visit);
+            used.remove(g);
+            path.pop();
+            flow?;
         }
         ControlFlow::Continue(())
     }
@@ -219,7 +218,9 @@ impl GroupSystem {
     ///
     /// The enumeration first prunes the intersection graph to its 2-core
     /// (a group of degree < 2 can never lie on a hamiltonian cycle), so
-    /// acyclic and sparsely-connected systems of any size are cheap.
+    /// acyclic and sparsely-connected systems of any size are cheap: each
+    /// pruning pass costs `O(|𝒢|)` word operations, counting every group's
+    /// stored peers within the remaining core.
     ///
     /// # Panics
     ///
@@ -232,7 +233,7 @@ impl GroupSystem {
         loop {
             let pruned: GroupSet = core
                 .iter()
-                .filter(|g| core.iter().filter(|h| self.intersecting(*g, *h)).count() >= 2)
+                .filter(|g| (self.peers(*g) & core).len() >= 2)
                 .collect();
             if pruned == core {
                 break;
@@ -269,21 +270,16 @@ impl GroupSystem {
         let Some(start) = f.min() else {
             return false;
         };
-        for g in f {
-            let deg = f.iter().filter(|h| self.intersecting(g, *h)).count();
-            if deg < 2 {
-                return false;
-            }
+        if f.iter().any(|g| (self.peers(g) & f).len() < 2) {
+            return false;
         }
         // BFS for connectivity.
         let mut seen = GroupSet::singleton(start);
         let mut frontier = vec![start];
         while let Some(g) = frontier.pop() {
-            for h in f {
-                if !seen.contains(h) && self.intersecting(g, h) {
-                    seen.insert(h);
-                    frontier.push(h);
-                }
+            for h in (self.peers(g) & f) - seen {
+                seen.insert(h);
+                frontier.push(h);
             }
         }
         seen == f
@@ -309,10 +305,7 @@ impl GroupSystem {
     /// Returns `true` if `p` lies in some intersection `g ∩ h` of distinct
     /// groups `g, h ∈ f`.
     pub fn in_some_intersection(&self, f: GroupSet, p: ProcessId) -> bool {
-        f.iter()
-            .filter(|g| self.members(*g).contains(p))
-            .nth(1)
-            .is_some()
+        (f & self.groups_of(p)).len() >= 2
     }
 
     /// A family is *faulty* given the crashed set when every path of
@@ -350,11 +343,7 @@ impl GroupSystem {
             if !f.contains(g) || !self.in_some_intersection(*f, q) {
                 continue;
             }
-            for h in *f {
-                if g == h || self.intersecting(g, h) {
-                    out.insert(h);
-                }
-            }
+            out |= *f & (self.peers(g) | GroupSet::singleton(g));
         }
         out
     }

@@ -50,11 +50,9 @@ impl GroupSystem {
             let mut comp = GroupSet::singleton(start);
             let mut frontier = vec![start];
             while let Some(g) = frontier.pop() {
-                for h in remaining {
-                    if !comp.contains(h) && self.intersecting(g, h) {
-                        comp.insert(h);
-                        frontier.push(h);
-                    }
+                for h in self.peers(g) - comp {
+                    comp.insert(h);
+                    frontier.push(h);
                 }
             }
             remaining = remaining - comp;
@@ -78,13 +76,10 @@ impl GroupSystem {
             visited.insert(root);
             let mut queue = std::collections::VecDeque::from([root]);
             while let Some(g) = queue.pop_front() {
-                for j in 0..n {
-                    let h = GroupId(j as u32);
-                    if !visited.contains(h) && self.intersecting(g, h) {
-                        visited.insert(h);
-                        parent[h.index()] = Some(g);
-                        queue.push_back(h);
-                    }
+                for h in self.peers(g) - visited {
+                    visited.insert(h);
+                    parent[h.index()] = Some(g);
+                    queue.push_back(h);
                 }
             }
         }
