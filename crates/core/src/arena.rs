@@ -46,6 +46,7 @@ use gam_detectors::{IndicatorMode, IndicatorOracle, MuOracle};
 use gam_groups::{GroupId, GroupSet, GroupSystem};
 use gam_kernel::{ColumnStats, CowVec, FailurePattern, ProcessId, Refill};
 use std::iter::once;
+use std::ops::Range;
 
 /// Sentinel for "no rank": `p` is not a member of the indexing group.
 pub(crate) const NO_RANK: u16 = u16::MAX;
@@ -647,15 +648,99 @@ impl UnitArena {
         self.fam_base[u as usize] as usize + r as usize
     }
 
+    /// The phase of unit `u` at member `p` of its group.
+    #[inline]
+    pub fn phase_of(&self, t: &Tables, u: u32, p: ProcessId) -> Phase {
+        let g = self.group[u as usize];
+        self.phase[self.mem(u, t.rank(g, p))]
+    }
+
+    /// Adjacency cell of `unit`'s row in `pair` (for order-index fix-ups
+    /// when a bump reorders a pair, and for the state walk).
+    pub fn entry_adj(&self, t: &Tables, pair: usize, unit: u32) -> usize {
+        let (a, b) = t.pairs[pair];
+        let g2 = self.group[unit as usize];
+        let other = if g2 == a { b } else { a };
+        self.adj(unit, t.adj_of(g2, other))
+    }
+
     /// Width of unit `u`'s adjacency block.
     #[inline]
     pub fn deg(&self, u: u32) -> usize {
-        let b = self.adj_base[u as usize] as usize;
-        let e = self
-            .adj_base
-            .get(u as usize + 1)
-            .map_or(self.slot.len(), |&x| x as usize);
-        e - b
+        Self::cells(&self.adj_base, u, self.slot.len()).len()
+    }
+
+    /// Cells of unit `u` in a flat column addressed by `base` (of length
+    /// `end`).
+    fn cells(base: &CowVec<u32>, u: u32, end: usize) -> Range<usize> {
+        let u = u as usize;
+        base[u] as usize..base.get(u + 1).map_or(end, |&b| b as usize)
+    }
+
+    /// Appends a copy of each `(arena, unit)` of `units`, in order, as new
+    /// units of `self` — every arena over the same tables. Column by
+    /// column, so each column is written a chunk at a time: this is how
+    /// the sharded commit merge re-sequences the units its workers
+    /// allocated.
+    pub fn extend_from(&mut self, units: &[(&UnitArena, u32)]) {
+        fn gather<T: Clone>(
+            dst: &mut CowVec<T>,
+            units: &[(&UnitArena, u32)],
+            col: impl Fn(&UnitArena) -> &CowVec<T>,
+            span: impl Fn(&UnitArena, u32) -> Range<usize>,
+        ) {
+            dst.extend(units.iter().flat_map(|&(a, u)| {
+                let c = col(a);
+                span(a, u).map(move |i| c[i].clone())
+            }));
+        }
+        /// Where each copied unit's block starts in a column now `len` long.
+        fn bases(
+            dst: &mut CowVec<u32>,
+            units: &[(&UnitArena, u32)],
+            len: usize,
+            span: impl Fn(&UnitArena, u32) -> Range<usize>,
+        ) {
+            dst.extend(units.iter().scan(len, |next, &(a, u)| {
+                let at = *next as u32;
+                *next += span(a, u).len();
+                Some(at)
+            }));
+        }
+        let unit = |_: &UnitArena, u: u32| u as usize..u as usize + 1;
+        let adj = |a: &UnitArena, u| Self::cells(&a.adj_base, u, a.slot.len());
+        let mem = |a: &UnitArena, u| Self::cells(&a.mem_base, u, a.phase.len());
+        let fam = |a: &UnitArena, u| Self::cells(&a.fam_base, u, a.cons.len());
+        let UnitArena {
+            group,
+            start,
+            len,
+            rep,
+            adj_base,
+            mem_base,
+            fam_base,
+            slot,
+            locked,
+            order_idx,
+            ann_max,
+            stab,
+            phase,
+            cons,
+        } = self;
+        gather(group, units, |a| &a.group, unit);
+        gather(start, units, |a| &a.start, unit);
+        gather(len, units, |a| &a.len, unit);
+        gather(rep, units, |a| &a.rep, unit);
+        bases(adj_base, units, slot.len(), adj);
+        bases(mem_base, units, phase.len(), mem);
+        bases(fam_base, units, cons.len(), fam);
+        gather(slot, units, |a| &a.slot, adj);
+        gather(locked, units, |a| &a.locked, adj);
+        gather(order_idx, units, |a| &a.order_idx, adj);
+        gather(ann_max, units, |a| &a.ann_max, adj);
+        gather(stab, units, |a| &a.stab, adj);
+        gather(phase, units, |a| &a.phase, mem);
+        gather(cons, units, |a| &a.cons, fam);
     }
 
     /// [`CowVec::refill`], column by column.

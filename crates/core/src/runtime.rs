@@ -27,11 +27,14 @@
 //! positions, member ranks and consensus families are interned to small
 //! integers at construction ([`crate::arena`]'s `Tables`, shared behind an
 //! `Arc`), and all evolving protocol state lives in struct-of-arrays unit
-//! and pair tables. The "every message before `m` reached phase `X`" guards
-//! are maintained incrementally as per-pair *frontier cursors* — by Claim 8
-//! phases only rise and slots only grow, so the satisfying prefix of each
-//! pair's message order is a monotone frontier; `apply` re-advances the
-//! affected cursors eagerly and a guard is a single integer comparison.
+//! and pair tables. An action borrows the tables beside the columns it
+//! writes (`Step`) instead of cloning the `Arc`, so firing one touches no
+//! reference count that clones on other threads share. The "every message
+//! before `m` reached phase `X`" guards are maintained incrementally as
+//! per-pair *frontier cursors* — by Claim 8 phases only rise and slots only
+//! grow, so the satisfying prefix of each pair's message order is a
+//! monotone frontier; `apply` re-advances the affected cursors eagerly and
+//! a guard is a single integer comparison.
 //!
 //! # The ready set
 //!
@@ -688,9 +691,8 @@ impl Runtime {
     /// Panics if `src` is not a member of `group` (closed dissemination
     /// model) or has already crashed.
     pub fn multicast(&mut self, src: ProcessId, group: GroupId, payload: u64) -> MessageId {
-        let t = Arc::clone(&self.tables);
         assert!(
-            t.system.members(group).contains(src),
+            self.tables.system.members(group).contains(src),
             "{src} ∉ {group}: closed model requires src(m) ∈ dst(m)"
         );
         self.set_now(self.now.next());
@@ -703,19 +705,12 @@ impl Runtime {
         Arc::make_mut(&mut self.multicast_at).push(self.now);
         self.unit_of.push(NO_UNIT);
         Arc::make_mut(&mut self.lists)[group.index()].push(id);
-        for &q in &t.member_list[group.index()] {
+        for &q in &self.tables.member_list[group.index()] {
             self.owed[q.index()] += 1;
             // A longer `L_g` can enable `Inject` at any member.
             self.ready.stale_cell(q, Cell::Inject(group));
         }
         id
-    }
-
-    /// The phase of unit `u` at member `p` of its group.
-    #[inline]
-    fn unit_phase(&self, t: &Tables, u: u32, p: ProcessId) -> Phase {
-        let g = self.units.group[u as usize];
-        self.units.phase[self.units.mem(u, t.rank(g, p))]
     }
 
     /// Calls `f` for every action the guards of `cell` enable at `p` — the
@@ -736,7 +731,7 @@ impl Runtime {
             Cell::Unit(u) => {
                 let g = self.units.group[u as usize];
                 let rep = self.units.rep[u as usize];
-                match self.unit_phase(t, u, p) {
+                match self.units.phase_of(t, u, p) {
                     Phase::Start => {
                         if self.pending_enabled(t, p, u, g) {
                             f(Action::Pending(rep));
@@ -780,7 +775,7 @@ impl Runtime {
             let log = &self.pairs[own.pair as usize];
             let head = log.cursors[own.prank as usize * 3 + T_DELIVER] as usize;
             if let Some(entry) = log.order.get(head) {
-                if self.unit_phase(t, entry.unit, p) == Phase::Stable {
+                if self.units.phase_of(t, entry.unit, p) == Phase::Stable {
                     f(Cell::Unit(entry.unit));
                 }
             }
@@ -922,7 +917,7 @@ impl Runtime {
             } else if self.ready.nonempty.contains(p) == row.is_empty() {
                 return false;
             }
-            let in_flight = |&u| self.unit_phase(t, u, p) < Phase::Stable;
+            let in_flight = |&u| self.units.phase_of(t, u, p) < Phase::Stable;
             self.is_derivation(p, &row) && self.active[pi].iter().all(in_flight)
         })
     }
@@ -1005,7 +1000,30 @@ impl Runtime {
         }
         true
     }
+}
 
+/// The write half of one action: everything [`Step::apply`] and its
+/// helpers touch, borrowed field by field from a [`Runtime`], beside a
+/// plain borrow of its [`Tables`]. Firing an action therefore touches no
+/// reference count. On the parallel driver's workers, which share one
+/// `Tables`, that count would be a cache line every worker writes.
+struct Step<'a> {
+    t: &'a Tables,
+    now: Time,
+    pairs: &'a mut CowVec<PairState>,
+    units: &'a mut UnitArena,
+    lists: &'a [Vec<MessageId>],
+    unit_of: &'a mut CowVec<u32>,
+    next_new: &'a mut [u32],
+    inject_cursor: &'a mut CowVec<u32>,
+    active: &'a mut CowVec<Vec<u32>>,
+    delivered: &'a mut CowVec<Vec<Delivery>>,
+    actions_of: &'a mut CowVec<u64>,
+    owed: &'a mut CowVec<u64>,
+    ready: &'a mut ReadySet,
+}
+
+impl Step<'_> {
     /// Appends unit `u`'s `Msg` entry to the pair at adjacency `sa` of its
     /// group: fresh slot past the high-water mark, tail of the order. The
     /// new entry cannot extend any frontier (at first-append time every
@@ -1023,20 +1041,11 @@ impl Runtime {
         ps.order.push(OrderEntry { slot, rep, unit: u });
     }
 
-    /// Adjacency cell of `entry_unit`'s row in `pair` (for order-index
-    /// fix-ups when a bump reorders a pair).
-    fn entry_adj(&self, t: &Tables, pair: usize, unit: u32) -> usize {
-        let (a, b) = t.pairs[pair];
-        let g2 = self.units.group[unit as usize];
-        let other = if g2 == a { b } else { a };
-        self.units.adj(unit, t.adj_of(g2, other))
-    }
-
     /// Advances one frontier cursor to maximality.
-    fn advance_from(&self, t: &Tables, pair: usize, q: ProcessId, k: usize, mut f: u32) -> u32 {
+    fn advance_from(&self, pair: usize, q: ProcessId, k: usize, mut f: u32) -> u32 {
         let order = &self.pairs[pair].order;
         while let Some(entry) = order.get(f as usize) {
-            if self.unit_phase(t, entry.unit, q) >= THRESHOLDS[k] {
+            if self.units.phase_of(self.t, entry.unit, q) >= THRESHOLDS[k] {
                 f += 1;
             } else {
                 break;
@@ -1046,11 +1055,11 @@ impl Runtime {
     }
 
     /// Re-advances every cursor of `pair` (after a bump reorder).
-    fn advance_pair_cursors(&mut self, t: &Tables, pair: u32) {
+    fn advance_pair_cursors(&mut self, pair: u32) {
         let pid = pair as usize;
-        for (pr, &q) in t.pair_procs[pid].iter().enumerate() {
+        for (pr, &q) in self.t.pair_procs[pid].iter().enumerate() {
             for k in 0..3 {
-                let f = self.advance_from(t, pid, q, k, self.pairs[pid].cursors[pr * 3 + k]);
+                let f = self.advance_from(pid, q, k, self.pairs[pid].cursors[pr * 3 + k]);
                 self.pairs[pid].cursors[pr * 3 + k] = f;
             }
         }
@@ -1060,7 +1069,8 @@ impl Runtime {
     /// extend (only `p`'s rows, only thresholds the new phase satisfies).
     /// Only `p`'s guards read either: `u`'s own cell and, a frontier being
     /// a prefix that passed the threshold, the unit now *at* a moved cursor.
-    fn set_phase_and_advance(&mut self, t: &Tables, p: ProcessId, g: GroupId, u: u32, ph: Phase) {
+    fn set_phase_and_advance(&mut self, p: ProcessId, g: GroupId, u: u32, ph: Phase) {
+        let t = self.t;
         let cell = self.units.mem(u, t.rank(g, p));
         self.units.phase[cell] = ph;
         self.ready.stale_cell(p, Cell::Unit(u));
@@ -1072,7 +1082,7 @@ impl Runtime {
                 }
                 let pid = e.pair as usize;
                 let idx = e.prank as usize * 3 + k;
-                let f = self.advance_from(t, pid, p, k, self.pairs[pid].cursors[idx]);
+                let f = self.advance_from(pid, p, k, self.pairs[pid].cursors[idx]);
                 if f != self.pairs[pid].cursors[idx] {
                     self.pairs[pid].cursors[idx] = f;
                     if let Some(head) = self.pairs[pid].order.get(f as usize) {
@@ -1090,7 +1100,7 @@ impl Runtime {
     /// whether the entry moved — the one case in which the lock changes
     /// what another process's guards read (order indices and cursors of the
     /// whole pair).
-    fn bump_and_lock(&mut self, t: &Tables, u: u32, e: &GpEntry, k: u64) -> bool {
+    fn bump_and_lock(&mut self, u: u32, e: &GpEntry, k: u64) -> bool {
         let ai = self.units.adj(u, e.adj_idx as usize);
         if self.units.locked[ai] {
             return false;
@@ -1103,38 +1113,37 @@ impl Runtime {
         }
         self.units.slot[ai] = k;
         let pid = e.pair as usize;
-        if k > self.pairs[pid].max_slot {
-            self.pairs[pid].max_slot = k;
-        }
+        let ps = &mut self.pairs[pid];
+        ps.max_slot = ps.max_slot.max(k);
         let i = self.units.order_idx[ai] as usize;
         let moved = OrderEntry {
             slot: k,
-            rep: self.pairs[pid].order[i].rep,
+            rep: ps.order[i].rep,
             unit: u,
         };
         let mut j = i;
-        while let Some(&next) = self.pairs[pid].order.get(j + 1) {
+        while let Some(&next) = ps.order.get(j + 1) {
             if next.key() >= moved.key() {
                 break;
             }
-            self.pairs[pid].order[j] = next;
-            let nai = self.entry_adj(t, pid, next.unit);
+            ps.order[j] = next;
+            let nai = self.units.entry_adj(self.t, pid, next.unit);
             self.units.order_idx[nai] = j as u32;
             j += 1;
         }
-        self.pairs[pid].order[j] = moved;
+        ps.order[j] = moved;
         self.units.order_idx[ai] = j as u32;
         if j > i {
             // The entry left positions (i, j]: any frontier spanning them
             // shrinks by the one removed entry, then re-advances (entries
             // that shifted into the prefix may satisfy the threshold).
             let (lo, hi) = (i as u32, j as u32);
-            for c in self.pairs[pid].cursors.iter_mut() {
+            for c in ps.cursors.iter_mut() {
                 if *c > lo && *c <= hi {
                     *c -= 1;
                 }
             }
-            self.advance_pair_cursors(t, e.pair);
+            self.advance_pair_cursors(e.pair);
         }
         j > i
     }
@@ -1142,8 +1151,8 @@ impl Runtime {
     /// Marks `u`'s cell stale at the members of `g` whose phase on `u` is
     /// `phase` — a write to one of `u`'s shared cells matters only to the
     /// members whose current guard on `u` reads it.
-    fn stale_members_in(&mut self, t: &Tables, g: GroupId, u: u32, phase: Phase) {
-        for (r, &q) in t.member_list[g.index()].iter().enumerate() {
+    fn stale_members_in(&mut self, g: GroupId, u: u32, phase: Phase) {
+        for (r, &q) in self.t.member_list[g.index()].iter().enumerate() {
             if self.units.phase[self.units.mem(u, r as u16)] == phase {
                 self.ready.stale_cell(q, Cell::Unit(u));
             }
@@ -1154,7 +1163,7 @@ impl Runtime {
     /// cells whose guards read something the action writes — its
     /// *footprint*, the per-kind table of the module docs.
     fn apply(&mut self, p: ProcessId, action: Action) {
-        let t = Arc::clone(&self.tables);
+        let t = self.t;
         self.actions_of[p.index()] += 1;
         match action {
             Action::Inject(g, m) => {
@@ -1202,12 +1211,12 @@ impl Runtime {
                         self.pairs[self_pair].max_slot += 1;
                     }
                 }
-                self.set_phase_and_advance(&t, p, g, u, Phase::Pending);
+                self.set_phase_and_advance(p, g, u, Phase::Pending);
                 // `ann_max` is read by commit (a member in `pending`). The
                 // first appends to pairs are read by stabilize and deliver,
                 // but only at processes of those pairs already past
                 // `pending` — which appended there themselves.
-                self.stale_members_in(&t, g, u, Phase::Pending);
+                self.stale_members_in(g, u, Phase::Pending);
             }
             Action::Commit(m) => {
                 let u = self.unit_of[m.0 as usize];
@@ -1232,12 +1241,12 @@ impl Runtime {
                 };
                 // lines 22–23
                 for e in &t.per_gp[gm] {
-                    if self.bump_and_lock(&t, u, e, k) {
+                    if self.bump_and_lock(u, e, k) {
                         let (a, b) = t.pairs[e.pair as usize];
                         self.ready.stale_rows(t.system.intersection(a, b));
                     }
                 }
-                self.set_phase_and_advance(&t, p, g, u, Phase::Commit);
+                self.set_phase_and_advance(p, g, u, Phase::Commit);
             }
             Action::Stabilize(m, h) => {
                 let u = self.unit_of[m.0 as usize];
@@ -1251,12 +1260,12 @@ impl Runtime {
                 // (m, h) appended to LOG_g consumes a slot of the self pair.
                 self.pairs[t.self_pair[g.index()] as usize].max_slot += 1;
                 // `stab` is read by stabilize and stable (a member in `commit`).
-                self.stale_members_in(&t, g, u, Phase::Commit);
+                self.stale_members_in(g, u, Phase::Commit);
             }
             Action::Stable(m) => {
                 let u = self.unit_of[m.0 as usize];
                 let g = self.units.group[u as usize];
-                self.set_phase_and_advance(&t, p, g, u, Phase::Stable);
+                self.set_phase_and_advance(p, g, u, Phase::Stable);
                 // No longer in flight: from here `u` is reached through
                 // `p`'s deliver frontier of `LOG_g`.
                 self.active[p.index()].retain(|&x| x != u);
@@ -1265,20 +1274,21 @@ impl Runtime {
                 let u = self.unit_of[m.0 as usize];
                 let ui = u as usize;
                 let g = self.units.group[ui];
-                self.set_phase_and_advance(&t, p, g, u, Phase::Deliver);
+                self.set_phase_and_advance(p, g, u, Phase::Deliver);
                 let start = self.units.start[ui] as usize;
                 let len = self.units.len[ui] as usize;
-                for off in 0..len {
-                    let msg = self.lists[g.index()][start + off];
-                    self.delivered[p.index()].push(Delivery { msg, at: self.now });
-                }
+                let at = self.now;
+                let msgs = &self.lists[g.index()][start..start + len];
+                self.delivered[p.index()].extend(msgs.iter().map(|&msg| Delivery { msg, at }));
                 self.owed[p.index()] -= len as u64;
                 self.inject_cursor[t.gm(g, p)] = (start + len) as u32;
                 self.ready.stale_cell(p, Cell::Inject(g));
             }
         }
     }
+}
 
+impl Runtime {
     /// Runs until quiescence or `max_actions`, scheduling every process.
     /// Returns `true` on quiescence.
     pub fn run(&mut self, max_actions: u64) -> bool {
@@ -1503,6 +1513,42 @@ impl Runtime {
         self.fire(p, action, self.now.next())
     }
 
+    /// The write half of an action over this runtime's state: every
+    /// column [`Step::apply`] may touch, borrowed beside `Tables`.
+    fn step(&mut self) -> Step<'_> {
+        let Runtime {
+            tables,
+            now,
+            pairs,
+            units,
+            lists,
+            unit_of,
+            next_new,
+            inject_cursor,
+            active,
+            delivered,
+            actions_of,
+            owed,
+            ready,
+            ..
+        } = self;
+        Step {
+            t: tables,
+            now: *now,
+            pairs,
+            units,
+            lists,
+            unit_of,
+            next_new,
+            inject_cursor,
+            active,
+            delivered,
+            actions_of,
+            owed,
+            ready,
+        }
+    }
+
     /// Moves the clock to `at`, then applies `action` at `p` unless there
     /// is none or `p` has crashed by then (the step is consumed either way).
     pub(crate) fn fire(&mut self, p: ProcessId, action: Option<Action>, at: Time) -> Fired {
@@ -1517,7 +1563,7 @@ impl Runtime {
             }
             _ => (None, 0),
         };
-        self.apply(p, action);
+        self.step().apply(p, action);
         Fired {
             fired: true,
             delivered,
@@ -1660,7 +1706,7 @@ impl Runtime {
                 push(entry.slot);
                 push(entry.rep.0);
                 push(u64::from(
-                    self.units.locked[self.entry_adj(t, pid, entry.unit)],
+                    self.units.locked[self.units.entry_adj(t, pid, entry.unit)],
                 ));
             }
         }
@@ -1828,7 +1874,7 @@ mod tests {
                 }
                 let rep = self.units.rep[u as usize];
                 let gm = t.gm(g, p);
-                match self.unit_phase(t, u, p) {
+                match self.units.phase_of(t, u, p) {
                     Phase::Start if self.pending_enabled(t, p, u, g) => {
                         out.push(Action::Pending(rep));
                     }
@@ -1960,7 +2006,7 @@ mod tests {
                                 let stable = |u: &u32| {
                                     let g = rt.units.group[*u as usize];
                                     gs.members(g).contains(p)
-                                        && rt.unit_phase(&rt.tables, *u, p) == Phase::Stable
+                                        && rt.units.phase_of(&rt.tables, *u, p) == Phase::Stable
                                 };
                                 (0..rt.units.count() as u32).filter(stable).count()
                             };

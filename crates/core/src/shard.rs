@@ -35,18 +35,17 @@
 //!   `rank_inject(j)`-th unit id.
 //!
 //! [`Runtime::commit_merge`] re-sequences exactly these two globals: it
-//! merges the per-shard fired-slot streams, rebuilds the unit arena in
-//! global inject order (remapping every recorded unit id), patches
+//! ranks the per-shard fired slots in one bitmap, rebuilds the unit arena
+//! in global inject order (remapping every recorded unit id), patches
 //! delivery timestamps from slots to ranks, and copies every shard-owned
 //! pair/unit/process column from its owning worker. The result is
 //! byte-identical — the full [`Runtime::fold_state`] walk, not just the
 //! digest — to what the sequential driver would have produced.
 
-use crate::arena::OrderEntry;
+use crate::arena::{OrderEntry, NO_UNIT};
 use crate::runtime::{Delivery, Runtime, Variant};
 use gam_groups::GroupId;
 use gam_kernel::{ProcessId, ProcessSet, Time};
-use std::sync::Arc;
 
 /// One shard of the connected-group-family partition, as the parallel
 /// driver schedules it and the merge consumes it.
@@ -155,23 +154,14 @@ impl Runtime {
     /// The caller must have verified every shard quiesced within budget;
     /// committing a partial recording would desynchronize the clock.
     pub fn commit_merge(&mut self, parts: &[(&Runtime, &ShardSpec, &ShardRun)]) {
-        let t = Arc::clone(&self.tables);
-        let n = self.tables.n;
+        let t = &*self.tables;
+        let n = t.n;
         let t0 = self.now().0;
         debug_assert_eq!(self.units.count(), 0, "par_eligible gated fresh state");
-        // Global fired order: slots are unique across shards (slot mod n
-        // identifies the process, and a process belongs to one shard).
-        let mut all_slots: Vec<u64> = parts
-            .iter()
-            .flat_map(|(_, _, r)| r.fired_slots.iter().copied())
-            .collect();
-        all_slots.sort_unstable();
-        let rank_of = |slot: u64| -> u64 {
-            all_slots
-                .binary_search(&slot)
-                .expect("delivery timestamp encodes a fired slot") as u64
-                + 1
-        };
+        // Every shard's fired slots in the global sweep order: a slot's
+        // rank is the tick its action fired at.
+        let runs: Vec<&[u64]> = parts.iter().map(|(_, _, r)| &r.fired_slots[..]).collect();
+        let fired = FiredSlots::new(&runs);
         // Global unit order: injects sorted by slot. Per-part remap tables
         // from clone-local unit ids to global ids (a part's pair orders
         // only reference units its own shard injected).
@@ -181,54 +171,34 @@ impl Runtime {
             .flat_map(|(pi, (_, _, r))| r.injects.iter().map(move |&(s, u)| (s, pi, u)))
             .collect();
         all_inj.sort_unstable();
-        let mut remap: Vec<Vec<(u32, u32)>> = vec![Vec::new(); parts.len()];
+        let mut remap: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|(w, _, _)| vec![NO_UNIT; w.units.count()])
+            .collect();
         for (pos, &(_, pi, cuid)) in all_inj.iter().enumerate() {
-            remap[pi].push((cuid, pos as u32));
-        }
-        for r in &mut remap {
-            r.sort_unstable();
+            remap[pi][cuid as usize] = pos as u32;
         }
         let lookup = |pi: usize, cuid: u32| -> u32 {
-            let r = &remap[pi];
-            r[r.binary_search_by_key(&cuid, |e| e.0)
-                .expect("order entry references a unit this shard injected")]
-            .1
+            let u = remap[pi][cuid as usize];
+            debug_assert_ne!(
+                u, NO_UNIT,
+                "order entry references a unit this shard injected"
+            );
+            u
         };
         // Rebuild the unit arena in global allocation order, copying each
         // unit's cell blocks from the worker that ran it.
-        for &(_, pi, cuid) in &all_inj {
-            let (w, _, _) = parts[pi];
+        let copies: Vec<_> = all_inj
+            .iter()
+            .map(|&(_, pi, cuid)| (&parts[pi].0.units, cuid))
+            .collect();
+        self.units.extend_from(&copies);
+        for (u, &(w, cuid)) in copies.iter().enumerate() {
             let cu = cuid as usize;
-            let g = w.units.group[cu];
-            let gi = g.index();
-            let start = w.units.start[cu];
-            let len = w.units.len[cu];
-            let deg = t.adj[gi].len();
-            let members = t.member_list[gi].len();
-            let fams = t.fams[gi].len();
-            let u = self
-                .units
-                .push(g, start, len, w.units.rep[cu], deg, members, fams);
-            for a in 0..deg {
-                let src = w.units.adj(cuid, a);
-                let dst = self.units.adj(u, a);
-                self.units.slot[dst] = w.units.slot[src];
-                self.units.locked[dst] = w.units.locked[src];
-                self.units.order_idx[dst] = w.units.order_idx[src];
-                self.units.ann_max[dst] = w.units.ann_max[src];
-                self.units.stab[dst] = w.units.stab[src];
-            }
-            for r in 0..members as u16 {
-                let dst = self.units.mem(u, r);
-                self.units.phase[dst] = w.units.phase[w.units.mem(cuid, r)];
-            }
-            for fr in 0..fams as u16 {
-                let dst = self.units.fam(u, fr);
-                self.units.cons[dst] = w.units.cons[w.units.fam(cuid, fr)];
-            }
-            for off in 0..len {
-                let m = self.lists[gi][(start + off) as usize];
-                self.unit_of[m.0 as usize] = u;
+            let list = &self.lists[w.group[cu].index()];
+            let start = w.start[cu] as usize;
+            for m in &list[start..start + w.len[cu] as usize] {
+                self.unit_of[m.0 as usize] = u as u32;
             }
         }
         // Shard-owned columns, from each shard's owning worker. Pairs are
@@ -278,22 +248,87 @@ impl Runtime {
                 let row = &mut self.delivered[i];
                 debug_assert!(row.is_empty(), "par_eligible gated fresh state");
                 row.clear();
-                row.extend(w.delivered[i].iter().map(|d| Delivery {
-                    msg: d.msg,
-                    at: Time(t0 + rank_of(d.at.0)),
+                // A batched `Deliver` stamps its whole unit with one slot:
+                // rank each slot once.
+                let mut last = (u64::MAX, 0);
+                row.extend(w.delivered[i].iter().map(|d| {
+                    if last.0 != d.at.0 {
+                        last = (d.at.0, t0 + fired.rank(d.at.0));
+                    }
+                    Delivery {
+                        msg: d.msg,
+                        at: Time(last.1),
+                    }
                 }));
             }
         }
         // The two global scalars, re-derived from the merged fired order:
         // one clock tick per fired action, and the cursor one past the
         // process the last-fired slot visited.
-        self.set_now(Time(t0 + all_slots.len() as u64));
-        if let Some(&last) = all_slots.last() {
+        self.set_now(Time(t0 + fired.count()));
+        if let Some(last) = fired.last() {
             let idx = (self.rr_cursor + last as usize % n) % n;
             self.rr_cursor = (idx + 1) % n;
         }
         // Every shard-owned column was overwritten behind the ready set.
         self.invalidate_ready();
+    }
+}
+
+/// The fired slots of every shard as one bitmap, with the number of fired
+/// slots before each word: the global rank of a fired slot — the tick its
+/// action fired at — in O(1). Slots are unique across shards (slot mod n
+/// identifies the process, and a process belongs to one shard). Consecutive
+/// fired slots of the sequential sweep lie at most `n` apart (a sweep that
+/// fires nothing ends the run), so the map holds about `n / 64` words per
+/// fired action at worst — 8 for the largest universe — and at the sweep's
+/// usual density far fewer.
+struct FiredSlots {
+    words: Vec<u64>,
+    before: Vec<u64>,
+}
+
+impl FiredSlots {
+    fn new(runs: &[&[u64]]) -> Self {
+        let end = runs
+            .iter()
+            .filter_map(|r| r.last())
+            .max()
+            .map_or(0, |&s| s / 64 + 1);
+        let mut words = vec![0u64; end as usize];
+        for &s in runs.iter().copied().flatten() {
+            words[(s / 64) as usize] |= 1 << (s % 64);
+        }
+        let before = words
+            .iter()
+            .scan(0, |acc, w| {
+                let at = *acc;
+                *acc += u64::from(w.count_ones());
+                Some(at)
+            })
+            .collect();
+        FiredSlots { words, before }
+    }
+
+    /// Fired slots up to and including `slot`, which must be fired itself.
+    fn rank(&self, slot: u64) -> u64 {
+        let (i, bit) = ((slot / 64) as usize, slot % 64);
+        debug_assert!(
+            (self.words[i] >> bit) & 1 == 1,
+            "delivery timestamp encodes a fired slot"
+        );
+        self.before[i] + u64::from((self.words[i] & (u64::MAX >> (63 - bit))).count_ones())
+    }
+
+    /// Fired slots in all.
+    fn count(&self) -> u64 {
+        self.last().map_or(0, |slot| self.rank(slot))
+    }
+
+    /// The last fired slot (the last word is never empty).
+    fn last(&self) -> Option<u64> {
+        let i = self.words.len().checked_sub(1)?;
+        Some(i as u64 * 64 + 63 - u64::from(self.words[i].leading_zeros()))
     }
 }
 
@@ -364,6 +399,41 @@ mod tests {
             assert!(rt.ready_set_is_current(), "merged derived state");
             assert_eq!(rt.rr_cursor, seq.rr_cursor);
             assert_eq!(rt.next_new, seq.next_new);
+        }
+    }
+
+    /// The bitmap ranks slots as the sorted union of the runs does, across
+    /// word boundaries, from slot 0, and with empty runs among the parts.
+    #[test]
+    fn fired_slots_rank_as_the_sorted_union() {
+        let empty = FiredSlots::new(&[&[], &[]]);
+        assert_eq!((empty.count(), empty.last()), (0, None));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for n in [1u64, 7, 64, 130, 512] {
+            for parts in [1usize, 3, 8] {
+                // The sweep's fired slots: ascending, less than `n` apart.
+                let mut runs = vec![Vec::new(); parts + 1];
+                let mut all = Vec::new();
+                let mut slot = next(n);
+                for _ in 0..2000 {
+                    all.push(slot);
+                    runs[next(parts as u64) as usize].push(slot);
+                    slot += 1 + next(n);
+                }
+                let runs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+                let fired = FiredSlots::new(&runs);
+                for (i, &s) in all.iter().enumerate() {
+                    assert_eq!(fired.rank(s), i as u64 + 1, "n={n} parts={parts} slot {s}");
+                }
+                assert_eq!(fired.count(), all.len() as u64);
+                assert_eq!(fired.last(), all.last().copied());
+            }
         }
     }
 

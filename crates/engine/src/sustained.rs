@@ -3,8 +3,8 @@
 //! [`run_sustained_par`] partitions the group system into shards — the
 //! connected components of the group-conflict graph
 //! ([`crate::shard_partition`]) — runs each shard's projection of the
-//! sequential round-robin on a worker thread over a private `Runtime`
-//! clone (cheap: the state lives in copy-on-write columns), then commits
+//! sequential round-robin on a worker over a private `Runtime` clone
+//! (cheap: the state lives in copy-on-write columns), then commits
 //! the recordings through `gam-core`'s deterministic merge. The final
 //! state is **byte-identical** to [`Runtime::run_sustained`] on the same
 //! scenario: the full `fold_state` walk, every delivery timestamp, the
@@ -14,6 +14,11 @@
 //! Scenarios the projection argument does not cover — crashes, the strict
 //! variant, mid-run state — fall back to the sequential driver, as do
 //! single-shard systems and `threads <= 1`.
+//!
+//! The workers share one read-only plan (`gam-core`'s tables) and one
+//! budget counter, and write neither on every action: a fired action
+//! borrows the plan instead of taking a reference count, and the counter
+//! is added to once per block of actions (see `Budget`).
 //!
 //! ## Failure semantics
 //!
@@ -55,9 +60,69 @@ pub fn shard_specs(rt: &Runtime, set: ProcessSet) -> Vec<ShardSpec> {
         .collect()
 }
 
+/// Fired actions a worker counts on its own before it adds them to the
+/// shared budget counter: one atomic add per block, not one per action.
+const BUDGET_BLOCK: u64 = 256;
+
+/// One worker's share of the action budget every shard draws from.
+///
+/// The workers publish their fired counts in blocks of [`BUDGET_BLOCK`],
+/// so what a worker knows of the total — everyone's published count as of
+/// its own last publication, plus what it fired since — never exceeds
+/// what has really fired. A worker stops only once that lower bound
+/// reaches the cap, and then the whole run has fired at least `max`
+/// actions and fails the cap in any case: a block never aborts a run that
+/// one shared counter per action would have let finish. A runaway worker
+/// still stops on its own count alone, and the others learn of it within
+/// a block of their own.
+struct Budget<'a> {
+    shared: &'a AtomicU64,
+    /// Every worker's published count, as read at this worker's last
+    /// publication.
+    seen: u64,
+    /// Actions this worker fired since then.
+    unpublished: u64,
+    max: u64,
+}
+
+impl<'a> Budget<'a> {
+    fn new(shared: &'a AtomicU64, max: u64) -> Self {
+        Budget {
+            shared,
+            seen: 0,
+            unpublished: 0,
+            max,
+        }
+    }
+
+    /// Takes one action: `false` once the actions known to have fired
+    /// reach the cap.
+    fn take(&mut self) -> bool {
+        if self.seen + self.unpublished >= self.max {
+            return false;
+        }
+        self.unpublished += 1;
+        if self.unpublished == BUDGET_BLOCK {
+            self.publish();
+        }
+        true
+    }
+
+    /// Adds the unpublished actions to the shared count and reads back
+    /// everyone's.
+    fn publish(&mut self) {
+        // gam-lint: allow(A001, reason = "monotonic budget counter: fetch_add totals are exact under any ordering, nothing is published through it, and on the success path the committed total equals the schedule-independent fired count re-derived from the joined recordings")
+        let before = self.shared.fetch_add(self.unpublished, Ordering::Relaxed);
+        self.seen = before + self.unpublished;
+        self.unpublished = 0;
+    }
+}
+
 /// Runs `rt` to quiescence of `set` (or budget exhaustion) like
 /// [`Runtime::run_sustained`], but with up to `threads` workers serving
-/// disjoint group shards in parallel. Returns `true` on quiescence.
+/// disjoint group shards in parallel: the calling thread serves the first
+/// share and one spawned thread each of the others. Returns `true` on
+/// quiescence.
 ///
 /// The committed state — delivery sequences with timestamps, pair orders,
 /// unit arena, clock, round-robin cursor — is byte-identical to the
@@ -82,45 +147,41 @@ pub fn run_sustained_par(
     }
     let workers = threads.min(live.len());
     // Shared budget: one unit per fired action across all shards, the same
-    // count the sequential driver caps. Overshoot past the cap only aborts
-    // (the result is discarded), so no worker ever commits beyond it.
+    // count the sequential driver caps (see `Budget`).
     let fired = AtomicU64::new(0);
+    let base: &Runtime = rt;
+    // Worker `w` serves shards `w, w + workers, …` in turn on its own clone.
+    let worker = |w: usize| {
+        let mut clone = base.clone();
+        let mine: Vec<&ShardSpec> = live.iter().skip(w).step_by(workers).collect();
+        let mut budget = Budget::new(&fired, max_actions);
+        move || {
+            let mut runs = Vec::with_capacity(mine.len());
+            let mut aborted = false;
+            for spec in mine {
+                if aborted {
+                    // Keep run/spec alignment; a default run is
+                    // `quiesced: false`, which forces the discard.
+                    runs.push(ShardRun::default());
+                    continue;
+                }
+                let run = clone.run_shard_record(&spec.pids, || budget.take());
+                aborted = !run.quiesced;
+                runs.push(run);
+            }
+            budget.publish();
+            (clone, runs)
+        }
+    };
     let results: Vec<(Runtime, Vec<ShardRun>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let mut clone = rt.clone();
-                let mine: Vec<&ShardSpec> = live
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % workers == w)
-                    .map(|(_, s)| s)
-                    .collect();
-                let fired = &fired;
-                scope.spawn(move || {
-                    let mut runs = Vec::with_capacity(mine.len());
-                    let mut aborted = false;
-                    for spec in mine {
-                        if aborted {
-                            // Keep run/spec alignment; a default run is
-                            // `quiesced: false`, which forces the discard.
-                            runs.push(ShardRun::default());
-                            continue;
-                        }
-                        let run = clone.run_shard_record(&spec.pids, || {
-                            // gam-lint: allow(A001, reason = "monotonic budget counter: fetch_add totals are exact under any ordering, nothing is published through it, and on the success path the committed total equals the schedule-independent fired count re-derived from the joined recordings")
-                            fired.fetch_add(1, Ordering::Relaxed) < max_actions
-                        });
-                        aborted = !run.quiesced;
-                        runs.push(run);
-                    }
-                    (clone, runs)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(worker(w))).collect();
+        let mut results = vec![worker(0)()];
+        results.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked")),
+        );
+        results
     });
     // Re-derive the outcome from the joined recordings alone (not the
     // atomic), so the commit decision is schedule-deterministic.
@@ -213,6 +274,88 @@ mod tests {
         assert!(!seq2.run_sustained(set, exact));
         assert!(!run_sustained_par(&mut par2, set, exact, 4));
         assert!(run_sustained_par(&mut base.clone(), set, exact + 1, 4));
+    }
+
+    /// Two workers draw on one counter. Neither is refused while fewer than
+    /// `max` actions have fired in all, whatever it has seen of the other;
+    /// once `max` have, each is refused within one block of its own.
+    #[test]
+    fn block_budgets_refuse_only_past_the_cap() {
+        let max = 3 * BUDGET_BLOCK + 7;
+        let shared = AtomicU64::new(0);
+        let (mut a, mut b) = (Budget::new(&shared, max), Budget::new(&shared, max));
+        let (mut fired_a, mut fired_b) = (0, 0);
+        // Uneven turns, so each sees the other's count at odd moments.
+        while fired_a + fired_b < max {
+            if (fired_a + fired_b) % 5 < 3 {
+                assert!(a.take(), "a refused at {} fired", fired_a + fired_b);
+                fired_a += 1;
+            } else {
+                assert!(b.take(), "b refused at {} fired", fired_a + fired_b);
+                fired_b += 1;
+            }
+        }
+        for worker in [&mut a, &mut b] {
+            let more = (0..=BUDGET_BLOCK).take_while(|_| worker.take()).count() as u64;
+            assert!(more <= BUDGET_BLOCK, "a worker ran a block past the cap");
+        }
+        // A worker alone stops on its own count, published or not.
+        let fresh = AtomicU64::new(0);
+        let mut alone = Budget::new(&fresh, 10);
+        assert_eq!((0..20).take_while(|_| alone.take()).count(), 10);
+    }
+
+    /// Budgets around the exact action count, on shards that fire several
+    /// blocks each: the outcome is the sequential driver's at every worker
+    /// count, and a refused run leaves the base untouched.
+    #[test]
+    fn budgets_across_block_boundaries_agree_with_sequential() {
+        let gs = topology::disjoint(4, 3);
+        let mut base = Runtime::new(
+            &gs,
+            FailurePattern::all_correct(gs.universe()),
+            RuntimeConfig::default(),
+        );
+        for g in 0..4u32 {
+            let src = gs.members(GroupId(g)).min().unwrap();
+            for i in 0..40u64 {
+                base.multicast(src, GroupId(g), u64::from(g) * 100 + i);
+            }
+        }
+        let set = base.system().universe();
+        let mut probe = base.clone();
+        assert!(probe.run_sustained(set, u64::MAX));
+        let exact = probe.report(true).actions_of.iter().sum::<u64>();
+        assert!(
+            exact / 4 > 2 * BUDGET_BLOCK,
+            "each shard fires several blocks"
+        );
+        let before = fold(&base);
+        for max in [
+            1,
+            BUDGET_BLOCK - 1,
+            BUDGET_BLOCK,
+            BUDGET_BLOCK + 1,
+            exact / 2,
+            exact - 1,
+            exact,
+            exact + 1,
+        ] {
+            let mut seq = base.clone();
+            let quiesced = seq.run_sustained(set, max);
+            assert_eq!(quiesced, max > exact, "budget {max}");
+            for threads in [2usize, 3, 8] {
+                let mut par = base.clone();
+                let tag = format!("budget {max} threads {threads}");
+                assert_eq!(
+                    run_sustained_par(&mut par, set, max, threads),
+                    quiesced,
+                    "{tag}"
+                );
+                let want = if quiesced { fold(&seq) } else { before.clone() };
+                assert_eq!(fold(&par), want, "{tag}");
+            }
+        }
     }
 
     #[test]

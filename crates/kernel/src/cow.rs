@@ -242,9 +242,7 @@ impl<T: Clone> CowVec<T> {
     /// Builds from `contents`, sealing full chunks as it goes.
     pub fn from_vec(chunk_capacity: usize, contents: Vec<T>) -> Self {
         let mut v = CowVec::new(chunk_capacity);
-        for item in contents {
-            v.push(item);
-        }
+        v.extend(contents);
         v
     }
 
@@ -277,15 +275,24 @@ impl<T: Clone> CowVec<T> {
         while self.len > new_len {
             self.pop();
         }
-        while self.len < new_len {
-            self.push(value.clone());
-        }
+        self.extend(std::iter::repeat_n(value, new_len - self.len));
     }
 
-    /// Appends every element of `iter` in order.
+    /// Appends every element of `iter` in order, a chunk at a time: one
+    /// reference-count check per chunk filled, not one per element.
     pub fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.push(item);
+        let mut iter = iter.into_iter();
+        while let Some(first) = iter.next() {
+            if self.len == self.chunks.len() << self.shift {
+                self.chunks.push(Arc::new(Vec::with_capacity(self.cap())));
+            }
+            let last = self.chunks.len() - 1;
+            let room = ((last + 1) << self.shift) - self.len - 1;
+            let chunk = self.chunk_mut(last);
+            chunk.push(first);
+            chunk.extend(iter.by_ref().take(room));
+            let filled = chunk.len();
+            self.len = (last << self.shift) + filled;
         }
     }
 }
