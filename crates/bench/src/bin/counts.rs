@@ -10,14 +10,13 @@
 //! Three sections:
 //!
 //! - `explore` — the fig1 tree at depths 3–6 under the snapshotting DFS,
-//!   one worker, two ways: with the visited set, which then caches whole
-//!   subtrees and runs no sleep sets (`dfs-cache`), and with sleep-set
-//!   partial-order reduction and no visited set (`dfs-por`, what the hunt
-//!   ships with). The same two passes walk fig1 under an `isect(1)` crash
-//!   plan, where POR is inert and the cache is the only reduction, and a
+//!   one worker, two ways: with the visited set, which caches whole
+//!   subtrees (`dfs-cache`), and without it, where every leaf is a run
+//!   (`dfs-plain`; depths 3–5 only, since depth 6 has 776 906 leaves). The
+//!   same two passes walk fig1 under an `isect(1)` crash plan, and a
 //!   run-capped tree of a 64-process `rand(64,8,450)` state, where a
 //!   checkpoint must copy far less than a deep clone. `baseline_steps` is
-//!   what restarting each of `dfs-por`'s leaves from the initial state
+//!   what restarting each of `dfs-plain`'s leaves from the initial state
 //!   executes: its steps executed plus avoided. `key_audit` walks the plain
 //!   fig1 tree and counts visited-set keys that stand for two different
 //!   observable states; it must stay 0. `fair_run` and `fair_tail` count
@@ -55,13 +54,8 @@ use gam_scenarios::{corpus, fixture, Family, ScnDescriptor, TrafficPlan};
 use std::collections::BTreeMap;
 
 /// Least reduction in steps executed against `baseline_steps`, in permille,
-/// of `dfs-cache` at every fig1 depth: depth 3 sits at 894 (2 622 of 24 766
-/// steps), depth 6 at 987.
+/// of `dfs-cache` at fig1 depths 3–5.
 const CACHE_REDUCTION_FLOOR_PERMILLE: u64 = 850;
-/// The same floor for `dfs-por`. Against its own leaves the only saving is
-/// prefix sharing, since without a visited set every leaf runs its fair
-/// tail: depth 3 sits at 31, depth 6 at 82.
-const POR_REDUCTION_FLOOR_PERMILLE: u64 = 25;
 /// A checkpoint of the `rand(64,8,450)` state copies at least this many
 /// times fewer bytes than a deep clone of it.
 const SNAPSHOT_SHALLOW_RATIO_FLOOR: u64 = 10;
@@ -132,80 +126,105 @@ fn fair_runs_json(scenario: &Scenario) -> [(&'static str, Json); 2] {
     ]
 }
 
-/// Both DFS configurations over the first `depth` choices of `scenario`,
-/// at most `run_cap` leaves each: `(dfs-cache, dfs-por)`, neither finding a
-/// violation.
+/// The two DFS configurations, `(name, visited-set capacity)`: with the
+/// cache, and with no reduction at all.
+const DFS_CACHE: (&str, usize) = ("dfs-cache", 1 << 18);
+const DFS_PLAIN: (&str, usize) = ("dfs-plain", 0);
+
+/// One DFS pass over the first `depth` choices of `scenario`, at most
+/// `run_cap` leaves. It must find no violation.
+fn dfs_pass(
+    scenario: &Scenario,
+    depth: usize,
+    run_cap: u64,
+    (name, dedup_capacity): (&'static str, usize),
+) -> (&'static str, ExploreStats) {
+    let config = ExploreConfig {
+        threads: 1,
+        dedup_capacity,
+        ..ExploreConfig::default()
+    };
+    let mode = Mode::Exhaustive {
+        depth,
+        max_runs: run_cap,
+    };
+    let stats = explore(scenario, mode, &config);
+    let violations = &stats.violations;
+    assert!(
+        violations.is_empty(),
+        "{name}, depth {depth}: {violations:?}"
+    );
+    (name, stats)
+}
+
+/// Both passes, `[dfs-cache, dfs-plain]`.
 fn dfs_passes(
     scenario: &Scenario,
     depth: usize,
     run_cap: u64,
 ) -> [(&'static str, ExploreStats); 2] {
-    [("dfs-cache", 1 << 18, false), ("dfs-por", 0, true)].map(|(name, dedup_capacity, por)| {
-        let config = ExploreConfig {
-            threads: 1,
-            dedup_capacity,
-            por,
-            ..ExploreConfig::default()
-        };
-        let mode = Mode::Exhaustive {
-            depth,
-            max_runs: run_cap,
-        };
-        let stats = explore(scenario, mode, &config);
-        let violations = &stats.violations;
-        assert!(
-            violations.is_empty(),
-            "{name}, depth {depth}: {violations:?}"
-        );
-        (name, stats)
-    })
+    [DFS_CACHE, DFS_PLAIN].map(|pass| dfs_pass(scenario, depth, run_cap, pass))
 }
 
 fn reduction_permille(baseline: u64, steps: u64) -> u64 {
     permille(baseline - baseline.min(steps), baseline)
 }
 
-/// What restarting each of `dfs-por`'s leaves from the initial state
+/// What restarting each of `dfs-plain`'s leaves from the initial state
 /// executes: every step the DFS ran plus every prefix step it did not
 /// re-run. No visited set, so every leaf pays for its fair tail.
-fn baseline_steps(por: &ExploreStats) -> u64 {
-    por.steps_executed + por.steps_avoided
+fn baseline_steps(plain: &ExploreStats) -> u64 {
+    plain.steps_executed + plain.steps_avoided
 }
 
-/// One exploration row: the tree's restart cost and both passes' counters.
-fn explore_row(depth: usize, run_cap: u64, passes: &[(&'static str, ExploreStats); 2]) -> Json {
-    let baseline = baseline_steps(&passes[1].1);
+/// One exploration row: the passes' counters and, when a `dfs-plain` pass
+/// is among them, the tree's restart cost and each pass's reduction
+/// against it.
+fn explore_row(depth: usize, run_cap: u64, passes: &[(&'static str, ExploreStats)]) -> Json {
+    let baseline = passes
+        .iter()
+        .find(|(name, _)| *name == DFS_PLAIN.0)
+        .map(|(_, plain)| baseline_steps(plain));
     let configs = passes.iter().map(|(name, s)| {
+        let reduction = baseline.map(|b| {
+            (
+                "steps_reduction_permille",
+                reduction_permille(b, s.steps_executed),
+            )
+        });
         let counters = [
             ("runs", s.runs),
             ("steps_executed", s.steps_executed),
             ("steps_avoided", s.steps_avoided),
-            (
-                "steps_reduction_permille",
-                reduction_permille(baseline, s.steps_executed),
-            ),
+        ]
+        .into_iter()
+        .chain(reduction)
+        .chain([
             ("snapshots_taken", s.snapshots_taken),
             ("snapshot_bytes", s.snapshot_bytes),
             ("snapshot_deep_bytes", s.snapshot_deep_bytes),
             ("snapshot_bytes_peak", s.snapshot_bytes_peak),
-            ("por_pruned", s.por_pruned),
             ("dedup_hits", s.dedup_hits),
             ("dedup_evictions", s.dedup_evictions),
             ("chunk_copies", s.chunk_copies),
-        ];
+        ]);
         let counters = counters.map(|(key, n)| (key, Json::from(n)));
         Json::obj([("name", Json::from(*name))].into_iter().chain(counters))
     });
-    Json::obj([
+    let head = [
         ("depth", Json::from(depth as u64)),
         ("run_cap", Json::from(run_cap)),
-        ("baseline_steps", Json::from(baseline)),
-        ("configs", configs.collect()),
-    ])
+    ];
+    let baseline = baseline.map(|b| ("baseline_steps", Json::from(b)));
+    Json::obj(
+        head.into_iter()
+            .chain(baseline)
+            .chain([("configs", configs.collect())]),
+    )
 }
 
 /// Visited-set keys over every choice point of a plain walk — no visited
-/// set, no sleep sets — each beside the remaining depth and the full
+/// set — each beside the remaining depth and the full
 /// `fold_observable` word vector it stands for.
 #[derive(Default)]
 struct KeyAudit {
@@ -287,52 +306,49 @@ fn key_audit(scenario: &Scenario, depth: usize) -> Json {
 
 fn explore_section() -> Json {
     let fig1 = Scenario::one_per_group(&fixture("fig1").system(), 200_000);
-    // No row comes near it: the deepest, `dfs-por` at depth 6, has 65 387
+    // No row comes near it: the deepest plain walk, depth 5, has 86 260
     // leaves.
     let run_cap = 2_000_000;
-    let depths = (3..=6).map(|depth| {
-        let passes = dfs_passes(&fig1, depth, run_cap);
-        let [(_, cache), (_, por)] = &passes;
-        let baseline = baseline_steps(por);
-        assert!(cache.complete() && por.complete(), "depth {depth}: capped");
-        // The measured reason sleep sets step aside where the cache runs.
-        assert!(
-            cache.runs <= por.runs,
-            "depth {depth}: the cache reaches more leaves than POR"
-        );
-        assert_eq!(cache.por_pruned, 0, "sleep sets ran beside the cache");
-        assert!(por.por_pruned > 0, "POR slept nothing at depth {depth}");
-        for (name, stats, floor) in [
-            ("dfs-cache", cache, CACHE_REDUCTION_FLOOR_PERMILLE),
-            ("dfs-por", por, POR_REDUCTION_FLOOR_PERMILLE),
-        ] {
-            let reduction = reduction_permille(baseline, stats.steps_executed);
+    let mut depths: Vec<Json> = (3..=5)
+        .map(|depth| {
+            let passes = dfs_passes(&fig1, depth, run_cap);
+            let [(_, cache), (_, plain)] = &passes;
             assert!(
-                reduction >= floor,
-                "{name} executes only {reduction} permille fewer steps than the \
-                 baseline at depth {depth}, under the floor of {floor}"
+                cache.complete() && plain.complete(),
+                "depth {depth}: capped"
             );
-        }
-        explore_row(depth, run_cap, &passes)
-    });
-    let depths: Json = depths.collect();
+            assert!(
+                cache.runs <= plain.runs,
+                "depth {depth}: the cache reaches more leaves than the plain walk"
+            );
+            let reduction = reduction_permille(baseline_steps(plain), cache.steps_executed);
+            assert!(
+                reduction >= CACHE_REDUCTION_FLOOR_PERMILLE,
+                "dfs-cache executes only {reduction} permille fewer steps than the \
+                 baseline at depth {depth}, under the floor of {CACHE_REDUCTION_FLOOR_PERMILLE}"
+            );
+            explore_row(depth, run_cap, &passes)
+        })
+        .collect();
+    // The walk `explore_fig1` times: the cache alone, no baseline.
+    let deepest = [dfs_pass(&fig1, 6, run_cap, DFS_CACHE)];
+    assert!(deepest[0].1.complete(), "depth 6: capped");
+    depths.push(explore_row(6, run_cap, &deepest));
 
-    // fig1 with a member of an intersection crashing: POR is inert on a
-    // crash plan, so the visited set is the one reduction such trees get.
+    // fig1 with a member of an intersection crashing.
     let crashy = ScnDescriptor::parse(
         "gam-scn v1 family=fig1 seed=3 crash=isect(1) traffic=one variant=standard budget=200000",
     )
     .expect("valid descriptor");
     let crashy_depth = 5;
     let crashy_passes = dfs_passes(&Scenario::from_descriptor(&crashy), crashy_depth, run_cap);
-    let [(_, cache), (_, por)] = &crashy_passes;
-    assert!(cache.complete() && por.complete(), "fig1_crashy: capped");
+    let [(_, cache), (_, plain)] = &crashy_passes;
+    assert!(cache.complete() && plain.complete(), "fig1_crashy: capped");
     assert!(cache.dedup_hits > 0, "fig1_crashy: the cache hit nothing");
     assert!(
-        cache.runs <= por.runs,
+        cache.runs <= plain.runs,
         "fig1_crashy: the cache added leaves"
     );
-    assert_eq!(por.por_pruned, 0, "fig1_crashy: POR ran on a crash plan");
 
     // A single multicast on 64 processes, 8 groups of ~29 members: ~221
     // enabled actions at every level, so depth 4 is ~10⁹ schedules and the
@@ -364,11 +380,10 @@ fn explore_section() -> Json {
     Json::obj([
         (
             "fig1",
-            Json::obj(
-                fair_runs_json(&fig1)
-                    .into_iter()
-                    .chain([("depths", depths), ("key_audit", key_audit(&fig1, 6))]),
-            ),
+            Json::obj(fair_runs_json(&fig1).into_iter().chain([
+                ("depths", Json::Arr(depths)),
+                ("key_audit", key_audit(&fig1, 6)),
+            ])),
         ),
         (
             "fig1_crashy",
@@ -500,12 +515,11 @@ fn corpus_section() -> Json {
         "corpus covers only {} families",
         families.len()
     );
-    // One worker, no visited set, no sleep sets: every leaf of the bounded
-    // tree is a run, as the swarm's seeds are.
+    // One worker, no visited set: every leaf of the bounded tree is a run,
+    // as the swarm's seeds are.
     let config = ExploreConfig {
         threads: 1,
         dedup_capacity: 0,
-        por: false,
         ..ExploreConfig::default()
     };
     let rows = families.iter().map(|(name, template)| {

@@ -196,8 +196,8 @@ pub(crate) enum Action {
     Deliver(MessageId),
 }
 
-/// The classification of an enabled action that the explorer's
-/// independence relation keys on.
+/// The classification of an enabled action that the independence relation
+/// (`gam_engine::independence`) keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionKind {
     /// Help-multicast the next listed message (line 7 + Prop. 1).
@@ -216,16 +216,17 @@ pub enum ActionKind {
     Deliver,
 }
 
-/// An enabled action, described for the explorer's independence relation:
-/// who steps, what kind of action fires, and which group's protocol state
-/// it touches.
+/// An enabled action, described for the independence relation
+/// (`gam_engine::independence`): who steps, what kind of action fires, and
+/// which group's protocol state it touches.
 ///
 /// An action of process `p` about a unit of group `g` reads and writes
 /// only the shared pairs `{g, h}` for `h ∈ 𝒢(p)` (see the arena
 /// module's `per_gp` views), so two descriptors' touched pair
 /// sets are disjoint iff their groups differ and neither process belongs
-/// to the other action's group — the commutation test the explorer's
-/// sleep sets build on.
+/// to the other action's group — the commutation test of
+/// `gam_engine::actions_commute`. Kept for the gated benchmark, the one
+/// caller of [`Runtime::describe_enabled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActionDesc {
     /// The stepping process.
@@ -239,8 +240,7 @@ pub struct ActionDesc {
     pub rep: MessageId,
     /// Disambiguator within the kind: the target group of a `Stabilize`
     /// (several can be enabled at once for the same unit), `0` otherwise.
-    /// Descriptor equality then identifies one enabled action exactly —
-    /// the matching the explorer's sleep sets rely on.
+    /// Descriptor equality then identifies one enabled action exactly.
     pub aux: u32,
 }
 
@@ -1471,11 +1471,13 @@ impl Runtime {
         }
     }
 
-    /// Describes the current choice space over `set` for the explorer's
-    /// independence relation: one [`ActionDesc`] per enabled action, in
+    /// Describes the current choice space over `set` for the independence
+    /// relation: one [`ActionDesc`] per enabled action, in
     /// exactly the flat order of [`Runtime::options_into`] followed by
     /// sub-choice index — processes ascending, and within a process the
     /// deterministic `Action` order that [`Runtime::fire_enabled`] indexes.
+    /// Kept for the gated benchmark, which times it through
+    /// `gam_engine::RuntimeExecutor::describe_enabled`.
     pub fn describe_enabled(&self, set: ProcessSet, out: &mut Vec<ActionDesc>) {
         out.clear();
         for p in self.maybe_enabled(set) {

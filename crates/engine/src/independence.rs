@@ -1,14 +1,12 @@
-//! The independence relation of genuine atomic multicast — the single
-//! source of truth the explorer's partial-order reduction and the sharded
-//! serving driver both build on.
+//! The independence relation of genuine atomic multicast, which the
+//! sharded serving driver builds on.
 //!
 //! Two enabled actions *commute* when firing them in either order yields
 //! behaviorally equivalent states — equal delivery sequences, equal spec
-//! verdicts under every deterministic continuation. `gam-explore`'s sleep
-//! sets prune one of each commuting sibling pair; the parallel sustained
+//! verdicts under every deterministic continuation. The parallel sustained
 //! driver ([`crate::run_sustained_par`]) runs whole closed families of
-//! mutually conflicting groups on separate workers. Both are sound for the
-//! same reason, stated once here.
+//! mutually conflicting groups on separate workers, which is sound for the
+//! reason stated here.
 //!
 //! ## Why genuineness makes this a local test
 //!
@@ -29,12 +27,12 @@
 //! - **Same process never commutes.** Both actions bump `p`'s action
 //!   counter, consume the same per-process cursors, and their relative
 //!   order is the process's local program order.
-//! - **Crash-free patterns only** (`gam_explore::por_applicable`): with no
-//!   crashes the detector guards are time-invariant (the `γ` timelines are
-//!   constant, the `1^{g∩h}` indicators never fire, liveness is
-//!   universal), so commuting a pair of actions cannot move a guard
-//!   across a detector transition. Patterns with crashes disable pruning
-//!   entirely rather than approximate.
+//! - **Crash-free patterns only**: with no crashes the detector guards are
+//!   time-invariant (the `γ` timelines are constant, the `1^{g∩h}`
+//!   indicators never fire, liveness is universal), so commuting a pair of
+//!   actions cannot move a guard across a detector transition. The sharded
+//!   driver falls back to the sequential one on any pattern with crashes
+//!   rather than approximate.
 //!
 //! Unit-id allocation order (two `Inject`s) is *not* preserved by a swap:
 //! the states differ by a unit-id permutation while their behavior is
@@ -42,10 +40,10 @@
 //! enumeration sorts by representative message. The dedup key sees through
 //! the permutation as well ([`Executor::state_fingerprint`] walks units in
 //! `L_g` position order, `gam_core::Runtime::fold_observable`), so of two
-//! commuting `Inject` orders POR skips one subtree and dedup, where POR is
-//! off, one fair tail. Only the identity walk `Runtime::fold_state` still
-//! tells the two states apart, which is what the commit merge of the
-//! sharded driver has to re-sequence.
+//! commuting `Inject` orders the explorer's visited set walks one subtree.
+//! Only the identity walk `Runtime::fold_state` still tells the two states
+//! apart, which is what the commit merge of the sharded driver has to
+//! re-sequence.
 //!
 //! [`Executor::state_fingerprint`]: crate::Executor::state_fingerprint
 //!
@@ -69,6 +67,9 @@ use gam_groups::{GroupId, GroupSystem};
 /// delivery, distinct groups, and neither process a member of the other
 /// action's group — which makes their touched pair sets
 /// `{{gₐ, h} : h ∈ 𝒢(pₐ)}` and `{{g_b, h} : h ∈ 𝒢(p_b)}` disjoint.
+///
+/// No workspace code calls it: it states the relation [`groups_conflict`]
+/// over-approximates, and the gated benchmark times it.
 pub fn actions_commute(system: &GroupSystem, a: &ActionDesc, b: &ActionDesc) -> bool {
     a.pid != b.pid
         && a.kind != ActionKind::Deliver

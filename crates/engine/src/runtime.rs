@@ -98,8 +98,8 @@ impl RuntimeExecutor {
     }
 
     /// Describes the current choice space in flat digit order (see
-    /// [`Runtime::describe_enabled`]) — the explorer's independence
-    /// relation consumes these descriptors.
+    /// [`Runtime::describe_enabled`]), one descriptor per option for the
+    /// independence relation. Only the gated benchmark calls it.
     pub fn describe_enabled(&self, out: &mut Vec<ActionDesc>) {
         self.rt.describe_enabled(self.set, out);
     }

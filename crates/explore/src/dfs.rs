@@ -45,22 +45,9 @@
 //! child returned clean and uncapped, because a violation or the cap
 //! returns first. So the set only ever holds subtrees that completed
 //! clean, and a hit can never hide a violation: the first violation and
-//! its shrunk repro are the ones the uncached walk reports. The sleep sets
-//! below step aside wherever the cache runs (DESIGN.md decision 18). On
-//! fig1 at depth 6 this gives 3 054 leaves where sleep sets with a
-//! tail-only cache gave 65 387.
-//!
-//! ## Partial-order reduction
-//!
-//! Without a visited set, [`ExploreConfig::por`](crate::ExploreConfig::por)
-//! prunes whole sibling subtrees with *sleep sets* over the independence
-//! relation of [`crate::independence`]: when sibling digits `i < j` fire
-//! commuting actions, every interleaving below `j` that starts with `i`'s
-//! action is a step-permutation of one below `i` with an identical report,
-//! so `j`'s subtree sleeps `i`'s action. Pruning is gated on crash-free
-//! scenarios ([`por_applicable`]) and never enabled for the leftmost path,
-//! so the first counterexample found — and its shrunk repro — is
-//! byte-identical with POR on or off. `por_pruned` counts skipped digits.
+//! its shrunk repro are the ones the uncached walk reports. On fig1 at
+//! depth 6 this gives 3 054 leaves where the uncached walk runs 776 906
+//! (DESIGN.md decision 18).
 //!
 //! ## Accounting
 //!
@@ -68,18 +55,18 @@
 //! counts what this walk actually ran; `steps_avoided` counts the prefix
 //! re-execution it skipped, measured so that `steps_executed +
 //! steps_avoided` equals the steps the oracle executes on the same leaves
-//! (under POR or the subtree cache, a *pruned* set of them — the identity
-//! is only asserted without either). `snapshot_bytes` sums what each
+//! (under the subtree cache, a *pruned* set of them — the identity is
+//! only asserted without it). `snapshot_bytes` sums what each
 //! checkpoint actually copied (chunk pointer tables under copy-on-write
 //! state) against the `snapshot_deep_bytes` a deep `Clone` would have
-//! copied. `BENCH_counts.json` (section `explore`) tracks both reductions.
+//! copied. `BENCH_counts.json` (section `explore`) tracks both reductions:
+//! prefix sharing and the cache.
 //!
 //! ## Storage
 //!
 //! Backtracking is the hot loop, so it reuses what it has. A popped
 //! [`Frame`] stays in the stack's spare capacity and the next branch point
-//! at that depth takes it over: its descriptor and sleep vectors are
-//! rewritten in place, and its checkpoint is retaken *into* the old one
+//! at that depth takes it over: its checkpoint is retaken *into* the old one
 //! (`RuntimeExecutor::snapshot_into` — every chunk shared exactly as a
 //! fresh snapshot shares it, so the byte accounting above is unchanged;
 //! only the pointer tables are recycled). A restore copies back into the
@@ -90,12 +77,9 @@
 //! scan reaches.
 
 use crate::explorer::{ItemResult, Worker};
-use crate::independence::{actions_commute, por_applicable};
 use crate::Prototype;
-use gam_core::ActionDesc;
 use gam_engine::digest::derive_seed;
 use gam_engine::{Executor, RuntimeSnapshot, SnapshotExec};
-use gam_groups::GroupSystem;
 use gam_kernel::schedule::ChoiceStep;
 use gam_kernel::{ProcessId, RunOutcome};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,11 +103,6 @@ struct Frame {
     next: usize,
     /// Length of the recorded schedule at the branch point.
     sched_len: usize,
-    /// Sleep-set bookkeeping, populated only under partial-order
-    /// reduction: the flat descriptors of the branch's options and the
-    /// sleep set that applied on arrival (both empty with POR off).
-    descs: Vec<ActionDesc>,
-    sleep: Vec<ActionDesc>,
     /// The branch's [`subtree_key`], inserted into the visited set when the
     /// frame is popped — after its last child returned clean (unused
     /// without a visited set).
@@ -136,10 +115,8 @@ enum Descent {
     Interior(RunOutcome),
     /// `depth` digits were consumed; a fair tail completes the run.
     Tail,
-    /// Every child of a reached branch was slept (the whole subtree
-    /// re-orders interleavings explored earlier), or the visited set holds
-    /// the branch's subtree key (the subtree completed clean before).
-    /// Nothing ran, nothing to check.
+    /// The visited set holds the reached branch's subtree key: the subtree
+    /// completed clean before. Nothing ran, nothing to check.
     Pruned,
 }
 
@@ -155,23 +132,6 @@ pub fn subtree_key(fingerprint: u64, remaining: usize) -> u64 {
         0 => fingerprint,
         r => derive_seed(fingerprint, r as u64),
     }
-}
-
-/// Turns `sleep`, the sleep set at a branch, into the one a child inherits
-/// after the branch steps `stepped`: its entries plus the branch's
-/// `earlier` siblings, kept iff they commute with `stepped` — the
-/// covered-elsewhere invariant survives exactly across commuting steps.
-fn sleep_below(
-    system: &GroupSystem,
-    sleep: &mut Vec<ActionDesc>,
-    earlier: &[ActionDesc],
-    stepped: &ActionDesc,
-) {
-    sleep.retain(|z| actions_commute(system, z, stepped));
-    let earlier = earlier
-        .iter()
-        .filter(|z| actions_commute(system, z, stepped));
-    sleep.extend(earlier.copied());
 }
 
 /// Replicates one iteration chunk of the engine driver loop
@@ -237,16 +197,8 @@ fn step_flat<E: Executor>(
 ///
 /// With a visited set, every branch past the pinned prefix is probed under
 /// its [`subtree_key`] and recorded when its frame is popped, so a subtree
-/// that completed clean is not walked again. Without one and with `por`
-/// set (and the scenario crash-free), sleep sets prune sibling digits
-/// whose action commutes with an earlier-explored sibling: the pruned
-/// subtree's interleavings are step-permutations of already-covered ones
-/// with identical reports, so skipping them can never hide a violation —
-/// and because a pruned leaf always has its covering equivalent *earlier*
-/// in DFS preorder, the first violation found (and hence the shrunk repro)
-/// is byte-identical with POR on or off. The two never run together: a
-/// frame explored under a sleep set has not covered its whole subtree, so
-/// its key would vouch for leaves nobody checked (DESIGN.md decision 18).
+/// that completed clean is not walked again. Without one, every leaf of
+/// the item is a run.
 pub(crate) fn dfs_item(
     proto: &Prototype,
     depth: usize,
@@ -254,11 +206,8 @@ pub(crate) fn dfs_item(
     reserved: &AtomicU64,
     max_runs: u64,
     worker: &mut Worker,
-    por: bool,
 ) -> ItemResult {
     let scenario = proto.scenario;
-    let por = por && por_applicable(scenario) && worker.visited.is_none();
-    let system = &scenario.system;
     let mut res = ItemResult::default();
     proto.reset(&mut worker.exec);
     // `stack[..live]` is the current path; the frames past it are spare.
@@ -266,18 +215,12 @@ pub(crate) fn dfs_item(
     let mut live = 0usize;
     let mut prefix: Vec<ChoiceStep> = Vec::new();
     let mut options: Vec<(ProcessId, usize)> = Vec::new();
-    let mut descs: Vec<ActionDesc> = Vec::new();
-    let mut cur_sleep: Vec<ActionDesc> = Vec::new();
     let mut tail_sched: Vec<ChoiceStep> = Vec::new();
     let mut taken = 0u64;
     let mut started = false;
     loop {
         // Backtrack to the deepest branch with an unexplored sibling —
         // exactly the odometer's "bump the deepest consumed digit" rule.
-        // Slept siblings (their descriptor is in the frame's sleep set) are
-        // skipped without reserving a run: their subtrees re-order
-        // interleavings an earlier sibling already covered. With POR off
-        // every frame's `descs`/`sleep` are empty and nothing is skipped.
         // A frame popped here has seen every child return clean (a
         // violation or the cap returns first), so its subtree is recorded.
         if started {
@@ -286,15 +229,6 @@ pub(crate) fn dfs_item(
                     return res;
                 };
                 top.next += 1;
-                while top.next < top.total
-                    && top
-                        .descs
-                        .get(top.next)
-                        .is_some_and(|d| top.sleep.contains(d))
-                {
-                    res.por_pruned += 1;
-                    top.next += 1;
-                }
                 if top.next < top.total {
                     break;
                 }
@@ -327,23 +261,10 @@ pub(crate) fn dfs_item(
             // The checkpoint is a choice point (budget not exhausted,
             // options non-empty): re-enumerate and take the sibling digit.
             worker.exec.enabled_actions(&mut options);
-            let next = frame.next;
-            if por {
-                // All earlier siblings — explored or slept — are covered
-                // when this child's subtree runs, so any of them that
-                // commutes with the stepped action sleeps below it.
-                cur_sleep.clone_from(&frame.sleep);
-                sleep_below(
-                    system,
-                    &mut cur_sleep,
-                    &frame.descs[..next],
-                    &frame.descs[next],
-                );
-            }
             step_flat(
                 &mut worker.exec,
                 &options,
-                next,
+                frame.next,
                 &mut prefix,
                 &mut taken,
                 &mut res.steps_executed,
@@ -351,8 +272,6 @@ pub(crate) fn dfs_item(
             // Frames sit strictly past the pinned region, so the restored
             // path has consumed every pinned digit plus one per frame.
             digits = pinned.len() + live;
-        } else if por {
-            cur_sleep.clear();
         }
         started = true;
         // Descend to a leaf: either the run terminates (interior leaf) or
@@ -369,27 +288,8 @@ pub(crate) fn dfs_item(
                 None if digits == depth => break Descent::Tail,
                 None => {
                     let total: usize = options.iter().map(|(_, arity)| arity).sum();
-                    if por {
-                        worker.exec.describe_enabled(&mut descs);
-                        debug_assert_eq!(
-                            descs.len(),
-                            total,
-                            "flat descriptors align with flat digits"
-                        );
-                    }
                     let flat = if digits < pinned.len() {
-                        let flat = pinned[digits].min(total - 1);
-                        if por && cur_sleep.contains(&descs[flat]) {
-                            // The sequential sleep-set walk skips this
-                            // digit here, taking every run below it with
-                            // it — including this whole pinned item. (The
-                            // reserved run goes unused; with POR on, run
-                            // counts are not comparable to the unpruned
-                            // engines anyway.)
-                            res.por_pruned += 1;
-                            return res;
-                        }
-                        flat
+                        pinned[digits].min(total - 1)
                     } else {
                         // A new branch past the pinned prefix: skip its
                         // subtree if one of the same key completed clean.
@@ -398,17 +298,6 @@ pub(crate) fn dfs_item(
                             key = subtree_key(worker.exec.state_fingerprint(), depth - digits);
                             if seen.contains(key) {
                                 res.dedup_hits += 1;
-                                break Descent::Pruned;
-                            }
-                        }
-                        // First unslept digit; with POR off this is 0.
-                        let mut first = 0usize;
-                        if por {
-                            while first < total && cur_sleep.contains(&descs[first]) {
-                                res.por_pruned += 1;
-                                first += 1;
-                            }
-                            if first == total {
                                 break Descent::Pruned;
                             }
                         }
@@ -430,18 +319,11 @@ pub(crate) fn dfs_item(
                         }
                         frame.taken = taken;
                         frame.total = total;
-                        frame.next = first;
+                        frame.next = 0;
                         frame.sched_len = prefix.len();
-                        // Empty with POR off: `descs` and `cur_sleep` are
-                        // never filled then.
-                        frame.descs.clone_from(&descs);
-                        frame.sleep.clone_from(&cur_sleep);
                         frame.key = key;
-                        first
+                        0
                     };
-                    if por {
-                        sleep_below(system, &mut cur_sleep, &descs[..flat], &descs[flat]);
-                    }
                     step_flat(
                         &mut worker.exec,
                         &options,

@@ -132,8 +132,9 @@ pub struct ExploreStats {
     pub snapshot_deep_bytes: u64,
     /// Largest single checkpoint, in copied bytes.
     pub snapshot_bytes_peak: u64,
-    /// Subtrees skipped by sleep-set partial-order reduction (0 unless
-    /// [`ExploreConfig::por`] is on).
+    /// Always 0. Kept only because the gated benchmark folds it into the
+    /// explore workloads' output hash; the explorer has no reduction
+    /// besides the visited set.
     pub por_pruned: u64,
     /// State chunks the pool's executors copied element by element while
     /// exploring — copy-on-write copies after a checkpoint plus restore
@@ -185,19 +186,11 @@ pub struct ExploreConfig {
     pub shrink_budget: u64,
     /// Capacity of each worker's visited set; `0` disables pruning. The
     /// exhaustive walk then skips every fair tail and every subtree that
-    /// completed clean before, keyed by [`crate::subtree_key`], and runs no
-    /// sleep sets (see [`ExploreConfig::por`]). The swarm has no
-    /// prefix/tail split, so the setting does not affect it.
+    /// completed clean before, keyed by [`crate::subtree_key`]. The swarm
+    /// has no prefix/tail split, so the setting does not affect it.
     pub dedup_capacity: usize,
-    /// Partial-order reduction in the exhaustive walk when it has no
-    /// visited set (`dedup_capacity == 0`): sleep sets prune one of each
-    /// pair of commuting sibling orders (see [`crate::independence`]).
-    /// Verdicts and the canonical counterexample are unchanged; run counts
-    /// are no longer the full tree's, hence off by default. Silently inert
-    /// beside a visited set (a subtree explored under a sleep set is not
-    /// complete, so it cannot be cached, and the cache alone reaches fewer
-    /// leaves), when the scenario has crashes (the relation is only sound
-    /// crash-free), and for the swarm.
+    /// Ignored. Kept only because the gated benchmark still sets it; the
+    /// visited set is the explorer's one reduction.
     pub por: bool,
 }
 
@@ -261,9 +254,7 @@ pub fn explore(scenario: &Scenario, mode: Mode, config: &ExploreConfig) -> Explo
             };
             let reserved = AtomicU64::new(0);
             let walk = |i: usize, worker: &mut Worker| {
-                dfs_item(
-                    proto, depth, &items[i], &reserved, max_runs, worker, config.por,
-                )
+                dfs_item(proto, depth, &items[i], &reserved, max_runs, worker)
             };
             let (dedup, shrink) = (config.dedup_capacity, config.shrink_budget);
             pool(proto, items.len(), threads, dedup, shrink, walk)
@@ -395,8 +386,6 @@ pub(crate) struct ItemResult {
     pub(crate) snapshot_deep_bytes: u64,
     /// Largest single checkpoint, in copied bytes.
     pub(crate) snapshot_bytes_peak: u64,
-    /// Subtrees skipped by sleep-set partial-order reduction.
-    pub(crate) por_pruned: u64,
     /// Chunks the worker's executor copied while on this item, and
     /// fingerprints its visited set evicted (both set by [`pool`]).
     pub(crate) chunk_copies: u64,
@@ -493,7 +482,6 @@ fn merge(
         sum.snapshot_bytes += r.snapshot_bytes;
         sum.snapshot_deep_bytes += r.snapshot_deep_bytes;
         sum.snapshot_bytes_peak = sum.snapshot_bytes_peak.max(r.snapshot_bytes_peak);
-        sum.por_pruned += r.por_pruned;
         sum.chunk_copies += r.chunk_copies;
         sum.dedup_evictions += r.dedup_evictions;
         // Sorted by index: the first violation is the lowest item's.
@@ -514,16 +502,16 @@ fn merge(
         dedup_hits: sum.dedup_hits,
         steps_executed: sum.steps_executed,
         snapshots_taken: sum.snapshots,
-        // A descent can end at a branch whose children are all slept, or
-        // whose subtree is cached: those steps ran but belong to no leaf.
-        // Saturated once, over the sums, so the total does not depend on
-        // how the tree was split; the identity `executed + avoided =
-        // restart cost` is only asserted without POR or dedup.
+        // A descent can end at a branch whose subtree is cached: those
+        // steps ran but belong to no leaf. Saturated once, over the sums, so
+        // the total does not depend on how the tree was split; the identity
+        // `executed + avoided = restart cost` is only asserted without
+        // dedup.
         steps_avoided: sum.steps_odometer.saturating_sub(sum.steps_executed),
         snapshot_bytes: sum.snapshot_bytes,
         snapshot_deep_bytes: sum.snapshot_deep_bytes,
         snapshot_bytes_peak: sum.snapshot_bytes_peak,
-        por_pruned: sum.por_pruned,
+        por_pruned: 0,
         chunk_copies: sum.chunk_copies,
         dedup_evictions: sum.dedup_evictions,
     }
@@ -615,9 +603,8 @@ mod tests {
     fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
         ExploreConfig {
             threads,
-            shrink_budget: DEFAULT_SHRINK_BUDGET,
             dedup_capacity,
-            por: false,
+            ..ExploreConfig::default()
         }
     }
 

@@ -43,22 +43,16 @@ pub struct HuntConfig {
     /// Also check global `ordering` on runs that pass their own variant —
     /// the solvability-boundary mode (see module docs).
     pub ordering_boundary: bool,
-    /// Sleep-set partial-order reduction for the exhaustive phase
-    /// (on by default; automatically inert on descriptors with crashes).
-    /// The phase runs on the snapshotting DFS engine either way, so the
-    /// same run cap covers more distinct behaviors per descriptor.
-    pub por: bool,
 }
 
 impl Default for HuntConfig {
     fn default() -> Self {
         HuntConfig {
             swarm_seeds: 0..16,
-            depth: 2,
-            run_cap: 300,
+            depth: 4,
+            run_cap: 20_000,
             shrink_budget: DEFAULT_SHRINK_BUDGET,
             ordering_boundary: false,
-            por: true,
         }
     }
 }
@@ -208,8 +202,8 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
     // Phase 2: bounded exhaustive enumeration under the stock spec (the
     // boundary re-check is swarm-only; the enumerated space is checked by
     // `check_all` inside the explorer). One thread walks the tree —
-    // deterministic, prefix-shared, and (with `cfg.por`) sleep-set pruned,
-    // so the run cap buys more coverage.
+    // deterministic, prefix-shared, and skipping every subtree that already
+    // completed clean, so the run cap buys more coverage.
     if cfg.run_cap == 0 {
         // Swarm-only hunt (e.g. boundary mode): skip even building the
         // explorer's prototype.
@@ -218,8 +212,7 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
     let explore_cfg = ExploreConfig {
         threads: 1,
         shrink_budget: cfg.shrink_budget,
-        dedup_capacity: 0,
-        por: cfg.por,
+        ..ExploreConfig::default()
     };
     let mode = Mode::Exhaustive {
         depth: cfg.depth,
@@ -296,5 +289,45 @@ mod tests {
         // the pair is self-contained text
         assert!(finding.repro.to_text().starts_with("gam-repro v1"));
         assert!(finding.descriptor.starts_with("gam-scn v1"));
+    }
+
+    #[test]
+    fn the_exhaustive_phase_skips_subtrees_that_completed_clean() {
+        // Both intersection members crash and the budget runs out at 22:
+        // some subtrees complete clean before a later leaf starves
+        // termination. The hunt's walk caches the clean ones, so it reaches
+        // the uncached walk's counterexample in fewer runs.
+        let d =
+            ScnDescriptor::parse("gam-scn v1 family=two(4,2) crash=isect(2) traffic=one budget=22")
+                .unwrap();
+        let cfg = HuntConfig {
+            swarm_seeds: 0..0,
+            ..Default::default()
+        };
+        let outcome = hunt_one(&d, &cfg);
+        assert_eq!(outcome.findings.len(), 1);
+
+        let uncached = ExploreConfig {
+            threads: 1,
+            shrink_budget: cfg.shrink_budget,
+            dedup_capacity: 0,
+            ..ExploreConfig::default()
+        };
+        let mode = Mode::Exhaustive {
+            depth: cfg.depth,
+            max_runs: cfg.run_cap,
+        };
+        let reference = explore(&Scenario::from_descriptor(&d), mode, &uncached);
+        assert_eq!(reference.outcome, Outcome::ViolationFound);
+        assert_eq!(
+            outcome.findings[0].repro.to_text(),
+            reference.violations[0].repro.to_text()
+        );
+        assert!(
+            outcome.exhaustive_runs < reference.runs,
+            "the hunt ran {} leaves, the uncached walk {}",
+            outcome.exhaustive_runs,
+            reference.runs
+        );
     }
 }

@@ -36,7 +36,6 @@
 mod dfs;
 mod explorer;
 pub mod hunt;
-pub mod independence;
 pub mod kernel;
 mod repro;
 mod shrink;
@@ -49,7 +48,6 @@ pub use explorer::{
 pub use gam_engine::digest::{self, fnv1a, trace_hash};
 pub use gam_engine::PrefixTail;
 pub use hunt::{hunt, hunt_one, HuntConfig, HuntFinding, HuntOutcome, HuntReport};
-pub use independence::{actions_commute, por_applicable};
 pub use repro::Repro;
 pub use shrink::shrink;
 

@@ -236,18 +236,19 @@ fn p002_covers_the_interned_arena_module() {
 
 #[test]
 fn p002_covers_the_independence_module() {
-    // The POR independence relation decides which sibling subtrees the
-    // explorer *never runs*, so it must be as platform-exact as a digest:
-    // `crates/explore/src/independence.rs` sits in the [digest] scope. A
-    // float-scored commutation oracle fires, the exact set-arithmetic one
-    // scans clean, a reasoned allow on a diagnostic-only rate is honoured,
-    // and the same code out of scope is none of P002's business.
+    // The independence relation fixes the sharded driver's partition, and
+    // with it the byte-identity of the sharded merge, so it must be as
+    // platform-exact as a digest: `crates/engine/src/independence.rs` sits
+    // in the [digest] scope. A float-scored commutation oracle fires, the
+    // exact set-arithmetic one scans clean, a reasoned allow on a
+    // diagnostic-only rate is honoured, and the same code out of scope is
+    // none of P002's business.
     let cfg = Config {
-        deterministic: vec!["crates/explore".into()],
-        digest: vec!["crates/explore/src/independence.rs".into()],
+        deterministic: vec!["crates/engine".into()],
+        digest: vec!["crates/engine/src/independence.rs".into()],
         ..Config::default()
     };
-    const INDEP: &str = "crates/explore/src/independence.rs";
+    const INDEP: &str = "crates/engine/src/independence.rs";
     let fired = scan_fixture("p002_independence_fires.rs", INDEP, &cfg);
     assert_eq!(
         findings(&fired),

@@ -16,7 +16,7 @@ mod common;
 use common::odometer::odometer;
 use gam_kernel::RunOutcome;
 use genuine_multicast::core::distributed::run_report;
-use genuine_multicast::explore::{Mode, Outcome, DEFAULT_SHRINK_BUDGET};
+use genuine_multicast::explore::{Mode, Outcome};
 use genuine_multicast::prelude::*;
 use genuine_multicast::scenarios::corpus;
 
@@ -24,13 +24,12 @@ use genuine_multicast::scenarios::corpus;
 /// mergeable injection actually merges.
 const BATCH: u32 = 16;
 
-/// One worker, no visited set, no sleep sets: the odometer's leaves.
+/// One worker, no visited set: the odometer's leaves.
 fn one_thread() -> ExploreConfig {
     ExploreConfig {
         threads: 1,
-        shrink_budget: DEFAULT_SHRINK_BUDGET,
         dedup_capacity: 0,
-        por: false,
+        ..ExploreConfig::default()
     }
 }
 

@@ -13,7 +13,7 @@
 //! instants, the quiescence bit, the `check_all` verdict, and whether each
 //! process that no message addresses has acted.
 //!
-//! Checked here, not argued: with dedup and POR out of the way this test
+//! Checked here, not argued: with dedup out of the way this test
 //! walks the bounded choice tree itself, takes the keys where the DFS takes
 //! them (at each choice point, after idle ticks), runs the fair tail from
 //! *every* tail state, collects at each choice point of a complete subtree
@@ -56,7 +56,7 @@ fn addressed(scenario: &Scenario) -> ProcessSet {
 /// [`Walk::outcomes`].
 type OutcomeSet = BTreeSet<usize>;
 
-/// The bounded tree of one scenario, walked without dedup and without POR.
+/// The bounded tree of one scenario, walked without dedup.
 struct Walk<'a> {
     scenario: &'a Scenario,
     unaddressed: ProcessSet,

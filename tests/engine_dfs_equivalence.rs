@@ -19,7 +19,7 @@ mod common;
 
 use common::odometer::odometer;
 use genuine_multicast::engine::{replay, run_with_source_counted, PrefixTail, RuntimeSnapshot};
-use genuine_multicast::explore::{Mode, Outcome, DEFAULT_SHRINK_BUDGET};
+use genuine_multicast::explore::{Mode, Outcome};
 use genuine_multicast::kernel::{
     ChoiceStep, RecordingSource, ReplaySource, RotatingSource, RunOutcome,
 };
@@ -29,9 +29,8 @@ use genuine_multicast::scenarios::{ScnDescriptor, FIXTURES};
 fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
     ExploreConfig {
         threads,
-        shrink_budget: DEFAULT_SHRINK_BUDGET,
         dedup_capacity,
-        por: false,
+        ..ExploreConfig::default()
     }
 }
 
@@ -125,27 +124,6 @@ fn parallel_dfs_matches_parallel_odometer_coverage() {
     }
 }
 
-#[test]
-fn step_accounting_does_not_depend_on_how_the_tree_is_split() {
-    // Under sleep sets a descent can end with every child slept: its steps
-    // ran but belong to no leaf. Summed before saturating, the restart cost
-    // of the leaves is the same whether one item or many walked them.
-    let scenario = Scenario::one_per_group(&topology::fig1(), 200_000);
-    let restart_cost = |threads| {
-        let config = ExploreConfig {
-            por: true,
-            ..config(threads, 0)
-        };
-        let stats = explore(&scenario, exhaustive(4, u64::MAX), &config);
-        assert!(stats.clean() && stats.por_pruned > 0, "{threads} threads");
-        (stats.runs, stats.steps_executed + stats.steps_avoided)
-    };
-    let one = restart_cost(1);
-    for threads in [2, 4] {
-        assert_eq!(restart_cost(threads), one, "{threads} threads");
-    }
-}
-
 /// Every schedule of this scenario violates termination (the step budget is
 /// far below quiescence) — the adversarial case for violation reporting.
 fn starved_scenario() -> Scenario {
@@ -193,28 +171,26 @@ fn the_subtree_cache_reports_the_same_counterexample_on_a_starved_crash_plan() {
     // them, and a later leaf violates termination.
     let mut scenario = Scenario::one_per_group(&topology::two_overlapping(3, 1), 24);
     scenario.crashes = vec![(ProcessId(2), Time(12))];
-    let walk = |threads, dedup_capacity, por| {
-        let config = ExploreConfig {
-            por,
-            ..config(threads, dedup_capacity)
-        };
-        explore(&scenario, exhaustive(4, 10_000), &config)
+    let walk = |threads, dedup_capacity| {
+        explore(
+            &scenario,
+            exhaustive(4, 10_000),
+            &config(threads, dedup_capacity),
+        )
     };
-    let reference = walk(1, 0, false);
+    let reference = walk(1, 0);
     assert_eq!(reference.outcome, Outcome::ViolationFound);
     let reference = &reference.violations[0].repro;
     for threads in [1, 2] {
         for dedup_capacity in [0, 1 << 16] {
-            for por in [false, true] {
-                let got = walk(threads, dedup_capacity, por);
-                let what = format!("{threads} threads, dedup {dedup_capacity}, POR {por}");
-                assert_eq!(got.outcome, Outcome::ViolationFound, "{what}");
-                let repro = &got.violations[0].repro;
-                assert_eq!(repro.to_text(), reference.to_text(), "{what}");
-                assert_eq!(repro.trace_hash(), reference.trace_hash(), "{what}");
-                if threads == 1 && dedup_capacity > 0 {
-                    assert!(got.dedup_hits > 0, "{what}: the cache hit nothing");
-                }
+            let got = walk(threads, dedup_capacity);
+            let what = format!("{threads} threads, dedup {dedup_capacity}");
+            assert_eq!(got.outcome, Outcome::ViolationFound, "{what}");
+            let repro = &got.violations[0].repro;
+            assert_eq!(repro.to_text(), reference.to_text(), "{what}");
+            assert_eq!(repro.trace_hash(), reference.trace_hash(), "{what}");
+            if threads == 1 && dedup_capacity > 0 {
+                assert!(got.dedup_hits > 0, "{what}: the cache hit nothing");
             }
         }
     }

@@ -17,15 +17,14 @@
 mod common;
 
 use common::odometer::odometer;
-use genuine_multicast::explore::{Counterexample, Mode, Outcome, DEFAULT_SHRINK_BUDGET};
+use genuine_multicast::explore::{Counterexample, Mode, Outcome};
 use genuine_multicast::prelude::*;
 
 fn config(threads: usize, dedup_capacity: usize) -> ExploreConfig {
     ExploreConfig {
         threads,
-        shrink_budget: DEFAULT_SHRINK_BUDGET,
         dedup_capacity,
-        por: false,
+        ..ExploreConfig::default()
     }
 }
 

@@ -13,7 +13,7 @@
 mod common;
 
 use common::odometer::odometer;
-use genuine_multicast::explore::{Mode, Outcome, Scenario, DEFAULT_SHRINK_BUDGET};
+use genuine_multicast::explore::{Mode, Outcome, Scenario};
 use genuine_multicast::prelude::*;
 use genuine_multicast::scenarios::{corpus, ScnDescriptor};
 use proptest::prelude::*;
@@ -61,9 +61,8 @@ fn engines_and_thread_counts_agree_on_generated_scenarios() {
     let scenario = Scenario::from_descriptor(&starved);
     let config = |threads| ExploreConfig {
         threads,
-        shrink_budget: DEFAULT_SHRINK_BUDGET,
         dedup_capacity: 0,
-        por: false,
+        ..ExploreConfig::default()
     };
     let mode = || Mode::Exhaustive {
         depth: 3,
