@@ -116,16 +116,6 @@ pub fn crash_first_intersection(gs: &GroupSystem, at: Time) -> FailurePattern {
     pattern
 }
 
-/// Classification of `Variant::Standard` solving on `gs` failure-free.
-pub fn solve_failure_free(gs: &GroupSystem, budget: u64) -> Outcome {
-    classify(
-        gs,
-        FailurePattern::all_correct(gs.universe()),
-        RuntimeConfig::default(),
-        budget,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::json::Json;
@@ -172,7 +162,13 @@ mod tests {
     #[test]
     fn workload_solves_fig1() {
         let gs = topology::fig1();
-        assert_eq!(solve_failure_free(&gs, 1_000_000), Outcome::Solved);
+        let out = classify(
+            &gs,
+            FailurePattern::all_correct(gs.universe()),
+            RuntimeConfig::default(),
+            1_000_000,
+        );
+        assert_eq!(out, Outcome::Solved);
     }
 
     #[test]

@@ -1,26 +1,16 @@
-//! Baseline multicast algorithms the paper positions itself against.
+//! The baseline the paper positions itself against.
 //!
-//! - [`BroadcastBased`] — the naive, **non-genuine** solution of §1/§2.3:
-//!   every message goes through a single atomic broadcast and every process
-//!   scans the whole log, delivering only what is addressed to it. Its
-//!   weakest failure detector is `Ω ∧ Σ` (Table 1, first row), but it fails
-//!   *minimality*: processes take steps for messages not addressed to them,
-//!   which is why it does not scale with the number of groups [33, 37].
-//! - [`ComponentBroadcast`] — broadcast per connected component of the
-//!   intersection graph: genuine at component granularity only. This is the
-//!   spirit of the disjoint-decomposition assumption most prior protocols
-//!   make (§7).
-//! - [`SkeenProcess`] — Skeen's classical failure-free multicast [5, 22]
-//!   (propose / collect-max / final timestamps), run over the
-//!   message-passing kernel. It is genuine but blocks forever if any
-//!   destination crashes mid-protocol — the paper's Algorithm 1 is its
-//!   fault-tolerant generalisation.
+//! [`BroadcastBased`] is the naive, **non-genuine** solution of §1/§2.3:
+//! every message goes through a single atomic broadcast and every process
+//! scans the whole log, delivering only what is addressed to it. Its weakest
+//! failure detector is `Ω ∧ Σ` (Table 1, first row), but it fails
+//! *minimality*: processes take steps for messages not addressed to them,
+//! which is why it does not scale with the number of groups [33, 37].
 
 use crate::message::{MessageId, MessageInfo};
 use crate::runtime::{Delivery, RunReport};
 use gam_groups::{GroupId, GroupSystem};
-use gam_kernel::{Automaton, Envelope, FailurePattern, ProcessId, ProcessSet, StepCtx, Time};
-use std::collections::BTreeMap;
+use gam_kernel::{FailurePattern, ProcessId, Time};
 
 /// The naive multicast over one global atomic broadcast.
 ///
@@ -127,276 +117,11 @@ impl BroadcastBased {
     }
 }
 
-/// Broadcast per connected component of the intersection graph — the
-/// disjoint-decomposition baseline of §7, at component granularity.
-#[derive(Debug)]
-pub struct ComponentBroadcast {
-    inner: BroadcastBased,
-    /// component index per group
-    comp_of_group: Vec<usize>,
-    /// component members
-    comp_members: Vec<ProcessSet>,
-    comp_logs: Vec<Vec<MessageId>>,
-    cursor: Vec<Vec<usize>>, // per component, per process index
-}
-
-impl ComponentBroadcast {
-    /// Creates the baseline over `system`.
-    pub fn new(system: &GroupSystem, pattern: FailurePattern) -> Self {
-        let comps = system.components();
-        let mut comp_of_group = vec![0usize; system.len()];
-        let mut comp_members = Vec::new();
-        for (ci, comp) in comps.iter().enumerate() {
-            let mut members = ProcessSet::EMPTY;
-            for g in *comp {
-                comp_of_group[g.index()] = ci;
-                members |= system.members(g);
-            }
-            comp_members.push(members);
-        }
-        let n = system.universe().max().map_or(0, |p| p.index() + 1);
-        ComponentBroadcast {
-            inner: BroadcastBased::new(system, pattern),
-            comp_of_group,
-            comp_members,
-            comp_logs: vec![Vec::new(); comps.len()],
-            cursor: vec![vec![0; n]; comps.len()],
-        }
-    }
-
-    /// Submits a multicast into its component's broadcast log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src ∉ group`.
-    pub fn multicast(&mut self, src: ProcessId, group: GroupId, payload: u64) -> MessageId {
-        assert!(self.inner.system.members(group).contains(src));
-        self.inner.now = self.inner.now.next();
-        let id = MessageId(self.inner.messages.len() as u64);
-        self.inner.messages.push(MessageInfo {
-            src,
-            group,
-            payload,
-        });
-        self.inner.multicast_at.push(self.inner.now);
-        self.comp_logs[self.comp_of_group[group.index()]].push(id);
-        id
-    }
-
-    /// Runs to quiescence (or budget); returns `true` on quiescence.
-    pub fn run(&mut self, max_actions: u64) -> bool {
-        let mut taken = 0u64;
-        loop {
-            let mut progressed = false;
-            for (ci, members) in self.comp_members.clone().iter().enumerate() {
-                for p in *members {
-                    let i = p.index();
-                    if self.inner.pattern.is_crashed(p, self.inner.now) {
-                        continue;
-                    }
-                    if self.cursor[ci][i] < self.comp_logs[ci].len() {
-                        if taken >= max_actions {
-                            return false;
-                        }
-                        self.inner.now = self.inner.now.next();
-                        let m = self.comp_logs[ci][self.cursor[ci][i]];
-                        self.cursor[ci][i] += 1;
-                        self.inner.actions_of[i] += 1;
-                        let dst = self
-                            .inner
-                            .system
-                            .members(self.inner.messages[m.0 as usize].group);
-                        if dst.contains(p) {
-                            self.inner.delivered[i].push(Delivery {
-                                msg: m,
-                                at: self.inner.now,
-                            });
-                        }
-                        progressed = true;
-                        taken += 1;
-                    }
-                }
-            }
-            if !progressed {
-                return true;
-            }
-        }
-    }
-
-    /// Produces a [`RunReport`] compatible with the `spec` checkers.
-    pub fn report(&self, quiescent: bool) -> RunReport {
-        self.inner.report(quiescent)
-    }
-}
-
-/// Messages of Skeen's algorithm.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SkeenMsg {
-    /// The sender proposes `m` to its destination group.
-    Propose {
-        /// The multicast message.
-        m: MessageId,
-        /// Its destination group.
-        group: GroupId,
-    },
-    /// A destination replies with its local timestamp.
-    TsReply {
-        /// The multicast message.
-        m: MessageId,
-        /// Proposed local timestamp.
-        ts: u64,
-    },
-    /// The sender announces the final timestamp (max of proposals).
-    Final {
-        /// The multicast message.
-        m: MessageId,
-        /// Final timestamp.
-        ts: u64,
-    },
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SkeenState {
-    Proposed { ts: u64 },
-    Final { ts: u64 },
-}
-
-/// One process of Skeen's failure-free atomic multicast.
-///
-/// Emits the delivered [`MessageId`]s as events. Blocks (never delivers)
-/// if any member of a destination group crashes before replying — the
-/// behaviour the fault-tolerant Algorithm 1 fixes.
-#[derive(Debug)]
-pub struct SkeenProcess {
-    me: ProcessId,
-    system: GroupSystem,
-    clock: u64,
-    /// Pending messages at this destination: proposed or final timestamp.
-    pending: BTreeMap<MessageId, SkeenState>,
-    /// Sender-side collection: message → (group, replies, max ts).
-    collecting: BTreeMap<MessageId, (GroupId, ProcessSet, u64)>,
-    /// Outbox of multicasts to launch.
-    outbox: Vec<(MessageId, GroupId)>,
-}
-
-impl SkeenProcess {
-    /// Creates the automaton for `me` over `system`.
-    pub fn new(me: ProcessId, system: &GroupSystem) -> Self {
-        SkeenProcess {
-            me,
-            system: system.clone(),
-            clock: 0,
-            pending: BTreeMap::new(),
-            collecting: BTreeMap::new(),
-            outbox: Vec::new(),
-        }
-    }
-
-    /// Queues `multicast(m)` to `group`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this process is not a member of `group`.
-    pub fn multicast(&mut self, m: MessageId, group: GroupId) {
-        assert!(self.system.members(group).contains(self.me));
-        self.outbox.push((m, group));
-    }
-
-    fn try_deliver(&mut self, ctx: &mut StepCtx<SkeenMsg, MessageId>) {
-        // Deliver every final message whose (ts, id) is below every other
-        // pending entry's current (ts, id); proposed timestamps only grow,
-        // so this is safe.
-        loop {
-            let deliverable: Option<MessageId> = self
-                .pending
-                .iter()
-                .filter_map(|(m, s)| match s {
-                    SkeenState::Final { ts } => Some((*ts, *m)),
-                    SkeenState::Proposed { .. } => None,
-                })
-                .min()
-                .and_then(|(ts, m)| {
-                    let min_all = self
-                        .pending
-                        .iter()
-                        .map(|(m2, s2)| match s2 {
-                            SkeenState::Final { ts } | SkeenState::Proposed { ts } => (*ts, *m2),
-                        })
-                        .min()
-                        .expect("pending non-empty");
-                    if (ts, m) <= min_all {
-                        Some(m)
-                    } else {
-                        None
-                    }
-                });
-            match deliverable {
-                Some(m) => {
-                    self.pending.remove(&m);
-                    ctx.emit(m);
-                }
-                None => return,
-            }
-        }
-    }
-}
-
-impl Automaton for SkeenProcess {
-    type Msg = SkeenMsg;
-    type Fd = ();
-    type Event = MessageId;
-
-    fn step(
-        &mut self,
-        ctx: &mut StepCtx<SkeenMsg, MessageId>,
-        input: Option<Envelope<SkeenMsg>>,
-        _fd: &(),
-    ) {
-        if let Some(env) = input {
-            match env.payload {
-                SkeenMsg::Propose { m, group: _ } => {
-                    self.clock += 1;
-                    let ts = self.clock;
-                    self.pending.insert(m, SkeenState::Proposed { ts });
-                    ctx.send_to(env.src, SkeenMsg::TsReply { m, ts });
-                }
-                SkeenMsg::TsReply { m, ts } => {
-                    if let Some((group, replies, max_ts)) = self.collecting.get_mut(&m) {
-                        replies.insert(env.src);
-                        *max_ts = (*max_ts).max(ts);
-                        if self.system.members(*group).is_subset(*replies) {
-                            let final_ts = *max_ts;
-                            let dst = self.system.members(*group);
-                            self.collecting.remove(&m);
-                            ctx.send(dst, SkeenMsg::Final { m, ts: final_ts });
-                        }
-                    }
-                }
-                SkeenMsg::Final { m, ts } => {
-                    self.clock = self.clock.max(ts);
-                    self.pending.insert(m, SkeenState::Final { ts });
-                    self.try_deliver(ctx);
-                }
-            }
-        }
-        // Launch queued multicasts.
-        for (m, group) in std::mem::take(&mut self.outbox) {
-            self.collecting.insert(m, (group, ProcessSet::EMPTY, 0));
-            ctx.send(self.system.members(group), SkeenMsg::Propose { m, group });
-        }
-    }
-
-    fn is_active(&self) -> bool {
-        !self.outbox.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec;
     use gam_groups::topology;
-    use gam_kernel::{NoDetector, RunOutcome, Scheduler, Simulator};
 
     #[test]
     fn broadcast_based_delivers_and_orders() {
@@ -425,114 +150,5 @@ mod tests {
         bb.multicast(ProcessId(0), GroupId(0), 0);
         assert!(bb.run(1000));
         spec::check_minimality(&bb.report(true)).unwrap();
-    }
-
-    #[test]
-    fn component_broadcast_is_genuine_at_component_level() {
-        let gs = topology::disjoint(3, 2);
-        let mut cb = ComponentBroadcast::new(&gs, FailurePattern::all_correct(gs.universe()));
-        cb.multicast(ProcessId(0), GroupId(0), 0);
-        assert!(cb.run(1000));
-        let r = cb.report(true);
-        // With disjoint groups, each group is its own component: genuine.
-        spec::check_minimality(&r).unwrap();
-        spec::check_termination(&r).unwrap();
-        // Only g1's two processes took steps.
-        assert_eq!(r.actions_of.iter().filter(|c| **c > 0).count(), 2);
-    }
-
-    #[test]
-    fn component_broadcast_on_fig1_spans_the_whole_component() {
-        let gs = topology::fig1(); // single connected component
-        let mut cb = ComponentBroadcast::new(&gs, FailurePattern::all_correct(gs.universe()));
-        cb.multicast(ProcessId(1), GroupId(1), 0); // to g2 = {p2,p3}
-        assert!(cb.run(1000));
-        let r = cb.report(true);
-        // all five processes are in the component: everyone steps
-        assert!(r.actions_of.iter().all(|c| *c == 1));
-        assert_eq!(
-            spec::check_minimality(&r).unwrap_err().property,
-            "minimality"
-        );
-    }
-
-    fn skeen_sim(gs: &GroupSystem, pattern: FailurePattern) -> Simulator<SkeenProcess, NoDetector> {
-        let n = gs.universe().len();
-        let autos = (0..n)
-            .map(|i| SkeenProcess::new(ProcessId(i as u32), gs))
-            .collect();
-        Simulator::new(autos, pattern, NoDetector)
-    }
-
-    #[test]
-    fn skeen_delivers_in_agreed_order() {
-        let gs = topology::fig1();
-        for seed in 0..5u64 {
-            let mut sim =
-                skeen_sim(&gs, FailurePattern::all_correct(gs.universe())).with_seed(seed);
-            // concurrent multicasts to all four groups
-            for g in 0..4u32 {
-                let src = gs.members(GroupId(g)).min().unwrap();
-                sim.automaton_mut(src)
-                    .multicast(MessageId(g as u64), GroupId(g));
-            }
-            let out = sim.run(Scheduler::Random { null_prob: 0.2 }, 1_000_000);
-            assert_eq!(out, RunOutcome::Quiescent);
-            // every destination delivers, and common destinations agree on
-            // the relative order
-            for g in 0..4u32 {
-                for p in gs.members(GroupId(g)) {
-                    assert!(
-                        sim.trace()
-                            .events_of(p)
-                            .any(|e| e.event == MessageId(g as u64)),
-                        "seed {seed}: {p} missing m{g}"
-                    );
-                }
-            }
-            // pairwise agreement on shared messages
-            let order_of = |p: ProcessId| -> Vec<MessageId> {
-                sim.trace().events_of(p).map(|e| e.event).collect()
-            };
-            for p in gs.universe() {
-                for q in gs.universe() {
-                    let (po, qo) = (order_of(p), order_of(q));
-                    for m1 in &po {
-                        for m2 in &po {
-                            let (i1, i2) = (
-                                po.iter().position(|x| x == m1).unwrap(),
-                                po.iter().position(|x| x == m2).unwrap(),
-                            );
-                            if i1 < i2 {
-                                if let (Some(j1), Some(j2)) = (
-                                    qo.iter().position(|x| x == m1),
-                                    qo.iter().position(|x| x == m2),
-                                ) {
-                                    assert!(
-                                        j1 < j2,
-                                        "seed {seed}: {p} and {q} disagree on {m1}/{m2}"
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn skeen_blocks_on_crash() {
-        // A destination crashes before replying: the message never gets a
-        // final timestamp and no one delivers it.
-        let gs = topology::single_group(3);
-        let pattern = FailurePattern::from_crashes(gs.universe(), [(ProcessId(2), Time(1))]);
-        let mut sim = skeen_sim(&gs, pattern);
-        sim.automaton_mut(ProcessId(0))
-            .multicast(MessageId(0), GroupId(0));
-        sim.run(Scheduler::RoundRobin, 100_000);
-        for p in [ProcessId(0), ProcessId(1)] {
-            assert_eq!(sim.trace().events_of(p).count(), 0, "{p} must block");
-        }
     }
 }

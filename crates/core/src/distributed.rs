@@ -52,6 +52,7 @@ use std::sync::Arc;
 
 /// A command of a group's replicated state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// gam-lint: allow(U001, reason = "carried by DistMsg, the Msg type of the public Automaton impl of DistProcess; rustc requires it public")
 pub enum GroupCmd {
     /// `LOG_g.append(d)`.
     Append(Datum),
@@ -81,6 +82,7 @@ fn decode_pair_cmd(cmd: u64) -> (Option<u64>, MessageId) {
 
 /// Protocol messages: sub-protocol traffic tagged by its object.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// gam-lint: allow(U001, reason = "the Msg type of the public Automaton impl of DistProcess; rustc requires it public")
 pub enum DistMsg {
     /// Group-`g` SMR traffic.
     Group(GroupId, PaxosMsg<GroupCmd>),
@@ -103,6 +105,7 @@ fn pairs_among(groups: GroupSet) -> impl Iterator<Item = (GroupId, GroupId)> {
 /// and one per pair of them ([`DistProcess`] keeps its views in the same
 /// order). The scopes it is outside of output `⊥` and are left out.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// gam-lint: allow(U001, reason = "the Fd type of DistProcess and the Value type of MuHistory; rustc requires it public")
 pub struct DistFd {
     /// `(Ω_g, Σ_g)` per group of the process.
     pub groups: Vec<OmegaSigma>,
@@ -417,6 +420,7 @@ struct Saga {
 /// never of the host, and no part of its state — a `clone` starts counting
 /// from zero, `clone_from` rewinds them to the source's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// gam-lint: allow(U001, reason = "returned by DistProcess::counters, which tests/levelb_identity.rs pins")
 pub struct DistCounters {
     /// Consensus instances the proposer loops of the hosted `Ω ∧ Σ`
     /// consensus automata (group SMRs, fast-log backups) visited.
@@ -511,6 +515,7 @@ impl Clone for DistProcess {
 
 /// Emitted on local delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// gam-lint: allow(U001, reason = "the Event type of the public Automaton impl of DistProcess; rustc requires it public")
 pub struct DistDelivered {
     /// The delivered message.
     pub msg: MessageId,

@@ -18,7 +18,6 @@ mod message;
 mod phase;
 mod runtime;
 mod shard;
-pub mod smr;
 pub mod spec;
 pub mod variants;
 

@@ -906,6 +906,7 @@ impl Runtime {
     /// derivation, and every in-flight list holds units below `stable`
     /// only. Debug builds assert the first row by row at every read;
     /// release test suites call this after every step.
+    // gam-lint: allow(U001, reason = "test oracle: tests/ready_set.rs checks the ready set after every step through it")
     pub fn ready_set_is_current(&self) -> bool {
         let t = &*self.tables;
         ProcessSet::first_n(t.n).iter().all(|p| {
@@ -1835,6 +1836,7 @@ impl Runtime {
     ///
     /// Panics if the run does not quiesce within `max_actions` — for
     /// experiments that *expect* blocking, use [`Runtime::run`] directly.
+    // gam-lint: allow(U001, reason = "the entry point of the crate-level doctest and examples/quickstart.rs; the tests run through it")
     pub fn run_to_quiescence(&mut self, max_actions: u64) -> RunReport {
         let q = self.run(max_actions);
         assert!(q, "runtime did not quiesce within {max_actions} actions");

@@ -257,7 +257,7 @@ pub fn check_minimality(report: &RunReport) -> Result<(), SpecViolation> {
 /// # Errors
 ///
 /// Returns the first [`SpecViolation`] found.
-pub fn check_strict_ordering(report: &RunReport) -> Result<(), SpecViolation> {
+pub(crate) fn check_strict_ordering(report: &RunReport) -> Result<(), SpecViolation> {
     let m_count = report.messages.len();
     let mut edges = delivery_generators(report);
     // `m ⤳ m'` iff `m`'s first delivery precedes `m'`'s multicast: `m`
@@ -346,7 +346,7 @@ pub fn check_pairwise_ordering(report: &RunReport) -> Result<(), SpecViolation> 
 /// # Errors
 ///
 /// Returns the first [`SpecViolation`] found.
-pub fn check_pairwise_agreement(report: &RunReport) -> Result<(), SpecViolation> {
+fn check_pairwise_agreement(report: &RunReport) -> Result<(), SpecViolation> {
     let n = report.delivered.len();
     let pos = position_tables(report);
     for i in 0..n {
@@ -378,7 +378,7 @@ pub fn check_pairwise_agreement(report: &RunReport) -> Result<(), SpecViolation>
 /// # Errors
 ///
 /// Returns the first [`SpecViolation`] found.
-pub fn check_group_sequential(report: &RunReport) -> Result<(), SpecViolation> {
+pub(crate) fn check_group_sequential(report: &RunReport) -> Result<(), SpecViolation> {
     for g in 0..report.system.len() {
         // submission order of messages addressed to group g
         let mut listed: Vec<MessageId> = (0..report.messages.len())

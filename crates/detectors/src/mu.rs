@@ -106,6 +106,7 @@ impl MuOracle {
     }
 
     /// `γ(p, t)`: the cyclic families currently output at `p`.
+    // gam-lint: allow(U001, reason = "the gamma output the crate doctest, tests/stable_until.rs and examples/detector_tour.rs read")
     pub fn gamma_families(&self, p: ProcessId, t: Time) -> Vec<GroupSet> {
         self.gamma.families(p, t)
     }

@@ -41,6 +41,7 @@ impl PerfectOracle {
     }
 
     /// `𝒫(p, t)`: the set of suspected processes.
+    // gam-lint: allow(U001, reason = "tests/table1.rs row 3 derives Sigma, Omega and gamma from the suspected set through it")
     pub fn suspected(&self, _p: ProcessId, t: Time) -> ProcessSet {
         self.pattern.faulty_at(t.saturating_sub(self.delay))
     }

@@ -44,6 +44,7 @@ fn grid(horizon: Time) -> impl Iterator<Item = Time> {
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
+// gam-lint: allow(U001, reason = "class validator: the tests and examples check Sigma histories against the class axioms with it")
 pub fn validate_sigma(
     sample: impl Fn(ProcessId, Time) -> Option<ProcessSet>,
     pattern: &FailurePattern,
@@ -100,6 +101,7 @@ pub fn validate_sigma(
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
+// gam-lint: allow(U001, reason = "class validator: the tests and examples check Omega histories against the class axioms with it")
 pub fn validate_omega(
     sample: impl Fn(ProcessId, Time) -> Option<ProcessId>,
     pattern: &FailurePattern,
@@ -149,6 +151,7 @@ pub fn validate_omega(
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
+// gam-lint: allow(U001, reason = "class validator: the tests and examples check gamma histories against the class axioms with it")
 pub fn validate_gamma(
     sample: impl Fn(ProcessId, Time) -> Vec<GroupSet>,
     system: &GroupSystem,
@@ -201,6 +204,7 @@ pub fn validate_gamma(
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
+// gam-lint: allow(U001, reason = "class validator: the tests and examples check indicator histories against the class axioms with it")
 pub fn validate_indicator(
     sample: impl Fn(ProcessId, Time) -> Option<bool>,
     pattern: &FailurePattern,

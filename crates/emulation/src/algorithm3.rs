@@ -90,11 +90,6 @@ impl GammaExtraction {
         }
     }
 
-    /// Number of probe instances running.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
-    }
-
     /// Advances the extraction to time `now`: launches initial messages,
     /// drives the chains, raises `failed` flags.
     pub fn advance(&mut self, now: Time) {
@@ -278,7 +273,7 @@ mod tests {
         let gs = topology::chain(4, 3);
         let env = Environment::wait_free(gs.universe());
         let ext = GammaExtraction::new(&gs, FailurePattern::all_correct(gs.universe()), &env);
-        assert_eq!(ext.probe_count(), 0);
+        assert_eq!(ext.probes.len(), 0);
     }
 
     #[test]
@@ -286,9 +281,9 @@ mod tests {
         // If no intersection is failure-prone, Algorithm 3 runs no instances
         // and γ constantly outputs ℱ(p) — which is then always accurate.
         let gs = topology::ring(3, 2);
-        let env = Environment::with_failure_prone(gs.universe(), ProcessSet::EMPTY);
+        let env = Environment::wait_free(gs.universe()).with_max_failures(0);
         let ext = GammaExtraction::new(&gs, FailurePattern::all_correct(gs.universe()), &env);
-        assert_eq!(ext.probe_count(), 0);
+        assert_eq!(ext.probes.len(), 0);
         assert_eq!(ext.families(ProcessId(0)).len(), 1);
     }
 
@@ -298,6 +293,6 @@ mod tests {
         let env = Environment::wait_free(gs.universe());
         let ext = GammaExtraction::new(&gs, FailurePattern::all_correct(gs.universe()), &env);
         // one family, one cycle class, 3 rotations × 2 directions
-        assert_eq!(ext.probe_count(), 6);
+        assert_eq!(ext.probes.len(), 6);
     }
 }

@@ -31,16 +31,6 @@ pub enum Tag {
     H,
 }
 
-impl Tag {
-    /// The other tag.
-    pub fn flip(self) -> Tag {
-        match self {
-            Tag::G => Tag::H,
-            Tag::H => Tag::G,
-        }
-    }
-}
-
 impl fmt::Display for Tag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -164,7 +154,7 @@ pub struct Sample<Fd> {
 /// Builds the sampling list (a maximal path of the collaborative sampling
 /// DAG) by querying `detector` round-robin at the live processes of `scope`
 /// over `0..horizon`.
-pub fn sample_dag<Fd>(
+fn sample_dag<Fd>(
     scope: ProcessSet,
     pattern: &FailurePattern,
     horizon: u64,
@@ -213,7 +203,7 @@ pub struct Gadget {
 /// One node of a simulation tree: a schedule, the configuration it leads
 /// to, and its (eventual) tag computed by fair extension.
 #[derive(Debug, Clone)]
-pub struct Node {
+pub(crate) struct Node {
     /// Indices into the simulation tree's node arena; `steps[i]` is the
     /// `(sample index, message index)` taken at depth `i`.
     pub schedule: Vec<(usize, Option<usize>)>,
@@ -232,7 +222,7 @@ pub struct Node {
 #[derive(Debug)]
 pub struct SimulationTree<P: SimProcess> {
     /// Node arena; node 0 is the root (empty schedule `S_⊥`).
-    pub nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node>,
     initial: SimConfig<P>,
     samples: Vec<Sample<P::Fd>>,
 }
@@ -267,7 +257,7 @@ impl<P: SimProcess> SimulationTree<P> {
     }
 
     /// Replays `schedule` from the initial configuration.
-    pub fn config_of(&self, schedule: &[(usize, Option<usize>)]) -> SimConfig<P> {
+    fn config_of(&self, schedule: &[(usize, Option<usize>)]) -> SimConfig<P> {
         let mut cfg = self.initial.clone();
         for (si, mi) in schedule {
             let s = &self.samples[*si];
@@ -365,7 +355,7 @@ impl<P: SimProcess> SimulationTree<P> {
     }
 
     /// The valency of a node from the reachable tags.
-    pub fn valency(&self, node: usize) -> Valency {
+    fn valency(&self, node: usize) -> Valency {
         Valency::from_tags(self.nodes[node].reach_g, self.nodes[node].reach_h)
             .expect("every node has a tag")
     }
@@ -373,14 +363,14 @@ impl<P: SimProcess> SimulationTree<P> {
     /// Searches the tree for a decision gadget: a bivalent node with a
     /// `g`-valent child and an `h`-valent child. Returns the *deciding
     /// process* — the process whose step fixes the valency.
-    pub fn decision_gadget(&self) -> Option<ProcessId> {
+    fn decision_gadget(&self) -> Option<ProcessId> {
         self.decision_gadget_detail().map(|g| g.decider)
     }
 
     /// As [`SimulationTree::decision_gadget`], also classifying the gadget
     /// as a *fork* or a *hook* (Figure 5). Prefers a fork when both shapes
     /// exist.
-    pub fn decision_gadget_detail(&self) -> Option<Gadget> {
+    fn decision_gadget_detail(&self) -> Option<Gadget> {
         let gadgets = self.decision_gadgets();
         gadgets
             .iter()
@@ -392,7 +382,7 @@ impl<P: SimProcess> SimulationTree<P> {
     /// Every decision gadget of the explored tree: for each bivalent node,
     /// every `(g-valent child, h-valent child)` pair, classified as fork or
     /// hook.
-    pub fn decision_gadgets(&self) -> Vec<Gadget> {
+    fn decision_gadgets(&self) -> Vec<Gadget> {
         let mut out = Vec::new();
         for (id, node) in self.nodes.iter().enumerate() {
             if self.valency(id) != Valency::Bivalent {
@@ -707,9 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_flip_and_display() {
-        assert_eq!(Tag::G.flip(), Tag::H);
-        assert_eq!(Tag::H.flip(), Tag::G);
+    fn tag_display_and_valency() {
         assert_eq!(Tag::G.to_string(), "g");
         assert_eq!(Valency::of(Tag::H), Valency::HValent);
     }

@@ -109,17 +109,6 @@ impl BlackBox {
             .iter()
             .any(|d| d.is_some_and(|t| t <= now))
     }
-
-    /// The payload-source of the first delivered message, if any — the
-    /// "identity" Algorithm 2 multicasts.
-    pub fn first_delivered_identity(&self, now: Time) -> Option<ProcessId> {
-        self.messages
-            .iter()
-            .zip(&self.delivered_at)
-            .filter(|(_, d)| d.is_some_and(|t| t <= now))
-            .min_by_key(|(_, d)| d.expect("filtered"))
-            .map(|((_, src, _, _), _)| *src)
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +128,6 @@ mod tests {
         bb.advance(Time(2));
         assert!(bb.delivered(m, Time(2)));
         assert!(bb.any_delivered(Time(2)));
-        assert_eq!(bb.first_delivered_identity(Time(2)), Some(ProcessId(0)));
     }
 
     #[test]

@@ -46,13 +46,6 @@ impl Digest {
         Digest { h: FNV_OFFSET }
     }
 
-    /// Resumes accumulation from a previously read digest value — used to
-    /// extend an executor's incremental `state_digest()` with end-of-run
-    /// summary words (outcome, final delivery sequences).
-    pub const fn resume(h: u64) -> Self {
-        Digest { h }
-    }
-
     /// Folds one word into the digest.
     pub fn push(&mut self, w: u64) {
         let mut h = self.h;
@@ -64,7 +57,7 @@ impl Digest {
     }
 
     /// Folds a stream of words into the digest.
-    pub fn push_all(&mut self, words: impl IntoIterator<Item = u64>) {
+    fn push_all(&mut self, words: impl IntoIterator<Item = u64>) {
         for w in words {
             self.push(w);
         }
@@ -221,11 +214,8 @@ mod tests {
             d.push(w);
         }
         assert_eq!(d.value(), fnv1a(words));
-        // resuming mid-stream is transparent
-        let mut a = Digest::new();
-        a.push_all([3, 1, 4, 1]);
-        let mut b = Digest::resume(a.value());
-        b.push_all([5, 9, 2, 6]);
-        assert_eq!(b.value(), fnv1a(words));
+        let mut all = Digest::new();
+        all.push_all(words);
+        assert_eq!(all.value(), d.value());
     }
 }

@@ -65,6 +65,7 @@ impl RuntimeExecutor {
 
     /// Mutable access to the wrapped runtime (e.g. to submit multicasts
     /// between runs).
+    // gam-lint: allow(U001, reason = "tests/ready_set.rs and tests/fair_tail.rs drive the runtime behind an executor through it")
     pub fn runtime_mut(&mut self) -> &mut Runtime {
         &mut self.rt
     }

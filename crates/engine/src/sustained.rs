@@ -111,7 +111,10 @@ impl<'a> Budget<'a> {
     /// Adds the unpublished actions to the shared count and reads back
     /// everyone's.
     fn publish(&mut self) {
-        // gam-lint: allow(A001, reason = "monotonic budget counter: fetch_add totals are exact under any ordering, nothing is published through it, and on the success path the committed total equals the schedule-independent fired count re-derived from the joined recordings")
+        // Relaxed is enough: monotonic budget counter: fetch_add totals are exact
+        // under any ordering, nothing is published through it, and on the success
+        // path the committed total equals the schedule-independent fired count
+        // re-derived from the joined recordings.
         let before = self.shared.fetch_add(self.unpublished, Ordering::Relaxed);
         self.seen = before + self.unpublished;
         self.unpublished = 0;

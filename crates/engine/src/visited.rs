@@ -70,11 +70,6 @@ impl VisitedSet {
         self.len == 0
     }
 
-    /// Total slots of the table.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// How many stored fingerprints were overwritten because their probe
     /// window filled up (each one a potential future dedup hit forgone).
     pub fn evictions(&self) -> u64 {
@@ -136,7 +131,7 @@ mod tests {
     #[test]
     fn insert_reports_new_vs_seen() {
         let mut s = VisitedSet::with_capacity(100);
-        assert_eq!(s.capacity(), 128, "rounded to a power of two");
+        assert_eq!(s.slots.len(), 128, "rounded to a power of two");
         assert!(s.is_empty());
         assert!(s.insert(42));
         assert!(!s.insert(42));
@@ -161,7 +156,7 @@ mod tests {
         }
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.capacity(), 16);
+        assert_eq!(s.slots.len(), 16);
         assert!(s.insert(3), "cleared keys are new again");
     }
 
@@ -177,9 +172,9 @@ mod tests {
             }
         }
         assert_eq!(fresh, 40, "all keys distinct, none rejected");
-        assert_eq!(s.capacity(), 16, "never grows");
+        assert_eq!(s.slots.len(), 16, "never grows");
         assert!(s.evictions() > 0);
-        assert!(s.len() <= s.capacity());
+        assert!(s.len() <= s.slots.len());
     }
 
     #[test]

@@ -242,7 +242,9 @@ pub(crate) fn dfs_item(
         // Reserve the run from the shared budget *before* executing anything
         // of it, so the total across all workers matches the sequential cap
         // exactly.
-        // gam-lint: allow(A001, reason = "monotonic budget counter: fetch_add totals are exact under any ordering and nothing is published through it; capped overshoot is reconciled in the deterministic merge")
+        // Relaxed is enough: monotonic budget counter: fetch_add totals are exact
+        // under any ordering and nothing is published through it; capped overshoot
+        // is reconciled in the deterministic merge.
         if reserved.fetch_add(1, Ordering::Relaxed) >= max_runs {
             res.capped = true;
             return res;

@@ -160,16 +160,6 @@ impl ExploreStats {
     pub fn clean(&self) -> bool {
         self.complete() && self.violations.is_empty()
     }
-
-    /// Per-mille of restart-equivalent steps the DFS did *not* execute:
-    /// `steps_avoided / (steps_executed + steps_avoided) × 1000` (0 for the
-    /// swarm, where nothing is avoided).
-    pub fn steps_avoided_permille(&self) -> u64 {
-        let equivalent = self.steps_executed + self.steps_avoided;
-        (self.steps_avoided * 1000)
-            .checked_div(equivalent)
-            .unwrap_or(0)
-    }
 }
 
 /// The default shrinker budget (candidate runs) of an exploration.
@@ -208,7 +198,7 @@ impl Default for ExploreConfig {
 impl ExploreConfig {
     /// The actual worker count: `threads` if nonzero, else
     /// [`std::thread::available_parallelism`] (1 if unknown).
-    pub fn resolved_threads(&self) -> usize {
+    fn resolved_threads(&self) -> usize {
         match self.threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
@@ -238,7 +228,7 @@ pub enum Mode {
 }
 
 /// Explores `scenario` in `mode`, checking every terminal state against
-/// `spec::check_all`, on [`ExploreConfig::resolved_threads`] workers. Stops
+/// `spec::check_all`, on [`ExploreConfig::threads`] workers. Stops
 /// at the first violation, shrunk within [`ExploreConfig::shrink_budget`]
 /// candidate runs into a [`Counterexample`] — the same one, byte for byte,
 /// at any thread count; [`ExploreStats::outcome`] says why it stopped.
@@ -429,11 +419,15 @@ where
         let mut worker = Worker::new(proto, dedup_capacity);
         let mut results = Vec::new();
         loop {
-            // gam-lint: allow(A001, reason = "work-queue ticket: each index is claimed exactly once by atomicity alone; which worker gets it never reaches the report, the merge sorts results by index")
+            // Relaxed is enough: work-queue ticket: each index is claimed exactly
+            // once by atomicity alone; which worker gets it never reaches the
+            // report, the merge sorts results by index.
             let i = next_item.fetch_add(1, Ordering::Relaxed);
             // Tickets only grow and the best index only falls, so once past
             // it this worker's every later ticket is too.
-            // gam-lint: allow(A001, reason = "lowest-wins skip hint: a stale read only fails to skip work, never skips a candidate below the best; the canonical answer is re-derived in the deterministic merge")
+            // Relaxed is enough: lowest-wins skip hint: a stale read only fails to
+            // skip work, never skips a candidate below the best; the canonical
+            // answer is re-derived in the deterministic merge.
             if i >= items || i > best_item.load(Ordering::Relaxed) {
                 return results;
             }
@@ -442,7 +436,9 @@ where
             let after = worker.counters();
             (r.chunk_copies, r.dedup_evictions) = (after.0 - before.0, after.1 - before.1);
             if r.violation.is_some() {
-                // gam-lint: allow(A001, reason = "fetch_min is order-insensitive: the cell converges to the minimum regardless of interleaving, and it only prunes indexes strictly above a known violation")
+                // Relaxed is enough: fetch_min is order-insensitive: the cell
+                // converges to the minimum regardless of interleaving, and it only
+                // prunes indexes strictly above a known violation.
                 best_item.fetch_min(i, Ordering::Relaxed);
             }
             results.push((i, r));

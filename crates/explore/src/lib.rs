@@ -52,7 +52,7 @@ pub use repro::Repro;
 pub use shrink::shrink;
 
 use gam_core::spec::{check_all, SpecViolation};
-use gam_core::{MessageId, RunReport, Runtime, RuntimeConfig, Variant};
+use gam_core::{RunReport, Runtime, RuntimeConfig, Variant};
 use gam_engine::{RuntimeExecutor, RuntimeSnapshot, SnapshotExec};
 use gam_groups::{GroupId, GroupSystem};
 use gam_kernel::schedule::ScheduleSource;
@@ -190,6 +190,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns the first [`SpecViolation`] found by `spec::check_all`.
+    // gam-lint: allow(U001, reason = "test oracle: the swarm reference of the root equivalence tests (tests/common/mod.rs) checks each run through it")
     pub fn run_checked<S: ScheduleSource>(
         &self,
         source: &mut S,
@@ -197,11 +198,6 @@ impl Scenario {
         let report = self.run(source);
         check_all(&report, self.variant)?;
         Ok(report)
-    }
-
-    /// The submitted messages, by id (submission order).
-    pub fn message_ids(&self) -> Vec<MessageId> {
-        (0..self.submissions.len() as u64).map(MessageId).collect()
     }
 }
 

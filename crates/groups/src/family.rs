@@ -17,8 +17,8 @@ use std::ops::ControlFlow;
 /// following edges of the intersection graph.
 ///
 /// Paths are *oriented*; [`ClosedPath::direction`] distinguishes the two
-/// traversal directions of the same cycle, and [`ClosedPath::equivalent`]
-/// identifies paths visiting the same edge set (written `π ≡ π'` in §5.2).
+/// traversal directions of the same cycle, and equal [`ClosedPath::edges`]
+/// identify paths visiting the same edge set (written `π ≡ π'` in §5.2).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClosedPath {
     seq: Vec<GroupId>,
@@ -74,21 +74,16 @@ impl ClosedPath {
             .collect()
     }
 
-    /// `π ≡ π'`: the two paths visit the same edges.
-    pub fn equivalent(&self, other: &ClosedPath) -> bool {
-        self.edges() == other.edges()
-    }
-
     /// The path traversing the same cycle in the converse direction,
     /// starting from the same group.
-    pub fn reversed(&self) -> ClosedPath {
+    fn reversed(&self) -> ClosedPath {
         let mut seq = self.seq.clone();
         seq.reverse();
         ClosedPath { seq }
     }
 
     /// The rotation of the path starting at position `k` (same orientation).
-    pub fn rotated(&self, k: usize) -> ClosedPath {
+    fn rotated(&self, k: usize) -> ClosedPath {
         let inner = &self.seq[..self.seq.len() - 1];
         let n = inner.len();
         let mut seq: Vec<GroupId> = (0..n).map(|i| inner[(k + i) % n]).collect();
@@ -210,7 +205,7 @@ impl GroupSystem {
 
     /// Returns `true` if family `f` is cyclic (its intersection graph is
     /// hamiltonian).
-    pub fn is_cyclic_family(&self, f: GroupSet) -> bool {
+    fn is_cyclic_family(&self, f: GroupSet) -> bool {
         self.each_hamiltonian_cycle(f, &mut |_| ControlFlow::Break(()))
     }
 
@@ -330,6 +325,7 @@ impl GroupSystem {
     ///
     /// (When `g = h`, `g ∩ h = g ≠ ∅`, so `g ∈ H(q, g)` whenever `g` belongs
     /// to a family of `ℱ(q)` — matching line 20 of Algorithm 1.)
+    // gam-lint: allow(U001, reason = "test oracle: the Lemma 30 reference that h_set_lemma30_fig1 and tests/proptest_invariants.rs hold h_set_among to")
     pub fn h_set(&self, q: ProcessId, g: GroupId) -> GroupSet {
         self.h_set_among(&self.cyclic_families(), q, g)
     }
@@ -425,9 +421,9 @@ mod tests {
         let paths = gs.cpaths(f);
         // 3 rotations × 2 directions
         assert_eq!(paths.len(), 6);
-        // all are equivalent (same edges)
+        // all are equivalent: they visit the same edges
         for p in &paths {
-            assert!(p.equivalent(&cycles[0]));
+            assert_eq!(p.edges(), cycles[0].edges());
             assert_eq!(p.family(), f);
             assert_eq!(p.len(), 4);
         }
@@ -465,7 +461,7 @@ mod tests {
         let seq: Vec<GroupId> = [2u32, 0, 1, 2].iter().map(|i| GroupId(*i)).collect();
         let p = ClosedPath::new(seq);
         let r = p.reversed();
-        assert!(p.equivalent(&r));
+        assert_eq!(p.edges(), r.edges());
         assert_eq!(p.direction(), -r.direction());
         assert_eq!(p.get(0), r.get(0)); // reversal keeps the start
                                         // rotations keep direction

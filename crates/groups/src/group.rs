@@ -47,7 +47,7 @@ pub struct GroupSet([u64; GROUP_WORDS]);
 const GROUP_WORDS: usize = 4;
 
 /// Maximum number of destination groups supported by [`GroupSet`].
-pub const MAX_GROUPS: usize = GROUP_WORDS * 64;
+const MAX_GROUPS: usize = GROUP_WORDS * 64;
 
 impl GroupSet {
     /// The empty set of groups.
@@ -445,12 +445,6 @@ impl GroupSystem {
             .filter(|x| seen.insert(*x))
             .collect()
     }
-
-    /// Returns `true` if the groups are pairwise disjoint (the embarrassingly
-    /// parallel case of §2.3).
-    pub fn pairwise_disjoint(&self) -> bool {
-        self.adj.iter().all(|peers| peers.is_empty())
-    }
 }
 
 impl fmt::Debug for GroupSystem {
@@ -532,7 +526,7 @@ mod tests {
                 ProcessSet::from_iter([4u32, 5]),
             ],
         );
-        assert!(gs.pairwise_disjoint());
+        assert!(gs.intersecting_pairs().is_empty());
         assert!(gs.intersections().is_empty());
     }
 
@@ -564,10 +558,8 @@ mod tests {
     mod stored_graph {
         use super::super::*;
         use crate::topology;
-        use crate::SpanningForest;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use std::collections::VecDeque;
 
         fn scan_intersecting(gs: &GroupSystem, g: GroupId, h: GroupId) -> bool {
             g != h && !gs.intersection(g, h).is_empty()
@@ -625,29 +617,6 @@ mod tests {
                 out.push(comp);
             }
             out
-        }
-
-        fn scan_spanning_forest(gs: &GroupSystem) -> SpanningForest {
-            let mut parent = vec![None; gs.len()];
-            let mut visited = GroupSet::new();
-            let mut roots = Vec::new();
-            for (root, _) in gs.iter() {
-                if !visited.insert(root) {
-                    continue;
-                }
-                roots.push(root);
-                let mut queue = VecDeque::from([root]);
-                while let Some(g) = queue.pop_front() {
-                    for (h, _) in gs.iter() {
-                        if !visited.contains(h) && scan_intersecting(gs, g, h) {
-                            visited.insert(h);
-                            parent[h.index()] = Some(g);
-                            queue.push_back(h);
-                        }
-                    }
-                }
-            }
-            SpanningForest { roots, parent }
         }
 
         /// Some hamiltonian cycle of `f`, found by pairwise tests only.
@@ -720,7 +689,6 @@ mod tests {
             }
             assert_eq!(gs.intersecting_pairs(), scan_pairs(gs), "{name}: edges");
             assert_eq!(gs.intersections(), scan_intersections(gs), "{name}: g ∩ h");
-            assert_eq!(gs.pairwise_disjoint(), scan_pairs(gs).is_empty(), "{name}");
             // Families to probe: everything, each closed neighbourhood, and
             // seeded random subsets.
             let mut families = vec![gs.all()];
@@ -742,11 +710,6 @@ mod tests {
                 }
             }
             assert_eq!(gs.components(), scan_components(gs), "{name}: components");
-            assert_eq!(
-                gs.spanning_forest(),
-                scan_spanning_forest(gs),
-                "{name}: spanning forest"
-            );
             let families = scan_cyclic_families(gs)?;
             assert_eq!(gs.cyclic_families(), families, "{name}: ℱ");
             Some(families.len())
@@ -776,7 +739,8 @@ mod tests {
             check("disjoint", &topology::disjoint(70, 3), &mut rng);
             for k in [2, 5, 65, 240] {
                 let gs = random_tree(k, &mut rng);
-                assert!(gs.intersection_graph_acyclic());
+                // |E| = |V| − #components: the intersection graph is a tree.
+                assert_eq!(gs.intersecting_pairs().len() + 1, gs.len());
                 check(&format!("tree({k})"), &gs, &mut rng);
             }
             // A universe with gaps: `max() + 1` exceeds `len()`.

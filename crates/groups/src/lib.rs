@@ -4,8 +4,7 @@
 //! (§2–§3 of the paper): the set `𝒢` of destination groups, their
 //! intersection graph, *families* of groups, the closed paths `cpaths(𝔣)`,
 //! *cyclic* families (hamiltonian intersection graphs) and their faultiness,
-//! plus the `H(q, g)` sets of Lemma 30 and the spanning-tree structure used
-//! in §7.
+//! plus the `H(q, g)` sets of Lemma 30.
 //!
 //! ## Quickstart
 //!
@@ -15,8 +14,8 @@
 //!
 //! let gs = topology::fig1();
 //! // 𝔣 = {g1, g2, g3} is cyclic, and faulty once p2 crashes.
-//! let f = [GroupId(0), GroupId(1), GroupId(2)].into_iter().collect();
-//! assert!(gs.is_cyclic_family(f));
+//! let f: gam_groups::GroupSet = [GroupId(0), GroupId(1), GroupId(2)].into_iter().collect();
+//! assert!(gs.cyclic_families().contains(&f));
 //! assert!(gs.family_faulty(f, ProcessSet::from_iter([1u32])));
 //! ```
 
@@ -29,5 +28,4 @@ mod group;
 pub mod topology;
 
 pub use family::ClosedPath;
-pub use graph::SpanningForest;
 pub use group::{GroupId, GroupSet, GroupSetIter, GroupSystem};

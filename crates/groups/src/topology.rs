@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn disjoint_is_disjoint() {
         let gs = disjoint(4, 3);
-        assert!(gs.pairwise_disjoint());
+        assert!(gs.intersecting_pairs().is_empty());
         assert_eq!(gs.universe().len(), 12);
         assert!(gs.cyclic_families().is_empty());
     }
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn chain_is_acyclic_and_connected() {
         let gs = chain(5, 3);
-        assert!(gs.intersection_graph_acyclic());
+        assert_eq!(gs.intersecting_pairs().len(), 4);
         assert_eq!(gs.components().len(), 1);
         assert!(gs.cyclic_families().is_empty());
         // adjacent groups intersect in exactly one process

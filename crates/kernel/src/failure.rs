@@ -120,6 +120,7 @@ impl FailurePattern {
 
     /// Returns `true` if every process of `set` eventually crashes
     /// (the paper writes "`set` is faulty").
+    // gam-lint: allow(U001, reason = "test oracle: the family-faulty reference tests/scenario_constants.rs holds the gamma oracle to")
     pub fn set_faulty(&self, set: ProcessSet) -> bool {
         set.is_subset(self.faulty())
     }
@@ -150,32 +151,6 @@ impl FailurePattern {
             .min()
             .unwrap_or(Time::MAX)
     }
-
-    /// `F ∩ P`: the pattern restricted to the processes in `p_set`, used to
-    /// define set-restricted failure detectors `D_P` (§3).
-    pub fn restrict(&self, p_set: ProcessSet) -> FailurePattern {
-        FailurePattern {
-            universe: self.universe & p_set,
-            crash_times: self
-                .crash_times
-                .iter()
-                .filter(|(p, _)| p_set.contains(**p))
-                .map(|(p, t)| (*p, *t))
-                .collect(),
-        }
-    }
-
-    /// The §5.2 closure: the variant `F'` of `self` identical before `t` with
-    /// `set` additionally crashed from `t` on. The environments we target
-    /// satisfy that if a process may fail, it may fail at any time; this
-    /// constructs the corresponding pattern.
-    pub fn with_crash_from(&self, set: ProcessSet, t: Time) -> FailurePattern {
-        let mut f = self.clone();
-        for p in set {
-            f.crash(p, t);
-        }
-        f
-    }
 }
 
 impl fmt::Display for FailurePattern {
@@ -193,44 +168,28 @@ impl fmt::Display for FailurePattern {
 
 /// An environment `𝔈`: which failure patterns may occur.
 ///
-/// We describe environments intensionally by (i) the universe, (ii) the set of
-/// failure-prone processes, and (iii) an optional bound on the number of
-/// simultaneous failures. This covers every environment used in the paper:
-/// the wait-free environment `𝔈*` (everyone failure-prone, no bound), majority
-/// environments, and environments where specific intersections are reliable.
+/// We describe environments intensionally by the universe and an optional
+/// bound on the number of failures: the wait-free environment `𝔈*`
+/// (everyone failure-prone, no bound) and its bounded restrictions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Environment {
     universe: ProcessSet,
-    failure_prone: ProcessSet,
     max_failures: Option<usize>,
 }
 
 impl Environment {
     /// The wait-free environment `𝔈*` over `universe`: any subset of processes
     /// may crash at any time.
+    // gam-lint: allow(U001, reason = "the constructor of the wait-free environment that Algorithm 3 callers pass; they are tests/emulation_pipeline.rs and examples/necessity_tour.rs")
     pub fn wait_free(universe: ProcessSet) -> Self {
         Environment {
             universe,
-            failure_prone: universe,
-            max_failures: None,
-        }
-    }
-
-    /// An environment where only `failure_prone ⊆ universe` may crash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failure_prone ⊄ universe`.
-    pub fn with_failure_prone(universe: ProcessSet, failure_prone: ProcessSet) -> Self {
-        assert!(failure_prone.is_subset(universe));
-        Environment {
-            universe,
-            failure_prone,
             max_failures: None,
         }
     }
 
     /// Restricts the environment to patterns with at most `k` failures.
+    // gam-lint: allow(U001, reason = "tests/emulation_pipeline.rs sweeps a bounded environment through it")
     pub fn with_max_failures(mut self, k: usize) -> Self {
         self.max_failures = Some(k);
         self
@@ -241,35 +200,25 @@ impl Environment {
         self.universe
     }
 
-    /// The failure-prone processes of the environment.
-    pub fn failure_prone_set(&self) -> ProcessSet {
-        self.failure_prone
-    }
-
-    /// Returns `true` if `p` is failure-prone in the environment
-    /// (for some pattern `F ∈ 𝔈`, `p ∈ Faulty(F)`).
-    pub fn is_failure_prone(&self, p: ProcessId) -> bool {
-        self.failure_prone.contains(p) && self.max_failures != Some(0)
-    }
-
     /// Returns `true` if all of `set` may crash in a single pattern of the
     /// environment ("`set` is failure-prone", §5.2).
     pub fn set_failure_prone(&self, set: ProcessSet) -> bool {
-        set.is_subset(self.failure_prone) && self.max_failures.is_none_or(|k| set.len() <= k)
+        set.is_subset(self.universe) && self.max_failures.is_none_or(|k| set.len() <= k)
     }
 
     /// Environment membership: `F ∈ 𝔈`.
     pub fn contains(&self, f: &FailurePattern) -> bool {
         f.universe() == self.universe
-            && f.faulty().is_subset(self.failure_prone)
+            && f.faulty().is_subset(self.universe)
             && self.max_failures.is_none_or(|k| f.faulty().len() <= k)
     }
 
     /// Enumerates representative patterns of the environment up to `max_set`
     /// crashed processes, each crashing at time `crash_at`. This provides the
     /// finite pattern suites the experiments sweep over.
+    // gam-lint: allow(U001, reason = "the failure-pattern sweep tests/emulation_pipeline.rs runs every extraction over")
     pub fn enumerate_patterns(&self, max_set: usize, crash_at: Time) -> Vec<FailurePattern> {
-        let prone: Vec<ProcessId> = self.failure_prone.iter().collect();
+        let prone: Vec<ProcessId> = self.universe.iter().collect();
         let cap = self.max_failures.unwrap_or(usize::MAX).min(max_set);
         let mut out = vec![FailurePattern::all_correct(self.universe)];
         // Enumerate subsets of failure-prone processes of size <= cap.
@@ -359,37 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn restrict_projects_pattern() {
-        let f = FailurePattern::from_crashes(
-            universe(),
-            [(ProcessId(0), Time(1)), (ProcessId(3), Time(2))],
-        );
-        let r = f.restrict(ProcessSet::from_iter([0u32, 1]));
-        assert_eq!(r.universe(), ProcessSet::from_iter([0u32, 1]));
-        assert_eq!(r.faulty(), ProcessSet::from_iter([0u32]));
-    }
-
-    #[test]
-    fn with_crash_from_preserves_prefix() {
-        let f = FailurePattern::all_correct(universe());
-        let g = f.with_crash_from(ProcessSet::from_iter([2u32]), Time(9));
-        assert!(g.faulty_at(Time(8)).is_empty());
-        assert!(g.faulty_at(Time(9)).contains(ProcessId(2)));
-    }
-
-    #[test]
     fn environment_membership() {
-        let env = Environment::with_failure_prone(universe(), ProcessSet::from_iter([0u32, 1]))
-            .with_max_failures(1);
-        let ok = FailurePattern::from_crashes(universe(), [(ProcessId(0), Time(1))]);
+        let env = Environment::wait_free(universe()).with_max_failures(1);
+        let ok = FailurePattern::from_crashes(universe(), [(ProcessId(3), Time(1))]);
         let too_many = FailurePattern::from_crashes(
             universe(),
             [(ProcessId(0), Time(1)), (ProcessId(1), Time(1))],
         );
-        let not_prone = FailurePattern::from_crashes(universe(), [(ProcessId(3), Time(1))]);
         assert!(env.contains(&ok));
         assert!(!env.contains(&too_many));
-        assert!(!env.contains(&not_prone));
         assert!(env.set_failure_prone(ProcessSet::from_iter([0u32])));
         assert!(!env.set_failure_prone(ProcessSet::from_iter([0u32, 1])));
     }
@@ -406,7 +333,6 @@ mod tests {
     #[test]
     fn wait_free_everyone_prone() {
         let env = Environment::wait_free(universe());
-        assert!(env.is_failure_prone(ProcessId(4)));
         assert!(env.set_failure_prone(universe()));
     }
 }

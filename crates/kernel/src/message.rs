@@ -81,11 +81,6 @@ impl<M: Clone> MessageBuffer<M> {
         }
     }
 
-    /// Number of processes the buffer serves.
-    pub fn num_processes(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Total number of messages ever sent through the buffer.
     pub fn total_sent(&self) -> u64 {
         self.total_sent
@@ -119,11 +114,6 @@ impl<M: Clone> MessageBuffer<M> {
         self.queues[p.index()].len()
     }
 
-    /// Returns `true` if no message is pending for any process of `set`.
-    pub fn quiescent_for(&self, set: ProcessSet) -> bool {
-        set.iter().all(|p| self.pending(p) == 0)
-    }
-
     /// Removes and returns the oldest message pending for `p`, if any.
     pub fn receive_oldest(&mut self, p: ProcessId) -> Option<Envelope<M>> {
         self.queues[p.index()].pop_front()
@@ -132,11 +122,6 @@ impl<M: Clone> MessageBuffer<M> {
     /// Removes and returns the `k`-th oldest pending message for `p`.
     pub fn receive_nth(&mut self, p: ProcessId, k: usize) -> Option<Envelope<M>> {
         self.queues[p.index()].remove(k)
-    }
-
-    /// Peeks at the pending messages of `p` (oldest first) without removing.
-    pub fn peek(&self, p: ProcessId) -> impl Iterator<Item = &Envelope<M>> {
-        self.queues[p.index()].iter()
     }
 
     /// Discards every message pending for `p` (used when `p` crashes — a
@@ -201,16 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_and_drop() {
+    fn drop_for_discards_pending_copies() {
         let mut buf: MessageBuffer<u32> = MessageBuffer::new(3);
         let all = ProcessSet::first_n(3);
-        assert!(buf.quiescent_for(all));
+        assert!(all.iter().all(|p| buf.pending(p) == 0));
         buf.send(ProcessId(0), all, Time(0), 7);
-        assert!(!buf.quiescent_for(all));
+        assert!(all.iter().all(|p| buf.pending(p) == 1));
         for p in all {
             buf.drop_for(p);
         }
-        assert!(buf.quiescent_for(all));
+        assert!(all.iter().all(|p| buf.pending(p) == 0));
         assert_eq!(buf.total_sent(), 1);
     }
 }

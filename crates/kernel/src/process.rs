@@ -146,12 +146,6 @@ impl ProcessSet {
         (0..WORDS).all(|i| self.0[i] & !other.0[i] == 0)
     }
 
-    /// Returns `true` if `self ⊇ other`.
-    #[inline]
-    pub fn is_superset(self, other: ProcessSet) -> bool {
-        other.is_subset(self)
-    }
-
     /// Returns `true` if the two sets intersect (`self ∩ other ≠ ∅`).
     #[inline]
     pub fn intersects(self, other: ProcessSet) -> bool {
@@ -450,11 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn subset_superset() {
+    fn subset() {
         let g: ProcessSet = [0u32, 1, 2].into_iter().collect();
         let h: ProcessSet = [1u32, 2].into_iter().collect();
         assert!(h.is_subset(g));
-        assert!(g.is_superset(h));
         assert!(!g.is_subset(h));
         assert!(ProcessSet::EMPTY.is_subset(h));
     }

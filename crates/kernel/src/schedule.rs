@@ -224,26 +224,10 @@ impl PathSource {
         }
     }
 
-    /// Rewinds the source onto a new `path` without reallocating: the path
-    /// buffer is overwritten in place, the cursor returns to depth 0 and the
-    /// recorded branching factors are cleared. Equivalent to (but cheaper
-    /// than) constructing `PathSource::new(path.to_vec())` — the exhaustive
-    /// explorer calls this once per enumerated run.
-    pub fn reset_to(&mut self, path: &[usize]) {
-        self.path.clear();
-        self.path.extend_from_slice(path);
-        self.cursor = 0;
-        self.branching.clear();
-    }
-
     /// The branching factor (total flat options) met at each visited depth.
+    // gam-lint: allow(U001, reason = "the reference odometer of the root equivalence tests (tests/common/odometer.rs) reads the branching factors")
     pub fn branching(&self) -> &[usize] {
         &self.branching
-    }
-
-    /// Depths actually consumed (< path length when the run ended early).
-    pub fn depth_reached(&self) -> usize {
-        self.cursor
     }
 }
 
@@ -359,21 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn path_source_reset_to_matches_fresh_construction() {
-        let o = opts(&[(0, 2), (1, 3)]);
-        let mut reused = PathSource::new(vec![9, 9, 9]);
-        let _ = reused.next_choice(&o);
-        let _ = reused.next_choice(&o);
-        reused.reset_to(&[0, 1, 2, 4, 99]);
-        let mut fresh = PathSource::new(vec![0, 1, 2, 4, 99]);
-        for _ in 0..6 {
-            assert_eq!(reused.next_choice(&o), fresh.next_choice(&o));
-        }
-        assert_eq!(reused.branching(), fresh.branching());
-        assert_eq!(reused.depth_reached(), fresh.depth_reached());
-    }
-
-    #[test]
     fn path_source_decodes_flat_indices() {
         let o = opts(&[(0, 2), (1, 3)]);
         let mut s = PathSource::new(vec![0, 1, 2, 4, 99]);
@@ -388,6 +357,5 @@ mod tests {
         );
         assert_eq!(s.next_choice(&o), None, "path exhausted");
         assert_eq!(s.branching(), &[5, 5, 5, 5, 5]);
-        assert_eq!(s.depth_reached(), 5);
     }
 }

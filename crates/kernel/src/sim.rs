@@ -14,7 +14,7 @@
 //! changed — under any failure pattern and any history; one that vouches
 //! for nothing is sampled at every step.
 //!
-//! Low-level control ([`Simulator::step_process`], [`Simulator::run_only`])
+//! Low-level control ([`Simulator::step_choice`], [`Simulator::run_only`])
 //! exposes the adversarial scheduling the necessity proofs of the paper
 //! quantify over: running only a chosen subset of processes, choosing which
 //! pending message a step receives, or forcing null-message steps.
@@ -210,6 +210,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
     }
 
     /// Enables recording of the full schedule in the trace.
+    // gam-lint: allow(U001, reason = "tests/levelb_identity.rs pins the recorded Level B schedules")
     pub fn with_schedule_recording(mut self) -> Self {
         let n = self.automata.len();
         self.trace = Trace::new(n, true);
@@ -288,7 +289,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
     /// # Panics
     ///
     /// Panics if `Receive::Nth(k)` is out of range.
-    pub fn step_process(&mut self, p: ProcessId, receive: Receive) -> Option<MsgId> {
+    fn step_process(&mut self, p: ProcessId, receive: Receive) -> Option<MsgId> {
         self.now = self.now.next();
         self.inject_crashes();
         if self.crashed.contains(p) {
@@ -365,34 +366,6 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
         }
     }
 
-    /// Runs until `pred` holds over the simulator, quiescence, or budget
-    /// exhaustion. Returns `true` iff `pred` held.
-    pub fn run_until<F>(
-        &mut self,
-        set: ProcessSet,
-        scheduler: Scheduler,
-        max_steps: u64,
-        mut pred: F,
-    ) -> bool
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let mut taken = 0u64;
-        loop {
-            if pred(self) {
-                return true;
-            }
-            if taken >= max_steps {
-                return false;
-            }
-            let Some((p, receive)) = self.pick(set, scheduler) else {
-                return pred(self);
-            };
-            self.step_process(p, receive);
-            taken += 1;
-        }
-    }
-
     fn pick(&mut self, set: ProcessSet, scheduler: Scheduler) -> Option<(ProcessId, Receive)> {
         // Crash injection may lag behind `now` if no step occurred; the next
         // step will inject. Eligibility is computed over current knowledge.
@@ -432,28 +405,12 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
         }
     }
 
-    /// Replays a fixed schedule: executes each `(process, receive)` step in
-    /// order. Crashed processes silently skip their steps (as in the
-    /// model). The necessity arguments of §5 construct runs step-by-step;
-    /// this is their programmatic form.
-    pub fn run_schedule(&mut self, schedule: &[(ProcessId, Receive)]) {
-        for (p, receive) in schedule {
-            self.step_process(*p, *receive);
-        }
-    }
-
-    /// The current choice space over `set`: each eligible process paired
-    /// with its option arity, in ascending process order. Process `p` with
-    /// `k` pending messages offers choices `0..k` (receive the `c`-th
-    /// oldest) plus, when it is active, choice `k` (the null message).
-    pub fn options_in(&self, set: ProcessSet) -> Vec<(ProcessId, usize)> {
-        let mut out = Vec::new();
-        self.options_into(set, &mut out);
-        out
-    }
-
-    /// [`Simulator::options_in`], writing into a caller-provided buffer —
-    /// the allocation-free form the hot step loop of `gam-engine` uses.
+    /// The current choice space over `set`, written into a caller-provided
+    /// buffer (the allocation-free form the hot step loop of `gam-engine`
+    /// uses): each eligible process paired with its option arity, in
+    /// ascending process order. Process `p` with `k` pending messages offers
+    /// choices `0..k` (receive the `c`-th oldest) plus, when it is active,
+    /// choice `k` (the null message).
     pub fn options_into(&self, set: ProcessSet, out: &mut Vec<(ProcessId, usize)>) {
         out.clear();
         for p in set {
@@ -474,9 +431,11 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
     }
 
     /// The current choice space over the full universe
-    /// (see [`Simulator::options_in`]).
+    /// (see [`Simulator::options_into`]).
     pub fn options(&self) -> Vec<(ProcessId, usize)> {
-        self.options_in(self.universe())
+        let mut out = Vec::new();
+        self.options_into(self.universe(), &mut out);
+        out
     }
 
     /// Executes one step of `p` taking sub-choice `choice` of its current
@@ -489,11 +448,6 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
             Receive::Null
         };
         self.step_process(p, receive)
-    }
-
-    /// Consumes the simulator, returning the trace.
-    pub fn into_trace(self) -> Trace<A::Event> {
-        self.trace
     }
 }
 
@@ -639,39 +593,6 @@ mod tests {
         let got = sim.step_process(ProcessId(1), Receive::Oldest);
         assert!(got.is_some());
         assert_eq!(sim.trace().steps().len(), 2);
-    }
-
-    #[test]
-    fn run_schedule_replays_exactly() {
-        let n = 3;
-        let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
-        let mut sim =
-            Simulator::new(flood_system(n, 0), pattern, NoDetector).with_schedule_recording();
-        sim.run_schedule(&[
-            (ProcessId(0), Receive::Null),   // p0 floods
-            (ProcessId(1), Receive::Oldest), // p1 receives, refloods
-            (ProcessId(2), Receive::Oldest), // p2 receives
-        ]);
-        assert_eq!(sim.trace().steps().len(), 3);
-        assert_eq!(sim.trace().events().len(), 3);
-        // crashed processes skip scheduled steps
-        let pattern =
-            FailurePattern::from_crashes(ProcessSet::first_n(n), [(ProcessId(1), Time(0))]);
-        let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
-        sim.run_schedule(&[(ProcessId(1), Receive::Null)]);
-        assert_eq!(sim.trace().steps_of(ProcessId(1)), 0);
-    }
-
-    #[test]
-    fn run_until_predicate() {
-        let n = 4;
-        let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
-        let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
-        let ok = sim.run_until(ProcessSet::first_n(n), Scheduler::RoundRobin, 10_000, |s| {
-            s.trace().events().len() >= 2
-        });
-        assert!(ok);
-        assert!(sim.trace().events().len() >= 2);
     }
 
     /// A detector that counts its queries and reports, at every process,

@@ -19,7 +19,7 @@ pub struct Config {
     /// Path prefixes excluded from the walk (fixtures, vendored shims, …).
     pub exclude: Vec<String>,
     /// Path prefixes of crates whose code must be a deterministic function
-    /// of the schedule (D001/D002 fire only here).
+    /// of the schedule (D001/D002 fire only here; F001 checks their roots).
     pub deterministic: Vec<String>,
     /// Path prefixes of protocol state-transition code (D003 fires here).
     pub protocol: Vec<String>,
@@ -27,21 +27,6 @@ pub struct Config {
     pub digest: Vec<String>,
     /// Per-lint severity overrides (lint id → severity).
     pub severity: BTreeMap<String, Severity>,
-    /// Capability grants: crate key (`crates/bench`, `src`, `tests`) →
-    /// sorted capability names. The C-lints enforce these.
-    pub capabilities: BTreeMap<String, Vec<String>>,
-    /// Whether a `[capabilities]` section was present. The capability lints
-    /// (C001–C003, and F001's SAFETY pairing) run only when it is: a config
-    /// without the section keeps v1 behaviour instead of flagging every
-    /// clock in every bench.
-    pub capabilities_configured: bool,
-    /// Path prefixes where every `Ordering::Relaxed` needs a reasoned
-    /// inline allow (A001).
-    pub concurrency: Vec<String>,
-    /// Path prefixes of the observer plumbing, exempt from A002 — the
-    /// `Arc<Mutex<O>>` subscription path is outside the deterministic
-    /// digest surface by construction.
-    pub observer: Vec<String>,
 }
 
 impl Default for Config {
@@ -53,17 +38,9 @@ impl Default for Config {
             protocol: Vec::new(),
             digest: Vec::new(),
             severity: BTreeMap::new(),
-            capabilities: BTreeMap::new(),
-            capabilities_configured: false,
-            concurrency: Vec::new(),
-            observer: Vec::new(),
         }
     }
 }
-
-/// The capability names a `[capabilities]` grant may use.
-pub const CAPABILITY_NAMES: &[&str] =
-    &["entropy", "io", "sync_atomics", "threads", "time", "unsafe"];
 
 impl Config {
     /// Parses the `gam-lint.toml` text format.
@@ -99,9 +76,6 @@ impl Config {
             let line = line.as_str();
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
-                if section == "capabilities" {
-                    config.capabilities_configured = true;
-                }
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -114,24 +88,6 @@ impl Config {
                 ("deterministic", "paths") => config.deterministic = parse_array(value, n)?,
                 ("protocol", "paths") => config.protocol = parse_array(value, n)?,
                 ("digest", "paths") => config.digest = parse_array(value, n)?,
-                ("concurrency", "paths") => config.concurrency = parse_array(value, n)?,
-                ("concurrency", "observer") => config.observer = parse_array(value, n)?,
-                ("capabilities", key) => {
-                    let key = key.trim_matches('"').to_string();
-                    let mut caps = parse_array(value, n)?;
-                    for c in &caps {
-                        if !CAPABILITY_NAMES.contains(&c.as_str()) {
-                            return Err(format!(
-                                "line {}: unknown capability {c:?} (one of {})",
-                                n + 1,
-                                CAPABILITY_NAMES.join("/")
-                            ));
-                        }
-                    }
-                    caps.sort();
-                    caps.dedup();
-                    config.capabilities.insert(key, caps);
-                }
                 ("severity", id) => {
                     let sev = match parse_string(value, n)?.as_str() {
                         "error" => Severity::Error,
@@ -177,30 +133,6 @@ impl Config {
     /// Whether `path` holds digest/fingerprint code.
     pub fn is_digest(&self, path: &str) -> bool {
         self.digest.iter().any(|d| path.starts_with(d.as_str()))
-    }
-
-    /// Whether `path` lies in the A001 concurrency-audit scope.
-    pub fn is_concurrency(&self, path: &str) -> bool {
-        self.concurrency
-            .iter()
-            .any(|d| path.starts_with(d.as_str()))
-    }
-
-    /// Whether `path` lies on the observer plumbing exempt from A002.
-    pub fn is_observer(&self, path: &str) -> bool {
-        self.observer.iter().any(|d| path.starts_with(d.as_str()))
-    }
-
-    /// The capabilities granted to `crate_key` (empty when ungranted).
-    pub fn grants_of(&self, crate_key: &str) -> &[String] {
-        self.capabilities
-            .get(crate_key)
-            .map_or(&[], |v| v.as_slice())
-    }
-
-    /// Whether `crate_key` is granted the capability named `cap`.
-    pub fn has_grant(&self, crate_key: &str, cap: &str) -> bool {
-        self.grants_of(crate_key).iter().any(|c| c == cap)
     }
 
     /// The effective severity of `id`, honouring overrides.
@@ -276,43 +208,5 @@ P002 = "error"
         assert!(Config::parse("[scan]\nbogus = \"x\"").is_err());
         assert!(Config::parse("[severity]\nD001 = \"loud\"").is_err());
         assert!(Config::parse("no equals sign").is_err());
-    }
-
-    #[test]
-    fn capabilities_parse_sorted_and_validated() {
-        let cfg = Config::parse(
-            "[capabilities]\n\"crates/bench\" = [\"time\", \"io\"]\n\"crates/lint\" = [\"io\", \"io\"]\n",
-        )
-        .unwrap();
-        assert!(cfg.capabilities_configured);
-        assert_eq!(cfg.grants_of("crates/bench"), ["io", "time"]);
-        assert_eq!(cfg.grants_of("crates/lint"), ["io"]);
-        assert!(cfg.has_grant("crates/bench", "time"));
-        assert!(!cfg.has_grant("crates/bench", "threads"));
-        assert!(cfg.grants_of("crates/core").is_empty());
-        assert!(Config::parse("[capabilities]\n\"crates/x\" = [\"clocks\"]\n").is_err());
-    }
-
-    #[test]
-    fn empty_capabilities_section_still_arms_the_c_lints() {
-        let cfg = Config::parse("[capabilities]\n").unwrap();
-        assert!(cfg.capabilities_configured);
-        assert!(
-            !Config::parse("[scan]\nroots = [\"src\"]\n")
-                .unwrap()
-                .capabilities_configured
-        );
-    }
-
-    #[test]
-    fn concurrency_scope_and_observer_exemption_parse() {
-        let cfg = Config::parse(
-            "[concurrency]\npaths = [\"crates/explore\"]\nobserver = [\"crates/engine/src/event.rs\"]\n",
-        )
-        .unwrap();
-        assert!(cfg.is_concurrency("crates/explore/src/explorer.rs"));
-        assert!(!cfg.is_concurrency("crates/core/src/runtime.rs"));
-        assert!(cfg.is_observer("crates/engine/src/event.rs"));
-        assert!(!cfg.is_observer("crates/engine/src/digest.rs"));
     }
 }

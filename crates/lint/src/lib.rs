@@ -11,32 +11,29 @@
 //! suppressions that require a reason, a machine-readable JSON report and a
 //! `--deny-warnings` mode that CI gates on.
 //!
-//! The pipeline is two-phase. Phase 1: [`tokenizer`] lexes each file,
-//! [`pass::FileCtx`] derives test-only line ranges and suppression
-//! comments, and [`symbols`] parses every file into its symbol table —
-//! `use` declarations with alias resolution, `pub use` re-exports, `fn`
-//! items with body ranges, capability use sites, `unsafe` sites. Phase 2:
-//! [`lints`] runs the per-file passes (alias-aware through the symbol
-//! table) and [`graph`] aggregates the tables into one node per crate and
-//! runs the cross-crate capability lints, yielding the [`graph`] artifact
-//! alongside the [`report::Report`]. [`config::Config`] (parsed from the
-//! checked-in `gam-lint.toml`) scopes each lint family to the paths where
-//! its invariant is load-bearing and grants capabilities per crate. See
-//! `LINTS.md` at the repository root for the catalogue.
+//! The pipeline is two-phase. Phase 1: `tokenizer` lexes each file,
+//! `pass::FileCtx` derives test-only line ranges and suppression comments,
+//! and `symbols` parses every file into its symbol table — `use`
+//! declarations with alias resolution, clock and entropy sites, bare-`pub`
+//! items, the `#![forbid(unsafe_code)]` pin. Phase 2: `lints` runs the
+//! per-file passes (alias-aware through the symbol table), then
+//! the whole-scan ones: F001 per crate, P001 across files and the U001
+//! caller census over every file's identifiers. [`config::Config`] (parsed
+//! from the checked-in `gam-lint.toml`) scopes each lint family to the
+//! paths where its invariant is load-bearing. See `LINTS.md` at the
+//! repository root for the catalogue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod graph;
-pub mod lints;
-pub mod pass;
+mod lints;
+mod pass;
 pub mod report;
-pub mod symbols;
-pub mod tokenizer;
+mod symbols;
+mod tokenizer;
 
 use config::Config;
-use graph::CapabilityGraph;
 use pass::FileCtx;
 use report::{Report, Suppression};
 use std::fs;
@@ -46,15 +43,8 @@ use std::path::Path;
 /// Scans a set of in-memory `(path, source)` pairs. This is the whole
 /// analysis minus the filesystem walk — tests feed fixtures through it
 /// directly, and [`scan_repo`] feeds it the walked files.
+// gam-lint: allow(U001, reason = "the golden tests (crates/lint/tests/golden.rs) scan fixtures through it")
 pub fn scan_sources(sources: Vec<(String, String)>, config: &Config) -> Report {
-    scan_sources_graph(sources, config).0
-}
-
-/// [`scan_sources`] plus the capability graph the scan derives.
-pub fn scan_sources_graph(
-    sources: Vec<(String, String)>,
-    config: &Config,
-) -> (Report, CapabilityGraph) {
     let mut ctxs: Vec<FileCtx> = sources
         .into_iter()
         .map(|(path, src)| FileCtx::new(path, &src))
@@ -65,20 +55,29 @@ pub fn scan_sources_graph(
     let syms: Vec<symbols::FileSymbols> = ctxs.iter().map(symbols::build).collect();
 
     // Phase 2: cross-file collection first (P001), then per-file lints,
-    // then the graph lints, then P001 finalization, then suppression
-    // hygiene — so every lint has had the chance to consume an allow
-    // before S002 declares it unused.
+    // then the whole-scan lints (F001, U001), then P001 finalization, then
+    // suppression hygiene — so every lint has had the chance to consume an
+    // allow before S002 declares it unused. Files of the frozen benchmark
+    // feed the U001 identifier count and nothing else: no lint gates them.
+    let linted: Vec<bool> = ctxs.iter().map(|c| !is_benchmark(&c.path)).collect();
     let mut p001 = lints::SendAssertPass::default();
     for (i, ctx) in ctxs.iter().enumerate() {
-        p001.collect(i, ctx);
+        if linted[i] {
+            p001.collect(i, ctx);
+        }
     }
     for (i, ctx) in ctxs.iter_mut().enumerate() {
-        lints::run_file_lints(ctx, &syms[i], config, &mut diagnostics);
+        if linted[i] {
+            lints::run_file_lints(ctx, &syms[i], config, &mut diagnostics);
+        }
     }
-    let capability_graph = graph::run_graph_lints(&mut ctxs, &syms, config, &mut diagnostics);
+    lints::f001_forbid_unsafe(&mut ctxs, &syms, config, &mut diagnostics);
+    lints::u001_uncalled_pub(&mut ctxs, &syms, config, &mut diagnostics);
     p001.finalize(&mut ctxs, config, &mut diagnostics);
-    for ctx in &mut ctxs {
-        lints::run_suppression_lints(ctx, config, &mut diagnostics);
+    for (i, ctx) in ctxs.iter_mut().enumerate() {
+        if linted[i] {
+            lints::run_suppression_lints(ctx, config, &mut diagnostics);
+        }
     }
 
     let mut suppressions = Vec::new();
@@ -96,14 +95,17 @@ pub fn scan_sources_graph(
     }
 
     diagnostics.sort_by(|a, b| (&a.file, a.line, a.id).cmp(&(&b.file, b.line, b.id)));
-    (
-        Report {
-            files_scanned: ctxs.len(),
-            diagnostics,
-            suppressions,
-        },
-        capability_graph,
-    )
+    Report {
+        files_scanned: ctxs.len(),
+        diagnostics,
+        suppressions,
+    }
+}
+
+/// Whether `path` belongs to the frozen benchmark (`benchmark/`), which the
+/// scan reads only so that its calls count for U001.
+fn is_benchmark(path: &str) -> bool {
+    path.starts_with("benchmark/")
 }
 
 /// Walks `config.roots` under `root`, reads every `.rs` file not excluded
@@ -114,16 +116,6 @@ pub fn scan_sources_graph(
 /// Propagates I/O errors from the walk; missing roots are skipped silently
 /// (a checkout without `src/` is fine).
 pub fn scan_repo(root: &Path, config: &Config) -> io::Result<Report> {
-    Ok(scan_repo_graph(root, config)?.0)
-}
-
-/// [`scan_repo`] plus the capability graph the scan derives — the CLI's
-/// `--graph` artifact comes from here.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the walk, as [`scan_repo`] does.
-pub fn scan_repo_graph(root: &Path, config: &Config) -> io::Result<(Report, CapabilityGraph)> {
     let mut files = Vec::new();
     for r in &config.roots {
         let dir = root.join(r);
@@ -136,7 +128,7 @@ pub fn scan_repo_graph(root: &Path, config: &Config) -> io::Result<(Report, Capa
         let src = fs::read_to_string(root.join(&rel))?;
         sources.push((rel, src));
     }
-    Ok(scan_sources_graph(sources, config))
+    Ok(scan_sources(sources, config))
 }
 
 /// Loads `gam-lint.toml` from `root`, or the default config when absent.

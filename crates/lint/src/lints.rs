@@ -2,125 +2,44 @@
 //!
 //! | id   | default | fires on                                              |
 //! |------|---------|-------------------------------------------------------|
-//! | A001 | error   | `Ordering::Relaxed` without a reasoned allow in concurrency scope |
-//! | A002 | error   | `Mutex`/`RwLock` in deterministic crates off the observer path |
-//! | C001 | error   | a capability used by a crate not granted it           |
-//! | C002 | error   | a capability laundered through a granted crate's re-export or thin wrapper |
-//! | C003 | warn    | a granted capability the crate never uses             |
 //! | D001 | error   | `HashMap`/`HashSet` in deterministic crates           |
 //! | D002 | error   | wall-clock / entropy sources in deterministic crates  |
-//! | D003 | warn    | `unwrap()`, `panic!`, undocumented `expect()` in protocol code |
-//! | F001 | error   | missing `#![forbid(unsafe_code)]` / `unsafe` without `// SAFETY:` |
+//! | D003 | error   | `unwrap()`, `panic!`, undocumented `expect()` in protocol code |
+//! | F001 | error   | a deterministic crate root without `#![forbid(unsafe_code)]` |
 //! | P001 | error   | `Executor`/`SnapshotExec` impl without a `Send` assert |
 //! | P002 | error   | floating-point arithmetic in digest/fingerprint code  |
 //! | S001 | error   | `gam-lint: allow(...)` without a `reason`             |
 //! | S002 | warn    | a reasoned allow that silences nothing                |
+//! | U001 | error   | a bare-`pub` item no other non-test file names        |
 //!
-//! D-lints guard the model assumption every result in this repository rests
-//! on: executors are *deterministic functions of the schedule*, the same
-//! quantification the paper's proofs use. A/C/F-lints are the v2 capability
-//! system (see [`crate::graph`]): the contract under which a real-thread
-//! executor can coexist with that assumption. P-lints pin protocol-layer
-//! invariants the type system cannot express. S-lints keep the suppression
-//! mechanism honest. See `LINTS.md` for the full catalogue with examples.
+//! D-lints and F001 guard the model assumption every result in this
+//! repository rests on: executors are *deterministic functions of the
+//! schedule*, the same quantification the paper's proofs use. P-lints pin
+//! protocol-layer invariants the type system cannot express. U001 is the
+//! caller census: public code nobody calls is deleted or argued for.
+//! S-lints keep the suppression mechanism honest. See `LINTS.md` for the
+//! full catalogue with examples.
 
 use crate::config::Config;
 use crate::pass::FileCtx;
 use crate::report::{Diagnostic, Severity};
-use crate::symbols::{Capability, FileSymbols};
+use crate::symbols::{Ambient, FileSymbols};
 use crate::tokenizer::TokenKind;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Descriptor of one lint: id, default severity, one-line rationale.
-pub struct LintInfo {
-    /// The stable lint id.
-    pub id: &'static str,
-    /// Severity before config overrides.
-    pub default_severity: Severity,
-    /// What the lint protects.
-    pub summary: &'static str,
-}
-
-/// The catalogue, in report order.
-pub const LINTS: &[LintInfo] = &[
-    LintInfo {
-        id: "A001",
-        default_severity: Severity::Error,
-        summary: "relaxed atomic ordering without a written merge-invariant argument",
-    },
-    LintInfo {
-        id: "A002",
-        default_severity: Severity::Error,
-        summary: "lock acquired in a deterministic crate outside the observer path",
-    },
-    LintInfo {
-        id: "C001",
-        default_severity: Severity::Error,
-        summary: "capability used by a crate not granted it",
-    },
-    LintInfo {
-        id: "C002",
-        default_severity: Severity::Error,
-        summary: "capability laundered through a granted crate's re-export or thin wrapper",
-    },
-    LintInfo {
-        id: "C003",
-        default_severity: Severity::Warn,
-        summary: "granted capability the crate never uses",
-    },
-    LintInfo {
-        id: "D001",
-        default_severity: Severity::Error,
-        summary: "unordered collection in a deterministic crate",
-    },
-    LintInfo {
-        id: "D002",
-        default_severity: Severity::Error,
-        summary: "wall-clock or entropy source in a deterministic crate",
-    },
-    LintInfo {
-        id: "D003",
-        default_severity: Severity::Warn,
-        summary: "panic path in protocol state-transition code",
-    },
-    LintInfo {
-        id: "F001",
-        default_severity: Severity::Error,
-        summary: "missing #![forbid(unsafe_code)] or unsafe block without a SAFETY comment",
-    },
-    LintInfo {
-        id: "P001",
-        default_severity: Severity::Error,
-        summary: "Executor impl or snapshot type without a compile-time Send assertion",
-    },
-    LintInfo {
-        id: "P002",
-        default_severity: Severity::Error,
-        summary: "floating-point arithmetic in digest/fingerprint code",
-    },
-    LintInfo {
-        id: "S001",
-        default_severity: Severity::Error,
-        summary: "suppression without a reason",
-    },
-    LintInfo {
-        id: "S002",
-        default_severity: Severity::Warn,
-        summary: "suppression that silences nothing",
-    },
-];
-
-pub(crate) fn severity_of(config: &Config, id: &str) -> Severity {
-    let default = LINTS
-        .iter()
-        .find(|l| l.id == id)
-        .map_or(Severity::Error, |l| l.default_severity);
+/// The configured severity of `id`; the defaults are the table above.
+fn severity_of(config: &Config, id: &str) -> Severity {
+    let default = if id == "S002" {
+        Severity::Warn
+    } else {
+        Severity::Error
+    };
     config.severity_of(id, default)
 }
 
 /// Emits `diag` unless a reasoned inline allow covers it or the configured
 /// severity is `allow`.
-pub(crate) fn emit(
+fn emit(
     ctx: &mut FileCtx,
     config: &Config,
     out: &mut Vec<Diagnostic>,
@@ -157,18 +76,132 @@ pub fn run_file_lints(
     if config.is_deterministic(&ctx.path) {
         d001_unordered_collections(ctx, syms, config, out);
         d002_clock_and_entropy(ctx, syms, config, out);
-        if !config.is_observer(&ctx.path) {
-            a002_locks(ctx, config, out);
-        }
-    }
-    if config.is_concurrency(&ctx.path) {
-        a001_relaxed_ordering(ctx, syms, config, out);
     }
     if config.is_protocol(&ctx.path) {
         d003_panic_paths(ctx, config, out);
     }
     if config.is_digest(&ctx.path) {
         p002_floats_in_digest(ctx, config, out);
+    }
+}
+
+/// F001 — every crate root in the `[deterministic]` scope (`src/lib.rs`,
+/// else `src/main.rs`) carries `#![forbid(unsafe_code)]`: the attribute is
+/// what makes "no unsafe" a compiler-checked claim rather than a habit. A
+/// scan that does not include the crate's root cannot judge it, so
+/// single-file fixture trees stay quiet.
+pub fn f001_forbid_unsafe(
+    ctxs: &mut [FileCtx],
+    syms: &[FileSymbols],
+    config: &Config,
+    out: &mut Vec<Diagnostic>,
+) {
+    let scanned: BTreeSet<String> = ctxs.iter().map(|c| c.path.clone()).collect();
+    for (ctx, s) in ctxs.iter_mut().zip(syms) {
+        let is_root = match crate_src_path(&ctx.path) {
+            Some("lib.rs") => true,
+            Some("main.rs") => !scanned.contains(&ctx.path.replace("src/main.rs", "src/lib.rs")),
+            _ => false,
+        };
+        if is_root && !s.has_forbid_unsafe && config.is_deterministic(&ctx.path) {
+            let message = format!(
+                "deterministic crate root {} does not carry `#![forbid(unsafe_code)]`",
+                ctx.path
+            );
+            emit(
+                ctx,
+                config,
+                out,
+                "F001",
+                1,
+                message,
+                Some("add the attribute".into()),
+            );
+        }
+    }
+}
+
+/// Whether the code of `path` counts as a caller for U001: test files
+/// (`tests/`, `crates/*/tests`) and examples do not.
+fn is_caller_file(path: &str) -> bool {
+    !path
+        .split('/')
+        .any(|seg| seg == "tests" || seg == "examples")
+}
+
+/// The path of `path` inside the `src` directory of its workspace crate
+/// (`crates/*/src`, the umbrella `src`), or `None` outside them: U001 takes
+/// its census there, and F001 finds the crate roots there.
+fn crate_src_path(path: &str) -> Option<&str> {
+    path.strip_prefix("src/").or_else(|| {
+        let (_, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+        rest.strip_prefix("src/")
+    })
+}
+
+/// U001 — the caller census. A bare-`pub` `fn`, `struct`, `enum`, `trait`
+/// or `const` of a workspace crate whose name appears as an identifier in
+/// no non-test file outside its defining file has no caller that needs it
+/// public: delete it, drop the `pub`, or keep it with a reasoned allow at
+/// its definition (a test oracle, a class validator). Name matching
+/// over-counts uses — any `len` anywhere counts for every `pub fn len` — so
+/// every entry the census lists really is uncalled. Trait methods drop out
+/// on their own: they cannot be bare `pub`.
+pub fn u001_uncalled_pub(
+    ctxs: &mut [FileCtx],
+    syms: &[FileSymbols],
+    config: &Config,
+    out: &mut Vec<Diagnostic>,
+) {
+    // Name → the caller files whose non-test code spells it (each at most
+    // once, in scan order).
+    let mut named_in: BTreeMap<&str, Vec<usize>> = syms
+        .iter()
+        .zip(ctxs.iter())
+        .filter(|(_, ctx)| crate_src_path(&ctx.path).is_some())
+        .flat_map(|(s, _)| s.pub_items.iter().map(|p| (p.name.as_str(), Vec::new())))
+        .collect();
+    for (i, ctx) in ctxs.iter().enumerate() {
+        if !is_caller_file(&ctx.path) {
+            continue;
+        }
+        for &t in &ctx.code {
+            let t = &ctx.tokens[t];
+            if t.kind != TokenKind::Ident || ctx.in_test_code(t.line) {
+                continue;
+            }
+            if let Some(files) = named_in.get_mut(t.text.as_str()) {
+                if files.last() != Some(&i) {
+                    files.push(i);
+                }
+            }
+        }
+    }
+    let mut uncalled = Vec::new();
+    for (i, s) in syms.iter().enumerate() {
+        if crate_src_path(&ctxs[i].path).is_none() {
+            continue;
+        }
+        for item in &s.pub_items {
+            if named_in[item.name.as_str()].iter().all(|&f| f == i) {
+                uncalled.push((i, item.line, item.kind, item.name.clone()));
+            }
+        }
+    }
+    for (i, line, kind, name) in uncalled {
+        emit(
+            &mut ctxs[i],
+            config,
+            out,
+            "U001",
+            line,
+            format!("`pub {kind} {name}` is named in no other non-test file"),
+            Some(
+                "delete it, drop the `pub`, or keep it with \
+                 `// gam-lint: allow(U001, reason = \"…\")`"
+                    .into(),
+            ),
+        );
     }
 }
 
@@ -329,14 +362,13 @@ fn d002_clock_and_entropy(
             ));
         }
     }
-    for cap_use in &syms.cap_uses {
-        let fix = match cap_use.cap {
-            Capability::Time => "use the logical clock (`gam_kernel::Time`)",
-            Capability::Entropy => "seed a `StdRng` from the scenario config",
-            _ => continue,
+    for site in &syms.ambient_uses {
+        let fix = match site.kind {
+            Ambient::Time => "use the logical clock (`gam_kernel::Time`)",
+            Ambient::Entropy => "seed a `StdRng` from the scenario config",
         };
-        if seen.insert(cap_use.line) {
-            hits.push((cap_use.line, cap_use.what.clone(), fix.to_string()));
+        if seen.insert(site.line) {
+            hits.push((site.line, site.what.clone(), fix.to_string()));
         }
     }
     hits.sort();
@@ -352,97 +384,6 @@ fn d002_clock_and_entropy(
                  make runs differ under identical schedules"
             ),
             Some(fix),
-        );
-    }
-}
-
-/// A001 — every `Ordering::Relaxed` in the concurrency-audit scope is a
-/// proof obligation: the site must carry a reasoned inline allow arguing
-/// why the deterministic merge tolerates the relaxed ordering (monotonic
-/// budget counters, lowest-wins skip hints whose correctness rests on the
-/// `thread::scope` join, …) or be strengthened to an acquiring/releasing
-/// ordering. The lint deliberately fires on *every* site — the allow with
-/// its written argument is the expected steady state, and S002 retires the
-/// argument when the site disappears.
-fn a001_relaxed_ordering(
-    ctx: &mut FileCtx,
-    syms: &FileSymbols,
-    config: &Config,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut lines = BTreeSet::new();
-    for ci in 3..ctx.code.len() {
-        let t = ctx.code_token(ci);
-        if t.is_ident("Relaxed")
-            && ctx.code_token(ci - 1).is_punct(':')
-            && ctx.code_token(ci - 2).is_punct(':')
-            && ctx.code_token(ci - 3).is_ident("Ordering")
-            && !ctx.in_test_code(t.line)
-        {
-            lines.insert(t.line);
-        }
-    }
-    // Alias layer: `use Ordering as O; O::Relaxed` resolves through the
-    // symbol table.
-    for pu in &syms.path_uses {
-        let n = pu.canonical.len();
-        if n >= 2 && pu.canonical[n - 1] == "Relaxed" && pu.canonical[n - 2] == "Ordering" {
-            lines.insert(pu.line);
-        }
-    }
-    for line in lines {
-        emit(
-            ctx,
-            config,
-            out,
-            "A001",
-            line,
-            "`Ordering::Relaxed` without a written merge-invariant argument: relaxed \
-             loads/stores are unordered, so the byte-identical-merge claim needs a reason \
-             this site cannot reorder into it"
-                .to_string(),
-            Some(
-                "add `// gam-lint: allow(A001, reason = …)` arguing why the invariant \
-                 tolerates relaxed ordering, or strengthen to Acquire/Release/AcqRel"
-                    .into(),
-            ),
-        );
-    }
-}
-
-/// A002 — `Mutex`/`RwLock` in deterministic crates outside the observer
-/// path. Lock acquisition order is scheduler-dependent, so any state shared
-/// under a lock inside the deterministic core is a covert schedule input;
-/// the one sanctioned use is the observer plumbing (`Arc<Mutex<O>>`
-/// subscriptions), which by construction feeds dashboards, not digests.
-fn a002_locks(ctx: &mut FileCtx, config: &Config, out: &mut Vec<Diagnostic>) {
-    let mut hits = Vec::new();
-    for &i in &ctx.code {
-        let t = &ctx.tokens[i];
-        if t.kind == TokenKind::Ident
-            && (t.text == "Mutex" || t.text == "RwLock")
-            && !ctx.in_test_code(t.line)
-        {
-            hits.push((t.line, t.text.clone()));
-        }
-    }
-    for (line, name) in hits {
-        emit(
-            ctx,
-            config,
-            out,
-            "A002",
-            line,
-            format!(
-                "`{name}` in a deterministic crate outside the observer path: lock \
-                 acquisition order is scheduler-dependent, making the guarded state a \
-                 covert schedule input"
-            ),
-            Some(
-                "move the shared state behind the kernel's deterministic queues, or \
-                 extend [concurrency] observer if this is observer plumbing"
-                    .into(),
-            ),
         );
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! ```text
 //! cargo run -p gam-lint -- [--root DIR] [--config FILE] [--json FILE] \
-//!                          [--graph FILE] [--deny-warnings]
+//!                          [--deny-warnings]
 //! ```
 //!
 //! Scans the repository's Rust sources with the determinism and
-//! protocol-invariant lints, prints the human-readable report to stdout,
-//! optionally writes the machine-readable JSON record and the capability
-//! graph artifact (`--graph`), and exits non-zero when the run fails (any
-//! error; any warning under `--deny-warnings`).
+//! protocol-invariant lints and the caller census, prints the
+//! human-readable report to stdout, optionally writes the machine-readable
+//! JSON record, and exits non-zero when the run fails (any error; any
+//! warning under `--deny-warnings`).
 
 #![forbid(unsafe_code)]
 
@@ -20,12 +20,11 @@ struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
     json: Option<PathBuf>,
-    graph: Option<PathBuf>,
     deny_warnings: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: gam-lint [--root DIR] [--config FILE] [--json FILE] [--graph FILE] [--deny-warnings]"
+    "usage: gam-lint [--root DIR] [--config FILE] [--json FILE] [--deny-warnings]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -33,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         config: None,
         json: None,
-        graph: None,
         deny_warnings: false,
     };
     let mut it = std::env::args().skip(1);
@@ -52,13 +50,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => {
                 args.json = Some(it.next().map(PathBuf::from).ok_or("--json needs a value")?);
-            }
-            "--graph" => {
-                args.graph = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .ok_or("--graph needs a value")?,
-                );
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
@@ -88,7 +79,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (report, graph) = match gam_lint::scan_repo_graph(&args.root, &config) {
+    let report = match gam_lint::scan_repo(&args.root, &config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("gam-lint: scan failed: {e}");
@@ -101,15 +92,6 @@ fn main() -> ExitCode {
             let _ = std::fs::create_dir_all(dir);
         }
         if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("gam-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &args.graph {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, graph.to_json()) {
             eprintln!("gam-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }

@@ -1,207 +1,106 @@
-//! Phase 1 of the two-phase analyzer: per-file symbol tables.
+//! Phase 1 of the analyzer: per-file symbol tables.
 //!
-//! The v1 lints were independent token scans — sufficient while the
-//! invariant was "nobody touches `std::time`", but the road to a real
-//! `ThreadExecutor` (ROADMAP item 4) changes the question from *whether*
-//! any crate touches threads, clocks and atomics to *which* crates may,
-//! through *which* re-exports, with *what* justification. That is a graph
-//! property, and a graph needs symbols: this module parses every file into
-//! its `use` declarations (alias resolution included, so `use std::time as
-//! t; t::Instant::now()` is no longer invisible), its `pub use` re-exports,
-//! its `fn` items with body ranges (so a wrapper function can be tainted by
-//! the capabilities its body exercises), its `unsafe` sites, and the
-//! presence of `#![forbid(unsafe_code)]`. [`crate::graph`] aggregates the
-//! per-file tables into per-crate nodes and runs the capability lints over
-//! them.
+//! Token patterns alone cannot see through a rename: `use std::{time as
+//! t}; t::Instant::now()` spells neither `std::time` contiguously nor any
+//! banned name on its use line. This module parses every file into its
+//! `use` declarations with alias resolution, resolves every path expression
+//! through them, and records what the lints need from the result: the
+//! clock and entropy sites D002 reports, the resolved paths D001 checks for
+//! a renamed hash table, the bare-`pub` items the U001 census counts
+//! callers for, and whether the file carries `#![forbid(unsafe_code)]`
+//! (F001).
 
 use crate::pass::FileCtx;
 use crate::tokenizer::TokenKind;
 use std::collections::BTreeMap;
 
-/// A named capability a crate can be granted in `gam-lint.toml`'s
-/// `[capabilities]` section. Everything a real-thread executor will need —
-/// and everything the determinism story must therefore account for.
+/// A source of nondeterminism a deterministic crate must not touch (D002).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Capability {
+pub enum Ambient {
+    /// `std::time` — wall clocks (and everything else in the module,
+    /// `Duration` included, which is D002's long-standing scope).
+    Time,
     /// OS randomness: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`.
     Entropy,
-    /// Filesystem, sockets, process control, environment reads
-    /// (`std::{fs, io, net, process, env}`).
-    Io,
-    /// `std::sync::atomic` — shared-memory orderings.
-    SyncAtomics,
-    /// `std::thread` — real OS threads.
-    Threads,
-    /// `std::time` — wall clocks (and everything else in the module: a
-    /// deterministic crate has no business near it, `Duration` included,
-    /// which is exactly D002's long-standing scope).
-    Time,
-    /// `unsafe` blocks and functions.
-    Unsafe,
 }
 
-impl Capability {
-    /// Every capability, in the order reports render them.
-    pub const ALL: &'static [Capability] = &[
-        Capability::Entropy,
-        Capability::Io,
-        Capability::SyncAtomics,
-        Capability::Threads,
-        Capability::Time,
-        Capability::Unsafe,
-    ];
-
-    /// The lowercase name used in `gam-lint.toml` and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Capability::Entropy => "entropy",
-            Capability::Io => "io",
-            Capability::SyncAtomics => "sync_atomics",
-            Capability::Threads => "threads",
-            Capability::Time => "time",
-            Capability::Unsafe => "unsafe",
-        }
-    }
-
-    /// Parses a capability name from the config.
-    pub fn parse(s: &str) -> Option<Capability> {
-        Capability::ALL.iter().copied().find(|c| c.name() == s)
-    }
-}
-
-/// Classifies a canonical (absolute, alias-resolved) path by the capability
-/// it exercises. `None` for paths that need no grant.
-pub fn classify_path(path: &[String]) -> Option<Capability> {
+/// Classifies a canonical (absolute, alias-resolved) path by the ambient
+/// source it reads. `None` for paths that read neither.
+fn classify_path(path: &[String]) -> Option<Ambient> {
     let seg = |i: usize| path.get(i).map(String::as_str);
     match (seg(0), seg(1)) {
-        (Some("std"), Some("thread")) => return Some(Capability::Threads),
-        (Some("std" | "core"), Some("time")) => return Some(Capability::Time),
-        (Some("std" | "core"), Some("sync")) if seg(2) == Some("atomic") => {
-            return Some(Capability::SyncAtomics)
-        }
-        (Some("std"), Some("fs" | "io" | "net" | "process" | "env")) => {
-            return Some(Capability::Io)
-        }
-        (Some("getrandom"), _) => return Some(Capability::Entropy),
+        (Some("std" | "core"), Some("time")) => return Some(Ambient::Time),
+        (Some("getrandom"), _) => return Some(Ambient::Entropy),
         _ => {}
     }
     let entropic = |s: &str| matches!(s, "thread_rng" | "from_entropy" | "OsRng" | "from_os_rng");
     if path.iter().any(|s| entropic(s)) {
-        return Some(Capability::Entropy);
+        return Some(Ambient::Entropy);
     }
     None
 }
 
-/// The crate key of a repo-relative path: `crates/<name>` for workspace
-/// crates, else the first path segment (`src` for the umbrella crate,
-/// `tests` for the root integration tests). Grants in `gam-lint.toml` are
-/// keyed the same way.
-pub fn crate_key(path: &str) -> String {
-    if let Some(rest) = path.strip_prefix("crates/") {
-        let name = rest.split('/').next().unwrap_or(rest);
-        format!("crates/{name}")
-    } else {
-        path.split('/').next().unwrap_or(path).to_string()
-    }
-}
-
-/// The identifiers under which a crate key can be imported from another
-/// crate (`crates/engine` is the package `gam-engine`, imported as
-/// `gam_engine`; fixture trees use the bare directory name).
-pub fn extern_names(key: &str) -> Vec<String> {
-    if let Some(name) = key.strip_prefix("crates/") {
-        let flat = name.replace('-', "_");
-        vec![flat.clone(), format!("gam_{flat}")]
-    } else if key == "src" {
-        vec!["genuine_multicast".to_string()]
-    } else {
-        Vec::new()
-    }
-}
-
 /// One leaf binding introduced by a `use` declaration.
 #[derive(Debug, Clone)]
-pub struct UseDecl {
+pub(crate) struct UseDecl {
     /// 1-based line of the leaf name (diagnostics anchor here, so a
     /// multi-line group import points at the offending member).
     pub line: u32,
     /// The full path as written, group prefixes expanded
-    /// (`use std::{time as t}` records `["std", "time"]`).
+    /// (`use std::{time as t}` records `["std", "time"]`); a glob records
+    /// the path it imports from.
     pub path: Vec<String>,
-    /// The name this declaration binds in the file (`"*"` for globs).
-    pub alias: String,
-    /// Whether the binding is re-exported (`pub use`, without a
-    /// `pub(restricted)` qualifier).
-    pub is_pub: bool,
 }
 
-/// One `fn` item with its body's line range.
+/// One bare-`pub` item (`fn`, `struct`, `enum`, `trait` or `const`) in
+/// non-test code: a U001 census entry candidate.
 #[derive(Debug, Clone)]
-pub struct FnItem {
-    /// The function name.
+pub(crate) struct PubItem {
+    /// The item's name.
     pub name: String,
-    /// Line of the `fn` keyword.
+    /// 1-based line of the `pub` keyword.
     pub line: u32,
-    /// Line of the body's closing brace (== `line` for bodyless items).
-    pub end_line: u32,
-    /// Bare `pub` (cross-crate visible; `pub(crate)` and friends are not).
-    pub is_pub: bool,
+    /// The item keyword (`fn`, `struct`, …).
+    pub kind: &'static str,
 }
 
 /// One resolved path expression in code (outside `use` declarations).
 #[derive(Debug, Clone)]
-pub struct PathUse {
+pub(crate) struct PathUse {
     /// 1-based line of the path head.
     pub line: u32,
     /// The first segment as written (an alias or an absolute root).
     pub head: String,
     /// The alias-resolved canonical path.
     pub canonical: Vec<String>,
-    /// Whether the path is immediately called (`path(…)`).
-    pub called: bool,
-    /// Whether the head was an alias (false: written absolutely).
-    pub via_alias: bool,
 }
 
-/// One capability use site.
+/// One clock or entropy site.
 #[derive(Debug, Clone)]
-pub struct CapUse {
+pub(crate) struct AmbientUse {
     /// 1-based source line.
     pub line: u32,
-    /// The capability exercised.
-    pub cap: Capability,
-    /// The canonical path (or `unsafe`) for the diagnostic message.
+    /// The source read.
+    pub kind: Ambient,
+    /// The canonical path, for the diagnostic message.
     pub what: String,
-}
-
-/// One `unsafe` block or function.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// 1-based line of the `unsafe` keyword.
-    pub line: u32,
-    /// Whether a `// SAFETY:` comment sits on the same or previous line.
-    pub has_safety: bool,
 }
 
 /// The symbol table of one file.
 #[derive(Debug)]
 pub struct FileSymbols {
-    /// The owning crate key (see [`crate_key`]).
-    pub crate_key: String,
     /// Every leaf binding of every `use` declaration, in source order.
     pub uses: Vec<UseDecl>,
     /// Alias → canonical path, for resolving `t::Instant` through
     /// `use std::time as t`.
     pub aliases: BTreeMap<String, Vec<String>>,
-    /// Every `fn` item, in source order.
-    pub fns: Vec<FnItem>,
-    /// Every resolved path expression in non-test code.
+    /// Every bare-`pub` item in non-test code, in source order.
+    pub pub_items: Vec<PubItem>,
+    /// Every alias-resolved or qualified path expression in non-test code.
     pub path_uses: Vec<PathUse>,
-    /// Every capability use site (declarations and expressions) in
-    /// non-test code.
-    pub cap_uses: Vec<CapUse>,
-    /// Every `unsafe` site in non-test code.
-    pub unsafe_sites: Vec<UnsafeSite>,
+    /// Every clock or entropy site (declarations and expressions) in
+    /// non-test code, one per (line, source).
+    pub ambient_uses: Vec<AmbientUse>,
     /// Whether the file carries `#![forbid(unsafe_code)]`.
     pub has_forbid_unsafe: bool,
 }
@@ -209,41 +108,33 @@ pub struct FileSymbols {
 /// Builds the symbol table for one tokenized file.
 pub fn build(ctx: &FileCtx) -> FileSymbols {
     let mut syms = FileSymbols {
-        crate_key: crate_key(&ctx.path),
         uses: Vec::new(),
         aliases: BTreeMap::new(),
-        fns: Vec::new(),
+        pub_items: Vec::new(),
         path_uses: Vec::new(),
-        cap_uses: Vec::new(),
-        unsafe_sites: Vec::new(),
+        ambient_uses: Vec::new(),
         has_forbid_unsafe: find_forbid_unsafe(ctx),
     };
     let use_spans = parse_uses(ctx, &mut syms);
-    parse_fns(ctx, &mut syms);
+    parse_pub_items(ctx, &mut syms);
     scan_paths(ctx, &use_spans, &mut syms);
-    scan_unsafe(ctx, &mut syms);
-    // Declarations are capability uses too: importing `std::time` *is*
-    // reaching for the clock, and C001 should point at the import.
-    let mut decl_caps = Vec::new();
+    // Declarations are ambient sites too: importing `std::time` *is*
+    // reaching for the clock, and D002 should point at the import.
     for u in &syms.uses {
         if ctx.in_test_code(u.line) {
             continue;
         }
-        if let Some(cap) = classify_path(&u.path) {
-            decl_caps.push(CapUse {
+        if let Some(kind) = classify_path(&u.path) {
+            syms.ambient_uses.push(AmbientUse {
                 line: u.line,
-                cap,
+                kind,
                 what: u.path.join("::"),
             });
         }
     }
-    syms.cap_uses.extend(decl_caps);
-    syms.cap_uses.sort_by_key(|c| (c.line, c.cap));
-    // One site per (line, capability): a grouped import like
-    // `use std::sync::atomic::{AtomicU64, Ordering}` is one decision, not
-    // two, and inflated counts would distort the graph artifact.
-    syms.cap_uses
-        .dedup_by(|a, b| a.line == b.line && a.cap == b.cap);
+    syms.ambient_uses.sort_by_key(|a| (a.line, a.kind));
+    syms.ambient_uses
+        .dedup_by(|a, b| a.line == b.line && a.kind == b.kind);
     syms
 }
 
@@ -262,13 +153,6 @@ fn find_forbid_unsafe(ctx: &FileCtx) -> bool {
         }
     }
     false
-}
-
-/// Whether the code token directly before `ci` ends a `pub` qualifier that
-/// exports cross-crate: bare `pub`, not `pub(crate)`/`pub(super)` (for
-/// those, the token directly before is the closing `)`).
-fn preceded_by_bare_pub(ctx: &FileCtx, ci: usize) -> bool {
-    ci > 0 && ctx.code_token(ci - 1).is_ident("pub")
 }
 
 /// Parses every `use` declaration; returns the code-index spans they
@@ -292,11 +176,10 @@ fn parse_uses(ctx: &FileCtx, syms: &mut FileSymbols) -> Vec<(usize, usize)> {
                 continue;
             }
         }
-        let is_pub = preceded_by_bare_pub(ctx, ci);
         let start = ci;
         let mut j = ci + 1;
         let mut prefix: Vec<String> = Vec::new();
-        parse_use_tree(ctx, &mut j, &mut prefix, is_pub, syms);
+        parse_use_tree(ctx, &mut j, &mut prefix, syms);
         // Consume through the terminating `;` if present.
         while j < n && !ctx.code_token(j).is_punct(';') {
             j += 1;
@@ -309,13 +192,7 @@ fn parse_uses(ctx: &FileCtx, syms: &mut FileSymbols) -> Vec<(usize, usize)> {
 
 /// Recursive descent over one `use` tree rooted at code index `*j`,
 /// with the path segments accumulated so far in `prefix`.
-fn parse_use_tree(
-    ctx: &FileCtx,
-    j: &mut usize,
-    prefix: &mut Vec<String>,
-    is_pub: bool,
-    syms: &mut FileSymbols,
-) {
+fn parse_use_tree(ctx: &FileCtx, j: &mut usize, prefix: &mut Vec<String>, syms: &mut FileSymbols) {
     let n = ctx.code.len();
     let depth_at_entry = prefix.len();
     loop {
@@ -331,7 +208,7 @@ fn parse_use_tree(
                     *j += 1;
                     break;
                 }
-                parse_use_tree(ctx, j, prefix, is_pub, syms);
+                parse_use_tree(ctx, j, prefix, syms);
                 if *j < n && ctx.code_token(*j).is_punct(',') {
                     *j += 1;
                 }
@@ -339,7 +216,7 @@ fn parse_use_tree(
             break;
         }
         if t.is_punct('*') {
-            record_use(syms, t.line, prefix.clone(), "*".to_string(), is_pub);
+            record_use(syms, t.line, prefix.clone(), "*".to_string());
             *j += 1;
             break;
         }
@@ -373,98 +250,74 @@ fn parse_use_tree(
             }
             *j += 2;
         }
-        record_use(syms, line, path, alias, is_pub);
+        record_use(syms, line, path, alias);
         break;
     }
     prefix.truncate(depth_at_entry);
 }
 
-fn record_use(syms: &mut FileSymbols, line: u32, path: Vec<String>, alias: String, is_pub: bool) {
+fn record_use(syms: &mut FileSymbols, line: u32, path: Vec<String>, alias: String) {
     if path.is_empty() {
         return;
     }
     if alias != "*" && alias != "_" {
-        syms.aliases.insert(alias.clone(), path.clone());
+        syms.aliases.insert(alias, path.clone());
     }
-    syms.uses.push(UseDecl {
-        line,
-        path,
-        alias,
-        is_pub,
-    });
+    syms.uses.push(UseDecl { line, path });
 }
 
-/// Collects every `fn` item with its body's line range and visibility.
-fn parse_fns(ctx: &FileCtx, syms: &mut FileSymbols) {
+/// Collects every bare-`pub` `fn`/`struct`/`enum`/`trait`/`const` item in
+/// non-test code. `pub(crate)` and friends are not cross-crate visible and
+/// are skipped (the token after `pub` is `(`).
+fn parse_pub_items(ctx: &FileCtx, syms: &mut FileSymbols) {
     let n = ctx.code.len();
-    let mut ci = 0usize;
-    while ci < n {
+    for ci in 0..n {
         let t = ctx.code_token(ci);
-        if !t.is_ident("fn") || ci + 1 >= n || ctx.code_token(ci + 1).kind != TokenKind::Ident {
-            ci += 1;
+        if !t.is_ident("pub") || ctx.in_test_code(t.line) {
             continue;
         }
-        let name = ctx.code_token(ci + 1).text.clone();
-        let line = t.line;
-        // Visibility: walk back over `const`/`async`/`unsafe`/`extern "C"`.
-        let mut back = ci;
-        while back > 0 {
-            let p = ctx.code_token(back - 1);
-            if p.is_ident("const")
-                || p.is_ident("async")
-                || p.is_ident("unsafe")
-                || p.is_ident("extern")
-                || p.kind == TokenKind::Str
-            {
-                back -= 1;
-            } else {
-                break;
-            }
-        }
-        let is_pub = preceded_by_bare_pub(ctx, back);
-        // Find the body `{` at angle depth 0, or `;` for bodyless items.
-        let mut j = ci + 2;
-        let mut angle = 0i32;
-        let mut end_line = line;
-        while j < n {
-            let a = ctx.code_token(j);
-            if a.is_punct('<') {
-                angle += 1;
-            } else if a.is_punct('>') && !(j > 0 && ctx.code_token(j - 1).is_punct('-')) {
-                angle = (angle - 1).max(0);
-            } else if angle == 0 && a.is_punct(';') {
-                end_line = a.line;
-                break;
-            } else if angle == 0 && a.is_punct('{') {
-                let mut braces = 1i32;
-                j += 1;
-                while j < n && braces > 0 {
-                    let b = ctx.code_token(j);
-                    if b.is_punct('{') {
-                        braces += 1;
-                    } else if b.is_punct('}') {
-                        braces -= 1;
-                    }
-                    end_line = b.line;
-                    j += 1;
-                }
+        // Walk over `const`/`async`/`unsafe`/`extern "C"` qualifiers to the
+        // item keyword; `pub const NAME` is itself a const item.
+        let mut j = ci + 1;
+        while j + 1 < n {
+            let q = ctx.code_token(j);
+            let qualifier = q.is_ident("async")
+                || q.is_ident("unsafe")
+                || q.is_ident("extern")
+                || q.kind == TokenKind::Str
+                || (q.is_ident("const")
+                    && ["fn", "unsafe", "async", "extern"]
+                        .iter()
+                        .any(|k| ctx.code_token(j + 1).is_ident(k)));
+            if !qualifier {
                 break;
             }
             j += 1;
         }
-        syms.fns.push(FnItem {
-            name,
-            line,
-            end_line,
-            is_pub,
+        if j + 1 >= n {
+            continue;
+        }
+        let Some(kind) = ["fn", "struct", "enum", "trait", "const"]
+            .into_iter()
+            .find(|k| ctx.code_token(j).is_ident(k))
+        else {
+            continue;
+        };
+        let name = ctx.code_token(j + 1);
+        if name.kind != TokenKind::Ident || name.text == "_" {
+            continue;
+        }
+        syms.pub_items.push(PubItem {
+            name: name.text.clone(),
+            line: t.line,
+            kind,
         });
-        ci += 2;
     }
 }
 
 /// Scans non-test code (outside `use` declarations) for path expressions,
-/// resolves their heads through the alias map, and records capability use
-/// sites.
+/// resolves their heads through the alias map, and records clock and
+/// entropy sites.
 fn scan_paths(ctx: &FileCtx, use_spans: &[(usize, usize)], syms: &mut FileSymbols) {
     let n = ctx.code.len();
     let in_use = |ci: usize| use_spans.iter().any(|&(a, b)| a <= ci && ci <= b);
@@ -498,7 +351,6 @@ fn scan_paths(ctx: &FileCtx, use_spans: &[(usize, usize)], syms: &mut FileSymbol
             segments.push(ctx.code_token(j + 3).text.clone());
             j += 3;
         }
-        let called = j + 1 < n && ctx.code_token(j + 1).is_punct('(');
         let (canonical, via_alias) = match syms.aliases.get(&head) {
             Some(target) => {
                 let mut full = target.clone();
@@ -509,66 +361,24 @@ fn scan_paths(ctx: &FileCtx, use_spans: &[(usize, usize)], syms: &mut FileSymbol
             // entropy name (e.g. a `thread_rng()` brought in by a glob).
             None => (segments.clone(), false),
         };
-        if let Some(cap) = classify_path(&canonical) {
-            syms.cap_uses.push(CapUse {
+        if let Some(kind) = classify_path(&canonical) {
+            syms.ambient_uses.push(AmbientUse {
                 line,
-                cap,
+                kind,
                 what: canonical.join("::"),
             });
         }
         // Only resolved or qualified paths are kept — a bare local ident is
-        // neither a cross-crate reference nor an alias use, and recording
+        // neither a qualified reference nor an alias use, and recording
         // every identifier in the repository would swamp the table.
         if via_alias || segments.len() > 1 {
             syms.path_uses.push(PathUse {
                 line,
                 head,
                 canonical,
-                called,
-                via_alias,
             });
         }
         ci = j + 1;
-    }
-}
-
-/// Records every `unsafe` block/fn in non-test code, paired with whether a
-/// `// SAFETY:` comment covers it: on the same line, or anywhere in the
-/// contiguous run of comment lines directly above (SAFETY arguments
-/// routinely wrap across lines).
-fn scan_unsafe(ctx: &FileCtx, syms: &mut FileSymbols) {
-    let mut safety_lines = Vec::new();
-    let mut comment_lines = Vec::new();
-    for t in &ctx.tokens {
-        if t.is_comment() {
-            comment_lines.push(t.line);
-            if t.text.contains("SAFETY:") {
-                safety_lines.push(t.line);
-            }
-        }
-    }
-    for &i in &ctx.code {
-        let t = &ctx.tokens[i];
-        if !t.is_ident("unsafe") || ctx.in_test_code(t.line) {
-            continue;
-        }
-        // Walk up through the comment block touching this line.
-        let mut first_above = t.line;
-        while first_above > 1 && comment_lines.contains(&(first_above - 1)) {
-            first_above -= 1;
-        }
-        let has_safety = safety_lines
-            .iter()
-            .any(|&l| l == t.line || (l >= first_above && l < t.line));
-        syms.unsafe_sites.push(UnsafeSite {
-            line: t.line,
-            has_safety,
-        });
-        syms.cap_uses.push(CapUse {
-            line: t.line,
-            cap: Capability::Unsafe,
-            what: "unsafe".to_string(),
-        });
     }
 }
 
@@ -591,14 +401,14 @@ mod tests {
             Some(&vec!["std".into(), "time".into()])
         );
         assert!(s
-            .cap_uses
+            .ambient_uses
             .iter()
-            .any(|c| c.cap == Capability::Time && c.line == 2 && c.what.contains("Instant")));
+            .any(|a| a.kind == Ambient::Time && a.line == 2 && a.what.contains("Instant")));
         assert!(
-            s.cap_uses
+            s.ambient_uses
                 .iter()
-                .any(|c| c.cap == Capability::Time && c.line == 1),
-            "the declaration itself is a gateway"
+                .any(|a| a.kind == Ambient::Time && a.line == 1),
+            "the declaration itself is a site"
         );
     }
 
@@ -613,10 +423,10 @@ mod tests {
             Some(&vec!["std".into(), "time".into(), "Instant".into()])
         );
         let lines: Vec<u32> = s
-            .cap_uses
+            .ambient_uses
             .iter()
-            .filter(|c| c.cap == Capability::Time)
-            .map(|c| c.line)
+            .filter(|a| a.kind == Ambient::Time)
+            .map(|a| a.line)
             .collect();
         assert!(lines.contains(&2), "use sites classified: {lines:?}");
     }
@@ -644,42 +454,34 @@ mod tests {
             s.aliases.get("btree_map").map(|p| p.join("::")),
             Some("std::collections::btree_map".into())
         );
-        let glob = s
-            .uses
-            .iter()
-            .find(|u| u.alias == "*")
-            .expect("glob recorded");
-        assert_eq!(glob.path, vec!["rand".to_string()]);
-        assert!(!glob.is_pub);
-        assert!(s.uses.iter().find(|u| u.alias == "Arc").unwrap().is_pub);
-        assert!(s.uses.iter().find(|u| u.alias == "O").unwrap().is_pub);
-        assert!(!s.uses.iter().find(|u| u.alias == "Entry").unwrap().is_pub);
+        assert!(s.uses.iter().any(|u| u.path == ["rand"]), "glob recorded");
     }
 
     #[test]
-    fn fn_items_carry_body_ranges_and_visibility() {
+    fn pub_items_are_bare_pub_and_outside_tests() {
         let s = syms(
             "crates/core/src/x.rs",
-            "pub fn outer() {\n    inner();\n}\nfn inner() {}\npub(crate) fn hidden() {}\n",
+            "pub fn outer() {}\nfn inner() {}\npub(crate) fn hidden() {}\n\
+             pub const fn folded() {}\npub const LIMIT: u32 = 1;\npub struct S;\n\
+             pub enum E {}\npub unsafe trait T {}\npub type Alias = u8;\n\
+             #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
         );
-        let outer = s.fns.iter().find(|f| f.name == "outer").unwrap();
-        assert!(outer.is_pub);
-        assert_eq!((outer.line, outer.end_line), (1, 3));
-        assert!(!s.fns.iter().find(|f| f.name == "inner").unwrap().is_pub);
-        assert!(
-            !s.fns.iter().find(|f| f.name == "hidden").unwrap().is_pub,
-            "pub(crate) is not cross-crate visible"
+        let items: Vec<(&str, u32, &str)> = s
+            .pub_items
+            .iter()
+            .map(|p| (p.name.as_str(), p.line, p.kind))
+            .collect();
+        assert_eq!(
+            items,
+            vec![
+                ("outer", 1, "fn"),
+                ("folded", 4, "fn"),
+                ("LIMIT", 5, "const"),
+                ("S", 6, "struct"),
+                ("E", 7, "enum"),
+                ("T", 8, "trait"),
+            ]
         );
-    }
-
-    #[test]
-    fn unsafe_sites_pair_with_safety_comments() {
-        let src =
-            "// SAFETY: the index is bounds-checked above\nunsafe { go(i) }\nunsafe { nope() }\n";
-        let s = syms("crates/core/src/x.rs", src);
-        assert_eq!(s.unsafe_sites.len(), 2);
-        assert!(s.unsafe_sites[0].has_safety);
-        assert!(!s.unsafe_sites[1].has_safety);
     }
 
     #[test]
@@ -689,18 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn crate_keys_and_extern_names() {
-        assert_eq!(crate_key("crates/engine/src/lib.rs"), "crates/engine");
-        assert_eq!(crate_key("src/lib.rs"), "src");
-        assert_eq!(crate_key("tests/regressions.rs"), "tests");
-        assert!(extern_names("crates/engine").contains(&"gam_engine".to_string()));
-        assert!(extern_names("crates/a").contains(&"a".to_string()));
-    }
-
-    #[test]
-    fn test_code_is_exempt_from_capability_accounting() {
+    fn test_code_is_exempt_from_ambient_accounting() {
         let src = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n    fn t() { Instant::now(); }\n}\n";
         let s = syms("crates/core/src/x.rs", src);
-        assert!(s.cap_uses.is_empty(), "{:?}", s.cap_uses);
+        assert!(s.ambient_uses.is_empty(), "{:?}", s.ambient_uses);
     }
 }

@@ -5,7 +5,7 @@
 //! a pseudo-path that puts them in the lint's scope.
 
 use gam_lint::config::Config;
-use gam_lint::report::Report;
+use gam_lint::report::{Report, Severity};
 use gam_lint::scan_sources;
 
 /// Reads a fixture and scans it as if it lived at `as_path`.
@@ -16,12 +16,22 @@ fn scan_fixture(name: &str, as_path: &str, config: &Config) -> Report {
 }
 
 /// The scoping used by the golden tests: one deterministic crate, one
-/// protocol dir, one digest file.
+/// protocol dir, one digest file. U001 is switched off: a fixture scanned
+/// alone has no callers, so every `pub` item in it would be listed. The
+/// census has its own test below.
 fn config() -> Config {
     Config {
         deterministic: vec!["crates/core".into()],
         protocol: vec!["crates/core/src".into()],
         digest: vec!["crates/core/src/digest.rs".into()],
+        ..no_census()
+    }
+}
+
+/// The default config with U001 switched off.
+fn no_census() -> Config {
+    Config {
+        severity: [("U001".to_string(), Severity::Allow)].into(),
         ..Config::default()
     }
 }
@@ -95,7 +105,7 @@ fn d002_scenario_generator_idiom_is_clean_in_scope() {
     // shape seeded from the OS fires D002 on every entropy/clock read.
     let cfg = Config {
         deterministic: vec!["crates/scenarios".into()],
-        ..Config::default()
+        ..no_census()
     };
     const GEN: &str = "crates/scenarios/src/generate.rs";
     let clean = scan_fixture("d002_generator_clean.rs", GEN, &cfg);
@@ -124,9 +134,8 @@ fn d003_fires_suppresses_and_passes() {
         "{}",
         fired.to_text()
     );
-    // D003 defaults to warn: it fails only under --deny-warnings.
-    assert!(!fired.failed(false));
-    assert!(fired.failed(true));
+    // D003 is an error: it fails the run without --deny-warnings.
+    assert!(fired.failed(false));
     let suppressed = scan_fixture("d003_suppressed.rs", DET, &cfg);
     assert_eq!(findings(&suppressed), vec![], "{}", suppressed.to_text());
     let clean = scan_fixture("d003_clean.rs", DET, &cfg);
@@ -212,7 +221,7 @@ fn p002_covers_the_interned_arena_module() {
     let cfg = Config {
         deterministic: vec!["crates/core".into()],
         digest: vec!["crates/core/src/arena.rs".into()],
-        ..Config::default()
+        ..no_census()
     };
     const ARENA: &str = "crates/core/src/arena.rs";
     let fired = scan_fixture("p002_arena_fires.rs", ARENA, &cfg);
@@ -246,7 +255,7 @@ fn p002_covers_the_independence_module() {
     let cfg = Config {
         deterministic: vec!["crates/engine".into()],
         digest: vec!["crates/engine/src/independence.rs".into()],
-        ..Config::default()
+        ..no_census()
     };
     const INDEP: &str = "crates/engine/src/independence.rs";
     let fired = scan_fixture("p002_independence_fires.rs", INDEP, &cfg);
@@ -273,12 +282,6 @@ fn p002_covers_the_independence_module() {
         "{}",
         out_of_scope.to_text()
     );
-}
-
-/// Parses a fixture config — the capability tests arm the C-lints with a
-/// `[capabilities]` section exactly as the checked-in config does.
-fn parse_config(toml: &str) -> Config {
-    Config::parse(toml).expect("fixture config parses")
 }
 
 #[test]
@@ -325,183 +328,6 @@ fn d002_brace_group_alias_evasion_fires() {
 }
 
 #[test]
-fn a001_fires_suppresses_and_passes() {
-    let cfg = parse_config(
-        "[concurrency]\n\
-         paths = [\"crates/explore\"]\n",
-    );
-    const CONC: &str = "crates/explore/src/golden.rs";
-    // Line 8 is the literal `Ordering::Relaxed` pattern; line 12 is the
-    // aliased `O::Relaxed`, visible only through the symbol table.
-    let fired = scan_fixture("a001_fires.rs", CONC, &cfg);
-    assert_eq!(
-        findings(&fired),
-        vec![("A001", 8), ("A001", 12)],
-        "{}",
-        fired.to_text()
-    );
-    let suppressed = scan_fixture("a001_suppressed.rs", CONC, &cfg);
-    assert_eq!(findings(&suppressed), vec![], "{}", suppressed.to_text());
-    assert_eq!(
-        suppressed.suppressions.len(),
-        2,
-        "both merge-invariant arguments are honoured"
-    );
-    let clean = scan_fixture("a001_clean.rs", CONC, &cfg);
-    assert_eq!(findings(&clean), vec![], "{}", clean.to_text());
-    // Outside the audit scope the same code is not A001's business.
-    let out_of_scope = scan_fixture("a001_fires.rs", ELSEWHERE, &cfg);
-    assert_eq!(
-        findings(&out_of_scope),
-        vec![],
-        "{}",
-        out_of_scope.to_text()
-    );
-}
-
-#[test]
-fn a002_fires_in_deterministic_scope_with_observer_exemption() {
-    let cfg = parse_config(
-        "[deterministic]\n\
-         paths = [\"crates/core\"]\n\
-         [concurrency]\n\
-         observer = [\"crates/core/src/event.rs\"]\n",
-    );
-    let fired = scan_fixture("a002_fires.rs", "crates/core/src/golden.rs", &cfg);
-    assert_eq!(
-        findings(&fired),
-        vec![("A002", 3), ("A002", 6)],
-        "{}",
-        fired.to_text()
-    );
-    // The same lock on the observer path is sanctioned plumbing.
-    let observer = scan_fixture("a002_fires.rs", "crates/core/src/event.rs", &cfg);
-    assert_eq!(findings(&observer), vec![], "{}", observer.to_text());
-    let clean = scan_fixture("a002_clean.rs", "crates/core/src/golden.rs", &cfg);
-    assert_eq!(findings(&clean), vec![], "{}", clean.to_text());
-    // Out of deterministic scope, locks are fine.
-    let out_of_scope = scan_fixture("a002_fires.rs", ELSEWHERE, &cfg);
-    assert_eq!(
-        findings(&out_of_scope),
-        vec![],
-        "{}",
-        out_of_scope.to_text()
-    );
-}
-
-#[test]
-fn c001_fires_suppresses_and_passes() {
-    // An empty [capabilities] section arms the C-lints with zero grants:
-    // every capability site is a finding. Line 4 is the import, line 7
-    // the alias-resolved `thread::spawn`, line 13 the entropy read that
-    // classifies by path rather than by the v1 ident list.
-    let armed = parse_config("[capabilities]\n");
-    const UNGRANTED: &str = "crates/core/src/golden.rs";
-    let fired = scan_fixture("c001_fires.rs", UNGRANTED, &armed);
-    assert_eq!(
-        findings(&fired),
-        vec![("C001", 4), ("C001", 7), ("C001", 13)],
-        "{}",
-        fired.to_text()
-    );
-    assert!(fired.failed(false), "C001 is an error");
-    let suppressed = scan_fixture("c001_suppressed.rs", UNGRANTED, &armed);
-    assert_eq!(findings(&suppressed), vec![], "{}", suppressed.to_text());
-    assert_eq!(suppressed.suppressions.len(), 2);
-    let clean = scan_fixture("c001_clean.rs", UNGRANTED, &armed);
-    assert_eq!(findings(&clean), vec![], "{}", clean.to_text());
-    // The same sites under a grant are the sanctioned state — and both
-    // grants are spent, so C003 stays silent too.
-    let granted = parse_config(
-        "[capabilities]\n\
-         \"crates/core\" = [\"entropy\", \"threads\"]\n",
-    );
-    let ok = scan_fixture("c001_fires.rs", UNGRANTED, &granted);
-    assert_eq!(findings(&ok), vec![], "{}", ok.to_text());
-    // Without a [capabilities] section the C-lints are unarmed: v1
-    // configs keep v1 semantics.
-    let unarmed = scan_fixture("c001_fires.rs", UNGRANTED, &Config::default());
-    assert_eq!(findings(&unarmed), vec![], "{}", unarmed.to_text());
-}
-
-#[test]
-fn c002_laundering_one_hop_through_a_granted_crate() {
-    let cfg = parse_config(
-        "[capabilities]\n\
-         \"crates/bench\" = [\"time\"]\n",
-    );
-    let gateway = std::fs::read_to_string(format!(
-        "{}/tests/fixtures/c002_gateway.rs",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .expect("gateway fixture exists");
-    let consumer = std::fs::read_to_string(format!(
-        "{}/tests/fixtures/c002_consumer_fires.rs",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .expect("consumer fixture exists");
-    let r = gam_lint::scan_sources(
-        vec![
-            ("crates/bench/src/lib.rs".into(), gateway.clone()),
-            ("crates/core/src/golden.rs".into(), consumer),
-        ],
-        &cfg,
-    );
-    // Import of the re-export (3), naming the re-exported type (5),
-    // calling the thin wrapper (6), calling through the type (7) — all in
-    // the consumer; the granted gateway itself is clean.
-    assert_eq!(
-        findings(&r),
-        vec![("C002", 3), ("C002", 5), ("C002", 6), ("C002", 7)],
-        "{}",
-        r.to_text()
-    );
-    assert!(
-        r.diagnostics.iter().all(|d| d.file.contains("crates/core")),
-        "C002 anchors in the importing crate: {}",
-        r.to_text()
-    );
-    // A consumer of the gateway's *substantial* API is not laundering:
-    // `measured_run` exceeds the thin-wrapper bound and encapsulates the
-    // clock behind its own semantics.
-    let clean_consumer = std::fs::read_to_string(format!(
-        "{}/tests/fixtures/c002_consumer_clean.rs",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .expect("clean consumer fixture exists");
-    let clean = gam_lint::scan_sources(
-        vec![
-            ("crates/bench/src/lib.rs".into(), gateway),
-            ("crates/core/src/golden.rs".into(), clean_consumer),
-        ],
-        &cfg,
-    );
-    assert_eq!(findings(&clean), vec![], "{}", clean.to_text());
-}
-
-#[test]
-fn c003_unused_and_stale_grants_warn() {
-    let cfg = parse_config(
-        "[capabilities]\n\
-         \"crates/bench\" = [\"threads\", \"time\"]\n\
-         \"crates/ghost\" = [\"io\"]\n",
-    );
-    let r = scan_fixture("c003_fires.rs", "crates/bench/src/lib.rs", &cfg);
-    // The unspent `threads` grant anchors on the crate's first file; the
-    // grant to a crate with no scanned files anchors on the config's own
-    // terms (line 0).
-    assert_eq!(
-        findings(&r),
-        vec![("C003", 1), ("C003", 0)],
-        "{}",
-        r.to_text()
-    );
-    assert_eq!(r.diagnostics[1].file, "crates/ghost");
-    assert!(!r.failed(false), "C003 is a warning");
-    assert!(r.failed(true), "…but fails under --deny-warnings");
-}
-
-#[test]
 fn f001_deterministic_roots_must_forbid_unsafe() {
     let cfg = config();
     // The fixture scanned *as the crate root* without the attribute fires;
@@ -514,19 +340,6 @@ fn f001_deterministic_roots_must_forbid_unsafe() {
     // single-file fixture trees stay quiet.
     let no_root = scan_fixture("f001_fires.rs", DET, &cfg);
     assert_eq!(findings(&no_root), vec![], "{}", no_root.to_text());
-}
-
-#[test]
-fn f001_unsafe_grant_requires_safety_comments() {
-    let cfg = parse_config(
-        "[capabilities]\n\
-         \"crates/ffi\" = [\"unsafe\"]\n",
-    );
-    const FFI: &str = "crates/ffi/src/lib.rs";
-    let fired = scan_fixture("f001_unsafe_fires.rs", FFI, &cfg);
-    assert_eq!(findings(&fired), vec![("F001", 4)], "{}", fired.to_text());
-    let clean = scan_fixture("f001_unsafe_clean.rs", FFI, &cfg);
-    assert_eq!(findings(&clean), vec![], "{}", clean.to_text());
 }
 
 #[test]
@@ -570,4 +383,72 @@ fn severity_overrides_apply() {
         .insert("D001".into(), gam_lint::report::Severity::Allow);
     let off = scan_fixture("d001_fires.rs", DET, &cfg);
     assert_eq!(findings(&off), vec![]);
+}
+
+/// Reads a fixture's source.
+fn fixture(name: &str) -> String {
+    let file = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file}: {e}"))
+}
+
+#[test]
+fn u001_lists_public_items_no_other_non_test_file_names() {
+    // A library, a binary of another crate, an integration test and the
+    // benchmark. Only the binary and the benchmark count as callers.
+    let tree = |extra: &[(&str, &str)]| {
+        let mut files = vec![
+            ("crates/store/src/lib.rs", "u001_lib.rs"),
+            ("crates/app/src/main.rs", "u001_caller.rs"),
+            ("crates/store/tests/oracle.rs", "u001_test.rs"),
+            ("benchmark/src/main.rs", "u001_bench.rs"),
+        ];
+        files.extend_from_slice(extra);
+        files
+            .into_iter()
+            .map(|(path, name)| (path.to_string(), fixture(name)))
+            .collect::<Vec<_>>()
+    };
+    let r = scan_sources(tree(&[]), &Config::default());
+    // Listed: `helper_only_here` (used only in its own file, line 10) and
+    // `OnlyInTests` (named only by the test, line 15). Not listed: the
+    // item called from the binary, the one the benchmark calls, `Counter`
+    // with its trait-impl method, and the oracle behind its reasoned allow.
+    assert_eq!(
+        findings(&r),
+        vec![("U001", 10), ("U001", 15)],
+        "{}",
+        r.to_text()
+    );
+    assert!(r
+        .diagnostics
+        .iter()
+        .all(|d| d.file == "crates/store/src/lib.rs"));
+    assert!(r.failed(false), "U001 is an error");
+    assert_eq!(r.suppressions.len(), 1);
+    assert_eq!(
+        r.suppressions[0].reason,
+        "test oracle the integration tests compare against"
+    );
+    // Once another source file calls the oracle, its allow is stale.
+    let called = scan_sources(
+        tree(&[("crates/app/src/check.rs", "u001_oracle_caller.rs")]),
+        &Config::default(),
+    );
+    assert_eq!(
+        findings(&called),
+        vec![("U001", 10), ("U001", 15), ("S002", 33)],
+        "{}",
+        called.to_text()
+    );
+}
+
+#[test]
+fn benchmark_files_only_count_as_callers() {
+    // A reasonless allow (S001) and an un-asserted `impl Executor` (P001)
+    // fire anywhere else; under `benchmark/` no lint gates the file.
+    let cfg = config();
+    for name in ["s001_reasonless.rs", "p001_fires.rs"] {
+        let r = scan_fixture(name, "benchmark/src/main.rs", &cfg);
+        assert_eq!(findings(&r), vec![], "{name}: {}", r.to_text());
+    }
 }

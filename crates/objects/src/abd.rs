@@ -150,11 +150,6 @@ impl<V: Clone + std::fmt::Debug> AbdProcess<V> {
         self.queued.push_back((reg, Some(value)));
     }
 
-    /// Whether an operation is in flight or queued.
-    pub fn busy(&self) -> bool {
-        self.pending.is_some() || !self.queued.is_empty()
-    }
-
     fn replica(&mut self, reg: RegisterId) -> &mut (Stamp, Option<V>) {
         self.replicas.entry(reg).or_insert((Stamp::default(), None))
     }

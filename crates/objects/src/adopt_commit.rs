@@ -87,11 +87,6 @@ impl<V: Clone + PartialEq> AdoptCommit<V> {
             }
         }
     }
-
-    /// Whether conflicting values have been proposed.
-    pub fn conflicted(&self) -> bool {
-        self.conflicted
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +100,7 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(ac.propose("v"), (Grade::Commit, "v"));
         }
-        assert!(!ac.conflicted());
+        assert!(!ac.conflicted);
     }
 
     #[test]
@@ -115,7 +110,7 @@ mod tests {
         assert_eq!(ac.propose(2), (Grade::Adopt, 1));
         // even a later proposal of the first value only adopts now
         assert_eq!(ac.propose(1), (Grade::Adopt, 1));
-        assert!(ac.conflicted());
+        assert!(ac.conflicted);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl<V: Clone> Consensus<V> {
     pub fn decision(&self) -> Option<&V> {
         self.decided.as_ref()
     }
-
-    /// Number of `propose` invocations so far.
-    pub fn proposal_count(&self) -> u64 {
-        self.proposals
-    }
 }
 
 impl<V: Clone + fmt::Display> fmt::Display for Consensus<V> {
@@ -79,7 +74,7 @@ mod tests {
         assert_eq!(c.decision(), None);
         assert_eq!(c.propose("a"), "a");
         assert_eq!(c.propose("b"), "a");
-        assert_eq!(c.proposal_count(), 2);
+        assert_eq!(c.proposals, 2);
         assert_eq!(c.to_string(), "decided(a)");
     }
 

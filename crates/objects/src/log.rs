@@ -15,19 +15,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A position in a log: slot numbers start at 1; [`Pos::ABSENT`] (0) means
-/// the datum is not in the log.
+/// A position in a log: slot numbers start at 1; position 0 means the datum
+/// is not in the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pos(pub u64);
 
 impl Pos {
     /// The position of a datum that is not in the log.
-    pub const ABSENT: Pos = Pos(0);
-
-    /// Returns `true` if this denotes a real slot.
-    pub fn is_present(self) -> bool {
-        self.0 > 0
-    }
+    const ABSENT: Pos = Pos(0);
 }
 
 impl fmt::Display for Pos {
@@ -114,7 +109,7 @@ impl<D: Ord + Clone> Log<D> {
         Pos(slot)
     }
 
-    /// `pos(d)`: the position of `d`, or [`Pos::ABSENT`].
+    /// `pos(d)`: the position of `d`, or position 0 when `d` is absent.
     pub fn pos(&self, d: &D) -> Pos {
         self.entries.get(d).map_or(Pos::ABSENT, |e| Pos(e.slot))
     }
@@ -215,12 +210,6 @@ impl<D: Ord + Clone> Log<D> {
         self.order[..end].iter().map(|(_, d)| d)
     }
 
-    /// The data items strictly before `d` in log order. Empty when `d` is
-    /// absent.
-    pub fn predecessors(&self, d: &D) -> Vec<D> {
-        self.iter_before(d).cloned().collect()
-    }
-
     /// Log order derived from scratch — collect every entry, sort by
     /// `(slot, datum)` — which the maintained index must equal after every
     /// operation.
@@ -264,7 +253,6 @@ mod tests {
     fn pos_of_absent_is_zero() {
         let log: Log<u32> = Log::new();
         assert_eq!(log.pos(&7), Pos::ABSENT);
-        assert!(!log.pos(&7).is_present());
         assert!(!log.contains(&7));
         assert!(!log.locked(&7));
         assert!(log.is_empty());
@@ -323,17 +311,6 @@ mod tests {
         log.append(2);
         assert!(log.before(&1, &2));
         assert_eq!(log.pos(&2), Pos(51));
-    }
-
-    #[test]
-    fn predecessors_in_order() {
-        let mut log = Log::new();
-        for d in ["a", "b", "c", "d"] {
-            log.append(d);
-        }
-        assert_eq!(log.predecessors(&"c"), vec!["a", "b"]);
-        assert!(log.predecessors(&"a").is_empty());
-        assert!(log.predecessors(&"zz").is_empty());
     }
 
     proptest! {

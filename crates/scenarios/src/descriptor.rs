@@ -347,6 +347,7 @@ impl ScnDescriptor {
 
     /// The same descriptor under a different step budget.
     #[must_use]
+    // gam-lint: allow(U001, reason = "tests/scenario_determinism.rs lifts a starved descriptor budget through it")
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = budget;
         self

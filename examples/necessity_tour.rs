@@ -61,8 +61,7 @@ fn main() {
     )
     .expect("emulated γ is a valid cyclicity detector");
     println!(
-        "Algorithm 3: γ certified over {} closed-path probes; ℱ(p1) after the crash: {:?}",
-        gamma.probe_count(),
+        "Algorithm 3: γ certified; ℱ(p1) after the crash: {:?}",
         gamma.families(ProcessId(0))
     );
 

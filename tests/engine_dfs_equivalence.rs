@@ -87,7 +87,10 @@ fn dfs_matches_odometer_on_every_fixture_topology() {
             oracle.steps
         );
         assert!(dfs.snapshots_taken > 0, "{name}");
-        assert!(dfs.steps_avoided_permille() > 0, "{name}");
+        assert!(
+            dfs.steps_avoided * 1000 >= dfs.steps_executed + dfs.steps_avoided,
+            "{name}"
+        );
     }
 }
 

@@ -118,8 +118,8 @@ fn clean_exploration_stats_are_invariant_across_thread_counts() {
 
 #[test]
 fn relaxed_hint_races_cannot_change_the_answer_across_repeated_runs() {
-    // Regression guard for the A001 proof obligations in `explorer.rs` and
-    // `dfs.rs`: the `best_item` skip hint and the shared run budget are
+    // Regression guard for the relaxed-ordering arguments in `explorer.rs`
+    // and `dfs.rs`: the `best_item` skip hint and the shared run budget are
     // deliberately `Ordering::Relaxed`, and the written arguments claim the
     // merge output is independent of how those races resolve. Hammer the
     // adversarial case — every worker finds a violation at once — across

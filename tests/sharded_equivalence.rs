@@ -14,8 +14,9 @@
 //! crash-free non-strict runs, where detector guards are time-invariant),
 //! so equality is the fallback test.
 //!
-//! This is the determinism argument cited by the `crates/engine`
-//! capability grant in `gam-lint.toml`.
+//! This is the determinism argument for the sharded driver's threads and
+//! atomics (DESIGN.md decision 10): no lint polices them, this identity
+//! does.
 
 use genuine_multicast::engine::{run_sustained_par, shard_specs};
 use genuine_multicast::prelude::*;
