@@ -17,7 +17,7 @@ use gam_core::variants::{check_group_parallelism, check_group_parallelism_staged
 use gam_core::{spec, Runtime, RuntimeConfig, Variant};
 use gam_engine::{run_fair, KernelExecutor, RuntimeExecutor};
 use gam_groups::{topology, GroupId};
-use gam_kernel::{FailurePattern, ProcessId, ProcessSet, Time};
+use gam_kernel::{FailurePattern, ProcessId, ProcessSet, RandomSource, RotatingSource, Time};
 
 struct Row {
     genuine: &'static str,
@@ -153,11 +153,10 @@ fn main() {
                 FailurePattern::all_correct(gs.universe()),
                 RuntimeConfig {
                     variant: Variant::Pairwise,
-                    scheduler: gam_core::ActionScheduler::Random,
-                    seed,
                     ..Default::default()
                 },
                 1,
+                RandomSource::new(seed),
                 budget,
             );
             assert!(report.quiescent);
@@ -246,7 +245,8 @@ fn main() {
             },
             ..Default::default()
         };
-        let report = one_per_group_workload(&gs, pattern, cfg, 1, 300_000);
+        let report =
+            one_per_group_workload(&gs, pattern, cfg, 1, RotatingSource::default(), 300_000);
         let out = if report.quiescent {
             match spec::check_all(&report, Variant::Standard) {
                 Ok(()) => Outcome::Solved,

@@ -10,36 +10,24 @@
 
 pub mod json;
 
-use gam_core::{spec, ActionScheduler, RunReport, Runtime, RuntimeConfig};
-use gam_engine::{run_fair, run_with_source, RuntimeExecutor};
+use gam_core::{spec, RunReport, Runtime, RuntimeConfig};
+use gam_engine::{run_with_source, RuntimeExecutor};
 use gam_groups::GroupSystem;
-use gam_kernel::schedule::RandomSource;
+use gam_kernel::schedule::{RotatingSource, ScheduleSource};
 use gam_kernel::{FailurePattern, RunOutcome, Time};
 
-/// Drives a prepared Level-A executor under the scheduling policy named by
-/// `config`: the deterministic fair rotation for
-/// [`ActionScheduler::RoundRobin`], a seeded uniform source for
-/// [`ActionScheduler::Random`]. All bench workloads flow through the
-/// `gam-engine` driver; nothing in this crate steps a substrate directly.
-/// Returns `true` on quiescence within `budget`.
-pub fn drive(exec: &mut RuntimeExecutor, config: &RuntimeConfig, budget: u64) -> bool {
-    let out = match config.scheduler {
-        ActionScheduler::RoundRobin => run_fair(exec, budget),
-        ActionScheduler::Random => {
-            run_with_source(exec, &mut RandomSource::new(config.seed), budget)
-        }
-    };
-    out == RunOutcome::Quiescent
-}
-
 /// Multicasts `rounds` messages per group (sources rotating over members)
-/// and runs to quiescence (or budget). Sources are chosen among correct
-/// members when possible.
+/// and runs to quiescence (or budget) with every step chosen by `source`
+/// (`RotatingSource` for the deterministic fair rotation, a seeded
+/// `RandomSource` for a random schedule). All bench workloads flow through
+/// the `gam-engine` driver; nothing in this crate steps a substrate
+/// directly. Sources are chosen among correct members when possible.
 pub fn one_per_group_workload(
     gs: &GroupSystem,
     pattern: FailurePattern,
     config: RuntimeConfig,
     rounds: usize,
+    mut source: impl ScheduleSource,
     budget: u64,
 ) -> RunReport {
     let mut rt = Runtime::new(gs, pattern.clone(), config);
@@ -56,8 +44,8 @@ pub fn one_per_group_workload(
         }
     }
     let mut exec = RuntimeExecutor::new(rt);
-    let q = drive(&mut exec, &config, budget);
-    exec.report(q)
+    let outcome = run_with_source(&mut exec, &mut source, budget);
+    exec.report(outcome == RunOutcome::Quiescent)
 }
 
 /// The outcome of one solvability-matrix cell.
@@ -81,15 +69,15 @@ impl std::fmt::Display for Outcome {
     }
 }
 
-/// Runs a workload and classifies the outcome against the checks of the
-/// given variant.
+/// Runs a workload under the fair rotation and classifies the outcome
+/// against the checks of the given variant.
 pub fn classify(
     gs: &GroupSystem,
     pattern: FailurePattern,
     config: RuntimeConfig,
     budget: u64,
 ) -> Outcome {
-    let report = one_per_group_workload(gs, pattern, config, 1, budget);
+    let report = one_per_group_workload(gs, pattern, config, 1, RotatingSource::default(), budget);
     if !report.quiescent {
         return Outcome::Blocked;
     }

@@ -1016,7 +1016,7 @@ mod tests {
     use super::*;
     use gam_detectors::MuConfig;
     use gam_groups::topology;
-    use gam_kernel::{FailurePattern, RunOutcome, Scheduler, Simulator};
+    use gam_kernel::{FailurePattern, RandomSource, RotatingSource, RunOutcome, Simulator};
 
     fn system(gs: &GroupSystem, pattern: FailurePattern) -> Simulator<DistProcess, MuHistory> {
         let n = gs.universe().len();
@@ -1038,7 +1038,7 @@ mod tests {
         let mut sim = system(&gs, pattern);
         sim.automaton_mut(ProcessId(0))
             .multicast(MessageId(0), GroupId(0));
-        let out = sim.run(Scheduler::RoundRobin, 2_000_000);
+        let out = sim.run(&mut RotatingSource::default(), 2_000_000);
         assert_eq!(out, RunOutcome::Quiescent);
         for p in gs.universe() {
             assert_eq!(delivered(&sim, p), vec![MessageId(0)], "{p}");
@@ -1054,7 +1054,7 @@ mod tests {
             .multicast(MessageId(0), GroupId(0));
         sim.automaton_mut(ProcessId(4))
             .multicast(MessageId(1), GroupId(1));
-        let out = sim.run(Scheduler::RoundRobin, 5_000_000);
+        let out = sim.run(&mut RotatingSource::default(), 5_000_000);
         assert_eq!(out, RunOutcome::Quiescent);
         for p in gs.members(GroupId(0)) {
             assert!(delivered(&sim, p).contains(&MessageId(0)), "{p}");
@@ -1075,7 +1075,7 @@ mod tests {
         let mut sim = system(&gs, pattern);
         sim.automaton_mut(ProcessId(0))
             .multicast(MessageId(0), GroupId(0));
-        let out = sim.run(Scheduler::RoundRobin, 2_000_000);
+        let out = sim.run(&mut RotatingSource::default(), 2_000_000);
         assert_eq!(out, RunOutcome::Quiescent);
         for p in gs.members(GroupId(0)) {
             assert_eq!(delivered(&sim, p), vec![MessageId(0)]);
@@ -1091,12 +1091,12 @@ mod tests {
         let gs = topology::two_overlapping(2, 1); // 3 processes
         for seed in 0..3u64 {
             let pattern = FailurePattern::all_correct(gs.universe());
-            let mut sim = system(&gs, pattern).with_seed(seed);
+            let mut sim = system(&gs, pattern);
             sim.automaton_mut(ProcessId(0))
                 .multicast(MessageId(0), GroupId(0));
             sim.automaton_mut(ProcessId(2))
                 .multicast(MessageId(1), GroupId(1));
-            let out = sim.run(Scheduler::Random { null_prob: 0.2 }, 5_000_000);
+            let out = sim.run(&mut RandomSource::new(seed), 5_000_000);
             assert_eq!(out, RunOutcome::Quiescent, "seed {seed}");
             assert_eq!(delivered(&sim, ProcessId(1)).len(), 2, "seed {seed}");
         }
@@ -1113,7 +1113,7 @@ mod tests {
             sim.automaton_mut(src)
                 .multicast(MessageId(g as u64), GroupId(g));
         }
-        let out = sim.run(Scheduler::RoundRobin, 10_000_000);
+        let out = sim.run(&mut RotatingSource::default(), 10_000_000);
         assert_eq!(out, RunOutcome::Quiescent);
         for g in 0..3u32 {
             for p in gs.members(GroupId(g)) {
@@ -1151,7 +1151,7 @@ mod tests {
         let mut sim = system(&gs, pattern.clone());
         sim.automaton_mut(ProcessId(0))
             .multicast(MessageId(0), GroupId(0));
-        let out = sim.run(Scheduler::RoundRobin, 5_000_000);
+        let out = sim.run(&mut RotatingSource::default(), 5_000_000);
         assert_eq!(out, RunOutcome::Quiescent);
         for p in gs.members(GroupId(0)) & pattern.correct() {
             assert_eq!(delivered(&sim, p), vec![MessageId(0)], "{p}");
@@ -1234,7 +1234,7 @@ mod tests {
             sim.automaton_mut(src)
                 .multicast(MessageId(g as u64), GroupId(g));
         }
-        sim.run(Scheduler::RoundRobin, 200);
+        sim.run(&mut RotatingSource::default(), 200);
         let p = ProcessId(0);
         let counted = sim.automaton(p).counters();
         assert!(counted.instances_visited > 0 && counted.log_order_walks > 0);

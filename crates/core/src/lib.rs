@@ -25,7 +25,7 @@ pub use arena::MessageArena;
 pub use message::{Datum, MessageId, MessageInfo};
 pub use phase::Phase;
 pub use runtime::{
-    ActionDesc, ActionKind, ActionScheduler, Delivery, Fired, ReadyCounters, RunReport, Runtime,
-    RuntimeConfig, Variant,
+    ActionDesc, ActionKind, Delivery, Fired, ReadyCounters, RunReport, Runtime, RuntimeConfig,
+    Variant,
 };
 pub use shard::{ShardRun, ShardSpec};

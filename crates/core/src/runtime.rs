@@ -87,15 +87,14 @@
 //! it; with nothing to pick, stop if nothing is owed and otherwise let one
 //! tick pass — and differs only in the policy:
 //!
-//! - *round-robin-min* ([`Runtime::run_sustained`], and [`Runtime::run_only`]
-//!   under [`ActionScheduler::RoundRobin`]): the first process at or after
-//!   a stored cursor with an enabled action, and the head of its row. The
-//!   scan steps over `stale | nonempty` only, so idle processes cost
-//!   nothing;
-//! - *random* ([`Runtime::run_only`] under [`ActionScheduler::Random`]) and
-//!   *sourced* ([`Runtime::run_with_source`]): the choice space of
-//!   [`Runtime::options_into`], picked from by the runtime's generator or a
-//!   [`ScheduleSource`];
+//! - *round-robin-min* ([`Runtime::run_sustained`], and [`Runtime::run`]
+//!   over every process): the first process at or after a stored cursor
+//!   with an enabled action, and the head of its row. The scan steps over
+//!   `stale | nonempty` only, so idle processes cost nothing;
+//! - *sourced* ([`Runtime::run_with_source`]): the choice space of
+//!   [`Runtime::options_into`], picked from by a [`ScheduleSource`] — a
+//!   random run is this loop under `RandomSource`; the runtime holds no
+//!   generator of its own;
 //! - *recorded slot* (the shard recorder of the parallel driver): the
 //!   round-robin pick over one shard's processes, its global visit slot
 //!   recovered from how far the scan travelled and stamped on the clock.
@@ -131,8 +130,6 @@ use gam_kernel::{
     ColumnStats, CowVec, FailurePattern, ProcessId, ProcessSet, Refill, RunOutcome, ScheduleSource,
     Time,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Which variation of atomic multicast the runtime solves.
@@ -149,16 +146,6 @@ pub enum Variant {
     Pairwise,
 }
 
-/// How the runtime schedules enabled actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ActionScheduler {
-    /// Rotate over processes; fire the least enabled action (deterministic).
-    #[default]
-    RoundRobin,
-    /// Pick a random process with enabled actions, then a random action.
-    Random,
-}
-
 /// Configuration of a [`Runtime`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuntimeConfig {
@@ -168,10 +155,6 @@ pub struct RuntimeConfig {
     pub mu: MuConfig,
     /// Detection latency of the `1^{g∩h}` indicators (strict variant only).
     pub indicator_delay: u64,
-    /// Scheduling policy.
-    pub scheduler: ActionScheduler,
-    /// Seed for the random scheduler.
-    pub seed: u64,
     /// Maximum number of consecutive `L_g` entries one `Inject` bundles
     /// into a single protocol unit (one consensus decision for the whole
     /// batch). `0` and `1` both disable batching and reproduce the
@@ -453,7 +436,6 @@ pub struct Runtime {
     /// Immutable interned topology/oracle tables, shared across clones —
     /// this is what keeps engine snapshots cheap.
     pub(crate) tables: Arc<Tables>,
-    scheduler: ActionScheduler,
     now: Time,
     // Shared objects, flat.
     pub(crate) pairs: CowVec<PairState>,
@@ -483,7 +465,6 @@ pub struct Runtime {
     /// Per process: undelivered messages addressed to it (obligations).
     pub(crate) owed: CowVec<u64>,
     pub(crate) rr_cursor: usize,
-    rng: StdRng,
     ready: ReadySet,
 }
 
@@ -499,7 +480,6 @@ impl Clone for Runtime {
     fn clone(&self) -> Self {
         Runtime {
             tables: Arc::clone(&self.tables),
-            scheduler: self.scheduler,
             now: self.now,
             pairs: self.pairs.clone(),
             units: self.units.clone(),
@@ -514,7 +494,6 @@ impl Clone for Runtime {
             actions_of: self.actions_of.clone(),
             owed: self.owed.clone(),
             rr_cursor: self.rr_cursor,
-            rng: self.rng.clone(),
             ready: self.ready.clone(),
         }
     }
@@ -534,7 +513,6 @@ impl Runtime {
     pub fn refill(&mut self, src: &Self, how: Refill) {
         let Runtime {
             tables,
-            scheduler,
             now,
             pairs,
             units,
@@ -549,11 +527,9 @@ impl Runtime {
             actions_of,
             owed,
             rr_cursor,
-            rng,
             ready,
         } = src;
         share(&mut self.tables, tables);
-        self.scheduler = *scheduler;
         self.now = *now;
         self.pairs.refill(pairs, how);
         self.units.refill(units, how);
@@ -568,7 +544,6 @@ impl Runtime {
         self.actions_of.refill(actions_of, how);
         self.owed.refill(owed, how);
         self.rr_cursor = *rr_cursor;
-        self.rng.clone_from(rng);
         self.ready.clone_from(ready);
     }
 
@@ -613,7 +588,6 @@ impl Runtime {
             .collect();
         let total_gm = *tables.member_base.last().expect("base table non-empty") as usize;
         Runtime {
-            scheduler: config.scheduler,
             now: Time::ZERO,
             pairs: CowVec::from_vec(ROW_CHUNK, pairs),
             units: UnitArena::default(),
@@ -628,7 +602,6 @@ impl Runtime {
             actions_of: CowVec::from_vec(COL_CHUNK, vec![0; n]),
             owed: CowVec::from_vec(COL_CHUNK, vec![0; n]),
             rr_cursor: 0,
-            rng: StdRng::seed_from_u64(config.seed),
             ready: ReadySet {
                 rows: vec![Vec::new(); n],
                 stale: ProcessSet::first_n(n),
@@ -1290,10 +1263,11 @@ impl Step<'_> {
 }
 
 impl Runtime {
-    /// Runs until quiescence or `max_actions`, scheduling every process.
-    /// Returns `true` on quiescence.
+    /// Runs until quiescence or `max_actions` under the round-robin-min
+    /// policy, scheduling every process ([`Runtime::run_sustained`] over the
+    /// universe). Returns `true` on quiescence.
     pub fn run(&mut self, max_actions: u64) -> bool {
-        self.run_only(self.tables.system.universe(), max_actions)
+        self.run_sustained(self.tables.system.universe(), max_actions)
     }
 
     /// Returns `true` if some live process of `set` still owes a delivery:
@@ -1306,34 +1280,13 @@ impl Runtime {
             .any(|p| self.alive(p) && self.owed[p.index()] > 0)
     }
 
-    /// Runs scheduling only the processes of `set` — the adversarial
-    /// schedules that group parallelism (§6.2) and genuineness quantify
-    /// over — under the configured [`ActionScheduler`]. Returns `true` on
-    /// quiescence of `set`: no enabled action *and* no outstanding delivery
-    /// obligation. A run whose obligations never resolve (a liveness
-    /// failure, e.g. an ablated detector) exhausts its budget and returns
-    /// `false`.
-    pub fn run_only(&mut self, set: ProcessSet, max_actions: u64) -> bool {
-        match self.scheduler {
-            ActionScheduler::RoundRobin => self.run_sustained(set, max_actions),
-            ActionScheduler::Random => {
-                let mut options = Vec::new();
-                let outcome = self.drive(set, max_actions, |rt| {
-                    rt.options_into(set, &mut options);
-                    if options.is_empty() {
-                        return Pick::Idle;
-                    }
-                    let (p, arity) = options[rt.rng.gen_range(0..options.len())];
-                    Pick::Choice(p, rt.rng.gen_range(0..arity))
-                });
-                outcome == RunOutcome::Quiescent
-            }
-        }
-    }
-
     /// The sustained-load driver: the run loop under the round-robin-min
-    /// policy, whatever scheduler is configured. Returns `true` on
-    /// quiescence of `set`, `false` on budget exhaustion.
+    /// policy, scheduling only the processes of `set` — the adversarial
+    /// schedules that group parallelism (§6.2) and genuineness quantify
+    /// over. Returns `true` on quiescence of `set`: no enabled action *and*
+    /// no outstanding delivery obligation. A run whose obligations never
+    /// resolve (a liveness failure, e.g. an ablated detector) exhausts its
+    /// budget and returns `false`.
     pub fn run_sustained(&mut self, set: ProcessSet, max_actions: u64) -> bool {
         let mut cursor = self.rr_cursor;
         let outcome = self.drive(set, max_actions, |rt| {
@@ -1790,7 +1743,7 @@ impl Runtime {
     /// a `Clone` of this runtime actually copies beyond the inline struct
     /// (chunk pointer tables, plain `Vec` heap) versus what a deep
     /// per-element copy of the same logical state would have copied. The
-    /// fixed-size struct itself (clock, cursors, rng, the `CowVec`/`Arc`
+    /// fixed-size struct itself (clock, cursor, the `CowVec`/`Arc`
     /// headers) moves with *any* snapshot representation and is excluded
     /// from both sides — the ratio measures the heap traffic the
     /// copy-on-write layout saves, which is what a profiler sees. The
@@ -1849,6 +1802,9 @@ mod tests {
     use super::*;
     use crate::arena::NO_RANK;
     use gam_groups::topology;
+    use gam_kernel::{RandomSource, RotatingSource};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     impl Runtime {
         /// The row of `p` by the walk the runtime used before readiness
@@ -1909,10 +1865,11 @@ mod tests {
     }
 
     #[test]
-    fn run_sustained_matches_run_only_round_robin() {
-        // The sustained driver is the same scheduler with candidate
-        // discovery amortized: on a clone of the same runtime it must fire
-        // the identical action sequence, hence reach the identical state.
+    fn run_sustained_matches_the_rotating_source() {
+        // The sustained driver is `RotatingSource` over the choice space
+        // with candidate discovery amortized: on a clone of the same
+        // runtime it must fire the identical action sequence, hence reach
+        // the identical state.
         for gs in [
             topology::fig1(),
             topology::ring(3, 2),
@@ -1923,7 +1880,11 @@ mod tests {
                 a.multicast(members.min().unwrap(), g, u64::from(g.0));
             }
             let mut b = a.clone();
-            assert!(a.run_only(gs.universe(), 500_000), "run_only quiesces");
+            assert_eq!(
+                a.run_with_source(gs.universe(), &mut RotatingSource::default(), 500_000),
+                RunOutcome::Quiescent,
+                "the sourced loop quiesces"
+            );
             assert!(
                 b.run_sustained(gs.universe(), 500_000),
                 "sustained quiesces"
@@ -1957,7 +1918,7 @@ mod tests {
     /// skewed towards the low groups, every one submitted up front by a
     /// member that outlives the submissions; `crashes` victims are whole
     /// group intersections (the `isect` plan), dying mid-run.
-    fn backlogged(gs: &GroupSystem, crashes: usize, config: RuntimeConfig) -> Runtime {
+    fn backlogged(gs: &GroupSystem, crashes: usize, config: RuntimeConfig, seed: u64) -> Runtime {
         let msgs = 32 * gs.len();
         let victims = gs.intersecting_pairs().into_iter().take(crashes);
         let crashes: Vec<_> = victims
@@ -1967,7 +1928,7 @@ mod tests {
             .collect();
         let pattern = FailurePattern::from_crashes(gs.universe(), crashes);
         let mut rt = Runtime::new(gs, pattern, config);
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..msgs {
             let skew = rng.gen_range(0..gs.len()).min(rng.gen_range(0..gs.len()));
             let g = GroupId(skew as u32);
@@ -1995,10 +1956,10 @@ mod tests {
                         let config = RuntimeConfig {
                             variant,
                             batch_max,
-                            seed: rng.gen_range(0..1_000u64),
                             ..Default::default()
                         };
-                        let mut rt = backlogged(&gs, crashes, config);
+                        let seed = rng.gen_range(0..1_000u64);
+                        let mut rt = backlogged(&gs, crashes, config, seed);
                         let mut checkpoint = rt.clone();
                         let tag = format!(
                             "n={} {crashes} crashes {variant:?} batch {batch_max}",
@@ -2162,22 +2123,17 @@ mod tests {
         // The minimal cyclic topology: messages in all groups concurrently.
         let gs = topology::ring(3, 2);
         for seed in 0..5u64 {
-            let mut rt = Runtime::new(
-                &gs,
-                FailurePattern::all_correct(gs.universe()),
-                RuntimeConfig {
-                    scheduler: ActionScheduler::Random,
-                    seed,
-                    ..Default::default()
-                },
-            );
+            let mut rt = runtime(&gs, FailurePattern::all_correct(gs.universe()));
             let ms: Vec<MessageId> = (0..3u32)
                 .map(|g| {
                     let src = gs.members(GroupId(g)).min().unwrap();
                     rt.multicast(src, GroupId(g), g as u64)
                 })
                 .collect();
-            let report = rt.run_to_quiescence(1_000_000);
+            let outcome =
+                rt.run_with_source(gs.universe(), &mut RandomSource::new(seed), 1_000_000);
+            assert_eq!(outcome, RunOutcome::Quiescent, "seed {seed}");
+            let report = rt.report(true);
             for (g, m) in ms.iter().enumerate() {
                 for p in gs.members(GroupId(g as u32)) {
                     assert!(report.has_delivered(p, *m), "seed {seed}: {p} missing {m}");

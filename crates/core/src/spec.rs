@@ -860,17 +860,15 @@ mod tests {
         let mut rt = crate::Runtime::new(
             &gs,
             FailurePattern::all_correct(gs.universe()),
-            crate::RuntimeConfig {
-                scheduler: crate::ActionScheduler::Random,
-                seed: 5,
-                ..Default::default()
-            },
+            crate::RuntimeConfig::default(),
         );
         for i in 0..4u64 {
             rt.multicast(ProcessId(0), GroupId(0), i);
             rt.multicast(ProcessId(4), GroupId(1), i);
         }
-        let report = rt.run_to_quiescence(2_000_000);
-        check_group_sequential(&report).unwrap();
+        let mut source = gam_kernel::RandomSource::new(5);
+        let outcome = rt.run_with_source(gs.universe(), &mut source, 2_000_000);
+        assert_eq!(outcome, gam_kernel::RunOutcome::Quiescent);
+        check_group_sequential(&rt.report(true)).unwrap();
     }
 }

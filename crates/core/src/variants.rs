@@ -56,7 +56,7 @@ pub fn check_group_parallelism_staged(
         return Ok(()); // vacuous: no correct member
     };
     let m = rt.multicast(src, group, 0);
-    rt.run_only(correct_members, max_actions);
+    rt.run_sustained(correct_members, max_actions);
     for p in correct_members {
         if !rt.report(true).has_delivered(p, m) {
             return Err(SpecViolation {
@@ -72,10 +72,9 @@ pub fn check_group_parallelism_staged(
 mod tests {
     use super::*;
     use crate::spec;
-    use crate::{ActionScheduler, Variant};
+    use crate::Variant;
     use gam_groups::topology;
-    use gam_kernel::ProcessId;
-    use gam_kernel::Time;
+    use gam_kernel::{ProcessId, RandomSource, RunOutcome, Time};
 
     fn config(variant: Variant) -> RuntimeConfig {
         RuntimeConfig {
@@ -148,18 +147,16 @@ mod tests {
             let mut rt = Runtime::new(
                 &gs,
                 FailurePattern::all_correct(gs.universe()),
-                RuntimeConfig {
-                    variant: Variant::Pairwise,
-                    scheduler: ActionScheduler::Random,
-                    seed,
-                    ..Default::default()
-                },
+                config(Variant::Pairwise),
             );
             for g in 0..3u32 {
                 let src = gs.members(GroupId(g)).min().unwrap();
                 rt.multicast(src, GroupId(g), g as u64);
             }
-            let report = rt.run_to_quiescence(1_000_000);
+            let outcome =
+                rt.run_with_source(gs.universe(), &mut RandomSource::new(seed), 1_000_000);
+            assert_eq!(outcome, RunOutcome::Quiescent, "seed {seed}");
+            let report = rt.report(true);
             spec::check_integrity(&report).unwrap();
             spec::check_termination(&report).unwrap();
             spec::check_pairwise_ordering(&report).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -225,7 +222,7 @@ mod tests {
         );
         rt.multicast(ProcessId(1), GroupId(1), 99); // m2 → g2
                                                     // Warm up with only p1: m2 reaches LOG_{g1∩g2} but stays pending.
-        rt.run_only(gam_kernel::ProcessSet::singleton(ProcessId(1)), 100_000);
+        rt.run_sustained(gam_kernel::ProcessSet::singleton(ProcessId(1)), 100_000);
         let err = check_group_parallelism_staged(&mut rt, GroupId(0), 200_000).unwrap_err();
         // Both members block: p1 waits for m2 in LOG_{g1∩g2}, and p0 waits
         // for the (m1,g2) stabilisation announcement only p1 could produce.

@@ -18,7 +18,7 @@
 //! take its first entry at or after a cursor.
 
 use crate::Observer;
-use gam_kernel::schedule::{ChoiceStep, RecordInto, RecordingSource, ReplaySource, RotatingSource};
+use gam_kernel::schedule::{ChoiceStep, RecordInto, ReplaySource, RotatingSource};
 use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 
 /// A steppable execution substrate: a state machine exposing its current
@@ -117,8 +117,8 @@ pub trait Executor {
 /// prefix-sharing DFS explorer is built on.
 ///
 /// A snapshot captures **everything** that determines future behaviour *and*
-/// future digests: the substrate state (logs, oracles, scheduler cursors,
-/// clocks, in-flight messages, RNG) plus the executor's own incremental
+/// future digests: the substrate state (logs, oracles, clocks, in-flight
+/// messages) plus the executor's own incremental
 /// history [`Digest`](crate::digest::Digest). After `restore`, the executor must be
 /// bit-for-bit indistinguishable from one that reached the checkpoint
 /// fresh: the same `enabled_actions`, and — after any continuation — the
@@ -259,9 +259,9 @@ where
     E: Executor + ?Sized,
     S: ScheduleSource,
 {
-    let mut rec = RecordingSource::new(source);
-    let outcome = run_with_source(exec, &mut rec, max_steps);
-    (outcome, rec.into_log())
+    let mut log = Vec::new();
+    let outcome = run_with_source(exec, &mut RecordInto::new(source, &mut log), max_steps);
+    (outcome, log)
 }
 
 /// Replays a recorded `schedule` on `exec`, completing with the fair

@@ -5,9 +5,9 @@
 //! `0..k` (receive the `c`-th oldest) plus, when the automaton is active,
 //! `k` (the null message) — the mapping [`Simulator::step_choice`] defines.
 //! The executor folds each step into an incremental [`Digest`] as it
-//! happens (time, process, received message), replacing the pre-engine
-//! pattern of recording the full schedule in the trace and rehashing it
-//! after the run.
+//! happens (time, process, received message) — every scheduled step,
+//! including one whose process had crashed by its instant and so received
+//! nothing.
 
 use crate::digest::Digest;
 use crate::event::{Observer, TraceEvent};
@@ -70,7 +70,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> KernelExecutor<A, H> {
     }
 
     /// Consumes the executor, returning the simulator.
-    // gam-lint: allow(U001, reason = "tests/levelb_identity.rs reads the recorded schedule and counters off the simulator a run leaves")
+    // gam-lint: allow(U001, reason = "tests/levelb_identity.rs reads the deliveries and counters off the simulator a run leaves")
     pub fn into_sim(self) -> Simulator<A, H> {
         self.sim
     }
@@ -83,7 +83,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> KernelExecutor<A, H> {
 }
 
 /// A [`KernelExecutor`] checkpoint: the whole simulator (automata,
-/// in-flight messages, trace, RNG, cursors) plus the executor's history
+/// in-flight messages, clock, trace) plus the executor's history
 /// digest and publication cursors. Observers and the delivery extractor
 /// are configuration and stay out (see [`SnapshotExec`]).
 #[derive(Debug, Clone)]
@@ -134,8 +134,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> Executor for KernelExecutor<A, H> 
         let sends_before = self.sim.total_messages();
         let received = self.sim.step_choice(action.pid, action.choice);
         let now = self.sim.now();
-        // Incremental digest: exactly the words the pre-engine post-hoc
-        // rehash folded per recorded step.
+        // Incremental digest: time, process, received message (0 = none).
         self.digest.push(now.0);
         self.digest.push(u64::from(action.pid.0));
         self.digest.push(received.map_or(0, |m| m.0 + 1));

@@ -114,6 +114,58 @@ mod tests {
     }
 
     #[test]
+    fn kernel_executor_matches_native_loop() {
+        use gam_groups::{topology, GroupId};
+        use gam_kernel::schedule::RandomSource;
+        use gam_kernel::{FailurePattern, RunOutcome, Simulator};
+
+        // The Level B twin of `runtime_executor_matches_native_loop`: the
+        // simulator's own loop makes the calls `KernelExecutor` makes, so
+        // under equal sources the two take the same steps.
+        let gs = topology::ring(3, 2);
+        let build = || {
+            let pattern = FailurePattern::all_correct(gs.universe());
+            let autos = gs
+                .universe()
+                .iter()
+                .map(|p| DistProcess::new(p, &gs))
+                .collect();
+            let mu = gam_detectors::MuOracle::new(
+                &gs,
+                pattern.clone(),
+                gam_detectors::MuConfig::default(),
+            );
+            let mut sim = Simulator::new(autos, pattern, MuHistory::new(mu));
+            for g in 0..3u32 {
+                let src = gs.members(GroupId(g)).min().unwrap();
+                sim.automaton_mut(src)
+                    .multicast(MessageId(u64::from(g)), GroupId(g));
+            }
+            sim
+        };
+        for seed in 0..3 {
+            let mut native = build();
+            let out = native.run(&mut RandomSource::new(seed), 2_000_000);
+            assert_eq!(out, RunOutcome::Quiescent, "seed {seed}");
+
+            let mut exec = KernelExecutor::new(build());
+            let out2 = run_with_source(&mut exec, &mut RandomSource::new(seed), 2_000_000);
+            assert_eq!(out2, out, "seed {seed}");
+            let engine = exec.sim();
+            assert_eq!(engine.now(), native.now(), "seed {seed}");
+            assert_eq!(engine.total_messages(), native.total_messages());
+            assert_eq!(engine.counters(), native.counters(), "seed {seed}");
+            for p in gs.universe() {
+                assert_eq!(
+                    engine.automaton(p).delivered(),
+                    native.automaton(p).delivered(),
+                    "seed {seed}: {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn recorded_engine_run_replays_to_same_digest() {
         use gam_groups::{topology, GroupId};
         use gam_kernel::{FailurePattern, RunOutcome};

@@ -3,7 +3,7 @@
 //!
 //! A scheduling option of process `p` is one of its enabled guarded actions
 //! in the deterministic action order (so sub-choice `0` is the action the
-//! round-robin scheduler would fire). Unlike the kernel, the runtime's
+//! round-robin policy would fire). Unlike the kernel, the runtime's
 //! clock may *idle*: guards can become enabled purely by the passage of
 //! detector time, so an empty choice space with outstanding delivery
 //! obligations advances the clock instead of ending the run.
@@ -156,7 +156,7 @@ impl RuntimeExecutor {
 }
 
 /// A [`RuntimeExecutor`] checkpoint: the full Algorithm 1 runtime (logs,
-/// oracles, scheduler, clock, RNG) plus the executor's history digest and
+/// oracles, clock) plus the executor's history digest and
 /// crash-publication cursor. Not a deep copy: the runtime's columns are
 /// shared with the executor chunk by chunk until one side writes (see
 /// `gam_kernel::cow`), and nothing ever writes through a snapshot. The

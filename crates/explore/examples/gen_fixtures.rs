@@ -10,7 +10,7 @@
 
 use gam_explore::{Repro, Scenario};
 use gam_groups::topology;
-use gam_kernel::{RandomSource, RecordingSource};
+use gam_kernel::{RandomSource, RecordInto};
 
 fn main() {
     let out_dir = std::env::args()
@@ -23,12 +23,12 @@ fn main() {
         ("two_overlapping_3_1", topology::two_overlapping(3, 1), 3),
     ] {
         let scenario = Scenario::one_per_group(&gs, 500_000);
-        let mut source = RecordingSource::new(RandomSource::new(seed));
-        let report = scenario.run(&mut source);
+        let mut schedule = Vec::new();
+        let report = scenario.run(&mut RecordInto::new(RandomSource::new(seed), &mut schedule));
         assert!(report.quiescent, "{name}: fixture run must quiesce");
         let repro = Repro {
             scenario,
-            schedule: source.into_log(),
+            schedule,
             seed,
             property: None,
         };

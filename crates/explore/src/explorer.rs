@@ -67,7 +67,7 @@ use crate::{Prototype, Repro, Scenario};
 use gam_core::spec::{check_all, SpecViolation};
 use gam_core::{RunReport, Variant};
 use gam_engine::{run_with_source, run_with_source_counted, Executor, RuntimeExecutor, VisitedSet};
-use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordingSource};
+use gam_kernel::schedule::{ChoiceStep, PathSource, RandomSource, RecordInto};
 use gam_kernel::RunOutcome;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -384,7 +384,8 @@ pub(crate) struct ItemResult {
 
 /// One swarm seed: a recorded run under [`RandomSource`], checked.
 fn swarm_item(proto: &Prototype, seed: u64, worker: &mut Worker) -> ItemResult {
-    let mut source = RecordingSource::new(RandomSource::new(seed));
+    let mut log = Vec::new();
+    let mut source = RecordInto::new(RandomSource::new(seed), &mut log);
     proto.reset(&mut worker.exec);
     let (out, steps_executed) =
         run_with_source_counted(&mut worker.exec, &mut source, proto.scenario.max_steps);
@@ -392,7 +393,7 @@ fn swarm_item(proto: &Prototype, seed: u64, worker: &mut Worker) -> ItemResult {
     ItemResult {
         runs: 1,
         steps_executed,
-        violation: verdict.err().map(|v| (source.into_log(), v, seed)),
+        violation: verdict.err().map(|v| (log, v, seed)),
         ..ItemResult::default()
     }
 }

@@ -24,7 +24,7 @@ use crate::{
 use gam_core::spec::{check_all, check_named, SpecViolation};
 use gam_core::Variant;
 use gam_engine::run_with_source_counted;
-use gam_kernel::schedule::{RandomSource, RecordingSource};
+use gam_kernel::schedule::{RandomSource, RecordInto};
 use gam_kernel::RunOutcome;
 use gam_scenarios::ScnDescriptor;
 use std::ops::Range;
@@ -181,7 +181,8 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
     let mut exec = proto.executor();
     let mut report = exec.report(false);
     for seed in cfg.swarm_seeds.clone() {
-        let mut source = RecordingSource::new(RandomSource::new(seed));
+        let mut log = Vec::new();
+        let mut source = RecordInto::new(RandomSource::new(seed), &mut log);
         proto.reset(&mut exec);
         let (out, consumed) = run_with_source_counted(&mut exec, &mut source, scenario.max_steps);
         outcome.steps += consumed;
@@ -191,7 +192,7 @@ pub fn hunt_one(descriptor: &ScnDescriptor, cfg: &HuntConfig) -> HuntOutcome {
             outcome.findings.push(finding_from(
                 descriptor,
                 &scenario,
-                source.into_log(),
+                log,
                 violation,
                 seed,
                 cfg.shrink_budget,

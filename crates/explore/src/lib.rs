@@ -10,8 +10,9 @@
 //!   completing each prefix with a deterministic fair tail to quiescence so
 //!   every terminal state is checkable, as a snapshotting depth-first
 //!   search: shared schedule prefixes execute once, and checkpoints are
-//!   restored on backtrack. `Swarm` drives a seeded random scheduler over
-//!   the full run, once per seed, recording each schedule as it goes;
+//!   restored on backtrack. `Swarm` drives a seeded `RandomSource` over
+//!   the full run, once per seed, recording each schedule (`RecordInto`)
+//!   as it goes;
 //! - both run on one worker pool with a deterministic merge, so the
 //!   reported counterexample is independent of the thread count, and the
 //!   exhaustive walk skips subtrees that already completed clean (see

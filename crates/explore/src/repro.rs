@@ -240,7 +240,7 @@ fn parse_nums(rest: &str, want: usize) -> Result<Vec<u64>, String> {
 mod tests {
     use super::*;
     use gam_groups::topology;
-    use gam_kernel::schedule::{RandomSource, RecordingSource};
+    use gam_kernel::schedule::{RandomSource, RecordInto};
 
     fn sample() -> Repro {
         let scenario = Scenario {
@@ -251,11 +251,11 @@ mod tests {
             max_steps: 50_000,
             batch_max: 1,
         };
-        let mut source = RecordingSource::new(RandomSource::new(17));
-        let _ = scenario.run(&mut source);
+        let mut schedule = Vec::new();
+        let _ = scenario.run(&mut RecordInto::new(RandomSource::new(17), &mut schedule));
         Repro {
             scenario,
-            schedule: source.into_log(),
+            schedule,
             seed: 17,
             property: None,
         }

@@ -4,10 +4,10 @@
 //! failure detectors (Appendix A of the paper): asynchronous processes that
 //! communicate through a message buffer, crash according to a *failure
 //! pattern*, and query a local *failure-detector history* at every step. A
-//! deterministic, seeded discrete-event [`Simulator`] drives process
-//! [`Automaton`]s, injects crashes, and records [`Trace`]s, including the
-//! adversarial scheduling controls (subset-only runs, message selection) that
-//! the paper's necessity arguments quantify over.
+//! deterministic discrete-event [`Simulator`] drives process [`Automaton`]s,
+//! injects crashes, and records [`Trace`]s. Every step it takes is chosen by
+//! a [`ScheduleSource`] — the adversary of the paper's necessity arguments,
+//! which picks the stepping process and the message it receives.
 //!
 //! ## Quickstart
 //!
@@ -36,7 +36,8 @@
 //! let universe = ProcessSet::first_n(2);
 //! let pattern = FailurePattern::all_correct(universe);
 //! let mut sim = Simulator::new(vec![Echo, Echo], pattern, NoDetector);
-//! # let _ = &mut sim;
+//! // Nothing is in flight and no one is active: the run is over at once.
+//! assert_eq!(sim.run(&mut RotatingSource::default(), 100), RunOutcome::Quiescent);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,9 +59,8 @@ pub use failure::{Environment, FailurePattern};
 pub use message::{Envelope, MessageBuffer, MsgId};
 pub use process::{Iter as ProcessSetIter, ProcessId, ProcessSet, MAX_PROCESSES};
 pub use schedule::{
-    ChoiceStep, PathSource, RandomSource, RecordingSource, ReplaySource, RotatingSource,
-    ScheduleSource,
+    ChoiceStep, PathSource, RandomSource, RecordInto, ReplaySource, RotatingSource, ScheduleSource,
 };
-pub use sim::{Receive, RunOutcome, Scheduler, SimCounters, Simulator};
+pub use sim::{RunOutcome, SimCounters, Simulator};
 pub use time::Time;
-pub use trace::{StepRecord, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};

@@ -114,12 +114,8 @@ impl<M: Clone> MessageBuffer<M> {
         self.queues[p.index()].len()
     }
 
-    /// Removes and returns the oldest message pending for `p`, if any.
-    pub fn receive_oldest(&mut self, p: ProcessId) -> Option<Envelope<M>> {
-        self.queues[p.index()].pop_front()
-    }
-
-    /// Removes and returns the `k`-th oldest pending message for `p`.
+    /// Removes and returns the `k`-th oldest pending message for `p`, or
+    /// `None` if fewer than `k + 1` are pending.
     pub fn receive_nth(&mut self, p: ProcessId, k: usize) -> Option<Envelope<M>> {
         self.queues[p.index()].remove(k)
     }
@@ -143,7 +139,7 @@ mod tests {
         assert_eq!(buf.pending(ProcessId(1)), 1);
         assert_eq!(buf.pending(ProcessId(3)), 1);
         assert_eq!(buf.pending(ProcessId(0)), 0);
-        let e = buf.receive_oldest(ProcessId(1)).unwrap();
+        let e = buf.receive_nth(ProcessId(1), 0).unwrap();
         assert_eq!(e.id, id);
         assert_eq!(e.src, ProcessId(0));
         assert_eq!(e.dst, dst);
@@ -162,7 +158,7 @@ mod tests {
             );
         }
         let mut got = Vec::new();
-        while let Some(e) = buf.receive_oldest(ProcessId(1)) {
+        while let Some(e) = buf.receive_nth(ProcessId(1), 0) {
             got.push(e.payload);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);

@@ -14,9 +14,10 @@
 //! The choice space at a step is a slice of `(ProcessId, usize)` pairs in
 //! ascending process order: process `p` with arity `k` offers sub-choices
 //! `0..k`. What a sub-choice *means* is decided by the driver: the simulator
-//! maps `c < pending` to [`Receive::Nth(c)`](crate::Receive) and
-//! `c == pending` to the null message; the runtime maps `c` to its `c`-th
-//! enabled action in the deterministic action order. Sub-choice `0` is
+//! maps `c < pending` to receiving the `c`-th oldest pending message and
+//! `c == pending` to the null message
+//! ([`Simulator::step_choice`](crate::Simulator::step_choice)); the runtime
+//! maps `c` to its `c`-th enabled action in the deterministic action order. Sub-choice `0` is
 //! always the driver's "default" option (oldest message / least action), so
 //! collapsing a schedule entry to `0` moves it toward the round-robin
 //! schedule — the normalisation the shrinker exploits.
@@ -131,48 +132,10 @@ impl ScheduleSource for ReplaySource {
     }
 }
 
-/// Wraps a source, recording every `(process, sub-choice)` it emits. The
-/// record replays through [`ReplaySource`] to the identical run.
-#[derive(Debug)]
-pub struct RecordingSource<S> {
-    inner: S,
-    log: Vec<ChoiceStep>,
-}
-
-impl<S: ScheduleSource> RecordingSource<S> {
-    /// Records the choices of `inner`.
-    pub fn new(inner: S) -> Self {
-        RecordingSource {
-            inner,
-            log: Vec::new(),
-        }
-    }
-
-    /// The choices recorded so far.
-    pub fn log(&self) -> &[ChoiceStep] {
-        &self.log
-    }
-
-    /// Consumes the wrapper, returning the recorded schedule.
-    pub fn into_log(self) -> Vec<ChoiceStep> {
-        self.log
-    }
-}
-
-impl<S: ScheduleSource> ScheduleSource for RecordingSource<S> {
-    fn next_choice(&mut self, options: &[(ProcessId, usize)]) -> Option<(usize, usize)> {
-        let (idx, choice) = self.inner.next_choice(options)?;
-        self.log.push(ChoiceStep {
-            pid: options[idx].0,
-            choice,
-        });
-        Some((idx, choice))
-    }
-}
-
-/// Like [`RecordingSource`], but appending into a caller-owned log buffer —
-/// the allocation-free form the exhaustive explorer's per-run loop uses
-/// (clear the buffer, run, read it back; no `Vec` is created per run).
+/// Wraps a source, appending every `(process, sub-choice)` it emits to a
+/// caller-owned log — the one schedule recorder. The log replays through
+/// [`ReplaySource`] to the identical run; a caller that runs repeatedly
+/// clears and reuses one buffer instead of allocating a log per run.
 #[derive(Debug)]
 pub struct RecordInto<'a, S> {
     inner: S,
@@ -314,30 +277,19 @@ mod tests {
     }
 
     #[test]
-    fn recording_round_trips_through_replay() {
+    fn record_into_round_trips_through_replay() {
         let o = opts(&[(0, 2), (3, 1)]);
-        let mut rec = RecordingSource::new(RandomSource::new(11));
-        let picked: Vec<_> = (0..20).map(|_| rec.next_choice(&o).unwrap()).collect();
-        let mut rep = ReplaySource::new(rec.into_log());
-        let replayed: Vec<_> = (0..20).map(|_| rep.next_choice(&o).unwrap()).collect();
-        assert_eq!(picked, replayed);
-    }
-
-    #[test]
-    fn record_into_appends_to_caller_buffer() {
-        let o = opts(&[(0, 2), (3, 1)]);
-        let mut log = Vec::new();
+        let mut log = vec![ChoiceStep {
+            pid: ProcessId(3),
+            choice: 0,
+        }];
         let picked: Vec<_> = {
             let mut rec = RecordInto::new(RandomSource::new(11), &mut log);
             (0..20).map(|_| rec.next_choice(&o).unwrap()).collect()
         };
-        // byte-for-byte the same record an owning RecordingSource produces
-        let mut owning = RecordingSource::new(RandomSource::new(11));
-        for _ in 0..20 {
-            owning.next_choice(&o).unwrap();
-        }
-        assert_eq!(log, owning.into_log());
-        let mut rep = ReplaySource::new(log);
+        // appended after what the caller's buffer already held
+        assert_eq!(log.len(), 21);
+        let mut rep = ReplaySource::new(log.split_off(1));
         let replayed: Vec<_> = (0..20).map(|_| rep.next_choice(&o).unwrap()).collect();
         assert_eq!(picked, replayed);
     }

@@ -2,10 +2,9 @@
 //!
 //! A [`Simulator`] drives one [`Automaton`](crate::Automaton) per process
 //! against a [`FailurePattern`] and a failure-detector [`History`], recording
-//! a [`Trace`]. Steps are scheduled by a [`Scheduler`] policy; crashes are
-//! injected exactly at the times the pattern dictates; fairness (every
-//! message addressed to a live process is eventually received) is guaranteed
-//! by the built-in policies.
+//! a [`Trace`]. Which step comes next is always a [`ScheduleSource`]'s
+//! choice ([`Simulator::run`]); crashes are injected exactly at the times
+//! the pattern dictates.
 //!
 //! A step of `p` at `t` consumes `H(p, t)`. The simulator holds one sample
 //! per process and asks the history for a new one only when the clock has
@@ -14,50 +13,19 @@
 //! changed — under any failure pattern and any history; one that vouches
 //! for nothing is sampled at every step.
 //!
-//! Low-level control ([`Simulator::step_choice`], [`Simulator::run_only`])
-//! exposes the adversarial scheduling the necessity proofs of the paper
-//! quantify over: running only a chosen subset of processes, choosing which
-//! pending message a step receives, or forcing null-message steps.
+//! Low-level control ([`Simulator::options_into`],
+//! [`Simulator::step_choice`]) exposes the adversarial scheduling the
+//! necessity proofs of the paper quantify over: running only a chosen
+//! subset of processes, choosing which pending message a step receives, or
+//! forcing null-message steps.
 
 use crate::automaton::{Automaton, History, StepCtx};
 use crate::failure::FailurePattern;
 use crate::message::{Envelope, MessageBuffer, MsgId};
 use crate::process::{ProcessId, ProcessSet};
-#[cfg(doc)]
 use crate::schedule::ScheduleSource;
 use crate::time::Time;
 use crate::trace::Trace;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// How the next step is chosen when running the simulator in a loop.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Scheduler {
-    /// Cycle over processes in index order; each scheduled process receives
-    /// its oldest pending message (FIFO), or takes a null step if it is
-    /// active. Deterministic and fair.
-    #[default]
-    RoundRobin,
-    /// Pick a random eligible process; it receives a uniformly random pending
-    /// message, or (with probability `null_prob`) takes a null step. Fair
-    /// with probability 1. Seeded — runs are replayable.
-    Random {
-        /// Probability that a step of an active process receives the null
-        /// message even though messages are pending.
-        null_prob: f64,
-    },
-}
-
-/// Which message a manually scheduled step receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receive {
-    /// The oldest pending message, or null if none.
-    Oldest,
-    /// The `k`-th oldest pending message (panics if out of range).
-    Nth(usize),
-    /// The null message `m_⊥`, regardless of pending messages.
-    Null,
-}
 
 /// Why a run loop stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +69,8 @@ struct Sample<V> {
 /// The simulator: automata + buffer + failure pattern + detector history.
 ///
 /// `Clone` copies the entire simulation state (automata, in-flight
-/// messages, trace, scheduler cursor and RNG; the trace's sealed log chunks
-/// are shared, not copied), so a clone restarted from a checkpoint replays
+/// messages, clock and trace; the trace's sealed event chunks are shared,
+/// not copied), so a clone restarted from a checkpoint replays
 /// bit-for-bit — the [`ScheduleSource`]-driven explorer relies on this for
 /// prefix-sharing DFS snapshots. `clone_from` rewinds to such a checkpoint
 /// field by field, into the buffers the simulator already holds. The
@@ -117,8 +85,6 @@ pub struct Simulator<A: Automaton, H: History<Value = A::Fd>> {
     now: Time,
     crashed: ProcessSet,
     trace: Trace<A::Event>,
-    rng: StdRng,
-    rr_cursor: usize,
     /// Per process: the sample its steps consume while `now ≤ until`.
     samples: Vec<Option<Sample<A::Fd>>>,
     counters: SimCounters,
@@ -134,8 +100,6 @@ impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulato
             now: self.now,
             crashed: self.crashed,
             trace: self.trace.clone(),
-            rng: self.rng.clone(),
-            rr_cursor: self.rr_cursor,
             samples: (0..self.samples.len()).map(|_| None).collect(),
             counters: SimCounters::default(),
         }
@@ -150,8 +114,6 @@ impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulato
             now,
             crashed,
             trace,
-            rng,
-            rr_cursor,
             samples,
             counters,
         } = src;
@@ -162,8 +124,6 @@ impl<A: Automaton + Clone, H: History<Value = A::Fd> + Clone> Clone for Simulato
         self.now = *now;
         self.crashed = *crashed;
         self.trace.clone_from(trace);
-        self.rng.clone_from(rng);
-        self.rr_cursor = *rr_cursor;
         // Taken under the history and clock this call just replaced.
         self.samples.clear();
         self.samples.resize_with(samples.len(), || None);
@@ -193,28 +153,12 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
             history,
             now: Time::ZERO,
             crashed: ProcessSet::EMPTY,
-            trace: Trace::new(n, false),
-            rng: StdRng::seed_from_u64(0),
-            rr_cursor: 0,
+            trace: Trace::new(n),
             samples: (0..n).map(|_| None).collect(),
             counters: SimCounters::default(),
         };
         sim.inject_crashes();
         sim
-    }
-
-    /// Seeds the random scheduler (default seed: 0).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.rng = StdRng::seed_from_u64(seed);
-        self
-    }
-
-    /// Enables recording of the full schedule in the trace.
-    // gam-lint: allow(U001, reason = "tests/levelb_identity.rs pins the recorded Level B schedules")
-    pub fn with_schedule_recording(mut self) -> Self {
-        let n = self.automata.len();
-        self.trace = Trace::new(n, true);
-        self
     }
 
     /// The current global time.
@@ -281,128 +225,25 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
             && (self.buffer.pending(p) > 0 || self.automata[p.index()].is_active())
     }
 
-    /// Executes one step of process `p`, receiving per `receive`.
-    ///
-    /// Returns the id of the received message, if any. Does nothing and
-    /// returns `None` if `p` has already crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `Receive::Nth(k)` is out of range.
-    fn step_process(&mut self, p: ProcessId, receive: Receive) -> Option<MsgId> {
-        self.now = self.now.next();
-        self.inject_crashes();
-        if self.crashed.contains(p) {
-            return None;
-        }
-        let input: Option<Envelope<A::Msg>> = match receive {
-            Receive::Null => None,
-            Receive::Oldest => self.buffer.receive_oldest(p),
-            Receive::Nth(k) => Some(
-                self.buffer
-                    .receive_nth(p, k)
-                    .expect("Receive::Nth out of range"),
-            ),
-        };
-        let received_id = input.as_ref().map(|e| e.id);
-        self.counters.steps += 1;
-        match received_id {
-            Some(_) => self.counters.receives += 1,
-            None => self.counters.null_steps += 1,
-        }
-        let slot = &mut self.samples[p.index()];
-        let sample = match slot {
-            Some(sample) if self.now <= sample.until => {
-                self.counters.fd_reused += 1;
-                sample
-            }
-            _ => {
-                self.counters.fd_sampled += 1;
-                slot.insert(Sample {
-                    value: self.history.sample(p, self.now),
-                    until: self.history.stable_until(p, self.now),
-                })
-            }
-        };
-        let mut ctx = StepCtx::new(p, self.now);
-        self.automata[p.index()].step(&mut ctx, input, &sample.value);
-        self.trace.record_step(self.now, p, received_id);
-        for event in ctx.events.drain(..) {
-            self.trace.record_event(self.now, p, event);
-        }
-        for (dst, payload) in ctx.sends.drain(..) {
-            self.trace.record_send(p);
-            // Copies addressed to already-crashed processes are dead letters.
-            let live_dst = dst - self.crashed;
-            self.buffer.send(p, live_dst, self.now, payload);
-        }
-        received_id
-    }
-
-    /// Runs under `scheduler` until quiescence or `max_steps` elapsed,
-    /// considering every process schedulable.
-    pub fn run(&mut self, scheduler: Scheduler, max_steps: u64) -> RunOutcome {
-        self.run_only(self.universe(), scheduler, max_steps)
-    }
-
-    /// Runs under `scheduler`, scheduling **only** the processes of `set`
-    /// (the others take no step — the adversarial schedules of §5).
-    pub fn run_only(
-        &mut self,
-        set: ProcessSet,
-        scheduler: Scheduler,
-        max_steps: u64,
-    ) -> RunOutcome {
-        let mut taken = 0u64;
-        loop {
-            if taken >= max_steps {
-                return RunOutcome::BudgetExhausted;
-            }
-            let Some((p, receive)) = self.pick(set, scheduler) else {
+    /// Runs under `source` until quiescence, `max_steps` steps, or the
+    /// source stopping: each step lists the choice space over every process
+    /// ([`Simulator::options_into`]), asks `source` for one option and takes
+    /// it ([`Simulator::step_choice`]) — the calls `gam-engine`'s
+    /// `KernelExecutor` makes, in the same order.
+    pub fn run(&mut self, source: &mut impl ScheduleSource, max_steps: u64) -> RunOutcome {
+        let universe = self.universe();
+        let mut options = Vec::new();
+        for _ in 0..max_steps {
+            self.options_into(universe, &mut options);
+            if options.is_empty() {
                 return RunOutcome::Quiescent;
+            }
+            let Some((idx, choice)) = source.next_choice(&options) else {
+                return RunOutcome::Stopped;
             };
-            self.step_process(p, receive);
-            taken += 1;
+            self.step_choice(options[idx].0, choice);
         }
-    }
-
-    fn pick(&mut self, set: ProcessSet, scheduler: Scheduler) -> Option<(ProcessId, Receive)> {
-        // Crash injection may lag behind `now` if no step occurred; the next
-        // step will inject. Eligibility is computed over current knowledge.
-        match scheduler {
-            Scheduler::RoundRobin => {
-                // Advance the cursor to the next eligible process.
-                let n = self.automata.len();
-                for off in 0..n {
-                    let idx = (self.rr_cursor + off) % n;
-                    let p = ProcessId(idx as u32);
-                    if set.contains(p) && self.eligible(p) {
-                        self.rr_cursor = (idx + 1) % n;
-                        return Some((p, Receive::Oldest));
-                    }
-                }
-                None
-            }
-            Scheduler::Random { null_prob } => {
-                let candidates: ProcessSet = set.iter().filter(|p| self.eligible(*p)).collect();
-                if candidates.is_empty() {
-                    return None;
-                }
-                let p = candidates
-                    .iter()
-                    .nth(self.rng.gen_range(0..candidates.len()))
-                    .expect("index drawn below the set's length");
-                let pending = self.buffer.pending(p);
-                let receive = if pending == 0
-                    || (self.automata[p.index()].is_active() && self.rng.gen_bool(null_prob))
-                {
-                    Receive::Null
-                } else {
-                    Receive::Nth(self.rng.gen_range(0..pending))
-                };
-                Some((p, receive))
-            }
-        }
+        RunOutcome::BudgetExhausted
     }
 
     /// The current choice space over `set`, written into a caller-provided
@@ -430,24 +271,54 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
         set.iter().all(|p| !self.eligible(p))
     }
 
-    /// The current choice space over the full universe
-    /// (see [`Simulator::options_into`]).
-    pub fn options(&self) -> Vec<(ProcessId, usize)> {
-        let mut out = Vec::new();
-        self.options_into(self.universe(), &mut out);
-        out
-    }
-
     /// Executes one step of `p` taking sub-choice `choice` of its current
     /// option space: `choice < pending` receives the `choice`-th oldest
     /// pending message, `choice >= pending` takes a null step.
+    ///
+    /// Returns the id of the received message, if any. The clock advances
+    /// either way; a process that has crashed by then takes no step.
     pub fn step_choice(&mut self, p: ProcessId, choice: usize) -> Option<MsgId> {
-        let receive = if choice < self.buffer.pending(p) {
-            Receive::Nth(choice)
-        } else {
-            Receive::Null
+        self.now = self.now.next();
+        self.inject_crashes();
+        if self.crashed.contains(p) {
+            return None;
+        }
+        // `p` is alive, so crash injection left its queue as it stood when
+        // `choice` was picked; a choice past its end is the null message.
+        let input: Option<Envelope<A::Msg>> = self.buffer.receive_nth(p, choice);
+        let received_id = input.as_ref().map(|e| e.id);
+        self.counters.steps += 1;
+        match received_id {
+            Some(_) => self.counters.receives += 1,
+            None => self.counters.null_steps += 1,
+        }
+        let slot = &mut self.samples[p.index()];
+        let sample = match slot {
+            Some(sample) if self.now <= sample.until => {
+                self.counters.fd_reused += 1;
+                sample
+            }
+            _ => {
+                self.counters.fd_sampled += 1;
+                slot.insert(Sample {
+                    value: self.history.sample(p, self.now),
+                    until: self.history.stable_until(p, self.now),
+                })
+            }
         };
-        self.step_process(p, receive)
+        let mut ctx = StepCtx::new(p, self.now);
+        self.automata[p.index()].step(&mut ctx, input, &sample.value);
+        self.trace.record_step(p, received_id.is_some());
+        for event in ctx.events.drain(..) {
+            self.trace.record_event(self.now, p, event);
+        }
+        for (dst, payload) in ctx.sends.drain(..) {
+            self.trace.record_send(p);
+            // Copies addressed to already-crashed processes are dead letters.
+            let live_dst = dst - self.crashed;
+            self.buffer.send(p, live_dst, self.now, payload);
+        }
+        received_id
     }
 }
 
@@ -455,6 +326,7 @@ impl<A: Automaton, H: History<Value = A::Fd>> Simulator<A, H> {
 mod tests {
     use super::*;
     use crate::automaton::NoDetector;
+    use crate::schedule::{RandomSource, RotatingSource};
 
     /// A ping automaton: process 0 starts by flooding a token; every process
     /// that first receives the token forwards it to everyone and delivers.
@@ -520,7 +392,7 @@ mod tests {
         let n = 5;
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
-        let outcome = sim.run(Scheduler::RoundRobin, 10_000);
+        let outcome = sim.run(&mut RotatingSource::default(), 10_000);
         assert_eq!(outcome, RunOutcome::Quiescent);
         for p in ProcessSet::first_n(n) {
             assert_eq!(sim.trace().events_of(p).count(), 1, "{p} delivered once");
@@ -532,18 +404,16 @@ mod tests {
         let n = 6;
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let run = |seed| {
-            let mut sim =
-                Simulator::new(flood_system(n, 2), pattern.clone(), NoDetector).with_seed(seed);
-            let outcome = sim.run(Scheduler::Random { null_prob: 0.1 }, 100_000);
+            let mut sim = Simulator::new(flood_system(n, 2), pattern.clone(), NoDetector);
+            let outcome = sim.run(&mut RandomSource::new(seed), 100_000);
             assert_eq!(outcome, RunOutcome::Quiescent);
             sim.trace().total_steps()
         };
         assert_eq!(run(42), run(42), "same seed, same run");
         for p in ProcessSet::first_n(n) {
             // all processes deliver under the random scheduler too
-            let mut sim =
-                Simulator::new(flood_system(n, 2), pattern.clone(), NoDetector).with_seed(7);
-            sim.run(Scheduler::Random { null_prob: 0.2 }, 100_000);
+            let mut sim = Simulator::new(flood_system(n, 2), pattern.clone(), NoDetector);
+            sim.run(&mut RandomSource::new(7), 100_000);
             assert_eq!(sim.trace().events_of(p).count(), 1);
         }
     }
@@ -556,7 +426,7 @@ mod tests {
             [(ProcessId(2), Time(0))], // p2 is initially dead
         );
         let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
-        sim.run(Scheduler::RoundRobin, 10_000);
+        sim.run(&mut RotatingSource::default(), 10_000);
         assert_eq!(sim.trace().steps_of(ProcessId(2)), 0);
         assert_eq!(sim.trace().events_of(ProcessId(2)).count(), 0);
         // the others still deliver
@@ -565,12 +435,19 @@ mod tests {
     }
 
     #[test]
-    fn run_only_restricts_steps_to_subset() {
+    fn a_subset_choice_space_restricts_steps_to_the_subset() {
         let n = 4;
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
         let subset = ProcessSet::from_iter([0u32, 1]);
-        sim.run_only(subset, Scheduler::RoundRobin, 10_000);
+        let mut options = Vec::new();
+        loop {
+            sim.options_into(subset, &mut options);
+            let Some(&(p, _)) = options.first() else {
+                break;
+            };
+            sim.step_choice(p, 0);
+        }
         assert!(sim.trace().steps_of(ProcessId(2)) == 0);
         assert!(sim.trace().steps_of(ProcessId(3)) == 0);
         // p0 and p1 delivered; p2, p3 have the token pending but never step
@@ -583,16 +460,19 @@ mod tests {
     fn manual_stepping_and_receive_choices() {
         let n = 2;
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
-        let mut sim =
-            Simulator::new(flood_system(n, 0), pattern, NoDetector).with_schedule_recording();
+        let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
         // p0 spontaneous step sends to everyone
-        let got = sim.step_process(ProcessId(0), Receive::Null);
+        let got = sim.step_choice(ProcessId(0), 0);
         assert_eq!(got, None);
         assert_eq!(sim.pending(ProcessId(1)), 1);
-        // p1 receives the oldest message
-        let got = sim.step_process(ProcessId(1), Receive::Oldest);
+        // a choice past the pending messages is the null message …
+        assert_eq!(sim.step_choice(ProcessId(1), 1), None);
+        assert_eq!(sim.pending(ProcessId(1)), 1);
+        // … and choice 0 receives the oldest
+        let got = sim.step_choice(ProcessId(1), 0);
         assert!(got.is_some());
-        assert_eq!(sim.trace().steps().len(), 2);
+        assert_eq!(sim.trace().total_steps(), 3);
+        assert_eq!(sim.trace().receives_of(ProcessId(1)), 1);
     }
 
     /// A detector that counts its queries and reports, at every process,
@@ -653,8 +533,8 @@ mod tests {
             // p2 crashes mid-run: crash plans go through the same slots
             let pattern =
                 FailurePattern::from_crashes(ProcessSet::first_n(n), [(ProcessId(2), Time(25))]);
-            let mut sim = Simulator::new(vec![Echo(20); n], pattern, history).with_seed(5);
-            let outcome = sim.run(Scheduler::Random { null_prob: 0.5 }, 1_000);
+            let mut sim = Simulator::new(vec![Echo(20); n], pattern, history);
+            let outcome = sim.run(&mut RandomSource::new(5), 1_000);
             assert_eq!(outcome, RunOutcome::Quiescent);
             let emitted: Vec<_> = sim.trace().events().iter().cloned().collect();
             (sim, sampled.get(), emitted)
@@ -691,20 +571,20 @@ mod tests {
         };
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = Simulator::new(vec![Echo(6); n], pattern, history);
-        sim.run(Scheduler::RoundRobin, 4);
+        sim.run(&mut RotatingSource::default(), 4);
         assert_eq!(sim.counters().fd_sampled, 2);
         // a clone counts from zero and samples for itself …
         let mut twin = sim.clone();
         assert_eq!(twin.counters(), SimCounters::default());
-        twin.run(Scheduler::RoundRobin, 4);
+        twin.run(&mut RotatingSource::default(), 4);
         assert_eq!((twin.counters().steps, twin.counters().fd_sampled), (4, 2));
         // … and `clone_from` rewinds the counters with the state and drops
         // the samples taken under what it replaced
         let checkpoint = sim.counters();
         twin.clone_from(&sim);
         assert_eq!(twin.counters(), checkpoint);
-        twin.run(Scheduler::RoundRobin, 100);
-        sim.run(Scheduler::RoundRobin, 100);
+        twin.run(&mut RotatingSource::default(), 100);
+        sim.run(&mut RotatingSource::default(), 100);
         assert_eq!(twin.counters().fd_sampled, checkpoint.fd_sampled + 2);
         assert_eq!(sim.counters().fd_sampled, checkpoint.fd_sampled);
         let events = |s: &Simulator<Echo, Windowed>| s.trace().events().iter().cloned().collect();
@@ -719,7 +599,7 @@ mod tests {
         let pattern =
             FailurePattern::from_crashes(ProcessSet::first_n(n), [(ProcessId(1), Time(1))]);
         let mut sim = Simulator::new(flood_system(n, 0), pattern, NoDetector);
-        sim.run(Scheduler::RoundRobin, 10_000);
+        sim.run(&mut RotatingSource::default(), 10_000);
         assert_eq!(sim.trace().steps_of(ProcessId(1)), 0);
         assert_eq!(sim.trace().events_of(ProcessId(2)).count(), 1);
     }

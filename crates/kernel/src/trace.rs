@@ -1,31 +1,20 @@
 //! Run traces and per-process accounting.
 //!
 //! A run of an algorithm is a tuple `(F, H, I, S, T)`. The simulator records
-//! the schedule `S` (who stepped, at which time, receiving what) and the
-//! observable events emitted along the way, together with the per-process
-//! step and message counters that the *minimality* (genuineness) property
-//! quantifies over.
+//! the observable events emitted along the way, together with the
+//! per-process step and message counters that the *minimality*
+//! (genuineness) property quantifies over. The schedule `S` itself is the
+//! [`ScheduleSource`](crate::ScheduleSource)'s: wrap the source in
+//! [`RecordInto`](crate::schedule::RecordInto) to keep it.
 
 use crate::cow::CowVec;
-use crate::message::MsgId;
 use crate::process::ProcessId;
 use crate::time::Time;
 
-/// Chunk capacity of the sealed step/event logs: big enough that the
-/// pointer table stays tiny, small enough that a post-snapshot append
-/// copies little.
+/// Chunk capacity of the sealed event log: big enough that the pointer
+/// table stays tiny, small enough that a post-snapshot append copies
+/// little.
 const LOG_CHUNK: usize = 64;
-
-/// One recorded step of the schedule `S`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepRecord {
-    /// When the step was taken (`T[i]`).
-    pub time: Time,
-    /// The stepping process.
-    pub pid: ProcessId,
-    /// The received message, or `None` for the null message `m_⊥`.
-    pub received: Option<MsgId>,
-}
 
 /// An observable event emitted by a process at a given time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,82 +27,59 @@ pub struct TraceEvent<E> {
     pub event: E,
 }
 
-/// The full record of a run: schedule, events and counters.
+/// The record of a run: events and counters.
 ///
-/// The step and event logs are append-only, so they live in sealed
-/// [`CowVec`] chunks: cloning a `Trace` (as the DFS explorer's kernel
+/// The event log is append-only, so it lives in sealed [`CowVec`] chunks: cloning a `Trace` (as the DFS explorer's kernel
 /// snapshots do) shares every sealed chunk and copies only the chunk
 /// pointer table — O(len / chunk) instead of O(len).
 #[derive(Debug)]
 pub struct Trace<E> {
-    steps: CowVec<StepRecord>,
     events: CowVec<TraceEvent<E>>,
     steps_per_process: Vec<u64>,
     sends_per_process: Vec<u64>,
     receives_per_process: Vec<u64>,
-    record_schedule: bool,
 }
 
 impl<E: Clone> Clone for Trace<E> {
     fn clone(&self) -> Self {
         Trace {
-            steps: self.steps.clone(),
             events: self.events.clone(),
             steps_per_process: self.steps_per_process.clone(),
             sends_per_process: self.sends_per_process.clone(),
             receives_per_process: self.receives_per_process.clone(),
-            record_schedule: self.record_schedule,
         }
     }
 
-    /// The restore direction of the log chunks (see [`crate::cow`]); the
+    /// The restore direction of the event chunks (see [`crate::cow`]); the
     /// counter vectors keep their buffers.
     fn clone_from(&mut self, src: &Self) {
         let Trace {
-            steps,
             events,
             steps_per_process,
             sends_per_process,
             receives_per_process,
-            record_schedule,
         } = src;
-        self.steps.clone_from(steps);
         self.events.clone_from(events);
         self.steps_per_process.clone_from(steps_per_process);
         self.sends_per_process.clone_from(sends_per_process);
         self.receives_per_process.clone_from(receives_per_process);
-        self.record_schedule = *record_schedule;
     }
 }
 
 impl<E> Trace<E> {
     /// Creates an empty trace for `n` processes.
-    ///
-    /// When `record_schedule` is false, individual [`StepRecord`]s are not
-    /// retained (the counters still are), which keeps long runs cheap.
-    pub fn new(n: usize, record_schedule: bool) -> Self {
+    pub fn new(n: usize) -> Self {
         Trace {
-            steps: CowVec::new(LOG_CHUNK),
             events: CowVec::new(LOG_CHUNK),
             steps_per_process: vec![0; n],
             sends_per_process: vec![0; n],
             receives_per_process: vec![0; n],
-            record_schedule,
         }
     }
 
-    pub(crate) fn record_step(&mut self, time: Time, pid: ProcessId, received: Option<MsgId>) {
+    pub(crate) fn record_step(&mut self, pid: ProcessId, received: bool) {
         self.steps_per_process[pid.index()] += 1;
-        if received.is_some() {
-            self.receives_per_process[pid.index()] += 1;
-        }
-        if self.record_schedule {
-            self.steps.push(StepRecord {
-                time,
-                pid,
-                received,
-            });
-        }
+        self.receives_per_process[pid.index()] += u64::from(received);
     }
 
     pub(crate) fn record_send(&mut self, pid: ProcessId) {
@@ -125,11 +91,6 @@ impl<E> Trace<E> {
         E: Clone,
     {
         self.events.push(TraceEvent { time, pid, event });
-    }
-
-    /// The recorded schedule (empty unless schedule recording was enabled).
-    pub fn steps(&self) -> &CowVec<StepRecord> {
-        &self.steps
     }
 
     /// All events emitted during the run, in emission order.
@@ -172,30 +133,21 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut t: Trace<&'static str> = Trace::new(3, true);
-        t.record_step(Time(1), ProcessId(0), None);
-        t.record_step(Time(2), ProcessId(0), Some(MsgId(9)));
+        let mut t: Trace<&'static str> = Trace::new(3);
+        t.record_step(ProcessId(0), false);
+        t.record_step(ProcessId(0), true);
         t.record_send(ProcessId(0));
         t.record_event(Time(2), ProcessId(0), "deliver");
         assert_eq!(t.steps_of(ProcessId(0)), 2);
         assert_eq!(t.receives_of(ProcessId(0)), 1);
         assert_eq!(t.sends_of(ProcessId(0)), 1);
         assert_eq!(t.total_steps(), 2);
-        assert_eq!(t.steps().len(), 2);
         assert_eq!(t.events().len(), 1);
     }
 
     #[test]
-    fn schedule_recording_can_be_disabled() {
-        let mut t: Trace<()> = Trace::new(1, false);
-        t.record_step(Time(1), ProcessId(0), None);
-        assert!(t.steps().is_empty());
-        assert_eq!(t.steps_of(ProcessId(0)), 1);
-    }
-
-    #[test]
     fn events_of_filters_by_process() {
-        let mut t: Trace<u32> = Trace::new(2, false);
+        let mut t: Trace<u32> = Trace::new(2);
         t.record_event(Time(1), ProcessId(0), 1);
         t.record_event(Time(2), ProcessId(1), 2);
         t.record_event(Time(3), ProcessId(0), 3);

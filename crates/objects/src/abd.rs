@@ -352,7 +352,9 @@ impl<V: Clone + std::fmt::Debug> Automaton for AbdProcess<V> {
 mod tests {
     use super::*;
     use gam_detectors::{SigmaMode, SigmaOracle};
-    use gam_kernel::{FailurePattern, ProcessSet, RunOutcome, Scheduler, Simulator, Time};
+    use gam_kernel::{
+        FailurePattern, ProcessSet, RandomSource, RotatingSource, RunOutcome, Simulator, Time,
+    };
 
     fn system(n: usize, pattern: FailurePattern) -> Simulator<AbdProcess<u64>, SigmaOracle> {
         let scope = ProcessSet::first_n(n);
@@ -371,7 +373,8 @@ mod tests {
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = system(n, pattern);
         sim.automaton_mut(ProcessId(0)).write(R, 42);
-        let out = sim.run(Scheduler::RoundRobin, 100_000);
+        let mut rr = RotatingSource::default();
+        let out = sim.run(&mut rr, 100_000);
         assert_eq!(out, RunOutcome::Quiescent);
         assert!(sim
             .trace()
@@ -379,7 +382,7 @@ mod tests {
             .any(|e| matches!(e.event, AbdEvent::WriteDone { .. })));
         // Now read from another process.
         sim.automaton_mut(ProcessId(1)).read(R);
-        sim.run(Scheduler::RoundRobin, 100_000);
+        sim.run(&mut rr, 100_000);
         assert!(sim.trace().events_of(ProcessId(1)).any(|e| e.event
             == AbdEvent::ReadDone {
                 reg: R,
@@ -393,7 +396,7 @@ mod tests {
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = system(n, pattern);
         sim.automaton_mut(ProcessId(2)).read(R);
-        sim.run(Scheduler::RoundRobin, 100_000);
+        sim.run(&mut RotatingSource::default(), 100_000);
         assert!(sim.trace().events_of(ProcessId(2)).any(|e| e.event
             == AbdEvent::ReadDone {
                 reg: R,
@@ -411,7 +414,7 @@ mod tests {
         let mut sim = system(n, pattern);
         sim.automaton_mut(ProcessId(0)).write(R, 7);
         sim.automaton_mut(ProcessId(1)).read(R);
-        let out = sim.run(Scheduler::RoundRobin, 200_000);
+        let out = sim.run(&mut RotatingSource::default(), 200_000);
         assert_eq!(out, RunOutcome::Quiescent);
         assert!(sim
             .trace()
@@ -430,14 +433,15 @@ mod tests {
         let n = 4;
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = system(n, pattern);
+        let mut rr = RotatingSource::default();
         sim.automaton_mut(ProcessId(0)).write(R, 1);
-        sim.run(Scheduler::RoundRobin, 100_000);
+        sim.run(&mut rr, 100_000);
         sim.automaton_mut(ProcessId(1)).write(R, 2);
-        sim.run(Scheduler::RoundRobin, 100_000);
+        sim.run(&mut rr, 100_000);
         for i in 0..n {
             sim.automaton_mut(ProcessId(i as u32)).read(R);
         }
-        sim.run(Scheduler::Random { null_prob: 0.2 }, 400_000);
+        sim.run(&mut RandomSource::new(0), 400_000);
         for i in 0..n {
             let p = ProcessId(i as u32);
             assert!(
@@ -458,10 +462,11 @@ mod tests {
         let mut sim = system(n, pattern);
         sim.automaton_mut(ProcessId(0)).write(RegisterId(1), 10);
         sim.automaton_mut(ProcessId(1)).write(RegisterId(2), 20);
-        sim.run(Scheduler::RoundRobin, 200_000);
+        let mut rr = RotatingSource::default();
+        sim.run(&mut rr, 200_000);
         sim.automaton_mut(ProcessId(2)).read(RegisterId(1));
         sim.automaton_mut(ProcessId(2)).read(RegisterId(2));
-        sim.run(Scheduler::RoundRobin, 200_000);
+        sim.run(&mut rr, 200_000);
         let reads: Vec<_> = sim
             .trace()
             .events_of(ProcessId(2))

@@ -477,7 +477,7 @@ impl Automaton for FastLogProcess {
 mod tests {
     use super::*;
     use gam_detectors::{OmegaMode, OmegaOracle, SigmaMode, SigmaOracle};
-    use gam_kernel::{FailurePattern, RunOutcome, Scheduler, Simulator};
+    use gam_kernel::{FailurePattern, RandomSource, RotatingSource, RunOutcome, Simulator};
 
     /// g = {p0..p4}, g∩h = {p0, p1}.
     fn system(
@@ -504,10 +504,11 @@ mod tests {
         // single step.
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(5));
         let mut sim = system(pattern);
+        let mut rr = RotatingSource::default();
         for (i, cmd) in [10u64, 20, 30].iter().enumerate() {
             let appender = ProcessId((i % 2) as u32); // alternate p0/p1
             sim.automaton_mut(appender).append(*cmd);
-            let out = sim.run(Scheduler::RoundRobin, 100_000);
+            let out = sim.run(&mut rr, 100_000);
             assert_eq!(out, RunOutcome::Quiescent);
         }
         for p in [ProcessId(0), ProcessId(1)] {
@@ -529,10 +530,10 @@ mod tests {
         // replicas still agree on a total order containing both commands.
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(5));
         for seed in 0..5u64 {
-            let mut sim = system(pattern.clone()).with_seed(seed);
+            let mut sim = system(pattern.clone());
             sim.automaton_mut(ProcessId(0)).append(111);
             sim.automaton_mut(ProcessId(1)).append(222);
-            let out = sim.run(Scheduler::Random { null_prob: 0.2 }, 2_000_000);
+            let out = sim.run(&mut RandomSource::new(seed), 2_000_000);
             assert_eq!(out, RunOutcome::Quiescent, "seed {seed}");
             let l0 = sim.automaton(ProcessId(0)).log();
             let l1 = sim.automaton(ProcessId(1)).log();
@@ -553,7 +554,7 @@ mod tests {
         );
         let mut sim = system(pattern);
         sim.automaton_mut(ProcessId(0)).append(7);
-        let out = sim.run(Scheduler::RoundRobin, 100_000);
+        let out = sim.run(&mut RotatingSource::default(), 100_000);
         assert_eq!(out, RunOutcome::Quiescent);
         assert_eq!(sim.automaton(ProcessId(1)).log(), vec![7]);
     }
@@ -563,7 +564,7 @@ mod tests {
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(5));
         let mut sim = system(pattern);
         sim.automaton_mut(ProcessId(0)).append(42);
-        sim.run(Scheduler::RoundRobin, 100_000);
+        sim.run(&mut RotatingSource::default(), 100_000);
         assert_eq!(sim.automaton(ProcessId(0)).slot(0), Some(42));
         assert_eq!(sim.automaton(ProcessId(0)).slot(1), None);
     }

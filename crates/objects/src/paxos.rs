@@ -535,7 +535,7 @@ impl<V: Clone + std::fmt::Debug + PartialEq> Automaton for PaxosProcess<V> {
 mod tests {
     use super::*;
     use gam_detectors::{OmegaMode, SigmaMode};
-    use gam_kernel::{FailurePattern, RunOutcome, Scheduler, Simulator};
+    use gam_kernel::{FailurePattern, RandomSource, RotatingSource, RunOutcome, Simulator};
 
     fn system(
         n: usize,
@@ -568,7 +568,7 @@ mod tests {
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = system(n, pattern, OmegaMode::MinAlive);
         sim.automaton_mut(ProcessId(0)).propose(0, 99);
-        let out = sim.run(Scheduler::RoundRobin, 200_000);
+        let out = sim.run(&mut RotatingSource::default(), 200_000);
         assert_eq!(out, RunOutcome::Quiescent);
         let d = decisions(&sim, 0);
         assert_eq!(d.len(), n, "every process learns");
@@ -584,7 +584,7 @@ mod tests {
             for i in 0..n {
                 sim.automaton_mut(ProcessId(i as u32)).propose(0, i as u64);
             }
-            sim.run(Scheduler::Random { null_prob: 0.3 }, 500_000);
+            sim.run(&mut RandomSource::new(0), 500_000);
             let d = decisions(&sim, 0);
             assert!(!d.is_empty(), "seed {seed}: someone decides");
             assert!(
@@ -605,7 +605,7 @@ mod tests {
         for i in 1..n {
             sim.automaton_mut(ProcessId(i as u32)).propose(0, 7);
         }
-        let out = sim.run(Scheduler::RoundRobin, 500_000);
+        let out = sim.run(&mut RotatingSource::default(), 500_000);
         assert_eq!(out, RunOutcome::Quiescent);
         let d = decisions(&sim, 0);
         assert!(d.len() >= n - 1);
@@ -630,7 +630,7 @@ mod tests {
             sim.automaton_mut(ProcessId(i as u32))
                 .propose(0, 100 + i as u64);
         }
-        sim.run(Scheduler::Random { null_prob: 0.2 }, 1_000_000);
+        sim.run(&mut RandomSource::new(0), 1_000_000);
         let d = decisions(&sim, 0);
         assert!(!d.is_empty());
         assert!(d.iter().all(|v| *v == d[0]), "agreement: {d:?}");
@@ -644,7 +644,7 @@ mod tests {
         sim.automaton_mut(ProcessId(0)).propose(0, 11);
         sim.automaton_mut(ProcessId(1)).propose(1, 22);
         sim.automaton_mut(ProcessId(2)).propose(2, 33);
-        sim.run(Scheduler::RoundRobin, 500_000);
+        sim.run(&mut RotatingSource::default(), 500_000);
         for (inst, v) in [(0u64, 11u64), (1, 22), (2, 33)] {
             let d = decisions(&sim, inst);
             assert_eq!(d.len(), n);
@@ -658,7 +658,7 @@ mod tests {
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
         let mut sim = system(n, pattern, OmegaMode::MinAlive);
         sim.automaton_mut(ProcessId(2)).propose(5, 42);
-        sim.run(Scheduler::RoundRobin, 200_000);
+        sim.run(&mut RotatingSource::default(), 200_000);
         for i in 0..n {
             assert_eq!(sim.automaton(ProcessId(i as u32)).decision(5), Some(&42));
         }

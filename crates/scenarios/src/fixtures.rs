@@ -29,8 +29,9 @@ pub const FIXTURES: &[(&str, &str)] = &[
     ),
     // The large-instance pin: a 240-group random tree over 479 processes
     // with Zipf-skewed traffic and staggered intersection crashes — the
-    // sustained-load shape the `throughput` bench runs, committed here so
-    // the bench, the smoke test and CI all address one descriptor.
+    // sustained-load shape `counts`' serve rows drain and the fixture cells
+    // of `tests/schedule_identity.rs` pin (the benchmark's
+    // `serve_tree_crashy` serves the same shape over other seeds).
     (
         "large_tree_240",
         "gam-scn v1 family=randacyclic(240,2) seed=9 crash=isect(4) traffic=zipf(1100,480) variant=standard budget=2000000",

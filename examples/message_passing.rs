@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example message_passing`
 
-use gam_kernel::{RunOutcome, Scheduler as KScheduler};
+use gam_kernel::RunOutcome;
 use genuine_multicast::core::distributed::{DistProcess, MuHistory};
 use genuine_multicast::core::MessageId;
 use genuine_multicast::prelude::*;
@@ -39,7 +39,7 @@ fn main() {
         println!("multicast m{g} from {src} to {}", GroupId(g));
     }
 
-    let out = sim.run(KScheduler::RoundRobin, 10_000_000);
+    let out = sim.run(&mut RotatingSource::default(), 10_000_000);
     assert_eq!(out, RunOutcome::Quiescent);
 
     for p in gs.universe() {

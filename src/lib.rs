@@ -61,9 +61,7 @@ pub mod prelude {
     pub use gam_core::distributed;
     pub use gam_core::spec;
     pub use gam_core::variants;
-    pub use gam_core::{
-        ActionScheduler, Delivery, MessageId, Phase, RunReport, Runtime, RuntimeConfig, Variant,
-    };
+    pub use gam_core::{Delivery, MessageId, Phase, RunReport, Runtime, RuntimeConfig, Variant};
     pub use gam_detectors::{
         GammaOracle, IndicatorOracle, MuConfig, MuOracle, OmegaOracle, PerfectOracle, SigmaOracle,
     };
@@ -75,7 +73,8 @@ pub mod prelude {
     pub use gam_explore::{explore, ExploreConfig, Mode, Repro, Scenario};
     pub use gam_groups::{topology, GroupId, GroupSet, GroupSystem};
     pub use gam_kernel::{
-        Environment, FailurePattern, ProcessId, ProcessSet, Scheduler, Simulator, Time,
+        Environment, FailurePattern, ProcessId, ProcessSet, RandomSource, RotatingSource,
+        Simulator, Time,
     };
     pub use gam_objects::{AdoptCommit, Consensus, Log, Pos};
     pub use gam_scenarios::{fixture, ScnDescriptor};

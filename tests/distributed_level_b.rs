@@ -3,7 +3,7 @@
 //! a `μ` oracle — checked for delivery, agreement and genuineness at the
 //! message level.
 
-use gam_kernel::{RunOutcome, Scheduler as KScheduler, Simulator};
+use gam_kernel::{RunOutcome, Simulator};
 use genuine_multicast::core::distributed::{DistProcess, MuHistory};
 use genuine_multicast::core::MessageId;
 use genuine_multicast::prelude::*;
@@ -46,7 +46,7 @@ fn fig1_over_the_wire() {
         let src = members.min().unwrap();
         sim.automaton_mut(src).multicast(MessageId(i as u64), g);
     }
-    let out = sim.run(KScheduler::RoundRobin, 20_000_000);
+    let out = sim.run(&mut RotatingSource::default(), 20_000_000);
     assert_eq!(out, RunOutcome::Quiescent);
     for (i, (g, members)) in gs.iter().enumerate() {
         let _ = g;
@@ -70,7 +70,7 @@ fn wide_intersection_over_the_wire() {
         .multicast(MessageId(0), GroupId(0));
     sim.automaton_mut(ProcessId(3))
         .multicast(MessageId(1), GroupId(1));
-    let out = sim.run(KScheduler::RoundRobin, 20_000_000);
+    let out = sim.run(&mut RotatingSource::default(), 20_000_000);
     assert_eq!(out, RunOutcome::Quiescent);
     for p in gs.members(GroupId(0)) {
         assert!(sim.automaton(p).delivered().contains(&MessageId(0)), "{p}");
@@ -91,13 +91,13 @@ fn random_schedules_on_the_ring_over_the_wire() {
     let gs = topology::ring(3, 2);
     for seed in 0..2u64 {
         let pattern = FailurePattern::all_correct(gs.universe());
-        let mut sim = system(&gs, pattern).with_seed(seed);
+        let mut sim = system(&gs, pattern);
         for g in 0..3u32 {
             let src = gs.members(GroupId(g)).min().unwrap();
             sim.automaton_mut(src)
                 .multicast(MessageId(g as u64), GroupId(g));
         }
-        let out = sim.run(KScheduler::Random { null_prob: 0.2 }, 30_000_000);
+        let out = sim.run(&mut RandomSource::new(seed), 30_000_000);
         assert_eq!(out, RunOutcome::Quiescent, "seed {seed}");
         for g in 0..3u32 {
             for p in gs.members(GroupId(g)) {

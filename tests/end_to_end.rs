@@ -3,10 +3,12 @@
 
 use genuine_multicast::prelude::*;
 
+use genuine_multicast::kernel::RunOutcome;
+
 /// Multicasts one message per group (from each group's minimum live member)
-/// and runs to quiescence.
-fn one_per_group(gs: &GroupSystem, pattern: FailurePattern, config: RuntimeConfig) -> RunReport {
-    let mut rt = Runtime::new(gs, pattern.clone(), config);
+/// and runs to quiescence: round-robin, or under `RandomSource::new(seed)`.
+fn one_per_group(gs: &GroupSystem, pattern: FailurePattern, seed: Option<u64>) -> RunReport {
+    let mut rt = Runtime::new(gs, pattern.clone(), RuntimeConfig::default());
     for (g, members) in gs.iter() {
         // choose a correct source when one exists (a faulty one may crash
         // between submissions; termination then doesn't require delivery)
@@ -15,31 +17,24 @@ fn one_per_group(gs: &GroupSystem, pattern: FailurePattern, config: RuntimeConfi
             rt.multicast(src, g, g.index() as u64);
         }
     }
-    let q = rt.run(2_000_000);
+    let q = match seed {
+        None => rt.run(2_000_000),
+        Some(seed) => {
+            let mut source = RandomSource::new(seed);
+            rt.run_with_source(gs.universe(), &mut source, 2_000_000) == RunOutcome::Quiescent
+        }
+    };
     rt.report(q)
 }
 
 #[test]
 fn all_topologies_failure_free_all_schedulers() {
     for (name, gs) in topology::suite() {
-        for (sched, seed) in [
-            (ActionScheduler::RoundRobin, 0u64),
-            (ActionScheduler::Random, 1),
-            (ActionScheduler::Random, 2),
-            (ActionScheduler::Random, 3),
-        ] {
-            let report = one_per_group(
-                &gs,
-                FailurePattern::all_correct(gs.universe()),
-                RuntimeConfig {
-                    scheduler: sched,
-                    seed,
-                    ..Default::default()
-                },
-            );
-            assert!(report.quiescent, "{name} {sched:?}/{seed}");
+        for seed in [None, Some(1), Some(2), Some(3)] {
+            let report = one_per_group(&gs, FailurePattern::all_correct(gs.universe()), seed);
+            assert!(report.quiescent, "{name} {seed:?}");
             spec::check_all(&report, Variant::Standard)
-                .unwrap_or_else(|v| panic!("{name} {sched:?}/{seed}: {v}"));
+                .unwrap_or_else(|v| panic!("{name} {seed:?}: {v}"));
         }
     }
 }
@@ -51,7 +46,7 @@ fn fig1_every_single_crash_pattern() {
         for crash_at in [0u64, 3, 20] {
             let pattern =
                 FailurePattern::from_crashes(gs.universe(), [(ProcessId(victim), Time(crash_at))]);
-            let report = one_per_group(&gs, pattern.clone(), RuntimeConfig::default());
+            let report = one_per_group(&gs, pattern.clone(), None);
             assert!(
                 report.quiescent,
                 "p{victim}@t{crash_at}: runtime must quiesce"
@@ -69,15 +64,7 @@ fn ring_crash_patterns_under_random_schedules() {
         for seed in 0..3u64 {
             let pattern =
                 FailurePattern::from_crashes(gs.universe(), [(ProcessId(victim), Time(2))]);
-            let report = one_per_group(
-                &gs,
-                pattern,
-                RuntimeConfig {
-                    scheduler: ActionScheduler::Random,
-                    seed,
-                    ..Default::default()
-                },
-            );
+            let report = one_per_group(&gs, pattern, Some(seed));
             assert!(report.quiescent, "p{victim}/seed{seed}");
             spec::check_all(&report, Variant::Standard)
                 .unwrap_or_else(|v| panic!("p{victim}/seed{seed}: {v}"));
@@ -93,11 +80,7 @@ fn bursty_workload_on_fig1() {
     let mut rt = Runtime::new(
         &gs,
         FailurePattern::all_correct(gs.universe()),
-        RuntimeConfig {
-            scheduler: ActionScheduler::Random,
-            seed: 7,
-            ..Default::default()
-        },
+        RuntimeConfig::default(),
     );
     for round in 0..3u64 {
         for (g, members) in gs.iter() {
@@ -107,7 +90,9 @@ fn bursty_workload_on_fig1() {
             rt.multicast(src, g, round);
         }
     }
-    let report = rt.run_to_quiescence(5_000_000);
+    let outcome = rt.run_with_source(gs.universe(), &mut RandomSource::new(7), 5_000_000);
+    assert_eq!(outcome, RunOutcome::Quiescent);
+    let report = rt.report(true);
     spec::check_all(&report, Variant::Standard).unwrap();
     // 12 messages total; every group member delivered its 3
     for (g, members) in gs.iter() {
@@ -129,7 +114,7 @@ fn two_crashes_on_fig1() {
         gs.universe(),
         [(ProcessId(1), Time(4)), (ProcessId(2), Time(11))],
     );
-    let report = one_per_group(&gs, pattern, RuntimeConfig::default());
+    let report = one_per_group(&gs, pattern, None);
     assert!(report.quiescent);
     spec::check_all(&report, Variant::Standard).unwrap();
 }
@@ -143,17 +128,15 @@ fn deliveries_agree_pairwise_on_shared_destinations() {
     let mut rt = Runtime::new(
         &gs,
         FailurePattern::all_correct(gs.universe()),
-        RuntimeConfig {
-            scheduler: ActionScheduler::Random,
-            seed: 11,
-            ..Default::default()
-        },
+        RuntimeConfig::default(),
     );
     for (g, members) in gs.iter() {
         rt.multicast(members.min().unwrap(), g, 0);
         rt.multicast(members.max().unwrap(), g, 1);
     }
-    let report = rt.run_to_quiescence(5_000_000);
+    let outcome = rt.run_with_source(gs.universe(), &mut RandomSource::new(11), 5_000_000);
+    assert_eq!(outcome, RunOutcome::Quiescent);
+    let report = rt.report(true);
     spec::check_all(&report, Variant::Standard).unwrap();
     spec::check_pairwise_ordering(&report).unwrap();
 }

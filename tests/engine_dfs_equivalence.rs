@@ -20,9 +20,7 @@ mod common;
 use common::odometer::odometer;
 use genuine_multicast::engine::{replay, run_with_source_counted, PrefixTail, RuntimeSnapshot};
 use genuine_multicast::explore::{Mode, Outcome};
-use genuine_multicast::kernel::{
-    ChoiceStep, RecordingSource, ReplaySource, RotatingSource, RunOutcome,
-};
+use genuine_multicast::kernel::{ChoiceStep, RecordInto, ReplaySource, RotatingSource, RunOutcome};
 use genuine_multicast::prelude::*;
 use genuine_multicast::scenarios::{ScnDescriptor, FIXTURES};
 
@@ -294,9 +292,9 @@ fn restore_rewinds_bit_for_bit_and_never_writes_the_snapshot() {
         // A few fair steps in, then on to the next point where the schedule
         // branches: `head` is how a cold executor gets there.
         let mut exec = scenario.runtime_executor();
-        let mut rec = RecordingSource::new(RotatingSource::default());
+        let mut head = Vec::new();
+        let mut rec = RecordInto::new(RotatingSource::default(), &mut head);
         let (_, mut taken) = run_with_source_counted(&mut exec, &mut rec, 6);
-        let mut head = rec.into_log();
         let mut options = Vec::new();
         let children = loop {
             assert!(taken < budget, "{name}: no branch point");

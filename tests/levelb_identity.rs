@@ -3,27 +3,31 @@
 //! views) must not change a single step, message or delivery instant.
 //!
 //! `tests/fixtures/levelb_hashes.txt` pins, for a grid of descriptors, what
-//! three drivers reach on `gam-kernel` + `gam-objects` + `core::distributed`:
+//! two drivers reach on `gam-kernel` + `gam-objects` + `core::distributed`:
 //! the engine's public loop under a seeded [`RandomSource`]
-//! (`driver=source`, the path the benchmark times) and the simulator's own
-//! round-robin and random schedulers (`driver=rr`, `driver=random`). One
-//! line per cell: outcome, steps, final clock, messages sent, the step
-//! digest, the delivery trace hash and every process's delivery sequence;
-//! then the deterministic work counters of the run. The cells were generated
-//! on the commit *before* Level B's derived state was introduced and are
-//! replayed here on every commit since. One of them ends `BudgetExhausted`
-//! — the non-quiescing seed of ROADMAP item 1, carried word for word.
-//! Regenerate only for a change that is meant to alter Level B schedules
-//! (or, for the last column alone, how much work a step does):
+//! (`driver=source`, the path the benchmark times) and its fair
+//! round-robin loop, [`run_fair`] (`driver=rr`). One line per cell:
+//! outcome, steps, final clock, messages sent, the step digest, the
+//! delivery trace hash and every process's delivery sequence; then the
+//! deterministic work counters of the run. The cells were generated on the
+//! commit *before* Level B's derived state was introduced and are replayed
+//! here on every commit since. Two of them end `BudgetExhausted`, carried
+//! word for word: fig1 `seed=6 crash=none traffic=uniform(16)` under
+//! `source` (the non-quiescing seed of ROADMAP item 1), and `ring(3,2)
+//! seed=7000 crash=isect(1) traffic=uniform(16)` under `rr`, 199 348 of
+//! whose 200 000 steps are null, while `source` quiesces the same
+//! descriptor in 2 289 (ROADMAP item 2). Regenerate only for a change that
+//! is meant to alter Level B schedules (or, for the last column alone, how
+//! much work a step does):
 //!
 //! ```text
 //! cargo test --release --test levelb_identity -- --ignored
 //! ```
 
 use gam_kernel::schedule::{ChoiceStep, ScheduleSource};
-use gam_kernel::{Scheduler as KScheduler, SimCounters};
+use gam_kernel::SimCounters;
 use genuine_multicast::core::distributed::{run_report, DistCounters, DistProcess, MuHistory};
-use genuine_multicast::engine::digest::{trace_hash, Digest};
+use genuine_multicast::engine::digest::trace_hash;
 use genuine_multicast::engine::run_with_source_counted;
 use genuine_multicast::kernel::schedule::RandomSource;
 use genuine_multicast::kernel::RunOutcome;
@@ -35,7 +39,10 @@ const FAMILIES: [&str; 4] = ["fig1", "ring(3,2)", "two(3,1)", "hub(4,3)"];
 const TRAFFIC: [&str; 3] = ["one", "uniform(4)", "uniform(16)"];
 const CRASHES: [&str; 3] = ["none", "isect(1)", "rand(1)"];
 const SEEDS: std::ops::Range<u64> = 7000..7005;
-const DRIVERS: [&str; 3] = ["source", "rr", "random"];
+const DRIVERS: [&str; 2] = ["source", "rr"];
+
+/// The ring cell that `rr` runs out of budget on (ROADMAP item 2).
+const RING_STUCK: &str = "gam-scn v1 family=ring(3,2) seed=7000 crash=isect(1) traffic=uniform(16) variant=standard budget=200000";
 const BUDGET: u64 = 200_000;
 
 fn descriptor(family: &str, seed: u64, crash: &str, traffic: &str) -> String {
@@ -64,36 +71,14 @@ fn descriptors(exhausting: &str) -> Vec<String> {
 fn run(text: &str, driver: &str) -> (String, Simulator<DistProcess, MuHistory>) {
     let d = ScnDescriptor::parse(text).expect("grid descriptors parse");
     let scenario = Scenario::from_descriptor(&d);
-    let (outcome, digest, sim) = match driver {
-        "source" => {
-            let mut exec = scenario.kernel_executor();
-            let (outcome, _) =
-                run_with_source_counted(&mut exec, &mut RandomSource::new(d.seed), d.budget);
-            (outcome, exec.state_digest(), exec.into_sim())
-        }
-        "rr" | "random" => {
-            let scheduler = if driver == "rr" {
-                KScheduler::RoundRobin
-            } else {
-                KScheduler::Random { null_prob: 0.2 }
-            };
-            let mut sim = scenario
-                .kernel_executor()
-                .into_sim()
-                .with_seed(d.seed)
-                .with_schedule_recording();
-            let outcome = sim.run(scheduler, d.budget);
-            // The words `KernelExecutor` folds per step, from the recording.
-            let mut digest = Digest::new();
-            for step in sim.trace().steps().iter() {
-                digest.push(step.time.0);
-                digest.push(u64::from(step.pid.0));
-                digest.push(step.received.map_or(0, |m| m.0 + 1));
-            }
-            (outcome, digest.value(), sim)
-        }
+    let mut exec = scenario.kernel_executor();
+    let outcome = match driver {
+        "source" => run_with_source(&mut exec, &mut RandomSource::new(d.seed), d.budget),
+        "rr" => run_fair(&mut exec, d.budget),
         other => panic!("unknown driver {other:?}"),
     };
+    let digest = exec.state_digest();
+    let sim = exec.into_sim();
     let report = run_report(
         &sim,
         &scenario.system,
@@ -182,7 +167,7 @@ fn every_cell_replays_to_the_pinned_run() {
     }
     let grid = FAMILIES.len() * TRAFFIC.len() * CRASHES.len() * SEEDS.count() + 1;
     assert_eq!(cells, grid * DRIVERS.len(), "the table covers the grid");
-    assert!(exhausted >= 1, "the non-quiescing seed is still pinned");
+    assert_eq!(exhausted, 2, "both stuck cells are still pinned");
 }
 
 /// A Level B step pays for what it touches. Counts, so this fails on any
@@ -215,12 +200,15 @@ fn regenerate_levelb_hashes() {
         .map(|seed| descriptor("fig1", seed, "none", "uniform(16)"))
         .find(|text| cell(text, "source").contains("outcome=BudgetExhausted"))
         .expect("some seed exhausts the budget");
+    assert!(cell(RING_STUCK, "rr").contains("outcome=BudgetExhausted"));
     let mut table = format!(
         "# Level B identity table; see tests/levelb_identity.rs.\n\
-         # Non-quiescing cell (ROADMAP item 1): {exhausting}\n\
+         # Cells that exhaust the budget: {exhausting} under driver=source (ROADMAP item 1),\n\
+         # and {RING_STUCK} under driver=rr (ROADMAP item 2).\n\
          # Columns 1-3 were generated at 43a24b2, the parent of the commit that made Level B's\n\
-         # derived state (`cut -d'|' -f1-3` reproduces that file byte for byte); the work\n\
-         # counters of column 4 did not exist there and are this tree's.\n"
+         # derived state, except the rr digests of five two(3,1) crash=rand(1) cells: rr became\n\
+         # the engine's fair loop, whose digest also folds a step whose process had just crashed.\n\
+         # The work counters of column 4 did not exist there and are this tree's.\n"
     );
     for text in descriptors(&exhausting) {
         for driver in DRIVERS {

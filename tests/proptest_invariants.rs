@@ -11,7 +11,7 @@
 //!   identical run.
 
 use genuine_multicast::explore::{trace_hash, Repro, Scenario};
-use genuine_multicast::kernel::{RandomSource, RecordingSource};
+use genuine_multicast::kernel::{RecordInto, RunOutcome};
 use genuine_multicast::prelude::*;
 use proptest::prelude::*;
 
@@ -83,11 +83,7 @@ proptest! {
         let mut rt = Runtime::new(
             &gs,
             FailurePattern::all_correct(gs.universe()),
-            RuntimeConfig {
-                scheduler: ActionScheduler::Random,
-                seed,
-                ..Default::default()
-            },
+            RuntimeConfig::default(),
         );
         for round in 0..burst {
             for (g, members) in gs.iter() {
@@ -95,7 +91,8 @@ proptest! {
                 rt.multicast(srcs[round % srcs.len()], g, round as u64);
             }
         }
-        let q = rt.run(3_000_000);
+        let mut source = RandomSource::new(seed);
+        let q = rt.run_with_source(gs.universe(), &mut source, 3_000_000) == RunOutcome::Quiescent;
         let report = rt.report(q);
         prop_assert!(q, "must quiesce");
         spec::check_integrity(&report).map_err(|v| TestCaseError::fail(v.to_string()))?;
@@ -120,18 +117,15 @@ proptest! {
         let mut rt = Runtime::new(
             &gs,
             pattern.clone(),
-            RuntimeConfig {
-                scheduler: ActionScheduler::Random,
-                seed,
-                ..Default::default()
-            },
+            RuntimeConfig::default(),
         );
         for (g, members) in gs.iter() {
             if let Some(src) = (members & pattern.correct()).min() {
                 rt.multicast(src, g, 0);
             }
         }
-        let q = rt.run(3_000_000);
+        let mut source = RandomSource::new(seed);
+        let q = rt.run_with_source(gs.universe(), &mut source, 3_000_000) == RunOutcome::Quiescent;
         let report = rt.report(q);
         prop_assert!(q, "must quiesce under μ");
         spec::check_all(&report, Variant::Standard)
@@ -216,11 +210,11 @@ proptest! {
     ) {
         let (name, gs) = topology::suite().swap_remove(topo_idx);
         let scenario = Scenario::one_per_group(&gs, 1_000_000);
-        let mut source = RecordingSource::new(RandomSource::new(seed));
-        let original = scenario.run(&mut source);
+        let mut schedule = Vec::new();
+        let original = scenario.run(&mut RecordInto::new(RandomSource::new(seed), &mut schedule));
         let repro = Repro {
             scenario,
-            schedule: source.into_log(),
+            schedule,
             seed,
             property: None,
         };

@@ -2,7 +2,7 @@
 //! shared objects"): ABD registers from `Σ` and `Ω∧Σ` consensus, driven
 //! through the kernel simulator, including a consensus-backed shared log.
 
-use gam_kernel::{RunOutcome, Scheduler as KScheduler};
+use gam_kernel::RunOutcome;
 use genuine_multicast::detectors::{OmegaMode, OmegaOracle, SigmaMode, SigmaOracle};
 use genuine_multicast::objects::{
     AbdEvent, AbdProcess, OmegaSigmaHistory, PaxosProcess, RegisterId,
@@ -19,23 +19,18 @@ fn abd_register_linearizes_under_random_schedules_and_crashes() {
         let autos: Vec<AbdProcess<u64>> = (0..n)
             .map(|i| AbdProcess::new(ProcessId(i as u32), scope))
             .collect();
-        let mut sim = Simulator::new(autos, pattern, sigma).with_seed(seed);
+        let mut sim = Simulator::new(autos, pattern, sigma);
+        let mut source = RandomSource::new(seed);
         const R: RegisterId = RegisterId(7);
         // sequential writes then concurrent reads
         sim.automaton_mut(ProcessId(0)).write(R, 1);
-        assert_eq!(
-            sim.run(KScheduler::Random { null_prob: 0.2 }, 500_000),
-            RunOutcome::Quiescent
-        );
+        assert_eq!(sim.run(&mut source, 500_000), RunOutcome::Quiescent);
         sim.automaton_mut(ProcessId(1)).write(R, 2);
-        assert_eq!(
-            sim.run(KScheduler::Random { null_prob: 0.2 }, 500_000),
-            RunOutcome::Quiescent
-        );
+        assert_eq!(sim.run(&mut source, 500_000), RunOutcome::Quiescent);
         for i in 0..3 {
             sim.automaton_mut(ProcessId(i)).read(R);
         }
-        sim.run(KScheduler::Random { null_prob: 0.2 }, 500_000);
+        sim.run(&mut source, 500_000);
         for i in 0..3 {
             let p = ProcessId(i);
             assert!(
@@ -75,7 +70,7 @@ fn consensus_sequence_builds_a_replicated_log() {
         }
     }
     assert_eq!(
-        sim.run(KScheduler::RoundRobin, 2_000_000),
+        sim.run(&mut RotatingSource::default(), 2_000_000),
         RunOutcome::Quiescent
     );
     // reconstruct each replica's log from its local decisions
@@ -115,12 +110,12 @@ fn paxos_liveness_with_adversarial_omega_and_minority_crash() {
     let autos: Vec<PaxosProcess<u64>> = (0..n)
         .map(|i| PaxosProcess::new(ProcessId(i as u32), scope))
         .collect();
-    let mut sim = Simulator::new(autos, pattern.clone(), hist).with_seed(3);
+    let mut sim = Simulator::new(autos, pattern.clone(), hist);
     for i in 0..n {
         sim.automaton_mut(ProcessId(i as u32)).propose(0, i as u64);
     }
     assert_eq!(
-        sim.run(KScheduler::Random { null_prob: 0.3 }, 3_000_000),
+        sim.run(&mut RandomSource::new(3), 3_000_000),
         RunOutcome::Quiescent
     );
     let decided: Vec<u64> = (scope & pattern.correct())

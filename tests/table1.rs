@@ -16,9 +16,17 @@
 
 use genuine_multicast::core::baseline::BroadcastBased;
 use genuine_multicast::core::variants::{check_group_parallelism, check_group_parallelism_staged};
+use genuine_multicast::kernel::RunOutcome;
 use genuine_multicast::prelude::*;
 
-fn one_per_group(gs: &GroupSystem, pattern: FailurePattern, config: RuntimeConfig) -> RunReport {
+/// Multicasts one message per group and runs to quiescence: round-robin,
+/// or under `RandomSource::new(seed)`.
+fn one_per_group(
+    gs: &GroupSystem,
+    pattern: FailurePattern,
+    config: RuntimeConfig,
+    seed: Option<u64>,
+) -> RunReport {
     let mut rt = Runtime::new(gs, pattern.clone(), config);
     for (g, members) in gs.iter() {
         // choose a correct source when one exists (a faulty one may crash
@@ -28,7 +36,13 @@ fn one_per_group(gs: &GroupSystem, pattern: FailurePattern, config: RuntimeConfi
             rt.multicast(src, g, 0);
         }
     }
-    let q = rt.run(2_000_000);
+    let q = match seed {
+        None => rt.run(2_000_000),
+        Some(seed) => {
+            let mut source = RandomSource::new(seed);
+            rt.run_with_source(gs.universe(), &mut source, 2_000_000) == RunOutcome::Quiescent
+        }
+    };
     rt.report(q)
 }
 
@@ -136,7 +150,7 @@ fn row4_mu_solves_genuine_atomic_multicast() {
             Some(v) => FailurePattern::from_crashes(gs.universe(), [(v, Time(3))]),
             None => FailurePattern::all_correct(gs.universe()),
         };
-        let report = one_per_group(&gs, pattern, RuntimeConfig::default());
+        let report = one_per_group(&gs, pattern, RuntimeConfig::default(), None);
         assert!(report.quiescent, "{name}");
         spec::check_all(&report, Variant::Standard).unwrap_or_else(|v| panic!("{name}: {v}"));
     }
@@ -155,6 +169,7 @@ fn row5_strict_variant_with_indicators() {
             variant: Variant::Strict,
             ..Default::default()
         },
+        None,
     );
     assert!(report.quiescent);
     spec::check_all(&report, Variant::Strict).unwrap();
@@ -171,10 +186,9 @@ fn row6_pairwise_without_gamma() {
             FailurePattern::all_correct(gs.universe()),
             RuntimeConfig {
                 variant: Variant::Pairwise,
-                scheduler: ActionScheduler::Random,
-                seed,
                 ..Default::default()
             },
+            Some(seed),
         );
         assert!(report.quiescent, "seed {seed}");
         spec::check_integrity(&report).unwrap();
@@ -196,8 +210,6 @@ fn row6b_pairwise_exhibits_global_cycles_standard_does_not() {
             FailurePattern::all_correct(gs.universe()),
             RuntimeConfig {
                 variant,
-                scheduler: ActionScheduler::Random,
-                seed,
                 ..Default::default()
             },
         );
@@ -205,8 +217,8 @@ fn row6b_pairwise_exhibits_global_cycles_standard_does_not() {
             let src = gs.members(GroupId(g)).min().unwrap();
             rt.multicast(src, GroupId(g), g as u64);
         }
-        let q = rt.run(1_000_000);
-        assert!(q);
+        let outcome = rt.run_with_source(gs.universe(), &mut RandomSource::new(seed), 1_000_000);
+        assert_eq!(outcome, RunOutcome::Quiescent);
         rt.report(true)
     };
     let mut pairwise_cycles = 0;
@@ -251,7 +263,7 @@ fn row7_strong_genuineness_split_on_cyclic_families() {
         RuntimeConfig::default(),
     );
     rt.multicast(ProcessId(1), GroupId(1), 0);
-    rt.run_only(ProcessSet::singleton(ProcessId(1)), 100_000);
+    rt.run_sustained(ProcessSet::singleton(ProcessId(1)), 100_000);
     let err = check_group_parallelism_staged(&mut rt, GroupId(0), 200_000).unwrap_err();
     assert_eq!(err.property, "group-parallelism");
 }
