@@ -18,6 +18,7 @@ use gam_kernel::{FailurePattern, ProcessId, Time};
 /// every process scans in order; the scan of a non-addressed entry still
 /// costs a step — exactly the waste genuineness rules out.
 #[derive(Debug)]
+// gam-lint: allow(U001, reason = "the non-genuine baseline of Table 1 row 1 and Perf-1: tests/table1.rs and tests/perf_and_ablations.rs run it")
 pub struct BroadcastBased {
     system: GroupSystem,
     pattern: FailurePattern,

@@ -1115,6 +1115,8 @@ mod tests {
         }
         let out = sim.run(&mut RotatingSource::default(), 10_000_000);
         assert_eq!(out, RunOutcome::Quiescent);
+        // EXPERIMENTS.md's Level B row of Table 1 quotes this count
+        assert_eq!(sim.total_messages(), 243, "protocol messages sent");
         for g in 0..3u32 {
             for p in gs.members(GroupId(g)) {
                 assert!(

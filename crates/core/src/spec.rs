@@ -301,7 +301,7 @@ pub(crate) fn check_strict_ordering(report: &RunReport) -> Result<(), SpecViolat
 /// # Errors
 ///
 /// Returns the first [`SpecViolation`] found.
-pub fn check_pairwise_ordering(report: &RunReport) -> Result<(), SpecViolation> {
+pub(crate) fn check_pairwise_ordering(report: &RunReport) -> Result<(), SpecViolation> {
     let n = report.delivered.len();
     let pos = position_tables(report);
     for i in 0..n {

@@ -26,6 +26,7 @@ use gam_kernel::FailurePattern;
 /// Returns a [`SpecViolation`] when the isolated group blocks (which the
 /// paper shows is unavoidable for Algorithm 1 when the group belongs to a
 /// correct cyclic family and only `μ` is available).
+// gam-lint: allow(U001, reason = "Table 1 row 7's acyclic half: tests/table1.rs::row7_strong_genuineness_split_on_cyclic_families")
 pub fn check_group_parallelism(
     system: &GroupSystem,
     pattern: FailurePattern,
@@ -45,6 +46,7 @@ pub fn check_group_parallelism(
 ///
 /// Returns a [`SpecViolation`] when a correct member of `group` fails to
 /// deliver while the group runs in isolation.
+// gam-lint: allow(U001, reason = "Table 1 row 7's contended half: tests/table1.rs::row7_strong_genuineness_split_on_cyclic_families")
 pub fn check_group_parallelism_staged(
     rt: &mut Runtime,
     group: GroupId,

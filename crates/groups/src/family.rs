@@ -133,7 +133,7 @@ impl GroupSystem {
     /// Each is returned as a closed path starting at the minimum group of
     /// `f`, with its second group smaller than its second-to-last (so
     /// reflections are not repeated).
-    pub fn hamiltonian_cycles(&self, f: GroupSet) -> Vec<ClosedPath> {
+    fn hamiltonian_cycles(&self, f: GroupSet) -> Vec<ClosedPath> {
         let mut cycles = Vec::new();
         self.each_hamiltonian_cycle(f, &mut |seq| {
             let mut seq = seq.to_vec();
@@ -145,9 +145,8 @@ impl GroupSystem {
     }
 
     /// Calls `visit` with the open vertex sequence of each canonical
-    /// hamiltonian cycle of `f` (the order of
-    /// [`GroupSystem::hamiltonian_cycles`], closing edge implied) until it
-    /// breaks; returns `true` iff it broke.
+    /// hamiltonian cycle of `f` (the order of `hamiltonian_cycles`, closing
+    /// edge implied) until it breaks; returns `true` iff it broke.
     pub fn each_hamiltonian_cycle(
         &self,
         f: GroupSet,
@@ -280,14 +279,6 @@ impl GroupSystem {
         seen == f
     }
 
-    /// `ℱ(g)`: the cyclic families containing group `g`.
-    pub fn families_of_group(&self, g: GroupId) -> Vec<GroupSet> {
-        self.cyclic_families()
-            .into_iter()
-            .filter(|f| f.contains(g))
-            .collect()
-    }
-
     /// `ℱ(p)`: the cyclic families `𝔣` such that `p` belongs to some group
     /// intersection of `𝔣` (∃ g, h ∈ 𝔣 distinct with `p ∈ g ∩ h`).
     pub fn families_of_process(&self, p: ProcessId) -> Vec<GroupSet> {
@@ -382,8 +373,12 @@ mod tests {
     #[test]
     fn fig1_families_of_group_and_process() {
         let gs = fig1();
-        // ℱ(g2) = {𝔣, 𝔣''}
-        let of_g2 = gs.families_of_group(GroupId(1));
+        // ℱ(g2) = {𝔣, 𝔣''}: the cyclic families containing g2
+        let of_g2: Vec<GroupSet> = gs
+            .cyclic_families()
+            .into_iter()
+            .filter(|f| f.contains(GroupId(1)))
+            .collect();
         assert_eq!(of_g2, vec![gset(&[0, 1, 2]), gset(&[0, 1, 2, 3])]);
         // ℱ(p1) = ℱ (p1 belongs to every cyclic family's intersections)
         assert_eq!(gs.families_of_process(ProcessId(0)), gs.cyclic_families());

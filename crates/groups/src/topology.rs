@@ -155,6 +155,7 @@ pub fn random(n: usize, k: usize, density: f64, seed: u64) -> GroupSystem {
 }
 
 /// A named topology suite for experiment sweeps.
+// gam-lint: allow(U001, reason = "Table 1's headline row sweeps it: tests/table1.rs, tests/end_to_end.rs, tests/proptest_invariants.rs")
 pub fn suite() -> Vec<(&'static str, GroupSystem)> {
     vec![
         ("single-group(4)", single_group(4)),

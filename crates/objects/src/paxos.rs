@@ -579,12 +579,14 @@ mod tests {
     fn concurrent_proposals_agree() {
         let n = 5;
         let pattern = FailurePattern::all_correct(ProcessSet::first_n(n));
+        let mut lengths = std::collections::BTreeSet::new();
         for seed in 0..10u64 {
             let mut sim = system(n, pattern.clone(), OmegaMode::MinAlive);
             for i in 0..n {
                 sim.automaton_mut(ProcessId(i as u32)).propose(0, i as u64);
             }
-            sim.run(&mut RandomSource::new(0), 500_000);
+            sim.run(&mut RandomSource::new(seed), 500_000);
+            lengths.insert(sim.trace().total_steps());
             let d = decisions(&sim, 0);
             assert!(!d.is_empty(), "seed {seed}: someone decides");
             assert!(
@@ -593,6 +595,8 @@ mod tests {
             );
             assert!(*d.first().unwrap() < n as u64, "validity");
         }
+        // ten schedules, not one schedule ten times
+        assert!(lengths.len() > 1, "every seed ran {lengths:?} steps");
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn deliveries_agree_pairwise_on_shared_destinations() {
     assert_eq!(outcome, RunOutcome::Quiescent);
     let report = rt.report(true);
     spec::check_all(&report, Variant::Standard).unwrap();
-    spec::check_pairwise_ordering(&report).unwrap();
+    spec::check_all(&report, Variant::Pairwise).unwrap();
 }
 
 #[test]
