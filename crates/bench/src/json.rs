@@ -97,15 +97,6 @@ impl Json {
         }
     }
 
-    /// The integer value, if this is a number.
-    // gam-lint: allow(U001, reason = "the lint self-scan test (crates/lint/tests/self_scan.rs) reads the report tallies through it")
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::U64(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -424,8 +415,7 @@ mod tests {
     fn accessors_navigate_objects() {
         let v = Json::obj([("rows", Json::from_iter([4u64, 5]))]);
         let rows = v.get("rows").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows[1].as_u64(), Some(5));
+        assert_eq!(rows[1], Json::U64(5));
         assert_eq!(v.get("missing"), None);
-        assert_eq!(v.as_u64(), None);
     }
 }

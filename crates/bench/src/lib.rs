@@ -6,8 +6,6 @@
 //! asserted by tests, not here; see EXPERIMENTS.md for where each lives.
 //! Nothing here reads a clock: wall-clock measurement is `benchmark/`'s.
 
-#![forbid(unsafe_code)]
-
 pub mod json;
 
 #[cfg(test)]

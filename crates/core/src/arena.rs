@@ -346,6 +346,10 @@ impl Tables {
                     instants.dedup();
                     let tl = &mut gamma_timeline[gm];
                     tl[0].1 = gamma_from(0);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the timeline is created with its entry at 0 and only grows"
+                    )]
                     for b in instants {
                         let v = gamma_from(b);
                         if v != tl.last().expect("timeline starts at 0").1 {
@@ -363,6 +367,10 @@ impl Tables {
             let mut sets = h_sets[of_group.clone()].to_vec();
             sets.sort_unstable();
             sets.dedup();
+            #[expect(
+                clippy::expect_used,
+                reason = "`sets` was collected from this group's own families"
+            )]
             for gm in of_group {
                 fam_rank[gm] = sets
                     .binary_search(&h_sets[gm])
@@ -601,7 +609,10 @@ impl UnitArena {
     }
 
     /// Appends a unit with zeroed per-adjacency/member/family state.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per unit column; a struct would only be destructured here"
+    )]
     pub fn push(
         &mut self,
         g: GroupId,

@@ -241,6 +241,10 @@ impl MsgTable {
         self.get(m).map_or(Phase::Start, |s| s.phase)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "a phase is set only on a message the table already knows"
+    )]
     fn set_phase(&mut self, m: MessageId, phase: Phase) {
         self.get_mut(m)
             .expect("phases move on known messages")
@@ -428,6 +432,10 @@ pub struct DistCounters {
     /// Walks over a log in `<_L` order (the "everything before `m`" guards
     /// of the pending, stabilise and deliver actions).
     pub log_order_walks: u64,
+    /// Received `DistMsg::Pair` messages that matched no pair view here and
+    /// were dropped unread: a process of `g∖h` receiving backup traffic of
+    /// `LOG_{g∩h}` (ROADMAP item 1).
+    pub pair_msgs_unrouted: u64,
 }
 
 /// One process of the distributed deployment.
@@ -540,6 +548,10 @@ impl DistProcess {
                 GroupView::new(g, me, system.members(g), family)
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "`pairs_among(my_groups)` yields pairs whose first group is in `my_groups`"
+        )]
         let pairs = pairs_among(my_groups)
             .map(|(g, h)| PairView {
                 key: (g, h),
@@ -592,6 +604,10 @@ impl DistProcess {
 
     /// Makes a seen message known: a candidate of the next actions.
     fn learn(&mut self, m: MessageId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a message is recorded in the table when first seen, before it is learned"
+        )]
         let about = self.msgs.get_mut(m).expect("seen before known");
         if !about.known {
             about.known = true;
@@ -603,12 +619,20 @@ impl DistProcess {
 
     /// Where the view of `g` sits in `groups` (and `g`'s entries in a
     /// [`DistFd`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "only groups this process hosts are looked up"
+    )]
     fn group_slot(&self, g: GroupId) -> usize {
         self.groups
             .binary_search_by_key(&g, |v| v.id)
             .expect("only groups this process hosts are looked up")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "only pairs this process hosts are looked up"
+    )]
     fn pair_slot(&self, g: GroupId, h: GroupId) -> usize {
         self.pairs
             .binary_search_by_key(&(g.min(h), g.max(h)), |v| v.key)
@@ -656,6 +680,10 @@ impl DistProcess {
         let mut next = 0;
         while let Some(&m) = self.live.get(next) {
             next += 1;
+            #[expect(
+                clippy::expect_used,
+                reason = "a message enters `live` only through `learn`, which finds it in the table"
+            )]
             let about = *self.msgs.get(m).expect("live messages are in the table");
             let g = about.group;
             let g_slot = self.group_slot(g);
@@ -886,6 +914,9 @@ impl Automaton for DistProcess {
             }
             view.fold();
         }
+        if to_pair.is_some() {
+            self.counters.pair_msgs_unrouted += 1;
+        }
         // ---- progress the running saga ----------------------------------
         if let Some(mut saga) = self.saga.take() {
             // retire completed operations; execute reads synchronously
@@ -933,6 +964,10 @@ impl Automaton for DistProcess {
                 let m = saga.msg;
                 let then = saga.then;
                 if !self.pending_pos.is_empty() {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a saga is started only for a live message, which the table knows"
+                    )]
                     let g = self.msgs.get(m).expect("sagas run on known messages").group;
                     let ops: VecDeque<Op> = self
                         .pending_pos

@@ -8,8 +8,11 @@
 //! checkers for every axiom of the problem, and the baselines the paper
 //! positions itself against.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod arena;
 pub mod baseline;

@@ -586,6 +586,10 @@ impl Runtime {
                 cursors: vec![0; procs.len() * 3],
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "`member_base` starts with 0 and has one more entry than there are groups"
+        )]
         let total_gm = *tables.member_base.last().expect("base table non-empty") as usize;
         Runtime {
             now: Time::ZERO,

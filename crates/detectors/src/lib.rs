@@ -31,7 +31,6 @@
 //! assert_eq!(mu.gamma_families(ProcessId(0), Time(5)).len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gamma;

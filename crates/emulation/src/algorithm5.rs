@@ -232,7 +232,7 @@ impl<P: SimProcess> SimulationTree<P> {
     /// sample list (each step consumes the next sample of its process) up to
     /// `depth` steps, closing every node with a fair continuation to get its
     /// tag.
-    pub fn build(
+    fn build(
         initial: SimConfig<P>,
         samples: Vec<Sample<P::Fd>>,
         depth: usize,

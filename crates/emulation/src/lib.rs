@@ -16,7 +16,6 @@
 //! The black box `A` is modelled by [`BlackBox`]; see its docs and DESIGN.md
 //! for the substitution argument.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod algorithm2;

@@ -28,14 +28,13 @@ use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 /// Implementations exist for both substrates ([`RuntimeExecutor`] and
 /// [`KernelExecutor`]); see the crate docs for how to add a new one.
 ///
-/// Executors over owned substrate state are `Send` (asserted at compile
-/// time for both built-in substrates), so parallel explorers can build and
-/// drive one executor per worker thread. Observers cross the same boundary,
-/// hence the `Send` bound on [`Executor::attach`].
+/// `Send` is a supertrait, so the compiler checks every impl: parallel
+/// explorers build and drive one executor per worker thread. Observers
+/// cross the same boundary, hence the `Send` bound on [`Executor::attach`].
 ///
 /// [`RuntimeExecutor`]: crate::RuntimeExecutor
 /// [`KernelExecutor`]: crate::KernelExecutor
-pub trait Executor {
+pub trait Executor: Send {
     /// Writes the current choice space into `out`: each process eligible to
     /// step, in ascending process order, paired with its positive option
     /// arity. Sub-choice `0` is always the substrate's "default" option

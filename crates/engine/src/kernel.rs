@@ -125,7 +125,10 @@ where
     }
 }
 
-impl<A: Automaton, H: History<Value = A::Fd>> Executor for KernelExecutor<A, H> {
+impl<A: Automaton, H: History<Value = A::Fd>> Executor for KernelExecutor<A, H>
+where
+    Self: Send,
+{
     fn enabled_actions(&mut self, out: &mut Vec<(ProcessId, usize)>) {
         self.sim.options_into(self.set, out);
     }

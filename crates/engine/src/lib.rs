@@ -36,7 +36,6 @@
 //! [`ScheduleSource`]: gam_kernel::ScheduleSource
 //! [`ChoiceStep`]: gam_kernel::schedule::ChoiceStep
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;
@@ -58,21 +57,6 @@ pub use kernel::{KernelExecutor, KernelSnapshot};
 pub use runtime::{RuntimeExecutor, RuntimeSnapshot};
 pub use sustained::{run_sustained_par, shard_specs};
 pub use visited::VisitedSet;
-
-// Parallel explorers move one executor per worker across thread boundaries,
-// and the parallel DFS additionally holds per-worker stacks of snapshots;
-// pin those capabilities down at compile time for both substrates.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<RuntimeExecutor>();
-    assert_send::<
-        KernelExecutor<gam_core::distributed::DistProcess, gam_core::distributed::MuHistory>,
-    >();
-    assert_send::<RuntimeSnapshot>();
-    assert_send::<
-        KernelSnapshot<gam_core::distributed::DistProcess, gam_core::distributed::MuHistory>,
-    >();
-};
 
 #[cfg(test)]
 mod tests {

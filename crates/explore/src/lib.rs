@@ -31,7 +31,6 @@
 //! [`gam_engine::Executor`] stepping layer; this crate only decides what
 //! to run and what to check.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dfs;

@@ -41,7 +41,10 @@ impl ClosedPath {
     }
 
     /// `|π|`: the length of the sequence (number of groups + 1).
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "a closed path visits at least three groups, so it is never empty"
+    )]
     pub fn len(&self) -> usize {
         self.seq.len()
     }

@@ -730,6 +730,11 @@ mod tests {
         }
 
         #[test]
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the density of a random system is a probability for \
+                      `topology::random`; no digest or count depends on it"
+        )]
         fn stored_graph_matches_the_pairwise_scans() {
             let mut rng = StdRng::seed_from_u64(0x6a70);
             for (name, gs) in topology::suite() {

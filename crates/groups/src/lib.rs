@@ -19,7 +19,6 @@
 //! assert!(gs.family_faulty(f, ProcessSet::from_iter([1u32])));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod family;

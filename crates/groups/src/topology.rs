@@ -130,6 +130,11 @@ pub fn two_overlapping(size: usize, overlap: usize) -> GroupSystem {
 ///
 /// Panics if `n < 2`, `k == 0`, or `density` is not in `(0, 1]`, or if the
 /// generator cannot find `k` distinct groups (density too low for `n`).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the membership probability is drawn with rand's `gen_bool(f64)`; \
+              nothing is computed in floating point"
+)]
 pub fn random(n: usize, k: usize, density: f64, seed: u64) -> GroupSystem {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -40,7 +40,6 @@
 //! assert_eq!(sim.run(&mut RotatingSource::default(), 100), RunOutcome::Quiescent);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod automaton;

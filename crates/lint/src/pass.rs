@@ -2,12 +2,12 @@
 //!
 //! Lints operate on a [`FileCtx`] — the token stream of one file plus two
 //! pieces of derived structure: the line ranges occupied by test-only code
-//! (`#[cfg(test)]` / `#[test]` items, which the determinism lints skip:
-//! test scaffolding does not feed digests) and the parsed inline
-//! suppressions. A suppression is a comment of the form
+//! (`#[cfg(test)]` / `#[test]` items, whose names call nothing for the
+//! census) and the parsed inline suppressions. A suppression is a comment
+//! of the form
 //!
 //! ```text
-//! // gam-lint: allow(D001, reason = "key order provably never observed")
+//! // gam-lint: allow(U001, reason = "test oracle the suites compare against")
 //! ```
 //!
 //! and silences matching findings on its own line or the line directly
@@ -19,7 +19,7 @@ use crate::tokenizer::{Token, TokenKind};
 
 /// One parsed `gam-lint: allow(...)` comment.
 #[derive(Debug, Clone)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// 1-based line of the comment.
     pub line: u32,
     /// Lint ids the comment names.
@@ -76,14 +76,14 @@ impl FileCtx {
         &self.tokens[self.code[i]]
     }
 
-    /// Tries to consume one matching suppression for `(id, line)`. Returns
-    /// `true` (and marks the allow used) when a reasoned allow covers the
-    /// line — the allow's own line or the line directly above.
-    pub fn suppress(&mut self, id: &str, line: u32) -> bool {
+    /// Tries to consume one U001 allow for `line`. Returns `true` (and
+    /// marks the allow used) when a reasoned allow covers the line — the
+    /// allow's own line or the line directly above.
+    pub fn suppress(&mut self, line: u32) -> bool {
         for allow in &mut self.allows {
             if allow.reason.is_some()
                 && (allow.line == line || allow.line + 1 == line)
-                && allow.ids.iter().any(|i| i == id)
+                && allow.ids.iter().any(|i| i == "U001")
             {
                 allow.used = true;
                 return true;
@@ -271,35 +271,36 @@ mod tests {
 
     #[test]
     fn allow_parsing_ids_and_reason() {
-        let src = "// gam-lint: allow(D001, D003, reason = \"a, quoted reason\")\nlet x = 1;\n";
+        let src = "// gam-lint: allow(U001, S002, reason = \"a, quoted reason\")\nlet x = 1;\n";
         let ctx = FileCtx::new("x.rs".into(), src);
         assert_eq!(ctx.allows.len(), 1);
-        assert_eq!(ctx.allows[0].ids, vec!["D001", "D003"]);
+        assert_eq!(ctx.allows[0].ids, vec!["U001", "S002"]);
         assert_eq!(ctx.allows[0].reason.as_deref(), Some("a, quoted reason"));
     }
 
     #[test]
     fn doc_comments_are_not_suppressions() {
-        let src = "/// like `// gam-lint: allow(D001, reason = \"x\")` below\n\
-                   //! header: gam-lint: allow(D002)\nlet x = 1;\n";
+        let src = "/// like `// gam-lint: allow(U001, reason = \"x\")` below\n\
+                   //! header: gam-lint: allow(U001)\nlet x = 1;\n";
         let ctx = FileCtx::new("x.rs".into(), src);
         assert!(ctx.allows.is_empty());
     }
 
     #[test]
     fn reasonless_allow_is_detected() {
-        let src = "// gam-lint: allow(D001)\nlet x = 1;\n";
+        let src = "// gam-lint: allow(U001)\nlet x = 1;\n";
         let ctx = FileCtx::new("x.rs".into(), src);
         assert_eq!(ctx.allows[0].reason, None);
     }
 
     #[test]
     fn suppress_matches_same_and_next_line() {
-        let src = "// gam-lint: allow(D002, reason = \"bench timer\")\nuse std::time::Instant;\n";
+        let src = "// gam-lint: allow(U001, reason = \"test oracle\")\npub fn oracle() {}\n\
+                   // gam-lint: allow(S002, reason = \"not a census id\")\npub fn other() {}\n";
         let mut ctx = FileCtx::new("x.rs".into(), src);
-        assert!(ctx.suppress("D002", 2));
+        assert!(ctx.suppress(2));
         assert!(ctx.allows[0].used);
-        assert!(!ctx.suppress("D001", 2), "id must match");
-        assert!(!ctx.suppress("D002", 9), "line must be adjacent");
+        assert!(!ctx.suppress(4), "only a U001 allow suppresses");
+        assert!(!ctx.suppress(9), "line must be adjacent");
     }
 }

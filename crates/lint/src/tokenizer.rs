@@ -384,11 +384,11 @@ mod tests {
 
     #[test]
     fn comments_keep_text_and_lines() {
-        let ts = tokenize("a\n// gam-lint: allow(D001, reason = \"x\")\nb /* block\nstill */ c");
+        let ts = tokenize("a\n// gam-lint: allow(U001, reason = \"x\")\nb /* block\nstill */ c");
         assert_eq!(ts[0].line, 1);
         assert_eq!(ts[1].kind, TokenKind::LineComment);
         assert_eq!(ts[1].line, 2);
-        assert!(ts[1].text.contains("allow(D001"));
+        assert!(ts[1].text.contains("allow(U001"));
         assert_eq!(ts[2].line, 3);
         assert_eq!(ts[3].kind, TokenKind::BlockComment);
         let c = ts.last().unwrap();

@@ -1,6 +1,4 @@
 // golden: a reasonless allow is itself a finding (S001), and the finding
 // it tried to silence still fires
-pub struct Table {
-    // gam-lint: allow(D001)
-    by_id: std::collections::HashMap<u64, u64>,
-}
+// gam-lint: allow(U001)
+pub fn uncalled() {}

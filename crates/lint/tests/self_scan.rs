@@ -1,10 +1,7 @@
-//! The dogfood gate: the repository must be clean under its own lints,
-//! with the checked-in `gam-lint.toml`, at `--deny-warnings` strictness —
-//! the exact configuration CI runs. And the JSON report must round-trip
-//! through `gam_bench::json`, the parser the benchmark tooling uses, so
-//! the CI artifact is guaranteed machine-readable.
+//! The repository gate: every public item of the workspace has a caller
+//! or a reasoned allow, and no allow is stale. `cargo test --workspace`
+//! runs it, so CI needs no separate job.
 
-use gam_bench::json::Json;
 use std::path::Path;
 
 fn repo_root() -> &'static Path {
@@ -16,62 +13,24 @@ fn repo_root() -> &'static Path {
 }
 
 #[test]
-fn repository_is_clean_under_deny_warnings() {
-    let root = repo_root();
-    let config = gam_lint::load_config(root).expect("gam-lint.toml parses");
-    assert!(
-        !config.deterministic.is_empty(),
-        "checked-in config must scope the determinism lints"
-    );
-    let report = gam_lint::scan_repo(root, &config).expect("scan succeeds");
+fn repository_passes_the_census() {
+    let report = gam_lint::scan_repo(repo_root()).expect("scan succeeds");
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned ({}) — wrong root?",
         report.files_scanned
     );
     assert!(
-        !report.failed(true),
-        "repository must be clean under --deny-warnings:\n{}",
+        report.diagnostics.is_empty(),
+        "the census must be clean:\n{}",
         report.to_text()
     );
 }
 
 #[test]
-fn json_report_parses_with_the_bench_json_parser() {
-    let root = repo_root();
-    let config = gam_lint::load_config(root).expect("gam-lint.toml parses");
-    let report = gam_lint::scan_repo(root, &config).expect("scan succeeds");
-    let json = Json::parse(&report.to_json()).expect("report JSON parses");
-    assert_eq!(
-        json.get("tool").and_then(|t| match t {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }),
-        Some("gam-lint")
-    );
-    assert_eq!(
-        json.get("files_scanned").and_then(Json::as_u64),
-        Some(report.files_scanned as u64)
-    );
-    assert_eq!(
-        json.get("errors").and_then(Json::as_u64),
-        Some(report.errors() as u64)
-    );
-    let diags = json
-        .get("diagnostics")
-        .and_then(Json::as_arr)
-        .expect("diagnostics is an array");
-    assert_eq!(diags.len(), report.diagnostics.len());
-}
-
-#[test]
 fn scan_is_deterministic() {
-    // The tool practices what it lints: two scans of the same tree must
-    // produce byte-identical reports (sorted walk, sorted diagnostics).
-    let root = repo_root();
-    let config = gam_lint::load_config(root).expect("gam-lint.toml parses");
-    let a = gam_lint::scan_repo(root, &config).expect("scan succeeds");
-    let b = gam_lint::scan_repo(root, &config).expect("scan succeeds");
-    assert_eq!(a.to_json(), b.to_json());
+    // Sorted walk, sorted diagnostics: two scans of one tree report alike.
+    let a = gam_lint::scan_repo(repo_root()).expect("scan succeeds");
+    let b = gam_lint::scan_repo(repo_root()).expect("scan succeeds");
     assert_eq!(a.to_text(), b.to_text());
 }

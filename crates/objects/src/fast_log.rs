@@ -351,6 +351,10 @@ impl FastLogProcess {
                     // decided underneath us (fast or backup path)
                 } else if fd.inter_quorum.as_ref().is_some_and(|q| q.is_subset(acks)) {
                     let clean = union.iter().all(|v| *v == value);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "an unclean union holds a value other than ours, so it is not empty"
+                    )]
                     let est = if clean {
                         value
                     } else {

@@ -23,8 +23,11 @@
 //! assert!(log.before(&"m2", &"m1"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod abd;
 mod adopt_commit;

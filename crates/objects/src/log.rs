@@ -132,6 +132,10 @@ impl<D: Ord + Clone> Log<D> {
     ///
     /// Panics if `d` is not in the log — protocol callers guard with
     /// [`Log::contains`] or use [`Log::try_bump_and_lock`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller's contract: protocol code checks `contains` or calls `try_bump_and_lock`"
+    )]
     pub fn bump_and_lock(&mut self, d: &D, k: Pos) -> Pos {
         self.try_bump_and_lock(d, k)
             .expect("bumpAndLock requires the datum to be in the log")
@@ -161,6 +165,10 @@ impl<D: Ord + Clone> Log<D> {
     }
 
     /// Where `(slot, d)` sits in `order`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`order` holds every entry at its slot: append and bump keep it in step with `entries`"
+    )]
     fn order_index(&self, slot: u64, d: &D) -> usize {
         self.order
             .binary_search_by(|(s, x)| (*s, x).cmp(&(slot, d)))

@@ -414,6 +414,10 @@ impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
             visited += 1;
             let max_seen = self.instances[&id].max_ballot_seen;
             let fresh_ballot = self.next_ballot(max_seen);
+            #[expect(
+                clippy::expect_used,
+                reason = "id was drawn from the open set; instances are never removed"
+            )]
             let inst = self
                 .instances
                 .get_mut(&id)
@@ -424,6 +428,10 @@ impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
                 if let Some(l) = fd.leader {
                     if inst.forwarded_to != Some(l) {
                         inst.forwarded_to = Some(l);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the open set holds only instances with a proposal"
+                        )]
                         let value = inst.proposal.clone().expect("proposal present");
                         ctx.send_to(
                             l,
@@ -461,6 +469,10 @@ impl<V: Clone + std::fmt::Debug + PartialEq> PaxosProcess<V> {
                 }) => {
                     let quorum_ok = fd.quorum.as_ref().is_some_and(|q| q.is_subset(promises));
                     if quorum_ok {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the open set holds only instances with a proposal"
+                        )]
                         let value = best
                             .map(|(_, v)| v)
                             .unwrap_or_else(|| inst.proposal.clone().expect("proposal present"));

@@ -50,6 +50,12 @@ impl ScnDescriptor {
             Family::Two { size, overlap } => {
                 topology::two_overlapping(size as usize, overlap as usize)
             }
+            #[expect(
+                clippy::disallowed_types,
+                clippy::float_arithmetic,
+                reason = "`topology::random` takes its membership probability as an f64; \
+                          a permille over 1000 is the same double on every IEEE 754 host"
+            )]
             Family::Rand {
                 n,
                 k,
@@ -281,6 +287,13 @@ fn submissions_for(
                 out.push((src, g, u64::from(i)));
             }
         }
+        #[expect(
+            clippy::disallowed_types,
+            clippy::float_arithmetic,
+            reason = "the Zipf weights call `f64::powf`, which the platform's libm computes: \
+                      the same descriptor regenerates the same workload per libm, not on \
+                      every host (DESIGN.md decision 7)"
+        )]
         TrafficPlan::Zipf { s_permille, msgs } => {
             let mut rng = StdRng::seed_from_u64(derive_seed(d.seed, TAG_TRAFFIC));
             let s = f64::from(s_permille) / 1000.0;

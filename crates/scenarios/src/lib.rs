@@ -19,10 +19,11 @@
 //! Generation is schedule-deterministic by construction: the only
 //! randomness is `StdRng::seed_from_u64` over sub-seeds derived from the
 //! descriptor seed ([`gam_engine::digest::derive_seed`]), one independent
-//! stream per ingredient. `gam-lint` enforces this (the crate is in the
-//! `[deterministic]` scope of `gam-lint.toml`).
+//! stream per ingredient. Clippy enforces the rest: no clock, no hash
+//! order and no float outside two reasoned exceptions in `generate.rs`.
+//! One of them computes Zipf weights with `f64::powf`, so a `zipf`
+//! workload is the same on every host with the same libm.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod descriptor;

@@ -43,7 +43,6 @@
 //! spec::check_all(&report, Variant::Standard).unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use gam_core as core;

@@ -1,6 +1,9 @@
 //! Oracles the explorer is held to, shared by the integration suites (each
 //! suite uses some of them).
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite uses a different subset of these oracles"
+)]
 
 pub mod odometer;
 

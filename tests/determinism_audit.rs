@@ -1,5 +1,5 @@
-//! The determinism audit: the property gam-lint exists to protect,
-//! asserted end-to-end.
+//! The determinism audit: the property the workspace's clippy bans
+//! protect, asserted end-to-end.
 //!
 //! Every result in this repository — visited-set pruning, parallel-merge
 //! identity, replayable counterexamples — quantifies over executors that
@@ -14,8 +14,8 @@
 //! `Repro` serializations.
 //!
 //! If a `HashMap` iteration order or a wall-clock read ever leaks back into
-//! a deterministic crate (the regressions gam-lint D001/D002 catch
-//! statically), this test is the dynamic tripwire that fails.
+//! a crate (the regressions clippy's `disallowed_types` catches
+//! statically, see LINTS.md), this test is the dynamic tripwire that fails.
 
 use gam_kernel::schedule::RandomSource;
 use gam_kernel::RunOutcome;

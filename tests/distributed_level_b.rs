@@ -110,3 +110,32 @@ fn random_schedules_on_the_ring_over_the_wire() {
         agree_on_shared(&sim, &gs);
     }
 }
+
+/// ROADMAP item 1's cause, as a count: a `DistMsg::Pair` that reaches a
+/// process of `g∖h` matches no pair view there and is dropped unread. On
+/// fig1 the `(G2,G3)` backup sends one to `p2`, and the run stops
+/// quiescing; a seed that never engages the backup drops nothing. Item 1's
+/// fix makes the first run quiesce with 0 unrouted.
+#[test]
+fn unrouted_pair_messages_are_counted() {
+    let run = |seed: u64| {
+        let text = format!(
+            "gam-scn v1 family=fig1 seed={seed} crash=none traffic=uniform(4) variant=standard budget=5000"
+        );
+        let d = ScnDescriptor::parse(&text).expect("descriptor parses");
+        let scenario = Scenario::from_descriptor(&d);
+        let mut exec = scenario.kernel_executor();
+        let outcome = run_with_source(&mut exec, &mut RandomSource::new(d.seed), d.budget);
+        let sim = exec.into_sim();
+        let unrouted: u64 = sim
+            .universe()
+            .iter()
+            .map(|p| sim.automaton(p).counters().pair_msgs_unrouted)
+            .sum();
+        (outcome, sim.trace().total_steps(), unrouted)
+    };
+    let (outcome, _, unrouted) = run(1);
+    assert_ne!(outcome, RunOutcome::Quiescent);
+    assert_eq!(unrouted, 1, "seed 1: p2 drops the (G2,G3) backup's Prepare");
+    assert_eq!(run(0), (RunOutcome::Quiescent, 2_464, 0));
+}

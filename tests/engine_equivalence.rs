@@ -18,7 +18,10 @@ use genuine_multicast::prelude::*;
 /// Runs `scenario` through both substrates under the fair driver, with an
 /// [`EventLog`] observer on the shared trace bus, and returns the two
 /// (report, per-process delivery orders) pairs: Level A first.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "two (report, delivery orders) pairs, named by position at the one caller"
+)]
 fn both_substrates(
     scenario: &Scenario,
 ) -> (

@@ -50,11 +50,6 @@ impl Executor for DefaultTail<'_> {
     }
 }
 
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<DefaultTail<'static>>();
-};
-
 type Tail = fn(&mut RuntimeExecutor, u64, &mut Vec<ChoiceStep>) -> (RunOutcome, u64);
 
 const OVERRIDE: Tail = |exec, budget, record| exec.run_fair_tail(budget, record);

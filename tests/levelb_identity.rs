@@ -233,6 +233,11 @@ fn regenerate_levelb_hashes() {
 /// ```
 #[test]
 #[ignore = "a measurement: prints ns per step by quarter of the run"]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a wall-clock measurement, printed and never compared: \
+              no digest, count or verdict reads it"
+)]
 fn step_cost_by_quarter() {
     use std::time::{Duration, Instant};
     const RUNS: u32 = 300;
