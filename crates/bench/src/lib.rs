@@ -26,7 +26,7 @@ mod tests {
         }
     }
 
-    /// The committed record is what the `counts` bin says it writes — three
+    /// The committed record is what the `counts` bin says it writes — four
     /// sections, and nothing a clock, a core count or a mode could have
     /// put there — so `git diff --exit-code` on it can be exact.
     #[test]
@@ -36,7 +36,7 @@ mod tests {
             panic!("the record is an object");
         };
         let sections: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(sections, ["explore", "serve", "corpus"]);
+        assert_eq!(sections, ["explore", "serve", "corpus", "levelb"]);
         let mut all = Vec::new();
         keys(&record, &mut all);
         assert!(all.len() > 100, "a real record: {} keys", all.len());
