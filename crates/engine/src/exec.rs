@@ -17,7 +17,6 @@
 //! loop under [`RotatingSource`], which lists the whole choice space only to
 //! take its first entry at or after a cursor.
 
-use crate::Observer;
 use gam_kernel::schedule::{ChoiceStep, RecordInto, ReplaySource, RotatingSource};
 use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 
@@ -29,8 +28,7 @@ use gam_kernel::{ProcessId, RunOutcome, ScheduleSource};
 /// [`KernelExecutor`]); see the crate docs for how to add a new one.
 ///
 /// `Send` is a supertrait, so the compiler checks every impl: parallel
-/// explorers build and drive one executor per worker thread. Observers
-/// cross the same boundary, hence the `Send` bound on [`Executor::attach`].
+/// explorers build and drive one executor per worker thread.
 ///
 /// [`RuntimeExecutor`]: crate::RuntimeExecutor
 /// [`KernelExecutor`]: crate::KernelExecutor
@@ -88,13 +86,6 @@ pub trait Executor: Send {
     /// kernel: an empty choice space there is final).
     fn idle_tick(&mut self) -> bool;
 
-    /// Subscribes `observer` to the substrate's trace bus (see
-    /// [`TraceEvent`](crate::TraceEvent)). Executors publish nothing until
-    /// the first observer is attached, keeping the hot loop allocation- and
-    /// branch-free in the common case. Observers are `Send` so an observed
-    /// executor can still move to a worker thread.
-    fn attach(&mut self, observer: Box<dyn Observer + Send>);
-
     /// Completes the run from where it stands under the fair round-robin
     /// tail — a fresh [`RotatingSource`] — within `max_steps`, appending
     /// every decision taken to `record`: the outcome and the budget
@@ -104,8 +95,8 @@ pub trait Executor: Send {
     ///
     /// The default is that loop. A substrate that can find the rotating
     /// pick without listing its whole choice space overrides it with a loop
-    /// that takes the same steps, folds the same digest, publishes the same
-    /// events and records the same schedule.
+    /// that takes the same steps, folds the same digest and records the
+    /// same schedule.
     fn run_fair_tail(&mut self, max_steps: u64, record: &mut Vec<ChoiceStep>) -> (RunOutcome, u64) {
         let mut tail = RecordInto::new(RotatingSource::default(), record);
         run_with_source_counted(self, &mut tail, max_steps)
@@ -125,10 +116,6 @@ pub trait Executor: Send {
 /// same `state_fingerprint`. That is what lets the DFS
 /// engine prove its runs byte-identical to the restart-from-scratch
 /// odometer engine.
-///
-/// Attached observers are *not* part of a snapshot: `restore` rewinds the
-/// machine, not the audience. Observed explorations therefore see each
-/// shared prefix published once, at first execution.
 ///
 /// Snapshots are `Send` so the parallel DFS can hold them in per-worker
 /// stacks (asserted at compile time for both built-in substrates).
@@ -182,9 +169,6 @@ impl<E: Executor + ?Sized> Executor for &mut E {
     }
     fn idle_tick(&mut self) -> bool {
         (**self).idle_tick()
-    }
-    fn attach(&mut self, observer: Box<dyn Observer + Send>) {
-        (**self).attach(observer);
     }
     fn run_fair_tail(&mut self, max_steps: u64, record: &mut Vec<ChoiceStep>) -> (RunOutcome, u64) {
         (**self).run_fair_tail(max_steps, record)

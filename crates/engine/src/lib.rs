@@ -19,10 +19,7 @@
 //!   [`Executor::run_fair_tail`], the fair round-robin completion of a run,
 //!   which a substrate may specialise (the Level A runtime picks without
 //!   listing its choice space);
-//! - [`digest`] — the one shared, incremental run-hash implementation;
-//! - [`TraceEvent`] / [`Observer`] — the trace bus publishing steps,
-//!   message traffic, FD queries, deliveries, crashes and idle ticks in a
-//!   substrate-independent shape.
+//! - [`digest`] — the one shared, incremental run-hash implementation.
 //!
 //! ## Adding a new substrate
 //!
@@ -39,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod digest;
-mod event;
 mod exec;
 pub mod independence;
 mod kernel;
@@ -47,7 +43,6 @@ mod runtime;
 mod sustained;
 mod visited;
 
-pub use event::{EventCounts, EventLog, Observer, TraceEvent};
 pub use exec::{
     replay, run_fair, run_recorded, run_with_source, run_with_source_counted, Executor, PrefixTail,
     SnapshotExec,
@@ -225,60 +220,5 @@ mod tests {
         assert_ne!(first, other, "different continuations must diverge");
         exec.restore(&snap);
         assert_eq!(finish(&mut exec, 7), first, "replayed continuation agrees");
-    }
-
-    #[test]
-    fn observer_sees_deliveries_on_both_substrates() {
-        use gam_groups::{topology, GroupId};
-        use gam_kernel::{FailurePattern, ProcessId, RunOutcome};
-        use std::sync::{Arc, Mutex};
-
-        let gs = topology::single_group(3);
-        // Level A
-        let mut rt = Runtime::new(
-            &gs,
-            FailurePattern::all_correct(gs.universe()),
-            RuntimeConfig::default(),
-        );
-        rt.multicast(ProcessId(0), GroupId(0), 1);
-        let mut exec = RuntimeExecutor::new(rt);
-        let log = Arc::new(Mutex::new(EventLog::new()));
-        exec.attach(Box::new(Arc::clone(&log)));
-        let counts = Arc::new(Mutex::new(EventCounts::default()));
-        exec.attach(Box::new(Arc::clone(&counts)));
-        assert_eq!(run_fair(&mut exec, 100_000), RunOutcome::Quiescent);
-        for p in gs.universe() {
-            assert_eq!(
-                log.lock().unwrap().delivered_by(p),
-                vec![MessageId(0)],
-                "{p}"
-            );
-        }
-        assert_eq!(counts.lock().unwrap().deliveries, 3);
-        assert!(counts.lock().unwrap().steps > 0);
-
-        // Level B: same topology through the kernel executor.
-        let pattern = FailurePattern::all_correct(gs.universe());
-        let autos: Vec<DistProcess> = gs
-            .universe()
-            .iter()
-            .map(|p| DistProcess::new(p, &gs))
-            .collect();
-        let mu =
-            gam_detectors::MuOracle::new(&gs, pattern.clone(), gam_detectors::MuConfig::default());
-        let mut sim = gam_kernel::Simulator::new(autos, pattern, MuHistory::new(mu));
-        sim.automaton_mut(ProcessId(0))
-            .multicast(MessageId(0), GroupId(0));
-        let mut kexec = KernelExecutor::new(sim).with_delivery_msg(|e| Some(e.msg));
-        let klog = Arc::new(Mutex::new(EventLog::new()));
-        kexec.attach(Box::new(Arc::clone(&klog)));
-        assert_eq!(run_fair(&mut kexec, 2_000_000), RunOutcome::Quiescent);
-        for p in gs.universe() {
-            assert_eq!(
-                klog.lock().unwrap().delivered_by(p),
-                vec![MessageId(0)],
-                "{p}"
-            );
-        }
     }
 }

@@ -9,7 +9,6 @@
 //! obligations advances the clock instead of ending the run.
 
 use crate::digest::{Digest, Fingerprint};
-use crate::event::{Observer, TraceEvent};
 use crate::exec::{Executor, SnapshotExec};
 use gam_core::{ActionDesc, Fired, RunReport, Runtime};
 use gam_kernel::schedule::ChoiceStep;
@@ -20,8 +19,6 @@ pub struct RuntimeExecutor {
     rt: Runtime,
     set: ProcessSet,
     digest: Digest,
-    observers: Vec<Box<dyn Observer + Send>>,
-    crashed_seen: ProcessSet,
 }
 
 impl RuntimeExecutor {
@@ -39,21 +36,18 @@ impl RuntimeExecutor {
             rt,
             set,
             digest: Digest::new(),
-            observers: Vec::new(),
-            crashed_seen: ProcessSet::EMPTY,
         }
     }
 
     /// An executor standing at `snap`, scheduling every process — the twin
     /// [`SnapshotExec::restore`] is specified against: a fresh digest
-    /// history continued from the checkpoint's, no observers. Costs what a
+    /// history continued from the checkpoint's. Costs what a
     /// restore costs (chunk-table refcount bumps; the interned topology and
     /// oracle tables stay shared), which is what lets an explorer build a
     /// scenario's executor once and stamp every later run from it.
     pub fn from_snapshot(snap: &RuntimeSnapshot) -> Self {
         RuntimeExecutor {
             digest: snap.digest,
-            crashed_seen: snap.crashed_seen,
             ..RuntimeExecutor::new(snap.rt.clone())
         }
     }
@@ -95,7 +89,6 @@ impl RuntimeExecutor {
     pub fn snapshot_into(&self, slot: &mut RuntimeSnapshot) {
         slot.rt.refill(&self.rt, Refill::Share);
         slot.digest = self.digest;
-        slot.crashed_seen = self.crashed_seen;
     }
 
     /// Describes the current choice space in flat digit order (see
@@ -105,13 +98,11 @@ impl RuntimeExecutor {
         self.rt.describe_enabled(self.set, out);
     }
 
-    /// The bookkeeping of one scheduled step, after the runtime fired it:
-    /// the history digest words, then — with observers attached — the
-    /// step, crash and delivery events.
-    fn fold_step(&mut self, action: ChoiceStep, fired: Fired) {
-        let now = self.rt.now();
-        self.digest.push(now.0);
-        self.digest.push(u64::from(action.pid.0));
+    /// Folds one step of `pid`, after the runtime fired it, into the
+    /// history digest.
+    fn fold_step(&mut self, pid: ProcessId, fired: Fired) {
+        self.digest.push(self.rt.now().0);
+        self.digest.push(u64::from(pid.0));
         self.digest
             .push(fired.delivered.map_or(u64::from(fired.fired), |m| m.0 + 2));
         // Batched units fold their width as an extra word; unbatched runs
@@ -121,52 +112,19 @@ impl RuntimeExecutor {
         if fired.delivered_count > 1 {
             self.digest.push(u64::from(fired.delivered_count));
         }
-        if self.observers.is_empty() {
-            return;
-        }
-        self.publish(&TraceEvent::Step {
-            time: now,
-            pid: action.pid,
-            choice: action.choice,
-        });
-        self.publish_crashes();
-        if let Some(msg) = fired.delivered {
-            self.publish(&TraceEvent::Deliver {
-                time: now,
-                pid: action.pid,
-                msg: Some(msg),
-            });
-        }
-    }
-
-    fn publish(&mut self, ev: &TraceEvent) {
-        for obs in &mut self.observers {
-            obs.on_event(ev);
-        }
-    }
-
-    fn publish_crashes(&mut self) {
-        let now = self.rt.now();
-        let crashed = self.rt.pattern().faulty_at(now);
-        for p in crashed - self.crashed_seen {
-            self.crashed_seen.insert(p);
-            self.publish(&TraceEvent::Crash { time: now, pid: p });
-        }
     }
 }
 
 /// A [`RuntimeExecutor`] checkpoint: the full Algorithm 1 runtime (logs,
-/// oracles, clock) plus the executor's history digest and
-/// crash-publication cursor. Not a deep copy: the runtime's columns are
-/// shared with the executor chunk by chunk until one side writes (see
-/// `gam_kernel::cow`), and nothing ever writes through a snapshot. The
-/// scheduled process set is configuration, not state, and the observer
-/// list deliberately stays out (see [`SnapshotExec`]).
+/// oracles, clock) plus the executor's history digest. Not a deep copy:
+/// the runtime's columns are shared with the executor chunk by chunk until
+/// one side writes (see `gam_kernel::cow`), and nothing ever writes
+/// through a snapshot. The scheduled process set is configuration, not
+/// state, and stays out.
 #[derive(Debug, Clone)]
 pub struct RuntimeSnapshot {
     rt: Runtime,
     digest: Digest,
-    crashed_seen: ProcessSet,
 }
 
 impl SnapshotExec for RuntimeExecutor {
@@ -176,14 +134,12 @@ impl SnapshotExec for RuntimeExecutor {
         RuntimeSnapshot {
             rt: self.rt.clone(),
             digest: self.digest,
-            crashed_seen: self.crashed_seen,
         }
     }
 
     fn restore(&mut self, snap: &RuntimeSnapshot) {
         self.rt.clone_from(&snap.rt);
         self.digest = snap.digest;
-        self.crashed_seen = snap.crashed_seen;
     }
 
     fn snapshot_cost(&self) -> (u64, u64) {
@@ -198,7 +154,7 @@ impl Executor for RuntimeExecutor {
 
     fn step(&mut self, action: ChoiceStep) {
         let fired = self.rt.fire_enabled(action.pid, action.choice);
-        self.fold_step(action, fired);
+        self.fold_step(action.pid, fired);
     }
 
     fn state_digest(&self) -> u64 {
@@ -223,20 +179,11 @@ impl Executor for RuntimeExecutor {
 
     fn idle_tick(&mut self) -> bool {
         self.rt.idle_tick();
-        let now = self.rt.now();
         // Sentinel keeps the word stream prefix-free: a step folds
         // (time, pid, effect), an idle folds (MAX, time).
         self.digest.push(u64::MAX);
-        self.digest.push(now.0);
-        if !self.observers.is_empty() {
-            self.publish(&TraceEvent::Idle { time: now });
-            self.publish_crashes();
-        }
+        self.digest.push(self.rt.now().0);
         true
-    }
-
-    fn attach(&mut self, observer: Box<dyn Observer + Send>) {
-        self.observers.push(observer);
     }
 
     /// The default loop's run, without listing the choice space: the
@@ -254,9 +201,8 @@ impl Executor for RuntimeExecutor {
             }
             match self.rt.fire_round_robin(self.set, &mut cursor) {
                 Some((pid, fired)) => {
-                    let action = ChoiceStep { pid, choice: 0 };
-                    self.fold_step(action, fired);
-                    record.push(action);
+                    self.fold_step(pid, fired);
+                    record.push(ChoiceStep { pid, choice: 0 });
                 }
                 // Nothing enabled: every row the scan visited is current
                 // and empty, so `is_quiescent` reduces to owing nothing.

@@ -38,6 +38,6 @@ impl Scenario {
             sim.automaton_mut(*src)
                 .multicast(gam_core::MessageId(i as u64), *g);
         }
-        KernelExecutor::new(sim).with_delivery_msg(|e| Some(e.msg))
+        KernelExecutor::new(sim)
     }
 }

@@ -64,8 +64,6 @@ pub mod prelude {
     pub use gam_detectors::{
         GammaOracle, IndicatorOracle, MuConfig, MuOracle, OmegaOracle, PerfectOracle, SigmaOracle,
     };
-    // note: `gam_engine::TraceEvent` stays out of the prelude — `gam_kernel`
-    // exports a generic `TraceEvent<E>` of its own; qualify to disambiguate.
     pub use gam_engine::{
         run_fair, run_with_source, Executor, KernelExecutor, RuntimeExecutor, SnapshotExec,
     };

@@ -116,26 +116,50 @@ fn random_schedules_on_the_ring_over_the_wire() {
 /// fig1 the `(G2,G3)` backup sends one to `p2`, and the run stops
 /// quiescing; a seed that never engages the backup drops nothing. Item 1's
 /// fix makes the first run quiesce with 0 unrouted.
+///
+/// The smallest topology that shows it is `two(3,2)`: `G0 = {p0,p1,p2}`,
+/// `G1 = {p1,p2,p3}`, one message each. Under seed 5 the `(G0,G1)` backup
+/// engages and `p0`, the one process of `G0∖G1`, drops two of its
+/// messages. Two groups, two messages and no cyclic family: item 1 comes
+/// from an intersection that is not a singleton, not from a cycle.
 #[test]
 fn unrouted_pair_messages_are_counted() {
-    let run = |seed: u64| {
+    // outcome, steps taken and the unrouted pair messages of each process
+    let run = |family: &str, seed: u64, traffic: &str| {
         let text = format!(
-            "gam-scn v1 family=fig1 seed={seed} crash=none traffic=uniform(4) variant=standard budget=5000"
+            "gam-scn v1 family={family} seed={seed} crash=none traffic={traffic} variant=standard budget=5000"
         );
         let d = ScnDescriptor::parse(&text).expect("descriptor parses");
         let scenario = Scenario::from_descriptor(&d);
         let mut exec = scenario.kernel_executor();
         let outcome = run_with_source(&mut exec, &mut RandomSource::new(d.seed), d.budget);
         let sim = exec.into_sim();
-        let unrouted: u64 = sim
+        let unrouted: Vec<u64> = sim
             .universe()
             .iter()
             .map(|p| sim.automaton(p).counters().pair_msgs_unrouted)
-            .sum();
+            .collect();
         (outcome, sim.trace().total_steps(), unrouted)
     };
-    let (outcome, _, unrouted) = run(1);
+    let (outcome, _, unrouted) = run("fig1", 1, "uniform(4)");
     assert_ne!(outcome, RunOutcome::Quiescent);
-    assert_eq!(unrouted, 1, "seed 1: p2 drops the (G2,G3) backup's Prepare");
-    assert_eq!(run(0), (RunOutcome::Quiescent, 2_464, 0));
+    assert_eq!(
+        unrouted.iter().sum::<u64>(),
+        1,
+        "seed 1: p2 drops the (G2,G3) backup's Prepare"
+    );
+    let (outcome, steps, unrouted) = run("fig1", 0, "uniform(4)");
+    assert_eq!((outcome, steps), (RunOutcome::Quiescent, 2_464));
+    assert_eq!(unrouted.iter().sum::<u64>(), 0);
+
+    let (outcome, _, unrouted) = run("two(3,2)", 5, "one");
+    assert_eq!(outcome, RunOutcome::BudgetExhausted);
+    assert_eq!(
+        unrouted,
+        [2, 0, 0, 0],
+        "seed 5: p0 drops the (G0,G1) backup's traffic"
+    );
+    let (outcome, steps, unrouted) = run("two(3,2)", 0, "one");
+    assert_eq!((outcome, steps), (RunOutcome::Quiescent, 557));
+    assert_eq!(unrouted, [0; 4]);
 }

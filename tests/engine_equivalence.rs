@@ -7,17 +7,15 @@
 //! in which order, and whether the spec holds. Recorded schedules replay
 //! byte-identically on the substrate that produced them.
 
-use std::sync::{Arc, Mutex};
-
 use gam_kernel::RunOutcome;
 use genuine_multicast::core::distributed::run_report;
 use genuine_multicast::core::spec;
-use genuine_multicast::engine::{self, EventLog, Executor};
+use genuine_multicast::engine::{self, Executor};
 use genuine_multicast::prelude::*;
 
-/// Runs `scenario` through both substrates under the fair driver, with an
-/// [`EventLog`] observer on the shared trace bus, and returns the two
-/// (report, per-process delivery orders) pairs: Level A first.
+/// Runs `scenario` through both substrates under the fair driver and
+/// returns the two (report, per-process delivery orders) pairs, each order
+/// read from its report: Level A first.
 #[expect(
     clippy::type_complexity,
     reason = "two (report, delivery orders) pairs, named by position at the one caller"
@@ -31,42 +29,18 @@ fn both_substrates(
     let universe = scenario.system.universe();
 
     let mut rt_exec = scenario.runtime_executor();
-    let rt_log = Arc::new(Mutex::new(EventLog::new()));
-    rt_exec.attach(Box::new(Arc::clone(&rt_log)));
     let out = engine::run_fair(&mut rt_exec, scenario.max_steps);
     assert_eq!(out, RunOutcome::Quiescent, "Level A must quiesce");
     let rt_report = rt_exec.report(true);
-    let rt_orders: Vec<_> = universe
-        .iter()
-        .map(|p| rt_log.lock().unwrap().delivered_by(p))
-        .collect();
+    let rt_orders: Vec<_> = universe.iter().map(|p| rt_report.delivered_by(p)).collect();
 
     let mut k_exec = scenario.kernel_executor();
-    let k_log = Arc::new(Mutex::new(EventLog::new()));
-    k_exec.attach(Box::new(Arc::clone(&k_log)));
     let out = engine::run_fair(&mut k_exec, scenario.max_steps);
     assert_eq!(out, RunOutcome::Quiescent, "Level B must quiesce");
     let k_report = run_report(k_exec.sim(), &scenario.system, &scenario.submissions, true);
-    let k_orders: Vec<_> = universe
-        .iter()
-        .map(|p| k_log.lock().unwrap().delivered_by(p))
-        .collect();
+    let k_orders: Vec<_> = universe.iter().map(|p| k_report.delivered_by(p)).collect();
 
     ((rt_report, rt_orders), (k_report, k_orders))
-}
-
-#[test]
-fn observed_deliveries_match_the_reports_on_both_substrates() {
-    // The trace bus and the substrate-native reports are two views of the
-    // same run: the observer's per-process delivery orders must equal the
-    // reports' on both substrates.
-    let gs = topology::two_overlapping(3, 1);
-    let scenario = Scenario::one_per_group(&gs, 2_000_000);
-    let ((rt_report, rt_orders), (k_report, k_orders)) = both_substrates(&scenario);
-    for (i, p) in gs.universe().iter().enumerate() {
-        assert_eq!(rt_orders[i], rt_report.delivered_by(p), "Level A {p}");
-        assert_eq!(k_orders[i], k_report.delivered_by(p), "Level B {p}");
-    }
 }
 
 #[test]

@@ -12,18 +12,15 @@
 //! a seeded random schedule or the sustained driver left mid-run, on a
 //! scheduled subset, and across a budget cut: the outcome, the budget
 //! consumed, the recorded schedule, the history digest, the full
-//! `fold_state` walk, the report and the published trace events must agree.
+//! `fold_state` walk and the report must agree.
 //! Debug builds additionally check every row the picker derives against a
 //! fresh derivation.
 
 use genuine_multicast::core::Delivery;
-use genuine_multicast::engine::{
-    digest::trace_hash, run_with_source_counted, EventLog, Observer, TraceEvent,
-};
+use genuine_multicast::engine::{digest::trace_hash, run_with_source_counted};
 use genuine_multicast::kernel::{ChoiceStep, RandomSource, RunOutcome};
 use genuine_multicast::prelude::*;
 use genuine_multicast::scenarios::CrashPlan;
-use std::sync::{Arc, Mutex};
 
 /// A runtime executor seen through the trait's default `run_fair_tail`:
 /// every required method forwarded, the fair tail not overridden.
@@ -45,9 +42,6 @@ impl Executor for DefaultTail<'_> {
     fn idle_tick(&mut self) -> bool {
         self.0.idle_tick()
     }
-    fn attach(&mut self, observer: Box<dyn Observer + Send>) {
-        self.0.attach(observer);
-    }
 }
 
 type Tail = fn(&mut RuntimeExecutor, u64, &mut Vec<ChoiceStep>) -> (RunOutcome, u64);
@@ -66,22 +60,15 @@ struct Observed {
     delivered: Vec<Vec<Delivery>>,
     actions_of: Vec<u64>,
     trace_hash: u64,
-    events: Vec<TraceEvent>,
 }
 
-/// Runs `tail` on `exec` within `budget`, with a recording observer
-/// attached when `observed`.
-fn observe(exec: &mut RuntimeExecutor, tail: Tail, budget: u64, observed: bool) -> Observed {
-    let log = Arc::new(Mutex::new(EventLog::new()));
-    if observed {
-        exec.attach(Box::new(Arc::clone(&log)));
-    }
+/// Runs `tail` on `exec` within `budget`.
+fn observe(exec: &mut RuntimeExecutor, tail: Tail, budget: u64) -> Observed {
     let mut schedule = Vec::new();
     let (outcome, consumed) = tail(exec, budget, &mut schedule);
     let mut state = Vec::new();
     exec.runtime().fold_state(&mut |w| state.push(w));
     let report = exec.report(outcome == RunOutcome::Quiescent);
-    let events = log.lock().expect("observer lock").events().to_vec();
     Observed {
         outcome,
         consumed,
@@ -91,21 +78,16 @@ fn observe(exec: &mut RuntimeExecutor, tail: Tail, budget: u64, observed: bool) 
         trace_hash: trace_hash(&report),
         delivered: report.delivered,
         actions_of: report.actions_of,
-        events,
     }
 }
 
-/// Runs both tails from twin executors built by `start`, unobserved and
-/// observed, and asserts they agree. Returns the budget the run consumed.
+/// Runs both tails from twin executors built by `start` and asserts they
+/// agree. Returns the budget the run consumed.
 fn assert_tails_agree(name: &str, start: &dyn Fn() -> RuntimeExecutor, budget: u64) -> u64 {
-    let mut consumed = 0;
-    for observed in [false, true] {
-        let fast = observe(&mut start(), OVERRIDE, budget, observed);
-        let slow = observe(&mut start(), DEFAULT, budget, observed);
-        assert_eq!(fast, slow, "{name}, observed {observed}");
-        consumed = fast.consumed;
-    }
-    consumed
+    let fast = observe(&mut start(), OVERRIDE, budget);
+    let slow = observe(&mut start(), DEFAULT, budget);
+    assert_eq!(fast, slow, "{name}");
+    fast.consumed
 }
 
 /// Cuts the budget of both tails at half of what the full run consumed,
@@ -115,14 +97,14 @@ fn assert_cut_tails_agree(name: &str, start: &dyn Fn() -> RuntimeExecutor, budge
     let full = assert_tails_agree(name, start, budget);
     let cut = full / 2;
     let (mut fast_exec, mut slow_exec) = (start(), start());
-    let fast = observe(&mut fast_exec, OVERRIDE, cut, true);
-    let slow = observe(&mut slow_exec, DEFAULT, cut, true);
+    let fast = observe(&mut fast_exec, OVERRIDE, cut);
+    let slow = observe(&mut slow_exec, DEFAULT, cut);
     assert_eq!(fast, slow, "{name}, cut at {cut}");
     if cut > 0 {
         assert_eq!(fast.outcome, RunOutcome::BudgetExhausted, "{name}");
     }
-    let fast = observe(&mut fast_exec, OVERRIDE, budget - cut, false);
-    let slow = observe(&mut slow_exec, DEFAULT, budget - cut, false);
+    let fast = observe(&mut fast_exec, OVERRIDE, budget - cut);
+    let slow = observe(&mut slow_exec, DEFAULT, budget - cut);
     assert_eq!(fast, slow, "{name}, resumed after the cut at {cut}");
 }
 
