@@ -6,10 +6,18 @@
 //!
 //! - `LOG_g` and the consensus objects `CONS_{m,𝔣}` of messages addressed to
 //!   `g` live in one **replicated state machine per group**, ordered by the
-//!   `Ω_g ∧ Σ_g` consensus ([`gam_objects::PaxosProcess`]);
-//! - each `LOG_{g∩h}` is the **contention-free fast log**
+//!   `Ω_g ∧ Σ_g` consensus ([`gam_objects::PaxosProcess`]) — the one
+//!   consensus a process runs per group it belongs to;
+//! - each `LOG_{g∩h}`, `g < h`, is the **contention-free fast log**
 //!   ([`gam_objects::FastLogProcess`]): adopt–commit among `g∩h` on the
-//!   fast path, group-`g` consensus as backup (Proposition 47);
+//!   fast path, and `g`'s state machine as backup (Proposition 47). A slot
+//!   whose adopt–commit adopts without committing becomes the command
+//!   `PairSlot(h, slot, v)` of `g`, and the first such command for
+//!   `(h, slot)` in the machine's order decides the slot, as the first
+//!   `ConsPropose` decides a `CONS_{m,𝔣}`. Every adopter carries the value
+//!   committed on the fast path, if any, and every member of `g` folds one
+//!   order, so the backup agrees with the fast path and with itself. A
+//!   run in which every adopt–commit commits orders no `PairSlot`;
 //! - each process evaluates the `pre:` guards of Algorithm 1 against its
 //!   *local view* (the decided prefix of every object) — sound because all
 //!   guards are monotone — and executes the `eff:` blocks as sagas of
@@ -25,7 +33,7 @@
 //! What it touches, not what the process has seen. The `μ` sample arrives
 //! by reference from the simulator, which queries the history once per
 //! window of `μ` ([`History::stable_until`]). The received envelope goes to
-//! the one sub-protocol it is tagged for; each hosted consensus automaton
+//! the one sub-protocol it is tagged for; each group's consensus automaton
 //! visits its open instances only, and a fast log never rereads a closed
 //! slot. Deciding a command folds it into the view *and* into what the
 //! guards read about the message it concerns — whether it is known, who
@@ -44,9 +52,9 @@ use gam_detectors::MuOracle;
 use gam_groups::{GroupId, GroupSet, GroupSystem};
 use gam_kernel::{Automaton, Envelope, History, ProcessId, ProcessSet, StepCtx, Time};
 use gam_objects::{
-    Decided, FastLogFd, FastLogMsg, FastLogProcess, Log, OmegaSigma, PaxosMsg, PaxosProcess, Pos,
-    SlotDecided,
+    Decided, FastLogMsg, FastLogProcess, Log, OmegaSigma, PaxosMsg, PaxosProcess, Pos,
 };
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -60,6 +68,9 @@ pub enum GroupCmd {
     BumpLock(MessageId, u64),
     /// `CONS_{m,𝔣}.propose(k)` — first proposal in SMR order decides.
     ConsPropose(MessageId, GroupSet, u64),
+    /// `(h, s, v)`: the backup consensus of slot `s` of `LOG_{g∩h}`,
+    /// `g < h`, proposing `v` — first proposal in SMR order decides.
+    PairSlot(GroupId, u64, u64),
 }
 
 /// Encodes a `LOG_{g∩h}` operation into the fast log's `u64` command space:
@@ -261,6 +272,8 @@ struct GroupView {
     applied: u64,
     log: Log<Datum>,
     cons: BTreeMap<(MessageId, GroupSet), u64>,
+    /// The decided backup slots of `LOG_{g∩h}`, keyed `(h, slot)`.
+    pair_slots: BTreeMap<(GroupId, u64), u64>,
     /// Commands waiting to be ordered.
     outbox: VecDeque<GroupCmd>,
     /// The instance at which the head command was last proposed.
@@ -279,6 +292,7 @@ impl GroupView {
             applied: 0,
             log: Log::new(),
             cons: BTreeMap::new(),
+            pair_slots: BTreeMap::new(),
             outbox: VecDeque::new(),
             inflight_at: None,
         }
@@ -290,6 +304,7 @@ impl GroupView {
             GroupCmd::Append(d) => self.log.contains(d),
             GroupCmd::BumpLock(m, _) => self.log.locked(&Datum::Msg(*m)),
             GroupCmd::ConsPropose(m, f, _) => self.cons.contains_key(&(*m, *f)),
+            GroupCmd::PairSlot(h, slot, _) => self.pair_slots.contains_key(&(*h, *slot)),
         }
     }
 
@@ -297,7 +312,14 @@ impl GroupView {
     /// about the messages they concern (the announcement sets; helping —
     /// any `Msg` datum decided into `LOG_g` is `learned`, to become known
     /// when the step ends), and retires the outbox commands they complete.
-    fn fold(&mut self, msgs: &mut MsgTable, learned: &mut Vec<MessageId>) {
+    /// Each backup slot decided here is reported in `slots` as
+    /// `(g, h, slot, v)`.
+    fn fold(
+        &mut self,
+        msgs: &mut MsgTable,
+        learned: &mut Vec<MessageId>,
+        slots: &mut Vec<(GroupId, GroupId, u64, u64)>,
+    ) {
         while let Some(cmd) = self.paxos.decision(self.applied).cloned() {
             self.applied += 1;
             match cmd {
@@ -325,6 +347,12 @@ impl GroupView {
                 }
                 GroupCmd::ConsPropose(m, f, k) => {
                     self.cons.entry((m, f)).or_insert(k);
+                }
+                GroupCmd::PairSlot(h, slot, v) => {
+                    if let Entry::Vacant(e) = self.pair_slots.entry((h, slot)) {
+                        e.insert(v);
+                        slots.push((self.id, h, slot, v));
+                    }
                 }
             }
         }
@@ -365,7 +393,7 @@ impl GroupView {
 struct PairView {
     /// `(g, h)`, `g < h`.
     key: (GroupId, GroupId),
-    /// Where `g`'s view (and its `Ω_g ∧ Σ_g` sample) sits among the groups.
+    /// Where `g`'s view, the backup of this log, sits among the groups.
     g_slot: usize,
     fl: FastLogProcess,
     applied: usize,
@@ -426,15 +454,15 @@ struct Saga {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 // gam-lint: allow(U001, reason = "returned by DistProcess::counters, which tests/levelb_identity.rs pins")
 pub struct DistCounters {
-    /// Consensus instances the proposer loops of the hosted `Ω ∧ Σ`
-    /// consensus automata (group SMRs, fast-log backups) visited.
+    /// Consensus instances the proposer loops of the group SMRs' `Ω ∧ Σ`
+    /// consensus automata visited.
     pub instances_visited: u64,
     /// Walks over a log in `<_L` order (the "everything before `m`" guards
     /// of the pending, stabilise and deliver actions).
     pub log_order_walks: u64,
     /// Received `DistMsg::Pair` messages that matched no pair view here and
-    /// were dropped unread: a process of `g∖h` receiving backup traffic of
-    /// `LOG_{g∩h}` (ROADMAP item 1).
+    /// were dropped unread. A fast log sends only within `g∩h`, where every
+    /// process hosts it, so this stays 0; debug builds assert it.
     pub pair_msgs_unrouted: u64,
 }
 
@@ -559,7 +587,7 @@ impl DistProcess {
                     .iter()
                     .position(|x| x == g)
                     .expect("g ∈ my groups"),
-                fl: FastLogProcess::new(me, system.intersection(g, h), system.members(g)),
+                fl: FastLogProcess::new(me, system.intersection(g, h)),
                 applied: 0,
                 log: Log::new(),
             })
@@ -879,6 +907,7 @@ impl Automaton for DistProcess {
             }
         }
         // ---- drive every group SMR --------------------------------------
+        let mut decided_slots = Vec::new();
         for (slot, view) in self.groups.iter_mut().enumerate() {
             let input = match &to_group {
                 Some((g, _)) if *g == view.id => to_group.take().map(|(_, env)| env),
@@ -893,7 +922,14 @@ impl Automaton for DistProcess {
                 ctx.send(dst, DistMsg::Group(view.id, msg));
             }
             // decisions are read back through `decision()` during fold
-            view.fold(&mut self.msgs, &mut self.learned);
+            view.fold(&mut self.msgs, &mut self.learned, &mut decided_slots);
+        }
+        // the backup's decisions reach the pair views of g∩h; a process of
+        // g∖h hosts no view of the pair and has nothing to learn
+        for (g, h, s, v) in decided_slots {
+            if let Ok(at) = self.pairs.binary_search_by_key(&(g, h), |view| view.key) {
+                self.pairs[at].fl.learn(s, v);
+            }
         }
         // ---- drive every pair fast log -----------------------------------
         for (slot, view) in self.pairs.iter_mut().enumerate() {
@@ -901,22 +937,24 @@ impl Automaton for DistProcess {
                 Some((key, _)) if *key == view.key => to_pair.take().map(|(_, env)| env),
                 _ => None,
             };
-            let of_g = &fd.groups[view.g_slot];
-            let flfd = FastLogFd {
-                inter_quorum: fd.pairs[slot],
-                leader: of_g.leader,
-                group_quorum: of_g.quorum,
-            };
-            let mut sub: StepCtx<FastLogMsg, SlotDecided> = StepCtx::detached(me, ctx.now());
-            self.counters.instances_visited += view.fl.step_counted(&mut sub, input, &flfd);
+            let mut sub: StepCtx<FastLogMsg, ()> = StepCtx::detached(me, ctx.now());
+            view.fl.step(&mut sub, input, &fd.pairs[slot]);
             for (dst, msg) in sub.take_sends() {
                 ctx.send(dst, DistMsg::Pair(view.key.0, view.key.1, msg));
+            }
+            if let Some((s, v)) = view.fl.take_adopted() {
+                let cmd = GroupCmd::PairSlot(view.key.1, s, v);
+                self.groups[view.g_slot].outbox.push_back(cmd);
             }
             view.fold();
         }
         if to_pair.is_some() {
             self.counters.pair_msgs_unrouted += 1;
         }
+        debug_assert!(
+            to_pair.is_none(),
+            "{me} hosts no view of the pair its message is for"
+        );
         // ---- progress the running saga ----------------------------------
         if let Some(mut saga) = self.saga.take() {
             // retire completed operations; execute reads synchronously
@@ -1257,6 +1295,38 @@ mod tests {
                     assert!(quorum.is_some(), "{p} ∈ g ∩ h for every pair it hosts");
                     assert_eq!(*quorum, mu.sigma(view.key.0, view.key.1, p, t));
                     assert_eq!(process.groups[view.g_slot].id, view.key.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_process_hosts_exactly_the_objects_of_its_scopes() {
+        // The one consensus of g (the SMR, also the backup of every
+        // LOG_{g∩h}, g < h) runs at every member of g; a fast log runs at
+        // every member of its intersection. So every message an object
+        // sends reaches a process that hosts it.
+        for (name, gs) in topology::suite() {
+            for p in gs.universe() {
+                let process = DistProcess::new(p, &gs);
+                let groups: Vec<GroupId> = gs
+                    .all()
+                    .iter()
+                    .filter(|&g| gs.members(g).contains(p))
+                    .collect();
+                assert_eq!(groups, gs.groups_of(p).iter().collect::<Vec<_>>());
+                let hosted: Vec<GroupId> = process.groups.iter().map(|v| v.id).collect();
+                assert_eq!(hosted, groups, "{name}: group views of {p}");
+                let pairs: Vec<(GroupId, GroupId)> = gs
+                    .all()
+                    .iter()
+                    .flat_map(|g| gs.all().iter().filter(move |h| g < *h).map(move |h| (g, h)))
+                    .filter(|&(g, h)| gs.intersection(g, h).contains(p))
+                    .collect();
+                let hosted: Vec<(GroupId, GroupId)> = process.pairs.iter().map(|v| v.key).collect();
+                assert_eq!(hosted, pairs, "{name}: pair views of {p}");
+                for view in &process.pairs {
+                    assert_eq!(process.groups[view.g_slot].id, view.key.0, "{name}: {p}");
                 }
             }
         }

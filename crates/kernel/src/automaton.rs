@@ -117,9 +117,9 @@ impl<M, E> StepCtx<M, E> {
 
     /// Creates a detached context for driving a *sub-automaton* from within
     /// another automaton's step (protocol composition): run the inner
-    /// automaton against the detached context, then drain its effects with
-    /// [`StepCtx::take_sends`] / [`StepCtx::take_events`] and translate them
-    /// into the outer protocol.
+    /// automaton against the detached context, then drain its messages
+    /// with [`StepCtx::take_sends`] and translate them into the outer
+    /// protocol.
     pub fn detached(me: ProcessId, now: Time) -> Self {
         StepCtx::new(me, now)
     }
@@ -127,11 +127,6 @@ impl<M, E> StepCtx<M, E> {
     /// Drains the messages sent into this context.
     pub fn take_sends(&mut self) -> Vec<(ProcessSet, M)> {
         std::mem::take(&mut self.sends)
-    }
-
-    /// Drains the events emitted into this context.
-    pub fn take_events(&mut self) -> Vec<E> {
-        std::mem::take(&mut self.events)
     }
 
     /// The identity of the stepping process.

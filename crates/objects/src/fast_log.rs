@@ -5,75 +5,28 @@
 //! groups is built from an unbounded list of *contention-free fast*
 //! consensus objects: each slot is guarded by an adopt–commit object
 //! implemented from `Σ_{g∩h}`-quorums **among the intersection only**, and
-//! falls back to an `Ω_g ∧ Σ_g` consensus (Paxos) **in the full group `g`**
-//! only when the adopt–commit fails. When processes execute operations in
-//! the exact same order (no step contention), every slot commits on the
-//! fast path and *only the processes of `g ∩ h` take steps* — which is how
-//! the construction preserves minimality (Proposition 47).
+//! falls back to an `Ω_g ∧ Σ_g` consensus **in the full group `g`** only
+//! when the adopt–commit fails. When processes execute operations in the
+//! exact same order (no step contention), every slot commits on the fast
+//! path and *only the processes of `g ∩ h` take steps* — which is how the
+//! construction preserves minimality (Proposition 47).
+//!
+//! [`FastLogProcess`] is the replica, the client and the adopt–commit; the
+//! backup consensus is its host's. A slot whose adopt–commit adopts without
+//! committing is handed out ([`FastLogProcess::take_adopted`]) with the
+//! value the adopt–commit carried, and the host hands the backup's decision
+//! back ([`FastLogProcess::learn`]). Safety needs only that the backup
+//! decides one of the values handed to it: adopt–commit makes every adopter
+//! carry the value committed on the fast path, if any, so any of them
+//! agrees with every fast-path commit.
 //!
 //! The adopt–commit here is the classic two-phase quorum protocol: phase 1
 //! announces the proposal and collects the values seen by a quorum; phase 2
 //! announces `(value, clean?)` and commits iff a quorum saw only clean
 //! announcements of a single value.
 
-use crate::paxos::{Decided, PaxosMsg, PaxosProcess};
-use gam_kernel::{Automaton, Envelope, History, ProcessId, ProcessSet, StepCtx, Time};
+use gam_kernel::{Automaton, Envelope, ProcessId, ProcessSet, StepCtx};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The failure-detector sample the fast log consumes:
-/// `Σ_{g∩h} ∧ Ω_g ∧ Σ_g`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastLogFd {
-    /// `Σ_{g∩h}` (⊥ outside the intersection).
-    pub inter_quorum: Option<ProcessSet>,
-    /// `Ω_g` (⊥ outside `g`).
-    pub leader: Option<ProcessId>,
-    /// `Σ_g` (⊥ outside `g`).
-    pub group_quorum: Option<ProcessSet>,
-}
-
-/// A [`History`] bundling the three constituent oracles.
-#[derive(Debug, Clone)]
-pub struct FastLogHistory<I, O, G> {
-    inter: I,
-    omega: O,
-    group: G,
-}
-
-impl<I, O, G> FastLogHistory<I, O, G> {
-    /// Bundles `Σ_{g∩h}`, `Ω_g` and `Σ_g` histories.
-    pub fn new(inter: I, omega: O, group: G) -> Self {
-        FastLogHistory {
-            inter,
-            omega,
-            group,
-        }
-    }
-}
-
-impl<I, O, G> History for FastLogHistory<I, O, G>
-where
-    I: History<Value = Option<ProcessSet>>,
-    O: History<Value = Option<ProcessId>>,
-    G: History<Value = Option<ProcessSet>>,
-{
-    type Value = FastLogFd;
-
-    fn sample(&self, p: ProcessId, t: Time) -> FastLogFd {
-        FastLogFd {
-            inter_quorum: self.inter.sample(p, t),
-            leader: self.omega.sample(p, t),
-            group_quorum: self.group.sample(p, t),
-        }
-    }
-
-    fn stable_until(&self, p: ProcessId, t: Time) -> Time {
-        self.inter
-            .stable_until(p, t)
-            .min(self.omega.stable_until(p, t))
-            .min(self.group.stable_until(p, t))
-    }
-}
 
 /// Protocol messages of the fast log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,17 +68,6 @@ pub enum FastLogMsg {
         /// Decided command.
         value: u64,
     },
-    /// Encapsulated backup-consensus traffic (within `g`).
-    Paxos(PaxosMsg<u64>),
-}
-
-/// Emitted when a slot's command is learnt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotDecided {
-    /// Log slot.
-    pub slot: u64,
-    /// Decided command.
-    pub value: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -143,14 +85,13 @@ enum AcState {
     },
 }
 
-/// One process of the fast log: replica + client + backup-consensus member.
+/// One process of the fast log: replica + client + adopt–commit, over
+/// `g ∩ h`. Its failure-detector sample is `Σ_{g∩h}`.
 #[derive(Debug, Clone)]
 pub struct FastLogProcess {
     me: ProcessId,
     /// `g ∩ h` — the fast-path participants.
     inter: ProcessSet,
-    /// `g` — the backup-consensus participants.
-    group: ProcessSet,
     /// Replica state: phase-1 values and phase-2 entries per slot.
     p1_seen: BTreeMap<u64, BTreeSet<u64>>,
     p2_seen: BTreeMap<u64, BTreeSet<(u64, bool)>>,
@@ -165,25 +106,19 @@ pub struct FastLogProcess {
     searched: usize,
     /// The in-flight adopt–commit attempt (slot, state).
     attempt: Option<(u64, AcState)>,
-    /// Slots for which a backup consensus is engaged.
-    fallback: BTreeSet<u64>,
-    paxos: PaxosProcess<u64>,
+    /// The slot handed to the backup and not learnt yet: the client waits
+    /// on it instead of running adopt–commit on it again.
+    handed: Option<u64>,
+    /// The `(slot, carried value)` handed out and not yet taken by the host.
+    adopted: Option<(u64, u64)>,
 }
 
 impl FastLogProcess {
-    /// Creates the automaton for process `me` with fast path in `inter` and
-    /// backup consensus in `group`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inter ⊄ group` or `me ∉ group`.
-    pub fn new(me: ProcessId, inter: ProcessSet, group: ProcessSet) -> Self {
-        assert!(inter.is_subset(group), "g∩h must be within g");
-        assert!(group.contains(me), "{me} must be in g");
+    /// Creates the automaton for process `me` with fast path in `inter`.
+    pub fn new(me: ProcessId, inter: ProcessSet) -> Self {
         FastLogProcess {
             me,
             inter,
-            group,
             p1_seen: BTreeMap::new(),
             p2_seen: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -191,8 +126,8 @@ impl FastLogProcess {
             queue: Default::default(),
             searched: 0,
             attempt: None,
-            fallback: BTreeSet::new(),
-            paxos: PaxosProcess::new(me, group),
+            handed: None,
+            adopted: None,
         }
     }
 
@@ -205,11 +140,6 @@ impl FastLogProcess {
     pub fn append(&mut self, cmd: u64) {
         assert!(self.inter.contains(self.me), "only g∩h appends");
         self.queue.push_back(cmd);
-    }
-
-    /// The backup-consensus scope `g`.
-    pub fn group(&self) -> ProcessSet {
-        self.group
     }
 
     /// The learnt command of `slot`, if any.
@@ -227,65 +157,44 @@ impl FastLogProcess {
         &self.prefix
     }
 
+    /// The slot whose adopt–commit adopted without committing, with the
+    /// value it carried, once: the host proposes it to the backup
+    /// consensus and hands the decision back through
+    /// [`FastLogProcess::learn`].
+    pub fn take_adopted(&mut self) -> Option<(u64, u64)> {
+        self.adopted.take()
+    }
+
     fn next_free_slot(&self) -> u64 {
         self.prefix.len() as u64
     }
 
-    fn decide(
-        &mut self,
-        slot: u64,
-        value: u64,
-        ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
-        announce: bool,
-    ) {
-        if self.decided.insert(slot, value).is_none() {
-            while let Some(v) = self.decided.get(&(self.prefix.len() as u64)) {
-                self.prefix.push(*v);
-            }
-            ctx.emit(SlotDecided { slot, value });
-            if announce {
-                ctx.send(self.inter, FastLogMsg::SlotDecide { slot, value });
-            }
+    /// Learns that `slot` holds `value`: decided by the backup consensus
+    /// (the host calls this), or on the fast path.
+    pub fn learn(&mut self, slot: u64, value: u64) {
+        let learnt = *self.decided.entry(slot).or_insert(value);
+        debug_assert_eq!(learnt, value, "slot {slot} decided twice");
+        while let Some(v) = self.decided.get(&(self.prefix.len() as u64)) {
+            self.prefix.push(*v);
+        }
+        if self.handed == Some(slot) {
+            self.handed = None;
         }
     }
+}
 
-    /// Steps the backup consensus; returns the instances it visited.
-    fn drive_paxos(
-        &mut self,
-        ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
-        input: Option<Envelope<PaxosMsg<u64>>>,
-        fd: &FastLogFd,
-    ) -> u64 {
-        let mut sub: StepCtx<PaxosMsg<u64>, Decided<u64>> = StepCtx::detached(self.me, ctx.now());
-        let visited = self.paxos.step_counted(
-            &mut sub,
-            input,
-            &crate::paxos::OmegaSigma {
-                leader: fd.leader,
-                quorum: fd.group_quorum,
-            },
-        );
-        for (dst, msg) in sub.take_sends() {
-            ctx.send(dst, FastLogMsg::Paxos(msg));
-        }
-        for d in sub.take_events() {
-            self.decide(d.instance, d.value, ctx, false);
-        }
-        visited
-    }
+impl Automaton for FastLogProcess {
+    type Msg = FastLogMsg;
+    type Fd = Option<ProcessSet>;
+    type Event = ();
 
-    /// [`Automaton::step`], returning how many instances of the backup
-    /// consensus the step visited (see [`PaxosProcess::step_counted`]).
-    pub fn step_counted(
+    fn step(
         &mut self,
-        ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
+        ctx: &mut StepCtx<FastLogMsg, ()>,
         input: Option<Envelope<FastLogMsg>>,
-        fd: &FastLogFd,
-    ) -> u64 {
-        let me = self.me;
-        let mut visited = 0;
+        quorum: &Option<ProcessSet>,
+    ) {
         // ---- message handling ------------------------------------------
-        let mut paxos_input: Option<Envelope<PaxosMsg<u64>>> = None;
         if let Some(env) = input {
             let src = env.src;
             match env.payload {
@@ -330,16 +239,7 @@ impl FastLogProcess {
                     }
                 }
                 FastLogMsg::SlotDecide { slot, value } => {
-                    self.decide(slot, value, ctx, false);
-                }
-                FastLogMsg::Paxos(msg) => {
-                    paxos_input = Some(Envelope {
-                        id: env.id,
-                        src: env.src,
-                        dst: env.dst,
-                        sent_at: env.sent_at,
-                        payload: msg,
-                    });
+                    self.learn(slot, value);
                 }
             }
         }
@@ -349,7 +249,7 @@ impl FastLogProcess {
             Some((slot, AcState::P1 { value, acks, union })) => {
                 if self.decided.contains_key(&slot) {
                     // decided underneath us (fast or backup path)
-                } else if fd.inter_quorum.as_ref().is_some_and(|q| q.is_subset(acks)) {
+                } else if quorum.as_ref().is_some_and(|q| q.is_subset(acks)) {
                     let clean = union.iter().all(|v| *v == value);
                     #[expect(
                         clippy::expect_used,
@@ -392,20 +292,22 @@ impl FastLogProcess {
             )) => {
                 if self.decided.contains_key(&slot) {
                     // decided underneath us
-                } else if fd.inter_quorum.as_ref().is_some_and(|q| q.is_subset(acks)) {
+                } else if quorum.as_ref().is_some_and(|q| q.is_subset(acks)) {
                     let all_clean_same = union.iter().all(|(v, c)| *c && *v == value) && clean;
                     if all_clean_same {
                         // fast-path commit
-                        self.decide(slot, value, ctx, true);
+                        self.learn(slot, value);
+                        ctx.send(self.inter, FastLogMsg::SlotDecide { slot, value });
                     } else {
-                        // adopt: carry a clean value if one exists, else est
+                        // adopt: carry a clean value if one exists, else est,
+                        // and hand the slot to the backup consensus in g
                         let carried = union
                             .iter()
                             .find(|(_, c)| *c)
                             .map(|(v, _)| *v)
                             .unwrap_or(value);
-                        self.fallback.insert(slot);
-                        self.paxos.propose(slot, carried);
+                        self.handed = Some(slot);
+                        self.adopted = Some((slot, carried));
                     }
                 } else {
                     self.attempt = Some((
@@ -422,17 +324,8 @@ impl FastLogProcess {
             None => {}
         }
 
-        // ---- backup consensus -------------------------------------------
-        // Drive Paxos when it has traffic or an engaged fallback slot; this
-        // is the *only* path on which processes of g \ (g∩h) take steps.
-        if paxos_input.is_some() || !self.fallback.is_empty() {
-            visited = self.drive_paxos(ctx, paxos_input, fd);
-            let decided = &self.decided;
-            self.fallback.retain(|s| !decided.contains_key(s));
-        }
-
         // ---- client: launch the next append -----------------------------
-        if self.attempt.is_none() && self.inter.contains(me) {
+        if self.attempt.is_none() && self.handed.is_none() {
             if let Some(cmd) = self.queue.front().copied() {
                 // retry at successive slots until our command lands; what
                 // was searched for this command before stays searched
@@ -454,60 +347,37 @@ impl FastLogProcess {
                 }
             }
         }
-        visited
-    }
-}
-
-impl Automaton for FastLogProcess {
-    type Msg = FastLogMsg;
-    type Fd = FastLogFd;
-    type Event = SlotDecided;
-
-    fn step(
-        &mut self,
-        ctx: &mut StepCtx<FastLogMsg, SlotDecided>,
-        input: Option<Envelope<FastLogMsg>>,
-        fd: &FastLogFd,
-    ) {
-        self.step_counted(ctx, input, fd);
     }
 
     fn is_active(&self) -> bool {
-        !self.queue.is_empty() || self.attempt.is_some() || !self.fallback.is_empty()
+        self.attempt.is_some() || (!self.queue.is_empty() && self.handed.is_none())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gam_detectors::{OmegaMode, OmegaOracle, SigmaMode, SigmaOracle};
+    use gam_detectors::{SigmaMode, SigmaOracle};
     use gam_kernel::{FailurePattern, RandomSource, RotatingSource, RunOutcome, Simulator};
 
-    /// g = {p0..p4}, g∩h = {p0, p1}.
-    fn system(
-        pattern: FailurePattern,
-    ) -> Simulator<FastLogProcess, FastLogHistory<SigmaOracle, OmegaOracle, SigmaOracle>> {
-        let group = ProcessSet::first_n(5);
-        let inter = ProcessSet::from_iter([0u32, 1]);
-        let autos = group
+    /// g∩h = {p0, p1}.
+    fn system() -> Simulator<FastLogProcess, SigmaOracle> {
+        let inter = ProcessSet::first_n(2);
+        let pattern = FailurePattern::all_correct(inter);
+        let autos = inter
             .iter()
-            .map(|p| FastLogProcess::new(p, inter, group))
+            .map(|p| FastLogProcess::new(p, inter))
             .collect();
-        let hist = FastLogHistory::new(
-            SigmaOracle::new(inter, pattern.clone(), SigmaMode::Alive),
-            OmegaOracle::new(group, pattern.clone(), OmegaMode::MinAlive),
-            SigmaOracle::new(group, pattern.clone(), SigmaMode::Alive),
-        );
+        let hist = SigmaOracle::new(inter, pattern.clone(), SigmaMode::Alive);
         Simulator::new(autos, pattern, hist)
     }
 
     #[test]
-    fn contention_free_appends_use_only_the_intersection() {
+    fn sequential_appends_never_reach_the_backup() {
         // Proposition 47: sequential appends (same order everywhere) stay
-        // on the adopt–commit fast path — no process of g \ (g∩h) takes a
-        // single step.
-        let pattern = FailurePattern::all_correct(ProcessSet::first_n(5));
-        let mut sim = system(pattern);
+        // on the adopt–commit fast path — no slot is handed to the backup
+        // consensus in g, so no process of g∖(g∩h) has anything to do.
+        let mut sim = system();
         let mut rr = RotatingSource::default();
         for (i, cmd) in [10u64, 20, 30].iter().enumerate() {
             let appender = ProcessId((i % 2) as u32); // alternate p0/p1
@@ -517,28 +387,46 @@ mod tests {
         }
         for p in [ProcessId(0), ProcessId(1)] {
             assert_eq!(sim.automaton(p).log(), vec![10, 20, 30], "{p}");
-        }
-        for p in [ProcessId(2), ProcessId(3), ProcessId(4)] {
-            assert_eq!(
-                sim.trace().steps_of(p),
-                0,
-                "{p} ∈ g∖(g∩h) must take no steps (Prop. 47)"
-            );
+            assert_eq!(sim.automaton_mut(p).take_adopted(), None, "{p}");
         }
     }
 
     #[test]
-    fn contention_falls_back_to_group_consensus() {
-        // Concurrent conflicting appends: the adopt–commit fails and the
-        // backup consensus in g engages — now g∖(g∩h) does step, and the
-        // replicas still agree on a total order containing both commands.
-        let pattern = FailurePattern::all_correct(ProcessSet::first_n(5));
-        for seed in 0..5u64 {
-            let mut sim = system(pattern.clone());
+    fn contended_slots_take_the_backups_decision() {
+        // Concurrent conflicting appends: an adopt–commit that adopts hands
+        // its slot out. The test plays the backup consensus in g — the
+        // first proposal per slot wins — and learns its decision at both
+        // replicas right away. A value a replica already holds for a slot
+        // (committed on the fast path) is the backup's, and the replicas
+        // agree on a total order containing both commands.
+        let inter = ProcessSet::first_n(2);
+        let mut engaged = 0;
+        for seed in 0..20u64 {
+            let mut sim = system();
             sim.automaton_mut(ProcessId(0)).append(111);
             sim.automaton_mut(ProcessId(1)).append(222);
-            let out = sim.run(&mut RandomSource::new(seed), 2_000_000);
-            assert_eq!(out, RunOutcome::Quiescent, "seed {seed}");
+            let mut source = RandomSource::new(seed);
+            let mut backup = BTreeMap::new();
+            let mut steps = 0;
+            while sim.run(&mut source, 1) != RunOutcome::Quiescent {
+                steps += 1;
+                assert!(steps < 100_000, "seed {seed}: no quiescence");
+                for p in inter {
+                    let Some((slot, carried)) = sim.automaton_mut(p).take_adopted() else {
+                        continue;
+                    };
+                    engaged += 1;
+                    let decided = *backup.entry(slot).or_insert(carried);
+                    for q in inter {
+                        let held = sim.automaton(q).slot(slot);
+                        assert!(
+                            held.is_none_or(|v| v == decided),
+                            "seed {seed}: {q} holds {held:?} in slot {slot}, backup {decided}"
+                        );
+                        sim.automaton_mut(q).learn(slot, decided);
+                    }
+                }
+            }
             let l0 = sim.automaton(ProcessId(0)).log();
             let l1 = sim.automaton(ProcessId(1)).log();
             assert_eq!(l0, l1, "seed {seed}: replica logs agree");
@@ -547,26 +435,12 @@ mod tests {
                 "seed {seed}: {l0:?}"
             );
         }
-    }
-
-    #[test]
-    fn fast_path_survives_group_side_crashes() {
-        // Crashes outside g∩h do not disturb the fast path at all.
-        let pattern = FailurePattern::from_crashes(
-            ProcessSet::first_n(5),
-            [(ProcessId(3), Time(0)), (ProcessId(4), Time(0))],
-        );
-        let mut sim = system(pattern);
-        sim.automaton_mut(ProcessId(0)).append(7);
-        let out = sim.run(&mut RotatingSource::default(), 100_000);
-        assert_eq!(out, RunOutcome::Quiescent);
-        assert_eq!(sim.automaton(ProcessId(1)).log(), vec![7]);
+        assert!(engaged > 0, "some seed engages the backup");
     }
 
     #[test]
     fn slot_accessors() {
-        let pattern = FailurePattern::all_correct(ProcessSet::first_n(5));
-        let mut sim = system(pattern);
+        let mut sim = system();
         sim.automaton_mut(ProcessId(0)).append(42);
         sim.run(&mut RotatingSource::default(), 100_000);
         assert_eq!(sim.automaton(ProcessId(0)).slot(0), Some(42));
@@ -576,9 +450,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "only g∩h appends")]
     fn append_outside_intersection_rejected() {
-        let group = ProcessSet::first_n(3);
         let inter = ProcessSet::from_iter([0u32]);
-        let mut p = FastLogProcess::new(ProcessId(2), inter, group);
+        let mut p = FastLogProcess::new(ProcessId(2), inter);
         p.append(1);
     }
 }

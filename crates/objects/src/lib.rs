@@ -39,6 +39,6 @@ mod paxos;
 pub use abd::{AbdEvent, AbdMsg, AbdProcess, RegisterId, Stamp};
 pub use adopt_commit::{AdoptCommit, Grade};
 pub use consensus::Consensus;
-pub use fast_log::{FastLogFd, FastLogHistory, FastLogMsg, FastLogProcess, SlotDecided};
+pub use fast_log::{FastLogMsg, FastLogProcess};
 pub use log::{Log, Pos};
 pub use paxos::{Decided, OmegaSigma, OmegaSigmaHistory, PaxosMsg, PaxosProcess};

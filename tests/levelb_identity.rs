@@ -11,14 +11,16 @@
 //! delivery trace hash and every process's delivery sequence; then the
 //! deterministic work counters of the run. The cells were generated on the
 //! commit *before* Level B's derived state was introduced and are replayed
-//! here on every commit since. Two of them end `BudgetExhausted`, carried
-//! word for word: fig1 `seed=6 crash=none traffic=uniform(16)` under
-//! `source` (the non-quiescing seed of ROADMAP item 1), and `ring(3,2)
-//! seed=7000 crash=isect(1) traffic=uniform(16)` under `rr`, 199 348 of
-//! whose 200 000 steps are null, while `source` quiesces the same
-//! descriptor in 2 289 (ROADMAP item 2). Regenerate only for a change that
-//! is meant to alter Level B schedules (or, for the last column alone, how
-//! much work a step does):
+//! here on every commit since, except the cells whose run engaged the
+//! backup consensus of a pair log, which moved when that backup became the
+//! group's own state machine. Three of them end `BudgetExhausted`, carried
+//! word for word: fig1 `seed=24 crash=none traffic=uniform(16)` under both
+//! drivers (the first non-quiescing fig1 seed, ROADMAP item 2), and
+//! `ring(3,2) seed=7000 crash=isect(1) traffic=uniform(16)` under `rr`,
+//! 199 348 of whose 200 000 steps are null, while `source` quiesces the
+//! same descriptor in 2 289 (ROADMAP item 2). Regenerate only for a change
+//! that is meant to alter Level B schedules (or, for the last column alone,
+//! how much work a step does):
 //!
 //! ```text
 //! cargo test --release --test levelb_identity -- --ignored
@@ -167,7 +169,7 @@ fn every_cell_replays_to_the_pinned_run() {
     }
     let grid = FAMILIES.len() * TRAFFIC.len() * CRASHES.len() * SEEDS.count() + 1;
     assert_eq!(cells, grid * DRIVERS.len(), "the table covers the grid");
-    assert_eq!(exhausted, 2, "both stuck cells are still pinned");
+    assert_eq!(exhausted, 3, "the three stuck cells are still pinned");
 }
 
 /// A Level B step pays for what it touches. Counts, so this fails on any
@@ -194,8 +196,9 @@ fn a_step_samples_mu_once_and_visits_open_instances_only() {
 #[test]
 #[ignore = "rewrites tests/fixtures/levelb_hashes.txt from this commit's behaviour"]
 fn regenerate_levelb_hashes() {
-    // ROADMAP item 1: 1–6% of fig1 `uniform(16)` seeds never quiesce. Scan
-    // for the first that exhausts the budget under the benchmark's driver.
+    // ROADMAP item 2: about 1% of fig1 `uniform(16)` seeds never quiesce.
+    // Scan for the first that exhausts the budget under the benchmark's
+    // driver.
     let exhausting = (0u64..)
         .map(|seed| descriptor("fig1", seed, "none", "uniform(16)"))
         .find(|text| cell(text, "source").contains("outcome=BudgetExhausted"))
@@ -203,11 +206,12 @@ fn regenerate_levelb_hashes() {
     assert!(cell(RING_STUCK, "rr").contains("outcome=BudgetExhausted"));
     let mut table = format!(
         "# Level B identity table; see tests/levelb_identity.rs.\n\
-         # Cells that exhaust the budget: {exhausting} under driver=source (ROADMAP item 1),\n\
+         # Cells that exhaust the budget: {exhausting} under both drivers (ROADMAP item 2),\n\
          # and {RING_STUCK} under driver=rr (ROADMAP item 2).\n\
          # Columns 1-3 were generated at 43a24b2, the parent of the commit that made Level B's\n\
          # derived state, except the rr digests of five two(3,1) crash=rand(1) cells: rr became\n\
-         # the engine's fair loop, whose digest also folds a step whose process had just crashed.\n\
+         # the engine's fair loop, whose digest also folds a step whose process had just crashed,\n\
+         # and the cells whose run engaged a pair log's backup, which became g's own SMR.\n\
          # The work counters of column 4 did not exist there and are this tree's.\n"
     );
     for text in descriptors(&exhausting) {
