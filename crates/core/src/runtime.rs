@@ -64,7 +64,7 @@
 //! | event | stale cells | the write a guard reads |
 //! |---|---|---|
 //! | `Inject` | `(q, inject g)`, `(q, u)` at every member `q` of `g` | `unit_of`; `u` enters every in-flight list |
-//! | `Pending` | `(p, u)`; `(q, u)` at members in `pending` on `u` | `ann_max`, read by commit |
+//! | `Pending` | `(p, u)`; `(q, u)` at members in `pending` on `u`, only when some `ann_max` of `u` leaves 0 | whether `ann_max > 0`, read by commit |
 //! | `Commit` | `(p, u)`; **whole rows** of each pair the lock *reorders* | order indices and frontier cursors of that pair |
 //! | `Stabilize` | `(q, u)` at members in `commit` on `u` (`p` is one) | `stab`, read by stabilize and stable |
 //! | `Stable` | `(p, u)` | `p`'s phase; `u` leaves `p`'s in-flight list |
@@ -1174,6 +1174,7 @@ impl Step<'_> {
                 let g = self.units.group[u as usize];
                 let gm = t.gm(g, p);
                 let self_pair = t.self_pair[g.index()] as usize;
+                let mut first_announcement = false;
                 for e in &t.per_gp[gm] {
                     let ai = self.units.adj(u, e.adj_idx as usize);
                     if self.units.slot[ai] == 0 {
@@ -1185,16 +1186,21 @@ impl Step<'_> {
                     // is exactly the append-idempotence check.
                     let i = self.units.slot[ai];
                     if self.units.ann_max[ai] != i {
+                        first_announcement |= self.units.ann_max[ai] == 0;
                         self.units.ann_max[ai] = i;
                         self.pairs[self_pair].max_slot += 1;
                     }
                 }
                 self.set_phase_and_advance(p, g, u, Phase::Pending);
-                // `ann_max` is read by commit (a member in `pending`). The
-                // first appends to pairs are read by stabilize and deliver,
-                // but only at processes of those pairs already past
-                // `pending` — which appended there themselves.
-                self.stale_members_in(g, u, Phase::Pending);
+                // Commit (a member in `pending`) reads only whether an
+                // `ann_max` is 0, so only a first announcement for some `h`
+                // changes its guard. The first appends to pairs are read by
+                // stabilize and deliver, but only at processes of those
+                // pairs already past `pending` — which appended there
+                // themselves.
+                if first_announcement {
+                    self.stale_members_in(g, u, Phase::Pending);
+                }
             }
             Action::Commit(m) => {
                 let u = self.unit_of[m.0 as usize];
